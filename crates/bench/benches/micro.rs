@@ -52,7 +52,7 @@ fn bench_cdr(c: &mut Criterion) {
     let buf = w.finish();
     c.bench_function("cdr/decode_mixed", |b| {
         b.iter(|| {
-            let mut r = CdrReader::new(buf.clone(), Endian::Big);
+            let mut r = CdrReader::new(black_box(&buf), Endian::Big);
             black_box(r.read_u32().unwrap());
             black_box(r.read_u64().unwrap());
             black_box(r.read_string().unwrap());

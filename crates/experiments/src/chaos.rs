@@ -144,7 +144,7 @@ impl Servant for NoDedupCounterServant {
         let mut reply = CdrWriter::new(Endian::Big);
         match operation {
             "increment_once" => {
-                let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+                let mut r = CdrReader::new(body, Endian::Big);
                 let parsed = r
                     .read_u64()
                     .and_then(|op| r.read_u64().map(|delta| (op, delta)));
@@ -162,11 +162,11 @@ impl Servant for NoDedupCounterServant {
                 self.state.restore(&snapshot);
                 sys.count("counter.increments", 1);
                 reply.write_u64(self.state.value());
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             "get" => {
                 reply.write_u64(self.state.value());
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             _ => Err(SystemException::Other {
                 repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),

@@ -201,10 +201,10 @@ impl ClientWorkload {
 
     /// (Re)sends the current invocation to the current target.
     fn send(&mut self, sys: &mut dyn SysApi) {
-        let Some(target) = self.target.clone() else {
+        let Some(target) = self.target.as_ref() else {
             return;
         };
-        match self.orb.invoke(sys, &target, "time_of_day", &[]) {
+        match self.orb.invoke(sys, target, "time_of_day", &[]) {
             Ok(rid) => self.current_rid = Some(rid),
             // A synchronously raised exception (e.g. the cached connection
             // died while idle and is discovered at use).

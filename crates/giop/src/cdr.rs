@@ -93,7 +93,7 @@ pub fn wire_len(len: usize) -> u32 {
 /// w.write_u32(7);
 /// w.write_string("tick");
 /// let bytes = w.finish();
-/// let mut r = CdrReader::new(bytes, Endian::Little);
+/// let mut r = CdrReader::new(&bytes, Endian::Little);
 /// assert_eq!(r.read_u32().unwrap(), 7);
 /// assert_eq!(r.read_string().unwrap(), "tick");
 /// ```
@@ -101,6 +101,12 @@ pub fn wire_len(len: usize) -> u32 {
 pub struct CdrWriter {
     buf: BytesMut,
     endian: Endian,
+    /// Where the encapsulation starts in `buf`: 0, or the length of the
+    /// header a [`framed`](Self::framed) writer sits behind.
+    base: usize,
+    /// Header offset of the `u32` body length [`finish`](Self::finish)
+    /// patches in (framed writers only).
+    len_at: Option<usize>,
 }
 
 impl CdrWriter {
@@ -109,13 +115,32 @@ impl CdrWriter {
         CdrWriter {
             buf: BytesMut::with_capacity(64),
             endian,
+            base: 0,
+            len_at: None,
+        }
+    }
+
+    /// Creates an encoder whose body follows `header` in the same buffer,
+    /// so a whole frame is one allocation: `header` is copied verbatim,
+    /// alignment stays relative to the body start, and
+    /// [`finish`](Self::finish) overwrites the four header bytes at
+    /// `len_at` with the body length (a `u32` in `endian` order).
+    /// `body_hint` sizes the buffer; a body that outgrows it reallocates.
+    pub fn framed(endian: Endian, header: &[u8], len_at: usize, body_hint: usize) -> Self {
+        let mut buf = BytesMut::with_capacity(header.len().saturating_add(body_hint));
+        buf.put_slice(header);
+        CdrWriter {
+            buf,
+            endian,
+            base: header.len(),
+            len_at: Some(len_at),
         }
     }
 
     /// Pads with zero bytes so the next value starts `align`-aligned.
     fn align(&mut self, align: usize) {
         let align = align.max(1);
-        let pos = self.buf.len();
+        let pos = self.len();
         let pad = (align - pos % align) % align;
         for _ in 0..pad {
             self.buf.put_u8(0);
@@ -183,35 +208,66 @@ impl CdrWriter {
         self.buf.put_slice(bytes);
     }
 
-    /// Current encoded length (useful for headers that carry body size).
+    /// Appends already-encoded bytes as they are: no length prefix, no
+    /// alignment (a request's in-parameters, a reply's results).
+    pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.buf.put_slice(bytes);
+    }
+
+    /// Encoded body length so far (a framed writer's header not counted).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len().saturating_sub(self.base)
     }
 
-    /// `true` when nothing has been written.
+    /// `true` when no body byte has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
-    /// Finalises and returns the encoded bytes.
-    pub fn finish(self) -> Bytes {
+    /// Fills in a framed writer's length field.
+    fn seal(&mut self) {
+        if let Some(at) = self.len_at {
+            let len = wire_len(self.len());
+            let raw = match self.endian {
+                Endian::Big => len.to_be_bytes(),
+                Endian::Little => len.to_le_bytes(),
+            };
+            if let Some(field) = self.buf.get_mut(at..at.saturating_add(raw.len())) {
+                field.copy_from_slice(&raw);
+            }
+        }
+    }
+
+    /// Finalises and returns the encoded bytes — for a
+    /// [`framed`](Self::framed) writer the header, its length field now
+    /// filled in, followed by the body.
+    pub fn finish(mut self) -> Bytes {
+        self.seal();
         self.buf.freeze()
+    }
+
+    /// [`finish`](Self::finish) for a caller that wants a `Vec` (a
+    /// servant's results, an encapsulation to embed): the writer's own
+    /// buffer, not a copy of it.
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.seal();
+        Vec::from(self.buf)
     }
 }
 
-/// A CDR decoder over a byte buffer.
+/// A CDR decoder borrowing the bytes it reads.
 ///
 /// See [`CdrWriter`] for a round-trip example.
 #[derive(Debug)]
-pub struct CdrReader {
-    buf: Bytes,
+pub struct CdrReader<'a> {
+    buf: &'a [u8],
     pos: usize,
     endian: Endian,
 }
 
-impl CdrReader {
+impl<'a> CdrReader<'a> {
     /// Creates a decoder over `buf` in `endian` order.
-    pub fn new(buf: Bytes, endian: Endian) -> Self {
+    pub fn new(buf: &'a [u8], endian: Endian) -> Self {
         CdrReader {
             buf,
             pos: 0,
@@ -230,7 +286,12 @@ impl CdrReader {
         self.pos = self.pos.saturating_add(pad);
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&[u8], CdrError> {
+    /// The bytes not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or(&[])
+    }
+
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CdrError> {
         let end = self
             .pos
             .checked_add(n)
@@ -300,13 +361,13 @@ impl CdrReader {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    /// Reads a CDR string.
+    /// Reads a CDR string as a view into the buffer.
     ///
     /// # Errors
     ///
     /// [`CdrError::InvalidString`] if the terminator is missing or the bytes
     /// are not UTF-8; [`CdrError::LengthOverrun`] on a hostile length.
-    pub fn read_string(&mut self) -> Result<String, CdrError> {
+    pub fn read_str(&mut self) -> Result<&'a str, CdrError> {
         let len = self.read_u32()?;
         if len == 0 {
             return Err(CdrError::InvalidString);
@@ -324,11 +385,17 @@ impl CdrReader {
         if *nul != 0 {
             return Err(CdrError::InvalidString);
         }
-        String::from_utf8(body.to_vec()).map_err(|_| CdrError::InvalidString)
+        core::str::from_utf8(body).map_err(|_| CdrError::InvalidString)
     }
 
-    /// Reads `sequence<octet>`.
-    pub fn read_octets(&mut self) -> Result<Vec<u8>, CdrError> {
+    /// Reads a CDR string into an owned `String`; errors as
+    /// [`read_str`](Self::read_str).
+    pub fn read_string(&mut self) -> Result<String, CdrError> {
+        self.read_str().map(str::to_owned)
+    }
+
+    /// Reads `sequence<octet>` as a view into the buffer.
+    pub fn read_octet_slice(&mut self) -> Result<&'a [u8], CdrError> {
         let len = self.read_u32()?;
         if len as usize > self.remaining() {
             return Err(CdrError::LengthOverrun {
@@ -336,7 +403,12 @@ impl CdrReader {
                 remaining: self.remaining(),
             });
         }
-        Ok(self.take(len as usize, "octet sequence")?.to_vec())
+        self.take(len as usize, "octet sequence")
+    }
+
+    /// Reads `sequence<octet>` into an owned `Vec`.
+    pub fn read_octets(&mut self) -> Result<Vec<u8>, CdrError> {
+        self.read_octet_slice().map(<[u8]>::to_vec)
     }
 }
 
@@ -355,7 +427,7 @@ mod tests {
         w.write_string("hello");
         w.write_octets(&[9, 8, 7]);
         let b = w.finish();
-        let mut r = CdrReader::new(b, endian);
+        let mut r = CdrReader::new(&b, endian);
         assert_eq!(r.read_u8().unwrap(), 0xAB);
         assert!(r.read_bool().unwrap());
         assert_eq!(r.read_u16().unwrap(), 0x1234);
@@ -397,7 +469,7 @@ mod tests {
 
     #[test]
     fn eof_is_detected() {
-        let mut r = CdrReader::new(Bytes::from_static(&[1, 2]), Endian::Big);
+        let mut r = CdrReader::new(&[1, 2], Endian::Big);
         assert!(matches!(
             r.read_u32(),
             Err(CdrError::UnexpectedEof { what: "ulong" })
@@ -409,7 +481,7 @@ mod tests {
         let mut w = CdrWriter::new(Endian::Big);
         w.write_u32(1_000_000); // declared length
         let b = w.finish();
-        let mut r = CdrReader::new(b, Endian::Big);
+        let mut r = CdrReader::new(&b, Endian::Big);
         assert!(matches!(
             r.read_string(),
             Err(CdrError::LengthOverrun { .. })
@@ -423,7 +495,8 @@ mod tests {
         w.write_u8(b'a');
         w.write_u8(b'b');
         w.write_u8(b'c'); // should be NUL
-        let mut r = CdrReader::new(w.finish(), Endian::Big);
+        let wire = w.finish();
+        let mut r = CdrReader::new(&wire, Endian::Big);
         assert_eq!(r.read_string(), Err(CdrError::InvalidString));
     }
 
@@ -441,7 +514,8 @@ mod tests {
     fn empty_octets_roundtrip() {
         let mut w = CdrWriter::new(Endian::Big);
         w.write_octets(&[]);
-        let mut r = CdrReader::new(w.finish(), Endian::Big);
+        let wire = w.finish();
+        let mut r = CdrReader::new(&wire, Endian::Big);
         assert_eq!(r.read_octets().unwrap(), Vec::<u8>::new());
     }
 

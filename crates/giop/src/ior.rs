@@ -80,7 +80,7 @@ impl Ior {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = CdrWriter::new(crate::Endian::Big);
         self.write_into(&mut w);
-        w.finish().to_vec()
+        w.into_vec()
     }
 
     /// Writes this IOR into an ongoing CDR stream.
@@ -98,7 +98,7 @@ impl Ior {
             body.write_string(&p.host);
             body.write_u16(p.port);
             body.write_octets(p.object_key.as_bytes());
-            w.write_octets(&body.finish());
+            w.write_octets(&body.into_vec());
         }
     }
 
@@ -108,7 +108,7 @@ impl Ior {
     ///
     /// Any [`CdrError`] from malformed input.
     pub fn decode(bytes: &[u8]) -> Result<Self, CdrError> {
-        let mut r = CdrReader::new(bytes.to_vec().into(), crate::Endian::Big);
+        let mut r = CdrReader::new(bytes, crate::Endian::Big);
         Self::read_from(&mut r)
     }
 
@@ -117,7 +117,7 @@ impl Ior {
     /// # Errors
     ///
     /// Any [`CdrError`] from malformed input.
-    pub fn read_from(r: &mut CdrReader) -> Result<Self, CdrError> {
+    pub fn read_from(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
         let type_id = r.read_string()?;
         let n = r.read_u32()?;
         if n as usize > r.remaining() {
@@ -129,11 +129,11 @@ impl Ior {
         let mut profiles = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let tag = r.read_u32()?;
-            let body = r.read_octets()?;
+            let body = r.read_octet_slice()?;
             if tag != TAG_INTERNET_IOP {
                 continue; // skip foreign profiles, per the spec
             }
-            let mut b = CdrReader::new(body.into(), crate::Endian::Big);
+            let mut b = CdrReader::new(body, crate::Endian::Big);
             let endian_flag = b.read_u8()?;
             if endian_flag != 0 {
                 // We only ever emit big-endian encapsulations.

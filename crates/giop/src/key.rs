@@ -68,6 +68,14 @@ impl ObjectKey {
     }
 }
 
+/// Lets a map keyed by `ObjectKey` be searched with the key bytes of a
+/// request read in place (`Ord`/`Eq`/`Hash` are those of the bytes).
+impl core::borrow::Borrow<[u8]> for ObjectKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 impl fmt::Debug for ObjectKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let printable: String = self

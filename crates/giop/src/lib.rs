@@ -11,7 +11,8 @@
 //! * [`CdrWriter`]/[`CdrReader`] — Common Data Representation marshalling
 //!   with natural alignment and both byte orders,
 //! * [`Message`] and friends — GIOP framing, Request/Reply and the reply
-//!   statuses of the paper's schemes,
+//!   statuses of the paper's schemes, encoded into one buffer and parsed
+//!   in place as [`MessageView`]s,
 //! * [`Ior`]/[`IiopProfile`] — Interoperable Object References,
 //! * [`ObjectKey`] — persistent object keys with the 16-bit lookup hash of
 //!   section 4.1, and
@@ -25,14 +26,17 @@ mod cdr;
 mod ior;
 mod key;
 mod message;
+mod segbuf;
 
 pub use cdr::{wire_len, CdrError, CdrReader, CdrWriter, Endian};
 pub use ior::{IiopProfile, Ior, TAG_INTERNET_IOP};
 pub use key::ObjectKey;
 pub use message::{
-    encode_frame, Frame, FrameKind, FrameSplitter, GiopError, Message, MsgType, ReplyBody,
-    ReplyMessage, ReplyStatus, RequestMessage, GIOP_MAGIC, HEADER_LEN, MEAD_MAGIC,
+    encode_request, frame_writer, Frame, FrameKind, FrameSplitter, GiopError, Message, MessageView,
+    MsgType, ReplyBody, ReplyBodyView, ReplyMessage, ReplyStatus, ReplyView, RequestMessage,
+    RequestView, GIOP_MAGIC, HEADER_LEN, MAX_FRAME_LEN, MEAD_MAGIC,
 };
+pub use segbuf::SegmentBuf;
 
 /// Well-known repository id for the `COMM_FAILURE` system exception.
 pub const EX_COMM_FAILURE: &str = "IDL:omg.org/CORBA/COMM_FAILURE:1.0";

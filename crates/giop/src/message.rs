@@ -14,12 +14,13 @@
 //! filters "custom MEAD messages that we piggyback onto regular GIOP
 //! messages" (section 3.1).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use core::fmt;
 
 use crate::cdr::{CdrError, CdrReader, CdrWriter, Endian};
 use crate::ior::Ior;
 use crate::key::ObjectKey;
+use crate::segbuf::SegmentBuf;
 
 /// Magic bytes opening every GIOP message.
 pub const GIOP_MAGIC: [u8; 4] = *b"GIOP";
@@ -161,6 +162,8 @@ pub enum GiopError {
     Cdr(CdrError),
     /// Frame is shorter than its header claims.
     Truncated,
+    /// A header declares a body longer than [`MAX_FRAME_LEN`].
+    FrameTooLarge(usize),
 }
 
 impl fmt::Display for GiopError {
@@ -171,6 +174,9 @@ impl fmt::Display for GiopError {
             GiopError::UnknownMsgType(t) => write!(f, "unknown GIOP message type {t}"),
             GiopError::Cdr(e) => write!(f, "marshalling error: {e}"),
             GiopError::Truncated => write!(f, "truncated frame"),
+            GiopError::FrameTooLarge(len) => {
+                write!(f, "declared body length {len} exceeds {MAX_FRAME_LEN}")
+            }
         }
     }
 }
@@ -264,36 +270,30 @@ pub enum Message {
 
 impl Message {
     /// Encodes the message as a complete wire frame (header + body) in
-    /// `endian` byte order.
+    /// `endian` byte order. Header and body are written into one buffer.
     pub fn encode(&self, endian: Endian) -> Bytes {
-        let (msg_type, body) = match self {
-            Message::Request(req) => {
-                let mut w = CdrWriter::new(endian);
-                w.write_u32(0); // empty service context sequence
-                w.write_u32(req.request_id);
-                w.write_bool(req.response_expected);
-                w.write_octets(req.object_key.as_bytes());
-                w.write_string(&req.operation);
-                w.write_octets(&[]); // principal (deprecated)
-                let mut b = w.finish().to_vec();
-                b.extend_from_slice(&req.body);
-                (MsgType::Request, b)
-            }
+        match self {
+            Message::Request(req) => encode_request(
+                req.request_id,
+                req.response_expected,
+                req.object_key.as_bytes(),
+                &req.operation,
+                &req.body,
+                endian,
+            ),
             Message::Reply(rep) => {
-                let mut w = CdrWriter::new(endian);
+                // Results are sized exactly; the rare bodies may regrow.
+                let hint = match &rep.body {
+                    ReplyBody::NoException(out) => out.len().saturating_add(12),
+                    _ => 128,
+                };
+                let mut w = frame_writer(GIOP_MAGIC, MsgType::Reply.code(), endian, hint);
                 w.write_u32(0); // empty service context sequence
                 w.write_u32(rep.request_id);
                 w.write_u32(rep.body.status().code());
                 match &rep.body {
-                    ReplyBody::NoException(out) => {
-                        let mut b = w.finish().to_vec();
-                        b.extend_from_slice(out);
-                        (MsgType::Reply, b)
-                    }
-                    ReplyBody::UserException(repo_id) => {
-                        w.write_string(repo_id);
-                        (MsgType::Reply, w.finish().to_vec())
-                    }
+                    ReplyBody::NoException(out) => w.write_raw(out),
+                    ReplyBody::UserException(repo_id) => w.write_string(repo_id),
                     ReplyBody::SystemException {
                         repo_id,
                         minor,
@@ -302,30 +302,188 @@ impl Message {
                         w.write_string(repo_id);
                         w.write_u32(*minor);
                         w.write_u32(*completed);
-                        (MsgType::Reply, w.finish().to_vec())
                     }
-                    ReplyBody::LocationForward(ior) => {
-                        ior.write_into(&mut w);
-                        (MsgType::Reply, w.finish().to_vec())
-                    }
-                    ReplyBody::NeedsAddressingMode(disposition) => {
-                        w.write_u16(*disposition);
-                        (MsgType::Reply, w.finish().to_vec())
-                    }
+                    ReplyBody::LocationForward(ior) => ior.write_into(&mut w),
+                    ReplyBody::NeedsAddressingMode(disposition) => w.write_u16(*disposition),
                 }
+                w.finish()
             }
-            Message::CloseConnection => (MsgType::CloseConnection, Vec::new()),
-            Message::MessageError => (MsgType::MessageError, Vec::new()),
-        };
-        encode_frame(GIOP_MAGIC, msg_type.code(), endian, &body)
+            Message::CloseConnection => {
+                frame_writer(GIOP_MAGIC, MsgType::CloseConnection.code(), endian, 0).finish()
+            }
+            Message::MessageError => {
+                frame_writer(GIOP_MAGIC, MsgType::MessageError.code(), endian, 0).finish()
+            }
+        }
     }
 
-    /// Decodes a complete frame previously produced by a [`FrameSplitter`].
+    /// Decodes a complete frame previously produced by a [`FrameSplitter`]
+    /// into owned fields: [`MessageView::parse`], then
+    /// [`MessageView::to_owned`].
     ///
     /// # Errors
     ///
     /// Any [`GiopError`] on malformed input; never panics on hostile bytes.
     pub fn decode(frame: &[u8]) -> Result<Message, GiopError> {
+        MessageView::parse(frame).map(|view| view.to_owned())
+    }
+}
+
+/// Encodes a Request frame straight from borrowed parts — what
+/// [`Message::encode`] does for a [`RequestMessage`], without first
+/// collecting the parts into one.
+pub fn encode_request(
+    request_id: u32,
+    response_expected: bool,
+    object_key: &[u8],
+    operation: &str,
+    body: &[u8],
+    endian: Endian,
+) -> Bytes {
+    // Fixed fields, three length words and alignment padding come to at
+    // most 36 bytes, so the buffer never regrows.
+    let hint = object_key
+        .len()
+        .saturating_add(operation.len())
+        .saturating_add(body.len())
+        .saturating_add(36);
+    let mut w = frame_writer(GIOP_MAGIC, MsgType::Request.code(), endian, hint);
+    w.write_u32(0); // empty service context sequence
+    w.write_u32(request_id);
+    w.write_bool(response_expected);
+    w.write_octets(object_key);
+    w.write_string(operation);
+    w.write_octets(&[]); // principal (deprecated)
+    w.write_raw(body);
+    w.finish()
+}
+
+/// A [`CdrWriter`] positioned behind a 12-byte frame header (shared by
+/// GIOP and MEAD messages); its `finish` fills in the body length.
+/// `body_hint` sizes the buffer.
+pub fn frame_writer(magic: [u8; 4], msg_type: u8, endian: Endian, body_hint: usize) -> CdrWriter {
+    let [m0, m1, m2, m3] = magic;
+    let flags = match endian {
+        Endian::Big => 0,
+        Endian::Little => 1,
+    };
+    // magic, major 1, minor 0, flags, type, length placeholder.
+    let header: [u8; HEADER_LEN] = [m0, m1, m2, m3, 1, 0, flags, msg_type, 0, 0, 0, 0];
+    CdrWriter::framed(endian, &header, 8, body_hint)
+}
+
+/// A Request read in place: every field is a view into the frame it was
+/// parsed from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RequestView<'a> {
+    /// See [`RequestMessage::request_id`].
+    pub request_id: u32,
+    /// See [`RequestMessage::response_expected`].
+    pub response_expected: bool,
+    /// The target object's key bytes.
+    pub object_key: &'a [u8],
+    /// Operation name.
+    pub operation: &'a str,
+    /// CDR-encoded in-parameters.
+    pub body: &'a [u8],
+}
+
+impl RequestView<'_> {
+    /// Copies the viewed fields into a [`RequestMessage`].
+    pub fn to_owned(&self) -> RequestMessage {
+        RequestMessage {
+            request_id: self.request_id,
+            response_expected: self.response_expected,
+            object_key: ObjectKey::from_bytes(self.object_key.to_vec()),
+            operation: self.operation.to_owned(),
+            body: self.body.to_vec(),
+        }
+    }
+}
+
+/// The payload of a reply read in place. A forwarded [`Ior`] is decoded
+/// eagerly (it is rare, and validating it is part of parsing the reply).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ReplyBodyView<'a> {
+    /// See [`ReplyBody::NoException`].
+    NoException(&'a [u8]),
+    /// See [`ReplyBody::UserException`].
+    UserException(&'a str),
+    /// See [`ReplyBody::SystemException`].
+    SystemException {
+        /// Exception repository id.
+        repo_id: &'a str,
+        /// Vendor minor code.
+        minor: u32,
+        /// Completion status.
+        completed: u32,
+    },
+    /// See [`ReplyBody::LocationForward`].
+    LocationForward(Ior),
+    /// See [`ReplyBody::NeedsAddressingMode`].
+    NeedsAddressingMode(u16),
+}
+
+/// A Reply read in place.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReplyView<'a> {
+    /// See [`ReplyMessage::request_id`].
+    pub request_id: u32,
+    /// Status-discriminated payload.
+    pub body: ReplyBodyView<'a>,
+}
+
+impl ReplyView<'_> {
+    /// Copies the viewed fields into a [`ReplyMessage`].
+    pub fn to_owned(&self) -> ReplyMessage {
+        let body = match &self.body {
+            ReplyBodyView::NoException(out) => ReplyBody::NoException(out.to_vec()),
+            ReplyBodyView::UserException(repo_id) => {
+                ReplyBody::UserException((*repo_id).to_owned())
+            }
+            ReplyBodyView::SystemException {
+                repo_id,
+                minor,
+                completed,
+            } => ReplyBody::SystemException {
+                repo_id: (*repo_id).to_owned(),
+                minor: *minor,
+                completed: *completed,
+            },
+            ReplyBodyView::LocationForward(ior) => ReplyBody::LocationForward(ior.clone()),
+            ReplyBodyView::NeedsAddressingMode(d) => ReplyBody::NeedsAddressingMode(*d),
+        };
+        ReplyMessage {
+            request_id: self.request_id,
+            body,
+        }
+    }
+}
+
+/// Any GIOP message, read in place. This is the only GIOP parser:
+/// [`Message::decode`] goes through it.
+///
+/// A view borrows the frame, so it cannot outlive the handler that
+/// parsed it; whatever must be kept is copied out with `to_owned`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MessageView<'a> {
+    /// Client request.
+    Request(RequestView<'a>),
+    /// Server reply.
+    Reply(ReplyView<'a>),
+    /// Orderly shutdown notice.
+    CloseConnection,
+    /// Protocol error notice.
+    MessageError,
+}
+
+impl<'a> MessageView<'a> {
+    /// Parses a complete frame without copying any of it.
+    ///
+    /// # Errors
+    ///
+    /// Any [`GiopError`] on malformed input; never panics on hostile bytes.
+    pub fn parse(frame: &'a [u8]) -> Result<Self, GiopError> {
         let magic = read4(frame, 0)?;
         if magic != GIOP_MAGIC {
             return Err(GiopError::BadMagic(magic));
@@ -340,77 +498,59 @@ impl Message {
         let declared = read_len(frame, little)?;
         let body = frame.get(HEADER_LEN..).unwrap_or(&[]);
         let body = body.get(..declared).ok_or(GiopError::Truncated)?;
+        let mut r = CdrReader::new(body, endian);
         match msg_type {
             MsgType::Request => {
-                let mut r = CdrReader::new(Bytes::copy_from_slice(body), endian);
                 let _svc = r.read_u32()?;
                 let request_id = r.read_u32()?;
                 let response_expected = r.read_bool()?;
-                let object_key = ObjectKey::from_bytes(r.read_octets()?);
-                let operation = r.read_string()?;
-                let _principal = r.read_octets()?;
-                let consumed = body.len().saturating_sub(r.remaining());
-                Ok(Message::Request(RequestMessage {
+                let object_key = r.read_octet_slice()?;
+                let operation = r.read_str()?;
+                let _principal = r.read_octet_slice()?;
+                Ok(MessageView::Request(RequestView {
                     request_id,
                     response_expected,
                     object_key,
                     operation,
-                    body: body.get(consumed..).unwrap_or(&[]).to_vec(),
+                    body: r.rest(),
                 }))
             }
             MsgType::Reply => {
-                let mut r = CdrReader::new(Bytes::copy_from_slice(body), endian);
                 let _svc = r.read_u32()?;
                 let request_id = r.read_u32()?;
                 let status = ReplyStatus::from_u32(r.read_u32()?)?;
-                let reply_body = match status {
-                    ReplyStatus::NoException => {
-                        let consumed = body.len().saturating_sub(r.remaining());
-                        ReplyBody::NoException(body.get(consumed..).unwrap_or(&[]).to_vec())
-                    }
-                    ReplyStatus::UserException => ReplyBody::UserException(r.read_string()?),
-                    ReplyStatus::SystemException => ReplyBody::SystemException {
-                        repo_id: r.read_string()?,
+                let body = match status {
+                    ReplyStatus::NoException => ReplyBodyView::NoException(r.rest()),
+                    ReplyStatus::UserException => ReplyBodyView::UserException(r.read_str()?),
+                    ReplyStatus::SystemException => ReplyBodyView::SystemException {
+                        repo_id: r.read_str()?,
                         minor: r.read_u32()?,
                         completed: r.read_u32()?,
                     },
                     ReplyStatus::LocationForward => {
-                        ReplyBody::LocationForward(Ior::read_from(&mut r)?)
+                        ReplyBodyView::LocationForward(Ior::read_from(&mut r)?)
                     }
                     ReplyStatus::NeedsAddressingMode => {
-                        ReplyBody::NeedsAddressingMode(r.read_u16()?)
+                        ReplyBodyView::NeedsAddressingMode(r.read_u16()?)
                     }
                 };
-                Ok(Message::Reply(ReplyMessage {
-                    request_id,
-                    body: reply_body,
-                }))
+                Ok(MessageView::Reply(ReplyView { request_id, body }))
             }
-            MsgType::CloseConnection => Ok(Message::CloseConnection),
-            MsgType::MessageError => Ok(Message::MessageError),
+            MsgType::CloseConnection => Ok(MessageView::CloseConnection),
+            MsgType::MessageError => Ok(MessageView::MessageError),
             other => Err(GiopError::UnknownMsgType(other.code())),
         }
     }
-}
 
-/// Builds a 12-byte-header frame (shared by GIOP and MEAD messages).
-pub fn encode_frame(magic: [u8; 4], msg_type: u8, endian: Endian, body: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-    out.put_slice(&magic);
-    out.put_u8(1); // major
-    out.put_u8(0); // minor
-    out.put_u8(match endian {
-        Endian::Big => 0,
-        Endian::Little => 1,
-    });
-    out.put_u8(msg_type);
-    let len = crate::cdr::wire_len(body.len());
-    match endian {
-        Endian::Big => out.put_u32(len),
-        Endian::Little => out.put_u32_le(len),
+    /// Copies the viewed fields into an owned [`Message`].
+    pub fn to_owned(&self) -> Message {
+        match self {
+            MessageView::Request(req) => Message::Request(req.to_owned()),
+            MessageView::Reply(rep) => Message::Reply(rep.to_owned()),
+            MessageView::CloseConnection => Message::CloseConnection,
+            MessageView::MessageError => Message::MessageError,
+        }
     }
-    out.put_slice(body);
-    out.freeze()
 }
 
 /// Which protocol a split frame belongs to.
@@ -448,8 +588,17 @@ impl Frame {
     }
 }
 
-/// Incremental stream splitter: feed it raw bytes as they arrive, pull out
-/// complete GIOP/MEAD frames.
+/// Largest body length a frame header may declare. The biggest frames
+/// this system exchanges are a few hundred bytes; a header claiming more
+/// than this is a desynchronised or hostile stream, and buffering until
+/// the claimed length arrived would let a peer pin memory indefinitely.
+pub const MAX_FRAME_LEN: usize = 1 << 20;
+
+/// Incremental stream splitter: feed it the segments a connection
+/// delivers, pull out complete GIOP/MEAD frames.
+///
+/// A frame that arrived inside one segment is handed out as a view of
+/// that segment — no copy (see [`SegmentBuf`]).
 ///
 /// ```
 /// use giop::{Endian, FrameKind, FrameSplitter, Message};
@@ -464,7 +613,7 @@ impl Frame {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameSplitter {
-    buf: BytesMut,
+    buf: SegmentBuf,
 }
 
 impl FrameSplitter {
@@ -473,9 +622,15 @@ impl FrameSplitter {
         Self::default()
     }
 
-    /// Appends newly received bytes.
+    /// Appends a received segment, taking over its buffer.
+    pub fn push_bytes(&mut self, segment: Bytes) {
+        self.buf.push(segment);
+    }
+
+    /// Appends a copy of newly received bytes, for callers that hold only
+    /// a slice.
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.push_bytes(Bytes::copy_from_slice(data));
     }
 
     /// Bytes buffered but not yet framed.
@@ -483,37 +638,52 @@ impl FrameSplitter {
         self.buf.len()
     }
 
+    /// Removes and returns every buffered byte, framed or not — how a
+    /// caller that gives up on a desynchronised stream passes the rest
+    /// on raw.
+    pub fn take_buffered(&mut self) -> Bytes {
+        self.buf.take()
+    }
+
     /// Extracts the next complete frame, if one is buffered.
     ///
     /// # Errors
     ///
-    /// [`GiopError::BadMagic`] if the stream is out of sync (the connection
-    /// should be torn down, as a real ORB would).
+    /// [`GiopError::BadMagic`] if the stream is out of sync and
+    /// [`GiopError::FrameTooLarge`] if a header declares a body above
+    /// [`MAX_FRAME_LEN`]. Either way the offending bytes stay buffered and
+    /// every later call fails the same way: the connection should be torn
+    /// down, as a real ORB would.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, GiopError> {
-        if self.buf.len() < HEADER_LEN {
+        let buffered = self.buf.peek();
+        if buffered.len() < HEADER_LEN {
             return Ok(None);
         }
-        let magic = read4(&self.buf, 0)?;
+        let magic = read4(buffered, 0)?;
         let kind = match &magic {
             m if *m == GIOP_MAGIC => FrameKind::Giop,
             m if *m == MEAD_MAGIC => FrameKind::Mead,
             _ => return Err(GiopError::BadMagic(magic)),
         };
-        let little = read_u8_at(&self.buf, 6)? & 1 == 1;
-        let body_len = read_len(&self.buf, little)?;
+        let little = read_u8_at(buffered, 6)? & 1 == 1;
+        let body_len = read_len(buffered, little)?;
+        if body_len > MAX_FRAME_LEN {
+            return Err(GiopError::FrameTooLarge(body_len));
+        }
         let total = HEADER_LEN.saturating_add(body_len);
+        // `split_to` would answer the same; the explicit comparison is
+        // what detlint R10 proves the split in bounds from.
         if self.buf.len() < total {
             return Ok(None);
         }
-        let frame = self.buf.split_to(total).freeze();
-        Ok(Some(Frame { kind, bytes: frame }))
+        Ok(self.buf.split_to(total).map(|bytes| Frame { kind, bytes }))
     }
 
     /// Drains every complete frame currently buffered.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`GiopError::BadMagic`] encountered.
+    /// Propagates the first error [`next_frame`](Self::next_frame) meets.
     pub fn drain_frames(&mut self) -> Result<Vec<Frame>, GiopError> {
         let mut out = Vec::new();
         while let Some(f) = self.next_frame()? {
@@ -612,7 +782,9 @@ mod tests {
     #[test]
     fn splitter_distinguishes_mead_frames() {
         let giop = Message::CloseConnection.encode(Endian::Big);
-        let mead = encode_frame(MEAD_MAGIC, 1, Endian::Big, &[0xAA; 20]);
+        let mut w = frame_writer(MEAD_MAGIC, 1, Endian::Big, 20);
+        w.write_raw(&[0xAA; 20]);
+        let mead = w.finish();
         let mut s = FrameSplitter::new();
         s.push(&mead);
         s.push(&giop);

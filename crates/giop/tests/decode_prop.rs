@@ -2,7 +2,6 @@
 //! counterpart): every decoder entry point must return a typed error —
 //! never panic — on truncated, bit-flipped, or outright arbitrary input.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use giop::*;
@@ -124,15 +123,61 @@ proptest! {
         }
     }
 
+    /// A header declaring a body above `MAX_FRAME_LEN` is refused as soon
+    /// as the header is complete, whatever follows it and however it is
+    /// chunked — the splitter never sits waiting for (and buffering) 4 GiB.
+    /// The largest allowed length is still just an incomplete frame.
+    #[test]
+    fn oversized_declared_length_is_a_typed_error(
+        mead in any::<bool>(),
+        endian in arb_endian(),
+        msg_type in any::<u8>(),
+        excess in 1u32..=(u32::MAX - MAX_FRAME_LEN as u32),
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+        chunk in 1usize..20,
+    ) {
+        let header = |declared: u32| {
+            let mut h = if mead { MEAD_MAGIC.to_vec() } else { GIOP_MAGIC.to_vec() };
+            h.extend_from_slice(&[1, 0, u8::from(endian == Endian::Little), msg_type]);
+            h.extend_from_slice(&match endian {
+                Endian::Big => declared.to_be_bytes(),
+                Endian::Little => declared.to_le_bytes(),
+            });
+            h
+        };
+        let declared = MAX_FRAME_LEN as u32 + excess;
+        let mut stream = header(declared);
+        stream.extend_from_slice(&tail);
+        let mut splitter = FrameSplitter::new();
+        let mut fed = 0;
+        for piece in stream.chunks(chunk) {
+            splitter.push(piece);
+            fed += piece.len();
+            let got = splitter.next_frame();
+            if fed < HEADER_LEN {
+                prop_assert_eq!(got, Ok(None));
+            } else {
+                prop_assert_eq!(got, Err(GiopError::FrameTooLarge(declared as usize)));
+            }
+        }
+        // The error is sticky and nothing was thrown away.
+        prop_assert_eq!(splitter.next_frame(), Err(GiopError::FrameTooLarge(declared as usize)));
+        prop_assert_eq!(splitter.buffered(), stream.len());
+
+        let mut at_limit = FrameSplitter::new();
+        at_limit.push(&header(MAX_FRAME_LEN as u32));
+        prop_assert_eq!(at_limit.next_frame(), Ok(None));
+    }
+
     /// The CDR reader never panics under an arbitrary sequence of read
     /// operations over arbitrary bytes.
     #[test]
     fn cdr_reader_never_panics(
         buf in prop::collection::vec(any::<u8>(), 0..128),
-        ops in prop::collection::vec(0u8..8, 1..24),
+        ops in prop::collection::vec(0u8..10, 1..24),
         endian in arb_endian(),
     ) {
-        let mut r = CdrReader::new(Bytes::from(buf), endian);
+        let mut r = CdrReader::new(&buf, endian);
         for op in ops {
             match op {
                 0 => { let _ = r.read_u8(); }
@@ -142,9 +187,11 @@ proptest! {
                 4 => { let _ = r.read_u64(); }
                 5 => { let _ = r.read_f64(); }
                 6 => { let _ = r.read_string(); }
-                _ => { let _ = r.read_octets(); }
+                7 => { let _ = r.read_octets(); }
+                8 => { let _ = r.read_str(); }
+                _ => { let _ = r.read_octet_slice(); }
             }
-            let _ = r.remaining();
+            prop_assert_eq!(r.rest().len(), r.remaining());
         }
     }
 

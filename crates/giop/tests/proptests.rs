@@ -139,7 +139,7 @@ proptest! {
         w.write_u8(a); w.write_bool(b); w.write_u16(c); w.write_u32(d);
         w.write_u64(e); w.write_f64(f); w.write_string(&s); w.write_octets(&o);
         let buf = w.finish();
-        let mut r = CdrReader::new(buf, endian);
+        let mut r = CdrReader::new(&buf, endian);
         prop_assert_eq!(r.read_u8().unwrap(), a);
         prop_assert_eq!(r.read_bool().unwrap(), b);
         prop_assert_eq!(r.read_u16().unwrap(), c);

@@ -144,7 +144,7 @@ impl GcsClient {
     fn send(&mut self, sys: &mut dyn SysApi, msg: GcsWire) {
         if self.state == ClientState::Ready {
             let conn = self.conn.expect("ready implies connected");
-            let _ = sys.write(conn, &msg.encode());
+            let _ = sys.write_bytes(conn, msg.encode());
         } else {
             self.backlog.push(msg);
         }
@@ -162,9 +162,9 @@ impl GcsClient {
         match event {
             Event::ConnEstablished { conn } if Some(*conn) == self.conn => {
                 self.state = ClientState::Attaching;
-                let _ = sys.write(
+                let _ = sys.write_bytes(
                     *conn,
-                    &GcsWire::Attach {
+                    GcsWire::Attach {
                         member: self.member.clone(),
                     }
                     .encode(),
@@ -198,7 +198,7 @@ impl GcsClient {
                 let Ok(read) = sys.read(*conn, usize::MAX) else {
                     return Some(Vec::new());
                 };
-                self.splitter.push(&read.data);
+                self.splitter.push_bytes(read.data);
                 let mut out = Vec::new();
                 loop {
                     match self.splitter.next_message() {
@@ -243,9 +243,9 @@ impl GcsClient {
                 // queued joins for those same groups, which would
                 // otherwise be sent twice.
                 for group in &self.joined {
-                    let _ = sys.write(
+                    let _ = sys.write_bytes(
                         conn,
-                        &GcsWire::Join {
+                        GcsWire::Join {
                             group: group.clone(),
                         }
                         .encode(),
@@ -257,7 +257,7 @@ impl GcsClient {
                             continue;
                         }
                     }
-                    let _ = sys.write(conn, &queued.encode());
+                    let _ = sys.write_bytes(conn, queued.encode());
                 }
                 out.push(GcsDelivery::Ready);
             }

@@ -188,7 +188,7 @@ impl GcsDaemon {
             self.sequence(sys, msg);
         } else if self.up_ready {
             let up = self.up.expect("ready implies connected");
-            let _ = sys.write(up, &msg.encode());
+            let _ = sys.write_bytes(up, msg.encode());
         } else {
             self.up_backlog.push(msg);
         }
@@ -312,7 +312,7 @@ impl GcsDaemon {
             .map(|(_, conn)| *conn)
             .collect();
         for conn in peer_conns {
-            let _ = sys.write(conn, &encoded);
+            let _ = sys.write_bytes(conn, encoded.clone());
         }
         // Deliver to our own local members without a network hop.
         self.handle_ordered(sys, ord);
@@ -353,7 +353,7 @@ impl GcsDaemon {
                 let encoded = msg.encode();
                 for member in recipients {
                     if let Some(&conn) = self.local_members.get(&member) {
-                        let _ = sys.write(conn, &encoded);
+                        let _ = sys.write_bytes(conn, encoded.clone());
                     }
                 }
             }
@@ -374,7 +374,7 @@ impl GcsDaemon {
                 let encoded = msg.encode();
                 for member in local {
                     if let Some(&conn) = self.local_members.get(member) {
-                        let _ = sys.write(conn, &encoded);
+                        let _ = sys.write_bytes(conn, encoded.clone());
                     }
                 }
             }
@@ -412,7 +412,7 @@ impl GcsDaemon {
                             groups: BTreeSet::new(),
                         };
                     }
-                    let _ = sys.write(conn, &GcsWire::Attached.encode());
+                    let _ = sys.write_bytes(conn, GcsWire::Attached.encode());
                 }
                 GcsWire::Hello { node } => {
                     if let Some(c) = self.conns.get_mut(&conn) {
@@ -528,7 +528,7 @@ impl GcsDaemon {
                     // Echo the token back (one circulation leg each way),
                     // but only from the sequencer to avoid ping-pong.
                     if self.seq_state.is_some() {
-                        let _ = sys.write(conn, &GcsWire::Heartbeat { pad }.encode());
+                        let _ = sys.write_bytes(conn, GcsWire::Heartbeat { pad }.encode());
                     }
                 }
                 other @ (GcsWire::Attach { .. }
@@ -629,12 +629,12 @@ impl Process for GcsDaemon {
             Event::ConnEstablished { conn } if Some(conn) == self.up => {
                 self.up_ready = true;
                 let node = sys.my_node().index();
-                let _ = sys.write(conn, &GcsWire::Hello { node }.encode());
+                let _ = sys.write_bytes(conn, GcsWire::Hello { node }.encode());
                 if !self.cfg.heartbeat_interval.is_zero() {
                     sys.set_timer(self.cfg.heartbeat_interval, TOKEN_HEARTBEAT);
                 }
                 for msg in std::mem::take(&mut self.up_backlog) {
-                    let _ = sys.write(conn, &msg.encode());
+                    let _ = sys.write_bytes(conn, msg.encode());
                 }
                 // The upstream connection also carries the ordered stream
                 // back to us; track it like a peer connection.
@@ -661,7 +661,7 @@ impl Process for GcsDaemon {
             } if self.up_ready => {
                 let up = self.up.expect("ready implies connected");
                 let pad = vec![0u8; self.cfg.heartbeat_bytes];
-                let _ = sys.write(up, &GcsWire::Heartbeat { pad }.encode());
+                let _ = sys.write_bytes(up, GcsWire::Heartbeat { pad }.encode());
                 sys.set_timer(self.cfg.heartbeat_interval, TOKEN_HEARTBEAT);
             }
             Event::TimerFired { token, .. } if token >= TOKEN_MEMBERSHIP_BASE => {
@@ -676,7 +676,7 @@ impl Process for GcsDaemon {
                 let Ok(read) = sys.read(conn, usize::MAX) else {
                     return;
                 };
-                state.splitter.push(&read.data);
+                state.splitter.push_bytes(read.data);
                 while let Some(state) = self.conns.get_mut(&conn) {
                     match state.splitter.next_message() {
                         Ok(Some(msg)) => self.handle_message(sys, conn, msg),

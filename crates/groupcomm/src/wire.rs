@@ -4,9 +4,9 @@
 //! message discriminant. Three sub-protocols share the enum: client↔daemon
 //! commands/deliveries and daemon↔sequencer forwarding/ordering.
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::Bytes;
 
-use giop::{CdrReader, CdrWriter, Endian};
+use giop::{CdrReader, CdrWriter, Endian, SegmentBuf};
 use obs::{CodecError, WireCodec};
 
 /// Upper bound on a sane GCS frame, to catch stream desynchronisation.
@@ -149,9 +149,10 @@ impl GcsWire {
         }
     }
 
-    /// Encodes as a length-prefixed frame ready for the wire.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
+    /// Encodes as a length-prefixed frame ready for the wire (prefix and
+    /// body in one buffer).
+    pub fn encode(&self) -> Bytes {
+        self.encode_wire()
     }
 
     /// Decodes one frame body (without the length prefix).
@@ -164,7 +165,7 @@ impl GcsWire {
     }
 
     fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+        let mut r = CdrReader::new(body, Endian::Big);
         let kind = r.read_u8()?;
         Ok(match kind {
             0 => GcsWire::Attach {
@@ -270,7 +271,9 @@ impl WireCodec for GcsWire {
     }
 
     fn encode_wire(&self) -> Bytes {
-        let mut w = CdrWriter::new(Endian::Big);
+        // The u32 length prefix is the frame's whole header; `finish`
+        // fills it in.
+        let mut w = CdrWriter::framed(Endian::Big, &[0; 4], 0, 124);
         w.write_u8(self.kind());
         match self {
             GcsWire::Attach { member } => w.write_string(member),
@@ -351,11 +354,7 @@ impl WireCodec for GcsWire {
             }
             GcsWire::Heartbeat { pad } => w.write_octets(pad),
         }
-        let body = w.finish();
-        let mut out = BytesMut::with_capacity(4 + body.len());
-        out.extend_from_slice(&giop::wire_len(body.len()).to_be_bytes());
-        out.extend_from_slice(&body);
-        out.freeze()
+        w.finish()
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError> {
@@ -373,10 +372,12 @@ impl WireCodec for GcsWire {
     }
 }
 
-/// Incremental splitter for length-prefixed GCS frames.
+/// Incremental splitter for length-prefixed GCS frames. A message that
+/// arrived inside one segment is decoded in place, without copying the
+/// segment (see [`SegmentBuf`]).
 #[derive(Debug, Default)]
 pub struct GcsSplitter {
-    buf: BytesMut,
+    buf: SegmentBuf,
 }
 
 impl GcsSplitter {
@@ -385,30 +386,36 @@ impl GcsSplitter {
         Self::default()
     }
 
-    /// Appends received bytes.
+    /// Appends a received segment, taking over its buffer.
+    pub fn push_bytes(&mut self, segment: Bytes) {
+        self.buf.push(segment);
+    }
+
+    /// Appends a copy of received bytes, for callers that hold only a
+    /// slice.
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.push_bytes(Bytes::copy_from_slice(data));
     }
 
     /// Extracts the next complete message, if buffered.
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on a corrupt frame.
+    /// [`CodecError`] on a corrupt frame; [`CodecError::Oversize`] as soon
+    /// as a prefix declares more than [`MAX_FRAME`] bytes, so a hostile
+    /// length is never waited (and buffered) for.
     pub fn next_message(&mut self) -> Result<Option<GcsWire>, CodecError> {
-        if self.buf.len() < 4 {
+        let Some(&[a, b, c, d]) = self.buf.peek().first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = (&self.buf[0..4]).get_u32();
+        };
+        let len = u32::from_be_bytes([a, b, c, d]);
         if len > MAX_FRAME {
             return Err(CodecError::Oversize(len));
         }
-        if self.buf.len() < 4 + len as usize {
+        let Some(frame) = self.buf.split_to((len as usize).saturating_add(4)) else {
             return Ok(None);
-        }
-        self.buf.advance(4);
-        let body = self.buf.split_to(len as usize);
-        GcsWire::decode(&body).map(Some)
+        };
+        GcsWire::decode(frame.get(4..).unwrap_or(&[])).map(Some)
     }
 
     /// Drains all complete messages currently buffered.

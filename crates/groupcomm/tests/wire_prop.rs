@@ -1,8 +1,9 @@
 //! Property tests for the group-communication wire format.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 
-use groupcomm::{GcsSplitter, GcsWire};
+use groupcomm::{CodecError, GcsSplitter, GcsWire, MAX_FRAME};
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9/_.-]{1,40}"
@@ -105,6 +106,68 @@ proptest! {
             }
         }
         prop_assert_eq!(got, msgs);
+    }
+
+    /// Segments handed over by value — one message each, then the whole
+    /// stream as two segments cut anywhere — decode to the messages that
+    /// were encoded.
+    #[test]
+    fn segments_by_value_decode_like_copied_slices(
+        msgs in prop::collection::vec(arb_msg(), 1..8),
+        cut in any::<usize>(),
+    ) {
+        let mut stream = Vec::new();
+        let mut by_value = GcsSplitter::new();
+        let mut got = Vec::new();
+        for m in &msgs {
+            let wire = m.encode();
+            stream.extend_from_slice(&wire);
+            by_value.push_bytes(wire);
+            while let Some(m) = by_value.next_message().expect("valid stream") {
+                got.push(m);
+            }
+        }
+        prop_assert_eq!(&got, &msgs);
+
+        let cut = cut % (stream.len() + 1);
+        let mut two = GcsSplitter::new();
+        let mut got = Vec::new();
+        for piece in [&stream[..cut], &stream[cut..]] {
+            two.push_bytes(Bytes::copy_from_slice(piece));
+            while let Some(m) = two.next_message().expect("valid stream") {
+                got.push(m);
+            }
+        }
+        prop_assert_eq!(&got, &msgs);
+    }
+
+    /// A prefix declaring more than `MAX_FRAME` bytes is refused as soon
+    /// as its four bytes are in, however they arrive and whatever follows;
+    /// the limit itself is only an incomplete frame.
+    #[test]
+    fn oversized_declared_length_is_a_typed_error(
+        excess in 1u32..=(u32::MAX - MAX_FRAME),
+        tail in prop::collection::vec(any::<u8>(), 0..32),
+        chunk in 1usize..8,
+    ) {
+        let declared = MAX_FRAME + excess;
+        let mut stream = declared.to_be_bytes().to_vec();
+        stream.extend_from_slice(&tail);
+        let mut s = GcsSplitter::new();
+        let mut fed = 0;
+        for piece in stream.chunks(chunk) {
+            s.push(piece);
+            fed += piece.len();
+            let got = s.next_message();
+            if fed < 4 {
+                prop_assert_eq!(got, Ok(None));
+            } else {
+                prop_assert_eq!(got, Err(CodecError::Oversize(declared)));
+            }
+        }
+        let mut at_limit = GcsSplitter::new();
+        at_limit.push(&MAX_FRAME.to_be_bytes());
+        prop_assert_eq!(at_limit.next_message(), Ok(None));
     }
 
     #[test]

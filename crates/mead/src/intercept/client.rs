@@ -24,7 +24,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use giop::{Endian, FrameKind, Message, MsgType, ReplyBody, ReplyMessage};
+use bytes::Bytes;
+use giop::{Endian, FrameKind, Message, MessageView, MsgType, ReplyBody, ReplyMessage};
 use groupcomm::{GcsClient, GcsDelivery};
 use obs::{EventKind, Phase};
 use simnet::{
@@ -34,7 +35,7 @@ use simnet::{
 
 use crate::config::{MeadConfig, RecoveryScheme};
 use crate::intercept::common::{
-    is_intercept_token, Stream, TOKEN_GCS, TOKEN_QUERY_TIMEOUT, TOKEN_REDIRECT_DONE_BASE,
+    is_intercept_token, Scanned, Stream, TOKEN_GCS, TOKEN_QUERY_TIMEOUT, TOKEN_REDIRECT_DONE_BASE,
 };
 use crate::messages::{FailoverNotice, GroupMsg};
 
@@ -259,24 +260,31 @@ impl ClientState {
         let Ok(read) = sys.read(real, usize::MAX) else {
             return false;
         };
-        let frames = {
-            let Some(stream) = self.streams.get_mut(&app) else {
-                return false;
-            };
-            if read.eof && self.cfg.scheme != RecoveryScheme::NeedsAddressing {
-                stream.stage_eof = true;
-            }
-            match stream.push_incoming(&read.data) {
-                Ok(f) => f,
-                Err(e) => {
-                    sys.count("mead.client.desync", 1);
-                    sys.trace(&format!("client interceptor: stream desync: {e}"));
-                    return false;
-                }
-            }
+        let Some(stream) = self.streams.get_mut(&app) else {
+            return false;
         };
+        if read.eof && self.cfg.scheme != RecoveryScheme::NeedsAddressing {
+            stream.stage_eof = true;
+        }
+        stream.incoming.push(read.data);
         let mut staged = false;
-        for frame in frames {
+        while let Some(scanned) = self.streams.get_mut(&app).and_then(|s| s.incoming.scan()) {
+            let frame = match scanned {
+                Scanned::Frame(frame) => frame,
+                Scanned::Raw(raw, error) => {
+                    // Out of sync: stop interpreting this stream and let
+                    // the ORB see (and close) it.
+                    if let Some(e) = error {
+                        sys.count("mead.client.desync", 1);
+                        sys.trace(&format!("client interceptor: stream desync: {e}"));
+                    }
+                    if let Some(stream) = self.streams.get_mut(&app) {
+                        stream.stage_bytes(raw);
+                        staged = true;
+                    }
+                    continue;
+                }
+            };
             match frame.kind {
                 FrameKind::Mead => {
                     // Strip and act: this is the proactive fail-over path.
@@ -314,7 +322,7 @@ impl ClientState {
                             // paper's synchronous in-read() redirect does.
                             stream.held_frames.push(frame);
                         } else {
-                            stream.stage_frame(&frame);
+                            stream.stage_frame(frame);
                             staged = true;
                         }
                     }
@@ -392,10 +400,9 @@ impl ClientState {
         stream.redirecting = false;
         let new_real = stream.real;
         for queued in std::mem::take(&mut stream.pending_writes) {
-            let _ = sys.write(new_real, &queued);
+            let _ = sys.write_bytes(new_real, queued);
         }
-        let held = std::mem::take(&mut stream.held_frames);
-        for frame in &held {
+        for frame in std::mem::take(&mut stream.held_frames) {
             stream.stage_frame(frame);
         }
         let mut wake = stream.staged_len() > 0;
@@ -410,7 +417,7 @@ impl ClientState {
             })
             .encode(Endian::Big);
             let stream = self.streams.get_mut(&app)?;
-            stream.stage_bytes(&fab);
+            stream.stage_bytes(fab);
             wake = true;
         }
         wake.then_some(Event::DataReadable { conn: app })
@@ -562,34 +569,35 @@ impl SysApi for ClientFacade<'_> {
         conn
     }
 
-    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
         let Some(stream) = self.st.streams.get_mut(&conn) else {
-            return self.sys.write(conn, bytes);
+            return self.sys.write_bytes(conn, bytes);
         };
         if self.st.cfg.scheme == RecoveryScheme::NeedsAddressing {
             // Track the in-flight request id so a fabricated reply can
             // name it. This light parse is the scheme's ~8 % overhead.
-            if let Ok(frames) = stream.push_outgoing(bytes) {
-                for frame in frames {
-                    if frame.kind == FrameKind::Giop && frame.msg_type() == MsgType::Request as u8 {
-                        self.sys.charge_cpu(self.st.cfg.costs.request_track_cpu);
-                        if let Ok(Message::Request(req)) = Message::decode(&frame.bytes) {
-                            if req.response_expected {
-                                self.st.outstanding.insert(conn, req.request_id);
-                            }
+            // It only peeks: the bytes go out below whatever it finds, so
+            // once the application's output stops framing there is
+            // nothing left to track and the raw remainder is dropped.
+            stream.outgoing.push(bytes.clone());
+            while let Some(Scanned::Frame(frame)) = stream.outgoing.scan() {
+                if frame.kind == FrameKind::Giop && frame.msg_type() == MsgType::Request as u8 {
+                    self.sys.charge_cpu(self.st.cfg.costs.request_track_cpu);
+                    if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
+                        if req.response_expected {
+                            self.st.outstanding.insert(conn, req.request_id);
                         }
                     }
                 }
             }
         }
-        let stream = self.st.streams.get_mut(&conn).expect("still present");
         if stream.redirecting {
             // Hold writes until the replacement connection is up.
-            stream.pending_writes.push(bytes.to_vec());
+            stream.pending_writes.push(bytes);
             return Ok(());
         }
         let real = stream.real;
-        self.sys.write(real, bytes)
+        self.sys.write_bytes(real, bytes)
     }
 
     fn read(&mut self, conn: ConnId, max: usize) -> Result<ReadOutcome, SysError> {

@@ -6,6 +6,10 @@
 //! real connection into a per-stream [`giop::FrameSplitter`]; control
 //! frames are consumed, application frames are re-staged byte-identically
 //! for the application's own `read()` to pick up.
+//!
+//! Nothing on this path copies a message: the splitter holds the segment
+//! the kernel delivered, a frame is a reference-counted view of it, and
+//! staging a frame (or holding a write during a redirect) keeps that view.
 
 use bytes::Bytes;
 use giop::{Frame, FrameSplitter, GiopError};
@@ -37,6 +41,52 @@ pub fn is_intercept_token(token: u64) -> bool {
     token >= TOKEN_BASE
 }
 
+/// What a [`Scanner`] found next in its direction of a stream.
+#[derive(Debug)]
+pub enum Scanned {
+    /// A complete GIOP or MEAD frame.
+    Frame(Frame),
+    /// The stream no longer frames: everything buffered, to be passed on
+    /// untouched. Carries the error the first time only.
+    Raw(Bytes, Option<GiopError>),
+}
+
+/// One direction of an intercepted stream: a frame splitter that turns
+/// into a pass-through once the stream desynchronises. A splitter that
+/// met bad bytes can never frame anything behind them, so instead of
+/// buffering the rest of the connection's traffic behind the poison the
+/// scanner hands it on raw — the ORB above then sees the corrupt stream
+/// and tears the connection down itself.
+#[derive(Debug, Default)]
+pub struct Scanner {
+    split: FrameSplitter,
+    desynced: bool,
+}
+
+impl Scanner {
+    /// Appends a segment, taking over its buffer.
+    pub fn push(&mut self, data: Bytes) {
+        self.split.push_bytes(data);
+    }
+
+    /// The next complete frame, or the unframeable rest; `None` when
+    /// nothing more can be taken yet.
+    pub fn scan(&mut self) -> Option<Scanned> {
+        let mut error = None;
+        if !self.desynced {
+            match self.split.next_frame() {
+                Ok(frame) => return frame.map(Scanned::Frame),
+                Err(e) => {
+                    self.desynced = true;
+                    error = Some(e);
+                }
+            }
+        }
+        let raw = self.split.take_buffered();
+        (!raw.is_empty()).then_some(Scanned::Raw(raw, error))
+    }
+}
+
 /// One intercepted byte stream, identified to the application by its
 /// original connection id even if the interceptor has since redirected it
 /// (`dup2()`-style) to a different real connection.
@@ -46,17 +96,17 @@ pub struct Stream {
     pub app: ConnId,
     /// The real connection currently carrying the stream.
     pub real: ConnId,
-    /// Splitter over incoming real bytes.
-    pub read_split: FrameSplitter,
-    /// Splitter over outgoing application bytes.
-    pub write_split: FrameSplitter,
+    /// Scanner over incoming real bytes.
+    pub incoming: Scanner,
+    /// Scanner over outgoing application bytes.
+    pub outgoing: Scanner,
     /// Bytes staged for the application to read. Segmented so staging a
     /// frame is a zero-copy enqueue of its refcounted bytes.
     stage: RecvQueue,
     /// EOF reached (after `stage` drains).
     pub stage_eof: bool,
     /// Writes buffered while a redirect is in flight.
-    pub pending_writes: Vec<Vec<u8>>,
+    pub pending_writes: Vec<Bytes>,
     /// Inbound frames held while a redirect is in flight (the paper's
     /// interceptor redirects synchronously inside `read()` before passing
     /// the accompanying reply up to the application).
@@ -72,8 +122,8 @@ impl Stream {
         Stream {
             app: conn,
             real: conn,
-            read_split: FrameSplitter::new(),
-            write_split: FrameSplitter::new(),
+            incoming: Scanner::default(),
+            outgoing: Scanner::default(),
             stage: RecvQueue::new(),
             stage_eof: false,
             pending_writes: Vec::new(),
@@ -82,37 +132,15 @@ impl Stream {
         }
     }
 
-    /// Feeds incoming real bytes; returns the complete frames now
-    /// available (the caller decides which to consume and which to
-    /// [`stage`](Self::stage_frame)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GiopError::BadMagic`] on stream desynchronisation.
-    pub fn push_incoming(&mut self, data: &[u8]) -> Result<Vec<Frame>, GiopError> {
-        self.read_split.push(data);
-        self.read_split.drain_frames()
-    }
-
-    /// Feeds outgoing application bytes; returns the complete frames.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GiopError::BadMagic`] on malformed application output.
-    pub fn push_outgoing(&mut self, data: &[u8]) -> Result<Vec<Frame>, GiopError> {
-        self.write_split.push(data);
-        self.write_split.drain_frames()
-    }
-
     /// Re-stages a frame byte-identically for the application to read.
     /// Zero-copy: the frame's refcounted bytes are enqueued as a segment.
-    pub fn stage_frame(&mut self, frame: &Frame) {
-        self.stage.push(frame.bytes.clone());
+    pub fn stage_frame(&mut self, frame: Frame) {
+        self.stage.push(frame.bytes);
     }
 
-    /// Stages raw bytes (fabricated replies).
-    pub fn stage_bytes(&mut self, bytes: &[u8]) {
-        self.stage.push(Bytes::copy_from_slice(bytes));
+    /// Stages raw bytes (fabricated replies, a desynchronised stream).
+    pub fn stage_bytes(&mut self, bytes: Bytes) {
+        self.stage.push(bytes);
     }
 
     /// Bytes currently staged.
@@ -147,9 +175,12 @@ mod tests {
     fn stage_and_read_roundtrip() {
         let mut s = Stream::new(ConnId::default_for_tests());
         let wire = Message::CloseConnection.encode(Endian::Big);
-        let frames = s.push_incoming(&wire).unwrap();
-        assert_eq!(frames.len(), 1);
-        s.stage_frame(&frames[0]);
+        s.incoming.push(wire.clone());
+        let Some(Scanned::Frame(frame)) = s.incoming.scan() else {
+            panic!("one complete frame was pushed");
+        };
+        assert!(s.incoming.scan().is_none());
+        s.stage_frame(frame);
         assert_eq!(s.staged_len(), wire.len());
         let out = s.read(usize::MAX);
         assert_eq!(&out.data[..], &wire[..]);
@@ -161,11 +192,31 @@ mod tests {
     #[test]
     fn partial_reads_respect_max() {
         let mut s = Stream::new(ConnId::default_for_tests());
-        s.stage_bytes(&[1, 2, 3, 4, 5]);
+        s.stage_bytes(Bytes::from_static(&[1, 2, 3, 4, 5]));
         let first = s.read(2);
         assert_eq!(&first.data[..], &[1, 2]);
         let rest = s.read(usize::MAX);
         assert_eq!(&rest.data[..], &[3, 4, 5]);
+    }
+
+    #[test]
+    fn a_desynchronised_scanner_passes_everything_on_raw() {
+        let good = Message::CloseConnection.encode(Endian::Big);
+        let mut sc = Scanner::default();
+        sc.push(good.clone());
+        sc.push(Bytes::from_static(b"NOT A FRAME HEADER"));
+        assert!(matches!(sc.scan(), Some(Scanned::Frame(f)) if f.bytes == good));
+        match sc.scan() {
+            Some(Scanned::Raw(raw, Some(GiopError::BadMagic(_)))) => {
+                assert_eq!(&raw[..], b"NOT A FRAME HEADER");
+            }
+            other => panic!("expected the poisoned bytes raw, got {other:?}"),
+        }
+        assert!(sc.scan().is_none());
+        // Later traffic — even well-formed — is no longer framed.
+        sc.push(good.clone());
+        assert!(matches!(sc.scan(), Some(Scanned::Raw(raw, None)) if raw == good));
+        assert!(sc.scan().is_none());
     }
 
     /// Test-only ConnId constructor (streams don't dereference the id).

@@ -22,10 +22,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use bytes::Bytes;
 use faults::{
     AdaptivePredictor, MemoryLeak, PressureKind, ResourceMonitor, ResourcePressure, ThresholdAction,
 };
-use giop::{Endian, Frame, FrameKind, Message, MsgType, ObjectKey, ReplyBody, ReplyMessage};
+use giop::{
+    Endian, Frame, FrameKind, Message, MessageView, MsgType, ObjectKey, ReplyBody, ReplyMessage,
+};
 use groupcomm::{GcsClient, GcsDelivery};
 use obs::{EventKind, Phase};
 use simnet::{
@@ -36,7 +39,7 @@ use simnet::{
 use crate::config::{MeadConfig, RecoveryScheme};
 use crate::directory::{replica_member_name, MemberName, ReplicaDirectory, Slot};
 use crate::intercept::common::{
-    is_intercept_token, Stream, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS, TOKEN_LEAK,
+    is_intercept_token, Scanned, Stream, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS, TOKEN_LEAK,
     TOKEN_PRESSURE_ARM, TOKEN_PRESSURE_TICK,
 };
 use crate::messages::{FailoverNotice, GroupMsg};
@@ -106,12 +109,12 @@ struct ServerState {
     /// Commit-before-ack (`cfg.commit_acks`): client replies written by
     /// the app since the last checkpoint, waiting for the checkpoint
     /// that covers them.
-    current_batch: Vec<(ConnId, Vec<u8>)>,
+    current_batch: Vec<(ConnId, Bytes)>,
     /// One entry per checkpoint multicast still in flight; its batch is
     /// released when our own checkpoint self-delivers through the total
     /// order (so the state the replies acknowledge is durable at the
     /// backups first).
-    held_replies: VecDeque<Vec<(ConnId, Vec<u8>)>>,
+    held_replies: VecDeque<Vec<(ConnId, Bytes)>>,
 }
 
 impl ServerInterceptor {
@@ -250,12 +253,7 @@ impl Process for ServerInterceptor {
                 if self.st.client_streams.contains_key(&conn)
                     || self.st.out_streams.contains_key(&conn) =>
             {
-                if let Some(s) = self
-                    .st
-                    .client_streams
-                    .get_mut(&conn)
-                    .or_else(|| self.st.out_streams.get_mut(&conn))
-                {
+                if let Some(s) = self.st.stream_mut(conn) {
                     s.stage_eof = true;
                 }
                 // A departed client no longer needs a migration notice.
@@ -291,27 +289,31 @@ impl ServerState {
             return false;
         };
         let is_client = self.client_streams.contains_key(&conn);
-        let stream = match self
-            .client_streams
-            .get_mut(&conn)
-            .or_else(|| self.out_streams.get_mut(&conn))
-        {
-            Some(s) => s,
-            None => return false,
+        let Some(stream) = self.stream_mut(conn) else {
+            return false;
         };
         if read.eof {
             stream.stage_eof = true;
         }
-        let frames = match stream.push_incoming(&read.data) {
-            Ok(f) => f,
-            Err(e) => {
-                sys.count("mead.server.desync", 1);
-                sys.trace(&format!("server interceptor: stream desync: {e}"));
-                return false;
-            }
-        };
+        stream.incoming.push(read.data);
         let mut staged = false;
-        for frame in frames {
+        while let Some(scanned) = self.stream_mut(conn).and_then(|s| s.incoming.scan()) {
+            let frame = match scanned {
+                Scanned::Frame(frame) => frame,
+                Scanned::Raw(raw, error) => {
+                    // Out of sync: stop interpreting this stream and let
+                    // the ORB see (and close) it.
+                    if let Some(e) = error {
+                        sys.count("mead.server.desync", 1);
+                        sys.trace(&format!("server interceptor: stream desync: {e}"));
+                    }
+                    if let Some(stream) = self.stream_mut(conn) {
+                        stream.stage_bytes(raw);
+                        staged = true;
+                    }
+                    continue;
+                }
+            };
             // Warm-passive single-writer discipline (exactly-once mode):
             // a backup that has never served and is not the first listed
             // replica must not touch application state — a client that
@@ -325,7 +327,7 @@ impl ServerState {
                 && !self.ever_served
                 && !self.dir.is_first_replica(&self.member)
             {
-                if let Ok(Message::Request(req)) = Message::decode(&frame.bytes) {
+                if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
                     sys.charge_cpu(self.cfg.costs.fabricate_cpu);
                     sys.count("mead.nonprimary_refusals", 1);
                     if req.response_expected {
@@ -337,7 +339,7 @@ impl ServerState {
                                 completed: 1, // NO
                             },
                         });
-                        let _ = sys.write(conn, &reply.encode(Endian::Big));
+                        let _ = sys.write_bytes(conn, reply.encode(Endian::Big));
                     }
                     continue;
                 }
@@ -347,15 +349,19 @@ impl ServerState {
             }
             // Server side passes every frame (including any stray MEAD
             // frame) up unchanged; only the client interceptor strips.
-            let stream = self
-                .client_streams
-                .get_mut(&conn)
-                .or_else(|| self.out_streams.get_mut(&conn))
-                .expect("stream persists during pump");
-            stream.stage_frame(&frame);
-            staged = true;
+            if let Some(stream) = self.stream_mut(conn) {
+                stream.stage_frame(frame);
+                staged = true;
+            }
         }
         staged
+    }
+
+    /// The intercepted stream on `conn`, client-facing or outbound.
+    fn stream_mut(&mut self, conn: ConnId) -> Option<&mut Stream> {
+        self.client_streams
+            .get_mut(&conn)
+            .or_else(|| self.out_streams.get_mut(&conn))
     }
 
     /// Read-path processing of one inbound client frame.
@@ -387,25 +393,21 @@ impl ServerState {
             // Full parse to harvest request_id and object key — the source
             // of this scheme's ~90 % overhead (section 5.2.2).
             sys.charge_cpu(self.cfg.costs.giop_parse_cpu);
-            if let Ok(Message::Request(req)) = Message::decode(&frame.bytes) {
-                self.request_keys
-                    .entry(conn)
-                    .or_default()
-                    .insert(req.request_id, req.object_key);
+            if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
+                self.request_keys.entry(conn).or_default().insert(
+                    req.request_id,
+                    ObjectKey::from_bytes(req.object_key.to_vec()),
+                );
             }
         }
     }
 
     /// Write-path filtering for replies to clients. Returns the bytes to
-    /// actually put on the wire.
-    fn filter_client_write(
-        &mut self,
-        sys: &mut dyn SysApi,
-        conn: ConnId,
-        frame: &Frame,
-    ) -> Vec<u8> {
+    /// actually put on the wire — in the steady state the frame's own
+    /// buffer.
+    fn filter_client_write(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Bytes {
         if frame.kind != FrameKind::Giop || frame.msg_type() != MsgType::Reply as u8 {
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         }
         // Per-scheme steady-state costs on the reply path.
         match self.cfg.scheme {
@@ -423,20 +425,20 @@ impl ServerState {
             self.check_thresholds(sys, false);
         }
         if !self.migrating {
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         }
         match self.cfg.scheme {
             RecoveryScheme::LocationForward => self.forward_reply(sys, conn, frame),
             RecoveryScheme::MeadFailover => self.piggyback_reply(sys, conn, frame),
-            _ => frame.bytes.to_vec(),
+            _ => frame.bytes.clone(),
         }
     }
 
     /// LOCATION_FORWARD: suppress the normal reply, send a forward to the
     /// next replica's IOR instead (section 4.1).
-    fn forward_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Vec<u8> {
-        let Ok(Message::Reply(rep)) = Message::decode(&frame.bytes) else {
-            return frame.bytes.to_vec();
+    fn forward_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Bytes {
+        let Ok(MessageView::Reply(rep)) = MessageView::parse(&frame.bytes) else {
+            return frame.bytes.clone();
         };
         let key = self
             .request_keys
@@ -444,7 +446,7 @@ impl ServerState {
             .and_then(|m| m.remove(&rep.request_id));
         let target = self.dir.next_after(&self.member).cloned();
         let (Some(key), Some(target)) = (key, target) else {
-            return frame.bytes.to_vec(); // cannot redirect; serve normally
+            return frame.bytes.clone(); // cannot redirect; serve normally
         };
         sys.charge_cpu(if self.cfg.use_key_hash {
             self.cfg.costs.ior_lookup_cpu
@@ -457,7 +459,7 @@ impl ServerState {
             .cloned()
         else {
             sys.count("mead.forward_no_ior", 1);
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         };
         sys.charge_cpu(self.cfg.costs.fabricate_cpu);
         sys.count("mead.forwards_sent", 1);
@@ -468,19 +470,18 @@ impl ServerState {
             body: ReplyBody::LocationForward(ior),
         })
         .encode(Endian::Big)
-        .to_vec()
     }
 
     /// MEAD message: deliver the reply *and* piggyback a fail-over notice
     /// carrying the next replica's address (section 4.3).
-    fn piggyback_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Vec<u8> {
+    fn piggyback_reply(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> Bytes {
         let target = self.dir.next_after(&self.member).cloned();
         let addr = target
             .as_ref()
             .and_then(|t| self.dir.addr_of(t).map(|(h, p)| (h.to_string(), p)));
         let Some((host, port)) = addr else {
             sys.count("mead.piggyback_no_target", 1);
-            return frame.bytes.to_vec();
+            return frame.bytes.clone();
         };
         sys.charge_cpu(self.cfg.costs.fabricate_cpu);
         sys.count("mead.piggybacks_sent", 1);
@@ -491,7 +492,7 @@ impl ServerState {
         // interceptor can redirect before handing the reply up.
         let mut out = FailoverNotice::new(&host, port, self.member.as_str()).encode();
         out.extend_from_slice(&frame.bytes);
-        out
+        out.into()
     }
 
     /// Outbound write-path processing (Naming Service traffic): in the
@@ -506,18 +507,18 @@ impl ServerState {
             return;
         }
         sys.charge_cpu(self.cfg.costs.giop_parse_cpu);
-        let Ok(Message::Request(req)) = Message::decode(&frame.bytes) else {
+        let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) else {
             return;
         };
         if req.operation != "bind" {
             return;
         }
-        let mut r = giop::CdrReader::new(req.body.to_vec().into(), Endian::Big);
+        let mut r = giop::CdrReader::new(req.body, Endian::Big);
         let parsed = r
-            .read_string()
-            .and_then(|_name| r.read_octets())
+            .read_str()
+            .and_then(|_name| r.read_octet_slice())
             .ok()
-            .and_then(|bytes| giop::Ior::decode(&bytes).ok());
+            .and_then(|bytes| giop::Ior::decode(bytes).ok());
         if let Some(ior) = parsed {
             sys.count("mead.ior_captured", 1);
             self.my_iors.push(ior.clone());
@@ -694,7 +695,7 @@ impl ServerState {
                 if self.cfg.commit_acks
                     && (!self.held_replies.is_empty() || !self.current_batch.is_empty())
                 {
-                    let mut merged: Vec<(ConnId, Vec<u8>)> = Vec::new();
+                    let mut merged: Vec<(ConnId, Bytes)> = Vec::new();
                     for batch in std::mem::take(&mut self.held_replies) {
                         merged.extend(batch);
                     }
@@ -786,7 +787,7 @@ impl ServerState {
                         if let Some(batch) = self.held_replies.pop_front() {
                             for (conn, bytes) in batch {
                                 sys.count("mead.acks_committed", 1);
-                                let _ = sys.write(conn, &bytes);
+                                let _ = sys.write_bytes(conn, bytes);
                             }
                         }
                     }
@@ -950,67 +951,64 @@ impl SysApi for ServerFacade<'_> {
         conn
     }
 
-    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
-        if self.st.client_streams.contains_key(&conn) {
-            let frames = {
-                let stream = self.st.client_streams.get_mut(&conn).expect("checked");
-                stream.push_outgoing(bytes).map_err(|_| {
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
+        if let Some(stream) = self.st.client_streams.get_mut(&conn) {
+            stream.outgoing.push(bytes);
+            let mut held_any = false;
+            while let Some(scanned) = self
+                .st
+                .client_streams
+                .get_mut(&conn)
+                .and_then(|s| s.outgoing.scan())
+            {
+                let frame = match scanned {
+                    Scanned::Frame(frame) => frame,
                     // The app emitted something unframeable; pass raw.
-                    SysError::UnknownConn(conn)
-                })
-            };
-            match frames {
-                Ok(frames) => {
-                    let mut held_any = false;
-                    for frame in frames {
-                        let out = self.st.filter_client_write(self.sys, conn, &frame);
-                        // Commit-before-ack: a GIOP reply only goes on
-                        // the wire once the checkpoint covering the state
-                        // it acknowledges is durable (self-delivered).
-                        if self.st.cfg.commit_acks
-                            && frame.kind == FrameKind::Giop
-                            && frame.msg_type() == MsgType::Reply as u8
-                        {
-                            self.st.current_batch.push((conn, out));
-                            held_any = true;
-                        } else {
-                            self.sys.write(conn, &out)?;
-                        }
+                    Scanned::Raw(raw, _) => {
+                        self.sys.write_bytes(conn, raw)?;
+                        continue;
                     }
-                    if held_any {
-                        self.st.send_checkpoint(self.sys);
-                    }
-                    self.st.maybe_drain(self.sys);
-                    Ok(())
-                }
-                Err(_) => self.sys.write(conn, bytes),
-            }
-        } else if self.st.out_streams.contains_key(&conn) {
-            let frames = {
-                let stream = self.st.out_streams.get_mut(&conn).expect("checked");
-                stream.push_outgoing(bytes)
-            };
-            if let Ok(frames) = frames {
-                for frame in &frames {
-                    self.st.process_outbound_frame(self.sys, frame);
+                };
+                let out = self.st.filter_client_write(self.sys, conn, &frame);
+                // Commit-before-ack: a GIOP reply only goes on the wire
+                // once the checkpoint covering the state it acknowledges
+                // is durable (self-delivered).
+                if self.st.cfg.commit_acks
+                    && frame.kind == FrameKind::Giop
+                    && frame.msg_type() == MsgType::Reply as u8
+                {
+                    self.st.current_batch.push((conn, out));
+                    held_any = true;
+                } else {
+                    self.sys.write_bytes(conn, out)?;
                 }
             }
-            self.sys.write(conn, bytes)
+            if held_any {
+                self.st.send_checkpoint(self.sys);
+            }
+            self.st.maybe_drain(self.sys);
+            Ok(())
+        } else if let Some(stream) = self.st.out_streams.get_mut(&conn) {
+            // Outbound traffic is only looked at; it goes out as written.
+            stream.outgoing.push(bytes.clone());
+            while let Some(Scanned::Frame(frame)) = self
+                .st
+                .out_streams
+                .get_mut(&conn)
+                .and_then(|s| s.outgoing.scan())
+            {
+                self.st.process_outbound_frame(self.sys, &frame);
+            }
+            self.sys.write_bytes(conn, bytes)
         } else {
-            self.sys.write(conn, bytes)
+            self.sys.write_bytes(conn, bytes)
         }
     }
 
     fn read(&mut self, conn: ConnId, max: usize) -> Result<ReadOutcome, SysError> {
-        if let Some(stream) = self
-            .st
-            .client_streams
-            .get_mut(&conn)
-            .or_else(|| self.st.out_streams.get_mut(&conn))
-        {
-            Ok(stream.read(max))
-        } else {
-            self.sys.read(conn, max)
+        match self.st.stream_mut(conn) {
+            Some(stream) => Ok(stream.read(max)),
+            None => self.sys.read(conn, max),
         }
     }
 

@@ -15,7 +15,7 @@
 //!    `NEEDS_ADDRESSING_MODE` scheme.
 
 use bytes::Bytes;
-use giop::{encode_frame, CdrReader, CdrWriter, Endian, Frame, Ior, MEAD_MAGIC};
+use giop::{frame_writer, CdrReader, CdrWriter, Endian, Frame, Ior, HEADER_LEN, MEAD_MAGIC};
 use obs::{CodecError, WireCodec};
 
 /// The proactive fail-over notice piggybacked onto GIOP replies
@@ -46,9 +46,17 @@ impl FailoverNotice {
         }
     }
 
-    /// Encodes as a complete `"MEAD"` frame.
+    /// Encodes as a complete `"MEAD"` frame, header and body in one
+    /// buffer.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
+        // Padded to 128 bytes in all; 160 leaves room for long names.
+        let mut w = frame_writer(MEAD_MAGIC, 1, Endian::Big, 160 - HEADER_LEN);
+        w.write_u8(1); // kind
+        w.write_string(&self.host);
+        w.write_u16(self.port);
+        w.write_string(&self.from_member);
+        w.write_octets(&self.pad);
+        w.into_vec()
     }
 
     /// Decodes from a split [`Frame`] (must carry the MEAD magic).
@@ -69,20 +77,15 @@ impl WireCodec for FailoverNotice {
     }
 
     fn encode_wire(&self) -> Bytes {
-        let mut w = CdrWriter::new(Endian::Big);
-        w.write_u8(1); // kind
-        w.write_string(&self.host);
-        w.write_u16(self.port);
-        w.write_string(&self.from_member);
-        w.write_octets(&self.pad);
-        encode_frame(MEAD_MAGIC, 1, Endian::Big, &w.finish())
+        self.encode().into()
     }
 
     fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 12 || bytes[0..4] != MEAD_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let mut r = CdrReader::new(bytes[12..].to_vec().into(), Endian::Big);
+        let body = match bytes.split_at_checked(HEADER_LEN) {
+            Some((header, body)) if header.starts_with(&MEAD_MAGIC) => body,
+            _ => return Err(CodecError::BadMagic),
+        };
+        let mut r = CdrReader::new(body, Endian::Big);
         let kind = r.read_u8()?;
         if kind != 1 {
             return Err(CodecError::UnknownKind(kind));
@@ -180,36 +183,6 @@ impl GroupMsg {
 
     /// Encodes for multicast.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_wire().to_vec()
-    }
-
-    /// Decodes a multicast payload.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed input.
-    pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
-        Self::decode_wire(payload)
-    }
-}
-
-impl WireCodec for GroupMsg {
-    const PROTOCOL: &'static str = "mead-group";
-
-    fn frame_name(&self) -> &'static str {
-        match self {
-            GroupMsg::AddrAdvert { .. } => "addr_advert",
-            GroupMsg::IorAdvert { .. } => "ior_advert",
-            GroupMsg::LaunchRequest { .. } => "launch_request",
-            GroupMsg::SyncList { .. } => "sync_list",
-            GroupMsg::AddressQuery { .. } => "address_query",
-            GroupMsg::AddressReply { .. } => "address_reply",
-            GroupMsg::Checkpoint { .. } => "checkpoint",
-            GroupMsg::RmState { .. } => "rm_state",
-        }
-    }
-
-    fn encode_wire(&self) -> Bytes {
         let mut w = CdrWriter::new(Endian::Big);
         w.write_u8(self.kind());
         match self {
@@ -253,11 +226,41 @@ impl WireCodec for GroupMsg {
                 }
             }
         }
-        w.finish()
+        w.into_vec()
+    }
+
+    /// Decodes a multicast payload.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on malformed input.
+    pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
+        Self::decode_wire(payload)
+    }
+}
+
+impl WireCodec for GroupMsg {
+    const PROTOCOL: &'static str = "mead-group";
+
+    fn frame_name(&self) -> &'static str {
+        match self {
+            GroupMsg::AddrAdvert { .. } => "addr_advert",
+            GroupMsg::IorAdvert { .. } => "ior_advert",
+            GroupMsg::LaunchRequest { .. } => "launch_request",
+            GroupMsg::SyncList { .. } => "sync_list",
+            GroupMsg::AddressQuery { .. } => "address_query",
+            GroupMsg::AddressReply { .. } => "address_reply",
+            GroupMsg::Checkpoint { .. } => "checkpoint",
+            GroupMsg::RmState { .. } => "rm_state",
+        }
+    }
+
+    fn encode_wire(&self) -> Bytes {
+        self.encode().into()
     }
 
     fn decode_wire(payload: &[u8]) -> Result<Self, CodecError> {
-        let mut r = CdrReader::new(payload.to_vec().into(), Endian::Big);
+        let mut r = CdrReader::new(payload, Endian::Big);
         let kind = r.read_u8()?;
         Ok(match kind {
             0 => GroupMsg::AddrAdvert {

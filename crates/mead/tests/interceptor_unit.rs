@@ -418,6 +418,96 @@ fn location_forward_server_replaces_reply_with_forward() {
     }
 }
 
+/// An unmodified server: a `ServerOrb` with one servant, as the paper's
+/// interceptor wraps one.
+struct OrbServer(orb::ServerOrb);
+
+impl Process for OrbServer {
+    fn on_start(&mut self, sys: &mut dyn SysApi) {
+        self.0.start(sys);
+    }
+    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
+        self.0.handle_event(sys, &ev);
+    }
+}
+
+/// A stream the interceptor cannot frame must reach the ORB, whose own
+/// protocol-error path closes the connection. The interceptor used to
+/// count the error and keep the poisoned bytes at the head of its
+/// splitter, so nothing — not the garbage, not any later request — ever
+/// got through, and the ORB never learnt the stream was dead.
+#[test]
+fn server_interceptor_hands_a_desynchronised_stream_to_the_orb() {
+    let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
+    let mut server = orb::ServerOrb::new(Port(2810), orb::ServerOrbConfig::default());
+    server.register(key, Box::new(orb::TimeOfDayServant::default()));
+    let mut interceptor = ServerInterceptor::new(
+        MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+        mead::Slot(0),
+        Box::new(OrbServer(server)),
+    );
+    let mut sys = MockSys::new(NodeId::from_index(1));
+    interceptor.on_start(&mut sys);
+    let listener = sys.listeners()[0].0;
+    let conn = sys.accept_conn();
+    interceptor.on_event(
+        &mut sys,
+        Event::Accepted {
+            listener,
+            conn,
+            peer_node: NodeId::from_index(4),
+        },
+    );
+    // One read delivers a good request and then garbage.
+    let mut wire = request(7);
+    wire.extend_from_slice(b"NOT A FRAME HEADER AT ALL");
+    sys.push_incoming(conn, &wire);
+    interceptor.on_event(&mut sys, Event::DataReadable { conn });
+    // The request in front of the garbage was served...
+    assert_eq!(sys.counter("orb.server.requests"), 1);
+    match Message::decode(sys.written(conn)).expect("reply on the wire") {
+        Message::Reply(rep) => assert_eq!(rep.request_id, 7),
+        other => panic!("expected a reply, got {other:?}"),
+    }
+    // ...and the garbage reached the ORB, which tore the connection down.
+    assert_eq!(sys.counter("mead.server.desync"), 1);
+    assert_eq!(sys.counter("orb.server.protocol_error"), 1);
+    assert!(sys.is_closed(conn), "the ORB must close the corrupt stream");
+}
+
+/// After a desync the server interceptor stops interpreting the stream
+/// but keeps carrying it: every later byte reaches the application, in
+/// order, and the error is counted once.
+#[test]
+fn server_interceptor_passes_everything_after_a_desync_through_raw() {
+    let mut rig = server_rig(RecoveryScheme::LocationForward);
+    let conn = rig.sys.accept_conn();
+    rig.interceptor.on_event(
+        &mut rig.sys,
+        Event::Accepted {
+            listener: rig.listener,
+            conn,
+            peer_node: NodeId::from_index(4),
+        },
+    );
+    let garbage = b"XXXXXXXXXXXXXXXX".to_vec();
+    rig.sys.push_incoming(conn, &garbage);
+    rig.interceptor
+        .on_event(&mut rig.sys, Event::DataReadable { conn });
+    assert_eq!(rig.app.borrow().read_bytes, garbage);
+    let cpu_after_desync = rig.sys.cpu_charged();
+    // A well-formed request now is just bytes: delivered, not parsed (the
+    // LOCATION_FORWARD scheme would charge a full GIOP parse for it).
+    rig.sys.push_incoming(conn, &request(8));
+    rig.interceptor
+        .on_event(&mut rig.sys, Event::DataReadable { conn });
+    let mut expected = garbage;
+    expected.extend_from_slice(&request(8));
+    assert_eq!(rig.app.borrow().read_bytes, expected);
+    assert_eq!(rig.sys.cpu_charged(), cpu_after_desync);
+    assert_eq!(rig.sys.counter("mead.server.desync"), 1);
+}
+
 // ---------------------------------------------------------------------
 // Client interceptor
 // ---------------------------------------------------------------------
@@ -600,6 +690,116 @@ fn needs_addressing_suppresses_eof_and_fabricates_resend_trigger() {
         other => panic!("expected fabricated reply, got {other:?}"),
     }
     assert_eq!(rig.sys.counter("mead.client.fabricated_needs_addr"), 1);
+}
+
+/// An unmodified client: a `ClientOrb` that invokes once when told to.
+struct OrbClient {
+    orb: orb::ClientOrb,
+    target: giop::Ior,
+    upshots: Rc<RefCell<Vec<orb::OrbUpshot>>>,
+}
+
+impl Process for OrbClient {
+    fn on_start(&mut self, sys: &mut dyn SysApi) {
+        self.orb
+            .invoke(sys, &self.target, "time_of_day", &[])
+            .expect("usable ior");
+    }
+    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
+        if let Some(upshots) = self.orb.handle_event(sys, &ev) {
+            self.upshots.borrow_mut().extend(upshots);
+        }
+    }
+}
+
+/// The client-side twin: garbage from the server used to wedge the
+/// interceptor's splitter, so not even the reply in front of it reached
+/// the ORB. Now that reply is delivered and the garbage goes up to the
+/// ORB's own protocol-error handling.
+#[test]
+fn client_interceptor_hands_a_desynchronised_stream_to_the_orb() {
+    let upshots = Rc::new(RefCell::new(Vec::new()));
+    let target = giop::Ior::singleton(
+        "IDL:TimeOfDay:1.0",
+        "node1",
+        2810,
+        ObjectKey::persistent("TimePOA", "TimeOfDay"),
+    );
+    let mut interceptor = ClientInterceptor::new(
+        MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+        Box::new(OrbClient {
+            orb: orb::ClientOrb::new(orb::ClientOrbConfig::default()),
+            target,
+            upshots: upshots.clone(),
+        }),
+    );
+    let mut sys = MockSys::new(NodeId::from_index(4));
+    interceptor.on_start(&mut sys);
+    let (conn, _) = sys.connected()[1];
+    interceptor.on_event(&mut sys, Event::ConnEstablished { conn });
+    let rid = match Message::decode(sys.written(conn)).expect("request on the wire") {
+        Message::Request(req) => req.request_id,
+        other => panic!("expected a request, got {other:?}"),
+    };
+    let mut wire = Message::Reply(ReplyMessage {
+        request_id: rid,
+        body: ReplyBody::NoException(vec![0; 8]),
+    })
+    .encode(Endian::Big)
+    .to_vec();
+    wire.extend_from_slice(b"NOT A FRAME HEADER AT ALL");
+    sys.push_incoming(conn, &wire);
+    interceptor.on_event(&mut sys, Event::DataReadable { conn });
+    assert!(
+        matches!(&upshots.borrow()[..], [orb::OrbUpshot::Reply { request_id, .. }] if *request_id == rid),
+        "the reply ahead of the garbage must be delivered: {:?}",
+        upshots.borrow()
+    );
+    assert_eq!(sys.counter("mead.client.desync"), 1);
+    assert_eq!(sys.counter("orb.protocol_error"), 1);
+}
+
+/// Garbage on the application's own output stops the NEEDS_ADDRESSING
+/// request tracker, not the traffic: every write still goes out, once and
+/// in order, and nothing written after the garbage is tracked or charged.
+#[test]
+fn needs_addressing_tracker_gives_up_on_unframeable_output() {
+    let mut rig = client_rig(RecoveryScheme::NeedsAddressing);
+    let conn = rig.server_conn;
+    let garbage = b"XXXXXXXXXXXXXXXX".to_vec();
+    rig.app
+        .borrow_mut()
+        .write_queue
+        .extend([(conn, request(1)), (conn, garbage.clone())]);
+    let tick = rig.sys.set_timer(simnet::SimDuration::from_millis(1), 1);
+    rig.interceptor.on_event(
+        &mut rig.sys,
+        Event::TimerFired {
+            timer: tick,
+            token: 1,
+        },
+    );
+    let cpu_after_desync = rig.sys.cpu_charged();
+    rig.app
+        .borrow_mut()
+        .write_queue
+        .push_back((conn, request(2)));
+    rig.interceptor.on_event(
+        &mut rig.sys,
+        Event::TimerFired {
+            timer: tick,
+            token: 1,
+        },
+    );
+    let mut expected = request(1);
+    expected.extend_from_slice(&garbage);
+    expected.extend_from_slice(&request(2));
+    assert_eq!(rig.sys.written(conn), &expected[..]);
+    assert_eq!(
+        rig.sys.cpu_charged(),
+        cpu_after_desync,
+        "request 2 sits behind the garbage and must not be parsed"
+    );
 }
 
 #[test]

@@ -17,7 +17,10 @@
 
 use std::collections::BTreeMap;
 
-use giop::{Endian, FrameKind, FrameSplitter, Ior, Message, ObjectKey, ReplyBody, RequestMessage};
+use giop::{
+    encode_request, Endian, FrameKind, FrameSplitter, Ior, MessageView, ObjectKey, ReplyBodyView,
+    ReplyView,
+};
 use obs::{EventKind, Phase};
 use simnet::{Addr, ConnId, Event, NodeId, Port, SimDuration, SysApi};
 
@@ -273,19 +276,22 @@ impl ClientOrb {
         Ok(())
     }
 
+    /// Encodes the pending request straight from its one stored copy of
+    /// operation, key and body, and hands the buffer to the kernel.
     fn send_request(&mut self, sys: &mut dyn SysApi, request_id: u32, conn: ConnId) {
         let Some(p) = self.pending.get(&request_id) else {
             return;
         };
-        let msg = Message::Request(RequestMessage {
+        let wire = encode_request(
             request_id,
-            response_expected: true,
-            object_key: p.object_key.clone(),
-            operation: p.operation.clone(),
-            body: p.body.clone(),
-        });
+            true,
+            p.object_key.as_bytes(),
+            &p.operation,
+            &p.body,
+            Endian::Big,
+        );
         sys.charge_cpu(self.cfg.request_cpu);
-        if sys.write(conn, &msg.encode(Endian::Big)).is_err() {
+        if sys.write_bytes(conn, wire).is_err() {
             // Connection died between dispatch and send; the PeerClosed
             // event will raise COMM_FAILURE for this request.
         }
@@ -345,15 +351,18 @@ impl ClientOrb {
                     return Some(Vec::new());
                 };
                 let info = self.conns.get_mut(conn).expect("checked above");
-                info.splitter.push(&read.data);
+                info.splitter.push_bytes(read.data);
                 let mut out = Vec::new();
                 loop {
                     let frame = match self.conns.get_mut(conn).map(|i| i.splitter.next_frame()) {
                         Some(Ok(Some(f))) => f,
                         Some(Ok(None)) | None => break,
                         Some(Err(e)) => {
+                            // Nothing after this point can be framed:
+                            // tear the connection down, as for an EOF.
                             sys.count("orb.protocol_error", 1);
                             sys.trace(&format!("client orb: corrupt stream: {e}"));
+                            self.fail_conn(sys, *conn, &mut out);
                             break;
                         }
                     };
@@ -364,9 +373,9 @@ impl ClientOrb {
                         sys.count("orb.alien_frame", 1);
                         continue;
                     }
-                    match Message::decode(&frame.bytes) {
-                        Ok(Message::Reply(rep)) => self.on_reply(sys, *conn, rep, &mut out),
-                        Ok(Message::CloseConnection) => {
+                    match MessageView::parse(&frame.bytes) {
+                        Ok(MessageView::Reply(rep)) => self.on_reply(sys, *conn, rep, &mut out),
+                        Ok(MessageView::CloseConnection) => {
                             // Orderly shutdown: treat like EOF for pending.
                             self.fail_conn(sys, *conn, &mut out);
                         }
@@ -433,7 +442,7 @@ impl ClientOrb {
         &mut self,
         sys: &mut dyn SysApi,
         _conn: ConnId,
-        rep: giop::ReplyMessage,
+        rep: ReplyView<'_>,
         out: &mut Vec<OrbUpshot>,
     ) {
         let rid = rep.request_id;
@@ -442,7 +451,7 @@ impl ClientOrb {
             return;
         }
         match rep.body {
-            ReplyBody::NoException(payload) => {
+            ReplyBodyView::NoException(payload) => {
                 let p = self.pending.remove(&rid).expect("checked");
                 sys.charge_cpu(self.cfg.reply_cpu);
                 if p.forward_hops > 0 {
@@ -453,22 +462,22 @@ impl ClientOrb {
                 out.push(OrbUpshot::Reply {
                     request_id: rid,
                     operation: p.operation,
-                    payload,
+                    payload: payload.to_vec(),
                 });
             }
-            ReplyBody::UserException(repo_id) => {
+            ReplyBodyView::UserException(repo_id) => {
                 let p = self.pending.remove(&rid).expect("checked");
                 sys.charge_cpu(self.cfg.reply_cpu);
                 out.push(OrbUpshot::Exception {
                     request_id: rid,
                     operation: p.operation,
                     ex: SystemException::Other {
-                        repo_id,
+                        repo_id: repo_id.to_owned(),
                         completed: Completed::Yes,
                     },
                 });
             }
-            ReplyBody::SystemException {
+            ReplyBodyView::SystemException {
                 repo_id, completed, ..
             } => {
                 let p = self.pending.remove(&rid).expect("checked");
@@ -476,10 +485,10 @@ impl ClientOrb {
                 out.push(OrbUpshot::Exception {
                     request_id: rid,
                     operation: p.operation,
-                    ex: SystemException::from_wire(&repo_id, completed),
+                    ex: SystemException::from_wire(repo_id, completed),
                 });
             }
-            ReplyBody::LocationForward(ior) => {
+            ReplyBodyView::LocationForward(ior) => {
                 // Transparent retransmission to the forwarded location.
                 let hops = {
                     let p = self.pending.get_mut(&rid).expect("checked");
@@ -537,7 +546,7 @@ impl ClientOrb {
                     }
                 }
             }
-            ReplyBody::NeedsAddressingMode(_) => {
+            ReplyBodyView::NeedsAddressingMode(_) => {
                 // Re-send the request over the (possibly redirected)
                 // connection.
                 sys.count("orb.needs_addressing_resend", 1);

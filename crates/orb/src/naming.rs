@@ -77,14 +77,14 @@ pub fn encode_bind(name: &str, ior: &Ior) -> Vec<u8> {
     let mut w = CdrWriter::new(Endian::Big);
     w.write_string(name);
     w.write_octets(&ior.encode());
-    w.finish().to_vec()
+    w.into_vec()
 }
 
 /// Encodes a body holding just a name (`resolve`, `unbind`, `list`).
 pub fn encode_name(name: &str) -> Vec<u8> {
     let mut w = CdrWriter::new(Endian::Big);
     w.write_string(name);
-    w.finish().to_vec()
+    w.into_vec()
 }
 
 /// Decodes a `resolve` reply into the bound IOR.
@@ -93,9 +93,8 @@ pub fn encode_name(name: &str) -> Vec<u8> {
 ///
 /// [`CdrError`] on malformed payload.
 pub fn decode_resolve_reply(payload: &[u8]) -> Result<Ior, CdrError> {
-    let mut r = CdrReader::new(payload.to_vec().into(), Endian::Big);
-    let bytes = r.read_octets()?;
-    Ior::decode(&bytes)
+    let mut r = CdrReader::new(payload, Endian::Big);
+    Ior::decode(r.read_octet_slice()?)
 }
 
 /// Decodes a `list` reply into (name, IOR) pairs.
@@ -104,13 +103,12 @@ pub fn decode_resolve_reply(payload: &[u8]) -> Result<Ior, CdrError> {
 ///
 /// [`CdrError`] on malformed payload.
 pub fn decode_list_reply(payload: &[u8]) -> Result<Vec<(String, Ior)>, CdrError> {
-    let mut r = CdrReader::new(payload.to_vec().into(), Endian::Big);
+    let mut r = CdrReader::new(payload, Endian::Big);
     let n = r.read_u32()?;
     let mut out = Vec::with_capacity(n.min(1024) as usize);
     for _ in 0..n {
         let name = r.read_string()?;
-        let bytes = r.read_octets()?;
-        out.push((name, Ior::decode(&bytes)?));
+        out.push((name, Ior::decode(r.read_octet_slice()?)?));
     }
     Ok(out)
 }
@@ -148,7 +146,7 @@ impl Servant for NamingServant {
         operation: &str,
         body: &[u8],
     ) -> Result<Vec<u8>, SystemException> {
-        let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+        let mut r = CdrReader::new(body, Endian::Big);
         let malformed = |_e: CdrError| SystemException::Other {
             repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
             completed: crate::exceptions::Completed::No,
@@ -157,8 +155,8 @@ impl Servant for NamingServant {
             "bind" => {
                 sys.charge_cpu(self.cfg.bind_cpu);
                 let name = r.read_string().map_err(malformed)?;
-                let bytes = r.read_octets().map_err(malformed)?;
-                let ior = Ior::decode(&bytes).map_err(malformed)?;
+                let bytes = r.read_octet_slice().map_err(malformed)?;
+                let ior = Ior::decode(bytes).map_err(malformed)?;
                 sys.count("naming.bind", 1);
                 self.bindings.insert(name, ior); // rebind semantics
                 Ok(Vec::new())
@@ -178,7 +176,7 @@ impl Servant for NamingServant {
                     Some(ior) => {
                         let mut w = CdrWriter::new(Endian::Big);
                         w.write_octets(&ior.encode());
-                        Ok(w.finish().to_vec())
+                        Ok(w.into_vec())
                     }
                     None => Err(SystemException::Other {
                         repo_id: EX_NOT_FOUND.into(),
@@ -204,7 +202,7 @@ impl Servant for NamingServant {
                     w.write_string(name);
                     w.write_octets(&ior.encode());
                 }
-                Ok(w.finish().to_vec())
+                Ok(w.into_vec())
             }
             other => Err(SystemException::Other {
                 repo_id: format!("IDL:omg.org/CORBA/BAD_OPERATION:1.0#{other}"),
@@ -254,7 +252,7 @@ mod tests {
     fn body_encodings_roundtrip() {
         let ior = Ior::singleton("IDL:X:1.0", "node1", 99, ObjectKey::persistent("P", "O"));
         let bind = encode_bind("replicas/r1", &ior);
-        let mut r = CdrReader::new(bind.into(), Endian::Big);
+        let mut r = CdrReader::new(&bind, Endian::Big);
         assert_eq!(r.read_string().unwrap(), "replicas/r1");
         assert_eq!(Ior::decode(&r.read_octets().unwrap()).unwrap(), ior);
 

@@ -48,7 +48,7 @@ impl Servant for TimeOfDayServant {
                 sys.charge_cpu(self.op_cpu);
                 let mut w = CdrWriter::new(Endian::Big);
                 w.write_u64(sys.now().as_nanos());
-                Ok(w.finish().to_vec())
+                Ok(w.into_vec())
             }
             _ => Err(SystemException::Other {
                 repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
@@ -68,7 +68,7 @@ impl Servant for TimeOfDayServant {
 ///
 /// [`giop::CdrError`] on malformed payload.
 pub fn decode_time_reply(payload: &[u8]) -> Result<u64, giop::CdrError> {
-    let mut r = CdrReader::new(payload.to_vec().into(), Endian::Big);
+    let mut r = CdrReader::new(payload, Endian::Big);
     r.read_u64()
 }
 
@@ -106,7 +106,7 @@ impl Servant for CounterServant {
         let mut reply = CdrWriter::new(Endian::Big);
         match operation {
             "increment" => {
-                let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+                let mut r = CdrReader::new(body, Endian::Big);
                 let delta = r.read_u64().map_err(|_| SystemException::Other {
                     repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
                     completed: Completed::No,
@@ -114,11 +114,11 @@ impl Servant for CounterServant {
                 self.value = self.value.wrapping_add(delta);
                 sys.count("counter.increments", 1);
                 reply.write_u64(self.value);
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             "get" => {
                 reply.write_u64(self.value);
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             _ => Err(SystemException::Other {
                 repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
@@ -158,7 +158,7 @@ impl Servant for SharedCounterServant {
         let mut reply = CdrWriter::new(Endian::Big);
         match operation {
             "increment" => {
-                let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+                let mut r = CdrReader::new(body, Endian::Big);
                 let delta = r.read_u64().map_err(|_| SystemException::Other {
                     repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
                     completed: Completed::No,
@@ -166,11 +166,11 @@ impl Servant for SharedCounterServant {
                 self.value.set(self.value.get().wrapping_add(delta));
                 sys.count("counter.increments", 1);
                 reply.write_u64(self.value.get());
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             "get" => {
                 reply.write_u64(self.value.get());
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             _ => Err(SystemException::Other {
                 repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
@@ -263,7 +263,7 @@ impl Servant for DedupCounterServant {
         let mut reply = CdrWriter::new(Endian::Big);
         match operation {
             "increment_once" => {
-                let mut r = CdrReader::new(body.to_vec().into(), Endian::Big);
+                let mut r = CdrReader::new(body, Endian::Big);
                 let parsed = r
                     .read_u64()
                     .and_then(|op| r.read_u64().map(|delta| (op, delta)));
@@ -287,11 +287,11 @@ impl Servant for DedupCounterServant {
                     sys.count("counter.increments", 1);
                 }
                 reply.write_u64(self.state.value.get());
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             "get" => {
                 reply.write_u64(self.state.value.get());
-                Ok(reply.finish().to_vec())
+                Ok(reply.into_vec())
             }
             _ => Err(SystemException::Other {
                 repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
@@ -310,14 +310,14 @@ pub fn encode_increment_once(op_id: u64, delta: u64) -> Vec<u8> {
     let mut w = CdrWriter::new(Endian::Big);
     w.write_u64(op_id);
     w.write_u64(delta);
-    w.finish().to_vec()
+    w.into_vec()
 }
 
 /// Encodes an `increment` request body.
 pub fn encode_increment(delta: u64) -> Vec<u8> {
     let mut w = CdrWriter::new(Endian::Big);
     w.write_u64(delta);
-    w.finish().to_vec()
+    w.into_vec()
 }
 
 /// Decodes a counter reply payload.
@@ -326,7 +326,7 @@ pub fn encode_increment(delta: u64) -> Vec<u8> {
 ///
 /// [`giop::CdrError`] on malformed payload.
 pub fn decode_counter_reply(payload: &[u8]) -> Result<u64, giop::CdrError> {
-    let mut r = CdrReader::new(payload.to_vec().into(), Endian::Big);
+    let mut r = CdrReader::new(payload, Endian::Big);
     r.read_u64()
 }
 
@@ -339,7 +339,7 @@ mod tests {
         let c = CounterServant::with_value(5);
         assert_eq!(c.value(), 5);
         let body = encode_increment(3);
-        let mut r = CdrReader::new(body.into(), Endian::Big);
+        let mut r = CdrReader::new(&body, Endian::Big);
         assert_eq!(r.read_u64().unwrap(), 3);
         let mut w = CdrWriter::new(Endian::Big);
         w.write_u64(9);

@@ -11,7 +11,8 @@
 use std::collections::BTreeMap;
 
 use giop::{
-    Endian, FrameKind, FrameSplitter, Message, ObjectKey, ReplyBody, ReplyMessage, RequestMessage,
+    Endian, FrameKind, FrameSplitter, Message, MessageView, ObjectKey, ReplyBody, ReplyMessage,
+    RequestView,
 };
 use simnet::{ConnId, Event, ListenerId, Port, SimDuration, SysApi};
 
@@ -121,7 +122,7 @@ impl ServerOrb {
                     return Some(0);
                 };
                 let splitter = self.conns.get_mut(conn).expect("checked");
-                splitter.push(&read.data);
+                splitter.push_bytes(read.data);
                 let mut handled = 0;
                 loop {
                     let frame = match self.conns.get_mut(conn).map(|s| s.next_frame()) {
@@ -139,12 +140,12 @@ impl ServerOrb {
                         sys.count("orb.server.alien_frame", 1);
                         continue;
                     }
-                    match Message::decode(&frame.bytes) {
-                        Ok(Message::Request(req)) => {
+                    match MessageView::parse(&frame.bytes) {
+                        Ok(MessageView::Request(req)) => {
                             self.dispatch(sys, *conn, req);
                             handled += 1;
                         }
-                        Ok(Message::CloseConnection) => {
+                        Ok(MessageView::CloseConnection) => {
                             sys.close(*conn);
                             self.conns.remove(conn);
                             break;
@@ -173,11 +174,13 @@ impl ServerOrb {
         }
     }
 
-    fn dispatch(&mut self, sys: &mut dyn SysApi, conn: ConnId, req: RequestMessage) {
+    /// Looks the servant up and invokes it straight from the request as
+    /// it lies in the received frame.
+    fn dispatch(&mut self, sys: &mut dyn SysApi, conn: ConnId, req: RequestView<'_>) {
         sys.charge_cpu(self.cfg.dispatch_cpu);
         sys.count("orb.server.requests", 1);
-        let outcome = match self.adapter.get_mut(&req.object_key) {
-            Some(servant) => servant.invoke(sys, &req.operation, &req.body),
+        let outcome = match self.adapter.get_mut(req.object_key) {
+            Some(servant) => servant.invoke(sys, req.operation, req.body),
             None => Err(SystemException::ObjectNotExist {
                 completed: Completed::No,
             }),
@@ -193,7 +196,7 @@ impl ServerOrb {
             request_id: req.request_id,
             body,
         });
-        let _ = sys.write(conn, &reply.encode(Endian::Big));
+        let _ = sys.write_bytes(conn, reply.encode(Endian::Big));
     }
 }
 

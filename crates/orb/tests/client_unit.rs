@@ -173,6 +173,30 @@ fn peer_close_with_pending_raises_comm_failure() {
 }
 
 #[test]
+fn corrupt_stream_fails_pending_and_closes_the_connection() {
+    let mut sys = MockSys::new(NodeId::from_index(4));
+    let mut orb = orb();
+    let target = ior("node1", 20000, "X");
+    let (rid, conn) = establish(&mut orb, &mut sys, &target, "op");
+    // Nothing behind these bytes can ever be framed again: the request
+    // must not be left waiting for a reply that cannot be read.
+    sys.push_incoming(conn, b"THIS IS NOT GIOP AT ALL....");
+    let upshots = orb
+        .handle_event(&mut sys, &Event::DataReadable { conn })
+        .expect("orb event");
+    match &upshots[..] {
+        [OrbUpshot::Exception { request_id, ex, .. }] => {
+            assert_eq!(*request_id, rid);
+            assert!(ex.is_comm_failure());
+        }
+        other => panic!("expected one COMM_FAILURE, got {other:?}"),
+    }
+    assert_eq!(sys.counter("orb.protocol_error"), 1);
+    assert!(sys.is_closed(conn), "desynchronised stream must be closed");
+    assert_eq!(orb.pending_count(), 0);
+}
+
+#[test]
 fn idle_peer_close_is_discovered_at_next_use() {
     let mut sys = MockSys::new(NodeId::from_index(4));
     let mut orb = orb();

@@ -121,14 +121,26 @@ pub trait SysApi {
     /// [`Event::ConnEstablished`] or [`Event::ConnRefused`].
     fn connect(&mut self, addr: Addr) -> ConnId;
 
-    /// Writes `bytes` to `conn`. Delivery is reliable and ordered.
+    /// Writes `bytes` to `conn`, handing the buffer itself to the kernel:
+    /// it is delivered to the peer's receive queue without being copied.
+    /// Delivery is reliable and ordered.
     ///
     /// # Errors
     ///
     /// Fails with [`SysError::NotEstablished`] before the handshake
     /// completes, or [`SysError::PeerClosed`]/[`SysError::ClosedLocally`]
     /// after either side closed.
-    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError>;
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError>;
+
+    /// [`write_bytes`](Self::write_bytes) for a caller that holds only a
+    /// slice: copies it into a fresh buffer first.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_bytes`](Self::write_bytes).
+    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
+        self.write_bytes(conn, Bytes::copy_from_slice(bytes))
+    }
 
     /// Drains up to `max` buffered bytes from `conn`.
     ///

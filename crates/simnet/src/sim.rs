@@ -1551,9 +1551,6 @@ impl Simulation {
         }
     }
 
-    /// Delivers `event` to `pid` now if it is idle, or at its `busy_until`
-    /// otherwise (modelling a single-threaded process working through its
-    /// backlog).
     /// Delivers `event` to `pid` now, or parks it until the process is
     /// free. Used both for fresh kernel notifications and for parked
     /// notifies popping back out of the wheel (the destination may have
@@ -1816,7 +1813,7 @@ impl SysApi for Ctx<'_> {
         ep_id
     }
 
-    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
         let now = self.sim.now;
         let busy_until = self.busy_until();
         let src_node = self.node();
@@ -1850,7 +1847,7 @@ impl SysApi for Ctx<'_> {
             arrival,
             Action::DeliverData {
                 ep: peer_id,
-                data: Bytes::copy_from_slice(bytes),
+                data: bytes,
             },
         );
         Ok(())

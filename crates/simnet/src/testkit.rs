@@ -237,7 +237,7 @@ impl SysApi for MockSys {
         );
         id
     }
-    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> Result<(), SysError> {
+    fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
         let c = self.conns.entry(conn).or_default();
         if let Some(err) = c.write_error.clone() {
             return Err(err);
@@ -245,7 +245,7 @@ impl SysApi for MockSys {
         if c.closed {
             return Err(SysError::ClosedLocally(conn));
         }
-        c.written.extend_from_slice(bytes);
+        c.written.extend_from_slice(&bytes);
         Ok(())
     }
     fn read(&mut self, conn: ConnId, max: usize) -> Result<ReadOutcome, SysError> {
