@@ -31,23 +31,24 @@ use std::rc::Rc;
 use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig};
 use giop::Ior;
 use giop::{CdrReader, CdrWriter, Endian};
-use groupcomm::{GcsClient, GcsConfig, GcsDaemon, GcsDelivery, GCS_PORT};
+use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
-    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory,
-    ServerInterceptor, StateHooks,
+    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ServerInterceptor,
+    StateHooks,
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment_once, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, Completed, DedupCounterServant, DedupState, NamingConfig,
-    NamingService, OrbUpshot, RetryPolicy, RetryState, Servant, SystemException, COUNTER_TYPE_ID,
+    ClientOrb, ClientOrbConfig, Completed, DedupCounterServant, DedupState, OrbUpshot, RetryPolicy,
+    RetryState, Servant, SystemException, COUNTER_TYPE_ID,
 };
 use simnet::{
-    Addr, Event, ExitReason, FifoScheduler, LossModel, Metrics, NodeId, NoiseModel, Process,
-    Scheduler, SimConfig, SimDuration, SimTime, Simulation, SysApi,
+    Event, ExitReason, FifoScheduler, LossModel, Metrics, NodeId, NoiseModel, Process, Scheduler,
+    SimConfig, SimDuration, SimTime, Simulation, SysApi,
 };
 
 use crate::counter::counter_key;
 use crate::runner::run_batch_with;
+use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
 
 /// Timer tokens of the chaos client (the interceptor namespace starts at
 /// `1 << 62`, far above these).
@@ -690,39 +691,7 @@ pub fn run_chaos_plan_with(
     cfg: &ChaosConfig,
     scheduler: Box<dyn Scheduler>,
 ) -> ChaosOutcome {
-    let mut sim = Simulation::with_scheduler(
-        SimConfig {
-            seed: plan.seed(),
-            noise: NoiseModel::none(),
-            ..SimConfig::default()
-        },
-        scheduler,
-    );
     let slots = cfg.slots.max(1);
-    let infra = sim.add_node("node0");
-    let servers: Vec<NodeId> = (1..=slots)
-        .map(|i| sim.add_node(&format!("node{i}")))
-        .collect();
-    let client_node = sim.add_node(&format!("node{}", slots + 1));
-    let nodes: Vec<NodeId> = std::iter::once(infra)
-        .chain(servers.iter().copied())
-        .chain([client_node])
-        .collect();
-
-    let seq = Addr::new(infra, GCS_PORT);
-    for &node in &nodes {
-        sim.spawn(
-            node,
-            "gcs-daemon",
-            Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-        );
-    }
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
-
     let mut mead_cfg = MeadConfig::builder(cfg.scheme).build();
     mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
     mead_cfg.commit_acks = true;
@@ -748,54 +717,50 @@ pub fn run_chaos_plan_with(
     }
     let factory_cfg = mead_cfg.clone();
     let mutation = cfg.mutation;
-    let factory: ReplicaFactory = Rc::new(move |spec| {
-        let mut factory_cfg = factory_cfg.clone();
-        factory_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
-        let state = DedupState::new();
-        let servant: Box<dyn Servant> = match mutation {
-            ServantMutation::Intact => Box::new(DedupCounterServant::new(state.clone())),
-            ServantMutation::DropDedup => Box::new(NoDedupCounterServant {
-                state: state.clone(),
-            }),
-        };
-        let app = ReplicaApp::time_server(spec.slot, spec.port, infra)
-            .with_servant(counter_key(), COUNTER_TYPE_ID, servant)
-            .with_rebind(SimDuration::from_millis(150));
-        let capture = state.clone();
-        let restore = state;
-        Box::new(
-            ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app)).with_state_hooks(
-                StateHooks {
-                    capture: Box::new(move || capture.snapshot()),
-                    restore: Box::new(move |bytes| restore.restore(bytes)),
-                },
-            ),
-        )
+    let mut testbed = Testbed::assemble(TestbedSpec {
+        sim: SimConfig {
+            seed: plan.seed(),
+            noise: NoiseModel::none(),
+            ..SimConfig::default()
+        },
+        scheduler,
+        slots,
+        client_nodes: 1,
+        mead: mead_cfg.clone(),
+        factory: move |infra| {
+            Rc::new(move |spec| {
+                let mut factory_cfg = factory_cfg.clone();
+                factory_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
+                let state = DedupState::new();
+                let servant: Box<dyn Servant> = match mutation {
+                    ServantMutation::Intact => Box::new(DedupCounterServant::new(state.clone())),
+                    ServantMutation::DropDedup => Box::new(NoDedupCounterServant {
+                        state: state.clone(),
+                    }),
+                };
+                let app = ReplicaApp::time_server(spec.slot, spec.port, infra)
+                    .with_servant(counter_key(), COUNTER_TYPE_ID, servant)
+                    .with_rebind(SimDuration::from_millis(150));
+                let capture = state.clone();
+                let restore = state;
+                Box::new(
+                    ServerInterceptor::new(factory_cfg, spec.slot, Box::new(app)).with_state_hooks(
+                        StateHooks {
+                            capture: Box::new(move || capture.snapshot()),
+                            restore: Box::new(move |bytes| restore.restore(bytes)),
+                        },
+                    ),
+                )
+            })
+        },
+        recovery_managers: RecoveryManagers::Numbered(cfg.rm_instances),
+        boot_until: SimTime::from_millis(650),
     });
-    for instance in 0..cfg.rm_instances.max(1) {
-        let rm = if cfg.rm_instances <= 1 {
-            RecoveryManager::new(mead_cfg.clone(), slots, servers.clone(), factory.clone())
-        } else {
-            RecoveryManager::replicated(
-                mead_cfg.clone(),
-                slots,
-                servers.clone(),
-                factory.clone(),
-                instance,
-            )
-        };
-        // Instance 0 on the infrastructure node (the paper's placement);
-        // standbys spread over the server nodes.
-        let node = if instance == 0 {
-            infra
-        } else {
-            servers[(instance as usize - 1) % servers.len()]
-        };
-        sim.spawn(node, &format!("recovery-manager-{instance}"), Box::new(rm));
-    }
+    let infra = testbed.infra();
+    let client_node = testbed.client_nodes()[0];
 
     let view = Rc::new(RefCell::new(Vec::new()));
-    sim.spawn(
+    testbed.sim.spawn(
         infra,
         "chaos-observer",
         Box::new(ChaosObserver {
@@ -806,14 +771,14 @@ pub fn run_chaos_plan_with(
     );
 
     // Boot, then start the client just before the fault window opens.
-    sim.run_until(SimTime::from_millis(650));
-    let client_start = sim.now();
+    testbed.boot();
+    let client_start = testbed.sim.now();
     let values = Rc::new(RefCell::new(Vec::new()));
     let ack_times = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
     let gave_up = Rc::new(Cell::new(false));
     let crowd_acked = Rc::new(Cell::new(0u64));
-    sim.spawn(
+    testbed.sim.spawn(
         client_node,
         "chaos-client",
         Box::new(ClientInterceptor::new(
@@ -900,40 +865,46 @@ pub fn run_chaos_plan_with(
     timeline.sort_by_key(|(at, _)| *at);
 
     for (at, action) in timeline {
-        sim.run_until(at);
+        testbed.sim.run_until(at);
         if let Action::Inject(kind) = &action {
             // Executor-side trace marker: every injection shows up in the
             // run's observability stream, attributable without metrics.
-            let recorder = sim.recorder_handle();
+            let recorder = testbed.sim.recorder_handle();
             recorder.borrow_mut().emit(
-                sim.now().as_nanos(),
+                testbed.sim.now().as_nanos(),
                 0,
                 0,
                 obs::EventKind::FaultInjected { fault: kind.name() },
             );
         }
-        apply(&mut sim, &nodes, seq, slots, action, &crowd_acked);
+        apply(&mut testbed, slots, action, &crowd_acked);
     }
     // Defensive settling: plans guarantee their own heals, but make the
     // post-plan world explicit before judging recovery.
-    sim.heal_all();
-    sim.set_loss(LossModel::none());
+    testbed.sim.heal_all();
+    testbed.sim.set_loss(LossModel::none());
 
     let deadline = plan.settled_by().max(SimTime::from_millis(4_500)) + SimDuration::from_secs(5);
-    while !done.get() && sim.now() < deadline {
-        let t = sim.now() + SimDuration::from_millis(250);
-        sim.run_until(t);
-    }
-    let active_end = sim.now();
+    testbed.run_until_done(|| done.get(), deadline);
+    let active_end = testbed.sim.now();
     // Post-completion settling window: let the Recovery Manager finish
     // restoring the replication degree after the last fault.
-    let settle_until = sim.now().max(plan.settled_by()) + SimDuration::from_millis(1_500);
-    sim.run_until(settle_until.min(deadline + SimDuration::from_secs(2)));
+    let settle_until = active_end.max(plan.settled_by()) + SimDuration::from_millis(1_500);
+    testbed
+        .sim
+        .run_until(settle_until.min(deadline + SimDuration::from_secs(2)));
 
     // Invariant checks.
     let values: Vec<u64> = values.borrow().clone();
-    let metrics = sim.with_metrics(|m| m.clone());
+    let Harvest {
+        metrics,
+        trace,
+        finished_at,
+        events_processed,
+        ..
+    } = testbed.harvest();
     let final_view = view.borrow().clone();
+    let sim = &testbed.sim;
     let mut live_replicas: Vec<String> = sim
         .live_processes()
         .into_iter()
@@ -1029,21 +1000,15 @@ pub fn run_chaos_plan_with(
         live_replicas,
         violations,
         metrics,
-        finished_at: sim.now(),
-        events_processed: sim.events_processed(),
-        trace: sim.with_recorder(|r| r.events().to_vec()),
+        finished_at,
+        events_processed,
+        trace,
     }
 }
 
 /// Applies one timeline action to the running simulation.
-fn apply(
-    sim: &mut Simulation,
-    nodes: &[NodeId],
-    seq: Addr,
-    slots: u32,
-    action: Action,
-    crowd_acked: &Rc<Cell<u64>>,
-) {
+fn apply(testbed: &mut Testbed, slots: u32, action: Action, crowd_acked: &Rc<Cell<u64>>) {
+    let Testbed { sim, nodes, .. } = testbed;
     match action {
         Action::Inject(FaultKind::CrashReplica { slot }) => {
             let label = format!("replica-s{slot}");
@@ -1131,21 +1096,12 @@ fn apply(
             });
         }
         Action::RespawnDaemon(node) => {
-            sim.spawn(
-                nodes[node as usize],
-                "gcs-daemon",
-                Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-            );
+            let node = nodes[node as usize];
+            testbed.spawn_daemon(node);
         }
-        Action::RespawnNaming => {
-            // The naming store is in-memory: the restarted instance
-            // comes back empty and relies on replica re-binds.
-            sim.spawn(
-                nodes[0],
-                "naming",
-                Box::new(NamingService::new(NamingConfig::default())),
-            );
-        }
+        // The restarted instance comes back empty and relies on replica
+        // re-binds.
+        Action::RespawnNaming => testbed.spawn_naming(),
         Action::Heal(a, b) => sim.heal(nodes[a as usize], nodes[b as usize]),
         Action::EndBurst => sim.set_loss(LossModel::none()),
     }

@@ -6,20 +6,20 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use giop::{Ior, ObjectKey};
-use groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
 use mead::{
-    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory,
-    ServerInterceptor, StateHooks,
+    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ServerInterceptor,
+    StateHooks,
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, NamingConfig, NamingService, OrbUpshot, SharedCounterServant,
-    COUNTER_TYPE_ID,
+    ClientOrb, ClientOrbConfig, OrbUpshot, SharedCounterServant, COUNTER_TYPE_ID,
 };
 use simnet::{
-    Addr, Event, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime, Simulation,
+    Event, FifoScheduler, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime,
     SysApi,
 };
+
+use crate::testbed::{RecoveryManagers, Testbed, TestbedSpec};
 
 /// The persistent key of the replicated counter object.
 pub fn counter_key() -> ObjectKey {
@@ -183,76 +183,63 @@ impl Process for CounterClient {
 
 /// Runs the replicated-counter scenario under the MEAD fail-over scheme.
 pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
-    let mut sim = Simulation::new(SimConfig {
-        seed: cfg.seed,
-        noise: NoiseModel::none(),
-        ..SimConfig::default()
-    });
-    let infra = sim.add_node("node0");
-    let servers: Vec<NodeId> = (1..=3).map(|i| sim.add_node(&format!("node{i}"))).collect();
-    let client_node = sim.add_node("node4");
-    let seq = Addr::new(infra, GCS_PORT);
-    for node in std::iter::once(infra)
-        .chain(servers.iter().copied())
-        .chain([client_node])
-    {
-        sim.spawn(
-            node,
-            "gcs",
-            Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-        );
-    }
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
-
     let mut mead_cfg = MeadConfig::builder(RecoveryScheme::MeadFailover).build();
     mead_cfg.checkpoint_interval = cfg.checkpoint_interval;
     if cfg.fault_free {
         mead_cfg.leak = None;
     }
     let factory_cfg = mead_cfg.clone();
-    let factory: ReplicaFactory = Rc::new(move |spec| {
-        let value = Rc::new(Cell::new(0u64));
-        let app = ReplicaApp::time_server(spec.slot, spec.port, infra).with_servant(
-            counter_key(),
-            COUNTER_TYPE_ID,
-            Box::new(SharedCounterServant::new(value.clone())),
-        );
-        let capture = value.clone();
-        let restore = value;
-        Box::new(
-            ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app)).with_state_hooks(
-                StateHooks {
-                    capture: Box::new(move || capture.get().to_be_bytes().to_vec()),
-                    restore: Box::new(move |bytes| {
-                        if let Ok(arr) = <[u8; 8]>::try_from(bytes) {
-                            restore.set(u64::from_be_bytes(arr));
-                        }
-                    }),
-                },
-            ),
-        )
+    let mut testbed = Testbed::assemble(TestbedSpec {
+        sim: SimConfig {
+            seed: cfg.seed,
+            noise: NoiseModel::none(),
+            ..SimConfig::default()
+        },
+        scheduler: Box::new(FifoScheduler),
+        slots: 3,
+        client_nodes: 1,
+        mead: mead_cfg.clone(),
+        // Counter servant over a shared cell, with the interceptor's
+        // warm-passive state hooks capturing and restoring it.
+        factory: move |infra| {
+            Rc::new(move |spec| {
+                let value = Rc::new(Cell::new(0u64));
+                let app = ReplicaApp::time_server(spec.slot, spec.port, infra).with_servant(
+                    counter_key(),
+                    COUNTER_TYPE_ID,
+                    Box::new(SharedCounterServant::new(value.clone())),
+                );
+                let capture = value.clone();
+                let restore = value;
+                Box::new(
+                    ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app))
+                        .with_state_hooks(StateHooks {
+                            capture: Box::new(move || capture.get().to_be_bytes().to_vec()),
+                            restore: Box::new(move |bytes| {
+                                if let Ok(arr) = <[u8; 8]>::try_from(bytes) {
+                                    restore.set(u64::from_be_bytes(arr));
+                                }
+                            }),
+                        }),
+                )
+            })
+        },
+        recovery_managers: RecoveryManagers::Paper,
+        boot_until: SimTime::from_millis(500),
     });
-    sim.spawn(
-        infra,
-        "recovery-manager",
-        Box::new(RecoveryManager::new(mead_cfg.clone(), 3, servers, factory)),
-    );
-    sim.run_until(SimTime::from_millis(500));
+    testbed.boot();
 
     let values = Rc::new(RefCell::new(Vec::new()));
     let done = Rc::new(Cell::new(false));
-    sim.spawn(
+    let client_node = testbed.client_nodes()[0];
+    testbed.sim.spawn(
         client_node,
         "client",
         Box::new(ClientInterceptor::new(
             mead_cfg,
             Box::new(CounterClient {
                 orb: ClientOrb::new(ClientOrbConfig::default()),
-                naming_node: infra,
+                naming_node: testbed.infra(),
                 target: None,
                 naming_rid: None,
                 current_rid: None,
@@ -265,15 +252,11 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
         )),
     );
     let deadline = SimTime::from_millis(1000 + cfg.increments as u64 * 8);
-    while !done.get() && sim.now() < deadline {
-        let t = sim.now() + SimDuration::from_millis(250);
-        sim.run_until(t);
-    }
-    let metrics = sim.with_metrics(|m| m.clone());
+    testbed.run_until_done(|| done.get(), deadline);
     let values = values.borrow().clone();
     CounterOutcome {
         completed: done.get(),
         values,
-        metrics,
+        metrics: testbed.harvest().metrics,
     }
 }

@@ -14,8 +14,8 @@
 //!   simulation with a seed derived from the fleet seed. Groups share
 //!   nothing, so [`run_fleet`] fans them across worker threads with
 //!   [`run_batch_with`](crate::runner::run_batch_with) — the
-//!   within-one-scenario counterpart of the harness's across-scenario
-//!   parallelism — and the fleet digest is bit-identical at every thread
+//!   within-one-scenario counterpart of the across-scenario parallelism
+//!   of [`run_batch`](crate::runner::run_batch) — and the fleet digest is bit-identical at every thread
 //!   count.
 //!
 //! Throughput of this family is the kernel-bound workload the slab/

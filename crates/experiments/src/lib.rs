@@ -2,9 +2,10 @@
 //!
 //! Drivers for every table and figure of *Proactive Recovery in
 //! Distributed CORBA Applications* (DSN 2004); see `DESIGN.md` for the
-//! experiment index. The [`scenario`] module assembles the five-node
-//! topology; [`workload`] is the measuring client; the remaining modules
-//! each regenerate one artefact of section 5.
+//! experiment index. The private `testbed` module assembles, boots and
+//! drives the five-node topology for every simulation; [`scenario`] runs
+//! the paper's experiment on it; [`workload`] is the measuring client; the
+//! remaining modules each regenerate one artefact of section 5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +23,7 @@ pub mod runner;
 pub mod scenario;
 pub mod stats;
 pub mod sweep;
+mod testbed;
 pub mod workload;
 
 pub use adaptive::{format_adaptive, run_adaptive_comparison, AdaptiveRow};

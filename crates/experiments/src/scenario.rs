@@ -1,26 +1,14 @@
-//! Scenario builder: assembles the paper's five-node Emulab topology on
-//! the simulator and runs one experiment.
-//!
-//! Topology (section 5): five nodes — three hosting the warm-passively
-//! replicated servers, one hosting the client, one hosting the Naming
-//! Service and the MEAD Recovery Manager. A group-communication daemon
-//! runs on every node (as Spread does), with the sequencer on the
-//! infrastructure node.
+//! The paper's experiment: the measuring client(s) of section 5 against
+//! time-server replicas, on the testbed every simulation shares
+//! (`crate::testbed`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
-use mead::{
-    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory,
-    ServerInterceptor,
-};
-use orb::{NamingConfig, NamingService};
-use simnet::{
-    Addr, LossModel, Metrics, NodeId, NoiseModel, RunOutcome, SimConfig, SimDuration, SimTime,
-    Simulation,
-};
+use mead::{ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor};
+use simnet::{FifoScheduler, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
 
+use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
 use crate::workload::{ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport};
 
 /// Experiment parameters.
@@ -84,7 +72,7 @@ impl ScenarioConfig {
         }
     }
 
-    /// A shortened run for tests and benches.
+    /// A shortened run for tests.
     pub fn quick(scheme: RecoveryScheme, invocations: u32) -> Self {
         ScenarioConfig {
             invocations,
@@ -95,8 +83,8 @@ impl ScenarioConfig {
 }
 
 /// The canonical 13-cell paper workload: every Table 1 row plus the full
-/// Figure 5 threshold sweep. Shared by the bench harness and the digest
-/// pin test so they can never drift apart.
+/// Figure 5 threshold sweep. Shared by the performance ledger and the
+/// digest pin test so they can never drift apart.
 pub fn paper_workload(invocations: u32) -> Vec<(String, ScenarioConfig)> {
     let mut cells = Vec::new();
     for scheme in RecoveryScheme::ALL {
@@ -194,8 +182,8 @@ impl ScenarioOutcome {
     /// counters and byte-record series, the observability trace, the
     /// simulated timestamps and the event count. Two runs of the same [`ScenarioConfig`] are
     /// *bit-identical* exactly when their digests match — this is what the
-    /// determinism regression test and the bench harness compare across
-    /// thread counts. Wall-clock accounting is deliberately excluded.
+    /// determinism regression test compares across thread counts.
+    /// Wall-clock accounting is deliberately excluded.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -276,66 +264,30 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         },
         ..SimConfig::default()
     };
-    let mut sim = Simulation::new(sim_cfg);
-    sim.set_trace_level(mead_cfg.trace_level);
-
-    // Nodes: 0 = infrastructure (naming + recovery manager + sequencer),
-    // 1..=3 = servers, 4 = client.
-    let infra = sim.add_node("node0");
-    let server_nodes: Vec<NodeId> = (1..=cfg.replicas.max(1))
-        .map(|i| sim.add_node(&format!("node{i}")))
-        .collect();
-    // Fleet scenarios spread the client processes over several nodes;
-    // `client_nodes == 1` is the paper's single client node.
-    let client_nodes: Vec<NodeId> = (0..cfg.client_nodes.max(1))
-        .map(|i| sim.add_node(&format!("node{}", cfg.replicas + 1 + i)))
-        .collect();
-
-    // Group-communication daemons everywhere; sequencer on infra.
-    let seq_addr = Addr::new(infra, GCS_PORT);
-    for node in std::iter::once(infra)
-        .chain(server_nodes.iter().copied())
-        .chain(client_nodes.iter().copied())
-    {
-        sim.spawn(
-            node,
-            "gcs-daemon",
-            Box::new(GcsDaemon::new(seq_addr, GcsConfig::default())),
-        );
-    }
-
-    // Naming Service on the infrastructure node.
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
-
-    // Recovery Manager with the replica factory.
     let factory_cfg = mead_cfg.clone();
-    let naming_node = infra;
-    let factory: ReplicaFactory = Rc::new(move |spec| {
-        let app = ReplicaApp::time_server(spec.slot, spec.port, naming_node);
-        Box::new(ServerInterceptor::new(
-            factory_cfg.clone(),
-            spec.slot,
-            Box::new(app),
-        ))
+    let mut testbed = Testbed::assemble(TestbedSpec {
+        sim: sim_cfg,
+        scheduler: Box::new(FifoScheduler),
+        slots: cfg.replicas,
+        // Fleet scenarios spread the client processes over several nodes;
+        // `client_nodes == 1` is the paper's single client node.
+        client_nodes: cfg.client_nodes,
+        mead: mead_cfg.clone(),
+        factory: move |naming_node| {
+            Rc::new(move |spec| {
+                let app = ReplicaApp::time_server(spec.slot, spec.port, naming_node);
+                Box::new(ServerInterceptor::new(
+                    factory_cfg.clone(),
+                    spec.slot,
+                    Box::new(app),
+                ))
+            })
+        },
+        recovery_managers: RecoveryManagers::Paper,
+        boot_until: SimTime::from_millis(500),
     });
-    sim.spawn(
-        infra,
-        "recovery-manager",
-        Box::new(RecoveryManager::new(
-            mead_cfg.clone(),
-            cfg.replicas,
-            server_nodes.clone(),
-            factory,
-        )),
-    );
-
-    // Let the infrastructure boot and replicas register (paper experiments
-    // likewise start servers before the client).
-    sim.run_until(SimTime::from_millis(500));
+    testbed.boot();
+    let infra = testbed.infra();
 
     // Client workloads, each wrapped in its own client-side interceptor
     // when the scheme deploys one.
@@ -361,47 +313,41 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         } else {
             Box::new(workload)
         };
-        let node = client_nodes[c as usize % client_nodes.len()];
-        sim.spawn(node, &format!("client-{c}"), client_proc);
+        let node = testbed.client_nodes()[c as usize % testbed.client_nodes().len()];
+        testbed.sim.spawn(node, &format!("client-{c}"), client_proc);
         reports.push(report);
     }
-    let workload_start = sim.now();
+    let workload_start = testbed.sim.now();
 
+    if let Some((idx, at)) = cfg.crash_server_node_at {
+        let node = testbed.servers()[idx % testbed.servers().len()];
+        testbed.sim.run_until(at);
+        testbed.sim.crash_node(node);
+    }
     // Run until the workload completes; generous safety deadline (~6 ms
     // per invocation worst case, plus boot).
-    if let Some((idx, at)) = cfg.crash_server_node_at {
-        let node = server_nodes[idx % server_nodes.len()];
-        sim.run_until(at);
-        sim.crash_node(node);
-    }
     let deadline = cfg
         .deadline_override
         .unwrap_or_else(|| SimTime::from_millis(1000 + cfg.invocations as u64 * 6));
-    loop {
-        let slice_end = SimTime::from_nanos(
-            (sim.now() + SimDuration::from_millis(250))
-                .as_nanos()
-                .min(deadline.as_nanos()),
-        );
-        let outcome = sim.run_until(slice_end);
-        let all_done = reports.iter().all(|r| r.borrow().completed);
-        if all_done || sim.now() >= deadline || outcome == RunOutcome::Idle {
-            break;
-        }
-    }
+    testbed.run_until_done(|| reports.iter().all(|r| r.borrow().completed), deadline);
 
-    let metrics = sim.with_metrics(|m| m.clone());
-    let trace = sim.with_recorder(|r| r.events().to_vec());
+    let Harvest {
+        metrics,
+        trace,
+        finished_at,
+        events_processed,
+        wall,
+    } = testbed.harvest();
     let all_reports: Vec<WorkloadReport> = reports.iter().map(|r| r.borrow().clone()).collect();
     ScenarioOutcome {
         report: all_reports[0].clone(),
         all_reports,
         metrics,
-        finished_at: sim.now(),
+        finished_at,
         workload_start,
-        events_processed: sim.events_processed(),
+        events_processed,
         trace,
-        wall: sim.wall_elapsed(),
+        wall,
     }
 }
 

@@ -3,14 +3,13 @@
 //! `mead::messages::{FailoverNotice, GroupMsg}` and groupcomm's `GcsWire`
 //! each grew a hand-rolled `encode()/decode()` pair with its own error
 //! enum. [`WireCodec`] unifies them behind one trait with one error type,
-//! which lets instrumentation log any frame generically
-//! (`EventKind::Frame { protocol, frame, len }`) without knowing the
-//! protocol.
+//! so a frame can be named and sized without knowing its protocol.
 
 use core::fmt;
 
 use bytes::Bytes;
-use giop::CdrError;
+
+use crate::cdr::CdrError;
 
 /// Errors shared by every wire codec in the workspace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,15 +61,6 @@ pub trait WireCodec: Sized {
 
     /// Decodes the full wire form produced by [`WireCodec::encode_wire`].
     fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError>;
-
-    /// The `Frame` trace event describing this message's wire form.
-    fn frame_event(&self) -> crate::EventKind {
-        crate::EventKind::Frame {
-            protocol: Self::PROTOCOL,
-            frame: self.frame_name(),
-            len: self.encode_wire().len() as u32,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -101,18 +91,8 @@ mod tests {
     fn round_trip_through_the_trait() {
         let p = Ping(7);
         assert_eq!(Ping::decode_wire(&p.encode_wire()), Ok(Ping(7)));
-        match p.frame_event() {
-            crate::EventKind::Frame {
-                protocol,
-                frame,
-                len,
-            } => {
-                assert_eq!(protocol, "test");
-                assert_eq!(frame, "ping");
-                assert_eq!(len, 2);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        assert_eq!(Ping::PROTOCOL, "test");
+        assert_eq!(p.frame_name(), "ping");
     }
 
     #[test]

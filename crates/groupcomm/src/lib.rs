@@ -29,5 +29,5 @@ mod wire;
 
 pub use client::{GcsClient, GcsDelivery};
 pub use daemon::{GcsConfig, GcsDaemon, GCS_PORT, MESH_TAG};
-pub use obs::{CodecError, WireCodec};
+pub use giop::{CodecError, WireCodec};
 pub use wire::{GcsSplitter, GcsWire, MAX_FRAME};

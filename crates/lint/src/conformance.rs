@@ -59,8 +59,6 @@ impl Default for ConformanceConfig {
             // offline inspection, deliberately not part of the fail-over
             // breakdown. Reviewed when `obs::breakdown` grows new stages.
             report_only: strs(&[
-                "SpanStart",
-                "SpanEnd",
                 "ConnectAttempt",
                 "ConnectOutcome",
                 "Partition",
@@ -73,7 +71,6 @@ impl Default for ConformanceConfig {
                 "Spawn",
                 "Dispatch",
                 "Retry",
-                "Frame",
             ]),
             codec_enums: strs(&["GcsWire", "GroupMsg"]),
             codec_structs: strs(&["FailoverNotice"]),

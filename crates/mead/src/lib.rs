@@ -31,11 +31,11 @@ pub use config::{CostModel, MeadConfig, MeadConfigBuilder, RecoveryScheme};
 pub use directory::{
     replica_member_name, slot_of_member, MemberName, ReplicaDirectory, Slot, REPLICA_PREFIX,
 };
+pub use giop::{CodecError, WireCodec};
 pub use intercept::client::ClientInterceptor;
 pub use intercept::server::{CaptureFn, RestoreFn, ServerInterceptor, StateHooks};
 pub use intercept::tokens;
 pub use messages::{FailoverNotice, GroupMsg};
-pub use obs::{CodecError, WireCodec};
 pub use recovery::{RecoveryManager, ReplicaFactory, ReplicaSpec};
 pub use replica::{time_object_key, ReplicaApp};
 

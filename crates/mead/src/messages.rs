@@ -15,8 +15,10 @@
 //!    `NEEDS_ADDRESSING_MODE` scheme.
 
 use bytes::Bytes;
-use giop::{frame_writer, CdrReader, CdrWriter, Endian, Frame, Ior, HEADER_LEN, MEAD_MAGIC};
-use obs::{CodecError, WireCodec};
+use giop::{
+    frame_writer, CdrReader, CdrWriter, CodecError, Endian, Frame, Ior, WireCodec, HEADER_LEN,
+    MEAD_MAGIC,
+};
 
 /// The proactive fail-over notice piggybacked onto GIOP replies
 /// (section 4.3): "a MEAD proactive fail-over message containing the
@@ -418,18 +420,8 @@ mod tests {
             FailoverNotice::decode_wire(&notice.encode_wire()).unwrap(),
             notice
         );
-        match notice.frame_event() {
-            obs::EventKind::Frame {
-                protocol,
-                frame,
-                len,
-            } => {
-                assert_eq!(protocol, "mead");
-                assert_eq!(frame, "failover_notice");
-                assert_eq!(len as usize, notice.encode().len());
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        assert_eq!(FailoverNotice::PROTOCOL, "mead");
+        assert_eq!(notice.frame_name(), "failover_notice");
         let msg = GroupMsg::AddressQuery {
             reply_group: "clients/1".into(),
         };

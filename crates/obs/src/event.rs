@@ -1,25 +1,13 @@
 //! The trace event taxonomy.
 
-use crate::span::{Phase, SpanId};
+use crate::span::Phase;
 
-/// What happened. Kernel lifecycle, recovery phases, retries and decoded
-/// frames share one ordered stream so cross-layer causality is visible.
+/// What happened. Kernel lifecycle, recovery phases and retries share
+/// one ordered stream so cross-layer causality is visible.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A typed recovery phase (see [`Phase`]).
     Phase(Phase),
-    /// A span opened.
-    SpanStart {
-        /// The id the matching `SpanEnd` will carry.
-        id: SpanId,
-        /// What the span covers.
-        name: &'static str,
-    },
-    /// A span closed.
-    SpanEnd {
-        /// Id allocated by the matching `SpanStart`.
-        id: SpanId,
-    },
     /// A process initiated a connection.
     ConnectAttempt {
         /// Destination node index.
@@ -114,26 +102,13 @@ pub enum EventKind {
         /// Back-off delay before the attempt, in sim-nanoseconds.
         delay_ns: u64,
     },
-    /// A protocol frame was encoded or decoded via
-    /// [`WireCodec`](crate::WireCodec).
-    Frame {
-        /// Protocol family (`WireCodec::PROTOCOL`).
-        protocol: &'static str,
-        /// Frame type name.
-        frame: &'static str,
-        /// Wire length in bytes.
-        len: u32,
-    },
 }
 
 impl EventKind {
-    /// Stable lower-snake name of the variant, used as the JSONL `ev` tag
-    /// and by the in-memory aggregator.
+    /// Stable lower-snake name of the variant, used as the JSONL `ev` tag.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Phase(p) => p.name(),
-            EventKind::SpanStart { .. } => "span_start",
-            EventKind::SpanEnd { .. } => "span_end",
             EventKind::ConnectAttempt { .. } => "connect_attempt",
             EventKind::ConnectOutcome { .. } => "connect_outcome",
             EventKind::Partition { .. } => "partition",
@@ -147,7 +122,6 @@ impl EventKind {
             EventKind::Exit { .. } => "exit",
             EventKind::Dispatch { .. } => "dispatch",
             EventKind::Retry { .. } => "retry",
-            EventKind::Frame { .. } => "frame",
         }
     }
 }

@@ -42,14 +42,6 @@ pub fn push_event_line(out: &mut String, ev: &TraceEvent) {
                 let _ = write!(out, ",\"step\":{step}");
             }
         }
-        EventKind::SpanStart { id, name } => {
-            let _ = write!(out, ",\"span\":{}", id.0);
-            out.push_str(",\"name\":");
-            push_json_str(out, name);
-        }
-        EventKind::SpanEnd { id } => {
-            let _ = write!(out, ",\"span\":{}", id.0);
-        }
         EventKind::ConnectAttempt { to_node, port } => {
             let _ = write!(out, ",\"to_node\":{to_node},\"port\":{}", port);
         }
@@ -88,17 +80,6 @@ pub fn push_event_line(out: &mut String, ev: &TraceEvent) {
         EventKind::Retry { attempt, delay_ns } => {
             let _ = write!(out, ",\"attempt\":{attempt},\"delay\":{delay_ns}");
         }
-        EventKind::Frame {
-            protocol,
-            frame,
-            len,
-        } => {
-            out.push_str(",\"proto\":");
-            push_json_str(out, protocol);
-            out.push_str(",\"frame\":");
-            push_json_str(out, frame);
-            let _ = write!(out, ",\"len\":{len}");
-        }
     }
     out.push_str("}\n");
 }
@@ -115,7 +96,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanId;
 
     #[test]
     fn escapes_specials() {
@@ -138,34 +118,5 @@ mod tests {
             line,
             "{\"seq\":3,\"at\":1500000,\"node\":2,\"pid\":7,\"ev\":\"threshold_crossed\",\"step\":2}\n"
         );
-    }
-
-    #[test]
-    fn span_and_frame_lines() {
-        let e1 = TraceEvent {
-            seq: 0,
-            at_ns: 0,
-            node: 0,
-            pid: 0,
-            kind: EventKind::SpanStart {
-                id: SpanId(1),
-                name: "redirect",
-            },
-        };
-        let e2 = TraceEvent {
-            seq: 1,
-            at_ns: 9,
-            node: 0,
-            pid: 0,
-            kind: EventKind::Frame {
-                protocol: "mead",
-                frame: "failover_notice",
-                len: 128,
-            },
-        };
-        let out = to_jsonl(&[e1, e2]);
-        assert!(out.contains("\"ev\":\"span_start\",\"span\":1,\"name\":\"redirect\""));
-        assert!(out.contains("\"proto\":\"mead\",\"frame\":\"failover_notice\",\"len\":128"));
-        assert_eq!(out.lines().count(), 2);
     }
 }

@@ -5,18 +5,15 @@
 //! reconnection → first successful reply) for each migration scheme. This
 //! crate turns every simulated run into an attributable latency story:
 //!
-//! * [`span`] — typed recovery phases ([`Phase`]) and span ids, the
-//!   vocabulary shared by the simnet kernel, both MEAD interceptors, the
-//!   Recovery Manager and the ORB retry path;
-//! * [`Recorder`] — the in-memory aggregator: an ordered trace of
-//!   [`TraceEvent`]s plus counters, gauges and HDR-style fixed-bucket
-//!   [`Histogram`]s;
+//! * [`span`] — typed recovery phases ([`Phase`]), the vocabulary shared
+//!   by the simnet kernel, both MEAD interceptors, the Recovery Manager
+//!   and the ORB retry path;
+//! * [`Recorder`] — the levelled, ordered log of [`TraceEvent`]s (the
+//!   counters of a run live in `simnet::Metrics`);
+//! * [`Histogram`] — an HDR-style fixed-bucket histogram;
 //! * [`jsonl`] — a hand-rolled (dependency-free) JSON-lines sink;
 //! * [`breakdown`] — reconstruction of the paper's per-scheme fail-over
-//!   stage table from a trace;
-//! * [`WireCodec`]/[`CodecError`] — the one encode/decode contract shared
-//!   by `mead::messages` and groupcomm framing, so frames can be logged
-//!   generically.
+//!   stage table from a trace.
 //!
 //! Every timestamp is simulated nanoseconds ([`TraceEvent::at_ns`]); the
 //! crate never consults a wall clock, so traces are bit-identical across
@@ -26,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod breakdown;
-mod codec;
 mod event;
 mod hist;
 pub mod jsonl;
@@ -34,8 +30,7 @@ mod record;
 pub mod span;
 
 pub use breakdown::{episodes, stage_table, Episode, StageStats, STAGE_NAMES};
-pub use codec::{CodecError, WireCodec};
 pub use event::{EventKind, TraceEvent};
 pub use hist::Histogram;
 pub use record::{Recorder, TraceLevel};
-pub use span::{Phase, SpanId};
+pub use span::Phase;

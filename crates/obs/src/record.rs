@@ -1,17 +1,12 @@
-//! The in-memory trace recorder and metric aggregator.
-
-use std::collections::BTreeMap;
+//! The in-memory trace recorder.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::hist::Histogram;
-use crate::jsonl;
-use crate::span::SpanId;
 
 /// How much of the kernel's activity is recorded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
-    /// Recovery phases, spans, connection lifecycle, partitions, spawns,
-    /// exits, retries and frames — everything the breakdown needs.
+    /// Recovery phases, connection lifecycle, partitions, spawns, exits
+    /// and retries — everything the breakdown needs.
     #[default]
     Recovery,
     /// Everything above plus one event per kernel action dispatched.
@@ -19,16 +14,12 @@ pub enum TraceLevel {
     Kernel,
 }
 
-/// Ordered trace plus counters, gauges and histograms, all keyed by
-/// simulated time. One `Recorder` belongs to one simulation run.
+/// The ordered, levelled event log of one simulation run, keyed by
+/// simulated time. (Counters live in `simnet::Metrics`.)
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     level: TraceLevel,
     events: Vec<TraceEvent>,
-    next_span: u64,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Histogram>,
 }
 
 impl Recorder {
@@ -41,7 +32,7 @@ impl Recorder {
     pub fn with_level(level: TraceLevel) -> Recorder {
         Recorder {
             level,
-            ..Recorder::default()
+            events: Vec::new(),
         }
     }
 
@@ -66,76 +57,9 @@ impl Recorder {
         });
     }
 
-    /// Opens a span and returns its id (also emits `SpanStart`).
-    pub fn span_start(&mut self, at_ns: u64, node: u32, pid: u64, name: &'static str) -> SpanId {
-        self.next_span += 1;
-        let id = SpanId(self.next_span);
-        self.emit(at_ns, node, pid, EventKind::SpanStart { id, name });
-        id
-    }
-
-    /// Closes a span (emits `SpanEnd`).
-    pub fn span_end(&mut self, at_ns: u64, node: u32, pid: u64, id: SpanId) {
-        self.emit(at_ns, node, pid, EventKind::SpanEnd { id });
-    }
-
-    /// Adds `delta` to a named counter.
-    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
-    }
-
-    /// Sets a named gauge to its latest value.
-    pub fn gauge_set(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Records one sample into a named histogram.
-    pub fn hist_record(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
-    }
-
     /// The ordered trace.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Current counter value (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Latest gauge value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Per-kind event totals — the cheap aggregate view of a trace.
-    pub fn kind_totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut totals = BTreeMap::new();
-        for ev in &self.events {
-            *totals.entry(ev.kind.name()).or_insert(0) += 1;
-        }
-        totals
-    }
-
-    /// The full trace as JSONL; equal traces produce equal bytes.
-    pub fn to_jsonl(&self) -> String {
-        jsonl::to_jsonl(&self.events)
-    }
-
-    /// Consumes the recorder, returning the trace.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
     }
 }
 
@@ -155,52 +79,5 @@ mod tests {
         let mut rk = Recorder::with_level(TraceLevel::Kernel);
         rk.emit(1, 0, 0, EventKind::Dispatch { action: "deliver" });
         assert_eq!(rk.events().len(), 1);
-    }
-
-    #[test]
-    fn spans_allocate_sequential_ids() {
-        let mut r = Recorder::new();
-        let a = r.span_start(0, 1, 2, "one");
-        let b = r.span_start(5, 1, 2, "two");
-        r.span_end(9, 1, 2, a);
-        assert_eq!(a, SpanId(1));
-        assert_eq!(b, SpanId(2));
-        assert_eq!(r.events().len(), 3);
-    }
-
-    #[test]
-    fn aggregates_counters_gauges_hists() {
-        let mut r = Recorder::new();
-        r.counter_add("frames", 2);
-        r.counter_add("frames", 3);
-        r.gauge_set("replicas", 3);
-        r.gauge_set("replicas", 2);
-        r.hist_record("rtt", 100);
-        r.hist_record("rtt", 300);
-        assert_eq!(r.counter("frames"), 5);
-        assert_eq!(r.gauge("replicas"), Some(2));
-        assert_eq!(r.histogram("rtt").unwrap().count(), 2);
-        assert_eq!(r.histogram("rtt").unwrap().mean(), 200);
-    }
-
-    #[test]
-    fn kind_totals_counts_by_name() {
-        let mut r = Recorder::new();
-        r.emit(0, 0, 0, EventKind::Phase(Phase::LeakDetected));
-        r.emit(
-            1,
-            0,
-            0,
-            EventKind::Phase(Phase::ThresholdCrossed { step: 1 }),
-        );
-        r.emit(
-            2,
-            0,
-            0,
-            EventKind::Phase(Phase::ThresholdCrossed { step: 2 }),
-        );
-        let t = r.kind_totals();
-        assert_eq!(t.get("threshold_crossed"), Some(&2));
-        assert_eq!(t.get("leak_detected"), Some(&1));
     }
 }

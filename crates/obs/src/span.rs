@@ -1,12 +1,9 @@
-//! Typed recovery phases and span identifiers.
+//! Typed recovery phases.
 //!
 //! A [`Phase`] is an instant marker naming one step of the proactive
 //! recovery pipeline; the variants cover the full arc the paper
 //! measures, from the injected leak being armed to the first reply a
-//! client sees from the replacement replica. A [`SpanId`] ties a
-//! `SpanStart`/`SpanEnd` event pair together; ids are allocated
-//! sequentially by the [`Recorder`](crate::Recorder), so they are as
-//! deterministic as the trace itself.
+//! client sees from the replacement replica.
 
 use core::fmt;
 
@@ -60,18 +57,6 @@ impl fmt::Display for Phase {
             Phase::ThresholdCrossed { step } => write!(f, "threshold_crossed(step={step})"),
             other => f.write_str(other.name()),
         }
-    }
-}
-
-/// Identifier linking a `SpanStart` to its `SpanEnd`.
-///
-/// Allocated sequentially per [`Recorder`](crate::Recorder), starting at 1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SpanId(pub u64);
-
-impl fmt::Display for SpanId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "span#{}", self.0)
     }
 }
 

@@ -155,10 +155,10 @@ pub trait Scheduler {
     /// eligible candidate (index 0 is always a safe default).
     fn choose(&mut self, cp: &ChoicePoint) -> usize;
 
-    /// `true` only for [`FifoScheduler`]: lets the kernel keep its
-    /// historical dispatch loop (no candidate pooling, notify-wave
-    /// coalescing enabled) so default runs are bit- and speed-identical
-    /// to the pre-scheduler kernel.
+    /// `true` only for [`FifoScheduler`]: the kernel then dispatches each
+    /// popped event as is (no candidate pooling) and coalesces notify
+    /// waves, so default runs are bit-identical to the pre-scheduler
+    /// kernel.
     fn is_fifo(&self) -> bool {
         false
     }

@@ -305,8 +305,8 @@ pub struct Simulation {
     /// [`KernelStats::pending_events`] keeps counting individual events.
     batched_extra: u64,
     /// The event-ordering policy (DESIGN §13). [`FifoScheduler`] keeps
-    /// the kernel on its historical dispatch loop; anything else routes
-    /// same-window ties through [`sched::ChoicePoint`]s.
+    /// strict `(at, seq)` order; anything else routes same-window ties
+    /// through [`sched::ChoicePoint`]s.
     scheduler: Box<dyn Scheduler>,
     /// Cached `scheduler.is_fifo()`, checked once per `run_until` rather
     /// than through the vtable on the dispatch hot path.
@@ -829,19 +829,15 @@ impl Simulation {
         outcome
     }
 
+    /// The dispatch loop: pops the earliest due event, lets a choosing
+    /// [`Scheduler`] swap it for another candidate of its reorder window
+    /// ([`choose_among`](Self::choose_among)), and dispatches it. Under
+    /// the default [`FifoScheduler`] the popped head *is* the pick — the
+    /// pool-of-one case — so events run in strict `(at, seq)` order and
+    /// no pool is ever built. Every iteration either dispatches at least
+    /// one event or returns, so the loop ends by queue drain, deadline or
+    /// event budget.
     fn dispatch_until(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
-        if self.sched_fifo {
-            self.dispatch_until_fifo(deadline, event_limit)
-        } else {
-            self.dispatch_until_choosing(deadline, event_limit)
-        }
-    }
-
-    /// The historical dispatch loop, taken under the default
-    /// [`FifoScheduler`]: strict `(at, seq)` order, notify-wave
-    /// coalescing enabled, no choice points. Every pinned scenario
-    /// digest is produced by this path, unchanged.
-    fn dispatch_until_fifo(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
         let mut dispatched = 0u64;
         loop {
             if dispatched >= event_limit {
@@ -852,13 +848,14 @@ impl Simulation {
             // a smaller sequence number than the accumulator's (pushes
             // flush it first), so entries up to and including its `at`
             // may pop freely — but nothing beyond `at` may overtake it,
-            // so the pop window is capped until it flushes.
+            // so the pop window is capped until it flushes. (A choosing
+            // scheduler never opens one: see `bounce`.)
             let cap = self
                 .pending_bounce
                 .as_ref()
                 .map(|p| p.at.as_nanos())
                 .unwrap_or(u64::MAX);
-            let Some((at, seq, action)) = self.queue.pop_due(deadline.as_nanos().min(cap)) else {
+            let Some(head) = self.queue.pop_due(deadline.as_nanos().min(cap)) else {
                 if self.pending_bounce.is_some() {
                     self.flush_bounce();
                     continue;
@@ -873,9 +870,18 @@ impl Simulation {
                 self.now = deadline;
                 return RunOutcome::DeadlineReached;
             };
+            let (at, seq, action) = if self.sched_fifo {
+                head
+            } else {
+                self.choose_among(head, deadline)
+            };
             let at = SimTime::from_nanos(at);
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
+            debug_assert!(!self.sched_fifo || at >= self.now, "time went backwards");
+            // Late delivery: a candidate deferred at a choice point may
+            // dispatch after the clock passed its timestamp; time never
+            // runs backwards, so a chosen schedule is always a physically
+            // plausible late-delivery history.
+            self.now = self.now.max(at);
             if let Action::NotifyBatch { pid, events } = action {
                 self.batched_extra -= events.len() as u64 - 1;
                 let n = self.notify_batch(pid, events, seq, event_limit - dispatched);
@@ -909,139 +915,83 @@ impl Simulation {
         }
     }
 
-    /// The choice-point dispatch loop, taken under any non-FIFO
-    /// [`Scheduler`]: each iteration pools every queued event due within
-    /// the scheduler's reorder window of the earliest pending one
-    /// (bounded by [`sched::MAX_CANDIDATES`]), surfaces multi-candidate
-    /// pools as a [`sched::ChoicePoint`], dispatches the pick and
-    /// re-queues the rest under their original `(at, seq)` keys.
+    /// The choice point of a non-FIFO [`Scheduler`]: pools `head` with
+    /// every queued event due within the scheduler's reorder window of it
+    /// (bounded by [`sched::MAX_CANDIDATES`] and by `deadline`), surfaces
+    /// a multi-candidate pool as a [`sched::ChoicePoint`], re-queues the
+    /// candidates not picked under their original `(at, seq)` keys and
+    /// returns the pick.
     ///
-    /// Differences from the FIFO path, both semantics-preserving for
-    /// the single-candidate case:
-    ///
-    /// * notify-wave coalescing is disabled ([`Self::bounce`] pushes
-    ///   individually reorderable entries), so `pending_bounce` is
-    ///   always `None` here and no pop-window cap applies;
-    /// * picking a later candidate advances the clock to its timestamp
-    ///   and the deferred earlier candidates dispatch *late* — the clock
-    ///   never runs backwards, so a chosen schedule is always a
-    ///   physically plausible late-delivery history.
-    ///
-    /// Every iteration dispatches exactly one event, so the loop shares
-    /// the FIFO path's termination argument (queue drain, deadline or
-    /// event budget). A deferred candidate also pins the window: pools
-    /// are collected from the earliest pending event, so after at most
-    /// [`sched::MAX_CANDIDATES`] deferrals the earliest candidate is
-    /// index 0 of a pool whose scheduler must pick *something*, and the
-    /// clamp guarantees eligibility — no starvation.
-    fn dispatch_until_choosing(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
-        let slack = self.scheduler.slack();
-        let mut dispatched = 0u64;
-        loop {
-            if dispatched >= event_limit {
-                return RunOutcome::EventLimit;
-            }
-            let Some((at, seq, action)) = self.queue.pop_due(deadline.as_nanos()) else {
-                if self.queue.is_empty() {
-                    self.now = deadline.max(self.now);
-                    return RunOutcome::Idle;
-                }
-                self.now = deadline;
-                return RunOutcome::DeadlineReached;
+    /// A deferred candidate pins the window: pools are collected from the
+    /// earliest pending event, so after at most [`sched::MAX_CANDIDATES`]
+    /// deferrals the earliest candidate is index 0 of a pool whose
+    /// scheduler must pick *something*, and the clamp guarantees
+    /// eligibility — no starvation.
+    fn choose_among(&mut self, head: (u64, u64, Action), deadline: SimTime) -> (u64, u64, Action) {
+        let first_at = head.0;
+        // The pool bound caps both this loop and the explorer's branching.
+        let cap = first_at
+            .saturating_add(self.scheduler.slack().as_nanos())
+            .min(deadline.as_nanos());
+        let mut pool = vec![head];
+        while pool.len() < sched::MAX_CANDIDATES {
+            let Some(candidate) = self.queue.pop_due(cap) else {
+                break;
             };
-            let first_at = SimTime::from_nanos(at);
-            // Pool everything due within the reorder window. The pool
-            // bound caps both this loop and the explorer's branching.
-            let cap = at.saturating_add(slack.as_nanos()).min(deadline.as_nanos());
-            let mut pool = vec![(first_at, seq, action)];
-            while pool.len() < sched::MAX_CANDIDATES {
-                let Some((c_at, c_seq, c_action)) = self.queue.pop_due(cap) else {
-                    break;
-                };
-                pool.push((SimTime::from_nanos(c_at), c_seq, c_action));
-            }
-            let pick = if pool.len() > 1 {
-                // Per-connection FIFO eligibility: the pool is in
-                // (at, seq) order, so the first candidate seen on each
-                // connection is its earliest — only that one may be
-                // picked. Candidate 0 is always eligible.
-                let mut seen_conns: Vec<ConnId> = Vec::new();
-                let candidates: Vec<sched::Candidate> = pool
-                    .iter()
-                    .map(|(c_at, c_seq, c_action)| {
-                        let conn = Self::action_conn(c_action);
-                        let eligible = match conn {
-                            Some(c) if seen_conns.contains(&c) => false,
-                            Some(c) => {
-                                seen_conns.push(c);
-                                true
-                            }
-                            None => true,
-                        };
-                        sched::Candidate {
-                            at: *c_at,
-                            seq: *c_seq,
-                            kind: Self::action_kind(c_action),
-                            class: Self::action_class(c_action),
-                            target: self.action_target(c_action),
-                            conn,
-                            touch_conn: Self::action_touch_conn(c_action),
-                            eligible,
-                        }
-                    })
-                    .collect();
-                let cp = sched::ChoicePoint {
-                    step: self.sched_steps,
-                    now: first_at,
-                    candidates,
-                };
-                self.sched_steps += 1;
-                let want = self.scheduler.choose(&cp);
-                // Out-of-range or ineligible picks clamp to the default.
-                match cp.candidates.get(want) {
-                    Some(c) if c.eligible => want,
-                    _ => 0,
-                }
-            } else {
-                0
-            };
-            let mut chosen = None;
-            for (i, (c_at, c_seq, c_action)) in pool.into_iter().enumerate() {
-                if i == pick {
-                    chosen = Some((c_at, c_seq, c_action));
-                } else {
-                    // Deferred candidates keep their original keys; they
-                    // surface again at the next choice point.
-                    self.queue.push(c_at.as_nanos(), c_seq, c_action);
-                }
-            }
-            let Some((at, seq, action)) = chosen else {
-                continue; // unreachable: pick < pool.len()
-            };
-            // Late delivery: a deferred event may dispatch after the
-            // clock passed its timestamp; time never runs backwards.
-            self.now = self.now.max(at);
-            let sched = Scheduled { at, seq, action };
-            self.events_processed += 1;
-            dispatched += 1;
-            if self.action_blocked(&sched.action) {
-                self.parked.push(sched);
-                continue;
-            }
-            if self.obs_kernel {
-                let node = self
-                    .action_link(&sched.action)
-                    .map(|(a, _)| a)
-                    .unwrap_or(NodeId(0));
-                self.emit_kernel(
-                    node,
-                    obs::EventKind::Dispatch {
-                        action: Self::action_name(&sched.action),
-                    },
-                );
-            }
-            self.handle(sched.action);
+            pool.push(candidate);
         }
+        let pick = if pool.len() > 1 {
+            // Per-connection FIFO eligibility: the pool is in (at, seq)
+            // order, so the first candidate seen on each connection is
+            // its earliest — only that one may be picked. Candidate 0 is
+            // always eligible.
+            let mut seen_conns: Vec<ConnId> = Vec::new();
+            let candidates: Vec<sched::Candidate> = pool
+                .iter()
+                .map(|(c_at, c_seq, c_action)| {
+                    let conn = Self::action_conn(c_action);
+                    let eligible = match conn {
+                        Some(c) if seen_conns.contains(&c) => false,
+                        Some(c) => {
+                            seen_conns.push(c);
+                            true
+                        }
+                        None => true,
+                    };
+                    sched::Candidate {
+                        at: SimTime::from_nanos(*c_at),
+                        seq: *c_seq,
+                        kind: Self::action_kind(c_action),
+                        class: Self::action_class(c_action),
+                        target: self.action_target(c_action),
+                        conn,
+                        touch_conn: Self::action_touch_conn(c_action),
+                        eligible,
+                    }
+                })
+                .collect();
+            let cp = sched::ChoicePoint {
+                step: self.sched_steps,
+                now: SimTime::from_nanos(first_at),
+                candidates,
+            };
+            self.sched_steps += 1;
+            let want = self.scheduler.choose(&cp);
+            // Out-of-range or ineligible picks clamp to the default.
+            match cp.candidates.get(want) {
+                Some(c) if c.eligible => want,
+                _ => 0,
+            }
+        } else {
+            0
+        };
+        let chosen = pool.remove(pick);
+        // Deferred candidates keep their original keys; they surface
+        // again at the next choice point.
+        for (c_at, c_seq, c_action) in pool {
+            self.queue.push(c_at, c_seq, c_action);
+        }
+        chosen
     }
 
     /// The connection an action rides on, if any — the key of the

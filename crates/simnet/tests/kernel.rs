@@ -662,3 +662,125 @@ fn event_limit_guard_stops_runaway() {
     let outcome = sim.run_until_limited(SimTime::from_secs(1), 1000);
     assert_eq!(outcome, RunOutcome::EventLimit);
 }
+
+/// Writes one byte to the sink at each of a fixed series of instants.
+struct StormSender {
+    sink: Addr,
+    id: u8,
+    conn: Option<ConnId>,
+    left: u32,
+}
+
+impl Process for StormSender {
+    fn on_start(&mut self, sys: &mut dyn SysApi) {
+        self.conn = Some(sys.connect(self.sink));
+    }
+    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
+        match ev {
+            Event::ConnEstablished { .. } => {
+                // Every sender fires at the same absolute instants, so the
+                // sink sees its deliveries arrive in waves.
+                let first = SimTime::from_millis(10).saturating_since(sys.now());
+                sys.set_timer(first, 0);
+            }
+            Event::TimerFired { .. } => {
+                sys.write(self.conn.expect("connected"), &[self.id])
+                    .expect("storm write");
+                self.left -= 1;
+                if self.left > 0 {
+                    sys.set_timer(SimDuration::from_micros(300), 0);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Reads whatever is readable and stays busy for 200 µs per byte, so the
+/// notifies of a wave park behind one another.
+struct StormSink {
+    port: Port,
+    received: Rc<RefCell<Vec<(SimTime, u8)>>>,
+}
+
+impl Process for StormSink {
+    fn on_start(&mut self, sys: &mut dyn SysApi) {
+        sys.listen(self.port).expect("listen");
+    }
+    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
+        if let Event::DataReadable { conn } = ev {
+            let got = sys.read(conn, usize::MAX).expect("read");
+            for &id in got.data.iter() {
+                self.received.borrow_mut().push((sys.now(), id));
+                sys.charge_cpu(SimDuration::from_micros(200));
+            }
+        }
+    }
+}
+
+/// Receive log, `events_processed` and final `now` of a notify storm:
+/// twelve senders on two nodes, six writes each, one busy sink.
+fn notify_storm(
+    scheduler: Box<dyn Scheduler>,
+    run: impl FnOnce(&mut Simulation),
+) -> (Vec<(SimTime, u8)>, u64, SimTime) {
+    let mut sim = Simulation::with_scheduler(quiet_config(15), scheduler);
+    let hub = sim.add_node("hub");
+    let edges = [sim.add_node("edge-a"), sim.add_node("edge-b")];
+    let sink = Addr::new(hub, Port(7000));
+    let received = Rc::new(RefCell::new(Vec::new()));
+    sim.spawn(
+        hub,
+        "sink",
+        Box::new(StormSink {
+            port: sink.port,
+            received: received.clone(),
+        }),
+    );
+    for id in 0..12u8 {
+        sim.spawn(
+            edges[id as usize % 2],
+            "sender",
+            Box::new(StormSender {
+                sink,
+                id,
+                conn: None,
+                left: 6,
+            }),
+        );
+    }
+    run(&mut sim);
+    let log = received.borrow().clone();
+    (log, sim.events_processed(), sim.now())
+}
+
+#[test]
+fn notify_storm_is_identical_under_fifo_choosing_and_sliced_budgets() {
+    let deadline = SimTime::from_secs(1);
+    let fifo = notify_storm(Box::new(FifoScheduler), |sim| {
+        assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
+    });
+    let (log, events, _) = &fifo;
+    assert_eq!(log.len(), 72, "every write is received");
+    // The herd: a parked notify bounces again at every service completion
+    // ahead of it, so the storm costs far more events than the ~4 a lone
+    // write takes. Without parking this test would not reach the batches.
+    assert!(*events > 72 * 8, "no notify storm: {events} events");
+
+    // Always taking candidate 0 is the FIFO order, found by the choosing
+    // path: individually queued notifies instead of NotifyBatch waves.
+    let choosing = notify_storm(
+        Box::new(ReplayScheduler::new(GateCfg::default(), Vec::new())),
+        |sim| {
+            assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
+        },
+    );
+    assert_eq!(choosing, fifo);
+
+    // An event budget that runs out inside a batch re-queues the tail
+    // exactly where the individual entries would have been.
+    let sliced = notify_storm(Box::new(FifoScheduler), |sim| {
+        while sim.run_until_limited(deadline, 7) == RunOutcome::EventLimit {}
+    });
+    assert_eq!(sliced, fifo);
+}

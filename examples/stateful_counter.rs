@@ -11,229 +11,27 @@
 //!
 //! Run with `cargo run --release --example stateful_counter`.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
-
-use mead_repro::giop::{Ior, ObjectKey};
-use mead_repro::groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
-use mead_repro::mead::{
-    MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ReplicaFactory, ServerInterceptor,
-    StateHooks,
-};
-use mead_repro::orb::{
-    decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, NamingConfig, NamingService, OrbUpshot, SharedCounterServant,
-    COUNTER_TYPE_ID,
-};
-use mead_repro::simnet::{
-    Addr, Event, NodeId, Process, SimConfig, SimDuration, SimTime, Simulation, SysApi,
-};
-
-fn counter_key() -> ObjectKey {
-    ObjectKey::persistent("CounterPOA", "Counter")
-}
-
-/// Client: increments the replicated counter once per millisecond and
-/// records every reply value; falls back to naming resolution on failure.
-struct IncrementClient {
-    orb: ClientOrb,
-    naming_node: NodeId,
-    target: Option<Ior>,
-    naming_rid: Option<u32>,
-    current_rid: Option<u32>,
-    sent: u32,
-    total: u32,
-    slot_rr: u32,
-    values: Rc<RefCell<Vec<u64>>>,
-    done: Rc<Cell<bool>>,
-}
-
-impl IncrementClient {
-    fn resolve(&mut self, sys: &mut dyn SysApi) {
-        let name = RecoveryManager::slot_binding(mead::Slot(self.slot_rr));
-        self.naming_rid = self
-            .orb
-            .invoke(
-                sys,
-                &naming_ior(self.naming_node),
-                "resolve",
-                &encode_name(&name),
-            )
-            .ok();
-    }
-    fn fire(&mut self, sys: &mut dyn SysApi) {
-        if self.sent >= self.total {
-            self.done.set(true);
-            return;
-        }
-        let Some(target) = self.target.clone() else {
-            return;
-        };
-        match self
-            .orb
-            .invoke(sys, &target, "increment", &encode_increment(1))
-        {
-            Ok(rid) => self.current_rid = Some(rid),
-            Err(_) => {
-                self.slot_rr = (self.slot_rr + 1) % 3;
-                self.resolve(sys);
-            }
-        }
-    }
-}
-
-impl Process for IncrementClient {
-    fn on_start(&mut self, sys: &mut dyn SysApi) {
-        self.resolve(sys);
-    }
-    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
-        if let Event::TimerFired { .. } = ev {
-            self.fire(sys);
-            return;
-        }
-        let Some(upshots) = self.orb.handle_event(sys, &ev) else {
-            return;
-        };
-        for upshot in upshots {
-            match upshot {
-                OrbUpshot::Reply {
-                    request_id,
-                    payload,
-                    ..
-                } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        if let Ok(ior) = decode_resolve_reply(&payload) {
-                            self.target = Some(ior);
-                            self.fire(sys);
-                        } else {
-                            sys.set_timer(SimDuration::from_millis(25), 1);
-                        }
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        let value = decode_counter_reply(&payload).expect("counter reply");
-                        self.values.borrow_mut().push(value);
-                        self.sent += 1;
-                        if self.sent >= self.total {
-                            self.done.set(true);
-                        } else {
-                            sys.set_timer(SimDuration::from_millis(1), 1);
-                        }
-                    }
-                }
-                OrbUpshot::Exception { request_id, .. } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        sys.set_timer(SimDuration::from_millis(25), 1);
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        self.slot_rr = (self.slot_rr + 1) % 3;
-                        self.resolve(sys);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
+use mead_repro::experiments::{run_counter_scenario, CounterConfig};
 
 fn main() {
-    let total: u32 = std::env::args()
+    let increments: u32 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(3000);
-    let mut sim = Simulation::new(SimConfig::default());
-    let infra = sim.add_node("node0");
-    let servers: Vec<NodeId> = (1..=3).map(|i| sim.add_node(&format!("node{i}"))).collect();
-    let client_node = sim.add_node("node4");
-
-    let seq = Addr::new(infra, GCS_PORT);
-    for node in std::iter::once(infra)
-        .chain(servers.iter().copied())
-        .chain([client_node])
-    {
-        sim.spawn(
-            node,
-            "gcs",
-            Box::new(GcsDaemon::new(seq, GcsConfig::default())),
-        );
-    }
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
-
-    // Replica factory: counter servant over a shared cell, with the
-    // interceptor's warm-passive state hooks capturing/restoring it.
-    // Checkpoint every 50 ms: with a rejuvenation every ~400 ms, each
-    // hand-off then loses at most ~50 ms of increments.
-    let mut mead_cfg = MeadConfig::builder(RecoveryScheme::MeadFailover).build();
-    mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
-    let factory_cfg = mead_cfg.clone();
-    let factory: ReplicaFactory = Rc::new(move |spec| {
-        let value = Rc::new(Cell::new(0u64));
-        let app = ReplicaApp::time_server(spec.slot, spec.port, infra).with_servant(
-            counter_key(),
-            COUNTER_TYPE_ID,
-            Box::new(SharedCounterServant::new(value.clone())),
-        );
-        let capture_cell = value.clone();
-        let restore_cell = value;
-        let hooks = StateHooks {
-            capture: Box::new(move || capture_cell.get().to_be_bytes().to_vec()),
-            restore: Box::new(move |bytes| {
-                if let Ok(arr) = <[u8; 8]>::try_from(bytes) {
-                    restore_cell.set(u64::from_be_bytes(arr));
-                }
-            }),
-        };
-        Box::new(
-            ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app))
-                .with_state_hooks(hooks),
-        )
+    // Checkpoint every 50 ms (the default): with a rejuvenation every
+    // ~400 ms, each hand-off then loses at most ~50 ms of increments.
+    let outcome = run_counter_scenario(&CounterConfig {
+        increments,
+        ..CounterConfig::default()
     });
-    sim.spawn(
-        infra,
-        "recovery-manager",
-        Box::new(RecoveryManager::new(mead_cfg, 3, servers, factory)),
-    );
-    sim.run_until(SimTime::from_millis(500));
 
-    let values = Rc::new(RefCell::new(Vec::new()));
-    let done = Rc::new(Cell::new(false));
-    sim.spawn(
-        client_node,
-        "client",
-        Box::new(mead_repro::mead::ClientInterceptor::new(
-            MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
-            Box::new(IncrementClient {
-                orb: ClientOrb::new(ClientOrbConfig::default()),
-                naming_node: infra,
-                target: None,
-                naming_rid: None,
-                current_rid: None,
-                sent: 0,
-                total,
-                slot_rr: 0,
-                values: values.clone(),
-                done: done.clone(),
-            }),
-        )),
-    );
-    while !done.get() && sim.now() < SimTime::from_secs(120) {
-        let t = sim.now() + SimDuration::from_millis(500);
-        sim.run_until(t);
-    }
-
-    let values = values.borrow();
-    let final_value = values.last().copied().unwrap_or(0);
-    let sent = values.len() as u64;
-    let rejuvenations = sim.with_metrics(|m| m.counter("mead.graceful_rejuvenations"));
-    let restores = sim.with_metrics(|m| m.counter("mead.state_restored"));
-    // Count the visible state regressions (value dropping between
-    // consecutive replies = a fail-over onto a slightly stale backup).
-    let regressions = values.windows(2).filter(|w| w[1] <= w[0]).count();
+    let final_value = outcome.final_value();
+    let sent = outcome.values.len() as u64;
+    let rejuvenations = outcome.metrics.counter("mead.graceful_rejuvenations");
+    let restores = outcome.metrics.counter("mead.state_restored");
+    // A value not increasing between consecutive replies is a fail-over
+    // onto a slightly stale backup.
+    let regressions = outcome.regressions();
 
     println!("increments acknowledged : {sent}");
     println!("final counter value     : {final_value}");
