@@ -1,5 +1,6 @@
-//! Deterministic chaos campaign: seeded fault plans against the full
-//! MEAD stack, with machine-verified recovery invariants.
+//! The chaos plan executor: one seeded fault plan against the full MEAD
+//! stack, with machine-verified recovery invariants. Campaigns are
+//! scenario files run by [`crate::sweep`].
 //!
 //! Each [`run_chaos_plan`] builds the five-node counter topology (a
 //! dedup counter servant with exactly-once semantics, commit-before-ack
@@ -19,10 +20,10 @@
 //!    covers every slot.
 //!
 //! With `rm_instances >= 2` the Recovery Manager is replicated
-//! warm-passively and the campaign must pass every plan; with the
-//! paper's legacy single instance (`rm_instances = 1`, DESIGN §6.5) a
-//! plan that kills the RM and then a replica reproduces the documented
-//! stall as an invariant violation.
+//! warm-passively and every generated plan must pass; with the paper's
+//! legacy single instance (`rm_instances = 1`, DESIGN §6.5) a plan that
+//! kills the RM and then a replica reproduces the documented stall as an
+//! invariant violation (`tests/rm_failover.rs`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -47,7 +48,6 @@ use simnet::{
 };
 
 use crate::counter::counter_key;
-use crate::runner::run_batch_with;
 use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
 
 /// Timer tokens of the chaos client (the interceptor namespace starts at
@@ -181,17 +181,12 @@ impl Servant for NoDedupCounterServant {
     }
 }
 
-/// The fault-plan space matching the paper's chaos topology: three
-/// replica slots, crashable daemons on the server and client nodes
-/// (node 0 hosts the sequencer, which the `f = 1` group stack cannot
-/// lose), a crashable Naming Service, and client-side link partitions.
-pub fn chaos_plan_space(rm_crashes: u32) -> PlanSpace {
-    chaos_plan_space_for(3, rm_crashes)
-}
-
-/// [`chaos_plan_space`] generalised over the replica-slot count: the
-/// topology is node 0 (infrastructure), nodes `1..=slots` (one replica
-/// slot each) and node `slots + 1` (the client).
+/// The fault-plan space of the chaos topology — node 0 (infrastructure),
+/// nodes `1..=slots` (one replica slot each; the paper has 3) and node
+/// `slots + 1` (the client): crashable daemons on the server and client
+/// nodes (node 0 hosts the sequencer, which the `f = 1` group stack
+/// cannot lose), a crashable Naming Service, client-side link
+/// partitions, and at most `rm_crashes` Recovery-Manager crashes.
 pub fn chaos_plan_space_for(slots: u32, rm_crashes: u32) -> PlanSpace {
     let client = slots + 1;
     PlanSpace {
@@ -241,7 +236,7 @@ pub struct ChaosOutcome {
 
 impl ChaosOutcome {
     /// FNV-1a digest over every deterministic observable — what the
-    /// campaign compares across thread counts.
+    /// sweep folds and compares across thread counts.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.seed);
@@ -1124,103 +1119,10 @@ fn kill_first_labeled(sim: &mut Simulation, prefix: &str, node: Option<NodeId>) 
     }
 }
 
-/// Campaign parameters: a contiguous block of seeded plans.
-#[derive(Clone, Debug)]
-pub struct CampaignConfig {
-    /// First plan seed.
-    pub base_seed: u64,
-    /// Number of plans.
-    pub plans: u32,
-    /// Per-plan scenario parameters.
-    pub chaos: ChaosConfig,
-    /// Recovery-Manager crashes allowed per plan.
-    pub rm_crashes: u32,
-    /// Worker threads for the batch.
-    pub threads: usize,
-}
-
-/// Aggregated campaign results.
-#[derive(Clone, Debug)]
-pub struct CampaignOutcome {
-    /// Per-plan outcomes, in seed order.
-    pub outcomes: Vec<ChaosOutcome>,
-    /// Seeds whose plan crashed the Recovery Manager.
-    pub rm_crash_seeds: Vec<u64>,
-}
-
-impl CampaignOutcome {
-    /// Plans with at least one invariant violation.
-    pub fn violated(&self) -> Vec<&ChaosOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| !o.violations.is_empty())
-            .collect()
-    }
-
-    /// FNV-1a fold of the per-plan digests — identical across thread
-    /// counts when the campaign is deterministic.
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        for o in &self.outcomes {
-            h.u64(o.digest());
-        }
-        h.finish()
-    }
-}
-
-/// Sweeps `cfg.plans` seeded fault plans through the simulator on
-/// `cfg.threads` workers. Deterministic: outcomes (and the campaign
-/// digest) depend only on `cfg`, never on the thread count.
-pub fn run_chaos_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
-    let space = chaos_plan_space(cfg.rm_crashes);
-    let plans: Vec<FaultPlan> = (0..cfg.plans)
-        .map(|i| FaultPlan::generate(cfg.base_seed + i as u64, &space))
-        .collect();
-    let rm_crash_seeds = plans
-        .iter()
-        .filter(|p| {
-            p.events()
-                .iter()
-                .any(|e| e.kind == FaultKind::CrashRecoveryManager)
-        })
-        .map(|p| p.seed())
-        .collect();
-    let chaos = cfg.chaos.clone();
-    let outcomes = run_batch_with(&plans, cfg.threads, move |plan| {
-        run_chaos_plan(plan, &chaos)
-    });
-    CampaignOutcome {
-        outcomes,
-        rm_crash_seeds,
-    }
-}
-
-/// Human-readable campaign summary.
-pub fn format_campaign(label: &str, campaign: &CampaignOutcome) -> String {
-    let mut out = String::new();
-    let violated = campaign.violated();
-    out.push_str(&format!(
-        "{label}: {} plans, {} with violations, {} crashed the RM\n",
-        campaign.outcomes.len(),
-        violated.len(),
-        campaign.rm_crash_seeds.len(),
-    ));
-    for o in violated.iter().take(10) {
-        out.push_str(&format!("  seed {}:\n", o.seed));
-        for v in &o.violations {
-            out.push_str(&format!("    - {v}\n"));
-        }
-    }
-    if violated.len() > 10 {
-        out.push_str(&format!("  ... and {} more\n", violated.len() - 10));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faults::FaultPlanBuilder;
+    use faults::{FaultMix, FaultPlanBuilder};
 
     #[test]
     fn fault_free_plan_completes_cleanly() {
@@ -1232,7 +1134,7 @@ mod tests {
                     duration: SimDuration::from_millis(100),
                 },
             })
-            .build(&chaos_plan_space(0))
+            .build(&chaos_plan_space_for(3, 0))
             .expect("valid plan");
         let cfg = ChaosConfig {
             increments: 60,
@@ -1249,8 +1151,8 @@ mod tests {
 
     #[test]
     fn chaos_plan_is_deterministic() {
-        let space = chaos_plan_space(1);
-        let plan = FaultPlan::generate(7, &space);
+        let space = chaos_plan_space_for(3, 1);
+        let plan = FaultPlan::generate_with(7, &space, &FaultMix::classic());
         let cfg = ChaosConfig {
             increments: 40,
             ..ChaosConfig::default()

@@ -1,101 +1,197 @@
-//! Shared command-line parsing for the experiment bins.
+//! The command-line plumbing every `mead-repro` command shares.
 //!
-//! Every driver accepts the same flags ahead of its positional arguments:
-//! `--threads N` selects the worker count and `--trace PATH` dumps the
-//! observability trace of every run as JSON lines. The parsing core
-//! ([`parse_args`]) is pure and iterator-based so it is tested once here;
-//! the bins call the thin [`cli_from_args`] wrapper, which keeps the
-//! historical behaviour of printing a usage message and exiting with
-//! status 2 on a malformed flag (these are one-shot CLI tools).
+//! The flags more than one command takes — `--threads N`, `--trace PATH`,
+//! `--smoke`, `--violations PATH` — are parsed once, here
+//! ([`cli_from_args`]); a command-specific `--flag VALUE` is lifted out of
+//! the remainder with [`take_flag`]. Nothing in this module exits the
+//! process: parsing and artifact writing return [`CliError`], and
+//! [`run_command`] turns a command's result into the exit status the
+//! binary leaves with, from the one place it exits — 0 passed, 1 failed
+//! check or unwritable output, 2 usage error or unreadable/invalid input
+//! file.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+use crate::report::{ViolationRecord, ViolationReport};
 use crate::runner::default_threads;
 
-/// A malformed command line (the message is ready to print).
+/// Why a command stopped early (the message is ready to print).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// Malformed command line, or an input file that cannot be read or
+    /// parsed: exit status 2.
+    Usage(String),
+    /// An output file could not be written: exit status 1.
+    Failed(String),
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
     }
 }
 
 impl std::error::Error for CliError {}
 
-/// The outcome of [`parse_args`]: the common flags plus whatever
-/// positional arguments remain.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ParsedCli {
-    /// `--threads N` if present (`None`/`0` mean "caller's default").
-    pub threads: Option<usize>,
-    /// `--trace PATH` if present.
-    pub trace: Option<String>,
-    /// Positional arguments with the flags removed.
-    pub rest: Vec<String>,
-}
-
-/// Extracts the common `--threads N` / `--trace PATH` flags (either
-/// `--flag value` or `--flag=value` form) from `args` (program name
-/// already stripped). This core never exits — the bins' exit-2 behaviour
-/// lives in [`cli_from_args`].
-pub fn parse_args<I>(args: I) -> Result<ParsedCli, CliError>
-where
-    I: IntoIterator<Item = String>,
-{
-    let mut parsed = ParsedCli::default();
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            parsed.threads = Some(parse_thread_count(v)?);
-        } else if arg == "--threads" {
-            let v = args
-                .next()
-                .ok_or_else(|| CliError("--threads requires a value".to_string()))?;
-            parsed.threads = Some(parse_thread_count(&v)?);
-        } else if let Some(v) = arg.strip_prefix("--trace=") {
-            parsed.trace = Some(v.to_string());
-        } else if arg == "--trace" {
-            let v = args
-                .next()
-                .ok_or_else(|| CliError("--trace requires a path".to_string()))?;
-            parsed.trace = Some(v);
-        } else {
-            parsed.rest.push(arg);
-        }
-    }
-    Ok(parsed)
-}
-
-fn parse_thread_count(v: &str) -> Result<usize, CliError> {
-    v.parse()
-        .map_err(|_| CliError(format!("--threads expects a number, got `{v}`")))
-}
-
-/// The resolved common command line of one experiment bin.
+/// The shared command line of one `mead-repro` command.
 #[derive(Clone, Debug)]
 pub struct Cli {
-    /// Worker threads to use ([`default_threads`] when unspecified).
+    /// Worker threads to use ([`default_threads`] when `--threads` is
+    /// absent or `0`).
     pub threads: usize,
     /// Where to write the JSONL trace, if `--trace` was given.
     pub trace: Option<PathBuf>,
-    /// Positional arguments with the flags removed.
+    /// `--smoke`: the short fixed-shape CI configuration.
+    pub smoke: bool,
+    /// Where to write the `violation-report/1` document, if
+    /// `--violations` was given.
+    pub violations: Option<PathBuf>,
+    /// Everything else, in order: positional arguments and the flags
+    /// only one command takes.
     pub args: Vec<String>,
+}
+
+/// Parses a command's arguments (command name already stripped). Flags
+/// take either the `--flag value` or the `--flag=value` form.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] for a flag without its value or a non-numeric
+/// `--threads`.
+pub fn cli_from_args(args: &[String]) -> Result<Cli, CliError> {
+    let mut rest = args.to_vec();
+    let threads = match take_flag(&mut rest, "--threads")? {
+        None => 0,
+        Some(v) => v
+            .parse()
+            .map_err(|_| CliError::Usage(format!("--threads expects a number, got `{v}`")))?,
+    };
+    let trace = take_flag(&mut rest, "--trace")?.map(PathBuf::from);
+    let violations = take_flag(&mut rest, "--violations")?.map(PathBuf::from);
+    let smoke = take_switch(&mut rest, "--smoke");
+    Ok(Cli {
+        threads: if threads == 0 {
+            default_threads()
+        } else {
+            threads
+        },
+        trace,
+        smoke,
+        violations,
+        args: rest,
+    })
+}
+
+/// Removes a `--flag VALUE` / `--flag=VALUE` pair from `args` and returns
+/// the value, or `None` when the flag is absent.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] when the flag is present without a value.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, CliError> {
+    let eq_prefix = format!("{flag}=");
+    for i in 0..args.len() {
+        if let Some(v) = args[i].strip_prefix(&eq_prefix) {
+            let v = v.to_string();
+            args.remove(i);
+            return Ok(Some(v));
+        }
+        if args[i] == flag {
+            if i + 1 >= args.len() {
+                return Err(CliError::Usage(format!("{flag} requires a value")));
+            }
+            args.remove(i);
+            return Ok(Some(args.remove(i)));
+        }
+    }
+    Ok(None)
+}
+
+/// Removes every occurrence of the value-less `flag` from `args` and
+/// returns whether there was one.
+pub fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
+/// Parses positional argument `index` as a `T`, falling back to
+/// `default` when absent or unparsable.
+pub fn positional_or<T: std::str::FromStr>(args: &[String], index: usize, default: T) -> T {
+    args.get(index)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Runs one command: parses the shared flags, hands them to `command`
+/// (which returns whether every check it made passed) and maps the
+/// result to the process exit status, printing any error to stderr.
+pub fn run_command(args: &[String], command: impl FnOnce(Cli) -> Result<bool, CliError>) -> i32 {
+    match cli_from_args(args).and_then(command) {
+        Ok(true) => 0,
+        Ok(false) => 1,
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            1
+        }
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}");
+            eprintln!(
+                "usage: mead-repro <command> [--threads N] [--trace out.jsonl] [--smoke] \
+                 [--violations out.json] [args...]  (see `mead-repro help`)"
+            );
+            2
+        }
+    }
+}
+
+/// Writes `body` to `path`; `what` names the artifact in the stderr
+/// confirmation and in the error.
+///
+/// # Errors
+///
+/// [`CliError::Failed`] when the file cannot be written.
+pub fn write_artifact(what: &str, path: &Path, body: &str) -> Result<(), CliError> {
+    std::fs::write(path, body)
+        .map_err(|e| CliError::Failed(format!("cannot write {what} to {}: {e}", path.display())))?;
+    eprintln!("{what} written to {}", path.display());
+    Ok(())
 }
 
 impl Cli {
     /// Writes the labelled run traces to the `--trace` path, if one was
-    /// given; a no-op otherwise. Exits with status 1 when the file cannot
-    /// be written (one-shot CLI behaviour, like the flag parser).
-    pub fn write_trace(&self, sections: &[(String, &[obs::TraceEvent])]) {
-        let Some(path) = &self.trace else { return };
-        let body = render_trace_sections(sections);
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("error: cannot write trace to {}: {e}", path.display());
-            std::process::exit(1);
+    /// given.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Failed`] when the file cannot be written.
+    pub fn write_trace(&self, sections: &[(String, &[obs::TraceEvent])]) -> Result<(), CliError> {
+        match &self.trace {
+            Some(path) => write_artifact("trace", path, &render_trace_sections(sections)),
+            None => Ok(()),
         }
-        eprintln!("trace written to {}", path.display());
+    }
+
+    /// Writes `records` as a `violation-report/1` document to the
+    /// `--violations` path, if one was given.
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::Failed`] when the file cannot be written.
+    pub fn write_violations(
+        &self,
+        source: &str,
+        records: Vec<ViolationRecord>,
+    ) -> Result<(), CliError> {
+        match &self.violations {
+            Some(path) => {
+                let body = ViolationReport::new(source, records).to_json();
+                write_artifact("violations", path, &body)
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -115,74 +211,32 @@ pub fn render_trace_sections(sections: &[(String, &[obs::TraceEvent])]) -> Strin
     out
 }
 
-/// Parses the process arguments into a [`Cli`]: worker count resolved via
-/// [`resolve_threads`], trace path if any, and the remaining positional
-/// arguments (program name excluded).
-///
-/// A missing or non-numeric flag value prints a usage message and exits
-/// with status 2.
-pub fn cli_from_args() -> Cli {
-    match parse_args(std::env::args().skip(1)) {
-        Ok(parsed) => Cli {
-            threads: resolve_threads(parsed.threads),
-            trace: parsed.trace.map(PathBuf::from),
-            args: parsed.rest,
-        },
-        Err(e) => usage(&e.0),
-    }
-}
-
-/// Maps the parsed flag to an actual worker count: absent or `0` means
-/// [`default_threads`].
-pub fn resolve_threads(flag: Option<usize>) -> usize {
-    match flag {
-        None | Some(0) => default_threads(),
-        Some(n) => n,
-    }
-}
-
-/// Parses positional argument `index` as a `T`, falling back to
-/// `default` when absent or unparsable (the bins' historical
-/// `args.first().and_then(parse).unwrap_or(default)` idiom).
-pub fn positional_or<T: std::str::FromStr>(args: &[String], index: usize, default: T) -> T {
-    args.get(index)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Removes a bin-specific `--flag VALUE` / `--flag=VALUE` pair from the
-/// positional remainder and returns the value, or `None` when the flag is
-/// absent. A flag present without a value prints a usage message and
-/// exits with status 2 (matching the common-flag behaviour).
-pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let eq_prefix = format!("{flag}=");
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix(&eq_prefix) {
-            let v = v.to_string();
-            args.remove(i);
-            return Some(v);
+/// The thread-independence self-check: computes `digest_at(t)` for every
+/// count in `threads`, prints the one `determinism:` line and returns
+/// whether all digests agreed. `what` names the digested batch
+/// (`"24-plan"`, `"fleet"`).
+pub fn check_thread_independence(
+    what: &str,
+    threads: &[usize],
+    digest_at: impl FnMut(usize) -> u64,
+) -> bool {
+    let digests: Vec<u64> = threads.iter().copied().map(digest_at).collect();
+    let first = digests.first().copied().unwrap_or(0);
+    match digests.iter().position(|&d| d != first) {
+        None => {
+            println!(
+                "determinism: {what} digest {first:016x} identical at {threads:?} threads — PASS"
+            );
+            true
         }
-        if args[i] == flag {
-            if i + 1 >= args.len() {
-                usage(&format!("{flag} requires a value"));
-            }
-            args.remove(i);
-            return Some(args.remove(i));
+        Some(i) => {
+            println!(
+                "determinism: FAIL — {what} digest {first:016x} at {} thread(s) vs {:016x} at {}",
+                threads[0], digests[i], threads[i]
+            );
+            false
         }
-        i += 1;
     }
-    None
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: <bin> [--threads N] [--trace out.jsonl] [args...]\n\
-         \x20 --threads N        worker threads (0/default = all cores)\n\
-         \x20 --trace out.jsonl  dump the per-run observability traces"
-    );
-    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -195,46 +249,63 @@ mod tests {
 
     #[test]
     fn no_flag_leaves_positionals_untouched() {
-        let parsed = parse_args(argv(&["500", "extra"])).unwrap();
-        assert_eq!(parsed.threads, None);
-        assert_eq!(parsed.trace, None);
-        assert_eq!(parsed.rest, argv(&["500", "extra"]));
+        let cli = cli_from_args(&argv(&["500", "extra"])).unwrap();
+        assert_eq!(cli.threads, default_threads());
+        assert_eq!(cli.trace, None);
+        assert_eq!(cli.violations, None);
+        assert!(!cli.smoke);
+        assert_eq!(cli.args, argv(&["500", "extra"]));
     }
 
     #[test]
     fn separate_and_equals_forms_parse() {
-        let parsed = parse_args(argv(&["--threads", "4", "100"])).unwrap();
-        assert_eq!(parsed.threads, Some(4));
-        assert_eq!(parsed.rest, argv(&["100"]));
-        let parsed = parse_args(argv(&["100", "--threads=8"])).unwrap();
-        assert_eq!(parsed.threads, Some(8));
-        assert_eq!(parsed.rest, argv(&["100"]));
+        let cli = cli_from_args(&argv(&["--threads", "4", "100"])).unwrap();
+        assert_eq!(cli.threads, 4);
+        assert_eq!(cli.args, argv(&["100"]));
+        let cli = cli_from_args(&argv(&["100", "--threads=8"])).unwrap();
+        assert_eq!(cli.threads, 8);
+        assert_eq!(cli.args, argv(&["100"]));
     }
 
     #[test]
-    fn trace_flag_parses_both_forms() {
-        let parsed = parse_args(argv(&["--trace", "out.jsonl", "250"])).unwrap();
-        assert_eq!(parsed.trace.as_deref(), Some("out.jsonl"));
-        assert_eq!(parsed.rest, argv(&["250"]));
-        let parsed = parse_args(argv(&["--trace=t.jsonl", "--threads=2"])).unwrap();
-        assert_eq!(parsed.trace.as_deref(), Some("t.jsonl"));
-        assert_eq!(parsed.threads, Some(2));
-        assert!(parsed.rest.is_empty());
+    fn shared_flags_parse_in_any_order_and_leave_the_rest() {
+        let cli = cli_from_args(&argv(&[
+            "--smoke",
+            "--trace=t.jsonl",
+            "--runs",
+            "9",
+            "--violations",
+            "v.json",
+            "--threads=2",
+        ]))
+        .unwrap();
+        assert_eq!(cli.trace.as_deref(), Some(Path::new("t.jsonl")));
+        assert_eq!(cli.violations.as_deref(), Some(Path::new("v.json")));
+        assert_eq!(cli.threads, 2);
+        assert!(cli.smoke);
+        assert_eq!(cli.args, argv(&["--runs", "9"]));
     }
 
     #[test]
     fn malformed_flag_is_an_error_not_a_panic() {
-        assert!(parse_args(argv(&["--threads"])).is_err());
-        assert!(parse_args(argv(&["--threads", "many"])).is_err());
-        assert!(parse_args(argv(&["--threads=x"])).is_err());
-        assert!(parse_args(argv(&["--trace"])).is_err());
+        for bad in [
+            &["--threads"][..],
+            &["--threads", "many"],
+            &["--threads=x"],
+            &["--trace"],
+            &["12", "--violations"],
+        ] {
+            assert!(
+                matches!(cli_from_args(&argv(bad)), Err(CliError::Usage(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
-    fn zero_and_absent_resolve_to_default() {
-        assert_eq!(resolve_threads(None), default_threads());
-        assert_eq!(resolve_threads(Some(0)), default_threads());
-        assert_eq!(resolve_threads(Some(3)), 3);
+    fn zero_threads_resolves_to_default() {
+        let cli = cli_from_args(&argv(&["--threads", "0"])).unwrap();
+        assert_eq!(cli.threads, default_threads());
     }
 
     #[test]
@@ -247,20 +318,36 @@ mod tests {
 
     #[test]
     fn take_flag_handles_both_forms_and_absence() {
-        let mut args = argv(&["--violations", "v.json", "24"]);
+        let mut args = argv(&["--report", "r.txt", "24"]);
         assert_eq!(
-            take_flag(&mut args, "--violations").as_deref(),
-            Some("v.json")
+            take_flag(&mut args, "--report").unwrap().as_deref(),
+            Some("r.txt")
         );
         assert_eq!(args, argv(&["24"]));
-        let mut args = argv(&["24", "--violations=out/v.json"]);
+        let mut args = argv(&["24", "--report=out/r.txt"]);
         assert_eq!(
-            take_flag(&mut args, "--violations").as_deref(),
-            Some("out/v.json")
+            take_flag(&mut args, "--report").unwrap().as_deref(),
+            Some("out/r.txt")
         );
         assert_eq!(args, argv(&["24"]));
-        let mut args = argv(&["24"]);
-        assert_eq!(take_flag(&mut args, "--violations"), None);
+        assert_eq!(take_flag(&mut args, "--report"), Ok(None));
         assert_eq!(args, argv(&["24"]));
+    }
+
+    #[test]
+    fn exit_codes_follow_the_result() {
+        assert_eq!(run_command(&[], |_| Ok(true)), 0);
+        assert_eq!(run_command(&[], |_| Ok(false)), 1);
+        assert_eq!(run_command(&[], |_| Err(CliError::Failed("x".into()))), 1);
+        assert_eq!(run_command(&[], |_| Err(CliError::Usage("x".into()))), 2);
+        assert_eq!(run_command(&argv(&["--threads"]), |_| Ok(true)), 2);
+    }
+
+    #[test]
+    fn thread_independence_check_compares_every_count() {
+        assert!(check_thread_independence("t", &[1, 2, 4], |_| 7));
+        assert!(!check_thread_independence("t", &[1, 2, 4], |t| u64::from(
+            t == 4
+        )));
     }
 }

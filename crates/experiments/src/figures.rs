@@ -27,50 +27,49 @@ pub struct Trace {
     pub outcome: ScenarioOutcome,
 }
 
-/// Runs the Figure 3 traces (both reactive schemes) on up to `threads`
-/// worker threads.
-pub fn run_fig3(invocations: u32, seed: u64, threads: usize) -> Vec<Trace> {
-    let schemes = [
-        RecoveryScheme::ReactiveNoCache,
-        RecoveryScheme::ReactiveCache,
-    ];
+/// Runs one paper scenario per scheme (optionally at a fixed migrate
+/// threshold) on up to `threads` worker threads.
+fn run_traces(
+    schemes: &[RecoveryScheme],
+    threshold: Option<f64>,
+    invocations: u32,
+    seed: u64,
+    threads: usize,
+) -> Vec<Trace> {
     let configs: Vec<ScenarioConfig> = schemes
         .iter()
         .map(|&scheme| ScenarioConfig {
             seed,
             invocations,
+            threshold,
             ..ScenarioConfig::paper(scheme)
         })
         .collect();
     schemes
-        .into_iter()
+        .iter()
         .zip(run_batch(&configs, threads))
-        .map(|(scheme, outcome)| Trace { scheme, outcome })
+        .map(|(&scheme, outcome)| Trace { scheme, outcome })
         .collect()
 }
 
+/// Runs the Figure 3 traces (both reactive schemes).
+pub fn run_fig3(invocations: u32, seed: u64, threads: usize) -> Vec<Trace> {
+    let schemes = [
+        RecoveryScheme::ReactiveNoCache,
+        RecoveryScheme::ReactiveCache,
+    ];
+    run_traces(&schemes, None, invocations, seed, threads)
+}
+
 /// Runs the Figure 4 traces (the three proactive schemes at the 80 %
-/// threshold, as in the figure's captions) on up to `threads` workers.
+/// threshold, as in the figure's captions).
 pub fn run_fig4(invocations: u32, seed: u64, threads: usize) -> Vec<Trace> {
     let schemes = [
         RecoveryScheme::NeedsAddressing,
         RecoveryScheme::LocationForward,
         RecoveryScheme::MeadFailover,
     ];
-    let configs: Vec<ScenarioConfig> = schemes
-        .iter()
-        .map(|&scheme| ScenarioConfig {
-            seed,
-            invocations,
-            threshold: Some(0.8),
-            ..ScenarioConfig::paper(scheme)
-        })
-        .collect();
-    schemes
-        .into_iter()
-        .zip(run_batch(&configs, threads))
-        .map(|(scheme, outcome)| Trace { scheme, outcome })
-        .collect()
+    run_traces(&schemes, Some(0.8), invocations, seed, threads)
 }
 
 /// One point of Figure 5.

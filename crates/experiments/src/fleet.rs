@@ -28,6 +28,7 @@ use std::time::Duration;
 use mead::RecoveryScheme;
 use simnet::SimTime;
 
+use crate::cli::{check_thread_independence, positional_or, run_command, take_flag, CliError};
 use crate::runner::run_batch_with;
 use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
 
@@ -191,6 +192,59 @@ pub fn run_fleet(cfg: &FleetConfig, threads: usize) -> FleetOutcome {
     let configs = group_configs(cfg);
     let outcomes = run_batch_with(&configs, threads, run_scenario);
     FleetOutcome::from_groups(&outcomes)
+}
+
+/// `mead-repro fleet [--threads N] [--smoke] [--scheme KEY] [clients]`:
+/// runs the fleet under one recovery scheme (a [`RecoveryScheme::key`],
+/// default `mead_failover`; `clients` defaults to 1000 per group,
+/// `--smoke` is the short fixed-shape CI configuration), reports kernel
+/// throughput and checks that the fleet digest is bit-identical at 1, 2
+/// and N worker threads. Exit status 1 when any thread count disagrees.
+pub fn cli_main(args: &[String]) -> i32 {
+    run_command(args, |mut cli| {
+        let scheme = match take_flag(&mut cli.args, "--scheme")? {
+            Some(key) => key
+                .parse()
+                .map_err(|e: mead::UnknownScheme| CliError::Usage(e.to_string()))?,
+            None => RecoveryScheme::MeadFailover,
+        };
+        let cfg = if cli.smoke {
+            FleetConfig {
+                groups: 2,
+                clients: 32,
+                invocations: 3,
+                ..FleetConfig::new(scheme, 32)
+            }
+        } else {
+            FleetConfig::new(scheme, positional_or(&cli.args, 0, 1000))
+        };
+        println!(
+            "fleet: scheme={:?} groups={} clients/group={} invocations={} seed={}",
+            cfg.scheme, cfg.groups, cfg.clients, cfg.invocations, cfg.seed
+        );
+        let mut thread_counts = vec![1, 2];
+        if cli.threads > 2 {
+            thread_counts.push(cli.threads);
+        }
+        Ok(check_thread_independence(
+            "fleet",
+            &thread_counts,
+            |threads| {
+                let out = run_fleet(&cfg, threads);
+                let digest = out.digest();
+                println!(
+                    "  threads={threads}: digest {:016x}, {} events, {} invocations done, \
+                 {} groups complete, {:.0} events/sec",
+                    digest,
+                    out.total_events,
+                    out.completed_invocations,
+                    out.groups_completed,
+                    out.events_per_sec()
+                );
+                digest
+            },
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,11 @@
 //! experiment index. The private `testbed` module assembles, boots and
 //! drives the five-node topology for every simulation; [`scenario`] runs
 //! the paper's experiment on it; [`workload`] is the measuring client; the
-//! remaining modules each regenerate one artefact of section 5.
+//! remaining modules each regenerate one artefact of section 5. The
+//! command-line surface is [`paper::EXPERIMENTS`] (eight rows run by
+//! [`run_experiment`]) plus [`sweep::cli_main`], [`fleet::cli_main`] and
+//! [`paper::digest_probe`], all on the shared flags of [`cli`]; the one
+//! binary that dispatches to them is the root package's `mead-repro`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,6 +22,7 @@ pub mod failover;
 pub mod figures;
 pub mod fleet;
 pub mod jitter;
+pub mod paper;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -28,11 +33,13 @@ pub mod workload;
 
 pub use adaptive::{format_adaptive, run_adaptive_comparison, AdaptiveRow};
 pub use chaos::{
-    chaos_plan_space, chaos_plan_space_for, format_campaign, run_chaos_campaign, run_chaos_plan,
-    run_chaos_plan_with, CampaignConfig, CampaignOutcome, ChaosConfig, ChaosOutcome,
+    chaos_plan_space_for, run_chaos_plan, run_chaos_plan_with, ChaosConfig, ChaosOutcome,
     ServantMutation,
 };
-pub use cli::{cli_from_args, positional_or, render_trace_sections, take_flag, Cli};
+pub use cli::{
+    check_thread_independence, cli_from_args, positional_or, render_trace_sections, run_command,
+    take_flag, take_switch, write_artifact, Cli, CliError,
+};
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
 pub use failover::{
     failover_row, failover_row_from, failover_rows, format_failover, model_budget, FailoverRow,
@@ -42,6 +49,7 @@ pub use figures::{
 };
 pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome, CLIENTS_PER_NODE};
 pub use jitter::{format_jitter, jitter_stats, run_jitter_suite, JitterStats};
+pub use paper::{run_experiment, Experiment, Report, EXPERIMENTS};
 pub use report::{
     failover_episodes_ms, format_table1, run_table1, steady_state_rtt_ms, table1_row, trace_ascii,
     trace_csv, Table1Row, ViolationRecord, ViolationReport, VIOLATION_REPORT_SCHEMA,
@@ -50,8 +58,8 @@ pub use runner::{default_threads, run_batch, run_batch_with};
 pub use scenario::{paper_workload, run_scenario, ScenarioConfig, ScenarioOutcome};
 pub use stats::{percentile, Summary};
 pub use sweep::{
-    expand_sweep, format_sweep, parse_sweep, run_sweep, scheme_from_name, scheme_name,
-    SweepOutcome, SweepSpec, SweepUnit, TopologySpec,
+    expand_sweep, format_sweep, parse_sweep, run_sweep, SweepOutcome, SweepSpec, SweepUnit,
+    TopologySpec,
 };
 pub use workload::{
     ClientPolicy, ClientWorkload, InvocationRecord, ReportHandle, WorkloadConfig, WorkloadReport,

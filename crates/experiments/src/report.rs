@@ -242,12 +242,12 @@ pub const VIOLATION_REPORT_SCHEMA: &str = "violation-report/1";
 
 /// One run's invariant violations, labelled for machine consumption.
 ///
-/// `cell` names where the run came from — a sweep matrix cell, a chaos
-/// campaign mode, or an explorer interleaving — and `seed` identifies
+/// `cell` names where the run came from — a sweep matrix cell or an
+/// explorer interleaving — and `seed` identifies
 /// the plan, so a violated run can be reproduced from the report alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViolationRecord {
-    /// The matrix cell / campaign mode / interleaving the run belongs to.
+    /// The matrix cell / interleaving the run belongs to.
     pub cell: String,
     /// The plan's seed.
     pub seed: u64,
@@ -255,8 +255,8 @@ pub struct ViolationRecord {
     pub violations: Vec<String>,
 }
 
-/// The versioned machine-readable violation report every chaos-family
-/// binary (`chaos`, `sweep`, `explore`) emits behind `--violations`: one
+/// The versioned machine-readable violation report the chaos-family
+/// commands (`sweep`, `explore`) emit behind `--violations`: one
 /// JSON object carrying the schema tag, the scenario label, the violated
 /// run count and one [`ViolationRecord`] per violated run.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -24,6 +24,7 @@ use simnet::SimDuration;
 use tomlite::{Table, Value};
 
 use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome, Fnv};
+use crate::cli::{check_thread_independence, run_command, take_flag, write_artifact, CliError};
 use crate::fleet::splitmix64;
 use crate::report::ViolationRecord;
 use crate::runner::run_batch_with;
@@ -56,7 +57,8 @@ pub struct SweepSpec {
     pub think_time: SimDuration,
     /// Graceful-degradation budget (see [`ChaosConfig::goodput_budget`]).
     pub goodput_budget: SimDuration,
-    /// Recovery-Manager crashes allowed per generated plan.
+    /// Recovery-Manager crashes allowed per generated plan (capped per
+    /// topology at `rm_instances - 1`, see [`expand_sweep`]).
     pub rm_crashes: u32,
     /// Topology axis (at least one entry).
     pub topologies: Vec<TopologySpec>,
@@ -79,41 +81,6 @@ impl SweepSpec {
             self.topologies.len() * self.schemes.len()
         };
         cells * self.plans_per_cell as usize + explicit
-    }
-}
-
-/// Parses a recovery-scheme name as written in scenario files.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] for anything but the five known schemes.
-pub fn scheme_from_name(name: &str) -> Result<RecoveryScheme, ConfigError> {
-    match name {
-        "reactive_no_cache" => Ok(RecoveryScheme::ReactiveNoCache),
-        "reactive_cache" => Ok(RecoveryScheme::ReactiveCache),
-        "needs_addressing" => Ok(RecoveryScheme::NeedsAddressing),
-        "location_forward" => Ok(RecoveryScheme::LocationForward),
-        "mead_failover" => Ok(RecoveryScheme::MeadFailover),
-        other => Err(ConfigError::new(
-            "scheme",
-            format!(
-                "unknown scheme \"{other}\" (expected reactive_no_cache, \
-                 reactive_cache, needs_addressing, location_forward or \
-                 mead_failover)"
-            ),
-        )),
-    }
-}
-
-/// Stable scenario-file spelling of a scheme (inverse of
-/// [`scheme_from_name`]).
-pub fn scheme_name(scheme: RecoveryScheme) -> &'static str {
-    match scheme {
-        RecoveryScheme::ReactiveNoCache => "reactive_no_cache",
-        RecoveryScheme::ReactiveCache => "reactive_cache",
-        RecoveryScheme::NeedsAddressing => "needs_addressing",
-        RecoveryScheme::LocationForward => "location_forward",
-        RecoveryScheme::MeadFailover => "mead_failover",
     }
 }
 
@@ -194,7 +161,10 @@ pub fn parse_sweep(src: &str) -> Result<SweepSpec, ConfigError> {
                         format!("schemes entries must be strings, got {}", v.type_name()),
                     )
                 })?;
-                schemes.push(scheme_from_name(name)?);
+                let scheme = name
+                    .parse()
+                    .map_err(|e: mead::UnknownScheme| ConfigError::new("scheme", e.to_string()))?;
+                schemes.push(scheme);
             }
             schemes
         }
@@ -300,19 +270,23 @@ pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, ConfigError> {
     let mut units = Vec::with_capacity(spec.total_plans());
     let mut cell_index: u64 = 0;
     for topo in &spec.topologies {
-        let space = chaos_plan_space_for(topo.slots, spec.rm_crashes);
+        // Nothing relaunches a Recovery Manager, so a plan may kill all
+        // but one instance and no more: the budget is capped by the
+        // topology, not only by the file.
+        let rm_crashes = spec.rm_crashes.min(topo.rm_instances.saturating_sub(1));
+        let space = chaos_plan_space_for(topo.slots, rm_crashes);
         for &scheme in &spec.schemes {
+            let chaos = ChaosConfig {
+                increments: spec.increments,
+                think_time: spec.think_time,
+                rm_instances: topo.rm_instances,
+                slots: topo.slots,
+                scheme,
+                goodput_budget: spec.goodput_budget,
+                ..ChaosConfig::default()
+            };
             for named in &spec.mixes {
-                let chaos = ChaosConfig {
-                    increments: spec.increments,
-                    think_time: spec.think_time,
-                    rm_instances: topo.rm_instances,
-                    slots: topo.slots,
-                    scheme,
-                    goodput_budget: spec.goodput_budget,
-                    ..ChaosConfig::default()
-                };
-                let cell = format!("{}/{}/{}", topo.name, scheme_name(scheme), named.name);
+                let cell = format!("{}/{}/{}", topo.name, scheme.key(), named.name);
                 for i in 0..spec.plans_per_cell {
                     let seed = splitmix64(spec.base_seed ^ (cell_index << 32) ^ u64::from(i));
                     let plan = FaultPlan::generate_with(seed, &space, &named.mix);
@@ -331,7 +305,7 @@ pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, ConfigError> {
                 cell_index += 1;
             }
             if !spec.explicit.is_empty() {
-                let cell = format!("{}/{}/explicit", topo.name, scheme_name(scheme));
+                let cell = format!("{}/{}/explicit", topo.name, scheme.key());
                 let seed = splitmix64(spec.base_seed ^ (cell_index << 32));
                 let plan = FaultPlanBuilder::new(seed)
                     .events(spec.explicit.iter().cloned())
@@ -339,19 +313,7 @@ pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, ConfigError> {
                     .map_err(|e| {
                         ConfigError::new(format!("cell {cell}"), format!("explicit plan: {e}"))
                     })?;
-                units.push(SweepUnit {
-                    cell,
-                    plan,
-                    chaos: ChaosConfig {
-                        increments: spec.increments,
-                        think_time: spec.think_time,
-                        rm_instances: topo.rm_instances,
-                        slots: topo.slots,
-                        scheme,
-                        goodput_budget: spec.goodput_budget,
-                        ..ChaosConfig::default()
-                    },
-                });
+                units.push(SweepUnit { cell, plan, chaos });
                 cell_index += 1;
             }
         }
@@ -394,21 +356,16 @@ impl SweepOutcome {
     }
 }
 
-/// Expands and runs a sweep scenario on `threads` workers.
-///
-/// # Errors
-///
-/// Propagates [`expand_sweep`] errors; individual invariant violations
-/// are data ([`SweepOutcome::violations`]), not errors.
-pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepOutcome, ConfigError> {
-    let units = expand_sweep(spec)?;
-    let results = run_batch_with(&units, threads, |unit| {
-        (unit.cell.clone(), run_chaos_plan(&unit.plan, &unit.chaos))
-    });
-    Ok(SweepOutcome {
-        name: spec.name.clone(),
-        results,
-    })
+/// Runs expanded `units` of the scenario called `name` on `threads`
+/// workers. Invariant violations are data
+/// ([`SweepOutcome::violations`]), not errors.
+pub fn run_sweep(name: &str, units: &[SweepUnit], threads: usize) -> SweepOutcome {
+    SweepOutcome {
+        name: name.to_string(),
+        results: run_batch_with(units, threads, |unit| {
+            (unit.cell.clone(), run_chaos_plan(&unit.plan, &unit.chaos))
+        }),
+    }
 }
 
 /// Human-readable sweep summary: per-cell plan counts, violation counts,
@@ -461,6 +418,84 @@ pub fn format_sweep(outcome: &SweepOutcome) -> String {
         out.push_str(&format!("  ... and {} more\n", violations.len() - 10));
     }
     out
+}
+
+/// Units re-run when checking thread-count independence (a prefix of
+/// the matrix keeps the check cheap on big sweeps).
+const DETERMINISM_SAMPLE: usize = 24;
+
+/// `mead-repro sweep [--threads N] [--trace out.jsonl] [--smoke]
+/// [--violations out.json] [--report out.txt] [scenario.toml]`: loads a
+/// scenario file, runs every plan of its matrix under the chaos
+/// invariants and checks the sweep digest is identical at 1 and N worker
+/// threads.
+///
+/// The scenario defaults to `scenarios/sweep-full.toml`
+/// (`scenarios/sweep-smoke.toml` with `--smoke`). Exit status: 1 on any
+/// invariant violation or digest mismatch, 2 on an unreadable or invalid
+/// scenario.
+pub fn cli_main(args: &[String]) -> i32 {
+    run_command(args, |mut cli| {
+        let report_path = take_flag(&mut cli.args, "--report")?;
+        let default_scenario = if cli.smoke {
+            "scenarios/sweep-smoke.toml"
+        } else {
+            "scenarios/sweep-full.toml"
+        };
+        let path = cli.args.first().map_or(default_scenario, String::as_str);
+        let src = std::fs::read_to_string(path)
+            .map_err(|e| CliError::Usage(format!("cannot read scenario {path}: {e}")))?;
+        let spec = parse_sweep(&src)
+            .map_err(|e| CliError::Usage(format!("invalid scenario {path}: {e}")))?;
+        let units = expand_sweep(&spec)
+            .map_err(|e| CliError::Usage(format!("scenario {path} does not expand: {e}")))?;
+        println!(
+            "sweep \"{}\": {} topologies x {} schemes x {} mixes -> {} plans on {} threads",
+            spec.name,
+            spec.topologies.len(),
+            spec.schemes.len(),
+            spec.mixes.len(),
+            units.len(),
+            cli.threads
+        );
+
+        let outcome = run_sweep(&spec.name, &units, cli.threads);
+        let report = format_sweep(&outcome);
+        print!("{report}");
+        let violations = outcome.violations();
+        let mut passed = violations.is_empty();
+        if passed {
+            println!(
+                "  PASS: zero invariant violations across {} plans",
+                units.len()
+            );
+        } else {
+            println!(
+                "  FAIL: {} of {} plans violated an invariant",
+                violations.len(),
+                units.len()
+            );
+        }
+
+        let sample = &units[..units.len().min(DETERMINISM_SAMPLE)];
+        passed &= check_thread_independence(
+            &format!("{}-plan", sample.len()),
+            &[1, cli.threads.max(2)],
+            |threads| run_sweep(&spec.name, sample, threads).digest(),
+        );
+
+        cli.write_violations(&spec.name, violations)?;
+        if let Some(path) = &report_path {
+            write_artifact("report", path.as_ref(), &report)?;
+        }
+        let sections: Vec<_> = outcome
+            .results
+            .iter()
+            .map(|(cell, o)| (format!("{cell}/seed{}", o.seed), o.trace.as_slice()))
+            .collect();
+        cli.write_trace(&sections)?;
+        Ok(passed)
+    })
 }
 
 #[cfg(test)]

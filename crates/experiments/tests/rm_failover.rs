@@ -1,8 +1,9 @@
 //! Recovery-Manager crash coverage: the paper's single RM is a single
-//! point of failure (a stall the chaos campaign reproduces), while the
-//! warm-passive replicated RM elects a new leader and finishes the run.
+//! point of failure (the stall is pinned here; the campaign's `spof`
+//! plan space cannot kill the only RM), while the warm-passive
+//! replicated RM elects a new leader and finishes the run.
 
-use experiments::{chaos_plan_space, run_chaos_plan, ChaosConfig};
+use experiments::{chaos_plan_space_for, run_chaos_plan, ChaosConfig};
 use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanBuilder};
 use simnet::{SimDuration, SimTime};
 
@@ -18,7 +19,7 @@ fn rm_then_replica_crash() -> FaultPlan {
             at: SimTime::ZERO + SimDuration::from_millis(1_600),
             kind: FaultKind::CrashReplica { slot: 0 },
         })
-        .build(&chaos_plan_space(1))
+        .build(&chaos_plan_space_for(3, 1))
         .expect("schedule fits the chaos space")
 }
 

@@ -3,19 +3,18 @@
 //! and running the expanded units produces the same digest at 1 and 4
 //! worker threads.
 
-use experiments::{expand_sweep, parse_sweep, run_batch_with, run_chaos_plan, SweepOutcome};
+use experiments::{expand_sweep, parse_sweep, run_sweep, SweepUnit};
+use faults::FaultKind;
 
-fn smoke_source() -> String {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../scenarios/sweep-smoke.toml"
-    );
-    std::fs::read_to_string(path).expect("checked-in smoke scenario is readable")
+fn scenario_source(file: &str) -> String {
+    let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("checked-in {path}: {e}"))
 }
 
-#[test]
-fn parsing_twice_yields_identical_plans() {
-    let src = smoke_source();
+/// Parses and expands `file` twice; returns one expansion after checking
+/// both agree plan for plan.
+fn expand_twice(file: &str) -> Vec<SweepUnit> {
+    let src = scenario_source(file);
     let a = parse_sweep(&src).expect("scenario parses");
     let b = parse_sweep(&src).expect("scenario parses");
     let ua = expand_sweep(&a).expect("expansion validates");
@@ -26,28 +25,47 @@ fn parsing_twice_yields_identical_plans() {
         assert_eq!(x.cell, y.cell);
         assert_eq!(x.plan, y.plan, "cell {} diverged", x.cell);
     }
+    ua
+}
+
+fn kills_an_rm(unit: &SweepUnit) -> bool {
+    unit.plan
+        .events()
+        .iter()
+        .any(|e| e.kind == FaultKind::CrashRecoveryManager)
+}
+
+#[test]
+fn parsing_twice_yields_identical_plans() {
+    let units = expand_twice("sweep-smoke.toml");
     // The matrix covers both generated mixes and the explicit timeline.
-    assert!(ua.iter().any(|u| u.cell.ends_with("/classic")));
-    assert!(ua.iter().any(|u| u.cell.ends_with("/zoo")));
-    assert!(ua.iter().any(|u| u.cell.ends_with("/explicit")));
+    assert!(units.iter().any(|u| u.cell.ends_with("/classic")));
+    assert!(units.iter().any(|u| u.cell.ends_with("/zoo")));
+    assert!(units.iter().any(|u| u.cell.ends_with("/explicit")));
+}
+
+/// The chaos campaign: 240 plans per topology, and an RM-crash budget
+/// capped by the topology — no plan kills `spof`'s only Recovery
+/// Manager, while `paper` (two instances) does lose one.
+#[test]
+fn chaos_campaign_expands_within_each_topologys_rm_budget() {
+    let units = expand_twice("chaos-campaign.toml");
+    assert_eq!(units.len(), 480);
+    let (spof, paper): (Vec<_>, Vec<_>) = units.iter().partition(|u| u.cell.starts_with("spof/"));
+    assert_eq!(spof.len(), 240);
+    assert!(paper.iter().all(|u| u.cell.starts_with("paper/")));
+    assert!(!spof.iter().any(|u| kills_an_rm(u)));
+    assert!(paper.iter().any(|u| kills_an_rm(u)));
 }
 
 #[test]
 fn sweep_digest_is_thread_count_independent() {
-    let mut spec = parse_sweep(&smoke_source()).expect("scenario parses");
+    let mut spec = parse_sweep(&scenario_source("sweep-smoke.toml")).expect("scenario parses");
     // A trimmed workload keeps the debug-mode runtime small; the digest
     // comparison only needs both runs to see the same trimmed spec.
     spec.increments = 40;
     spec.plans_per_cell = 2;
     let units = expand_sweep(&spec).expect("expansion validates");
-    let run = |threads: usize| {
-        SweepOutcome {
-            name: spec.name.clone(),
-            results: run_batch_with(&units, threads, |u| {
-                (u.cell.clone(), run_chaos_plan(&u.plan, &u.chaos))
-            }),
-        }
-        .digest()
-    };
+    let run = |threads: usize| run_sweep(&spec.name, &units, threads).digest();
     assert_eq!(run(1), run(4), "sweep digest depends on thread count");
 }

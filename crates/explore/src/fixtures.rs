@@ -1,5 +1,5 @@
 //! Canned exploration scenarios: the small configurations the `explore`
-//! binary (and CI's `explore-smoke`) enumerate, plus the seeded-bug
+//! command (and CI's `explore-smoke`) enumerate, plus the seeded-bug
 //! fixture that proves the search catches and minimizes a real ordering
 //! bug.
 //!

@@ -15,9 +15,9 @@
 //!   verified reproducer: trace-prefix bisection, then greedy deviation
 //!   deletion.
 //! * [`fixtures`] are the canned small configurations (2–3 replicas,
-//!   1–2 clients) the `explore` binary and CI enumerate, including the
-//!   seeded-bug fixture ([`fixtures::seeded_bug`]) that the search must
-//!   catch and minimize.
+//!   1–2 clients) that `mead-repro explore` ([`cli_main`]) and CI
+//!   enumerate, including the seeded-bug fixture
+//!   ([`fixtures::seeded_bug`]) that the search must catch and minimize.
 //!
 //! Every discovered schedule is a replayable
 //! [`DecisionTrace`](simnet::DecisionTrace): feeding it to a
@@ -27,12 +27,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cli;
 mod engine;
 pub mod fixtures;
 mod minimize;
 pub mod relation;
 mod sched;
 
+pub use cli::cli_main;
 pub use engine::{explore, run_prefix, run_prefix_with, ExploreConfig, ExploreOutcome, RunResult};
 pub use minimize::{minimize, Minimized};
 pub use relation::{ConflictRelation, IndependentPair, RelationError, When, RELATION_SCHEMA};

@@ -1,5 +1,5 @@
 //! Loader for the `conflict-relation/1` artifact detlint's effect
-//! analysis emits (`detlint --conflict-report`).
+//! analysis emits (`mead-repro lint --conflict-report`).
 //!
 //! The artifact refines the explorer's syntactic conflict test with
 //! statically proven independence: an entry `{a, b, when}` declares

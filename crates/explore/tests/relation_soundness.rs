@@ -28,7 +28,7 @@ use simnet::sched::Gate;
 use simnet::{ChoicePoint, Scheduler, SimDuration};
 
 /// The twin data-readable entry the real workspace artifact carries
-/// (`detlint --conflict-report`), inlined so the test does not depend
+/// (`mead-repro lint --conflict-report`), inlined so the test does not depend
 /// on a generated file.
 const ARTIFACT: &str = r#"{
   "schema": "conflict-relation/1",

@@ -128,14 +128,6 @@ impl<'a> TableReader<'a> {
             .map_err(|_| ConfigError::new(&self.context, format!("`{key}` out of range: {i}")))
     }
 
-    /// An optional `u64` with a default.
-    pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(_) => self.u64_req(key),
-        }
-    }
-
     /// A required finite float (integers widen).
     pub fn f64_req(&self, key: &str) -> Result<f64, ConfigError> {
         let v = self.get(key).ok_or_else(|| self.missing(key))?;

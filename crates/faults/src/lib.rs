@@ -14,7 +14,7 @@
 //! * [`CrashSchedule`] — abrupt crash-fault scheduling, and
 //! * [`FaultPlan`] — seeded chaos schedules composing crashes,
 //!   partitions, loss bursts and multi-replica leaks for the chaos
-//!   campaign (`experiments --bin chaos`), plus the expanded zoo
+//!   sweeps (`mead-repro sweep`), plus the expanded zoo
 //!   ([`FaultKind::CorrelatedCrash`], [`FaultKind::FlashCrowd`],
 //!   [`FaultKind::RollingRestart`], [`FaultKind::AsymmetricPartition`],
 //!   [`FaultKind::JitteryLink`], [`FaultKind::CpuExhaustion`],

@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] is a deterministic, timed schedule of faults — process
 //! crashes, infrastructure crashes, link partitions, message-loss bursts
 //! and multi-replica leaks — generated from a seed and a [`PlanSpace`]
-//! describing what the target topology can absorb. The chaos campaign
-//! (`experiments --bin chaos`) sweeps hundreds of such plans through the
-//! simulator and checks recovery invariants after each one.
+//! describing what the target topology can absorb. A sweep
+//! (`mead-repro sweep <scenario.toml>`; the chaos campaign is
+//! `scenarios/chaos-campaign.toml`) runs hundreds of such plans through
+//! the simulator and checks recovery invariants after each one.
 //!
 //! The generator keeps every plan inside the warm-passive `f = 1` fault
 //! model the stack is built for:
@@ -217,10 +218,9 @@ pub struct FaultEvent {
 /// A complete seeded chaos schedule.
 ///
 /// Fields are private so every plan in circulation has passed
-/// [`FaultPlan::validate`]: construct plans with the generators
-/// ([`FaultPlan::generate`], [`FaultPlan::generate_with`]) or explicitly
-/// via [`FaultPlanBuilder`], which refuses schedules the validator
-/// rejects.
+/// [`FaultPlan::validate`]: construct plans with the generator
+/// ([`FaultPlan::generate_with`]) or explicitly via
+/// [`FaultPlanBuilder`], which refuses schedules the validator rejects.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// The seed this plan was generated from (also seeds the scenario).
@@ -334,9 +334,8 @@ pub struct PlanSpace {
 }
 
 /// Which fault families [`FaultPlan::generate_with`] may draw from — the
-/// declarative knob a scenario file's `[[mix]]` tables set. The classic
-/// chaos campaign (`FaultPlan::generate`) is equivalent to
-/// [`FaultMix::classic`].
+/// declarative knob a scenario file's `[[mix]]` tables set. The chaos
+/// campaign (`scenarios/chaos-campaign.toml`) is [`FaultMix::classic`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultMix {
     /// Single crash-like faults (replica / RM / daemon / naming, per the
@@ -535,90 +534,8 @@ impl FaultPlan {
         self.leak_all
     }
 
-    /// Deterministically generates a plan from `seed` within `space`.
-    pub fn generate(seed: u64, space: &PlanSpace) -> FaultPlan {
-        let mut rng = SimRng::for_kernel(seed, 0xC4A05);
-        let window = space.end - space.start;
-        let mut events = Vec::new();
-
-        // Crash-like events: walk forward from `start`, one MIN_CRASH_GAP
-        // (plus jitter) at a time, so recovery always has room to finish.
-        let mut rm_left = space.rm_crashes;
-        let mut at = space.start + rand_duration(&mut rng, MIN_CRASH_GAP);
-        while at <= space.end {
-            let mut choices: Vec<u32> = vec![0; space.replica_slots.max(1) as usize];
-            for (slot, c) in choices.iter_mut().enumerate() {
-                *c = slot as u32; // encode CrashReplica{slot} as its slot
-            }
-            let base = space.replica_slots;
-            if rm_left > 0 {
-                choices.push(base); // CrashRecoveryManager
-            }
-            if !space.daemon_nodes.is_empty() {
-                choices.push(base + 1); // CrashGcsDaemon
-            }
-            if space.naming {
-                choices.push(base + 2); // CrashNaming
-            }
-            let pick = choices[rng.gen_range(0..choices.len())];
-            let kind = if pick < base {
-                FaultKind::CrashReplica { slot: pick }
-            } else if pick == base {
-                rm_left -= 1;
-                FaultKind::CrashRecoveryManager
-            } else if pick == base + 1 {
-                let node = space.daemon_nodes[rng.gen_range(0..space.daemon_nodes.len())];
-                FaultKind::CrashGcsDaemon {
-                    node,
-                    restart_after: rand_duration(&mut rng, MAX_RESTART),
-                }
-            } else {
-                FaultKind::CrashNaming {
-                    restart_after: rand_duration(&mut rng, MAX_RESTART),
-                }
-            };
-            events.push(FaultEvent { at, kind });
-            at = at + MIN_CRASH_GAP + rand_duration(&mut rng, MIN_CRASH_GAP);
-        }
-
-        // Recoverable network faults draw their instants independently so
-        // they overlap the crash timeline — concurrent faults are the
-        // point of the campaign.
-        if !space.partition_pairs.is_empty() {
-            for _ in 0..rng.gen_range(0..=2u32) {
-                let (a, b) = space.partition_pairs[rng.gen_range(0..space.partition_pairs.len())];
-                events.push(FaultEvent {
-                    at: space.start + rand_duration_u64(&mut rng, window),
-                    kind: FaultKind::Partition {
-                        a,
-                        b,
-                        heal_after: rand_duration(&mut rng, MAX_PARTITION),
-                    },
-                });
-            }
-        }
-        if space.loss && rng.gen_bool(0.5) {
-            events.push(FaultEvent {
-                at: space.start + rand_duration_u64(&mut rng, window),
-                kind: FaultKind::LossBurst {
-                    probability: 0.1 + 0.4 * rng.gen::<f64>(),
-                    duration: rand_duration(&mut rng, MAX_BURST),
-                },
-            });
-        }
-
-        events.sort_by_key(|e| e.at);
-        FaultPlan {
-            seed,
-            events,
-            leak_all: rng.gen_bool(0.3),
-        }
-    }
-
     /// Deterministically generates a plan from `seed` within `space`,
-    /// drawing only from the fault families `mix` enables. Uses an RNG
-    /// stream distinct from [`generate`](Self::generate), so classic
-    /// campaign plans are unaffected by the richer zoo.
+    /// drawing only from the fault families `mix` enables.
     pub fn generate_with(seed: u64, space: &PlanSpace, mix: &FaultMix) -> FaultPlan {
         let mut rng = SimRng::for_kernel(seed, 0xC4A06);
         let window = space.end - space.start;
@@ -630,8 +547,9 @@ impl FaultPlan {
         let slots = space.replica_slots;
         let mut at = space.start + rand_duration(&mut rng, MIN_CRASH_GAP);
         while at <= space.end {
-            // Encoded choice space: 0 = plain crash (sub-drawn as in the
-            // classic generator), 1 = correlated group, 2 = rolling.
+            // Encoded choice space: 0 = plain crash (sub-drawn below among
+            // replica / RM / daemon / naming), 1 = correlated group,
+            // 2 = rolling.
             let mut families = Vec::new();
             if mix.crashes {
                 families.push(0u32);
@@ -1059,20 +977,21 @@ mod tests {
         }
     }
 
+    fn classic(seed: u64) -> FaultPlan {
+        FaultPlan::generate_with(seed, &space(), &FaultMix::classic())
+    }
+
     #[test]
     fn generation_is_deterministic() {
         for seed in 0..50 {
-            assert_eq!(
-                FaultPlan::generate(seed, &space()),
-                FaultPlan::generate(seed, &space())
-            );
+            assert_eq!(classic(seed), classic(seed));
         }
     }
 
     #[test]
     fn events_are_sorted_and_in_window() {
         for seed in 0..200 {
-            let plan = FaultPlan::generate(seed, &space());
+            let plan = classic(seed);
             assert!(!plan.events.is_empty(), "seed {seed} drew no faults");
             for w in plan.events.windows(2) {
                 assert!(w[0].at <= w[1].at);
@@ -1086,7 +1005,7 @@ mod tests {
     #[test]
     fn crash_events_respect_min_gap() {
         for seed in 0..200 {
-            let plan = FaultPlan::generate(seed, &space());
+            let plan = classic(seed);
             let crashes: Vec<SimTime> = plan
                 .events
                 .iter()
@@ -1103,7 +1022,7 @@ mod tests {
     fn recoverable_faults_are_bounded() {
         let mut rm = 0;
         for seed in 0..200 {
-            let plan = FaultPlan::generate(seed, &space());
+            let plan = classic(seed);
             for e in &plan.events {
                 match &e.kind {
                     FaultKind::CrashGcsDaemon { restart_after, .. }
@@ -1123,7 +1042,7 @@ mod tests {
                     }
                     FaultKind::CrashRecoveryManager => rm += 1,
                     FaultKind::CrashReplica { slot } => assert!(*slot < 3),
-                    other => panic!("classic generate drew a zoo fault: {other:?}"),
+                    other => panic!("the classic mix drew a zoo fault: {other:?}"),
                 }
             }
             assert!(plan.settled_by() >= plan.events.last().expect("nonempty").at);
@@ -1134,7 +1053,7 @@ mod tests {
     #[test]
     fn rm_crash_budget_is_respected() {
         for seed in 0..200 {
-            let plan = FaultPlan::generate(seed, &space());
+            let plan = classic(seed);
             let rms = plan
                 .events
                 .iter()
@@ -1145,18 +1064,13 @@ mod tests {
     }
 
     #[test]
-    fn generate_with_is_deterministic_and_distinct_from_classic() {
+    fn generate_with_is_deterministic_on_the_full_zoo() {
         let mix = FaultMix::all();
-        let mut differs = false;
         for seed in 0..50 {
             let a = FaultPlan::generate_with(seed, &space(), &mix);
             let b = FaultPlan::generate_with(seed, &space(), &mix);
             assert_eq!(a, b, "seed {seed}");
-            if a != FaultPlan::generate(seed, &space()) {
-                differs = true;
-            }
         }
-        assert!(differs, "zoo generator never diverged from classic");
     }
 
     #[test]

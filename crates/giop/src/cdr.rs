@@ -175,11 +175,6 @@ impl CdrWriter {
         }
     }
 
-    /// Writes a signed long, 4-aligned (two's-complement bit pattern).
-    pub fn write_i32(&mut self, v: i32) {
-        self.write_u32(u32::from_ne_bytes(v.to_ne_bytes()));
-    }
-
     /// Writes an unsigned long long, 8-aligned.
     pub fn write_u64(&mut self, v: u64) {
         self.align(8);
@@ -337,11 +332,6 @@ impl<'a> CdrReader<'a> {
             Endian::Big => u32::from_be_bytes(raw),
             Endian::Little => u32::from_le_bytes(raw),
         })
-    }
-
-    /// Reads a signed long (4-aligned, two's-complement bit pattern).
-    pub fn read_i32(&mut self) -> Result<i32, CdrError> {
-        Ok(i32::from_ne_bytes(self.read_u32()?.to_ne_bytes()))
     }
 
     /// Reads an unsigned long long (8-aligned).

@@ -204,9 +204,8 @@ impl GcsClient {
                     match self.splitter.next_message() {
                         Ok(Some(msg)) => self.on_message(sys, msg, &mut out),
                         Ok(None) => break,
-                        Err(e) => {
+                        Err(_) => {
                             sys.count("gcs.client_protocol_error", 1);
-                            sys.trace(&format!("corrupt stream from daemon: {e}"));
                             self.lose(sys, &mut out);
                             break;
                         }
@@ -279,7 +278,7 @@ impl GcsClient {
                 sender,
                 payload,
             }),
-            other @ (GcsWire::Attach { .. }
+            GcsWire::Attach { .. }
             | GcsWire::Join { .. }
             | GcsWire::Leave { .. }
             | GcsWire::Multicast { .. }
@@ -289,9 +288,8 @@ impl GcsClient {
             | GcsWire::FwdMulticast { .. }
             | GcsWire::OrdView { .. }
             | GcsWire::OrdDeliver { .. }
-            | GcsWire::Heartbeat { .. }) => {
+            | GcsWire::Heartbeat { .. } => {
                 sys.count("gcs.client_protocol_error", 1);
-                sys.trace(&format!("daemon sent unexpected {other:?}"));
             }
         }
     }

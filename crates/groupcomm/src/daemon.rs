@@ -73,18 +73,6 @@ impl Default for GcsConfig {
     }
 }
 
-impl GcsConfig {
-    /// A configuration with instantaneous membership agreement, for tests
-    /// that assert on view timing.
-    pub fn instant_membership() -> Self {
-        GcsConfig {
-            membership_delay_min: SimDuration::ZERO,
-            membership_delay_max: SimDuration::ZERO,
-            ..GcsConfig::default()
-        }
-    }
-}
-
 #[derive(Debug)]
 enum ConnKind {
     /// Accepted, protocol not yet identified.
@@ -278,7 +266,7 @@ impl GcsDaemon {
                 };
                 (ord, group)
             }
-            other @ (GcsWire::Attach { .. }
+            GcsWire::Attach { .. }
             | GcsWire::Join { .. }
             | GcsWire::Leave { .. }
             | GcsWire::Multicast { .. }
@@ -288,9 +276,8 @@ impl GcsDaemon {
             | GcsWire::Hello { .. }
             | GcsWire::OrdView { .. }
             | GcsWire::OrdDeliver { .. }
-            | GcsWire::Heartbeat { .. }) => {
+            | GcsWire::Heartbeat { .. } => {
                 sys.count("gcs.protocol_error", 1);
-                sys.trace(&format!("sequencer ignoring unexpected {other:?}"));
                 return;
             }
         };
@@ -378,7 +365,7 @@ impl GcsDaemon {
                     }
                 }
             }
-            other @ (GcsWire::Attach { .. }
+            GcsWire::Attach { .. }
             | GcsWire::Join { .. }
             | GcsWire::Leave { .. }
             | GcsWire::Multicast { .. }
@@ -389,9 +376,8 @@ impl GcsDaemon {
             | GcsWire::FwdJoin { .. }
             | GcsWire::FwdLeave { .. }
             | GcsWire::FwdMulticast { .. }
-            | GcsWire::Heartbeat { .. }) => {
+            | GcsWire::Heartbeat { .. } => {
                 sys.count("gcs.protocol_error", 1);
-                sys.trace(&format!("daemon ignoring unexpected ordered {other:?}"));
             }
         }
     }
@@ -425,7 +411,7 @@ impl GcsDaemon {
                         sys.count("gcs.protocol_error", 1);
                     }
                 }
-                other @ (GcsWire::Join { .. }
+                GcsWire::Join { .. }
                 | GcsWire::Leave { .. }
                 | GcsWire::Multicast { .. }
                 | GcsWire::Attached
@@ -436,9 +422,8 @@ impl GcsDaemon {
                 | GcsWire::FwdMulticast { .. }
                 | GcsWire::OrdView { .. }
                 | GcsWire::OrdDeliver { .. }
-                | GcsWire::Heartbeat { .. }) => {
+                | GcsWire::Heartbeat { .. } => {
                     sys.count("gcs.protocol_error", 1);
-                    sys.trace(&format!("unidentified conn sent {other:?}"));
                     sys.close(conn);
                     self.conns.remove(&conn);
                 }
@@ -493,7 +478,7 @@ impl GcsDaemon {
                         },
                     );
                 }
-                other @ (GcsWire::Attach { .. }
+                GcsWire::Attach { .. }
                 | GcsWire::Attached
                 | GcsWire::View { .. }
                 | GcsWire::Deliver { .. }
@@ -503,9 +488,8 @@ impl GcsDaemon {
                 | GcsWire::FwdMulticast { .. }
                 | GcsWire::OrdView { .. }
                 | GcsWire::OrdDeliver { .. }
-                | GcsWire::Heartbeat { .. }) => {
+                | GcsWire::Heartbeat { .. } => {
                     sys.count("gcs.protocol_error", 1);
-                    sys.trace(&format!("client sent unexpected {other:?}"));
                 }
             }
         } else {
@@ -531,16 +515,15 @@ impl GcsDaemon {
                         let _ = sys.write_bytes(conn, GcsWire::Heartbeat { pad }.encode());
                     }
                 }
-                other @ (GcsWire::Attach { .. }
+                GcsWire::Attach { .. }
                 | GcsWire::Join { .. }
                 | GcsWire::Leave { .. }
                 | GcsWire::Multicast { .. }
                 | GcsWire::Attached
                 | GcsWire::View { .. }
                 | GcsWire::Deliver { .. }
-                | GcsWire::Hello { .. }) => {
+                | GcsWire::Hello { .. } => {
                     sys.count("gcs.protocol_error", 1);
-                    sys.trace(&format!("peer sent unexpected {other:?}"));
                 }
             }
         }
@@ -681,9 +664,8 @@ impl Process for GcsDaemon {
                     match state.splitter.next_message() {
                         Ok(Some(msg)) => self.handle_message(sys, conn, msg),
                         Ok(None) => break,
-                        Err(e) => {
+                        Err(_) => {
                             sys.count("gcs.protocol_error", 1);
-                            sys.trace(&format!("corrupt gcs stream: {e}"));
                             self.handle_conn_gone(sys, conn);
                             break;
                         }

@@ -45,7 +45,7 @@
 //!
 //! Suppressions are allowed only through a justified
 //! [`lint-allow.toml`](allow) entry; stale entries are configuration
-//! errors. Run it locally with `cargo run --bin detlint`; CI runs it as a
+//! errors. Run it locally with `cargo run --release -- lint`; CI runs it as a
 //! blocking job, uploads the `--format sarif` report to code scanning and
 //! the `--json` summary as an artifact, and asserts the
 //! [baseline](baseline) stays empty on `main`.
@@ -175,7 +175,10 @@ impl Default for Contract {
                 "ScenarioOutcome::digest",
                 "ScenarioOutcome::trace_jsonl",
                 "ChaosOutcome::digest",
-                "CampaignOutcome::digest",
+                "SweepOutcome::digest",
+                "FleetOutcome::digest",
+                "DecisionTrace::digest",
+                "ViolationReport::to_json",
                 "to_jsonl",
                 "push_event_line",
                 "push_json_str",
@@ -766,7 +769,7 @@ fn files_for_rule(rule: &str, contract: &Contract, sources: &[(String, String)])
     }
 }
 
-/// CLI driver shared by the `detlint` binaries. Returns the process exit
+/// The `mead-repro lint` command (detlint). Returns the process exit
 /// code: 0 clean, 1 unsuppressed findings, 2 configuration error (bad
 /// flags, malformed or stale allowlist, unreadable tree, missing or
 /// malformed protocol spec). The lint crate is itself in R1 scope, so

@@ -18,7 +18,7 @@
 use synlite::{Delim, Span, Tok, TokenTree};
 
 use crate::allow::AllowList;
-use crate::callgraph::{CallGraph, FileAst};
+use crate::callgraph::{CallGraph, FileAst, FnNode};
 use crate::{rules, Finding};
 
 /// One direct ambient-nondeterminism read inside a function body.
@@ -99,6 +99,14 @@ fn scan(trees: &[TokenTree], hash_idents: &[String], out: &mut Vec<SourceHit>) {
     }
 }
 
+/// Whether `node` is the sink `spec` names: `Type::name` matches the
+/// qualified name, a bare `name` matches any function of that name. A
+/// spec that matches no node protects nothing (and is not an error:
+/// a partial tree legitimately lacks most sinks).
+pub fn is_sink(node: &FnNode, spec: &str) -> bool {
+    node.qual == spec || (!spec.contains("::") && node.name == spec)
+}
+
 /// Runs the R5 analysis. Returns `(findings, suppressed)`; `allow_used`
 /// is marked for every R5 entry that actually suppressed an edge.
 pub fn check(
@@ -148,10 +156,7 @@ pub fn check(
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
     for (s, node) in graph.nodes.iter().enumerate() {
-        let is_sink = sinks
-            .iter()
-            .any(|spec| node.qual == *spec || (!spec.contains("::") && node.name == *spec));
-        if !is_sink || !tainted[s] {
+        if !sinks.iter().any(|spec| is_sink(node, spec)) || !tainted[s] {
             continue;
         }
         // Pass 1: honour edge suppressions. Pass 2 (only when pass 1 finds
@@ -238,7 +243,7 @@ fn reach_source(
 fn chain_finding(
     graph: &CallGraph,
     sources: &[Vec<SourceHit>],
-    sink: &crate::callgraph::FnNode,
+    sink: &FnNode,
     chain: &Chain,
 ) -> Finding {
     let last = *chain.last().expect("chain is non-empty");

@@ -9,7 +9,9 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use lint::{lint_files, lint_source, AllowList, ConformanceConfig, Contract, RuleSet};
+use lint::{
+    lint_files, lint_source, AllowList, CallGraph, ConformanceConfig, Contract, FileAst, RuleSet,
+};
 
 /// Protocol enums the R4 fixture matches over.
 fn protocol_enums() -> Vec<String> {
@@ -269,6 +271,33 @@ justification = "stale on purpose"
     let report = lint_files(&sources, &r5_contract(), &allow).expect("lints");
     assert_eq!(report.stale_allows.len(), 1, "{:?}", report.stale_allows);
     assert!(report.stale_allows[0].contains("stale suppression"));
+}
+
+/// `taint::check` ignores a sink name that matches no function (a
+/// partial tree legitimately lacks most sinks), so a renamed or deleted
+/// digest fn would leave a dead entry guarding nothing. Over the whole
+/// workspace every default sink must resolve, in the R5-scoped call graph
+/// `lint_files` analyses.
+#[test]
+fn every_default_r5_sink_resolves_in_the_workspace() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let contract = Contract::default();
+    let files: Vec<FileAst> = lint::collect_sources(&root)
+        .expect("workspace sources")
+        .iter()
+        .filter(|(path, _)| contract.in_r5_scope(path))
+        .map(|(path, src)| {
+            let trees = synlite::parse_file(src).unwrap_or_else(|e| panic!("lexing {path}: {e}"));
+            FileAst::parse(path, &trees, src)
+        })
+        .collect();
+    let graph = CallGraph::build(&files);
+    for sink in &contract.r5_sinks {
+        assert!(
+            graph.nodes.iter().any(|n| lint::taint::is_sink(n, sink)),
+            "R5 sink `{sink}` names no function in the workspace call graph"
+        );
+    }
 }
 
 /// The lint engine and its parser must pass their own determinism rules.

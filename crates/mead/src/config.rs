@@ -51,6 +51,19 @@ impl RecoveryScheme {
         }
     }
 
+    /// The one machine spelling of the scheme: scenario files, cell
+    /// labels and `--scheme` all use it ([`FromStr`](std::str::FromStr)
+    /// is the inverse).
+    pub fn key(self) -> &'static str {
+        match self {
+            RecoveryScheme::ReactiveNoCache => "reactive_no_cache",
+            RecoveryScheme::ReactiveCache => "reactive_cache",
+            RecoveryScheme::NeedsAddressing => "needs_addressing",
+            RecoveryScheme::LocationForward => "location_forward",
+            RecoveryScheme::MeadFailover => "mead_failover",
+        }
+    }
+
     /// `true` for the proactive schemes that migrate clients before the
     /// crash (thresholds below 100 %).
     pub fn is_proactive_migration(self) -> bool {
@@ -66,6 +79,34 @@ impl RecoveryScheme {
             self,
             RecoveryScheme::NeedsAddressing | RecoveryScheme::MeadFailover
         )
+    }
+}
+
+/// A scheme name that is none of the five [`RecoveryScheme::key`]s.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownScheme(pub String);
+
+impl std::fmt::Display for UnknownScheme {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [a, b, c, d, e] = RecoveryScheme::ALL.map(RecoveryScheme::key);
+        write!(
+            f,
+            "unknown scheme \"{}\" (expected {a}, {b}, {c}, {d} or {e})",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnknownScheme {}
+
+impl std::str::FromStr for RecoveryScheme {
+    type Err = UnknownScheme;
+
+    fn from_str(name: &str) -> Result<Self, UnknownScheme> {
+        RecoveryScheme::ALL
+            .into_iter()
+            .find(|s| s.key() == name)
+            .ok_or_else(|| UnknownScheme(name.to_string()))
     }
 }
 
@@ -290,6 +331,18 @@ mod tests {
         );
         assert_eq!(RecoveryScheme::MeadFailover.name(), "MEAD Message");
         assert_eq!(RecoveryScheme::ALL.len(), 5);
+    }
+
+    #[test]
+    fn scheme_keys_round_trip_and_unknown_names_list_the_five() {
+        for scheme in RecoveryScheme::ALL {
+            assert_eq!(scheme.key().parse(), Ok(scheme));
+        }
+        let err = "mead".parse::<RecoveryScheme>().unwrap_err();
+        assert_eq!(err, UnknownScheme("mead".to_string()));
+        for scheme in RecoveryScheme::ALL {
+            assert!(err.to_string().contains(scheme.key()), "{err}");
+        }
     }
 
     #[test]

@@ -274,9 +274,8 @@ impl ClientState {
                 Scanned::Raw(raw, error) => {
                     // Out of sync: stop interpreting this stream and let
                     // the ORB see (and close) it.
-                    if let Some(e) = error {
+                    if error.is_some() {
                         sys.count("mead.client.desync", 1);
-                        sys.trace(&format!("client interceptor: stream desync: {e}"));
                     }
                     if let Some(stream) = self.streams.get_mut(&app) {
                         stream.stage_bytes(raw);
@@ -290,9 +289,8 @@ impl ClientState {
                     // Strip and act: this is the proactive fail-over path.
                     match FailoverNotice::decode(&frame) {
                         Ok(notice) => self.begin_mead_redirect(sys, app, &notice),
-                        Err(e) => {
+                        Err(_) => {
                             sys.count("mead.client.bad_notice", 1);
-                            sys.trace(&format!("bad MEAD notice: {e}"));
                         }
                     }
                 }
@@ -502,9 +500,8 @@ impl ClientState {
                     | GroupMsg::Checkpoint { .. }
                     | GroupMsg::RmState { .. },
                 ) => {}
-                Err(e) => {
+                Err(_) => {
                     sys.count("mead.client.bad_group_msg", 1);
-                    sys.trace(&format!("bad group message at client: {e}"));
                 }
             }
         }
@@ -662,10 +659,6 @@ impl SysApi for ClientFacade<'_> {
 
     fn mark(&mut self, series: &'static str) {
         self.sys.mark(series)
-    }
-
-    fn trace(&mut self, message: &str) {
-        self.sys.trace(message)
     }
 
     fn emit(&mut self, kind: EventKind) {

@@ -303,9 +303,8 @@ impl ServerState {
                 Scanned::Raw(raw, error) => {
                     // Out of sync: stop interpreting this stream and let
                     // the ORB see (and close) it.
-                    if let Some(e) = error {
+                    if error.is_some() {
                         sys.count("mead.server.desync", 1);
-                        sys.trace(&format!("server interceptor: stream desync: {e}"));
                     }
                     if let Some(stream) = self.stream_mut(conn) {
                         stream.stage_bytes(raw);
@@ -603,7 +602,6 @@ impl ServerState {
                 self.migrating = true;
                 sys.count("mead.migrations", 1);
                 sys.mark("mead.migrate_at");
-                sys.trace("migrate threshold crossed; redirecting clients");
             }
             None => {}
         }
@@ -795,9 +793,8 @@ impl ServerState {
                 Ok(GroupMsg::LaunchRequest { .. }) => {} // Recovery Manager's job
                 Ok(GroupMsg::AddressReply { .. }) => {}  // client-side message
                 Ok(GroupMsg::RmState { .. }) => {}       // manager-to-manager
-                Err(e) => {
+                Err(_) => {
                     sys.count("mead.bad_group_msg", 1);
-                    sys.trace(&format!("bad group message: {e}"));
                 }
             },
             GcsDelivery::DaemonLost => {
@@ -1062,10 +1059,6 @@ impl SysApi for ServerFacade<'_> {
 
     fn mark(&mut self, series: &'static str) {
         self.sys.mark(series)
-    }
-
-    fn trace(&mut self, message: &str) {
-        self.sys.trace(message)
     }
 
     fn emit(&mut self, kind: EventKind) {

@@ -27,7 +27,7 @@ mod messages;
 mod recovery;
 mod replica;
 
-pub use config::{CostModel, MeadConfig, MeadConfigBuilder, RecoveryScheme};
+pub use config::{CostModel, MeadConfig, MeadConfigBuilder, RecoveryScheme, UnknownScheme};
 pub use directory::{
     replica_member_name, slot_of_member, MemberName, ReplicaDirectory, Slot, REPLICA_PREFIX,
 };

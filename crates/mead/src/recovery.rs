@@ -196,22 +196,18 @@ impl RecoveryManager {
             let node = self.replica_nodes[(slot.index() as usize + attempt) % n];
             let spec = ReplicaSpec { slot, port, node };
             let proc_box = (self.factory)(&spec);
-            match sys.spawn(node, &label, Box::new(move || proc_box)) {
-                Ok(pid) => {
-                    sys.count("rm.launches", 1);
-                    sys.emit(EventKind::Phase(Phase::ReplicaLaunch));
-                    if attempt > 0 {
-                        sys.count("rm.fallback_placements", 1);
-                    }
-                    sys.trace(&format!("launched slot {slot} on {node} port {port}"));
-                    let expected = replica_member_name(slot, pid.raw());
-                    self.slots.entry(slot).or_default().pending = Some((expected, sys.now()));
-                    self.dirty = true;
-                    return;
+            // A failed spawn moves on to the next node;
+            // `rm.fallback_placements` counts it when a later one lands.
+            if let Ok(pid) = sys.spawn(node, &label, Box::new(move || proc_box)) {
+                sys.count("rm.launches", 1);
+                sys.emit(EventKind::Phase(Phase::ReplicaLaunch));
+                if attempt > 0 {
+                    sys.count("rm.fallback_placements", 1);
                 }
-                Err(e) => {
-                    sys.trace(&format!("launch of slot {slot} on {node} failed: {e}"));
-                }
+                let expected = replica_member_name(slot, pid.raw());
+                self.slots.entry(slot).or_default().pending = Some((expected, sys.now()));
+                self.dirty = true;
+                return;
             }
         }
         sys.count("rm.launch_failed", 1);
@@ -321,7 +317,6 @@ impl Process for RecoveryManager {
                             // their wall clocks started on another
                             // instance.
                             sys.count("rm.leader_elections", 1);
-                            sys.trace("taking over as recovery-manager leader");
                             self.initial_launched = true;
                             let now = sys.now();
                             for s in self.slots.values_mut() {
@@ -382,11 +377,10 @@ impl Process for RecoveryManager {
                         | GroupMsg::AddressReply { .. }
                         | GroupMsg::Checkpoint { .. },
                     ) => {}
-                    Err(e) => {
+                    Err(_) => {
                         // A corrupted frame is a fault to surface, not a
                         // message to silently drop (chaos satellite).
                         sys.count("rm.bad_group_msg", 1);
-                        sys.trace(&format!("undecodable group message: {e}"));
                     }
                 },
                 GcsDelivery::DaemonLost => {

@@ -357,11 +357,10 @@ impl ClientOrb {
                     let frame = match self.conns.get_mut(conn).map(|i| i.splitter.next_frame()) {
                         Some(Ok(Some(f))) => f,
                         Some(Ok(None)) | None => break,
-                        Some(Err(e)) => {
+                        Some(Err(_)) => {
                             // Nothing after this point can be framed:
                             // tear the connection down, as for an EOF.
                             sys.count("orb.protocol_error", 1);
-                            sys.trace(&format!("client orb: corrupt stream: {e}"));
                             self.fail_conn(sys, *conn, &mut out);
                             break;
                         }
@@ -379,13 +378,11 @@ impl ClientOrb {
                             // Orderly shutdown: treat like EOF for pending.
                             self.fail_conn(sys, *conn, &mut out);
                         }
-                        Ok(other) => {
+                        Ok(_) => {
                             sys.count("orb.protocol_error", 1);
-                            sys.trace(&format!("client orb: unexpected {other:?}"));
                         }
-                        Err(e) => {
+                        Err(_) => {
                             sys.count("orb.protocol_error", 1);
-                            sys.trace(&format!("client orb: bad GIOP: {e}"));
                         }
                     }
                 }

@@ -128,9 +128,8 @@ impl ServerOrb {
                     let frame = match self.conns.get_mut(conn).map(|s| s.next_frame()) {
                         Some(Ok(Some(f))) => f,
                         Some(Ok(None)) | None => break,
-                        Some(Err(e)) => {
+                        Some(Err(_)) => {
                             sys.count("orb.server.protocol_error", 1);
-                            sys.trace(&format!("server orb: corrupt stream: {e}"));
                             sys.close(*conn);
                             self.conns.remove(conn);
                             break;
@@ -150,13 +149,11 @@ impl ServerOrb {
                             self.conns.remove(conn);
                             break;
                         }
-                        Ok(other) => {
+                        Ok(_) => {
                             sys.count("orb.server.protocol_error", 1);
-                            sys.trace(&format!("server orb: unexpected {other:?}"));
                         }
-                        Err(e) => {
+                        Err(_) => {
                             sys.count("orb.server.protocol_error", 1);
-                            sys.trace(&format!("server orb: bad GIOP: {e}"));
                         }
                     }
                 }

@@ -202,9 +202,6 @@ pub trait SysApi {
     /// interceptor's transparent connection redirects.
     fn mark(&mut self, series: &'static str);
 
-    /// Appends a line to the kernel trace (no-op unless tracing is on).
-    fn trace(&mut self, message: &str);
-
     /// Emits a typed observability event into the run's trace
     /// ([`obs::Recorder`]), stamped with the current simulated time and
     /// this process's node/pid. This is how the MEAD interceptors, the

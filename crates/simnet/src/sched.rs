@@ -235,11 +235,6 @@ impl Gate {
         self.cfg
     }
 
-    /// Decisions admitted so far.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// Admits or passes `cp`: inside the window and under budget, the
     /// next decision ordinal is consumed and returned; otherwise `None`
     /// (the scheduler should fall back to the default pick).
@@ -439,11 +434,6 @@ impl ReplayScheduler {
             }
         }
         ReplayScheduler::new(trace.gate, choices)
-    }
-
-    /// Decisions consumed so far (gated choice points seen).
-    pub fn decisions_seen(&self) -> u64 {
-        self.gate.used()
     }
 }
 

@@ -57,9 +57,6 @@ pub struct SimConfig {
     /// Delay between `spawn` and the new process's `on_start` — models
     /// fork/exec plus ORB initialisation of a relaunched replica.
     pub launch_latency: SimDuration,
-    /// When `true`, [`SysApi::trace`] lines are retained and retrievable
-    /// via [`Simulation::trace_lines`].
-    pub trace: bool,
 }
 
 impl Default for SimConfig {
@@ -70,7 +67,6 @@ impl Default for SimConfig {
             noise: NoiseModel::default(),
             loss: LossModel::none(),
             launch_latency: SimDuration::from_millis(30),
-            trace: false,
         }
     }
 }
@@ -275,7 +271,6 @@ pub struct Simulation {
     /// Mirror of the recorder's level so the per-dispatch hot path can
     /// skip the `RefCell` borrow entirely at the default level.
     obs_kernel: bool,
-    trace: Vec<(SimTime, ProcessId, String)>,
     events_processed: u64,
     wall_in_run: Duration,
     /// Severed node pairs (normalised lower-index first). Network actions
@@ -348,7 +343,6 @@ impl Simulation {
             metrics: Rc::new(RefCell::new(Metrics::new())),
             recorder: Rc::new(RefCell::new(obs::Recorder::new())),
             obs_kernel: false,
-            trace: Vec::new(),
             events_processed: 0,
             wall_in_run: Duration::ZERO,
             partitions: BTreeSet::new(),
@@ -362,12 +356,6 @@ impl Simulation {
             sched_fifo,
             sched_steps: 0,
         }
-    }
-
-    /// Choice points surfaced to the scheduler so far (always 0 under
-    /// the default [`FifoScheduler`]).
-    pub fn choice_points(&self) -> u64 {
-        self.sched_steps
     }
 
     /// Adds a node (host) and returns its id.
@@ -765,11 +753,6 @@ impl Simulation {
         }
     }
 
-    /// Shared handle to the metrics store (clone to keep after the run).
-    pub fn metrics_handle(&self) -> Rc<RefCell<Metrics>> {
-        Rc::clone(&self.metrics)
-    }
-
     /// Shared handle to the observability recorder (clone to keep the
     /// trace after the run).
     pub fn recorder_handle(&self) -> Rc<RefCell<obs::Recorder>> {
@@ -801,13 +784,6 @@ impl Simulation {
     /// Immutable snapshot accessor for the metrics store.
     pub fn with_metrics<T>(&self, f: impl FnOnce(&Metrics) -> T) -> T {
         f(&self.metrics.borrow())
-    }
-
-    /// Retained trace lines (empty unless `cfg.trace` was set).
-    pub fn trace_lines(&self) -> impl Iterator<Item = String> + '_ {
-        self.trace
-            .iter()
-            .map(|(t, pid, msg)| format!("[{t}] {pid}: {msg}"))
     }
 
     /// Runs until the clock reaches `deadline`, the queue drains, or
@@ -1579,7 +1555,6 @@ impl Simulation {
         }
         meta.alive = false;
         let key = meta.live;
-        let label = meta.label.clone();
         let node = meta.node;
         // Free the live half; its slab slot is recycled for future spawns
         // (the meta record keeps answering identity queries for the dead
@@ -1611,10 +1586,6 @@ impl Simulation {
                 crashed: matches!(reason, ExitReason::Crash(_)),
             },
         );
-        if self.cfg.trace {
-            self.trace
-                .push((self.now, pid, format!("{label} terminated: {reason:?}")));
-        }
     }
 
     /// Closes `ep_id` from the owner side: schedules EOF at the peer after
@@ -1893,14 +1864,6 @@ impl SysApi for Ctx<'_> {
     fn mark(&mut self, series: &'static str) {
         let now = self.sim.now;
         self.sim.metrics.borrow_mut().record_bytes(series, now, 1);
-    }
-
-    fn trace(&mut self, message: &str) {
-        if self.sim.cfg.trace {
-            self.sim
-                .trace
-                .push((self.sim.now, self.pid, message.to_string()));
-        }
     }
 
     fn emit(&mut self, kind: obs::EventKind) {

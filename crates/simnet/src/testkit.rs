@@ -48,7 +48,6 @@ struct MockConn {
     incoming: RecvQueue,
     eof: bool,
     closed: bool,
-    write_error: Option<SysError>,
 }
 
 /// The mock context. All ids are allocated locally; time advances only
@@ -123,11 +122,6 @@ impl MockSys {
     /// Marks `conn` as EOF after its queued bytes drain.
     pub fn push_eof(&mut self, conn: ConnId) {
         self.conns.entry(conn).or_default().eof = true;
-    }
-
-    /// Makes future writes to `conn` fail with `err`.
-    pub fn fail_writes(&mut self, conn: ConnId, err: SysError) {
-        self.conns.entry(conn).or_default().write_error = Some(err);
     }
 
     /// Everything the subject has written to `conn`.
@@ -239,9 +233,6 @@ impl SysApi for MockSys {
     }
     fn write_bytes(&mut self, conn: ConnId, bytes: Bytes) -> Result<(), SysError> {
         let c = self.conns.entry(conn).or_default();
-        if let Some(err) = c.write_error.clone() {
-            return Err(err);
-        }
         if c.closed {
             return Err(SysError::ClosedLocally(conn));
         }
@@ -306,7 +297,6 @@ impl SysApi for MockSys {
     fn mark(&mut self, series: &'static str) {
         self.marks.push((series, self.now));
     }
-    fn trace(&mut self, _message: &str) {}
     fn emit(&mut self, kind: obs::EventKind) {
         self.emitted.push((self.now, kind));
     }

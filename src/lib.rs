@@ -19,9 +19,9 @@
 //! * [`experiments`] — scenario builder and per-table/figure drivers.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for paper-vs-measured
-//! results. The runnable binaries live in the `experiments` crate
-//! (`cargo run --release -p experiments --bin table1`), and the examples
-//! in `examples/`.
+//! results. Everything runnable is a command of this package's one
+//! binary (`cargo run --release -- help`); the examples are in
+//! `examples/`.
 
 #![forbid(unsafe_code)]
 

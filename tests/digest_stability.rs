@@ -3,10 +3,10 @@
 //!
 //! `std::collections::HashMap` seeds its hasher per *process*, so code
 //! whose behaviour leaks hash-iteration order produces identical results
-//! within one process but diverges across processes. Spawning the
-//! `digest_probe` binary in 32 fresh OS processes therefore samples 32
-//! independent hash seeds; the scenario digests must be bit-identical in
-//! every one.
+//! within one process but diverges across processes. Spawning
+//! `mead-repro digest-probe` in 32 fresh OS processes therefore samples
+//! 32 independent hash seeds; the scenario digests must be bit-identical
+//! in every one.
 
 use std::process::{Command, Stdio};
 
@@ -51,17 +51,18 @@ fn aggregation_helpers_are_bit_exact_left_folds() {
 
 #[test]
 fn digests_identical_across_32_fresh_processes() {
-    let exe = env!("CARGO_BIN_EXE_digest_probe");
+    let exe = env!("CARGO_BIN_EXE_mead-repro");
 
     // Launch all probes first so the test is bounded by the slowest
     // child, not the sum.
     let children: Vec<_> = (0..32)
         .map(|i| {
             let child = Command::new(exe)
+                .arg("digest-probe")
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
                 .spawn()
-                .unwrap_or_else(|e| panic!("spawn digest_probe #{i}: {e}"));
+                .unwrap_or_else(|e| panic!("spawn digest-probe #{i}: {e}"));
             (i, child)
         })
         .collect();
@@ -70,10 +71,10 @@ fn digests_identical_across_32_fresh_processes() {
     for (i, child) in children {
         let out = child
             .wait_with_output()
-            .unwrap_or_else(|e| panic!("wait for digest_probe #{i}: {e}"));
+            .unwrap_or_else(|e| panic!("wait for digest-probe #{i}: {e}"));
         assert!(
             out.status.success(),
-            "digest_probe #{i} failed: {}",
+            "digest-probe #{i} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         outputs.push((i, String::from_utf8_lossy(&out.stdout).into_owned()));
