@@ -2,12 +2,14 @@
 //! stack, with machine-verified recovery invariants. Campaigns are
 //! scenario files run by [`crate::sweep`].
 //!
-//! Each [`run_chaos_plan`] builds the five-node counter topology (a
-//! dedup counter servant with exactly-once semantics, commit-before-ack
-//! checkpointing, and a hardened client that retries with capped
-//! exponential backoff), executes one [`FaultPlan`] — process crashes,
-//! GCS-daemon crashes, Naming crashes, link partitions, loss bursts,
-//! multi-replica leaks — and then checks the invariants:
+//! Each [`run_chaos_plan`] builds the five-node counter topology
+//! (`orb::CounterServant` with exactly-once `increment_once`,
+//! commit-before-ack checkpointing, and the hardened `SlotClient` of
+//! [`crate::counter`] doing the measured job), executes one
+//! [`FaultPlan`] — process crashes, GCS-daemon crashes, Naming crashes,
+//! link partitions, loss bursts, multi-replica leaks — and hands what it
+//! harvested to `judge`, a function of the evidence and the config alone,
+//! which checks the invariants:
 //!
 //! 1. **No silent hang**: the client either completes all increments or
 //!    records a typed give-up before the deadline.
@@ -18,6 +20,8 @@
 //!    slot has a live instance again (at most one migration in flight).
 //! 4. **View convergence**: the final server-group membership view
 //!    covers every slot.
+//! 5. **Graceful degradation**: goodput never stays at zero longer than
+//!    [`ChaosConfig::goodput_budget`] while increments are outstanding.
 //!
 //! With `rm_instances >= 2` the Recovery Manager is replicated
 //! warm-passively and every generated plan must pass; with the paper's
@@ -30,36 +34,21 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig};
-use giop::Ior;
-use giop::{CdrReader, CdrWriter, Endian};
 use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
-    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ServerInterceptor,
-    StateHooks,
+    ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor, StateHooks,
 };
 use orb::{
-    decode_counter_reply, decode_resolve_reply, encode_increment_once, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, Completed, DedupCounterServant, DedupState, OrbUpshot, RetryPolicy,
-    RetryState, Servant, SystemException, COUNTER_TYPE_ID,
+    decode_counter_reply, decode_increment_once, encode_counter_reply, encode_increment_once,
+    CounterServant, CounterState, Servant, SystemException, COUNTER_TYPE_ID,
 };
 use simnet::{
-    Event, ExitReason, FifoScheduler, LossModel, Metrics, NodeId, NoiseModel, Process, Scheduler,
-    SimConfig, SimDuration, SimTime, Simulation, SysApi,
+    Event, ExitReason, FifoScheduler, Fnv, LossModel, Metrics, NodeId, NoiseModel, Process,
+    Scheduler, SimConfig, SimDuration, SimTime, Simulation, SysApi,
 };
 
-use crate::counter::counter_key;
+use crate::counter::{counter_key, Job, SlotClient, WATCHDOG};
 use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
-
-/// Timer tokens of the chaos client (the interceptor namespace starts at
-/// `1 << 62`, far above these).
-const TOKEN_THINK: u64 = 1;
-const TOKEN_RETRY: u64 = 2;
-/// Watchdog tokens encode the watched request id: `WATCHDOG_BASE + rid`.
-const WATCHDOG_BASE: u64 = 1_000_000;
-/// In-flight invocation watchdog: longer than any single honest delay a
-/// plan can impose (max partition 500 ms + queueing), shorter than the
-/// recovery bound.
-const WATCHDOG: SimDuration = SimDuration::from_millis(800);
 
 /// One chaos scenario's parameters.
 #[derive(Clone, Debug)]
@@ -125,59 +114,37 @@ pub enum ServantMutation {
     DropDedup,
 }
 
-/// [`DedupCounterServant`] with the dedup check removed — the
-/// [`ServantMutation::DropDedup`] bug. Every well-formed
-/// `increment_once` applies unconditionally; checkpoint capture/restore
-/// stays byte-compatible via [`DedupState`]'s public snapshot format, so
+/// The [`ServantMutation::DropDedup`] bug: the intact servant with the
+/// one arm it breaks overridden. Every well-formed `increment_once`
+/// applies unconditionally; everything else — the other operations, a
+/// malformed body, the checkpoint format — is the intact servant's, so
 /// fail-over plumbing is unaffected and only the exactly-once invariant
 /// can tell the difference.
-struct NoDedupCounterServant {
-    state: Rc<DedupState>,
+struct DropDedup {
+    intact: CounterServant,
+    state: Rc<CounterState>,
 }
 
-impl Servant for NoDedupCounterServant {
+impl Servant for DropDedup {
     fn invoke(
         &mut self,
         sys: &mut dyn SysApi,
         operation: &str,
         body: &[u8],
     ) -> Result<Vec<u8>, SystemException> {
-        let mut reply = CdrWriter::new(Endian::Big);
-        match operation {
-            "increment_once" => {
-                let mut r = CdrReader::new(body, Endian::Big);
-                let parsed = r
-                    .read_u64()
-                    .and_then(|op| r.read_u64().map(|delta| (op, delta)));
-                let (op_id, delta) = parsed.map_err(|_| SystemException::Other {
-                    repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
-                    completed: Completed::No,
-                })?;
-                // The bug: no `op_id <= last_op` check, so a retransmit
-                // of an already-committed operation applies again.
-                let mut snapshot = [0u8; 16];
-                let value = self.state.value().wrapping_add(delta);
-                let last_op = self.state.last_op().max(op_id);
-                snapshot[..8].copy_from_slice(&value.to_be_bytes());
-                snapshot[8..].copy_from_slice(&last_op.to_be_bytes());
-                self.state.restore(&snapshot);
+        match decode_increment_once(body) {
+            // The bug: no `op_id <= last_op` check, so a retransmit of an
+            // already-committed operation applies again.
+            Ok((op_id, delta)) if operation == "increment_once" => {
                 sys.count("counter.increments", 1);
-                reply.write_u64(self.state.value());
-                Ok(reply.into_vec())
+                Ok(encode_counter_reply(self.state.apply(op_id, delta)))
             }
-            "get" => {
-                reply.write_u64(self.state.value());
-                Ok(reply.into_vec())
-            }
-            _ => Err(SystemException::Other {
-                repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
-                completed: Completed::No,
-            }),
+            _ => self.intact.invoke(sys, operation, body),
         }
     }
 
     fn type_id(&self) -> &str {
-        COUNTER_TYPE_ID
+        self.intact.type_id()
     }
 }
 
@@ -268,352 +235,93 @@ impl ChaosOutcome {
     }
 }
 
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
+/// What the measured client shares with the executor: the evidence the
+/// invariants are judged on.
+#[derive(Default)]
+struct ClientLog {
+    values: RefCell<Vec<u64>>,
+    ack_times: RefCell<Vec<SimTime>>,
+    done: Cell<bool>,
+    gave_up: Cell<bool>,
 }
 
-/// The hardened chaos client: issues `increment_once` operations with
-/// client-assigned operation ids, retries until acknowledged with capped
-/// exponential backoff (typed give-up on budget exhaustion), and arms a
-/// watchdog per in-flight invocation so nothing can hang silently.
-struct ChaosClient {
-    orb: ClientOrb,
-    naming_node: NodeId,
-    target: Option<Ior>,
-    naming_rid: Option<u32>,
-    current_rid: Option<u32>,
-    next_op: u64,
-    acked: u32,
+/// The measured chaos client's job: `increment_once` operations with
+/// client-assigned operation ids (the acknowledged count plus one, so a
+/// retry repeats the id), a think time between acknowledgements, and
+/// every acknowledgement logged with its instant.
+struct Measured {
     total: u32,
     think_time: SimDuration,
-    watchdog: SimDuration,
-    slot_rr: u32,
-    slots: u32,
-    policy: RetryPolicy,
-    retry: RetryState,
-    values: Rc<RefCell<Vec<u64>>>,
-    ack_times: Rc<RefCell<Vec<SimTime>>>,
-    done: Rc<Cell<bool>>,
-    gave_up: Rc<Cell<bool>>,
+    log: Rc<ClientLog>,
 }
 
-impl ChaosClient {
-    fn resolve(&mut self, sys: &mut dyn SysApi) {
-        let name = RecoveryManager::slot_binding(mead::Slot(self.slot_rr));
-        match self.orb.invoke(
-            sys,
-            &naming_ior(self.naming_node),
-            "resolve",
-            &encode_name(&name),
-        ) {
-            Ok(rid) => {
-                self.naming_rid = Some(rid);
-                sys.set_timer(self.watchdog, WATCHDOG_BASE + rid as u64);
-            }
-            Err(_) => self.backoff(sys),
-        }
-    }
-
-    fn fire(&mut self, sys: &mut dyn SysApi) {
-        if self.acked >= self.total {
-            self.done.set(true);
-            return;
-        }
-        let Some(target) = self.target.clone() else {
-            self.backoff(sys);
-            return;
-        };
-        let body = encode_increment_once(self.next_op, 1);
-        match self.orb.invoke(sys, &target, "increment_once", &body) {
-            Ok(rid) => {
-                self.current_rid = Some(rid);
-                sys.set_timer(self.watchdog, WATCHDOG_BASE + rid as u64);
-            }
-            Err(_) => {
-                self.rotate();
-                self.backoff(sys);
-            }
-        }
-    }
-
-    fn rotate(&mut self) {
-        self.slot_rr = (self.slot_rr + 1) % self.slots.max(1);
-        self.target = None;
-    }
-
-    /// Schedules the next attempt after a jittered backoff delay, or
-    /// records a typed give-up when the budget is spent. Something is
-    /// always scheduled — the client can never silently stall.
-    fn backoff(&mut self, sys: &mut dyn SysApi) {
-        match self.policy.next_delay(&mut self.retry, sys.rng()) {
-            Some(delay) => {
-                sys.emit(obs::EventKind::Retry {
-                    attempt: self.retry.attempts(),
-                    delay_ns: delay.as_nanos(),
-                });
-                sys.set_timer(delay, TOKEN_RETRY);
-            }
-            None => {
-                sys.count("chaos.client_gave_up", 1);
-                self.gave_up.set(true);
-                self.done.set(true);
-            }
-        }
+impl Measured {
+    fn acked(&self) -> u32 {
+        self.log.ack_times.borrow().len() as u32
     }
 }
 
-impl Process for ChaosClient {
-    fn on_start(&mut self, sys: &mut dyn SysApi) {
-        self.resolve(sys);
+impl Job for Measured {
+    const TRACED: bool = true;
+
+    fn next(&mut self) -> Option<(&'static str, Vec<u8>)> {
+        let acked = self.acked();
+        (acked < self.total).then(|| {
+            let op_id = u64::from(acked) + 1;
+            ("increment_once", encode_increment_once(op_id, 1))
+        })
     }
 
-    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
-        if let Event::TimerFired { token, .. } = ev {
-            match token {
-                TOKEN_THINK => self.fire(sys),
-                TOKEN_RETRY => self.resolve(sys),
-                t if t >= WATCHDOG_BASE => {
-                    let rid = (t - WATCHDOG_BASE) as u32;
-                    if Some(rid) == self.current_rid {
-                        sys.count("chaos.client_watchdog", 1);
-                        self.current_rid = None;
-                        self.rotate();
-                        self.backoff(sys);
-                    } else if Some(rid) == self.naming_rid {
-                        sys.count("chaos.client_watchdog", 1);
-                        self.naming_rid = None;
-                        self.backoff(sys);
-                    }
-                }
-                _ => {}
-            }
-            return;
+    fn acknowledged(&mut self, sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration> {
+        if let Ok(value) = decode_counter_reply(payload) {
+            self.log.values.borrow_mut().push(value);
         }
-        let Some(upshots) = self.orb.handle_event(sys, &ev) else {
-            return;
-        };
-        for upshot in upshots {
-            match upshot {
-                OrbUpshot::Reply {
-                    request_id,
-                    payload,
-                    ..
-                } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        if let Ok(ior) = decode_resolve_reply(&payload) {
-                            self.target = Some(ior);
-                            self.retry.reset();
-                            self.fire(sys);
-                        } else {
-                            self.rotate();
-                            self.backoff(sys);
-                        }
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        if let Ok(value) = decode_counter_reply(&payload) {
-                            self.values.borrow_mut().push(value);
-                        }
-                        self.ack_times.borrow_mut().push(sys.now());
-                        self.acked += 1;
-                        self.next_op += 1;
-                        self.retry.reset();
-                        if self.acked >= self.total {
-                            self.done.set(true);
-                        } else {
-                            sys.set_timer(self.think_time, TOKEN_THINK);
-                        }
-                    }
-                }
-                OrbUpshot::Exception { request_id, .. } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        self.rotate();
-                        self.backoff(sys);
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        self.rotate();
-                        self.backoff(sys);
-                    }
-                }
-                _ => {}
-            }
-        }
+        self.log.ack_times.borrow_mut().push(sys.now());
+        (self.acked() < self.total).then_some(self.think_time)
     }
 
-    fn label(&self) -> &str {
-        "chaos-client"
+    fn complete(&mut self, _sys: &mut dyn SysApi) {
+        self.log.done.set(true);
+    }
+
+    fn give_up(&mut self, sys: &mut dyn SysApi) {
+        sys.count("chaos.client_gave_up", 1);
+        self.log.gave_up.set(true);
+        self.log.done.set(true);
     }
 }
 
-/// A flash-crowd arrival: a short-lived read-only client issuing `get`
-/// operations (no operation ids — the crowd must not perturb the main
-/// client's dedup/op-gap bookkeeping) with the same resolve/retry/
-/// watchdog hardening as the main client, then exiting gracefully.
-struct CrowdClient {
-    orb: ClientOrb,
-    naming_node: NodeId,
-    target: Option<Ior>,
-    naming_rid: Option<u32>,
-    current_rid: Option<u32>,
+/// A flash-crowd arrival's job: `reads` back-to-back `get` operations (no
+/// operation ids — the crowd must not perturb the main client's
+/// dedup/op-gap bookkeeping), then a graceful exit.
+struct Crowd {
     remaining: u32,
-    slot_rr: u32,
-    slots: u32,
-    policy: RetryPolicy,
-    retry: RetryState,
     acked: Rc<Cell<u64>>,
-    label: String,
 }
 
-impl CrowdClient {
-    fn resolve(&mut self, sys: &mut dyn SysApi) {
-        let name = RecoveryManager::slot_binding(mead::Slot(self.slot_rr));
-        match self.orb.invoke(
-            sys,
-            &naming_ior(self.naming_node),
-            "resolve",
-            &encode_name(&name),
-        ) {
-            Ok(rid) => {
-                self.naming_rid = Some(rid);
-                sys.set_timer(WATCHDOG, WATCHDOG_BASE + rid as u64);
-            }
-            Err(_) => self.backoff(sys),
-        }
+impl Job for Crowd {
+    fn next(&mut self) -> Option<(&'static str, Vec<u8>)> {
+        (self.remaining > 0).then(|| ("get", Vec::new()))
     }
 
-    fn fire(&mut self, sys: &mut dyn SysApi) {
-        if self.remaining == 0 {
-            sys.exit(ExitReason::Graceful);
-            return;
+    fn acknowledged(&mut self, sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration> {
+        if decode_counter_reply(payload).is_ok() {
+            self.acked.set(self.acked.get() + 1);
+            sys.count("chaos.crowd_acks", 1);
         }
-        let Some(target) = self.target.clone() else {
-            self.backoff(sys);
-            return;
-        };
-        match self.orb.invoke(sys, &target, "get", &[]) {
-            Ok(rid) => {
-                self.current_rid = Some(rid);
-                sys.set_timer(WATCHDOG, WATCHDOG_BASE + rid as u64);
-            }
-            Err(_) => {
-                self.rotate();
-                self.backoff(sys);
-            }
-        }
+        self.remaining = self.remaining.saturating_sub(1);
+        None
     }
 
-    fn rotate(&mut self) {
-        self.slot_rr = (self.slot_rr + 1) % self.slots.max(1);
-        self.target = None;
+    fn complete(&mut self, sys: &mut dyn SysApi) {
+        sys.exit(ExitReason::Graceful);
     }
 
-    fn backoff(&mut self, sys: &mut dyn SysApi) {
-        match self.policy.next_delay(&mut self.retry, sys.rng()) {
-            Some(delay) => {
-                sys.set_timer(delay, TOKEN_RETRY);
-            }
-            None => {
-                // A crowd member giving up is shed load, not a recovery
-                // failure — counted, not an invariant violation.
-                sys.count("chaos.crowd_gave_up", 1);
-                sys.exit(ExitReason::Graceful);
-            }
-        }
-    }
-}
-
-impl Process for CrowdClient {
-    fn on_start(&mut self, sys: &mut dyn SysApi) {
-        self.resolve(sys);
-    }
-
-    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
-        if let Event::TimerFired { token, .. } = ev {
-            match token {
-                TOKEN_RETRY => match self.target {
-                    Some(_) => self.fire(sys),
-                    None => self.resolve(sys),
-                },
-                t if t >= WATCHDOG_BASE => {
-                    let rid = (t - WATCHDOG_BASE) as u32;
-                    if Some(rid) == self.current_rid {
-                        self.current_rid = None;
-                        self.rotate();
-                        self.backoff(sys);
-                    } else if Some(rid) == self.naming_rid {
-                        self.naming_rid = None;
-                        self.backoff(sys);
-                    }
-                }
-                _ => {}
-            }
-            return;
-        }
-        let Some(upshots) = self.orb.handle_event(sys, &ev) else {
-            return;
-        };
-        for upshot in upshots {
-            match upshot {
-                OrbUpshot::Reply {
-                    request_id,
-                    payload,
-                    ..
-                } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        if let Ok(ior) = decode_resolve_reply(&payload) {
-                            self.target = Some(ior);
-                            self.retry.reset();
-                            self.fire(sys);
-                        } else {
-                            self.rotate();
-                            self.backoff(sys);
-                        }
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        if decode_counter_reply(&payload).is_ok() {
-                            self.acked.set(self.acked.get() + 1);
-                            sys.count("chaos.crowd_acks", 1);
-                        }
-                        self.remaining = self.remaining.saturating_sub(1);
-                        self.retry.reset();
-                        self.fire(sys);
-                    }
-                }
-                OrbUpshot::Exception { request_id, .. } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        self.rotate();
-                        self.backoff(sys);
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        self.rotate();
-                        self.backoff(sys);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
+    fn give_up(&mut self, sys: &mut dyn SysApi) {
+        // A crowd member giving up is shed load, not a recovery failure —
+        // counted, not an invariant violation.
+        sys.count("chaos.crowd_gave_up", 1);
+        sys.exit(ExitReason::Graceful);
     }
 }
 
@@ -681,6 +389,9 @@ pub fn run_chaos_plan(plan: &FaultPlan, cfg: &ChaosConfig) -> ChaosOutcome {
 /// the same scenario through recording, replaying and exploring
 /// schedulers. Deterministic for any deterministic scheduler: a pure
 /// function of `(plan, cfg, scheduler)`.
+///
+/// A driver — configure, assemble, unfold the plan into a timeline, run,
+/// harvest — that ends by handing the run's `Evidence` to `judge`.
 pub fn run_chaos_plan_with(
     plan: &FaultPlan,
     cfg: &ChaosConfig,
@@ -726,10 +437,12 @@ pub fn run_chaos_plan_with(
             Rc::new(move |spec| {
                 let mut factory_cfg = factory_cfg.clone();
                 factory_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
-                let state = DedupState::new();
+                let state = CounterState::new();
+                let intact = CounterServant::new(state.clone());
                 let servant: Box<dyn Servant> = match mutation {
-                    ServantMutation::Intact => Box::new(DedupCounterServant::new(state.clone())),
-                    ServantMutation::DropDedup => Box::new(NoDedupCounterServant {
+                    ServantMutation::Intact => Box::new(intact),
+                    ServantMutation::DropDedup => Box::new(DropDedup {
+                        intact,
                         state: state.clone(),
                     }),
                 };
@@ -768,41 +481,107 @@ pub fn run_chaos_plan_with(
     // Boot, then start the client just before the fault window opens.
     testbed.boot();
     let client_start = testbed.sim.now();
-    let values = Rc::new(RefCell::new(Vec::new()));
-    let ack_times = Rc::new(RefCell::new(Vec::new()));
-    let done = Rc::new(Cell::new(false));
-    let gave_up = Rc::new(Cell::new(false));
+    let log = Rc::new(ClientLog::default());
     let crowd_acked = Rc::new(Cell::new(0u64));
+    let measured = Measured {
+        total: cfg.increments,
+        think_time: cfg.think_time,
+        log: log.clone(),
+    };
     testbed.sim.spawn(
         client_node,
         "chaos-client",
         Box::new(ClientInterceptor::new(
-            mead_cfg.clone(),
-            Box::new(ChaosClient {
-                orb: ClientOrb::new(ClientOrbConfig::default()),
-                naming_node: infra,
-                target: None,
-                naming_rid: None,
-                current_rid: None,
-                next_op: 1,
-                acked: 0,
-                total: cfg.increments,
-                think_time: cfg.think_time,
-                watchdog: cfg.watchdog,
-                slot_rr: 0,
+            mead_cfg,
+            Box::new(SlotClient::new(
+                "chaos-client",
+                measured,
+                infra,
                 slots,
-                policy: RetryPolicy::client_default(),
-                retry: RetryState::new(),
-                values: values.clone(),
-                ack_times: ack_times.clone(),
-                done: done.clone(),
-                gave_up: gave_up.clone(),
-            }),
+                0,
+                cfg.watchdog,
+            )),
         )),
     );
 
-    // Unfold the plan into a single sorted timeline of injections and
-    // the recoveries they imply, then walk it.
+    for (at, action) in timeline(plan) {
+        testbed.sim.run_until(at);
+        if let Action::Inject(kind) = &action {
+            // Executor-side trace marker: every injection shows up in the
+            // run's observability stream, attributable without metrics.
+            let recorder = testbed.sim.recorder_handle();
+            recorder.borrow_mut().emit(
+                testbed.sim.now().as_nanos(),
+                0,
+                0,
+                obs::EventKind::FaultInjected { fault: kind.name() },
+            );
+        }
+        apply(&mut testbed, slots, action, &crowd_acked);
+    }
+    // Defensive settling: plans guarantee their own heals, but make the
+    // post-plan world explicit before judging recovery.
+    testbed.sim.heal_all();
+    testbed.sim.set_loss(LossModel::none());
+
+    let deadline = plan.settled_by().max(SimTime::from_millis(4_500)) + SimDuration::from_secs(5);
+    testbed.run_until_done(|| log.done.get(), deadline);
+    let active_end = testbed.sim.now();
+    // Post-completion settling window: let the Recovery Manager finish
+    // restoring the replication degree after the last fault.
+    let settle_until = active_end.max(plan.settled_by()) + SimDuration::from_millis(1_500);
+    testbed
+        .sim
+        .run_until(settle_until.min(deadline + SimDuration::from_secs(2)));
+
+    let Harvest {
+        metrics,
+        trace,
+        finished_at,
+        events_processed,
+        ..
+    } = testbed.harvest();
+    let sim = &testbed.sim;
+    let mut live_replicas: Vec<String> = sim
+        .live_processes()
+        .into_iter()
+        .map(|pid| sim.process_label(pid).to_string())
+        .filter(|l| l.starts_with("replica-s"))
+        .collect();
+    live_replicas.sort();
+    let evidence = Evidence {
+        values: log.values.take(),
+        ack_times: log.ack_times.take(),
+        done: log.done.get(),
+        gave_up: log.gave_up.get(),
+        op_gaps: metrics.counter("counter.op_gap"),
+        live_replicas,
+        final_view: view.take(),
+        client_start,
+        active_end,
+    };
+    let (violations, worst_goodput_gap) = judge(&evidence, cfg);
+
+    ChaosOutcome {
+        seed: plan.seed(),
+        values: evidence.values,
+        completed: evidence.done && !evidence.gave_up,
+        gave_up: evidence.gave_up,
+        crowd_acked: crowd_acked.get(),
+        worst_goodput_gap,
+        final_view: evidence.final_view,
+        live_replicas: evidence.live_replicas,
+        violations,
+        metrics,
+        finished_at,
+        events_processed,
+        trace,
+    }
+}
+
+/// Unfolds the plan into a single sorted timeline of injections and the
+/// recoveries they imply.
+fn timeline(plan: &FaultPlan) -> Vec<(SimTime, Action)> {
     let mut timeline: Vec<(SimTime, Action)> = Vec::new();
     for FaultEvent { at, kind } in plan.events() {
         match kind {
@@ -858,61 +637,52 @@ pub fn run_chaos_plan_with(
         timeline.push((*at, Action::Inject(kind.clone())));
     }
     timeline.sort_by_key(|(at, _)| *at);
+    timeline
+}
 
-    for (at, action) in timeline {
-        testbed.sim.run_until(at);
-        if let Action::Inject(kind) = &action {
-            // Executor-side trace marker: every injection shows up in the
-            // run's observability stream, attributable without metrics.
-            let recorder = testbed.sim.recorder_handle();
-            recorder.borrow_mut().emit(
-                testbed.sim.now().as_nanos(),
-                0,
-                0,
-                obs::EventKind::FaultInjected { fault: kind.name() },
-            );
-        }
-        apply(&mut testbed, slots, action, &crowd_acked);
-    }
-    // Defensive settling: plans guarantee their own heals, but make the
-    // post-plan world explicit before judging recovery.
-    testbed.sim.heal_all();
-    testbed.sim.set_loss(LossModel::none());
+/// Everything the invariants are judged on, harvested from one finished
+/// run: what the measured client got acknowledged and when, how it
+/// ended, and what the world looked like after settling.
+struct Evidence {
+    /// Acknowledged counter values, in acknowledgement order.
+    values: Vec<u64>,
+    /// The instant of every acknowledgement.
+    ack_times: Vec<SimTime>,
+    /// Whether the client finished (completed or gave up) by the deadline.
+    done: bool,
+    /// Whether it finished by exhausting its retry budget.
+    gave_up: bool,
+    /// Operation-id gaps observed at replicas (`counter.op_gap`).
+    op_gaps: u64,
+    /// Sorted labels of the live replica processes after settling.
+    live_replicas: Vec<String>,
+    /// The observer's final server-group membership view.
+    final_view: Vec<String>,
+    /// When the client started.
+    client_start: SimTime,
+    /// When the client finished, or the deadline if it never did.
+    active_end: SimTime,
+}
 
-    let deadline = plan.settled_by().max(SimTime::from_millis(4_500)) + SimDuration::from_secs(5);
-    testbed.run_until_done(|| done.get(), deadline);
-    let active_end = testbed.sim.now();
-    // Post-completion settling window: let the Recovery Manager finish
-    // restoring the replication degree after the last fault.
-    let settle_until = active_end.max(plan.settled_by()) + SimDuration::from_millis(1_500);
-    testbed
-        .sim
-        .run_until(settle_until.min(deadline + SimDuration::from_secs(2)));
-
-    // Invariant checks.
-    let values: Vec<u64> = values.borrow().clone();
-    let Harvest {
-        metrics,
-        trace,
-        finished_at,
-        events_processed,
+/// The invariants: the violations `evidence` shows under `cfg` (empty =
+/// the plan passed) and the worst zero-goodput stretch. Each arm is one
+/// oracle; the `judge_names_each_violation_alone` table has a row per
+/// message.
+fn judge(evidence: &Evidence, cfg: &ChaosConfig) -> (Vec<String>, SimDuration) {
+    let Evidence {
+        values,
+        ack_times,
+        live_replicas,
+        final_view,
         ..
-    } = testbed.harvest();
-    let final_view = view.borrow().clone();
-    let sim = &testbed.sim;
-    let mut live_replicas: Vec<String> = sim
-        .live_processes()
-        .into_iter()
-        .map(|pid| sim.process_label(pid).to_string())
-        .filter(|l| l.starts_with("replica-s"))
-        .collect();
-    live_replicas.sort();
-
+    } = evidence;
+    let (done, gave_up) = (evidence.done, evidence.gave_up);
+    let slots = cfg.slots.max(1);
     let mut violations = Vec::new();
-    if gave_up.get() {
+    if gave_up {
         violations.push("client exhausted its retry budget (typed give-up)".to_string());
     }
-    if !done.get() || (!gave_up.get() && (values.len() as u32) < cfg.increments) {
+    if !done || (!gave_up && (values.len() as u32) < cfg.increments) {
         violations.push(format!(
             "client incomplete: {}/{} increments acknowledged by deadline",
             values.len(),
@@ -928,15 +698,15 @@ pub fn run_chaos_plan_with(
             break;
         }
     }
-    if metrics.counter("counter.op_gap") > 0 {
+    if evidence.op_gaps > 0 {
         violations.push(format!(
             "{} operation-id gap(s) observed at replicas",
-            metrics.counter("counter.op_gap")
+            evidence.op_gaps
         ));
     }
     for slot in 0..slots {
-        let prefix = format!("replica-s{slot}");
-        let n = live_replicas.iter().filter(|l| **l == prefix).count();
+        let label = format!("replica-s{slot}");
+        let n = live_replicas.iter().filter(|l| **l == label).count();
         if n == 0 {
             violations.push(format!("slot {slot} has no live replica after settling"));
         } else if n > 2 {
@@ -958,24 +728,21 @@ pub fn run_chaos_plan_with(
     // are MIN_CRASH_GAP apart), so a longer stall indicts recovery, not
     // the fault load. The typed give-up is judged separately above.
     let mut worst_goodput_gap = SimDuration::ZERO;
-    let mut worst_gap_end = client_start;
-    {
-        let ack_times = ack_times.borrow();
-        let mut prev = client_start;
-        let active = ack_times
-            .iter()
-            .copied()
-            .chain((!done.get()).then_some(active_end));
-        for t in active {
-            let gap = t.saturating_since(prev);
-            if gap > worst_goodput_gap {
-                worst_goodput_gap = gap;
-                worst_gap_end = t;
-            }
-            prev = t;
+    let mut worst_gap_end = evidence.client_start;
+    let mut prev = evidence.client_start;
+    let active = ack_times
+        .iter()
+        .copied()
+        .chain((!done).then_some(evidence.active_end));
+    for t in active {
+        let gap = t.saturating_since(prev);
+        if gap > worst_goodput_gap {
+            worst_goodput_gap = gap;
+            worst_gap_end = t;
         }
+        prev = t;
     }
-    if !gave_up.get() && worst_goodput_gap > cfg.goodput_budget {
+    if !gave_up && worst_goodput_gap > cfg.goodput_budget {
         violations.push(format!(
             "goodput stalled for {} ms (budget {} ms) ending at t={} ms",
             worst_goodput_gap.as_nanos() / 1_000_000,
@@ -983,22 +750,7 @@ pub fn run_chaos_plan_with(
             worst_gap_end.as_nanos() / 1_000_000
         ));
     }
-
-    ChaosOutcome {
-        seed: plan.seed(),
-        values,
-        completed: done.get() && !gave_up.get(),
-        gave_up: gave_up.get(),
-        crowd_acked: crowd_acked.get(),
-        worst_goodput_gap,
-        final_view,
-        live_replicas,
-        violations,
-        metrics,
-        finished_at,
-        events_processed,
-        trace,
-    }
+    (violations, worst_goodput_gap)
 }
 
 /// Applies one timeline action to the running simulation.
@@ -1046,23 +798,21 @@ fn apply(testbed: &mut Testbed, slots: u32, action: Action, crowd_acked: &Rc<Cel
         Action::SpawnCrowd { index, reads } => {
             let client_node = *nodes.last().expect("topology has a client node");
             let infra = nodes[0];
+            let label = format!("crowd-client-{index}");
             sim.spawn(
                 client_node,
-                &format!("crowd-client-{index}"),
-                Box::new(CrowdClient {
-                    orb: ClientOrb::new(ClientOrbConfig::default()),
-                    naming_node: infra,
-                    target: None,
-                    naming_rid: None,
-                    current_rid: None,
-                    remaining: reads,
-                    slot_rr: index % slots.max(1),
+                &label,
+                Box::new(SlotClient::new(
+                    &label,
+                    Crowd {
+                        remaining: reads,
+                        acked: crowd_acked.clone(),
+                    },
+                    infra,
                     slots,
-                    policy: RetryPolicy::client_default(),
-                    retry: RetryState::new(),
-                    acked: crowd_acked.clone(),
-                    label: format!("crowd-client-{index}"),
-                }),
+                    index,
+                    WATCHDOG,
+                )),
             );
         }
         Action::Inject(FaultKind::CrashRecoveryManager) => {
@@ -1147,6 +897,103 @@ mod tests {
             out.violations
         );
         assert_eq!(out.values, (1..=60).collect::<Vec<u64>>());
+    }
+
+    /// A run that holds every invariant: three increments acknowledged in
+    /// order, one live replica per slot, every slot in the final view.
+    fn clean_evidence() -> Evidence {
+        let ms = SimTime::from_millis;
+        Evidence {
+            values: vec![1, 2, 3],
+            ack_times: vec![ms(700), ms(710), ms(720)],
+            done: true,
+            gave_up: false,
+            op_gaps: 0,
+            live_replicas: (0..3).map(|slot| format!("replica-s{slot}")).collect(),
+            final_view: (0..3)
+                .map(|slot| mead::replica_member_name(mead::Slot(slot), 40).to_string())
+                .collect(),
+            client_start: ms(650),
+            active_end: ms(720),
+        }
+    }
+
+    #[test]
+    fn judge_names_each_violation_alone() {
+        const MS: fn(u64) -> SimTime = SimTime::from_millis;
+        // (what is wrong with the run, the violations it must produce, the
+        // worst goodput gap in ms)
+        type Row = (fn(&mut Evidence), &'static [&'static str], u64);
+        let table: [Row; 9] = [
+            (|_| {}, &[], 50),
+            (
+                |e| {
+                    e.gave_up = true;
+                    e.values.pop();
+                    e.ack_times.pop();
+                },
+                &["client exhausted its retry budget (typed give-up)"],
+                50,
+            ),
+            (
+                |e| {
+                    e.done = false;
+                    e.values.pop();
+                    e.ack_times.pop();
+                    e.active_end = MS(2_710);
+                },
+                &["client incomplete: 2/3 increments acknowledged by deadline"],
+                2_000,
+            ),
+            (
+                |e| e.values[1] = 1,
+                &["increment 2 acknowledged value 1 (lost or duplicated state)"],
+                50,
+            ),
+            (
+                |e| e.op_gaps = 1,
+                &["1 operation-id gap(s) observed at replicas"],
+                50,
+            ),
+            (
+                |e| {
+                    e.live_replicas.remove(1);
+                },
+                &["slot 1 has no live replica after settling"],
+                50,
+            ),
+            (
+                |e| {
+                    e.live_replicas
+                        .extend(["replica-s2".into(), "replica-s2".into()])
+                },
+                &["slot 2 has 3 live replicas (runaway launch)"],
+                50,
+            ),
+            (
+                |e| {
+                    e.final_view.remove(0);
+                },
+                &["final membership view missing slot 0"],
+                50,
+            ),
+            (
+                |e| e.ack_times[1..].copy_from_slice(&[MS(4_300), MS(4_310)]),
+                &["goodput stalled for 3600 ms (budget 3500 ms) ending at t=4300 ms"],
+                3_600,
+            ),
+        ];
+        let cfg = ChaosConfig {
+            increments: 3,
+            ..ChaosConfig::default()
+        };
+        for (spoil, expected, gap_ms) in table {
+            let mut evidence = clean_evidence();
+            spoil(&mut evidence);
+            let (violations, worst_gap) = judge(&evidence, &cfg);
+            assert_eq!(violations, expected);
+            assert_eq!(worst_gap, SimDuration::from_millis(gap_ms), "{expected:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Stateful warm-passive scenario: a replicated counter with real
-//! checkpoint-based state transfer (extension beyond the paper's
-//! stateless evaluation workload; see `DESIGN.md` §8).
+//! The replicated-counter application: its object key, the one hardened
+//! client every counter run uses (`SlotClient`, told what to do by a
+//! `Job`), and the stateful warm-passive scenario — real
+//! checkpoint-based state transfer, an extension beyond the paper's
+//! stateless evaluation workload (see `DESIGN.md` §8).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -12,7 +14,8 @@ use mead::{
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, OrbUpshot, SharedCounterServant, COUNTER_TYPE_ID,
+    ClientOrb, ClientOrbConfig, CounterServant, CounterState, OrbUpshot, RetryPolicy, RetryState,
+    COUNTER_TYPE_ID,
 };
 use simnet::{
     Event, FifoScheduler, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime,
@@ -74,110 +77,259 @@ impl CounterOutcome {
     }
 }
 
-/// The increment-issuing client.
-struct CounterClient {
+/// Timer tokens of the slot client (the interceptor namespace starts at
+/// `1 << 62`, far above these).
+const TOKEN_THINK: u64 = 1;
+const TOKEN_RETRY: u64 = 2;
+/// Watchdog tokens encode the watched request id: `WATCHDOG_BASE + rid`.
+const WATCHDOG_BASE: u64 = 1_000_000;
+/// In-flight invocation watchdog: longer than any single honest delay a
+/// fault plan can impose (max partition 500 ms + queueing), shorter than
+/// the recovery bound.
+pub(crate) const WATCHDOG: SimDuration = SimDuration::from_millis(800);
+
+/// What a [`SlotClient`] is run for: which requests it sends and what
+/// their acknowledgement, completion and abandonment mean to the caller.
+/// Three jobs exist — the measured chaos client and a flash-crowd arrival
+/// (`chaos`), and the state-transfer client below.
+pub(crate) trait Job {
+    /// Whether retries are traced: an `obs::EventKind::Retry` per backoff
+    /// and a `chaos.client_watchdog` count per expired watchdog.
+    const TRACED: bool = false;
+
+    /// The next request — operation and body — or `None` once the work
+    /// is complete. Asked again for every retry, so it must keep
+    /// answering the same request until that one is acknowledged.
+    fn next(&mut self) -> Option<(&'static str, Vec<u8>)>;
+
+    /// Records the acknowledgement of the request `next` last described
+    /// and says how long to pause before the following one (`None`: go
+    /// on at once).
+    fn acknowledged(&mut self, sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration>;
+
+    /// The work is complete (`next` answered `None`).
+    fn complete(&mut self, sys: &mut dyn SysApi);
+
+    /// The retry budget is spent: the typed give-up.
+    fn give_up(&mut self, sys: &mut dyn SysApi);
+}
+
+/// The hardened counter client: resolves `replicas/slot{n}` at the Naming
+/// Service, invokes its job's requests one at a time, and on any failure
+/// drops the reference, rotates to the next slot and retries after a
+/// capped jittered backoff (the job's typed give-up once the budget is
+/// spent). A watchdog per in-flight request means nothing can hang
+/// silently: something is always scheduled.
+pub(crate) struct SlotClient<J: Job> {
+    label: String,
+    job: J,
     orb: ClientOrb,
     naming_node: NodeId,
+    slots: u32,
+    slot: u32,
+    watchdog: SimDuration,
     target: Option<Ior>,
     naming_rid: Option<u32>,
     current_rid: Option<u32>,
-    sent: u32,
-    total: u32,
-    slot_rr: u32,
-    values: Rc<RefCell<Vec<u64>>>,
-    done: Rc<Cell<bool>>,
+    policy: RetryPolicy,
+    retry: RetryState,
 }
 
-impl CounterClient {
-    fn resolve(&mut self, sys: &mut dyn SysApi) {
-        let name = RecoveryManager::slot_binding(mead::Slot(self.slot_rr));
-        self.naming_rid = self
-            .orb
-            .invoke(
-                sys,
-                &naming_ior(self.naming_node),
-                "resolve",
-                &encode_name(&name),
-            )
-            .ok();
-    }
-    fn fire(&mut self, sys: &mut dyn SysApi) {
-        if self.sent >= self.total {
-            self.done.set(true);
-            return;
+impl<J: Job> SlotClient<J> {
+    /// A client labelled `label` that starts at `first_slot` of `slots`
+    /// and gives every request `watchdog` to be answered.
+    pub(crate) fn new(
+        label: &str,
+        job: J,
+        naming_node: NodeId,
+        slots: u32,
+        first_slot: u32,
+        watchdog: SimDuration,
+    ) -> Self {
+        let slots = slots.max(1);
+        SlotClient {
+            label: label.to_string(),
+            job,
+            orb: ClientOrb::new(ClientOrbConfig::default()),
+            naming_node,
+            slots,
+            slot: first_slot % slots,
+            watchdog,
+            target: None,
+            naming_rid: None,
+            current_rid: None,
+            policy: RetryPolicy::client_default(),
+            retry: RetryState::new(),
         }
-        let Some(target) = self.target.clone() else {
+    }
+
+    fn resolve(&mut self, sys: &mut dyn SysApi) {
+        let name = RecoveryManager::slot_binding(mead::Slot(self.slot));
+        match self.orb.invoke(
+            sys,
+            &naming_ior(self.naming_node),
+            "resolve",
+            &encode_name(&name),
+        ) {
+            Ok(rid) => {
+                self.naming_rid = Some(rid);
+                sys.set_timer(self.watchdog, WATCHDOG_BASE + rid as u64);
+            }
+            Err(_) => self.backoff(sys),
+        }
+    }
+
+    fn fire(&mut self, sys: &mut dyn SysApi) {
+        let Some((operation, body)) = self.job.next() else {
+            self.job.complete(sys);
             return;
         };
-        match self
-            .orb
-            .invoke(sys, &target, "increment", &encode_increment(1))
-        {
-            Ok(rid) => self.current_rid = Some(rid),
-            Err(_) => {
-                self.slot_rr = (self.slot_rr + 1) % 3;
-                self.resolve(sys);
+        let Some(target) = self.target.clone() else {
+            self.backoff(sys);
+            return;
+        };
+        match self.orb.invoke(sys, &target, operation, &body) {
+            Ok(rid) => {
+                self.current_rid = Some(rid);
+                sys.set_timer(self.watchdog, WATCHDOG_BASE + rid as u64);
             }
+            Err(_) => self.fail_over(sys),
+        }
+    }
+
+    /// The slot's replica failed us: forget its reference and try the
+    /// next slot after a backoff. A retry always re-resolves.
+    fn fail_over(&mut self, sys: &mut dyn SysApi) {
+        self.slot = (self.slot + 1) % self.slots;
+        self.target = None;
+        self.backoff(sys);
+    }
+
+    /// Schedules the next attempt after a jittered backoff delay, or
+    /// hands the job its typed give-up when the budget is spent.
+    fn backoff(&mut self, sys: &mut dyn SysApi) {
+        match self.policy.next_delay(&mut self.retry, sys.rng()) {
+            Some(delay) => {
+                if J::TRACED {
+                    sys.emit(obs::EventKind::Retry {
+                        attempt: self.retry.attempts(),
+                        delay_ns: delay.as_nanos(),
+                    });
+                }
+                sys.set_timer(delay, TOKEN_RETRY);
+            }
+            None => self.job.give_up(sys),
+        }
+    }
+
+    fn on_watchdog(&mut self, sys: &mut dyn SysApi, rid: u32) {
+        let invocation = Some(rid) == self.current_rid;
+        if !invocation && Some(rid) != self.naming_rid {
+            return; // answered in time
+        }
+        if J::TRACED {
+            sys.count("chaos.client_watchdog", 1);
+        }
+        if invocation {
+            self.current_rid = None;
+            self.fail_over(sys);
+        } else {
+            self.naming_rid = None;
+            self.backoff(sys);
         }
     }
 }
 
-impl Process for CounterClient {
+impl<J: Job> Process for SlotClient<J> {
     fn on_start(&mut self, sys: &mut dyn SysApi) {
         self.resolve(sys);
     }
+
     fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
-        if let Event::TimerFired { .. } = ev {
-            self.fire(sys);
+        if let Event::TimerFired { token, .. } = ev {
+            match token {
+                TOKEN_THINK => self.fire(sys),
+                TOKEN_RETRY => self.resolve(sys),
+                t if t >= WATCHDOG_BASE => self.on_watchdog(sys, (t - WATCHDOG_BASE) as u32),
+                _ => {}
+            }
             return;
         }
         let Some(upshots) = self.orb.handle_event(sys, &ev) else {
             return;
         };
         for upshot in upshots {
-            match upshot {
+            let (rid, reply) = match upshot {
                 OrbUpshot::Reply {
                     request_id,
                     payload,
                     ..
-                } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        if let Ok(ior) = decode_resolve_reply(&payload) {
-                            self.target = Some(ior);
-                            self.fire(sys);
-                        } else {
-                            sys.set_timer(SimDuration::from_millis(25), 1);
-                        }
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        if let Ok(value) = decode_counter_reply(&payload) {
-                            self.values.borrow_mut().push(value);
-                        }
-                        self.sent += 1;
-                        if self.sent >= self.total {
-                            self.done.set(true);
-                        } else {
-                            sys.set_timer(SimDuration::from_millis(1), 1);
+                } => (request_id, Some(payload)),
+                OrbUpshot::Exception { request_id, .. } => (request_id, None),
+                _ => continue,
+            };
+            if Some(rid) == self.naming_rid {
+                self.naming_rid = None;
+                match reply.as_deref().map(decode_resolve_reply) {
+                    Some(Ok(ior)) => {
+                        self.target = Some(ior);
+                        self.retry.reset();
+                        self.fire(sys);
+                    }
+                    _ => self.fail_over(sys),
+                }
+            } else if Some(rid) == self.current_rid {
+                self.current_rid = None;
+                match reply {
+                    Some(payload) => {
+                        let pause = self.job.acknowledged(sys, &payload);
+                        self.retry.reset();
+                        match pause {
+                            Some(pause) => {
+                                sys.set_timer(pause, TOKEN_THINK);
+                            }
+                            None => self.fire(sys),
                         }
                     }
+                    None => self.fail_over(sys),
                 }
-                OrbUpshot::Exception { request_id, .. } => {
-                    if Some(request_id) == self.naming_rid {
-                        self.naming_rid = None;
-                        sys.set_timer(SimDuration::from_millis(25), 1);
-                    } else if Some(request_id) == self.current_rid {
-                        self.current_rid = None;
-                        self.slot_rr = (self.slot_rr + 1) % 3;
-                        self.resolve(sys);
-                    }
-                }
-                _ => {}
             }
         }
     }
+
     fn label(&self) -> &str {
-        "counter-client"
+        &self.label
+    }
+}
+
+/// The state-transfer client's job: plain `increment`s, 1 ms apart.
+struct Increments {
+    sent: u32,
+    total: u32,
+    values: Rc<RefCell<Vec<u64>>>,
+    done: Rc<Cell<bool>>,
+}
+
+impl Job for Increments {
+    fn next(&mut self) -> Option<(&'static str, Vec<u8>)> {
+        (self.sent < self.total).then(|| ("increment", encode_increment(1)))
+    }
+
+    fn acknowledged(&mut self, _sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration> {
+        if let Ok(value) = decode_counter_reply(payload) {
+            self.values.borrow_mut().push(value);
+        }
+        self.sent += 1;
+        (self.sent < self.total).then_some(SimDuration::from_millis(1))
+    }
+
+    fn complete(&mut self, _sys: &mut dyn SysApi) {
+        self.done.set(true);
+    }
+
+    fn give_up(&mut self, _sys: &mut dyn SysApi) {
+        // `done` stays unset: the run ends at its deadline and reports
+        // `completed: false`.
     }
 }
 
@@ -199,27 +351,24 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
         slots: 3,
         client_nodes: 1,
         mead: mead_cfg.clone(),
-        // Counter servant over a shared cell, with the interceptor's
-        // warm-passive state hooks capturing and restoring it.
+        // The counter servant's state, with the interceptor's warm-passive
+        // hooks capturing and restoring it. This application never sends
+        // operation ids, so its checkpoint is the 8-byte value alone.
         factory: move |infra| {
             Rc::new(move |spec| {
-                let value = Rc::new(Cell::new(0u64));
+                let state = CounterState::new();
                 let app = ReplicaApp::time_server(spec.slot, spec.port, infra).with_servant(
                     counter_key(),
                     COUNTER_TYPE_ID,
-                    Box::new(SharedCounterServant::new(value.clone())),
+                    Box::new(CounterServant::new(state.clone())),
                 );
-                let capture = value.clone();
-                let restore = value;
+                let capture = state.clone();
+                let restore = state;
                 Box::new(
                     ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app))
                         .with_state_hooks(StateHooks {
-                            capture: Box::new(move || capture.get().to_be_bytes().to_vec()),
-                            restore: Box::new(move |bytes| {
-                                if let Ok(arr) = <[u8; 8]>::try_from(bytes) {
-                                    restore.set(u64::from_be_bytes(arr));
-                                }
-                            }),
+                            capture: Box::new(move || capture.value().to_be_bytes().to_vec()),
+                            restore: Box::new(move |bytes| restore.restore(bytes)),
                         }),
                 )
             })
@@ -237,18 +386,19 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
         "client",
         Box::new(ClientInterceptor::new(
             mead_cfg,
-            Box::new(CounterClient {
-                orb: ClientOrb::new(ClientOrbConfig::default()),
-                naming_node: testbed.infra(),
-                target: None,
-                naming_rid: None,
-                current_rid: None,
-                sent: 0,
-                total: cfg.increments,
-                slot_rr: 0,
-                values: values.clone(),
-                done: done.clone(),
-            }),
+            Box::new(SlotClient::new(
+                "counter-client",
+                Increments {
+                    sent: 0,
+                    total: cfg.increments,
+                    values: values.clone(),
+                    done: done.clone(),
+                },
+                testbed.infra(),
+                3,
+                0,
+                WATCHDOG,
+            )),
         )),
     );
     let deadline = SimTime::from_millis(1000 + cfg.increments as u64 * 8);

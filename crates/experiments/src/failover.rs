@@ -11,7 +11,7 @@ use orb::ClientOrbConfig;
 
 use crate::report::failover_episodes_ms;
 use crate::runner::run_batch;
-use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{ScenarioConfig, ScenarioOutcome};
 use crate::stats::Summary;
 
 /// Measured fail-over distribution for one scheme.
@@ -96,16 +96,6 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
             )
         }
     }
-}
-
-/// Builds a fail-over row by running the scheme's scenario.
-pub fn failover_row(scheme: RecoveryScheme, invocations: u32, seed: u64) -> FailoverRow {
-    let outcome = run_scenario(&ScenarioConfig {
-        seed,
-        invocations,
-        ..ScenarioConfig::paper(scheme)
-    });
-    failover_row_from(scheme, &outcome)
 }
 
 /// Builds the full decomposition table — one row per scheme — on up to

@@ -26,7 +26,7 @@
 use std::time::Duration;
 
 use mead::RecoveryScheme;
-use simnet::SimTime;
+use simnet::{Fnv, SimTime};
 
 use crate::cli::{check_thread_independence, positional_or, run_command, take_flag, CliError};
 use crate::runner::run_batch_with;
@@ -126,24 +126,17 @@ impl FleetOutcome {
     /// aggregates — the fleet counterpart of
     /// [`ScenarioOutcome::digest`]. Bit-identical across thread counts.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        fold(self.group_digests.len() as u64);
+        let mut h = Fnv::new();
+        h.u64(self.group_digests.len() as u64);
         for &d in &self.group_digests {
-            fold(d);
+            h.u64(d);
         }
-        fold(self.total_events);
-        fold(self.completed_invocations);
-        fold(self.client_failures);
-        fold(self.server_failures);
-        fold(u64::from(self.groups_completed));
-        h
+        h.u64(self.total_events);
+        h.u64(self.completed_invocations);
+        h.u64(self.client_failures);
+        h.u64(self.server_failures);
+        h.u64(u64::from(self.groups_completed));
+        h.finish()
     }
 
     /// Events dispatched per wall-clock second of kernel time (0.0 when

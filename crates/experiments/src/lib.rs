@@ -41,9 +41,7 @@ pub use cli::{
     take_flag, take_switch, write_artifact, Cli, CliError,
 };
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
-pub use failover::{
-    failover_row, failover_row_from, failover_rows, format_failover, model_budget, FailoverRow,
-};
+pub use failover::{failover_row_from, failover_rows, format_failover, model_budget, FailoverRow};
 pub use figures::{
     fig5_csv, fig5_point, format_fig5, run_fig3, run_fig4, run_fig5, Fig5Point, Trace,
 };

@@ -6,7 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mead::{ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor};
-use simnet::{FifoScheduler, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
+use simnet::{FifoScheduler, Fnv, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
 
 use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
 use crate::workload::{ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport};
@@ -185,20 +185,7 @@ impl ScenarioOutcome {
     /// determinism regression test compares across thread counts.
     /// Wall-clock accounting is deliberately excluded.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        struct Fnv(u64);
-        impl Fnv {
-            fn bytes(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME);
-                }
-            }
-            fn u64(&mut self, v: u64) {
-                self.bytes(&v.to_le_bytes());
-            }
-        }
-        let mut h = Fnv(OFFSET);
+        let mut h = Fnv::new();
         h.u64(self.all_reports.len() as u64);
         for report in &self.all_reports {
             h.u64(report.records.len() as u64);
@@ -231,7 +218,7 @@ impl ScenarioOutcome {
         h.u64(self.finished_at.as_nanos());
         h.u64(self.workload_start.as_nanos());
         h.u64(self.events_processed);
-        h.0
+        h.finish()
     }
 }
 

@@ -20,10 +20,10 @@
 use faults::config::{fault_from_table, mix_from_table};
 use faults::{ConfigError, FaultEvent, FaultPlan, FaultPlanBuilder, NamedMix};
 use mead::RecoveryScheme;
-use simnet::SimDuration;
+use simnet::{Fnv, SimDuration};
 use tomlite::{Table, Value};
 
-use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome, Fnv};
+use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome};
 use crate::cli::{check_thread_independence, run_command, take_flag, write_artifact, CliError};
 use crate::fleet::splitmix64;
 use crate::report::ViolationRecord;

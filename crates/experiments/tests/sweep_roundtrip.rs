@@ -1,7 +1,8 @@
 //! Round-trip determinism of the checked-in sweep scenarios: parsing a
 //! scenario file twice yields identical specs and byte-identical plans,
 //! and running the expanded units produces the same digest at 1 and 4
-//! worker threads.
+//! worker threads — a pinned one, so a change to the chaos executor that
+//! moves any plan's outcome fails here.
 
 use experiments::{expand_sweep, parse_sweep, run_sweep, SweepUnit};
 use faults::FaultKind;
@@ -58,14 +59,25 @@ fn chaos_campaign_expands_within_each_topologys_rm_budget() {
     assert!(paper.iter().any(|u| kills_an_rm(u)));
 }
 
+/// The digest of the trimmed smoke sweep below, taken before the three
+/// counter clients and four servants became one of each (PR 18). CI pins
+/// the untrimmed scenario files the same way (`digest …` greps in the
+/// `chaos-smoke` and `chaos-sweep` jobs). A deliberate behaviour change
+/// re-pins all of them together and says why.
+const TRIMMED_SMOKE_DIGEST: u64 = 0xa305_75ec_e295_8d6a;
+
 #[test]
 fn sweep_digest_is_thread_count_independent() {
     let mut spec = parse_sweep(&scenario_source("sweep-smoke.toml")).expect("scenario parses");
-    // A trimmed workload keeps the debug-mode runtime small; the digest
-    // comparison only needs both runs to see the same trimmed spec.
+    // A trimmed workload keeps the debug-mode runtime small.
     spec.increments = 40;
     spec.plans_per_cell = 2;
     let units = expand_sweep(&spec).expect("expansion validates");
     let run = |threads: usize| run_sweep(&spec.name, &units, threads).digest();
-    assert_eq!(run(1), run(4), "sweep digest depends on thread count");
+    let digest = run(1);
+    assert_eq!(digest, run(4), "sweep digest depends on thread count");
+    assert_eq!(
+        digest, TRIMMED_SMOKE_DIGEST,
+        "the chaos executor's observable behaviour moved: {digest:016x}"
+    );
 }

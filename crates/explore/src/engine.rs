@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use experiments::{run_batch_with, run_chaos_plan_with, ChaosConfig};
 use faults::FaultPlan;
-use simnet::{DecisionTrace, GateCfg};
+use simnet::{DecisionTrace, Fnv, GateCfg};
 
 use crate::relation::ConflictRelation;
 use crate::sched::{ExploreScheduler, RunRecord};
@@ -192,26 +192,5 @@ pub fn explore(plan: &FaultPlan, chaos: &ChaosConfig, cfg: &ExploreConfig) -> Ex
         outcome_digests,
         failures,
         digest: digest.finish(),
-    }
-}
-
-/// FNV-1a folder (the same parameters every digest in this codebase
-/// uses).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }

@@ -11,7 +11,6 @@
 //!   fire-once semantics,
 //! * [`AdaptivePredictor`] — rate-estimating adaptive thresholds (the
 //!   paper's stated future work), and
-//! * [`CrashSchedule`] — abrupt crash-fault scheduling, and
 //! * [`FaultPlan`] — seeded chaos schedules composing crashes,
 //!   partitions, loss bursts and multi-replica leaks for the chaos
 //!   sweeps (`mead-repro sweep`), plus the expanded zoo
@@ -30,7 +29,6 @@
 
 mod adaptive;
 pub mod config;
-mod crash;
 mod memleak;
 mod plan;
 mod pressure;
@@ -39,7 +37,6 @@ mod weibull;
 
 pub use adaptive::{AdaptiveConfig, AdaptivePredictor};
 pub use config::{ConfigError, NamedMix};
-pub use crash::CrashSchedule;
 pub use memleak::{LeakConfig, MemoryLeak};
 pub use plan::{
     FaultEvent, FaultKind, FaultMix, FaultPlan, FaultPlanBuilder, PlanError, PlanSpace, MAX_BURST,

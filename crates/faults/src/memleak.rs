@@ -68,13 +68,6 @@ impl LeakConfig {
         let steps = self.buffer_bytes as f64 / mean_step;
         SimDuration::from_nanos((steps * self.interval.as_nanos() as f64) as u64)
     }
-
-    /// Expected time from activation until `fraction` of the buffer is
-    /// consumed (e.g. the 80 % rejuvenation threshold).
-    pub fn expected_time_to_fraction(&self, fraction: f64) -> SimDuration {
-        let full = self.expected_time_to_exhaustion();
-        SimDuration::from_nanos((full.as_nanos() as f64 * fraction.clamp(0.0, 1.0)) as u64)
-    }
 }
 
 /// The state of one injected memory leak.
@@ -195,14 +188,6 @@ mod tests {
             (350.0..550.0).contains(&t),
             "expected ≈450 ms to exhaustion, got {t} ms"
         );
-    }
-
-    #[test]
-    fn expected_fraction_time_scales_linearly() {
-        let cfg = LeakConfig::default();
-        let t80 = cfg.expected_time_to_fraction(0.8).as_nanos() as f64;
-        let tfull = cfg.expected_time_to_exhaustion().as_nanos() as f64;
-        assert!((t80 / tfull - 0.8).abs() < 1e-6);
     }
 
     #[test]

@@ -46,12 +46,10 @@
 //! Suppressions are allowed only through a justified
 //! [`lint-allow.toml`](allow) entry; stale entries are configuration
 //! errors. Run it locally with `cargo run --release -- lint`; CI runs it as a
-//! blocking job, uploads the `--format sarif` report to code scanning and
-//! the `--json` summary as an artifact, and asserts the
-//! [baseline](baseline) stays empty on `main`.
+//! blocking job and uploads the `--format sarif` report to code scanning
+//! and the `--json` summary as an artifact.
 
 pub mod allow;
-pub mod baseline;
 pub mod callgraph;
 pub mod conformance;
 pub mod dataflow;
@@ -66,7 +64,6 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 pub use allow::{AllowError, AllowList};
-pub use baseline::Baseline;
 pub use callgraph::{CallGraph, FileAst};
 pub use conformance::ConformanceConfig;
 pub use rules::RuleSet;
@@ -244,13 +241,11 @@ pub fn lint_source(
 /// The outcome of a workspace scan.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// Unsuppressed, non-baselined findings, sorted by (path, line, col).
+    /// Unsuppressed findings, sorted by (path, line, col).
     pub findings: Vec<Finding>,
     /// Findings silenced by a justified allowlist entry (for R5: chains
     /// silenced through a suppressed edge).
     pub suppressed: Vec<Finding>,
-    /// Findings present in the accepted baseline file.
-    pub baselined: Vec<Finding>,
     /// Allowlist entries that suppressed nothing — a configuration error.
     pub stale_allows: Vec<String>,
     /// Number of files scanned.
@@ -281,14 +276,13 @@ impl Report {
         counts
     }
 
-    /// Machine-readable JSON summary (schema `detlint/4`).
+    /// Machine-readable JSON summary (schema `detlint/5`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"schema\": \"detlint/4\",\n");
+        out.push_str("{\n  \"schema\": \"detlint/5\",\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(out, "  \"total\": {},", self.findings.len());
         let _ = writeln!(out, "  \"suppressed\": {},", self.suppressed.len());
-        let _ = writeln!(out, "  \"baselined\": {},", self.baselined.len());
         out.push_str("  \"stale_allows\": [");
         for (i, s) in self.stale_allows.iter().enumerate() {
             if i > 0 {
@@ -784,8 +778,6 @@ pub fn cli_main(args: &[String]) -> i32 {
 pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 {
     let mut root = PathBuf::from(".");
     let mut allow_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
     let mut timings = false;
     let mut fsm_report_path: Option<PathBuf> = None;
     let mut conflict_report_path: Option<PathBuf> = None;
@@ -807,14 +799,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                 };
                 allow_path = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let Some(v) = it.next() else {
-                    eprintln!("detlint: --baseline needs a value");
-                    return 2;
-                };
-                baseline_path = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => write_baseline = true,
             "--timings" => timings = true,
             "--fsm-report" => {
                 let Some(v) = it.next() else {
@@ -850,18 +834,14 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                 println!(
                     "detlint — determinism lint for the MEAD reproduction (DESIGN §9)\n\
                      \n\
-                     USAGE: detlint [--root DIR] [--allow FILE] [--baseline FILE]\n\
-                     \x20              [--format text|json|sarif] [--write-baseline]\n\
-                     \x20              [--timings] [--fsm-report FILE]\n\
-                     \x20              [--conflict-report FILE]\n\
+                     USAGE: detlint [--root DIR] [--allow FILE]\n\
+                     \x20              [--format text|json|sarif] [--timings]\n\
+                     \x20              [--fsm-report FILE] [--conflict-report FILE]\n\
                      \n\
                      --root DIR        workspace root to scan (default: .)\n\
                      --allow FILE      suppression list (default: <root>/lint-allow.toml)\n\
-                     --baseline FILE   accepted-findings baseline\n\
-                     \x20                 (default: <root>/detlint-baseline.txt)\n\
                      --format FMT      output format: text (default), json, sarif\n\
                      --json            shorthand for --format json\n\
-                     --write-baseline  snapshot current findings into the baseline file\n\
                      --timings         print per-rule wall-clock and file counts to stderr\n\
                      --fsm-report FILE write the R9 state-machine extraction report (JSON)\n\
                      --conflict-report FILE\n\
@@ -898,18 +878,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
     } else {
         AllowList::empty()
     };
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("detlint-baseline.txt"));
-    let baseline = if baseline_path.exists() {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text),
-            Err(e) => {
-                eprintln!("detlint: reading {}: {e}", baseline_path.display());
-                return 2;
-            }
-        }
-    } else {
-        Baseline::default()
-    };
 
     let sources = match collect_sources(&root) {
         Ok(s) => s,
@@ -925,7 +893,7 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
             return 2;
         }
     };
-    let mut report = match lint_files(&sources, &contract, &allow) {
+    let report = match lint_files(&sources, &contract, &allow) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("detlint: {e}");
@@ -1012,38 +980,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
             );
         }
     }
-    if write_baseline {
-        let all: Vec<Finding> = report
-            .findings
-            .iter()
-            .chain(report.baselined.iter())
-            .cloned()
-            .collect();
-        let text = Baseline::render(&all);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("detlint: writing {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "detlint: wrote {} finding(s) to {}",
-            all.len(),
-            baseline_path.display()
-        );
-        return 0;
-    }
-    let fresh: Vec<Finding> = std::mem::take(&mut report.findings)
-        .into_iter()
-        .filter(|f| {
-            if baseline.contains(f) {
-                report.baselined.push(f.clone());
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    report.findings = fresh;
-
     match format {
         Format::Json => print!("{}", report.to_json()),
         Format::Sarif => print!("{}", sarif::render(&report)),
@@ -1054,12 +990,11 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
             let counts = report.counts();
             let summary: Vec<String> = counts.iter().map(|(r, n)| format!("{r}={n}")).collect();
             println!(
-                "detlint: {} file(s) scanned, {} finding(s) [{}], {} suppressed, {} baselined",
+                "detlint: {} file(s) scanned, {} finding(s) [{}], {} suppressed",
                 report.files_scanned,
                 report.findings.len(),
                 summary.join(" "),
-                report.suppressed.len(),
-                report.baselined.len()
+                report.suppressed.len()
             );
         }
     }

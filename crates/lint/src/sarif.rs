@@ -5,8 +5,6 @@
 //! JSON crate is vendored) against the subset of the SARIF 2.1.0 schema
 //! GitHub code scanning consumes: `tool.driver.rules[]`,
 //! `results[].ruleId/level/message/locations[].physicalLocation`.
-//! Baselined findings are emitted at level `note` so a feature branch
-//! still shows its accepted debt in the scanning UI without failing it.
 
 use std::fmt::Write as _;
 
@@ -83,26 +81,20 @@ pub fn render(report: &Report) -> String {
     }
     out.push_str("          ]\n        }\n      },\n");
     out.push_str("      \"results\": [\n");
-    let total = report.findings.len() + report.baselined.len();
-    let mut emitted = 0usize;
-    for (findings, level) in [(&report.findings, "error"), (&report.baselined, "note")] {
-        for f in findings.iter() {
-            emitted += 1;
-            push_result(&mut out, f, level, emitted < total);
-        }
+    for (i, f) in report.findings.iter().enumerate() {
+        push_result(&mut out, f, i + 1 < report.findings.len());
     }
     out.push_str("      ]\n    }\n  ]\n}\n");
     out
 }
 
-fn push_result(out: &mut String, f: &Finding, level: &str, comma: bool) {
+fn push_result(out: &mut String, f: &Finding, comma: bool) {
     let _ = writeln!(
         out,
-        "        {{\"ruleId\": \"{}\", \"level\": \"{}\", \"message\": {{\"text\": \"{}\"}}, \
+        "        {{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \
          \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
          \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}{}",
         f.rule,
-        level,
         json_escape(&f.message),
         json_escape(&f.path),
         f.line,
@@ -125,13 +117,6 @@ mod tests {
                 col: 9,
                 message: "truncating `as u8` cast".to_string(),
             }],
-            baselined: vec![Finding {
-                rule: "R7",
-                path: "crates/orb/src/client.rs".to_string(),
-                line: 10,
-                col: 5,
-                message: "unbounded loop".to_string(),
-            }],
             ..Report::default()
         };
         let sarif = render(&report);
@@ -141,7 +126,6 @@ mod tests {
             assert!(sarif.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
         }
         assert!(sarif.contains("\"ruleId\": \"R6\", \"level\": \"error\""));
-        assert!(sarif.contains("\"ruleId\": \"R7\", \"level\": \"note\""));
         assert!(sarif.contains("\"startLine\": 120"));
         // Exactly one run.
         assert_eq!(sarif.matches("\"tool\"").count(), 1);

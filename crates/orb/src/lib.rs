@@ -12,8 +12,10 @@
 //! * [`ServerOrb`] + [`Servant`] — listener, object adapter, dispatch;
 //! * [`NamingService`] — `bind`/`resolve`/`list` with costs calibrated to
 //!   the paper's resolve spikes;
-//! * [`TimeOfDayServant`]/[`CounterServant`] — the evaluation workload's
-//!   servants.
+//! * [`TimeOfDayServant`] — the evaluation workload's servant — and
+//!   [`CounterServant`] over a [`CounterState`], the one stateful
+//!   application (plain, at-most-once and read operations; the state is
+//!   what warm-passive checkpoints carry).
 //!
 //! Everything is written against `simnet::SysApi`, so MEAD's interceptor
 //! can interpose transparently under an *unmodified* ORB, exactly the
@@ -37,8 +39,8 @@ pub use naming::{
 };
 pub use retry::{RetryPolicy, RetryState};
 pub use servants::{
-    decode_counter_reply, decode_time_reply, encode_increment, encode_increment_once,
-    CounterServant, DedupCounterServant, DedupState, SharedCounterServant, TimeOfDayServant,
+    decode_counter_reply, decode_increment_once, decode_time_reply, encode_counter_reply,
+    encode_increment, encode_increment_once, CounterServant, CounterState, TimeOfDayServant,
     COUNTER_TYPE_ID, TIME_TYPE_ID,
 };
 pub use server::{Servant, ServerOrb, ServerOrbConfig};

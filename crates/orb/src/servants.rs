@@ -2,8 +2,10 @@
 //!
 //! The evaluation workload is "a simple CORBA client ... that requested the
 //! time-of-day at 1 ms intervals" from replicated servers (section 5). The
-//! [`TimeOfDayServant`] reproduces it; [`CounterServant`] is a second,
-//! stateful servant used by examples and state-transfer tests.
+//! [`TimeOfDayServant`] reproduces it; [`CounterServant`] is the second,
+//! stateful application — the replicated counter every chaos plan,
+//! explorer fixture and state-transfer test runs — over a
+//! [`CounterState`] that checkpointing captures and restores.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -50,15 +52,19 @@ impl Servant for TimeOfDayServant {
                 w.write_u64(sys.now().as_nanos());
                 Ok(w.into_vec())
             }
-            _ => Err(SystemException::Other {
-                repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
-                completed: Completed::No,
-            }),
+            _ => Err(not_completed("IDL:omg.org/CORBA/BAD_OPERATION:1.0")),
         }
     }
 
     fn type_id(&self) -> &str {
         TIME_TYPE_ID
+    }
+}
+
+fn not_completed(repo_id: &str) -> SystemException {
+    SystemException::Other {
+        repo_id: repo_id.into(),
+        completed: Completed::No,
     }
 }
 
@@ -72,133 +78,21 @@ pub fn decode_time_reply(payload: &[u8]) -> Result<u64, giop::CdrError> {
     r.read_u64()
 }
 
-/// A stateful counter, useful for demonstrating warm-passive state
-/// transfer (the counter value is the replica state).
-///
-/// Operations:
-/// * `increment` (`u64` delta) → `u64` new value,
-/// * `get` () → `u64` value.
-#[derive(Debug, Default)]
-pub struct CounterServant {
-    value: u64,
-}
-
-impl CounterServant {
-    /// Creates a counter starting at `value` (state restored from a
-    /// checkpoint for a warm backup).
-    pub fn with_value(value: u64) -> Self {
-        CounterServant { value }
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-impl Servant for CounterServant {
-    fn invoke(
-        &mut self,
-        sys: &mut dyn SysApi,
-        operation: &str,
-        body: &[u8],
-    ) -> Result<Vec<u8>, SystemException> {
-        let mut reply = CdrWriter::new(Endian::Big);
-        match operation {
-            "increment" => {
-                let mut r = CdrReader::new(body, Endian::Big);
-                let delta = r.read_u64().map_err(|_| SystemException::Other {
-                    repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
-                    completed: Completed::No,
-                })?;
-                self.value = self.value.wrapping_add(delta);
-                sys.count("counter.increments", 1);
-                reply.write_u64(self.value);
-                Ok(reply.into_vec())
-            }
-            "get" => {
-                reply.write_u64(self.value);
-                Ok(reply.into_vec())
-            }
-            _ => Err(SystemException::Other {
-                repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
-                completed: Completed::No,
-            }),
-        }
-    }
-
-    fn type_id(&self) -> &str {
-        COUNTER_TYPE_ID
-    }
-}
-
-/// A counter whose value lives in a shared cell, so infrastructure
-/// outside the servant (warm-passive checkpointing) can capture and
-/// restore it without the servant knowing. Same operations as
-/// [`CounterServant`].
-pub struct SharedCounterServant {
-    value: Rc<Cell<u64>>,
-}
-
-impl SharedCounterServant {
-    /// Creates a servant over `value` (shared with the checkpointing
-    /// infrastructure).
-    pub fn new(value: Rc<Cell<u64>>) -> Self {
-        SharedCounterServant { value }
-    }
-}
-
-impl Servant for SharedCounterServant {
-    fn invoke(
-        &mut self,
-        sys: &mut dyn SysApi,
-        operation: &str,
-        body: &[u8],
-    ) -> Result<Vec<u8>, SystemException> {
-        let mut reply = CdrWriter::new(Endian::Big);
-        match operation {
-            "increment" => {
-                let mut r = CdrReader::new(body, Endian::Big);
-                let delta = r.read_u64().map_err(|_| SystemException::Other {
-                    repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
-                    completed: Completed::No,
-                })?;
-                self.value.set(self.value.get().wrapping_add(delta));
-                sys.count("counter.increments", 1);
-                reply.write_u64(self.value.get());
-                Ok(reply.into_vec())
-            }
-            "get" => {
-                reply.write_u64(self.value.get());
-                Ok(reply.into_vec())
-            }
-            _ => Err(SystemException::Other {
-                repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
-                completed: Completed::No,
-            }),
-        }
-    }
-
-    fn type_id(&self) -> &str {
-        COUNTER_TYPE_ID
-    }
-}
-
-/// Shared state of a [`DedupCounterServant`]: the counter value plus the
-/// id of the last applied operation, both visible to checkpointing
-/// infrastructure. Snapshotting the two *together* is what makes
-/// fail-over exactly-once: a restored backup knows precisely which
+/// The replicated counter's state: the value plus the id of the last
+/// applied `increment_once`, shared between the servant and the
+/// checkpointing infrastructure. Snapshotting the two *together* is what
+/// makes fail-over exactly-once: a restored backup knows precisely which
 /// client operations the checkpoint already covers.
 #[derive(Debug, Default)]
-pub struct DedupState {
+pub struct CounterState {
     value: Cell<u64>,
     last_op: Cell<u64>,
 }
 
-impl DedupState {
+impl CounterState {
     /// Fresh state: value 0, no operations applied.
-    pub fn new() -> Rc<DedupState> {
-        Rc::new(DedupState::default())
+    pub fn new() -> Rc<CounterState> {
+        Rc::new(CounterState::default())
     }
 
     /// Current counter value.
@@ -211,6 +105,16 @@ impl DedupState {
         self.last_op.get()
     }
 
+    /// Applies operation `op_id` unconditionally — adds `delta` and
+    /// advances the last-applied id to `op_id` if that is newer — and
+    /// returns the new value. The servant's dedup check comes before
+    /// this call; a servant without one applies retransmits twice.
+    pub fn apply(&self, op_id: u64, delta: u64) -> u64 {
+        self.last_op.set(self.last_op.get().max(op_id));
+        self.value.set(self.value.get().wrapping_add(delta));
+        self.value.get()
+    }
+
     /// Serializes `(value, last_op)` as 16 big-endian bytes — the
     /// checkpoint payload for warm-passive replication.
     pub fn snapshot(&self) -> Vec<u8> {
@@ -220,84 +124,87 @@ impl DedupState {
         out
     }
 
-    /// Restores a [`DedupState::snapshot`]; ignores malformed payloads
-    /// (the state keeps its previous contents).
+    /// Restores a [`CounterState::snapshot`], or the 8-byte value-only
+    /// checkpoint of an application that never sends operation ids;
+    /// ignores malformed payloads (the state keeps its previous
+    /// contents).
     pub fn restore(&self, bytes: &[u8]) {
-        if bytes.len() == 16 {
-            let mut v = [0u8; 8];
-            v.copy_from_slice(&bytes[..8]);
-            self.value.set(u64::from_be_bytes(v));
-            v.copy_from_slice(&bytes[8..]);
-            self.last_op.set(u64::from_be_bytes(v));
+        let word = |at: usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&bytes[at..at + 8]);
+            u64::from_be_bytes(w)
+        };
+        match bytes.len() {
+            16 => {
+                self.value.set(word(0));
+                self.last_op.set(word(8));
+            }
+            8 => self.value.set(word(0)),
+            _ => {}
         }
     }
 }
 
-/// A counter with at-most-once operation semantics: every `increment`
-/// carries a client-assigned operation id, and a retransmitted id is
+/// The replicated counter. `increment_once` has at-most-once semantics:
+/// it carries a client-assigned operation id, and a retransmitted id is
 /// acknowledged without being re-applied. Together with a client that
 /// retries until acknowledged, this yields exactly-once increments
 /// across fail-overs — the invariant the chaos campaign checks.
 ///
 /// Operations:
+/// * `increment` (`u64` delta) → `u64` new value,
 /// * `increment_once` (`u64` op id, `u64` delta) → `u64` new value,
 /// * `get` () → `u64` value.
-pub struct DedupCounterServant {
-    state: Rc<DedupState>,
+#[derive(Debug, Default)]
+pub struct CounterServant {
+    state: Rc<CounterState>,
 }
 
-impl DedupCounterServant {
+impl CounterServant {
     /// Creates a servant over `state` (shared with checkpointing).
-    pub fn new(state: Rc<DedupState>) -> Self {
-        DedupCounterServant { state }
+    pub fn new(state: Rc<CounterState>) -> Self {
+        CounterServant { state }
     }
 }
 
-impl Servant for DedupCounterServant {
+impl Servant for CounterServant {
     fn invoke(
         &mut self,
         sys: &mut dyn SysApi,
         operation: &str,
         body: &[u8],
     ) -> Result<Vec<u8>, SystemException> {
-        let mut reply = CdrWriter::new(Endian::Big);
-        match operation {
-            "increment_once" => {
-                let mut r = CdrReader::new(body, Endian::Big);
-                let parsed = r
+        let marshal = |_| not_completed("IDL:omg.org/CORBA/MARSHAL:1.0");
+        let value = match operation {
+            "increment" => {
+                let delta = CdrReader::new(body, Endian::Big)
                     .read_u64()
-                    .and_then(|op| r.read_u64().map(|delta| (op, delta)));
-                let (op_id, delta) = parsed.map_err(|_| SystemException::Other {
-                    repo_id: "IDL:omg.org/CORBA/MARSHAL:1.0".into(),
-                    completed: Completed::No,
-                })?;
-                if op_id <= self.state.last_op.get() {
+                    .map_err(marshal)?;
+                sys.count("counter.increments", 1);
+                // Operation id 0 is never newer than the last applied one.
+                self.state.apply(0, delta)
+            }
+            "increment_once" => {
+                let (op_id, delta) = decode_increment_once(body).map_err(marshal)?;
+                let last_op = self.state.last_op();
+                if op_id <= last_op {
                     sys.count("counter.duplicates", 1);
+                    self.state.value()
                 } else {
-                    if op_id != self.state.last_op.get() + 1 {
+                    if op_id != last_op + 1 {
                         // A gap means an acked operation is missing from
                         // our state — surfaced so invariant checks can
                         // pin the failure to the replica, not the sums.
                         sys.count("counter.op_gap", 1);
                     }
-                    self.state
-                        .value
-                        .set(self.state.value.get().wrapping_add(delta));
-                    self.state.last_op.set(op_id);
                     sys.count("counter.increments", 1);
+                    self.state.apply(op_id, delta)
                 }
-                reply.write_u64(self.state.value.get());
-                Ok(reply.into_vec())
             }
-            "get" => {
-                reply.write_u64(self.state.value.get());
-                Ok(reply.into_vec())
-            }
-            _ => Err(SystemException::Other {
-                repo_id: "IDL:omg.org/CORBA/BAD_OPERATION:1.0".into(),
-                completed: Completed::No,
-            }),
-        }
+            "get" => self.state.value(),
+            _ => return Err(not_completed("IDL:omg.org/CORBA/BAD_OPERATION:1.0")),
+        };
+        Ok(encode_counter_reply(value))
     }
 
     fn type_id(&self) -> &str {
@@ -313,11 +220,26 @@ pub fn encode_increment_once(op_id: u64, delta: u64) -> Vec<u8> {
     w.into_vec()
 }
 
+/// Decodes an `increment_once` request body into `(op id, delta)`.
+///
+/// # Errors
+///
+/// [`giop::CdrError`] on malformed body.
+pub fn decode_increment_once(body: &[u8]) -> Result<(u64, u64), giop::CdrError> {
+    let mut r = CdrReader::new(body, Endian::Big);
+    Ok((r.read_u64()?, r.read_u64()?))
+}
+
 /// Encodes an `increment` request body.
 pub fn encode_increment(delta: u64) -> Vec<u8> {
     let mut w = CdrWriter::new(Endian::Big);
     w.write_u64(delta);
     w.into_vec()
+}
+
+/// Encodes a counter reply payload (every operation answers the value).
+pub fn encode_counter_reply(value: u64) -> Vec<u8> {
+    encode_increment(value)
 }
 
 /// Decodes a counter reply payload.
@@ -333,31 +255,15 @@ pub fn decode_counter_reply(payload: &[u8]) -> Result<u64, giop::CdrError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::testkit::MockSys;
+    use simnet::NodeId;
 
     #[test]
-    fn counter_state_and_encodings() {
-        let c = CounterServant::with_value(5);
-        assert_eq!(c.value(), 5);
-        let body = encode_increment(3);
-        let mut r = CdrReader::new(&body, Endian::Big);
-        assert_eq!(r.read_u64().unwrap(), 3);
-        let mut w = CdrWriter::new(Endian::Big);
-        w.write_u64(9);
-        assert_eq!(decode_counter_reply(&w.finish()).unwrap(), 9);
-        assert_eq!(c.type_id(), COUNTER_TYPE_ID);
-        // value untouched by the encoding round trips
-        assert_eq!(c.value(), 5);
-    }
-
-    #[test]
-    fn dedup_counter_applies_once_and_snapshots() {
-        use simnet::testkit::MockSys;
-        use simnet::NodeId;
-
-        let state = DedupState::new();
-        let mut servant = DedupCounterServant::new(state.clone());
+    fn counter_applies_once_and_snapshots() {
+        let state = CounterState::new();
+        let mut servant = CounterServant::new(state.clone());
         let mut sys = MockSys::new(NodeId::from_index(0));
-        let call = |servant: &mut DedupCounterServant, sys: &mut MockSys, op, delta| {
+        let call = |servant: &mut CounterServant, sys: &mut MockSys, op, delta| {
             let reply = servant
                 .invoke(sys, "increment_once", &encode_increment_once(op, delta))
                 .expect("ok");
@@ -373,9 +279,9 @@ mod tests {
         assert_eq!(state.last_op(), 2);
 
         // A backup restored from the snapshot also dedupes op 2.
-        let backup = DedupState::new();
+        let backup = CounterState::new();
         backup.restore(&state.snapshot());
-        let mut warm = DedupCounterServant::new(backup.clone());
+        let mut warm = CounterServant::new(backup.clone());
         assert_eq!(call(&mut warm, &mut sys, 2, 1), 2);
         assert_eq!(call(&mut warm, &mut sys, 3, 1), 3);
         assert_eq!(backup.value(), 3);
@@ -383,6 +289,27 @@ mod tests {
         // Malformed snapshot leaves the state untouched.
         backup.restore(&[1, 2, 3]);
         assert_eq!(backup.value(), 3);
+    }
+
+    #[test]
+    fn plain_increment_and_get_leave_the_op_id_alone() {
+        let state = CounterState::new();
+        let mut servant = CounterServant::new(state.clone());
+        let mut sys = MockSys::new(NodeId::from_index(0));
+        let reply = servant.invoke(&mut sys, "increment", &encode_increment(3));
+        assert_eq!(decode_counter_reply(&reply.expect("ok")).unwrap(), 3);
+        let reply = servant.invoke(&mut sys, "get", &[]);
+        assert_eq!(decode_counter_reply(&reply.expect("ok")).unwrap(), 3);
+        assert_eq!(state.last_op(), 0);
+        assert_eq!(servant.type_id(), COUNTER_TYPE_ID);
+        assert!(servant.invoke(&mut sys, "increment", &[1]).is_err());
+        assert!(servant.invoke(&mut sys, "increment_once", &[0; 8]).is_err());
+        assert!(servant.invoke(&mut sys, "reset", &[]).is_err());
+
+        // The value-only checkpoint restores the value and nothing else.
+        state.apply(7, 1);
+        state.restore(&9u64.to_be_bytes());
+        assert_eq!((state.value(), state.last_op()), (9, 7));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * ad-hoc time series recorded by processes (round-trip samples).
 //!
 //! All of it lives in [`Metrics`], owned by the kernel and shared with the
-//! driving experiment through `Rc<RefCell<..>>` handles.
+//! driving experiment through `Rc<RefCell<..>>` handles. [`Fnv`] is the
+//! fold that turns a run's observables into a digest.
 
 use std::collections::BTreeMap;
 
@@ -103,9 +104,62 @@ impl Metrics {
     }
 }
 
+/// The 64-bit FNV-1a fold behind every digest in the workspace (outcome
+/// digests, decision-trace and exploration fingerprints): deterministic
+/// observables go in as bytes or little-endian `u64`s, and equal runs
+/// come out as equal fingerprints on any machine.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// A fold over nothing yet (the FNV offset basis).
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` in order.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds `v` as eight little-endian bytes.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// The digest of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv_matches_the_published_fnv1a_vectors() {
+        let of = |bytes: &[u8]| {
+            let mut h = Fnv::new();
+            h.bytes(bytes);
+            h.finish()
+        };
+        assert_eq!(of(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(of(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv::new();
+        h.u64(0x0807_0605_0403_0201);
+        assert_eq!(h.finish(), of(&[1, 2, 3, 4, 5, 6, 7, 8]));
+    }
 
     #[test]
     fn counters_accumulate() {

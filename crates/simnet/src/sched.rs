@@ -38,6 +38,7 @@
 //! the same [`GateCfg`] carried in the trace header.
 
 use crate::ids::{ConnId, ProcessId};
+use crate::metrics::Fnv;
 use crate::time::{SimDuration, SimTime};
 
 /// Upper bound on the candidates surfaced at one choice point. Bounds
@@ -376,12 +377,9 @@ impl DecisionTrace {
     /// FNV-1a fold of the serialised JSONL bytes: a stable fingerprint
     /// for naming and comparing schedules across runs and machines.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_jsonl().as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        let mut hash = Fnv::new();
+        hash.bytes(self.to_jsonl().as_bytes());
+        hash.finish()
     }
 }
 

@@ -52,7 +52,7 @@ const TOOLS: [Tool; 5] = [
     (
         "lint",
         "[--json | --format text|json|sarif] [--timings] [--fsm-report F] [--conflict-report F] \
-         [--root D] [--allow F] [--baseline F] [--write-baseline]",
+         [--root D] [--allow F]",
         "detlint: check the workspace against the determinism contract (R1-R12)",
         lint,
     ),
