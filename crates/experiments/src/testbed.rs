@@ -47,8 +47,9 @@ pub(crate) enum RecoveryManagers {
 pub(crate) struct TestbedSpec<F: FnOnce(NodeId) -> ReplicaFactory> {
     /// Kernel configuration: seed, OS noise, message loss.
     pub sim: SimConfig,
-    /// Event-ordering policy (`FifoScheduler` for everyone but the
-    /// schedule explorer).
+    /// Event-ordering policy and, through `Scheduler::gate`, the window
+    /// and budget in which the kernel consults it (`FifoScheduler` — no
+    /// gate, never consulted — for everyone but the schedule explorer).
     pub scheduler: Box<dyn Scheduler>,
     /// Replica slots, one server node each.
     pub slots: u32,

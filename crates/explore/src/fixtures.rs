@@ -6,7 +6,8 @@
 //! All fixtures gate decisions to a window opening at the client's start
 //! (the chaos executor boots the infrastructure for 650 ms first), so
 //! the search spends its budget on the request/reply/fault phase instead
-//! of the deterministic boot.
+//! of the deterministic boot — and the kernel, which owns the gate, runs
+//! everything outside it at FIFO cost.
 
 use experiments::{chaos_plan_space_for, ChaosConfig, ServantMutation};
 use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanBuilder};

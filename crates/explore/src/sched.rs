@@ -1,13 +1,14 @@
 //! The recording scheduler driving the search: follows a prescribed
-//! choice prefix, defaults afterwards, and records every gated decision
-//! together with the DPOR-lite branch set discovered there.
+//! choice prefix, defaults afterwards, and records every decision the
+//! kernel's gate lets through together with the DPOR-lite branch set
+//! discovered there.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use simnet::sched::{Decision, Gate};
-use simnet::{Candidate, ChoicePoint, GateCfg, Scheduler, SimDuration};
+use simnet::sched::Decision;
+use simnet::{Candidate, ChoicePoint, GateCfg, Scheduler};
 
 use crate::relation::ConflictRelation;
 
@@ -69,17 +70,17 @@ pub struct RunRecord {
 /// via `Rc` and read back by the caller after the run completes.
 #[derive(Clone, Debug)]
 pub struct ExploreScheduler {
-    gate: Gate,
+    gate: GateCfg,
     prefix: Vec<u64>,
     relation: Option<Arc<ConflictRelation>>,
     record: Rc<RefCell<RunRecord>>,
 }
 
 impl ExploreScheduler {
-    /// A scheduler over `gate` that picks `prefix[i]` at gated decision
-    /// `i` (clamped exactly as the kernel clamps) and candidate 0 past
-    /// the prefix, filling `record` as it goes. Branch sets use the
-    /// syntactic [`conflicts`] rule.
+    /// A scheduler that asks the kernel for `gate` and picks `prefix[i]`
+    /// at decision `i` (clamped exactly as the kernel clamps) and
+    /// candidate 0 past the prefix, filling `record` as it goes. Branch
+    /// sets use the syntactic [`conflicts`] rule.
     pub fn new(gate: GateCfg, prefix: Vec<u64>, record: Rc<RefCell<RunRecord>>) -> Self {
         Self::with_relation(gate, prefix, None, record)
     }
@@ -95,7 +96,7 @@ impl ExploreScheduler {
         record: Rc<RefCell<RunRecord>>,
     ) -> Self {
         ExploreScheduler {
-            gate: Gate::new(gate),
+            gate,
             prefix,
             relation,
             record,
@@ -105,10 +106,7 @@ impl ExploreScheduler {
 
 impl Scheduler for ExploreScheduler {
     fn choose(&mut self, cp: &ChoicePoint) -> usize {
-        let Some(ordinal) = self.gate.admit(cp) else {
-            return 0;
-        };
-        let want = self.prefix.get(ordinal as usize).copied().unwrap_or(0) as usize;
+        let want = self.prefix.get(cp.step as usize).copied().unwrap_or(0) as usize;
         // Mirror the kernel's clamp so the recorded pick is the
         // dispatched pick even when the prefix is stale for this branch
         // of the schedule tree.
@@ -132,7 +130,7 @@ impl Scheduler for ExploreScheduler {
         }
         let mut record = self.record.borrow_mut();
         record.decisions.push(Decision {
-            step: ordinal,
+            step: cp.step,
             at_ns: cp.now.as_nanos(),
             n: cp.candidates.len() as u64,
             chosen: chosen as u64,
@@ -142,8 +140,8 @@ impl Scheduler for ExploreScheduler {
         chosen
     }
 
-    fn slack(&self) -> SimDuration {
-        self.gate.cfg().slack
+    fn gate(&self) -> Option<GateCfg> {
+        Some(self.gate)
     }
 }
 
@@ -213,8 +211,8 @@ mod tests {
     fn records_prefix_clamps_and_branches() {
         let record = Rc::new(RefCell::new(RunRecord::default()));
         let mut sched = ExploreScheduler::new(GateCfg::default(), vec![1, 9], Rc::clone(&record));
-        let cp = ChoicePoint {
-            step: 0,
+        let cp = |step: u64| ChoicePoint {
+            step,
             now: SimTime::from_nanos(100),
             candidates: vec![
                 cand(1, None, true),
@@ -224,13 +222,17 @@ mod tests {
             ],
         };
         // Decision 0: prefix says 1, candidate 1 is eligible -> taken.
-        assert_eq!(sched.choose(&cp), 1);
+        assert_eq!(sched.choose(&cp(0)), 1);
         // Decision 1: prefix says 9 (out of range) -> clamped to 0.
-        assert_eq!(sched.choose(&cp), 0);
+        assert_eq!(sched.choose(&cp(1)), 0);
         // Decision 2: past the prefix -> default 0.
-        assert_eq!(sched.choose(&cp), 0);
+        assert_eq!(sched.choose(&cp(2)), 0);
         let rec = record.borrow();
         assert_eq!(rec.decisions.len(), 3);
+        assert_eq!(
+            rec.decisions.iter().map(|d| d.step).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
         assert_eq!(rec.decisions[0].chosen, 1);
         assert_eq!(rec.decisions[1].chosen, 0);
         // Branches at decision 1 (picked candidate 0, target pid 1):

@@ -1,13 +1,17 @@
 //! End-to-end coverage of the exploration pipeline: the empty prefix is
 //! FIFO-equivalent, every recorded [`DecisionTrace`] replays bit for bit
 //! (as a property, over arbitrary choice vectors), the search digest is
-//! thread-count independent, and the seeded known-bug fixture is caught,
+//! pinned and thread-count independent, the scheduler is asked exactly
+//! `max_steps` times a run, and the seeded known-bug fixture is caught,
 //! minimized to a handful of decisions, and replayable by digest.
+
+use std::cell::Cell;
+use std::rc::Rc;
 
 use experiments::{run_chaos_plan, run_chaos_plan_with};
 use explore::{explore, fixtures, minimize, run_prefix, ExploreConfig};
 use proptest::strategy::Strategy;
-use simnet::{DecisionTrace, ReplayScheduler};
+use simnet::{ChoicePoint, DecisionTrace, GateCfg, ReplayScheduler, Scheduler};
 
 /// An empty choice prefix must reproduce the FIFO schedule exactly: the
 /// choosing dispatch path with all-default picks and the FIFO fast path
@@ -32,8 +36,74 @@ fn empty_prefix_is_fifo_equivalent() {
     }
 }
 
+/// Counts the choice points it is shown; always the default pick.
+struct Probe {
+    gate: GateCfg,
+    asked: Rc<Cell<u64>>,
+}
+
+impl Scheduler for Probe {
+    fn choose(&mut self, _cp: &ChoicePoint) -> usize {
+        self.asked.set(self.asked.get() + 1);
+        0
+    }
+
+    fn gate(&self) -> Option<GateCfg> {
+        Some(self.gate)
+    }
+}
+
+/// A run asks its scheduler exactly `gate.max_steps` times — 10, 12 and
+/// 12 — out of the 654, 1 142 and 334 multi-candidate ties the three
+/// fixtures' runs hold: the kernel builds a choice point only while the
+/// gate is open, so the boot before the window and everything after the
+/// budget cost what they cost under FIFO.
+#[test]
+fn a_run_builds_exactly_max_steps_choice_points() {
+    for fixture in [fixtures::pair(), fixtures::trio(), fixtures::seeded_bug()] {
+        let asked = Rc::new(Cell::new(0));
+        let probe = Probe {
+            gate: fixture.gate,
+            asked: Rc::clone(&asked),
+        };
+        run_chaos_plan_with(&fixture.plan, &fixture.chaos, Box::new(probe));
+        assert_eq!(
+            asked.get(),
+            fixture.gate.max_steps,
+            "fixture {}: choice points built",
+            fixture.name
+        );
+    }
+}
+
+/// The exhaustive `pair` search at the smoke budget, pinned: run count,
+/// outcome count and the search digest (every run's schedule and outcome
+/// folded in execution order). A kernel or scheduler change that moves
+/// any schedule moves this digest.
+#[test]
+fn pair_exhausts_to_the_pinned_digest() {
+    let fixture = fixtures::pair();
+    let outcome = explore(
+        &fixture.plan,
+        &fixture.chaos,
+        &ExploreConfig {
+            gate: fixture.gate,
+            max_runs: 384,
+            max_depth: 12,
+            threads: 2,
+            relation: None,
+        },
+    );
+    assert_eq!(outcome.executed, 318);
+    assert_eq!(outcome.outcome_digests.len(), 8);
+    assert!(outcome.exhausted);
+    assert!(outcome.failures.is_empty());
+    assert_eq!(outcome.digest, 0x3d78_0f8f_1f56_6d6b);
+}
+
 /// The frontier search must not depend on worker-thread count: same
-/// budget, same digest, same failure set.
+/// budget, same digest (the one the search had before the kernel took
+/// the gate over), same failure set.
 #[test]
 fn explore_digest_is_thread_count_independent() {
     let fixture = fixtures::pair();
@@ -52,6 +122,7 @@ fn explore_digest_is_thread_count_independent() {
     };
     let one = outcome(1);
     let four = outcome(4);
+    assert_eq!(one.digest, 0xae34_8ecd_bc26_961f);
     assert_eq!(one.digest, four.digest);
     assert_eq!(one.executed, four.executed);
     assert_eq!(one.outcome_digests, four.outcome_digests);

@@ -24,8 +24,7 @@ use std::sync::Arc;
 
 use experiments::{run_batch_with, run_chaos_plan_with};
 use explore::{fixtures, run_prefix_with, ConflictRelation};
-use simnet::sched::Gate;
-use simnet::{ChoicePoint, Scheduler, SimDuration};
+use simnet::{ChoicePoint, GateCfg, Scheduler};
 
 /// The twin data-readable entry the real workspace artifact carries
 /// (`mead-repro lint --conflict-report`), inlined so the test does not depend
@@ -103,13 +102,13 @@ fn walk(
     out
 }
 
-/// Plays `stem`, then at the next two gated decisions dispatches the
-/// kernel events with the given sequence numbers, then defaults. The
-/// gate keeps the fixture's window start (so decision ordinals line up
-/// with the walk that found the site) but lifts the end/budget just far
-/// enough to control the swapped pair.
+/// Plays `stem`, then at the next two decisions dispatches the kernel
+/// events with the given sequence numbers, then defaults. The gate keeps
+/// the fixture's window start (so decision ordinals line up with the
+/// walk that found the site) but lifts the end/budget just far enough to
+/// control the swapped pair.
 struct SeqPick {
-    gate: Gate,
+    gate: GateCfg,
     stem: Vec<u64>,
     seqs: [u64; 2],
     found: Rc<RefCell<[bool; 2]>>,
@@ -117,10 +116,7 @@ struct SeqPick {
 
 impl Scheduler for SeqPick {
     fn choose(&mut self, cp: &ChoicePoint) -> usize {
-        let Some(ordinal) = self.gate.admit(cp) else {
-            return 0;
-        };
-        let ordinal = ordinal as usize;
+        let ordinal = cp.step as usize;
         if ordinal < self.stem.len() {
             let want = self.stem[ordinal] as usize;
             return match cp.candidates.get(want) {
@@ -144,8 +140,8 @@ impl Scheduler for SeqPick {
         }
     }
 
-    fn slack(&self) -> SimDuration {
-        self.gate.cfg().slack
+    fn gate(&self) -> Option<GateCfg> {
+        Some(self.gate)
     }
 }
 
@@ -154,12 +150,12 @@ impl Scheduler for SeqPick {
 /// if either event is not dispatchable at its slot — an event the other
 /// order consumed or cancelled is itself an independence violation.
 fn swap_run(fixture: &fixtures::Fixture, stem: &[u64], first: u64, second: u64) -> u64 {
-    let mut cfg = fixture.gate;
-    cfg.window_end = simnet::SimTime::from_nanos(u64::MAX);
-    cfg.max_steps = stem.len() as u64 + 2;
+    let mut gate = fixture.gate;
+    gate.window_end = simnet::SimTime::from_nanos(u64::MAX);
+    gate.max_steps = stem.len() as u64 + 2;
     let found = Rc::new(RefCell::new([false; 2]));
     let sched = SeqPick {
-        gate: Gate::new(cfg),
+        gate,
         stem: stem.to_vec(),
         seqs: [first, second],
         found: Rc::clone(&found),
@@ -173,20 +169,17 @@ fn swap_run(fixture: &fixtures::Fixture, stem: &[u64], first: u64, second: u64) 
     outcome.digest()
 }
 
-/// Captures the candidate seqs at gated decision `stem.len()` while
-/// playing `stem` and defaulting afterwards.
+/// Captures the candidate seqs at decision `stem.len()` while playing
+/// `stem` and defaulting afterwards.
 struct Capture {
-    gate: Gate,
+    gate: GateCfg,
     stem: Vec<u64>,
     seqs: Rc<RefCell<Vec<u64>>>,
 }
 
 impl Scheduler for Capture {
     fn choose(&mut self, cp: &ChoicePoint) -> usize {
-        let Some(ordinal) = self.gate.admit(cp) else {
-            return 0;
-        };
-        let ordinal = ordinal as usize;
+        let ordinal = cp.step as usize;
         if ordinal == self.stem.len() {
             *self.seqs.borrow_mut() = cp.candidates.iter().map(|c| c.seq).collect();
         }
@@ -197,8 +190,8 @@ impl Scheduler for Capture {
         }
     }
 
-    fn slack(&self) -> SimDuration {
-        self.gate.cfg().slack
+    fn gate(&self) -> Option<GateCfg> {
+        Some(self.gate)
     }
 }
 
@@ -206,7 +199,7 @@ impl Scheduler for Capture {
 fn seqs_after(fixture: &fixtures::Fixture, stem: &[u64]) -> Vec<u64> {
     let seqs = Rc::new(RefCell::new(Vec::new()));
     let sched = Capture {
-        gate: Gate::new(fixture.gate),
+        gate: fixture.gate,
         stem: stem.to_vec(),
         seqs: Rc::clone(&seqs),
     };

@@ -16,10 +16,16 @@
 //! * [`FifoScheduler`] (the default wired by `Simulation::new`) keeps the
 //!   kernel on its historical fast path: no choice points are surfaced
 //!   and every scenario digest stays bit-identical.
-//! * A non-FIFO scheduler sees a [`ChoicePoint`] whenever more than one
-//!   queued event is *ready* — due within [`Scheduler::slack`] of the
-//!   earliest pending event. Candidates are listed in `(at, seq)` order,
-//!   so index 0 is always the kernel-default pick.
+//! * A choosing scheduler names a decision gate ([`Scheduler::gate`]),
+//!   which the kernel owns and applies *before* it builds anything:
+//!   while the gate is closed — outside its window, or with its budget
+//!   spent — the earliest pending event dispatches exactly as under
+//!   FIFO, and no choice point is ever built.
+//! * While the gate is open the scheduler sees a [`ChoicePoint`]
+//!   whenever more than one queued event is *ready* — due within
+//!   [`GateCfg::slack`] of the earliest pending event. Candidates are
+//!   listed in `(at, seq)` order, so index 0 is always the
+//!   kernel-default pick.
 //! * Per-connection FIFO is never offered for reordering: of several
 //!   candidates on one connection only the earliest is `eligible`, and
 //!   the kernel clamps any ineligible or out-of-range pick back to the
@@ -34,8 +40,9 @@
 //! A schedule is captured as a [`DecisionTrace`] — a versioned JSONL
 //! artifact, digest-folded so reports can pin it — and replayed with a
 //! [`ReplayScheduler`], which re-applies the recorded picks decision by
-//! decision. Record and replay stay aligned because both sides gate on
-//! the same [`GateCfg`] carried in the trace header.
+//! decision. Record and replay stay aligned because the kernel applies
+//! the one [`GateCfg`] carried in the trace header to both runs and
+//! numbers the decisions itself ([`ChoicePoint::step`]).
 
 use crate::ids::{ConnId, ProcessId};
 use crate::metrics::Fnv;
@@ -132,9 +139,12 @@ pub struct Candidate {
 /// default (FIFO) pick.
 #[derive(Clone, Debug)]
 pub struct ChoicePoint {
-    /// Running count of choice points surfaced this run (0-based). Only
-    /// multi-candidate pools are surfaced, so this is the index of the
-    /// decision, not of the dispatch.
+    /// The decision ordinal (0-based): how many choice points the kernel
+    /// surfaced before this one, counted against
+    /// [`GateCfg::max_steps`]. Only a multi-candidate pool collected
+    /// while the gate is open consumes an ordinal, so this indexes the
+    /// decision, not the dispatch, and is the `step` a [`Decision`]
+    /// records.
     pub step: u64,
     /// Simulated time of the earliest candidate.
     pub now: SimTime,
@@ -153,23 +163,18 @@ pub struct ChoicePoint {
 pub trait Scheduler {
     /// Picks the index of the candidate to dispatch next. Returns out of
     /// range or ineligible picks are clamped by the kernel to the first
-    /// eligible candidate (index 0 is always a safe default).
+    /// eligible candidate (index 0 is always a safe default). Called
+    /// only while the gate is open, with at least two candidates and
+    /// with `cp.step` = 0, 1, 2, … in turn.
     fn choose(&mut self, cp: &ChoicePoint) -> usize;
 
-    /// `true` only for [`FifoScheduler`]: the kernel then dispatches each
-    /// popped event as is (no candidate pooling) and coalesces notify
+    /// The decision gate the kernel applies on this scheduler's behalf,
+    /// read once when the simulation is built. `None` only for
+    /// [`FifoScheduler`]: the kernel then dispatches each popped event as
+    /// is, never calls [`choose`](Self::choose), and coalesces notify
     /// waves, so default runs are bit-identical to the pre-scheduler
     /// kernel.
-    fn is_fifo(&self) -> bool {
-        false
-    }
-
-    /// The reorder window: two events are tied (offered together) when
-    /// the later one is due within `slack` of the earlier. Zero slack
-    /// still surfaces exact `(at)` ties.
-    fn slack(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
+    fn gate(&self) -> Option<GateCfg>;
 }
 
 /// The default scheduler: always picks candidate 0, reproducing the
@@ -182,27 +187,31 @@ impl Scheduler for FifoScheduler {
         0
     }
 
-    fn is_fifo(&self) -> bool {
-        true
+    fn gate(&self) -> Option<GateCfg> {
+        None
     }
 }
 
-/// Which choice points consume a decision ordinal. Carried in the
-/// [`DecisionTrace`] header so the recording and replaying schedulers
-/// gate identically — a decision index in the trace means the same
-/// choice point on both sides.
+/// Which choice points exist. The kernel owns the gate: it tests the
+/// earliest pending event against it before pooling anything, and hands
+/// out the decision ordinals. Carried in the [`DecisionTrace`] header so
+/// a recording and its replay are gated identically — a decision index
+/// in the trace means the same choice point on both sides.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GateCfg {
-    /// Choice points before this instant pass through un-gated (the
-    /// scheduler defaults to candidate 0 and no ordinal is consumed).
-    /// Lets the explorer skip the deterministic boot phase.
+    /// Choice points before this instant are never built: the earliest
+    /// pending event dispatches as under FIFO and no ordinal is
+    /// consumed. Lets the explorer skip the deterministic boot phase at
+    /// FIFO cost.
     pub window_start: SimTime,
-    /// Choice points after this instant pass through un-gated.
+    /// Choice points after this instant are never built.
     pub window_end: SimTime,
-    /// At most this many decisions are gated per run (budget guard).
+    /// At most this many decisions are made per run (budget guard); once
+    /// they are spent the gate stays closed.
     pub max_steps: u64,
-    /// The reorder window the scheduler advertises via
-    /// [`Scheduler::slack`].
+    /// The reorder window: two events are tied (offered together) when
+    /// the later one is due within `slack` of the earlier. Zero slack
+    /// still surfaces exact `(at)` ties.
     pub slack: SimDuration,
 }
 
@@ -217,46 +226,20 @@ impl Default for GateCfg {
     }
 }
 
-/// Stateful gate: applies a [`GateCfg`] to the choice-point stream,
-/// handing out consecutive decision ordinals to the admitted ones.
-#[derive(Clone, Debug)]
-pub struct Gate {
-    cfg: GateCfg,
-    used: u64,
-}
-
-impl Gate {
-    /// A fresh gate over `cfg` (no ordinals consumed yet).
-    pub fn new(cfg: GateCfg) -> Self {
-        Gate { cfg, used: 0 }
-    }
-
-    /// The configuration this gate applies.
-    pub fn cfg(&self) -> GateCfg {
-        self.cfg
-    }
-
-    /// Admits or passes `cp`: inside the window and under budget, the
-    /// next decision ordinal is consumed and returned; otherwise `None`
-    /// (the scheduler should fall back to the default pick).
-    pub fn admit(&mut self, cp: &ChoicePoint) -> Option<u64> {
-        if cp.now < self.cfg.window_start || cp.now > self.cfg.window_end {
-            return None;
-        }
-        if self.used >= self.cfg.max_steps {
-            return None;
-        }
-        let ordinal = self.used;
-        self.used += 1;
-        Some(ordinal)
+impl GateCfg {
+    /// Whether the gate is open for a choice point whose earliest
+    /// candidate is due at `now`, `used` decisions into the run: inside
+    /// the window (inclusive at both ends) and under budget.
+    pub(crate) fn is_open(&self, now: SimTime, used: u64) -> bool {
+        self.window_start <= now && now <= self.window_end && used < self.max_steps
     }
 }
 
-/// One recorded decision: at gated choice point `step`, among `n`
-/// candidates (earliest due at `at_ns`), index `chosen` was dispatched.
+/// One recorded decision: at choice point `step`, among `n` candidates
+/// (earliest due at `at_ns`), index `chosen` was dispatched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Decision {
-    /// Decision ordinal (the gate's count, 0-based).
+    /// Decision ordinal ([`ChoicePoint::step`], 0-based).
     pub step: u64,
     /// Simulated time of the earliest candidate, in nanoseconds.
     pub at_ns: u64,
@@ -275,6 +258,14 @@ pub enum TraceError {
     BadSchema,
     /// A line (1-based, counting the header) was not a decision record.
     BadLine(usize),
+    /// The record at this line carries a `step` other than its position
+    /// among the records: steps must run 0, 1, 2, … with no gap, repeat
+    /// or reordering, because replay applies picks by position.
+    StepOutOfOrder(usize),
+    /// The record at this line names a pool the kernel cannot have
+    /// offered (`n` outside `2..=`[`MAX_CANDIDATES`]) or a pick outside
+    /// it (`chosen >= n`).
+    PickOutOfRange(usize),
 }
 
 impl std::fmt::Display for TraceError {
@@ -285,6 +276,14 @@ impl std::fmt::Display for TraceError {
                 write!(f, "decision trace: header schema is not {TRACE_SCHEMA:?}")
             }
             TraceError::BadLine(n) => write!(f, "decision trace: malformed record at line {n}"),
+            TraceError::StepOutOfOrder(n) => write!(
+                f,
+                "decision trace: record at line {n} is out of step order (steps must run 0, 1, 2, …)"
+            ),
+            TraceError::PickOutOfRange(n) => write!(
+                f,
+                "decision trace: record at line {n} has a pool size outside 2..={MAX_CANDIDATES} or a pick outside the pool"
+            ),
         }
     }
 }
@@ -343,7 +342,10 @@ impl DecisionTrace {
     /// # Errors
     ///
     /// Returns a [`TraceError`] when the header is missing, carries the
-    /// wrong schema tag, or any record line is malformed.
+    /// wrong schema tag, or any record line is malformed, out of step
+    /// order, or names a pool or pick the kernel cannot have produced —
+    /// anything [`ReplayScheduler::from_trace`] could not replay as
+    /// written.
     pub fn parse(input: &str) -> Result<Self, TraceError> {
         let mut lines = input
             .lines()
@@ -364,12 +366,19 @@ impl DecisionTrace {
         };
         let mut decisions = Vec::new();
         for (lineno, line) in lines {
-            decisions.push(Decision {
+            let d = Decision {
                 step: field(line, "step", lineno)?,
                 at_ns: field(line, "at_ns", lineno)?,
                 n: field(line, "n", lineno)?,
                 chosen: field(line, "chosen", lineno)?,
-            });
+            };
+            if d.step != decisions.len() as u64 {
+                return Err(TraceError::StepOutOfOrder(lineno + 1));
+            }
+            if d.n < 2 || d.n > MAX_CANDIDATES as u64 || d.chosen >= d.n {
+                return Err(TraceError::PickOutOfRange(lineno + 1));
+            }
+            decisions.push(d);
         }
         Ok(DecisionTrace { gate, decisions })
     }
@@ -399,52 +408,40 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
     rest.get(..end)?.parse().ok()
 }
 
-/// Replays a recorded schedule: at each gated choice point, applies the
-/// next recorded pick; everywhere else (and past the end of the
-/// recording) it falls back to the kernel default. Driving the same
-/// simulation with the trace it recorded reproduces the run bit for
-/// bit.
+/// Replays a recorded schedule: at each choice point, applies the next
+/// recorded pick; past the end of the recording it falls back to the
+/// kernel default. Driving the same simulation with the trace it
+/// recorded reproduces the run bit for bit.
 #[derive(Clone, Debug)]
 pub struct ReplayScheduler {
-    gate: Gate,
+    gate: GateCfg,
     choices: Vec<u64>,
 }
 
 impl ReplayScheduler {
     /// A replayer over an explicit decision vector: `choices[i]` is the
-    /// pick at gated decision `i` (0 = kernel default). Indices past the
-    /// end replay as 0, so a truncated vector is a valid (shorter)
+    /// pick at decision `i` (0 = kernel default). Indices past the end
+    /// replay as 0, so a truncated vector is a valid (shorter)
     /// schedule — the property the minimizer's prefix bisection rests
     /// on.
     pub fn new(gate: GateCfg, choices: Vec<u64>) -> Self {
-        ReplayScheduler {
-            gate: Gate::new(gate),
-            choices,
-        }
+        ReplayScheduler { gate, choices }
     }
 
-    /// A replayer for `trace`, gating exactly as the recorder did.
+    /// A replayer for `trace`, gated exactly as the recording was.
     pub fn from_trace(trace: &DecisionTrace) -> Self {
-        let mut choices = vec![0u64; trace.decisions.len()];
-        for d in &trace.decisions {
-            if let Some(slot) = choices.get_mut(d.step as usize) {
-                *slot = d.chosen;
-            }
-        }
+        let choices = trace.decisions.iter().map(|d| d.chosen).collect();
         ReplayScheduler::new(trace.gate, choices)
     }
 }
 
 impl Scheduler for ReplayScheduler {
     fn choose(&mut self, cp: &ChoicePoint) -> usize {
-        match self.gate.admit(cp) {
-            Some(ordinal) => self.choices.get(ordinal as usize).copied().unwrap_or(0) as usize,
-            None => 0,
-        }
+        self.choices.get(cp.step as usize).copied().unwrap_or(0) as usize
     }
 
-    fn slack(&self) -> SimDuration {
-        self.gate.cfg().slack
+    fn gate(&self) -> Option<GateCfg> {
+        Some(self.gate)
     }
 }
 
@@ -502,43 +499,83 @@ mod tests {
         ));
     }
 
+    /// A hand-edited trace that replay could only apply as some *other*
+    /// schedule is refused, naming the offending line.
     #[test]
-    fn gate_respects_window_and_budget() {
+    fn parse_rejects_what_replay_cannot_apply() {
+        let header = sample_trace()
+            .to_jsonl()
+            .lines()
+            .next()
+            .expect("header")
+            .to_string();
+        let parse =
+            |records: &[&str]| DecisionTrace::parse(&format!("{header}\n{}\n", records.join("\n")));
+        let rec = |step: u64, n: u64, chosen: u64| {
+            format!("{{\"step\":{step},\"at_ns\":1200,\"n\":{n},\"chosen\":{chosen}}}")
+        };
+        // Steps must be the record's position: no late start, gap,
+        // repeat or swap. The first offending line is the one named.
+        for (first, second, line) in [(1, 2, 2), (0, 2, 3), (0, 0, 3), (1, 0, 2)] {
+            assert_eq!(
+                parse(&[&rec(first, 2, 1), &rec(second, 2, 1)]),
+                Err(TraceError::StepOutOfOrder(line))
+            );
+        }
+        // Pools hold 2..=MAX_CANDIDATES candidates; the pick is one of them.
+        let max = MAX_CANDIDATES as u64;
+        for (n, chosen) in [(0, 0), (1, 0), (max + 1, 0), (2, 2), (max, max)] {
+            assert_eq!(
+                parse(&[&rec(0, n, chosen)]),
+                Err(TraceError::PickOutOfRange(2)),
+                "n {n} chosen {chosen}"
+            );
+        }
+        let ok = parse(&[&rec(0, 2, 1), &rec(1, max, max - 1)]).expect("in range");
+        assert_eq!(ok.decisions.len(), 2);
+    }
+
+    #[test]
+    fn gate_is_open_inside_the_window_and_under_budget() {
         let cfg = GateCfg {
             window_start: SimTime::from_nanos(100),
             window_end: SimTime::from_nanos(200),
             max_steps: 2,
             slack: SimDuration::ZERO,
         };
-        let mut gate = Gate::new(cfg);
-        let cp = |ns: u64| ChoicePoint {
-            step: 0,
-            now: SimTime::from_nanos(ns),
-            candidates: Vec::new(),
-        };
-        assert_eq!(gate.admit(&cp(50)), None); // before window
-        assert_eq!(gate.admit(&cp(150)), Some(0));
-        assert_eq!(gate.admit(&cp(160)), Some(1));
-        assert_eq!(gate.admit(&cp(170)), None); // budget exhausted
-        assert_eq!(gate.admit(&cp(250)), None); // past window
+        let open = |ns: u64, used: u64| cfg.is_open(SimTime::from_nanos(ns), used);
+        assert!(!open(99, 0)); // before the window
+        assert!(open(100, 0)); // both ends are inside
+        assert!(open(200, 1));
+        assert!(!open(201, 1)); // past the window
+        assert!(!open(150, 2)); // budget spent
     }
 
     #[test]
     fn replay_follows_choices_then_defaults() {
-        let cfg = GateCfg {
-            max_steps: 8,
-            ..GateCfg::default()
+        let mut replay = ReplayScheduler::new(GateCfg::default(), vec![1, 0, 2]);
+        let mut pick = |step: u64| {
+            replay.choose(&ChoicePoint {
+                step,
+                now: SimTime::from_nanos(10),
+                candidates: Vec::new(),
+            })
         };
-        let mut replay = ReplayScheduler::new(cfg, vec![1, 0, 2]);
-        let cp = ChoicePoint {
-            step: 0,
-            now: SimTime::from_nanos(10),
-            candidates: Vec::new(),
-        };
-        assert_eq!(replay.choose(&cp), 1);
-        assert_eq!(replay.choose(&cp), 0);
-        assert_eq!(replay.choose(&cp), 2);
-        assert_eq!(replay.choose(&cp), 0); // past the recording
+        assert_eq!([pick(0), pick(1), pick(2)], [1, 0, 2]);
+        assert_eq!(pick(3), 0); // past the recording
+    }
+
+    /// `from_trace` applies the picks in record order, whatever a
+    /// programmatically built trace put in `step`.
+    #[test]
+    fn from_trace_collects_picks_in_order() {
+        let mut trace = sample_trace();
+        for d in &mut trace.decisions {
+            d.step = 7;
+        }
+        let replay = ReplayScheduler::from_trace(&trace);
+        assert_eq!(replay.choices, vec![2, 0]);
+        assert_eq!(replay.gate(), Some(trace.gate));
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::metrics::Metrics;
 use crate::process::{Event, ExitReason, Process, ProcessFactory, ReadOutcome, SysApi};
 use crate::recv_queue::RecvQueue;
 use crate::rng::SimRng;
-use crate::sched::{self, FifoScheduler, Scheduler};
+use crate::sched::{self, FifoScheduler, GateCfg, Scheduler};
 use crate::table::{IdTable, Slab, SlotKey};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
@@ -301,12 +301,14 @@ pub struct Simulation {
     batched_extra: u64,
     /// The event-ordering policy (DESIGN §13). [`FifoScheduler`] keeps
     /// strict `(at, seq)` order; anything else routes same-window ties
-    /// through [`sched::ChoicePoint`]s.
+    /// through [`sched::ChoicePoint`]s while its gate is open.
     scheduler: Box<dyn Scheduler>,
-    /// Cached `scheduler.is_fifo()`, checked once per `run_until` rather
-    /// than through the vtable on the dispatch hot path.
-    sched_fifo: bool,
-    /// Choice points surfaced so far (multi-candidate pools only).
+    /// The decision gate, `scheduler.gate()` read once at construction:
+    /// `None` under [`FifoScheduler`], which the dispatch hot path and
+    /// notify coalescing branch on without a vtable call.
+    gate: Option<GateCfg>,
+    /// Choice points surfaced so far — the ordinals the gate has handed
+    /// out, counted against [`GateCfg::max_steps`].
     sched_steps: u64,
 }
 
@@ -322,10 +324,12 @@ impl Simulation {
     /// Creates an empty simulation driven by `scheduler` — the single
     /// construction path (DESIGN §13). The default [`FifoScheduler`]
     /// reproduces the kernel's historical total order bit for bit; any
-    /// other scheduler is offered a [`sched::ChoicePoint`] whenever
-    /// several queued events are due within its reorder window.
+    /// other scheduler names a [`GateCfg`] and, while that gate is open,
+    /// is offered a [`sched::ChoicePoint`] whenever several queued
+    /// events are due within its reorder window. A closed gate costs
+    /// what FIFO costs: no pool, no choice point, no call.
     pub fn with_scheduler(cfg: SimConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        let sched_fifo = scheduler.is_fifo();
+        let gate = scheduler.gate();
         let net_rng = SimRng::for_kernel(cfg.seed, 1);
         Simulation {
             cfg,
@@ -353,7 +357,7 @@ impl Simulation {
             bounce_spare: VecDeque::new(),
             batched_extra: 0,
             scheduler,
-            sched_fifo,
+            gate,
             sched_steps: 0,
         }
     }
@@ -805,14 +809,15 @@ impl Simulation {
         outcome
     }
 
-    /// The dispatch loop: pops the earliest due event, lets a choosing
-    /// [`Scheduler`] swap it for another candidate of its reorder window
-    /// ([`choose_among`](Self::choose_among)), and dispatches it. Under
-    /// the default [`FifoScheduler`] the popped head *is* the pick — the
-    /// pool-of-one case — so events run in strict `(at, seq)` order and
-    /// no pool is ever built. Every iteration either dispatches at least
-    /// one event or returns, so the loop ends by queue drain, deadline or
-    /// event budget.
+    /// The dispatch loop: pops the earliest due event and, when there is
+    /// a gate and it is open at that event's timestamp, lets the
+    /// choosing [`Scheduler`] swap it for another candidate of the
+    /// reorder window ([`choose_among`](Self::choose_among)); then
+    /// dispatches it. With no gate (the default [`FifoScheduler`]) or a
+    /// closed one the popped head *is* the pick — the pool-of-one case —
+    /// so events run in `(at, seq)` order and no pool is ever built.
+    /// Every iteration either dispatches at least one event or returns,
+    /// so the loop ends by queue drain, deadline or event budget.
     fn dispatch_until(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
         let mut dispatched = 0u64;
         loop {
@@ -846,13 +851,15 @@ impl Simulation {
                 self.now = deadline;
                 return RunOutcome::DeadlineReached;
             };
-            let (at, seq, action) = if self.sched_fifo {
-                head
-            } else {
-                self.choose_among(head, deadline)
+            let (at, seq, action) = match &self.gate {
+                Some(gate) if gate.is_open(SimTime::from_nanos(head.0), self.sched_steps) => {
+                    let slack = gate.slack;
+                    self.choose_among(head, slack, deadline)
+                }
+                _ => head,
             };
             let at = SimTime::from_nanos(at);
-            debug_assert!(!self.sched_fifo || at >= self.now, "time went backwards");
+            debug_assert!(self.gate.is_some() || at >= self.now, "time went backwards");
             // Late delivery: a candidate deferred at a choice point may
             // dispatch after the clock passed its timestamp; time never
             // runs backwards, so a chosen schedule is always a physically
@@ -891,23 +898,28 @@ impl Simulation {
         }
     }
 
-    /// The choice point of a non-FIFO [`Scheduler`]: pools `head` with
-    /// every queued event due within the scheduler's reorder window of it
-    /// (bounded by [`sched::MAX_CANDIDATES`] and by `deadline`), surfaces
-    /// a multi-candidate pool as a [`sched::ChoicePoint`], re-queues the
-    /// candidates not picked under their original `(at, seq)` keys and
-    /// returns the pick.
+    /// The choice point of an open gate: pools `head` with every queued
+    /// event due within `slack` of it (bounded by
+    /// [`sched::MAX_CANDIDATES`] and by `deadline`), surfaces a
+    /// multi-candidate pool to the [`Scheduler`] as the next numbered
+    /// [`sched::ChoicePoint`], re-queues the candidates not picked under
+    /// their original `(at, seq)` keys and returns the pick.
     ///
     /// A deferred candidate pins the window: pools are collected from the
     /// earliest pending event, so after at most [`sched::MAX_CANDIDATES`]
     /// deferrals the earliest candidate is index 0 of a pool whose
     /// scheduler must pick *something*, and the clamp guarantees
     /// eligibility — no starvation.
-    fn choose_among(&mut self, head: (u64, u64, Action), deadline: SimTime) -> (u64, u64, Action) {
+    fn choose_among(
+        &mut self,
+        head: (u64, u64, Action),
+        slack: SimDuration,
+        deadline: SimTime,
+    ) -> (u64, u64, Action) {
         let first_at = head.0;
         // The pool bound caps both this loop and the explorer's branching.
         let cap = first_at
-            .saturating_add(self.scheduler.slack().as_nanos())
+            .saturating_add(slack.as_nanos())
             .min(deadline.as_nanos());
         let mut pool = vec![head];
         while pool.len() < sched::MAX_CANDIDATES {
@@ -1103,10 +1115,11 @@ impl Simulation {
     /// purely that a wave of `k` parked notifies re-bounces off a busy
     /// process in O(1) rather than O(k) wheel operations.
     fn bounce(&mut self, pid: ProcessId, at: SimTime, event: Event) {
-        if !self.sched_fifo {
-            // Under a choosing scheduler every parked notify stays an
-            // individually reorderable wheel entry: coalescing would
-            // fuse events the scheduler must be able to interleave.
+        if self.gate.is_some() {
+            // Under a choosing scheduler — whether its gate is open or
+            // not — every parked notify stays an individually
+            // reorderable wheel entry: coalescing would fuse events the
+            // scheduler must be able to interleave.
             // Sequence allocation is identical either way.
             self.push(at, Action::Notify { pid, event });
             return;
@@ -1137,7 +1150,7 @@ impl Simulation {
     /// elements keep their relative order and receive the same
     /// consecutive sequence numbers the per-entry requeues would have.
     fn bounce_many(&mut self, pid: ProcessId, at: SimTime, mut events: VecDeque<Event>) {
-        if !self.sched_fifo {
+        if self.gate.is_some() {
             for event in events {
                 self.push(at, Action::Notify { pid, event });
             }

@@ -777,10 +777,101 @@ fn notify_storm_is_identical_under_fifo_choosing_and_sliced_budgets() {
     );
     assert_eq!(choosing, fifo);
 
+    // A gate that never opens, and one that opens mid-storm: the closed
+    // stretch dispatches the popped head directly — with parked notifies
+    // still queued one by one, so the event count is FIFO's too — and
+    // joins the pooled stretch without a seam.
+    let mid_storm = SimTime::from_millis(38);
+    assert!(
+        log.first().is_some_and(|(at, _)| *at < mid_storm)
+            && log.last().is_some_and(|(at, _)| *at > mid_storm),
+        "the storm does not straddle {mid_storm}"
+    );
+    for gate in [
+        GateCfg {
+            max_steps: 0,
+            ..GateCfg::default()
+        },
+        GateCfg {
+            window_start: mid_storm,
+            ..GateCfg::default()
+        },
+    ] {
+        let gated = notify_storm(Box::new(ReplayScheduler::new(gate, Vec::new())), |sim| {
+            assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
+        });
+        assert_eq!(gated, fifo, "gate {gate:?}");
+    }
+
     // An event budget that runs out inside a batch re-queues the tail
     // exactly where the individual entries would have been.
     let sliced = notify_storm(Box::new(FifoScheduler), |sim| {
         while sim.run_until_limited(deadline, 7) == RunOutcome::EventLimit {}
     });
     assert_eq!(sliced, fifo);
+}
+
+/// Picks candidate 0 and logs what it was asked: instant, ordinal, pool
+/// size.
+struct AskLog {
+    gate: GateCfg,
+    asked: Rc<RefCell<Vec<(SimTime, u64, usize)>>>,
+}
+
+impl Scheduler for AskLog {
+    fn choose(&mut self, cp: &ChoicePoint) -> usize {
+        self.asked
+            .borrow_mut()
+            .push((cp.now, cp.step, cp.candidates.len()));
+        0
+    }
+
+    fn gate(&self) -> Option<GateCfg> {
+        Some(self.gate)
+    }
+}
+
+/// The kernel owns the gate: the scheduler is asked only at instants
+/// inside the window, at most `max_steps` times, with consecutive
+/// ordinals, and never about a pool of one. The storm (31–45 ms) ties
+/// several deliveries and parked notifies at a time, so there is always
+/// more to ask about: it is the budget, or the window, that ends the
+/// asking.
+#[test]
+fn scheduler_is_asked_only_while_the_gate_is_open() {
+    let deadline = SimTime::from_secs(1);
+    let fifo = notify_storm(Box::new(FifoScheduler), |sim| {
+        assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
+    });
+    let window = (SimTime::from_millis(34), SimTime::from_millis(36));
+    // (max_steps, calls expected): a budget the window outlasts is spent
+    // to the last step; a window the budget outlasts closes it early.
+    for (max_steps, calls) in [(5, 5..=5), (4096, 1..=4095)] {
+        let gate = GateCfg {
+            window_start: window.0,
+            window_end: window.1,
+            max_steps,
+            slack: SimDuration::from_micros(50),
+        };
+        let asked = Rc::new(RefCell::new(Vec::new()));
+        let scheduler = AskLog {
+            gate,
+            asked: asked.clone(),
+        };
+        let run = notify_storm(Box::new(scheduler), |sim| {
+            assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
+        });
+        assert_eq!(run, fifo, "all-default picks are the FIFO order");
+        let asked = asked.borrow();
+        assert!(
+            calls.contains(&asked.len()),
+            "asked {} times under {gate:?}",
+            asked.len()
+        );
+        for (i, &(now, step, candidates)) in asked.iter().enumerate() {
+            assert!(window.0 <= now && now <= window.1, "asked at {now}");
+            assert_eq!(step, i as u64);
+            assert!(candidates >= 2, "asked about a pool of {candidates}");
+        }
+    }
 }
