@@ -13,38 +13,59 @@
 //! names simply produce no edge rather than aborting the scan.
 //!
 //! Test-gated functions are excluded from the graph entirely.
+//!
+//! Nothing here copies source: a [`FileAst`] is the one lexed-and-parsed
+//! form of a file, a [`FnNode`] shares its body with that file's token
+//! tree, and each body's call sites are extracted once, when the node is
+//! built — [`CallGraph::restrict`] re-resolves them, it does not re-walk
+//! the body.
 
-use synlite::ast::{self, CallKind, Item, ItemKind};
-use synlite::{Span, TokenTree};
+use std::rc::Rc;
 
-/// One source file parsed for graph construction.
-#[derive(Clone, Debug)]
-pub struct FileAst {
+use synlite::ast::{self, CallKind, CallSite, Item, ItemKind};
+use synlite::{LexError, Span, TokenTree};
+
+/// One source file, lexed and parsed once; every pass borrows it. The
+/// source text owns the bytes: `path`, token text and item names are
+/// slices of what the caller read from disk.
+#[derive(Debug)]
+pub struct FileAst<'a> {
     /// Workspace-relative path with forward slashes.
-    pub path: String,
+    pub path: &'a str,
+    /// The lexed token trees.
+    pub trees: Vec<TokenTree<'a>>,
     /// The parsed item tree.
-    pub items: Vec<Item>,
-    /// The file's source lines (for allow-pattern matching).
-    pub lines: Vec<String>,
+    pub items: Vec<Item<'a>>,
+    src: &'a str,
+    /// Byte offset where each line starts (for allow-pattern matching).
+    line_starts: Vec<usize>,
 }
 
-impl FileAst {
-    /// Parses `src` (already-lexed trees are not reused; files are parsed
-    /// once by the engine).
-    pub fn parse(path: &str, trees: &[TokenTree], src: &str) -> FileAst {
-        FileAst {
-            path: path.to_string(),
-            items: ast::parse_items(trees),
-            lines: src.lines().map(|l| l.to_string()).collect(),
-        }
+impl<'a> FileAst<'a> {
+    /// Lexes and parses `src`: the one place the engine calls the lexer.
+    pub fn parse(path: &'a str, src: &'a str) -> Result<FileAst<'a>, LexError> {
+        let trees = synlite::parse_file(src)?;
+        let items = ast::parse_items(&trees);
+        let line_starts = std::iter::once(0)
+            .chain(src.match_indices('\n').map(|(at, _)| at + 1))
+            .collect();
+        Ok(FileAst {
+            path,
+            trees,
+            items,
+            src,
+            line_starts,
+        })
     }
 
-    /// The text of 1-based `line`, or `""`.
-    pub fn line_text(&self, line: u32) -> &str {
-        self.lines
-            .get(line.saturating_sub(1) as usize)
-            .map(|s| s.as_str())
-            .unwrap_or("")
+    /// The text of 1-based `line` without its line ending, or `""`.
+    pub fn line_text(&self, line: u32) -> &'a str {
+        let Some(&start) = self.line_starts.get(line.saturating_sub(1) as usize) else {
+            return "";
+        };
+        let rest = &self.src[start..];
+        let text = rest.split_once('\n').map_or(rest, |(text, _)| text);
+        text.strip_suffix('\r').unwrap_or(text)
     }
 }
 
@@ -53,110 +74,100 @@ impl FileAst {
 pub struct CallEdge {
     /// Position of the called name at the call site.
     pub span: Span,
-    /// Display form of the callee path as written (`sim::now_ns`).
-    pub display: String,
     /// Indices of candidate callee nodes.
     pub callees: Vec<usize>,
 }
 
 /// One non-test function in the workspace.
 #[derive(Clone, Debug)]
-pub struct FnNode {
+pub struct FnNode<'a> {
     /// File the function lives in.
-    pub file: String,
+    pub file: &'a str,
     /// Qualified name: `Type::name` for methods, `name` for free fns.
     pub qual: String,
     /// Bare function name.
-    pub name: String,
+    pub name: &'a str,
     /// Whether the first parameter is a `self` receiver.
     pub has_self: bool,
     /// Position of the `fn` keyword.
     pub span: Span,
-    /// The body token stream (empty for body-less signatures).
-    pub body: Vec<TokenTree>,
+    /// The body token stream, shared with the file's trees (empty for
+    /// body-less signatures).
+    pub body: Rc<[TokenTree<'a>]>,
+    /// Every call expression in the body, extracted once; a restricted
+    /// graph shares them and only re-resolves.
+    sites: Rc<[CallSite<'a>]>,
     /// Resolved outgoing calls.
     pub calls: Vec<CallEdge>,
 }
 
 /// The workspace call graph.
 #[derive(Clone, Debug, Default)]
-pub struct CallGraph {
+pub struct CallGraph<'a> {
     /// All non-test functions, in (file, declaration) order.
-    pub nodes: Vec<FnNode>,
+    pub nodes: Vec<FnNode<'a>>,
 }
 
-impl CallGraph {
+impl<'a> CallGraph<'a> {
     /// Builds the graph from parsed files (must be pre-sorted by path for
     /// deterministic node order).
-    pub fn build(files: &[FileAst]) -> CallGraph {
+    pub fn build(files: &[FileAst<'a>]) -> CallGraph<'a> {
         let mut graph = CallGraph::default();
         for file in files {
-            collect_fns(&file.path, &file.items, None, &mut graph.nodes);
+            collect_fns(file.path, &file.items, None, &mut graph.nodes);
         }
         graph.resolve();
         graph
     }
 
-    /// Re-resolves every call site against the node table.
+    /// Resolves every call site against the node table.
     fn resolve(&mut self) {
         // Name index: bare name -> node indices.
         let mut by_name: std::collections::BTreeMap<&str, Vec<usize>> = Default::default();
         for (i, n) in self.nodes.iter().enumerate() {
-            by_name.entry(n.name.as_str()).or_default().push(i);
+            by_name.entry(n.name).or_default().push(i);
         }
         let mut resolved: Vec<Vec<CallEdge>> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let enclosing_ty = node.qual.rsplit_once("::").map(|(ty, _)| ty.to_string());
+            let enclosing_ty = node.qual.rsplit_once("::").map(|(ty, _)| ty);
             let mut edges = Vec::new();
-            for site in ast::call_sites(&node.body) {
-                let Some(last) = site.segments.last() else {
+            for site in node.sites.iter() {
+                let Some(candidates) = site.segments.last().and_then(|last| by_name.get(last))
+                else {
                     continue;
                 };
-                let candidates = by_name.get(last.as_str()).cloned().unwrap_or_default();
-                if candidates.is_empty() {
-                    continue;
-                }
-                let callees: Vec<usize> = match site.kind {
-                    CallKind::Method => candidates
-                        .into_iter()
-                        .filter(|&i| self.nodes[i].has_self)
-                        .collect(),
-                    CallKind::Path if site.segments.len() >= 2 => {
-                        let prefix = &site.segments[site.segments.len() - 2];
-                        let prefix = if prefix == "Self" || prefix == "self" {
-                            enclosing_ty.as_deref().unwrap_or(prefix.as_str())
-                        } else {
-                            prefix.as_str()
+                let receiver_is = |has_self: bool| -> Vec<usize> {
+                    let takes = |&i: &usize| self.nodes[i].has_self == has_self;
+                    candidates.iter().copied().filter(takes).collect()
+                };
+                let callees = match (site.kind, site.segments.as_slice()) {
+                    (CallKind::Method, _) => receiver_is(true),
+                    (CallKind::Path, [.., prefix, last]) => {
+                        let prefix = match *prefix {
+                            "Self" | "self" => enclosing_ty.unwrap_or(prefix),
+                            other => other,
                         };
-                        let qual = format!("{prefix}::{last}");
-                        let exact: Vec<usize> = candidates
-                            .iter()
-                            .copied()
-                            .filter(|&i| self.nodes[i].qual == qual)
-                            .collect();
-                        if !exact.is_empty() {
-                            exact
-                        } else {
+                        // `qual == "{prefix}::{last}"`, without building it.
+                        let exact = |&i: &usize| {
+                            let ty = self.nodes[i].qual.strip_suffix(*last);
+                            ty.and_then(|ty| ty.strip_suffix("::")) == Some(prefix)
+                        };
+                        let exact: Vec<usize> = candidates.iter().copied().filter(exact).collect();
+                        if exact.is_empty() {
                             // Module-qualified call: fall back to free fns.
-                            candidates
-                                .into_iter()
-                                .filter(|&i| !self.nodes[i].has_self)
-                                .collect()
+                            receiver_is(false)
+                        } else {
+                            exact
                         }
                     }
-                    CallKind::Path => candidates
-                        .into_iter()
-                        .filter(|&i| !self.nodes[i].has_self)
-                        .collect(),
+                    (CallKind::Path, _) => receiver_is(false),
                 };
-                if callees.is_empty() {
-                    continue;
+                if !callees.is_empty() {
+                    edges.push(CallEdge {
+                        span: site.span,
+                        callees,
+                    });
                 }
-                edges.push(CallEdge {
-                    span: site.span,
-                    display: site.segments.join("::"),
-                    callees,
-                });
             }
             resolved.push(edges);
         }
@@ -169,13 +180,17 @@ impl CallGraph {
     /// in order and every call site re-resolved against the reduced
     /// table, so the result is identical to [`CallGraph::build`] over
     /// the filtered file set (shared-graph path for scoped passes).
-    pub fn restrict(&self, keep: impl Fn(&str) -> bool) -> CallGraph {
+    pub fn restrict(&self, keep: impl Fn(&str) -> bool) -> CallGraph<'a> {
+        let kept = self.nodes.iter().filter(|n| keep(n.file));
         let mut graph = CallGraph {
-            nodes: self
-                .nodes
-                .iter()
-                .filter(|n| keep(&n.file))
-                .cloned()
+            nodes: kept
+                .map(|n| FnNode {
+                    qual: n.qual.clone(),
+                    body: Rc::clone(&n.body),
+                    sites: Rc::clone(&n.sites),
+                    calls: Vec::new(),
+                    ..*n
+                })
                 .collect(),
         };
         graph.resolve();
@@ -195,29 +210,35 @@ impl CallGraph {
 
 /// Flattens non-test `fn` items into `out`, carrying the enclosing impl's
 /// self type as the qualifier.
-fn collect_fns(path: &str, items: &[Item], self_ty: Option<&str>, out: &mut Vec<FnNode>) {
+fn collect_fns<'a>(
+    path: &'a str,
+    items: &[Item<'a>],
+    self_ty: Option<&str>,
+    out: &mut Vec<FnNode<'a>>,
+) {
     for item in items {
         if item.test_only {
             continue;
         }
         match &item.kind {
             ItemKind::Fn(f) => {
-                let qual = match self_ty {
-                    Some(ty) => format!("{ty}::{}", f.name),
-                    None => f.name.clone(),
-                };
+                let body = f.body.clone().unwrap_or_else(|| Rc::new([]));
                 out.push(FnNode {
-                    file: path.to_string(),
-                    qual,
-                    name: f.name.clone(),
+                    file: path,
+                    qual: match self_ty {
+                        Some(ty) => format!("{ty}::{}", f.name),
+                        None => f.name.to_string(),
+                    },
+                    name: f.name,
                     has_self: f.has_self,
                     span: item.span,
-                    body: f.body.clone().unwrap_or_default(),
+                    sites: ast::call_sites(&body).into(),
+                    body,
                     calls: Vec::new(),
                 });
             }
             ItemKind::Impl(b) => {
-                collect_fns(path, &b.items, Some(&b.self_ty), out);
+                collect_fns(path, &b.items, Some(b.self_ty), out);
             }
             ItemKind::Mod(m) => {
                 collect_fns(path, &m.items, None, out);
@@ -231,13 +252,10 @@ fn collect_fns(path: &str, items: &[Item], self_ty: Option<&str>, out: &mut Vec<
 mod tests {
     use super::*;
 
-    fn graph_of(sources: &[(&str, &str)]) -> CallGraph {
+    fn graph_of<'a>(sources: &[(&'a str, &'a str)]) -> CallGraph<'a> {
         let files: Vec<FileAst> = sources
             .iter()
-            .map(|(path, src)| {
-                let trees = synlite::parse_file(src).expect("lexes");
-                FileAst::parse(path, &trees, src)
-            })
+            .map(|(path, src)| FileAst::parse(path, src).expect("lexes"))
             .collect();
         CallGraph::build(&files)
     }

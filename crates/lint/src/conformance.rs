@@ -91,24 +91,24 @@ pub fn check(files: &[FileAst], cfg: &ConformanceConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // Locate the enum declarations we care about.
-    let mut enums: Vec<(String, EnumDecl)> = Vec::new(); // (file, decl)
+    let mut enums: Vec<(&str, &EnumDecl)> = Vec::new(); // (file, decl)
     for f in files {
-        collect_enums(&f.path, &f.items, &mut enums);
+        collect_enums(f.path, &f.items, &mut enums);
     }
 
     // (enum, variant) reference sets per file, from non-test fn bodies.
-    let mut refs: BTreeMap<&str, BTreeSet<(String, String)>> = BTreeMap::new();
+    let mut refs: BTreeMap<&str, Pairs> = BTreeMap::new();
     for f in files {
         let mut set = BTreeSet::new();
         collect_refs(&f.items, &mut set);
-        refs.insert(f.path.as_str(), set);
+        refs.insert(f.path, set);
     }
 
-    for (file, decl) in &enums {
-        if cfg.event_enums.contains(&decl.name) {
+    for (file, decl) in enums {
+        if cfg.event_enums.iter().any(|e| e == decl.name) {
             check_event_enum(file, decl, cfg, &refs, &mut findings);
         }
-        if cfg.codec_enums.contains(&decl.name) {
+        if cfg.codec_enums.iter().any(|e| e == decl.name) {
             check_codec_enum(file, decl, cfg, files, &mut findings);
         }
     }
@@ -118,15 +118,18 @@ pub fn check(files: &[FileAst], cfg: &ConformanceConfig) -> Vec<Finding> {
     findings
 }
 
+/// `(Enum, Variant)` ident pairs, borrowed from the source.
+type Pairs<'a> = BTreeSet<(&'a str, &'a str)>;
+
 fn check_event_enum(
     file: &str,
     decl: &EnumDecl,
     cfg: &ConformanceConfig,
-    refs: &BTreeMap<&str, BTreeSet<(String, String)>>,
+    refs: &BTreeMap<&str, Pairs>,
     findings: &mut Vec<Finding>,
 ) {
     for v in &decl.variants {
-        let key = (decl.name.clone(), v.name.clone());
+        let key = (decl.name, v.name);
         let live = refs.iter().any(|(path, set)| {
             *path != file
                 && !cfg.serializer_files.iter().any(|s| s == path)
@@ -150,7 +153,7 @@ fn check_event_enum(
                 .map(|set| set.contains(&key))
                 .unwrap_or(false)
         });
-        if !consumed && !cfg.report_only.iter().any(|r| r == &v.name) {
+        if !consumed && !cfg.report_only.iter().any(|r| r == v.name) {
             findings.push(finding(
                 file,
                 v.span,
@@ -176,15 +179,9 @@ fn check_codec_enum(
     };
     let mut encode_refs = BTreeSet::new();
     let mut decode_refs = BTreeSet::new();
-    collect_codec_refs(
-        &f.items,
-        &decl.name,
-        cfg,
-        &mut encode_refs,
-        &mut decode_refs,
-    );
+    collect_codec_refs(&f.items, decl.name, cfg, &mut encode_refs, &mut decode_refs);
     for v in &decl.variants {
-        if !encode_refs.is_empty() && !encode_refs.contains(&v.name) {
+        if !encode_refs.is_empty() && !encode_refs.contains(v.name) {
             findings.push(finding(
                 file,
                 v.span,
@@ -197,7 +194,7 @@ fn check_codec_enum(
                 ),
             ));
         }
-        if !decode_refs.is_empty() && !decode_refs.contains(&v.name) {
+        if !decode_refs.is_empty() && !decode_refs.contains(v.name) {
             findings.push(finding(
                 file,
                 v.span,
@@ -230,24 +227,16 @@ fn check_codec_symmetry(
             continue;
         };
         if writes != reads {
-            let only_written: Vec<&String> = writes.difference(&reads).collect();
-            let only_read: Vec<&String> = reads.difference(&writes).collect();
+            let only_written: Vec<&str> = writes.difference(&reads).copied().collect();
+            let only_read: Vec<&str> = reads.difference(&writes).copied().collect();
             findings.push(finding(
-                &f.path,
+                f.path,
                 span,
                 format!(
                     "codec `{ty}` reads and writes different wire types (written-only: \
                      [{}], read-only: [{}]); encode and decode must agree",
-                    only_written
-                        .iter()
-                        .map(|s| s.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    only_read
-                        .iter()
-                        .map(|s| s.as_str())
-                        .collect::<Vec<_>>()
-                        .join(", "),
+                    only_written.join(", "),
+                    only_read.join(", "),
                 ),
             ));
         }
@@ -264,13 +253,17 @@ fn finding(path: &str, span: Span, message: String) -> Finding {
     }
 }
 
-fn collect_enums(path: &str, items: &[Item], out: &mut Vec<(String, EnumDecl)>) {
+fn collect_enums<'t, 'a>(
+    path: &'a str,
+    items: &'t [Item<'a>],
+    out: &mut Vec<(&'a str, &'t EnumDecl<'a>)>,
+) {
     for item in items {
         if item.test_only {
             continue;
         }
         match &item.kind {
-            ItemKind::Enum(e) => out.push((path.to_string(), e.clone())),
+            ItemKind::Enum(e) => out.push((path, e)),
             ItemKind::Mod(m) => collect_enums(path, &m.items, out),
             ItemKind::Impl(b) => collect_enums(path, &b.items, out),
             _ => {}
@@ -279,7 +272,7 @@ fn collect_enums(path: &str, items: &[Item], out: &mut Vec<(String, EnumDecl)>) 
 }
 
 /// Collects `Enum::Variant` pairs from non-test fn bodies.
-fn collect_refs(items: &[Item], out: &mut BTreeSet<(String, String)>) {
+fn collect_refs<'a>(items: &[Item<'a>], out: &mut Pairs<'a>) {
     for item in items {
         if item.test_only {
             continue;
@@ -298,7 +291,7 @@ fn collect_refs(items: &[Item], out: &mut BTreeSet<(String, String)>) {
 }
 
 /// Records every `A::B` ident pair in `trees`, recursing into groups.
-fn collect_pairs(trees: &[TokenTree], out: &mut BTreeSet<(String, String)>) {
+fn collect_pairs<'a>(trees: &[TokenTree<'a>], out: &mut Pairs<'a>) {
     for (i, t) in trees.iter().enumerate() {
         if let Tok::Group(_, inner) = &t.tok {
             collect_pairs(inner, out);
@@ -309,7 +302,7 @@ fn collect_pairs(trees: &[TokenTree], out: &mut BTreeSet<(String, String)>) {
                 && matches!(trees.get(i + 2), Some(n) if n.is_punct(':'))
             {
                 if let Some(b) = trees.get(i + 3).and_then(|n| n.ident()) {
-                    out.insert((a.to_string(), b.to_string()));
+                    out.insert((a, b));
                 }
             }
         }
@@ -318,12 +311,12 @@ fn collect_pairs(trees: &[TokenTree], out: &mut BTreeSet<(String, String)>) {
 
 /// Collects variant refs of `enum_name` from encode-side and decode-side
 /// fns inside impls of that type (or free fns with codec names).
-fn collect_codec_refs(
-    items: &[Item],
+fn collect_codec_refs<'a>(
+    items: &[Item<'a>],
     enum_name: &str,
     cfg: &ConformanceConfig,
-    encode_refs: &mut BTreeSet<String>,
-    decode_refs: &mut BTreeSet<String>,
+    encode_refs: &mut BTreeSet<&'a str>,
+    decode_refs: &mut BTreeSet<&'a str>,
 ) {
     for item in items {
         if item.test_only {
@@ -341,11 +334,11 @@ fn collect_codec_refs(
                     collect_pairs(body, &mut pairs);
                     let variants = pairs
                         .into_iter()
-                        .filter(|(a, _)| a == enum_name || a == "Self")
+                        .filter(|(a, _)| *a == enum_name || *a == "Self")
                         .map(|(_, b)| b);
-                    if cfg.encode_fns.contains(&f.name) {
+                    if cfg.encode_fns.iter().any(|e| e == f.name) {
                         encode_refs.extend(variants);
-                    } else if cfg.decode_fns.contains(&f.name) {
+                    } else if cfg.decode_fns.iter().any(|d| d == f.name) {
                         decode_refs.extend(variants);
                     }
                 }
@@ -363,12 +356,12 @@ fn collect_codec_refs(
 
 /// Collects `write_X`/`read_X` suffix sets from the encode/decode fns of
 /// every impl of `ty`.
-fn collect_rw_suffixes(
-    items: &[Item],
+fn collect_rw_suffixes<'a>(
+    items: &[Item<'a>],
     ty: &str,
     cfg: &ConformanceConfig,
-    writes: &mut BTreeSet<String>,
-    reads: &mut BTreeSet<String>,
+    writes: &mut BTreeSet<&'a str>,
+    reads: &mut BTreeSet<&'a str>,
     impl_span: &mut Option<Span>,
 ) {
     for item in items {
@@ -383,9 +376,9 @@ fn collect_rw_suffixes(
                 for sub in &b.items {
                     let ItemKind::Fn(f) = &sub.kind else { continue };
                     let Some(body) = &f.body else { continue };
-                    if cfg.encode_fns.contains(&f.name) {
+                    if cfg.encode_fns.iter().any(|e| e == f.name) {
                         collect_prefixed(body, "write_", writes);
-                    } else if cfg.decode_fns.contains(&f.name) {
+                    } else if cfg.decode_fns.iter().any(|d| d == f.name) {
                         collect_prefixed(body, "read_", reads);
                     }
                 }
@@ -397,13 +390,13 @@ fn collect_rw_suffixes(
     }
 }
 
-fn collect_prefixed(trees: &[TokenTree], prefix: &str, out: &mut BTreeSet<String>) {
+fn collect_prefixed<'a>(trees: &[TokenTree<'a>], prefix: &str, out: &mut BTreeSet<&'a str>) {
     for t in trees {
         match &t.tok {
             Tok::Ident(s) => {
                 if let Some(suffix) = s.strip_prefix(prefix) {
                     if !suffix.is_empty() {
-                        out.insert(suffix.to_string());
+                        out.insert(suffix);
                     }
                 }
             }
@@ -417,13 +410,10 @@ fn collect_prefixed(trees: &[TokenTree], prefix: &str, out: &mut BTreeSet<String
 mod tests {
     use super::*;
 
-    fn files_of(sources: &[(&str, &str)]) -> Vec<FileAst> {
+    fn files_of<'a>(sources: &[(&'a str, &'a str)]) -> Vec<FileAst<'a>> {
         sources
             .iter()
-            .map(|(path, src)| {
-                let trees = synlite::parse_file(src).expect("lexes");
-                FileAst::parse(path, &trees, src)
-            })
+            .map(|(path, src)| FileAst::parse(path, src).expect("lexes"))
             .collect()
     }
 

@@ -30,12 +30,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use synlite::ast::{self, FnDecl, Item, ItemKind};
+use synlite::ast::{FnDecl, Item, ItemKind};
 use synlite::cfg::{self, Cfg, StmtKind, Term};
 use synlite::expr::{parse_expr, BinOp, Expr, ExprKind};
-use synlite::{parse_file, Span, Tok, TokenTree};
+use synlite::{Span, Tok, TokenTree};
 
-use crate::Finding;
+use crate::{FileAst, Finding};
 
 /// Where R10 runs and which calls establish exact-length facts.
 #[derive(Clone, Debug)]
@@ -229,12 +229,12 @@ impl State {
 
 /// One analyzed function: its declaration plus the enclosing impl type.
 struct FnUnit<'a> {
-    decl: &'a FnDecl,
+    decl: &'a FnDecl<'a>,
 }
 
 /// Collects non-test functions with bodies, recursing through impls and
 /// inline modules.
-fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<FnUnit<'a>>) {
+fn collect_fns<'a>(items: &'a [Item<'a>], out: &mut Vec<FnUnit<'a>>) {
     for item in items {
         if item.test_only {
             continue;
@@ -1104,7 +1104,7 @@ fn value_of(e: &Expr, st: &State) -> Interval {
 }
 
 /// Splits a match-arm pattern at a top-level `if` guard.
-fn split_guard(pat: &[TokenTree]) -> (&[TokenTree], Option<&[TokenTree]>) {
+fn split_guard<'t>(pat: cfg::Tokens<'t>) -> (cfg::Tokens<'t>, Option<cfg::Tokens<'t>>) {
     for (i, t) in pat.iter().enumerate() {
         if t.is_ident("if") {
             return (&pat[..i], Some(&pat[i + 1..]));
@@ -1143,7 +1143,7 @@ fn out_edges(cx: &mut FnCx<'_>, term: &Term, base: &State) -> Vec<(usize, State)
                 let (pat, guard) = split_guard(pat);
                 let mut s = base.clone();
                 for b in cfg::pattern_bindings(pat) {
-                    s.kill(&b);
+                    s.kill(b);
                 }
                 let feasible = match guard {
                     Some(g) => {
@@ -1174,9 +1174,9 @@ fn analyze_fn(
     };
     let graph: Cfg = cfg::lower(body);
     let mut init = State::default();
-    for p in &unit.decl.params {
+    for p in unit.decl.params() {
         if let Some(hi) = ty_hi(&p.ty) {
-            init.set(&p.name, Interval { lo: 0, hi });
+            init.set(p.name, Interval { lo: 0, hi });
         }
     }
     let mut cx = FnCx {
@@ -1272,20 +1272,15 @@ fn widen(prev: &State, new: &State) -> State {
 
 /// Runs R10 over every in-scope source, returning findings sorted by
 /// position.
-pub fn check(sources: &[(String, String)], cfgc: &DataflowConfig) -> Vec<Finding> {
+pub fn check(files: &[FileAst], cfgc: &DataflowConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (path, src) in sources {
-        if !cfgc.in_scope(path) {
-            continue;
-        }
-        let Ok(trees) = parse_file(src) else { continue };
+    for file in files.iter().filter(|f| cfgc.in_scope(f.path)) {
         let mut consts = BTreeMap::new();
-        collect_consts(&trees, &mut consts);
-        let items = ast::parse_items(&trees);
+        collect_consts(&file.trees, &mut consts);
         let mut fns = Vec::new();
-        collect_fns(&items, &mut fns);
+        collect_fns(&file.items, &mut fns);
         for unit in &fns {
-            findings.extend(analyze_fn(unit, path, &consts, cfgc));
+            findings.extend(analyze_fn(unit, file.path, &consts, cfgc));
         }
     }
     findings.sort_by(|a, b| {
@@ -1306,7 +1301,7 @@ mod tests {
             scopes: vec!["fix.rs".to_string()],
             exact_len_calls: vec!["take".to_string()],
         };
-        check(&[("fix.rs".to_string(), src.to_string())], &cfgc)
+        check(&[FileAst::parse("fix.rs", src).expect("lexes")], &cfgc)
     }
 
     #[test]

@@ -173,19 +173,17 @@ impl<'a> CellTable<'a> {
 
 /// The computed interprocedural effect closure: one mask per call-graph
 /// node, in node order.
-pub struct EffectClosure {
+pub struct EffectClosure<'g> {
     masks: Vec<EffectMask>,
     /// (file, qual) → node index, for handler lookup.
-    by_site: BTreeMap<(String, String), usize>,
+    by_site: BTreeMap<(&'g str, &'g str), usize>,
 }
 
-impl EffectClosure {
+impl EffectClosure<'_> {
     /// The closed effect mask of the node implementing `qual` in `file`,
     /// if the call graph has it.
     pub fn of(&self, file: &str, qual: &str) -> Option<EffectMask> {
-        self.by_site
-            .get(&(file.to_string(), qual.to_string()))
-            .map(|&i| self.masks[i])
+        self.by_site.get(&(file, qual)).map(|&i| self.masks[i])
     }
 }
 
@@ -205,13 +203,17 @@ impl EffectClosure {
 /// SysApi facade impls (every role file calls `write`/`read`/`count`)
 /// and through the kernel's dynamic `Process::on_event` dispatch,
 /// merging all footprints into one.
-pub fn effect_closure(graph: &CallGraph, spec: &Spec, cfg: &EffectsConfig) -> EffectClosure {
+pub fn effect_closure<'g>(
+    graph: &'g CallGraph,
+    spec: &Spec,
+    cfg: &EffectsConfig,
+) -> EffectClosure<'g> {
     let table = CellTable::new(&spec.cells);
     let mutating: BTreeSet<&str> = cfg.mutating_methods.iter().map(String::as_str).collect();
     let role_node: Vec<bool> = graph
         .nodes
         .iter()
-        .map(|n| role_owned(spec, &n.file))
+        .map(|n| role_owned(spec, n.file))
         .collect();
     let mut masks: Vec<EffectMask> = graph
         .nodes
@@ -247,9 +249,7 @@ pub fn effect_closure(graph: &CallGraph, spec: &Spec, cfg: &EffectsConfig) -> Ef
 
     let mut by_site = BTreeMap::new();
     for (i, node) in graph.nodes.iter().enumerate() {
-        by_site
-            .entry((node.file.clone(), node.qual.clone()))
-            .or_insert(i);
+        by_site.entry((node.file, node.qual.as_str())).or_insert(i);
     }
     EffectClosure { masks, by_site }
 }
@@ -265,7 +265,7 @@ fn direct_effects(
     for acc in ast::field_accesses(body) {
         let last = acc.fields.len() - 1;
         for (i, field) in acc.fields.iter().enumerate() {
-            let mut cell = table.bare.get(field.as_str()).copied();
+            let mut cell = table.bare.get(field).copied();
             if cell.is_none() && i == 0 && acc.base == "self" {
                 if let Some(ty) = self_ty {
                     cell = table
@@ -280,7 +280,7 @@ fn direct_effects(
             // every prefix is a read (you traverse it to get there).
             let writes = i == last
                 && match (&acc.method, acc.mode) {
-                    (Some(m), _) => mutating.contains(m.as_str()),
+                    (Some(m), _) => mutating.contains(m),
                     (None, AccessMode::Write) | (None, AccessMode::ReadWrite) => true,
                     (None, AccessMode::Read) => false,
                 };
@@ -419,7 +419,7 @@ fn retry_exposed_msgs<'a>(
     let role_node: Vec<bool> = graph
         .nodes
         .iter()
-        .map(|n| role_owned(&analysis.spec, &n.file))
+        .map(|n| role_owned(&analysis.spec, n.file))
         .collect();
     let mut reachable = vec![false; graph.nodes.len()];
     let mut root_of: Vec<Option<&str>> = vec![None; graph.nodes.len()];
@@ -449,9 +449,7 @@ fn retry_exposed_msgs<'a>(
     }
     let mut node_at: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     for (i, node) in graph.nodes.iter().enumerate() {
-        node_at
-            .entry((node.file.as_str(), node.qual.as_str()))
-            .or_insert(i);
+        node_at.entry((node.file, node.qual.as_str())).or_insert(i);
     }
     let mut msgs = BTreeMap::new();
     for site in &analysis.sites {
@@ -494,12 +492,12 @@ pub fn conflict_report(graph: &CallGraph, spec: &Spec, cfg: &EffectsConfig) -> S
     let dedup = table.kind_mask(&["dedup"]);
     let mut partial_reads: Vec<String> = Vec::new();
     for node in &graph.nodes {
-        if !role_owned(spec, &node.file) || node.name == "read" {
+        if !role_owned(spec, node.file) || node.name == "read" {
             continue;
         }
         if has_partial_read(&node.body) {
             let guarded = closure
-                .of(&node.file, &node.qual)
+                .of(node.file, &node.qual)
                 .map(|m| (m.reads | m.writes) & dedup != 0)
                 .unwrap_or(false);
             if !guarded {
@@ -571,7 +569,7 @@ fn has_partial_read(trees: &[TokenTree]) -> bool {
 
 fn contains_ident(trees: &[TokenTree], name: &str) -> bool {
     trees.iter().any(|t| match &t.tok {
-        Tok::Ident(s) => s == name,
+        Tok::Ident(s) => *s == name,
         Tok::Group(_, inner) => contains_ident(inner, name),
         _ => false,
     })
@@ -583,13 +581,10 @@ mod tests {
     use crate::callgraph::FileAst;
     use crate::fsm::{self, FsmConfig};
 
-    fn parse(sources: &[(&str, &str)]) -> Vec<FileAst> {
+    fn parse<'a>(sources: &[(&'a str, &'a str)]) -> Vec<FileAst<'a>> {
         sources
             .iter()
-            .map(|(path, src)| {
-                let trees = synlite::parse_file(src).expect("lexes");
-                FileAst::parse(path, &trees, src)
-            })
+            .map(|(path, src)| FileAst::parse(path, src).expect("lexes"))
             .collect()
     }
 
@@ -640,7 +635,10 @@ writes = ["members"]
 
     const WIRE: &str = "pub enum GcsWire { Join { group: String }, Nop }\n";
 
-    fn run(daemon_src: &str, client_src: &str) -> (Vec<Finding>, CallGraph, Analysis) {
+    fn run<'a>(
+        daemon_src: &'a str,
+        client_src: &'a str,
+    ) -> (Vec<Finding>, CallGraph<'a>, Analysis) {
         let files = parse(&[
             ("c/client.rs", client_src),
             ("d/daemon.rs", daemon_src),

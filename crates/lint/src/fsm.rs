@@ -458,7 +458,7 @@ pub fn check(
     let mut codec_decls: BTreeMap<String, (String, Span)> = BTreeMap::new();
     for file in files {
         collect_decls(
-            &file.path,
+            file.path,
             &file.items,
             &enums,
             &codecs,
@@ -481,7 +481,7 @@ pub fn check(
     // Extract code sites from each role's files.
     let mut sites: Vec<CodeSite> = Vec::new();
     for file in files {
-        let Some(role) = owning_role(&spec.roles, &file.path) else {
+        let Some(role) = owning_role(&spec.roles, file.path) else {
             continue;
         };
         let mut scanner = Scanner {
@@ -494,7 +494,7 @@ pub fn check(
         for raw in scanner.raw {
             sites.push(CodeSite {
                 role: role.to_string(),
-                path: file.path.clone(),
+                path: file.path.to_string(),
                 span: raw.span,
                 dir: raw.dir,
                 msg: raw.msg,
@@ -542,15 +542,15 @@ fn collect_decls(
             continue;
         }
         match &item.kind {
-            ItemKind::Enum(e) if enums.contains(e.name.as_str()) => {
-                let entry = variants.entry(e.name.clone()).or_default();
+            ItemKind::Enum(e) if enums.contains(e.name) => {
+                let entry = variants.entry(e.name.to_string()).or_default();
                 for v in &e.variants {
-                    entry.push((v.name.clone(), path.to_string(), v.span));
+                    entry.push((v.name.to_string(), path.to_string(), v.span));
                 }
             }
-            ItemKind::Struct(s) if codecs.contains(s.name.as_str()) => {
+            ItemKind::Struct(s) if codecs.contains(s.name) => {
                 codec_decls
-                    .entry(s.name.clone())
+                    .entry(s.name.to_string())
                     .or_insert((path.to_string(), item.span));
             }
             ItemKind::Mod(m) => collect_decls(path, &m.items, enums, codecs, variants, codec_decls),
@@ -584,12 +584,12 @@ fn scan_items(items: &[Item], self_ty: Option<&str>, scanner: &mut Scanner<'_>) 
                 if let Some(body) = &f.body {
                     let qual = match self_ty {
                         Some(ty) => format!("{ty}::{}", f.name),
-                        None => f.name.clone(),
+                        None => f.name.to_string(),
                     };
                     scan_tokens(body, Mode::Expr, &qual, scanner);
                 }
             }
-            ItemKind::Impl(b) => scan_items(&b.items, Some(&b.self_ty), scanner),
+            ItemKind::Impl(b) => scan_items(&b.items, Some(b.self_ty), scanner),
             ItemKind::Mod(m) => scan_items(&m.items, None, scanner),
             ItemKind::Enum(_) | ItemKind::Struct(_) => {}
         }
@@ -708,7 +708,7 @@ fn scan_tokens(trees: &[TokenTree], mode: Mode, fn_qual: &str, scanner: &mut Sca
     }
 }
 
-fn scan_arm(arm: &MatchArm<'_>, fn_qual: &str, scanner: &mut Scanner<'_>) {
+fn scan_arm(arm: &MatchArm<'_, '_>, fn_qual: &str, scanner: &mut Scanner<'_>) {
     // Split a trailing `if` guard off the pattern.
     let guard_at = top_level_if(arm.pattern);
     let (pattern, guard) = match guard_at {

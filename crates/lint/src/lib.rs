@@ -38,10 +38,10 @@
 //!   `conflict-relation/1` artifact (`--conflict-report`) that
 //!   `explore --conflict-relation` uses for persistent-set pruning.
 //!
-//! The workspace call graph is built **once** per invocation and shared
-//! by every interprocedural pass (R5 uses the induced subgraph of its
-//! scope, R9/R11/R12 the full graph); `--timings` reports its cost as
-//! the `callgraph` row.
+//! A command lexes and parses the tree **once** ([`Workspace::parse`]):
+//! every pass, report and `--timings` row borrows that one value — the
+//! token trees, the item trees, and the call graph over them (R5 uses
+//! the induced subgraph of its scope, R9/R11/R12 the full graph).
 //!
 //! Suppressions are allowed only through a justified
 //! [`lint-allow.toml`](allow) entry; stale entries are configuration
@@ -232,9 +232,9 @@ pub fn lint_source(
     rule_set: RuleSet,
     protocol_enums: &[String],
 ) -> Result<Vec<Finding>, synlite::LexError> {
-    let trees = synlite::parse_file(src)?;
+    let file = FileAst::parse(path, src)?;
     let mut findings = Vec::new();
-    rules::run(path, &trees, rule_set, protocol_enums, &mut findings);
+    rules::run(path, &file.trees, rule_set, protocol_enums, &mut findings);
     Ok(findings)
 }
 
@@ -350,77 +350,70 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// Every source of one command, lexed and parsed once, and the call
+/// graph over it. The sources own the text; everything here borrows it.
+#[derive(Debug)]
+pub struct Workspace<'a> {
+    /// One entry per source, in the order given.
+    pub files: Vec<FileAst<'a>>,
+    /// The call graph over every file, shared by the interprocedural
+    /// passes (R5 restricts it to its scope; R9/R11/R12 use it whole).
+    pub graph: CallGraph<'a>,
+}
+
+impl<'a> Workspace<'a> {
+    /// Lexes and parses `sources` (workspace-relative path, text) and
+    /// builds the call graph. A file that does not lex is an error.
+    pub fn parse(sources: &'a [(String, String)]) -> Result<Workspace<'a>, EngineError> {
+        Self::parse_timed(sources, &|| 0).map(|(ws, _)| ws)
+    }
+
+    /// [`Workspace::parse`], also returning the nanoseconds `now_nanos`
+    /// saw pass while lexing + parsing and while building the graph.
+    fn parse_timed(
+        sources: &'a [(String, String)],
+        now_nanos: &dyn Fn() -> u64,
+    ) -> Result<(Workspace<'a>, [u64; 2]), EngineError> {
+        let t0 = now_nanos();
+        let mut files = Vec::with_capacity(sources.len());
+        for (rel, src) in sources {
+            files.push(FileAst::parse(rel, src).map_err(|e| EngineError {
+                message: format!("lexing {rel}: {e}"),
+            })?);
+        }
+        let t1 = now_nanos();
+        let graph = CallGraph::build(&files);
+        let spent = [t1.saturating_sub(t0), now_nanos().saturating_sub(t1)];
+        Ok((Workspace { files, graph }, spent))
+    }
+}
+
 /// Lints a set of in-memory sources (workspace-relative path, text) with
-/// every pass the contract enables: per-file sequence rules, the R5 taint
-/// analysis over the cross-file call graph, and the R8 conformance
-/// checks. This is the whole engine; [`lint_workspace`] only adds the
-/// directory walk.
+/// every pass the contract enables. This is the whole engine:
+/// [`Workspace::parse`] then [`lint_parsed`]; [`lint_workspace`] only
+/// adds the directory walk.
 pub fn lint_files(
     sources: &[(String, String)],
     contract: &Contract,
     allow: &AllowList,
 ) -> Result<Report, EngineError> {
-    let mut report = Report::default();
+    lint_parsed(&Workspace::parse(sources)?, contract, allow)
+}
+
+/// Runs every pass the contract enables over an already-parsed
+/// workspace: per-file sequence rules, the R5 taint analysis over the
+/// call graph, the R8 conformance checks, R9, R11/R12 and R10.
+pub fn lint_parsed(
+    ws: &Workspace<'_>,
+    contract: &Contract,
+    allow: &AllowList,
+) -> Result<Report, EngineError> {
+    let mut report = Report {
+        files_scanned: ws.files.len(),
+        ..Report::default()
+    };
     let mut allow_used = vec![false; allow.entries().len()];
-    let mut file_asts: Vec<FileAst> = Vec::with_capacity(sources.len());
-
-    for (rel, src) in sources {
-        let trees = synlite::parse_file(src).map_err(|e| EngineError {
-            message: format!("lexing {rel}: {e}"),
-        })?;
-        report.files_scanned += 1;
-        let rule_set = contract.rules_for(rel);
-        let mut found = Vec::new();
-        if !rule_set.is_empty() {
-            rules::run(rel, &trees, rule_set, &contract.protocol_enums, &mut found);
-        }
-        let lines: Vec<&str> = src.lines().collect();
-        for f in found {
-            let line_text = lines
-                .get(f.line.saturating_sub(1) as usize)
-                .copied()
-                .unwrap_or("");
-            match allow.suppression_for(&f, line_text) {
-                Some(i) => {
-                    allow_used[i] = true;
-                    report.suppressed.push(f);
-                }
-                None => report.findings.push(f),
-            }
-        }
-        file_asts.push(FileAst::parse(rel, &trees, src));
-    }
-
-    // The workspace call graph, built once and shared by every
-    // interprocedural pass (R5 restricts it to its scope; R9/R11/R12
-    // use it whole).
-    let graph = CallGraph::build(&file_asts);
-
-    // R5: interprocedural taint over the call graph of in-scope files.
-    if !contract.r5_sinks.is_empty() {
-        let r5_files: Vec<FileAst> = file_asts
-            .iter()
-            .filter(|f| contract.in_r5_scope(&f.path))
-            .cloned()
-            .collect();
-        if !r5_files.is_empty() {
-            let r5_graph = graph.restrict(|file| contract.in_r5_scope(file));
-            let (mut found, mut silenced) = taint::check(
-                &r5_graph,
-                &r5_files,
-                &contract.r5_sinks,
-                allow,
-                &mut allow_used,
-            );
-            report.findings.append(&mut found);
-            report.suppressed.append(&mut silenced);
-        }
-    }
-
-    // R8: event/codec conformance over the whole parsed set (liveness
-    // needs to see emitters wherever they live).
-    let by_path: BTreeMap<&str, &FileAst> =
-        file_asts.iter().map(|f| (f.path.as_str(), f)).collect();
+    let by_path: BTreeMap<&str, &FileAst> = ws.files.iter().map(|f| (f.path, f)).collect();
     let route = |f: Finding, report: &mut Report, allow_used: &mut Vec<bool>| {
         // Findings may land in files we did not scan (the spec file);
         // those have no source line to pattern-match against.
@@ -436,8 +429,40 @@ pub fn lint_files(
             None => report.findings.push(f),
         }
     };
+
+    for file in &ws.files {
+        let mut found = Vec::new();
+        let rule_set = contract.rules_for(file.path);
+        rules::run(
+            file.path,
+            &file.trees,
+            rule_set,
+            &contract.protocol_enums,
+            &mut found,
+        );
+        for f in found {
+            route(f, &mut report, &mut allow_used);
+        }
+    }
+
+    // R5: interprocedural taint over the call graph of in-scope files.
+    if !contract.r5_sinks.is_empty() && ws.files.iter().any(|f| contract.in_r5_scope(f.path)) {
+        let r5_graph = ws.graph.restrict(|file| contract.in_r5_scope(file));
+        let (mut found, mut silenced) = taint::check(
+            &r5_graph,
+            &ws.files,
+            &contract.r5_sinks,
+            allow,
+            &mut allow_used,
+        );
+        report.findings.append(&mut found);
+        report.suppressed.append(&mut silenced);
+    }
+
+    // R8: event/codec conformance over the whole parsed set (liveness
+    // needs to see emitters wherever they live).
     if let Some(cfg) = &contract.conformance {
-        for f in conformance::check(&file_asts, cfg) {
+        for f in conformance::check(&ws.files, cfg) {
             route(f, &mut report, &mut allow_used);
         }
     }
@@ -446,11 +471,8 @@ pub fn lint_files(
     // The analysis (parsed spec + extracted sites) is kept for R11/R12.
     let mut fsm_analysis: Option<fsm::Analysis> = None;
     if let Some(cfg) = &contract.fsm {
-        if let Some(spec_src) = &cfg.spec_src {
-            let mut analysis =
-                fsm::check(&file_asts, cfg, spec_src, &graph).map_err(|e| EngineError {
-                    message: format!("{}:{}: {}", cfg.spec_path, e.line, e.message),
-                })?;
+        if cfg.spec_src.is_some() {
+            let mut analysis = fsm_analysis_of(ws, cfg)?;
             for f in std::mem::take(&mut analysis.findings) {
                 route(f, &mut report, &mut allow_used);
             }
@@ -462,7 +484,7 @@ pub fn lint_files(
     // the spec's cell vocabulary (needs the R9 extraction).
     if let Some(cfg) = &contract.effects {
         if let Some(analysis) = &fsm_analysis {
-            for f in effects::check(&graph, analysis, cfg) {
+            for f in effects::check(&ws.graph, analysis, cfg) {
                 route(f, &mut report, &mut allow_used);
             }
         }
@@ -470,7 +492,7 @@ pub fn lint_files(
 
     // R10: interval-dataflow bounds proofs over the codec scopes.
     if let Some(cfg) = &contract.dataflow {
-        for f in dataflow::check(sources, cfg) {
+        for f in dataflow::check(&ws.files, cfg) {
             route(f, &mut report, &mut allow_used);
         }
     }
@@ -493,6 +515,16 @@ pub fn lint_files(
         .suppressed
         .sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     Ok(report)
+}
+
+/// The R9 extraction and diff over `ws` against the loaded spec.
+fn fsm_analysis_of(ws: &Workspace<'_>, cfg: &fsm::FsmConfig) -> Result<fsm::Analysis, EngineError> {
+    let spec_src = cfg.spec_src.as_ref().ok_or_else(|| EngineError {
+        message: format!("fsm report: spec {} not loaded", cfg.spec_path),
+    })?;
+    fsm::check(&ws.files, cfg, spec_src, &ws.graph).map_err(|e| EngineError {
+        message: format!("{}:{}: {}", cfg.spec_path, e.line, e.message),
+    })
 }
 
 /// Reads every `.rs` file under `root`'s `crates/` and `vendor/` trees
@@ -575,40 +607,18 @@ enum Format {
     Sarif,
 }
 
-/// Runs the R9 extractor alone over `sources` and renders its
+/// Runs the R9 extractor alone over `ws` and renders its
 /// machine-readable report (`detlint-fsm/1`): the parsed spec, every
 /// recovered code site, and the conformance diff.
-pub fn fsm_report(
-    sources: &[(String, String)],
-    cfg: &fsm::FsmConfig,
-) -> Result<String, EngineError> {
-    let Some(spec_src) = &cfg.spec_src else {
-        return Err(EngineError {
-            message: format!("fsm report: spec {} not loaded", cfg.spec_path),
-        });
-    };
-    let mut file_asts = Vec::with_capacity(sources.len());
-    for (rel, src) in sources {
-        let trees = synlite::parse_file(src).map_err(|e| EngineError {
-            message: format!("lexing {rel}: {e}"),
-        })?;
-        file_asts.push(FileAst::parse(rel, &trees, src));
-    }
-    let graph = CallGraph::build(&file_asts);
-    let analysis = fsm::check(&file_asts, cfg, spec_src, &graph).map_err(|e| EngineError {
-        message: format!("{}:{}: {}", cfg.spec_path, e.line, e.message),
-    })?;
-    Ok(fsm::report_json(&analysis))
+pub fn fsm_report(ws: &Workspace<'_>, cfg: &fsm::FsmConfig) -> Result<String, EngineError> {
+    Ok(fsm::report_json(&fsm_analysis_of(ws, cfg)?))
 }
 
 /// Derives the `conflict-relation/1` artifact for
 /// `explore --conflict-relation` (CLI `--conflict-report`): statically
 /// proven-independent kernel wake-up pairs, justified by the drain-
 /// idempotence analysis in [`effects::conflict_report`].
-pub fn conflict_report(
-    sources: &[(String, String)],
-    contract: &Contract,
-) -> Result<String, EngineError> {
+pub fn conflict_report(ws: &Workspace<'_>, contract: &Contract) -> Result<String, EngineError> {
     let fsm_cfg = contract.fsm.as_ref().ok_or_else(|| EngineError {
         message: "conflict report: the R9 pass is disabled in this contract".to_string(),
     })?;
@@ -621,15 +631,16 @@ pub fn conflict_report(
     let spec = fsm::parse_spec(spec_src).map_err(|e| EngineError {
         message: format!("{}:{}: {}", fsm_cfg.spec_path, e.line, e.message),
     })?;
-    let mut file_asts = Vec::with_capacity(sources.len());
-    for (rel, src) in sources {
-        let trees = synlite::parse_file(src).map_err(|e| EngineError {
-            message: format!("lexing {rel}: {e}"),
-        })?;
-        file_asts.push(FileAst::parse(rel, &trees, src));
-    }
-    let graph = CallGraph::build(&file_asts);
-    Ok(effects::conflict_report(&graph, &spec, effects_cfg))
+    Ok(effects::conflict_report(&ws.graph, &spec, effects_cfg))
+}
+
+/// Tokens in `trees`, groups and their contents included.
+fn count_tokens(trees: &[synlite::TokenTree]) -> usize {
+    let inner = |t: &synlite::TokenTree| match &t.tok {
+        synlite::Tok::Group(_, inner) => count_tokens(inner),
+        _ => 0,
+    };
+    trees.len() + trees.iter().map(inner).sum::<usize>()
 }
 
 /// One contract per rule with every other pass disabled, so each rule's
@@ -753,7 +764,7 @@ fn files_for_rule(rule: &str, contract: &Contract, sources: &[(String, String)])
         "R5" => scope_count(&contract.r5_scopes),
         "R6" => scope_count(&contract.r6_scopes),
         "R7" => scope_count(&contract.r7_scopes),
-        "R8" | "R9" | "R11+R12" | "callgraph" => sources.len(),
+        "R8" | "R9" | "R11+R12" => sources.len(),
         "R10" => contract
             .dataflow
             .as_ref()
@@ -893,7 +904,14 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
             return 2;
         }
     };
-    let report = match lint_files(&sources, &contract, &allow) {
+    let (ws, [parse_ns, graph_ns]) = match Workspace::parse_timed(&sources, now_nanos) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("detlint: {e}");
+            return 2;
+        }
+    };
+    let report = match lint_parsed(&ws, &contract, &allow) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("detlint: {e}");
@@ -906,30 +924,20 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
         }
         return 2;
     }
-    if let Some(path) = &fsm_report_path {
-        let json = match contract.fsm.as_ref().ok_or_else(|| EngineError {
+    let fsm_json = || {
+        let cfg = contract.fsm.as_ref().ok_or_else(|| EngineError {
             message: "fsm report: the R9 pass is disabled in this contract".to_string(),
-        }) {
-            Ok(cfg) => match fsm_report(&sources, cfg) {
-                Ok(json) => json,
-                Err(e) => {
-                    eprintln!("detlint: {e}");
-                    return 2;
-                }
-            },
-            Err(e) => {
-                eprintln!("detlint: {e}");
-                return 2;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("detlint: writing {}: {e}", path.display());
-            return 2;
-        }
-        eprintln!("detlint: wrote fsm report to {}", path.display());
-    }
-    if let Some(path) = &conflict_report_path {
-        let json = match conflict_report(&sources, &contract) {
+        })?;
+        fsm_report(&ws, cfg)
+    };
+    let conflict_json = || conflict_report(&ws, &contract);
+    let artifacts: [(_, _, &dyn Fn() -> Result<String, EngineError>); 2] = [
+        (&fsm_report_path, "fsm report", &fsm_json),
+        (&conflict_report_path, "conflict relation", &conflict_json),
+    ];
+    for (path, what, json) in artifacts {
+        let Some(path) = path else { continue };
+        let json = match json() {
             Ok(json) => json,
             Err(e) => {
                 eprintln!("detlint: {e}");
@@ -940,44 +948,34 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
             eprintln!("detlint: writing {}: {e}", path.display());
             return 2;
         }
-        eprintln!("detlint: wrote conflict relation to {}", path.display());
+        eprintln!("detlint: wrote {what} to {}", path.display());
     }
     if timings {
-        // Re-run each rule in isolation against the already-loaded
-        // sources; the empty allowlist keeps suppression cost out of the
-        // per-rule numbers.
+        // Every row is that step alone over the one shared parse; the
+        // empty allowlist keeps suppression cost out of the rule rows.
         let no_allow = AllowList::empty();
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let n = sources.len();
         eprintln!("detlint: per-rule timings:");
-        // The shared call graph is built once per lint_files invocation;
-        // time it standalone so the saving over per-pass builds is
-        // visible.
-        {
-            let t0 = now_nanos();
-            let mut file_asts = Vec::with_capacity(sources.len());
-            for (rel, src) in &sources {
-                if let Ok(trees) = synlite::parse_file(src) {
-                    file_asts.push(FileAst::parse(rel, &trees, src));
-                }
-            }
-            let graph = CallGraph::build(&file_asts);
-            let dt = now_nanos().saturating_sub(t0);
-            eprintln!(
-                "detlint:   {name:<7} {ms:>9.2}ms  {n} file(s), {k} node(s) — built once, shared by R5/R9/R11+R12",
-                name = "callgraph",
-                ms = dt as f64 / 1e6,
-                n = files_for_rule("callgraph", &contract, &sources),
-                k = graph.nodes.len(),
-            );
-        }
+        eprintln!(
+            "detlint:   {:<7} {:>9.2}ms  {n} file(s), {} KiB, {} token(s) — lexed and parsed once, shared by every row",
+            "parse",
+            ms(parse_ns),
+            sources.iter().map(|(_, src)| src.len()).sum::<usize>().div_ceil(1024),
+            ws.files.iter().map(|f| count_tokens(&f.trees)).sum::<usize>(),
+        );
+        eprintln!(
+            "detlint:   {:<7} {:>9.2}ms  {n} file(s), {} node(s) — built once, shared by R5/R9/R11+R12",
+            "callgraph",
+            ms(graph_ns),
+            ws.graph.nodes.len(),
+        );
         for (name, rule_contract) in per_rule_contracts(&contract) {
             let n = files_for_rule(name, &contract, &sources);
             let t0 = now_nanos();
-            let _ = lint_files(&sources, &rule_contract, &no_allow);
+            let _ = lint_parsed(&ws, &rule_contract, &no_allow);
             let dt = now_nanos().saturating_sub(t0);
-            eprintln!(
-                "detlint:   {name:<7} {ms:>9.2}ms  {n} file(s)",
-                ms = dt as f64 / 1e6
-            );
+            eprintln!("detlint:   {name:<7} {:>9.2}ms  {n} file(s)", ms(dt));
         }
     }
     match format {

@@ -133,7 +133,7 @@ struct Cx<'a> {
     path: &'a str,
     rules: RuleSet,
     protocol_enums: &'a [String],
-    hash_idents: Vec<String>,
+    hash_idents: Vec<&'a str>,
 }
 
 impl Cx<'_> {
@@ -150,7 +150,7 @@ impl Cx<'_> {
 
 /// Records every identifier declared with a `HashMap`/`HashSet` type or
 /// initialised from one (`name: HashMap<..>`, `let name = HashSet::new()`).
-pub(crate) fn collect_hash_idents(trees: &[TokenTree], out: &mut Vec<String>) {
+pub(crate) fn collect_hash_idents<'a>(trees: &[TokenTree<'a>], out: &mut Vec<&'a str>) {
     for (i, t) in trees.iter().enumerate() {
         if let Tok::Group(_, inner) = &t.tok {
             collect_hash_idents(inner, out);
@@ -171,7 +171,7 @@ pub(crate) fn collect_hash_idents(trees: &[TokenTree], out: &mut Vec<String>) {
                     break;
                 }
                 if next.is_ident("HashMap") || next.is_ident("HashSet") {
-                    out.push(name.to_string());
+                    out.push(name);
                     break;
                 }
             }
@@ -190,7 +190,7 @@ pub(crate) fn collect_hash_idents(trees: &[TokenTree], out: &mut Vec<String>) {
                     break;
                 }
                 if next.is_ident("HashMap") || next.is_ident("HashSet") {
-                    out.push(name.to_string());
+                    out.push(name);
                     break;
                 }
             }
@@ -259,7 +259,7 @@ fn is_test_attribute(trees: &[TokenTree], i: usize) -> bool {
 
 pub(crate) fn contains_ident(trees: &[TokenTree], name: &str) -> bool {
     trees.iter().any(|t| match &t.tok {
-        Tok::Ident(s) => s == name,
+        Tok::Ident(s) => *s == name,
         Tok::Group(_, inner) => contains_ident(inner, name),
         _ => false,
     })
@@ -315,8 +315,7 @@ fn r1_at(cx: &Cx<'_>, trees: &[TokenTree], i: usize, findings: &mut Vec<Finding>
     let t = &trees[i];
     // `x.iter()` / `self.x.drain()` ...
     if let Some(name) = t.ident() {
-        if cx.hash_idents.iter().any(|h| h == name)
-            && matches!(trees.get(i + 1), Some(n) if n.is_punct('.'))
+        if cx.hash_idents.contains(&name) && matches!(trees.get(i + 1), Some(n) if n.is_punct('.'))
         {
             if let Some(method) = trees.get(i + 2).and_then(|n| n.ident()) {
                 let has_call = trees
@@ -352,7 +351,7 @@ fn r1_at(cx: &Cx<'_>, trees: &[TokenTree], i: usize, findings: &mut Vec<Finding>
                 break;
             }
             if let Some(name) = n.ident() {
-                if cx.hash_idents.iter().any(|h| h == name) {
+                if cx.hash_idents.contains(&name) {
                     findings.push(cx.finding(
                         "R1",
                         n,
@@ -443,7 +442,7 @@ fn r3_at(cx: &Cx<'_>, trees: &[TokenTree], i: usize, findings: &mut Vec<Finding>
     if i > 0 && matches!(t.tok, Tok::Group(Delim::Bracket, _)) {
         let prev = &trees[i - 1];
         let indexable = match &prev.tok {
-            Tok::Ident(name) => !NON_INDEX_KEYWORDS.contains(&name.as_str()),
+            Tok::Ident(name) => !NON_INDEX_KEYWORDS.contains(name),
             Tok::Group(Delim::Paren, _) | Tok::Group(Delim::Bracket, _) => {
                 // `(..)[i]` / `a[i][j]` — but not a macro `m!(..)[..]`
                 // (still an index, keep it) and not `#[attr]` handled by
@@ -608,7 +607,7 @@ fn has_budget_ident(trees: &[TokenTree]) -> bool {
 
 fn drain_or_budget_ident(t: &TokenTree) -> bool {
     match &t.tok {
-        Tok::Ident(s) => R7_DRAIN_METHODS.contains(&s.as_str()),
+        Tok::Ident(s) => R7_DRAIN_METHODS.contains(s),
         Tok::Group(_, inner) => inner.iter().any(drain_or_budget_ident),
         _ => false,
     }
@@ -658,7 +657,7 @@ fn has_comparison(trees: &[TokenTree]) -> bool {
 /// R4: inside a match body, flag catch-all arms when any arm pattern
 /// mentions a protocol enum.
 fn r4_check_match(cx: &Cx<'_>, body: &[TokenTree], findings: &mut Vec<Finding>) {
-    let arms = split_arms(body);
+    let arms = synlite::ast::match_arms(body);
     if arms.is_empty() {
         return;
     }
@@ -686,47 +685,8 @@ fn r4_check_match(cx: &Cx<'_>, body: &[TokenTree], findings: &mut Vec<Finding>) 
     }
 }
 
-struct Arm<'a> {
-    pattern: &'a [TokenTree],
-}
-
-/// Splits a match body into arms at `=>` boundaries.
-fn split_arms(body: &[TokenTree]) -> Vec<Arm<'_>> {
-    let mut arms = Vec::new();
-    let mut i = 0;
-    while i < body.len() {
-        let start = i;
-        // pattern runs to the `=>`
-        let mut arrow = None;
-        while i < body.len() {
-            if body[i].is_punct('=') && matches!(body.get(i + 1), Some(n) if n.is_punct('>')) {
-                arrow = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let Some(arrow) = arrow else { break };
-        arms.push(Arm {
-            pattern: &body[start..arrow],
-        });
-        i = arrow + 2;
-        // arm body: a brace group, or an expression up to a top-level `,`
-        if matches!(body.get(i), Some(n) if n.group(Delim::Brace).is_some()) {
-            i += 1;
-        } else {
-            while i < body.len() && !body[i].is_punct(',') {
-                i += 1;
-            }
-        }
-        if matches!(body.get(i), Some(n) if n.is_punct(',')) {
-            i += 1;
-        }
-    }
-    arms
-}
-
 /// Drops a trailing `if <guard>` from a pattern.
-fn strip_guard(pattern: &[TokenTree]) -> &[TokenTree] {
+fn strip_guard<'t, 'a>(pattern: &'t [TokenTree<'a>]) -> &'t [TokenTree<'a>] {
     pattern
         .iter()
         .position(|t| t.is_ident("if"))
@@ -736,7 +696,7 @@ fn strip_guard(pattern: &[TokenTree]) -> &[TokenTree] {
 
 /// If `pattern` is a catch-all (`_`, a bare binding ident, or `Ok(_)` /
 /// `Ok(binding)`), returns the token to anchor the finding on.
-fn wildcard_token(pattern: &[TokenTree]) -> Option<&TokenTree> {
+fn wildcard_token<'t, 'a>(pattern: &'t [TokenTree<'a>]) -> Option<&'t TokenTree<'a>> {
     match pattern {
         [t] if t.is_punct('_') => Some(t),
         [t] if t.ident().is_some() => Some(t),

@@ -41,7 +41,7 @@ pub fn direct_sources(body: &[TokenTree]) -> Vec<SourceHit> {
     out
 }
 
-fn scan(trees: &[TokenTree], hash_idents: &[String], out: &mut Vec<SourceHit>) {
+fn scan(trees: &[TokenTree], hash_idents: &[&str], out: &mut Vec<SourceHit>) {
     for (i, t) in trees.iter().enumerate() {
         if let Tok::Group(_, inner) = &t.tok {
             scan(inner, hash_idents, out);
@@ -79,8 +79,7 @@ fn scan(trees: &[TokenTree], hash_idents: &[String], out: &mut Vec<SourceHit>) {
         }
         // Hash-ordered iteration: `<hash binding>.iter()`-family calls.
         if let Some(name) = t.ident() {
-            if hash_idents.iter().any(|h| h == name)
-                && matches!(trees.get(i + 1), Some(n) if n.is_punct('.'))
+            if hash_idents.contains(&name) && matches!(trees.get(i + 1), Some(n) if n.is_punct('.'))
             {
                 if let Some(method) = trees.get(i + 2).and_then(|n| n.ident()) {
                     let has_call = trees
@@ -118,7 +117,7 @@ pub fn check(
 ) -> (Vec<Finding>, Vec<Finding>) {
     let n = graph.nodes.len();
     let by_path: std::collections::BTreeMap<&str, &FileAst> =
-        files.iter().map(|f| (f.path.as_str(), f)).collect();
+        files.iter().map(|f| (f.path, f)).collect();
     let sources: Vec<Vec<SourceHit>> = graph
         .nodes
         .iter()
@@ -204,10 +203,10 @@ fn reach_source(
     while let Some(cur) = queue.pop_front() {
         for edge in &graph.nodes[cur].calls {
             let line_text = by_path
-                .get(graph.nodes[cur].file.as_str())
+                .get(graph.nodes[cur].file)
                 .map(|f| f.line_text(edge.span.line))
                 .unwrap_or("");
-            let suppression = allow.edge_suppression_for(&graph.nodes[cur].file, line_text);
+            let suppression = allow.edge_suppression_for(graph.nodes[cur].file, line_text);
             for &callee in &edge.callees {
                 if !tainted[callee] || seen[callee] {
                     continue;
@@ -257,7 +256,7 @@ fn chain_finding(
         .collect();
     Finding {
         rule: "R5",
-        path: sink.file.clone(),
+        path: sink.file.to_string(),
         line: sink.span.line,
         col: sink.span.col,
         message: format!(
@@ -276,13 +275,10 @@ mod tests {
     use super::*;
     use crate::callgraph::FileAst;
 
-    fn files_of(sources: &[(&str, &str)]) -> Vec<FileAst> {
+    fn files_of<'a>(sources: &[(&'a str, &'a str)]) -> Vec<FileAst<'a>> {
         sources
             .iter()
-            .map(|(path, src)| {
-                let trees = synlite::parse_file(src).expect("lexes");
-                FileAst::parse(path, &trees, src)
-            })
+            .map(|(path, src)| FileAst::parse(path, src).expect("lexes"))
             .collect()
     }
 

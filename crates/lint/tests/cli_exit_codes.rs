@@ -108,3 +108,25 @@ fn malformed_spec_exits_two() {
     );
     assert_eq!(run(&["--root", &root_arg(&root)]), 2);
 }
+
+#[test]
+fn file_that_does_not_lex_exits_two() {
+    let root = workspace("no-lex");
+    write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
+    write(&root, "crates/demo/src/deep.rs", &"(".repeat(100_000));
+    write(&root, "specs/recovery-protocol.toml", MINIMAL_SPEC);
+    assert_eq!(run(&["--root", &root_arg(&root)]), 2);
+    // `--timings` times the same parse: it cannot skip the file.
+    assert_eq!(run(&["--root", &root_arg(&root), "--timings"]), 2);
+    let sources = lint::collect_sources(&root).expect("the tree is readable");
+    let err = lint::lint_files(
+        &sources,
+        &lint::Contract::default(),
+        &lint::AllowList::empty(),
+    )
+    .expect_err("deep.rs nests past the cap");
+    assert_eq!(
+        err.to_string(),
+        "lexing crates/demo/src/deep.rs: 1:257: nesting deeper than 256"
+    );
+}

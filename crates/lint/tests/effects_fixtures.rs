@@ -296,7 +296,8 @@ fn workspace_r11_r12_are_clean_and_non_vacuous() {
 
     // The conflict report derives from the same analysis and must emit
     // the twin wake-up entry (every role drain is full).
-    let json = lint::conflict_report(&sources, &full).expect("conflict report renders");
+    let ws = lint::Workspace::parse(&sources).expect("workspace parses");
+    let json = lint::conflict_report(&ws, &full).expect("conflict report renders");
     assert!(
         json.contains("\"schema\": \"conflict-relation/1\""),
         "{json}"

@@ -282,13 +282,12 @@ justification = "stale on purpose"
 fn every_default_r5_sink_resolves_in_the_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let contract = Contract::default();
-    let files: Vec<FileAst> = lint::collect_sources(&root)
-        .expect("workspace sources")
+    let sources = lint::collect_sources(&root).expect("workspace sources");
+    let files: Vec<FileAst> = sources
         .iter()
         .filter(|(path, _)| contract.in_r5_scope(path))
         .map(|(path, src)| {
-            let trees = synlite::parse_file(src).unwrap_or_else(|e| panic!("lexing {path}: {e}"));
-            FileAst::parse(path, &trees, src)
+            FileAst::parse(path, src).unwrap_or_else(|e| panic!("lexing {path}: {e}"))
         })
         .collect();
     let graph = CallGraph::build(&files);
