@@ -9,7 +9,15 @@
 //! [`FaultPlan`] — process crashes, GCS-daemon crashes, Naming crashes,
 //! link partitions, loss bursts, multi-replica leaks — and hands what it
 //! harvested to `judge`, a function of the evidence and the config alone,
-//! which checks the invariants:
+//! which checks the invariants below. The driver is two halves, divided
+//! where the client starts: [`ChaosBoot::boot`] configures, assembles and
+//! boots; [`ChaosBoot::finish_run`] spawns the client, unfolds the plan, runs,
+//! settles, harvests and judges. A run is their composition; many runs
+//! that differ only in their schedule boot once
+//! ([`ChaosBoot::snapshot`]) and finish a copy each
+//! ([`ChaosBoot::fork_and_finish`]).
+//!
+//! The invariants:
 //!
 //! 1. **No silent hang**: the client either completes all increments or
 //!    records a typed give-up before the deadline.
@@ -36,15 +44,17 @@ use std::rc::Rc;
 use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig};
 use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
-    ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor, StateHooks,
+    CheckpointPayload, ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp,
+    ServerInterceptor, StateHooks,
 };
 use orb::{
     decode_counter_reply, decode_increment_once, encode_counter_reply, encode_increment_once,
     CounterServant, CounterState, Servant, SystemException, COUNTER_TYPE_ID,
 };
 use simnet::{
-    Event, ExitReason, FifoScheduler, Fnv, LossModel, Metrics, NodeId, NoiseModel, Process,
-    Scheduler, SimConfig, SimDuration, SimTime, Simulation, SysApi,
+    DecisionTrace, Event, ExitReason, FifoScheduler, Fnv, ForkError, GateCfg, LossModel, Metrics,
+    NodeId, NoiseModel, Process, ProcessId, ReplayScheduler, Scheduler, SimConfig, SimDuration,
+    SimTime, Simulation, SysApi,
 };
 
 use crate::counter::{counter_key, Job, SlotClient, WATCHDOG};
@@ -122,7 +132,6 @@ pub enum ServantMutation {
 /// can tell the difference.
 struct DropDedup {
     intact: CounterServant,
-    state: Rc<CounterState>,
 }
 
 impl Servant for DropDedup {
@@ -137,7 +146,9 @@ impl Servant for DropDedup {
             // already-committed operation applies again.
             Ok((op_id, delta)) if operation == "increment_once" => {
                 sys.count("counter.increments", 1);
-                Ok(encode_counter_reply(self.state.apply(op_id, delta)))
+                Ok(encode_counter_reply(
+                    self.intact.state().apply(op_id, delta),
+                ))
             }
             _ => self.intact.invoke(sys, operation, body),
         }
@@ -145,6 +156,15 @@ impl Servant for DropDedup {
 
     fn type_id(&self) -> &str {
         self.intact.type_id()
+    }
+
+    fn fork(&self, state: Option<&Rc<CounterState>>) -> Option<Box<dyn Servant>> {
+        let state = state
+            .cloned()
+            .unwrap_or_else(|| self.intact.state().duplicate());
+        Some(Box::new(DropDedup {
+            intact: CounterServant::new(state),
+        }))
     }
 }
 
@@ -326,11 +346,13 @@ impl Job for Crowd {
 }
 
 /// Passive member of the server group recording membership views, so the
-/// convergence invariant can be checked from outside the stack.
+/// convergence invariant can be checked from outside the stack: the
+/// driver reads `view` off the process when the run is over.
+#[derive(Clone)]
 struct ChaosObserver {
     gcs: Option<GcsClient>,
     group: String,
-    view: Rc<RefCell<Vec<String>>>,
+    view: Vec<String>,
 }
 
 impl Process for ChaosObserver {
@@ -349,7 +371,7 @@ impl Process for ChaosObserver {
         for d in deliveries {
             if let GcsDelivery::View { group, members, .. } = d {
                 if group == self.group {
-                    *self.view.borrow_mut() = members;
+                    self.view = members;
                 }
             }
         }
@@ -357,6 +379,10 @@ impl Process for ChaosObserver {
 
     fn label(&self) -> &str {
         "chaos-observer"
+    }
+
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        Some(Box::new(self.clone()))
     }
 }
 
@@ -384,198 +410,302 @@ pub fn run_chaos_plan(plan: &FaultPlan, cfg: &ChaosConfig) -> ChaosOutcome {
     run_chaos_plan_with(plan, cfg, Box::new(FifoScheduler))
 }
 
-/// [`run_chaos_plan`] under an explicit event-ordering policy: the entry
-/// point of the schedule-space explorer (`crates/explore`), which drives
-/// the same scenario through recording, replaying and exploring
-/// schedulers. Deterministic for any deterministic scheduler: a pure
-/// function of `(plan, cfg, scheduler)`.
-///
-/// A driver — configure, assemble, unfold the plan into a timeline, run,
-/// harvest — that ends by handing the run's `Evidence` to `judge`.
+/// [`run_chaos_plan`] under an explicit event-ordering policy: boot, then
+/// finish, on the one simulation. Deterministic for any deterministic
+/// scheduler: a pure function of `(plan, cfg, scheduler)` — and so the
+/// reference a run finished on a copy ([`ChaosBoot::fork_and_finish`])
+/// is held to.
 pub fn run_chaos_plan_with(
     plan: &FaultPlan,
     cfg: &ChaosConfig,
     scheduler: Box<dyn Scheduler>,
 ) -> ChaosOutcome {
-    let slots = cfg.slots.max(1);
-    let mut mead_cfg = MeadConfig::builder(cfg.scheme).build();
-    mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
-    mead_cfg.commit_acks = true;
-    mead_cfg.rm_instances = cfg.rm_instances;
-    if !plan.leak_all() {
-        mead_cfg.leak = None;
-    }
-    // Resource-pressure faults are armed declaratively: the replica
-    // factory gives each pressured slot its config, and the interceptor's
-    // activation timer (set only on instances started before the
-    // activation instant) does the injection.
-    let mut pressure_by_slot: BTreeMap<u32, PressureConfig> = BTreeMap::new();
-    for FaultEvent { at, kind } in plan.events() {
-        match kind {
-            FaultKind::CpuExhaustion { slot, ramp_per_sec } => {
-                pressure_by_slot.insert(*slot, PressureConfig::cpu(*at, *ramp_per_sec));
-            }
-            FaultKind::FdLeak { slot, per_request } => {
-                pressure_by_slot.insert(*slot, PressureConfig::fd(*at, *per_request));
-            }
-            _ => {}
+    ChaosBoot::boot(plan, cfg, scheduler).finish_run()
+}
+
+/// When the infrastructure has booted and the replicas have registered:
+/// the instant the measured client starts.
+const BOOT_UNTIL: SimTime = SimTime::from_millis(650);
+
+/// The first half of a chaos run: the world of `(plan, cfg)` configured,
+/// assembled and booted up to the *split* — [`BOOT_UNTIL`], or the last
+/// instant before the scheduler's gate can open if that is earlier.
+/// Until the split the kernel never consults the scheduler, so what has
+/// happened is the same under every scheduler with that gate:
+/// [`finish_run`](Self::finish_run) completes the one run, and
+/// [`fork_and_finish`](Self::fork_and_finish) completes any number of
+/// runs, each on its own copy and under its own scheduler.
+pub struct ChaosBoot<'a> {
+    plan: &'a FaultPlan,
+    cfg: &'a ChaosConfig,
+    mead_cfg: MeadConfig,
+    testbed: Testbed,
+    observer: ProcessId,
+}
+
+impl<'a> ChaosBoot<'a> {
+    /// Configures, assembles and boots the world under `scheduler`.
+    pub fn boot(
+        plan: &'a FaultPlan,
+        cfg: &'a ChaosConfig,
+        scheduler: Box<dyn Scheduler>,
+    ) -> ChaosBoot<'a> {
+        let slots = cfg.slots.max(1);
+        let mut mead_cfg = MeadConfig::builder(cfg.scheme).build();
+        mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
+        mead_cfg.commit_acks = true;
+        mead_cfg.rm_instances = cfg.rm_instances;
+        if !plan.leak_all() {
+            mead_cfg.leak = None;
         }
-    }
-    let factory_cfg = mead_cfg.clone();
-    let mutation = cfg.mutation;
-    let mut testbed = Testbed::assemble(TestbedSpec {
-        sim: SimConfig {
-            seed: plan.seed(),
-            noise: NoiseModel::none(),
-            ..SimConfig::default()
-        },
-        scheduler,
-        slots,
-        client_nodes: 1,
-        mead: mead_cfg.clone(),
-        factory: move |infra| {
-            Rc::new(move |spec| {
-                let mut factory_cfg = factory_cfg.clone();
-                factory_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
-                let state = CounterState::new();
-                let intact = CounterServant::new(state.clone());
-                let servant: Box<dyn Servant> = match mutation {
-                    ServantMutation::Intact => Box::new(intact),
-                    ServantMutation::DropDedup => Box::new(DropDedup {
-                        intact,
-                        state: state.clone(),
-                    }),
-                };
-                let app = ReplicaApp::time_server(spec.slot, spec.port, infra)
-                    .with_servant(counter_key(), COUNTER_TYPE_ID, servant)
-                    .with_rebind(SimDuration::from_millis(150));
-                let capture = state.clone();
-                let restore = state;
-                Box::new(
-                    ServerInterceptor::new(factory_cfg, spec.slot, Box::new(app)).with_state_hooks(
-                        StateHooks {
-                            capture: Box::new(move || capture.snapshot()),
-                            restore: Box::new(move |bytes| restore.restore(bytes)),
-                        },
-                    ),
-                )
-            })
-        },
-        recovery_managers: RecoveryManagers::Numbered(cfg.rm_instances),
-        boot_until: SimTime::from_millis(650),
-    });
-    let infra = testbed.infra();
-    let client_node = testbed.client_nodes()[0];
-
-    let view = Rc::new(RefCell::new(Vec::new()));
-    testbed.sim.spawn(
-        infra,
-        "chaos-observer",
-        Box::new(ChaosObserver {
-            gcs: None,
-            group: mead_cfg.server_group.clone(),
-            view: view.clone(),
-        }),
-    );
-
-    // Boot, then start the client just before the fault window opens.
-    testbed.boot();
-    let client_start = testbed.sim.now();
-    let log = Rc::new(ClientLog::default());
-    let crowd_acked = Rc::new(Cell::new(0u64));
-    let measured = Measured {
-        total: cfg.increments,
-        think_time: cfg.think_time,
-        log: log.clone(),
-    };
-    testbed.sim.spawn(
-        client_node,
-        "chaos-client",
-        Box::new(ClientInterceptor::new(
+        // Resource-pressure faults are armed declaratively: the replica
+        // factory gives each pressured slot its config, and the
+        // interceptor's activation timer (set only on instances started
+        // before the activation instant) does the injection.
+        let mut pressure_by_slot: BTreeMap<u32, PressureConfig> = BTreeMap::new();
+        for FaultEvent { at, kind } in plan.events() {
+            match kind {
+                FaultKind::CpuExhaustion { slot, ramp_per_sec } => {
+                    pressure_by_slot.insert(*slot, PressureConfig::cpu(*at, *ramp_per_sec));
+                }
+                FaultKind::FdLeak { slot, per_request } => {
+                    pressure_by_slot.insert(*slot, PressureConfig::fd(*at, *per_request));
+                }
+                _ => {}
+            }
+        }
+        // Strictly before the gate can open: a gate opening at instant 0
+        // leaves nothing to share.
+        let split = match scheduler.gate() {
+            None => Some(BOOT_UNTIL),
+            Some(gate) => gate
+                .window_start
+                .as_nanos()
+                .checked_sub(1)
+                .map(|ns| SimTime::from_nanos(ns).min(BOOT_UNTIL)),
+        };
+        let factory_cfg = mead_cfg.clone();
+        let mutation = cfg.mutation;
+        let mut testbed = Testbed::assemble(TestbedSpec {
+            sim: SimConfig {
+                seed: plan.seed(),
+                noise: NoiseModel::none(),
+                ..SimConfig::default()
+            },
+            scheduler,
+            slots,
+            client_nodes: 1,
+            mead: mead_cfg.clone(),
+            factory: move |infra| {
+                Rc::new(move |spec| {
+                    let mut factory_cfg = factory_cfg.clone();
+                    factory_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
+                    // One state, two handles: the servant's and the
+                    // interceptor's checkpointing hooks'.
+                    let state = CounterState::new();
+                    let intact = CounterServant::new(state.clone());
+                    let servant: Box<dyn Servant> = match mutation {
+                        ServantMutation::Intact => Box::new(intact),
+                        ServantMutation::DropDedup => Box::new(DropDedup { intact }),
+                    };
+                    let app = ReplicaApp::time_server(spec.slot, spec.port, infra)
+                        .with_servant(counter_key(), COUNTER_TYPE_ID, servant)
+                        .with_rebind(SimDuration::from_millis(150));
+                    Box::new(
+                        ServerInterceptor::new(factory_cfg, spec.slot, Box::new(app))
+                            .with_state_hooks(StateHooks {
+                                state,
+                                payload: CheckpointPayload::Snapshot,
+                            }),
+                    )
+                })
+            },
+            recovery_managers: RecoveryManagers::Numbered(cfg.rm_instances),
+            boot_until: BOOT_UNTIL,
+        });
+        let infra = testbed.infra();
+        let observer = testbed.sim.spawn(
+            infra,
+            "chaos-observer",
+            Box::new(ChaosObserver {
+                gcs: None,
+                group: mead_cfg.server_group.clone(),
+                view: Vec::new(),
+            }),
+        );
+        if let Some(split) = split {
+            testbed.sim.run_until(split);
+        }
+        ChaosBoot {
+            plan,
+            cfg,
             mead_cfg,
-            Box::new(SlotClient::new(
-                "chaos-client",
-                measured,
-                infra,
-                slots,
-                0,
-                cfg.watchdog,
-            )),
-        )),
-    );
-
-    for (at, action) in timeline(plan) {
-        testbed.sim.run_until(at);
-        if let Action::Inject(kind) = &action {
-            // Executor-side trace marker: every injection shows up in the
-            // run's observability stream, attributable without metrics.
-            let recorder = testbed.sim.recorder_handle();
-            recorder.borrow_mut().emit(
-                testbed.sim.now().as_nanos(),
-                0,
-                0,
-                obs::EventKind::FaultInjected { fault: kind.name() },
-            );
+            testbed,
+            observer,
         }
-        apply(&mut testbed, slots, action, &crowd_acked);
     }
-    // Defensive settling: plans guarantee their own heals, but make the
-    // post-plan world explicit before judging recovery.
-    testbed.sim.heal_all();
-    testbed.sim.set_loss(LossModel::none());
 
-    let deadline = plan.settled_by().max(SimTime::from_millis(4_500)) + SimDuration::from_secs(5);
-    testbed.run_until_done(|| log.done.get(), deadline);
-    let active_end = testbed.sim.now();
-    // Post-completion settling window: let the Recovery Manager finish
-    // restoring the replication degree after the last fault.
-    let settle_until = active_end.max(plan.settled_by()) + SimDuration::from_millis(1_500);
-    testbed
-        .sim
-        .run_until(settle_until.min(deadline + SimDuration::from_secs(2)));
+    /// [`boot`](Self::boot) for many runs under schedulers gated by
+    /// `gate`: booted once under the default picks, then kept as a copy
+    /// sized to what it holds (the simulation that did the booting, with
+    /// its grown buffers, is dropped).
+    ///
+    /// # Errors
+    ///
+    /// [`ForkError::Unforkable`] when a process of the booted world
+    /// cannot be copied — then no run could be forked from it either.
+    pub fn snapshot(
+        plan: &'a FaultPlan,
+        cfg: &'a ChaosConfig,
+        gate: GateCfg,
+    ) -> Result<ChaosBoot<'a>, ForkError> {
+        let default_picks = || Box::new(ReplayScheduler::from_trace(&DecisionTrace::empty(gate)));
+        let booted = ChaosBoot::boot(plan, cfg, default_picks());
+        let testbed = booted.testbed.fork(default_picks())?;
+        Ok(ChaosBoot { testbed, ..booted })
+    }
 
-    let Harvest {
-        metrics,
-        trace,
-        finished_at,
-        events_processed,
-        ..
-    } = testbed.harvest();
-    let sim = &testbed.sim;
-    let mut live_replicas: Vec<String> = sim
-        .live_processes()
-        .into_iter()
-        .map(|pid| sim.process_label(pid).to_string())
-        .filter(|l| l.starts_with("replica-s"))
-        .collect();
-    live_replicas.sort();
-    let evidence = Evidence {
-        values: log.values.take(),
-        ack_times: log.ack_times.take(),
-        done: log.done.get(),
-        gave_up: log.gave_up.get(),
-        op_gaps: metrics.counter("counter.op_gap"),
-        live_replicas,
-        final_view: view.take(),
-        client_start,
-        active_end,
-    };
-    let (violations, worst_goodput_gap) = judge(&evidence, cfg);
+    /// Finishes a run on a copy of this boot, under `scheduler`; `self`
+    /// is untouched, and the outcome is the one
+    /// [`run_chaos_plan_with`]`(plan, cfg, scheduler)` computes from
+    /// scratch.
+    ///
+    /// # Errors
+    ///
+    /// [`ForkError::GateMismatch`] when `scheduler`'s gate is not the one
+    /// this world was booted under.
+    pub fn fork_and_finish(
+        &self,
+        scheduler: Box<dyn Scheduler>,
+    ) -> Result<ChaosOutcome, ForkError> {
+        let copy = ChaosBoot {
+            testbed: self.testbed.fork(scheduler)?,
+            mead_cfg: self.mead_cfg.clone(),
+            ..*self
+        };
+        Ok(copy.finish_run())
+    }
 
-    ChaosOutcome {
-        seed: plan.seed(),
-        values: evidence.values,
-        completed: evidence.done && !evidence.gave_up,
-        gave_up: evidence.gave_up,
-        crowd_acked: crowd_acked.get(),
-        worst_goodput_gap,
-        final_view: evidence.final_view,
-        live_replicas: evidence.live_replicas,
-        violations,
-        metrics,
-        finished_at,
-        events_processed,
-        trace,
+    /// The second half of the run: finishes the boot, spawns the client,
+    /// unfolds the plan into a timeline, runs, settles, harvests — and
+    /// ends by handing the run's `Evidence` to `judge`.
+    pub fn finish_run(self) -> ChaosOutcome {
+        let ChaosBoot {
+            plan,
+            cfg,
+            mead_cfg,
+            mut testbed,
+            observer,
+        } = self;
+        let slots = cfg.slots.max(1);
+        let infra = testbed.infra();
+        let client_node = testbed.client_nodes()[0];
+
+        // Boot, then start the client just before the fault window opens.
+        testbed.boot();
+        let client_start = testbed.sim.now();
+        let log = Rc::new(ClientLog::default());
+        let crowd_acked = Rc::new(Cell::new(0u64));
+        let measured = Measured {
+            total: cfg.increments,
+            think_time: cfg.think_time,
+            log: log.clone(),
+        };
+        testbed.sim.spawn(
+            client_node,
+            "chaos-client",
+            Box::new(ClientInterceptor::new(
+                mead_cfg,
+                Box::new(SlotClient::new(
+                    "chaos-client",
+                    measured,
+                    infra,
+                    slots,
+                    0,
+                    cfg.watchdog,
+                )),
+            )),
+        );
+
+        for (at, action) in timeline(plan) {
+            testbed.sim.run_until(at);
+            if let Action::Inject(kind) = &action {
+                // Executor-side trace marker: every injection shows up in
+                // the run's observability stream, attributable without
+                // metrics.
+                let recorder = testbed.sim.recorder_handle();
+                recorder.borrow_mut().emit(
+                    testbed.sim.now().as_nanos(),
+                    0,
+                    0,
+                    obs::EventKind::FaultInjected { fault: kind.name() },
+                );
+            }
+            apply(&mut testbed, slots, action, &crowd_acked);
+        }
+        // Defensive settling: plans guarantee their own heals, but make
+        // the post-plan world explicit before judging recovery.
+        testbed.sim.heal_all();
+        testbed.sim.set_loss(LossModel::none());
+
+        let deadline =
+            plan.settled_by().max(SimTime::from_millis(4_500)) + SimDuration::from_secs(5);
+        testbed.run_until_done(|| log.done.get(), deadline);
+        let active_end = testbed.sim.now();
+        // Post-completion settling window: let the Recovery Manager finish
+        // restoring the replication degree after the last fault.
+        let settle_until = active_end.max(plan.settled_by()) + SimDuration::from_millis(1_500);
+        testbed
+            .sim
+            .run_until(settle_until.min(deadline + SimDuration::from_secs(2)));
+
+        let sim = &testbed.sim;
+        let mut live_replicas: Vec<String> = sim
+            .live_processes()
+            .into_iter()
+            .map(|pid| sim.process_label(pid).to_string())
+            .filter(|l| l.starts_with("replica-s"))
+            .collect();
+        live_replicas.sort();
+        let final_view = sim
+            .process::<ChaosObserver>(observer)
+            .map(|o| o.view.clone())
+            .unwrap_or_default();
+        let Harvest {
+            metrics,
+            trace,
+            finished_at,
+            events_processed,
+            ..
+        } = testbed.harvest();
+        let evidence = Evidence {
+            values: log.values.take(),
+            ack_times: log.ack_times.take(),
+            done: log.done.get(),
+            gave_up: log.gave_up.get(),
+            op_gaps: metrics.counter("counter.op_gap"),
+            live_replicas,
+            final_view,
+            client_start,
+            active_end,
+        };
+        let (violations, worst_goodput_gap) = judge(&evidence, cfg);
+
+        ChaosOutcome {
+            seed: plan.seed(),
+            values: evidence.values,
+            completed: evidence.done && !evidence.gave_up,
+            gave_up: evidence.gave_up,
+            crowd_acked: crowd_acked.get(),
+            worst_goodput_gap,
+            final_view: evidence.final_view,
+            live_replicas: evidence.live_replicas,
+            violations,
+            metrics,
+            finished_at,
+            events_processed,
+            trace,
+        }
     }
 }
 
@@ -993,6 +1123,128 @@ mod tests {
             let (violations, worst_gap) = judge(&evidence, &cfg);
             assert_eq!(violations, expected);
             assert_eq!(worst_gap, SimDuration::from_millis(gap_ms), "{expected:?}");
+        }
+    }
+
+    /// What the processes of a booted world hold that a run writes to:
+    /// per replica the counter, the dedup id and the directory of the
+    /// group, and the observer's view.
+    fn mutable_state(boot: &ChaosBoot<'_>) -> Vec<String> {
+        let sim = &boot.testbed.sim;
+        let of = |pid| {
+            if let Some(replica) = sim.process::<ServerInterceptor>(pid) {
+                let state = &replica.state_hooks().expect("replicas checkpoint").state;
+                return Some(format!(
+                    "{pid}: value {} last_op {} directory {:?}",
+                    state.value(),
+                    state.last_op(),
+                    replica.directory()
+                ));
+            }
+            let observer = sim.process::<ChaosObserver>(pid)?;
+            Some(format!("{pid}: view {:?}", observer.view))
+        };
+        sim.live_processes().into_iter().filter_map(of).collect()
+    }
+
+    fn default_picks(gate: GateCfg) -> Box<dyn Scheduler> {
+        Box::new(ReplayScheduler::from_trace(&DecisionTrace::empty(gate)))
+    }
+
+    /// The aliasing trap: a replica's servant and its checkpointing hooks
+    /// share one `Rc<CounterState>`, and a field-by-field clone of the
+    /// replica would hand that same state to the copy. Drive increments
+    /// through a copy and nothing in the world it was copied from may
+    /// have moved.
+    #[test]
+    fn a_run_on_a_copy_moves_nothing_in_the_booted_world() {
+        let plan = FaultPlanBuilder::new(7)
+            .build(&chaos_plan_space_for(2, 0))
+            .expect("empty plan is valid");
+        let cfg = ChaosConfig {
+            increments: 6,
+            slots: 2,
+            ..ChaosConfig::default()
+        };
+        let gate = GateCfg {
+            window_start: BOOT_UNTIL,
+            ..GateCfg::default()
+        };
+        let boot = ChaosBoot::snapshot(&plan, &cfg, gate).expect("forks");
+        let before = mutable_state(&boot);
+        // Two replicas that have found each other and counted nothing,
+        // and an observer that has seen them.
+        assert_eq!(before.len(), 3, "{before:#?}");
+        for line in &before {
+            assert!(
+                line.contains("replica/0/") && line.contains("replica/1/"),
+                "{line}"
+            );
+        }
+        let untouched = |l: &&String| l.contains(": value 0 last_op 0 ");
+        assert_eq!(before.iter().filter(untouched).count(), 2);
+
+        for _ in 0..2 {
+            let out = boot.fork_and_finish(default_picks(gate)).expect("forks");
+            assert!(out.violations.is_empty(), "{:?}", out.violations);
+            assert_eq!(out.values, (1..=6).collect::<Vec<u64>>());
+            assert_eq!(mutable_state(&boot), before);
+        }
+    }
+
+    /// Every kind of process a chaos world has spawned by the time its
+    /// client starts can be copied — under every shape of world the
+    /// sweep and the explorer build (1–3 slots, a single or a replicated
+    /// Recovery Manager, the intact and the mutated servant, a leaking
+    /// and a resource-pressured replica). A process added to the testbed
+    /// without a `fork` fails here, not as an explorer that cannot run.
+    #[test]
+    fn every_process_of_a_booted_world_forks() {
+        let pressured = |slots| {
+            FaultPlanBuilder::new(3)
+                .leak_all(true)
+                .event(FaultEvent {
+                    at: SimTime::from_millis(900),
+                    kind: FaultKind::CpuExhaustion {
+                        slot: 0,
+                        ramp_per_sec: 0.5,
+                    },
+                })
+                .build(&chaos_plan_space_for(slots, 0))
+                .expect("valid plan")
+        };
+        let worlds = [
+            (1, 1, ServantMutation::DropDedup),
+            (2, 2, ServantMutation::Intact),
+            (3, 2, ServantMutation::Intact),
+        ];
+        for (slots, rm_instances, mutation) in worlds {
+            let plan = pressured(slots);
+            let cfg = ChaosConfig {
+                slots,
+                rm_instances,
+                mutation,
+                ..ChaosConfig::default()
+            };
+            let boot = ChaosBoot::boot(&plan, &cfg, Box::new(FifoScheduler));
+            let sim = &boot.testbed.sim;
+            let mut kinds: Vec<&str> = sim
+                .live_processes()
+                .into_iter()
+                .map(|pid| sim.process_label(pid))
+                .map(|l| l.trim_end_matches(|c: char| c.is_ascii_digit()))
+                .collect();
+            kinds.dedup();
+            let expected = [
+                "gcs-daemon",
+                "naming",
+                "recovery-manager-",
+                "chaos-observer",
+                "replica-s",
+            ];
+            assert_eq!(kinds, expected, "{slots} slot(s)");
+            let copy = boot.testbed.fork(Box::new(FifoScheduler));
+            assert_eq!(copy.err(), None, "{slots} slot(s), {mutation:?}");
         }
     }
 

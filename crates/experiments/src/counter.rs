@@ -9,8 +9,8 @@ use std::rc::Rc;
 
 use giop::{Ior, ObjectKey};
 use mead::{
-    ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp, ServerInterceptor,
-    StateHooks,
+    CheckpointPayload, ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp,
+    ServerInterceptor, StateHooks,
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
@@ -92,7 +92,7 @@ pub(crate) const WATCHDOG: SimDuration = SimDuration::from_millis(800);
 /// their acknowledgement, completion and abandonment mean to the caller.
 /// Three jobs exist — the measured chaos client and a flash-crowd arrival
 /// (`chaos`), and the state-transfer client below.
-pub(crate) trait Job {
+pub(crate) trait Job: 'static {
     /// Whether retries are traced: an `obs::EventKind::Retry` per backoff
     /// and a `chaos.client_watchdog` count per expired watchdog.
     const TRACED: bool = false;
@@ -362,13 +362,11 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
                     COUNTER_TYPE_ID,
                     Box::new(CounterServant::new(state.clone())),
                 );
-                let capture = state.clone();
-                let restore = state;
                 Box::new(
                     ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app))
                         .with_state_hooks(StateHooks {
-                            capture: Box::new(move || capture.value().to_be_bytes().to_vec()),
-                            restore: Box::new(move |bytes| restore.restore(bytes)),
+                            state,
+                            payload: CheckpointPayload::Value,
                         }),
                 )
             })

@@ -33,8 +33,8 @@ pub mod workload;
 
 pub use adaptive::{format_adaptive, run_adaptive_comparison, AdaptiveRow};
 pub use chaos::{
-    chaos_plan_space_for, run_chaos_plan, run_chaos_plan_with, ChaosConfig, ChaosOutcome,
-    ServantMutation,
+    chaos_plan_space_for, run_chaos_plan, run_chaos_plan_with, ChaosBoot, ChaosConfig,
+    ChaosOutcome, ServantMutation,
 };
 pub use cli::{
     check_thread_independence, cli_from_args, positional_or, render_trace_sections, run_command,

@@ -7,8 +7,10 @@
 //! daemon on every node, as Spread runs one. [`Testbed`] builds that
 //! topology, boots it, drives it in slices until the caller's workload is
 //! done and hands back the run's measurements; `run_scenario`,
-//! `run_chaos_plan_with` and `run_counter_scenario` differ only in the
-//! values they put into [`TestbedSpec`] and the client they spawn.
+//! `ChaosBoot` and `run_counter_scenario` differ only in the values they
+//! put into [`TestbedSpec`] and the client they spawn. A booted testbed
+//! can be copied ([`Testbed::fork`]), so runs that share a boot — the
+//! schedule explorer's — pay for it once.
 //!
 //! Node names, process labels and spawn order all reach `Spawn` trace
 //! events and process ids, and through them every pinned digest: nodes are
@@ -23,7 +25,8 @@ use groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
 use mead::{MeadConfig, RecoveryManager, ReplicaFactory};
 use orb::{NamingConfig, NamingService};
 use simnet::{
-    Addr, Metrics, NodeId, RunOutcome, Scheduler, SimConfig, SimDuration, SimTime, Simulation,
+    Addr, ForkError, Metrics, NodeId, RunOutcome, Scheduler, SimConfig, SimDuration, SimTime,
+    Simulation,
 };
 
 /// Simulated time a run advances between two looks at the caller's
@@ -199,11 +202,27 @@ impl Testbed {
         }
     }
 
-    /// The run's measurements as of now.
-    pub fn harvest(&self) -> Harvest {
+    /// A copy of the testbed whose simulation runs on under `scheduler`
+    /// ([`Simulation::fork`]).
+    pub fn fork(&self, scheduler: Box<dyn Scheduler>) -> Result<Testbed, ForkError> {
+        Ok(Testbed {
+            sim: self.sim.fork(scheduler)?,
+            nodes: self.nodes.clone(),
+            servers: self.servers,
+            boot_until: self.boot_until,
+        })
+    }
+
+    /// The finished run's measurements, moved out of the simulation and
+    /// trimmed to size: sweeps keep hundreds of them.
+    pub fn harvest(mut self) -> Harvest {
+        let mut metrics = self.sim.take_metrics();
+        metrics.shrink_to_fit();
+        let mut trace = self.sim.take_trace();
+        trace.shrink_to_fit();
         Harvest {
-            metrics: self.sim.with_metrics(|m| m.clone()),
-            trace: self.sim.with_recorder(|r| r.events().to_vec()),
+            metrics,
+            trace,
             finished_at: self.sim.now(),
             events_processed: self.sim.events_processed(),
             wall: self.sim.wall_elapsed(),

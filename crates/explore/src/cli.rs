@@ -9,7 +9,7 @@ use experiments::{
 };
 use simnet::{GateCfg, ReplayScheduler};
 
-use crate::{explore, fixtures, minimize, run_prefix, ConflictRelation, ExploreConfig};
+use crate::{fixtures, run_prefix, try_explore, try_minimize, ConflictRelation, ExploreConfig};
 
 /// Decisions the minimized seeded-bug schedule may keep (the acceptance
 /// bound: the reproducer must be human-readable).
@@ -30,7 +30,9 @@ const MAX_MINIMIZED_DECISIONS: usize = 10;
 /// artifact (from `mead-repro lint --conflict-report`) that prunes
 /// statically proven independent branches from the search. Exit status
 /// 1 when any fixture's exploration misbehaves, the seeded bug is not
-/// caught, minimized and replayed, or the relation cannot be loaded.
+/// caught, minimized and replayed, the relation cannot be loaded, or a
+/// fixture's booted world cannot be forked (the `ForkError` is the
+/// message).
 pub fn cli_main(args: &[String]) -> i32 {
     run_command(args, |mut cli| {
         let seeded = take_switch(&mut cli.args, "--seeded-bug");
@@ -72,7 +74,8 @@ pub fn cli_main(args: &[String]) -> i32 {
         // zero invariant violations on every one (the protocol must
         // tolerate any physically plausible delivery order).
         for fixture in [fixtures::pair(), fixtures::trio()] {
-            let outcome = explore(&fixture.plan, &fixture.chaos, &config_for(fixture.gate));
+            let outcome = try_explore(&fixture.plan, &fixture.chaos, &config_for(fixture.gate))
+                .map_err(|e| CliError::Failed(format!("explore {}: {e}", fixture.name)))?;
             println!(
                 "explore {}: {} runs, {} distinct outcomes, {} violating, exhausted={}, digest {:016x}",
                 fixture.name,
@@ -131,7 +134,8 @@ fn run_seeded_bug(
     }
     println!("seeded-bug: FIFO schedule passes (mutation dormant)");
 
-    let outcome = explore(&fixture.plan, &fixture.chaos, &cfg);
+    let unforkable = |e| CliError::Failed(format!("explore {}: {e}", fixture.name));
+    let outcome = try_explore(&fixture.plan, &fixture.chaos, &cfg).map_err(unforkable)?;
     println!(
         "seeded-bug: {} runs explored, {} violating interleaving(s)",
         outcome.executed,
@@ -147,7 +151,9 @@ fn run_seeded_bug(
         first.violations.first().map(String::as_str).unwrap_or("?")
     );
 
-    let Some(minimal) = minimize(&fixture.plan, &fixture.chaos, fixture.gate, &witness, 200) else {
+    let minimal = try_minimize(&fixture.plan, &fixture.chaos, fixture.gate, &witness, 200)
+        .map_err(unforkable)?;
+    let Some(minimal) = minimal else {
         println!("seeded-bug: FAIL — minimizer could not reproduce the failure");
         return Ok(false);
     };

@@ -6,8 +6,10 @@
 //! All fixtures gate decisions to a window opening at the client's start
 //! (the chaos executor boots the infrastructure for 650 ms first), so
 //! the search spends its budget on the request/reply/fault phase instead
-//! of the deterministic boot — and the kernel, which owns the gate, runs
-//! everything outside it at FIFO cost.
+//! of the deterministic boot — which the kernel, owning the gate, runs at
+//! FIFO cost, and which a search, every run of it being the same until
+//! the window opens, runs once and copies per schedule
+//! (`engine::World`).
 
 use experiments::{chaos_plan_space_for, ChaosConfig, ServantMutation};
 use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanBuilder};

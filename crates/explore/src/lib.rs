@@ -35,7 +35,10 @@ pub mod relation;
 mod sched;
 
 pub use cli::cli_main;
-pub use engine::{explore, run_prefix, run_prefix_with, ExploreConfig, ExploreOutcome, RunResult};
-pub use minimize::{minimize, Minimized};
+pub use engine::{
+    explore, run_prefix, run_prefix_with, try_explore, ExploreConfig, ExploreOutcome, RunResult,
+    World,
+};
+pub use minimize::{minimize, try_minimize, Minimized};
 pub use relation::{ConflictRelation, IndependentPair, RelationError, When, RELATION_SCHEMA};
 pub use sched::{conflicts, conflicts_under, ExploreScheduler, RunRecord};

@@ -12,14 +12,15 @@
 //!    back, zeroing each non-default pick that the failure does not
 //!    need.
 //!
-//! Every candidate is re-executed for real; the result is always a
-//! verified failing schedule, never an extrapolation.
+//! Every candidate is re-executed for real — on a copy of the one world
+//! the minimization boots — so the result is always a verified failing
+//! schedule, never an extrapolation.
 
 use experiments::ChaosConfig;
 use faults::FaultPlan;
-use simnet::{DecisionTrace, GateCfg};
+use simnet::{DecisionTrace, ForkError, GateCfg};
 
-use crate::engine::run_prefix;
+use crate::engine::{RunResult, World};
 
 /// A verified minimal failing schedule.
 #[derive(Clone, Debug)]
@@ -38,9 +39,7 @@ pub struct Minimized {
 }
 
 struct Shrinker<'a> {
-    plan: &'a FaultPlan,
-    chaos: &'a ChaosConfig,
-    gate: GateCfg,
+    world: World<'a>,
     used: usize,
     budget: usize,
 }
@@ -48,13 +47,13 @@ struct Shrinker<'a> {
 impl Shrinker<'_> {
     /// Runs `choices`; returns the run when it still violates an
     /// invariant, `None` when it passes (or the run budget is spent).
-    fn failing_run(&mut self, choices: &[u64]) -> Option<crate::engine::RunResult> {
+    fn failing_run(&mut self, choices: &[u64]) -> Result<Option<RunResult>, ForkError> {
         if self.used >= self.budget {
-            return None;
+            return Ok(None);
         }
         self.used += 1;
-        let run = run_prefix(self.plan, self.chaos, self.gate, choices);
-        (!run.violations.is_empty()).then_some(run)
+        let run = self.world.run(choices)?;
+        Ok((!run.violations.is_empty()).then_some(run))
     }
 }
 
@@ -62,6 +61,12 @@ impl Shrinker<'_> {
 /// invariant, spending at most `budget` simulation runs. Returns `None`
 /// when `failing` does not actually fail (or the budget is too small to
 /// even verify it).
+///
+/// # Panics
+///
+/// When a process of the booted world cannot be forked (see
+/// [`explore`](crate::explore)); [`try_minimize`] reports it as an error
+/// instead.
 pub fn minimize(
     plan: &FaultPlan,
     chaos: &ChaosConfig,
@@ -69,14 +74,31 @@ pub fn minimize(
     failing: &[u64],
     budget: usize,
 ) -> Option<Minimized> {
+    try_minimize(plan, chaos, gate, failing, budget)
+        .expect("every process a chaos world boots is forkable")
+}
+
+/// [`minimize`], with a world that cannot be forked reported as the
+/// [`ForkError`] naming why.
+///
+/// # Errors
+///
+/// The [`ForkError`] of the first copy the kernel refused.
+pub fn try_minimize(
+    plan: &FaultPlan,
+    chaos: &ChaosConfig,
+    gate: GateCfg,
+    failing: &[u64],
+    budget: usize,
+) -> Result<Option<Minimized>, ForkError> {
     let mut shrinker = Shrinker {
-        plan,
-        chaos,
-        gate,
+        world: World::boot(plan, chaos, gate, None)?,
         used: 0,
         budget,
     };
-    shrinker.failing_run(failing)?;
+    if shrinker.failing_run(failing)?.is_none() {
+        return Ok(None);
+    }
 
     // Phase 1: shortest failing prefix by bisection. The predicate is
     // monotone for single-cause failures; when it is not, the guard
@@ -85,13 +107,13 @@ pub fn minimize(
     let mut hi = failing.len();
     while lo < hi && shrinker.used < shrinker.budget {
         let mid = lo + (hi - lo) / 2;
-        if shrinker.failing_run(&failing[..mid]).is_some() {
+        if shrinker.failing_run(&failing[..mid])?.is_some() {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    let mut best: Vec<u64> = if shrinker.failing_run(&failing[..hi]).is_some() {
+    let mut best: Vec<u64> = if shrinker.failing_run(&failing[..hi])?.is_some() {
         failing[..hi].to_vec()
     } else {
         failing.to_vec()
@@ -108,7 +130,7 @@ pub fn minimize(
         if let Some(slot) = candidate.get_mut(i) {
             *slot = 0;
         }
-        if shrinker.failing_run(&candidate).is_some() {
+        if shrinker.failing_run(&candidate)?.is_some() {
             best = candidate;
         }
     }
@@ -119,12 +141,11 @@ pub fn minimize(
     // The final verification always runs, even when shrinking spent the
     // whole budget: the returned schedule must be a witnessed failure.
     shrinker.budget = shrinker.used + 1;
-    let run = shrinker.failing_run(&best)?;
-    Some(Minimized {
+    Ok(shrinker.failing_run(&best)?.map(|run| Minimized {
         choices: best,
         trace: run.trace,
         violations: run.violations,
         outcome_digest: run.outcome_digest,
         runs_used: shrinker.used,
-    })
+    }))
 }

@@ -611,7 +611,7 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// let got = s.next_frame().unwrap().unwrap();
 /// assert_eq!(got.kind, FrameKind::Giop);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct FrameSplitter {
     buf: SegmentBuf,
 }

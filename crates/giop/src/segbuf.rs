@@ -20,7 +20,7 @@ use bytes::Bytes;
 /// never has to join anything. `head` is an `Option` so that taking a
 /// segment in and handing it back out whole are plain moves, with no
 /// reference count touched.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct SegmentBuf {
     head: Option<Bytes>,
     spill: Vec<u8>,

@@ -54,7 +54,7 @@ enum ClientState {
 }
 
 /// A handle to the local GCS daemon, embedded in a host process.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct GcsClient {
     member: String,
     token_base: u64,

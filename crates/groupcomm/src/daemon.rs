@@ -73,7 +73,7 @@ impl Default for GcsConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum ConnKind {
     /// Accepted, protocol not yet identified.
     Pending,
@@ -86,13 +86,13 @@ enum ConnKind {
     Peer { node: u32 },
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct ConnState {
     kind: ConnKind,
     splitter: GcsSplitter,
 }
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct GroupState {
     view_id: u64,
     /// Members in join order with their daemon's node index.
@@ -100,7 +100,7 @@ struct GroupState {
 }
 
 /// Sequencer-only state.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct SequencerState {
     groups: BTreeMap<String, GroupState>,
     /// Daemon node index -> connection carrying the ordered stream.
@@ -116,6 +116,7 @@ const TOKEN_MEMBERSHIP_BASE: u64 = 1000;
 
 /// The daemon process. Spawn one on every node; pass the address of the
 /// sequencer daemon (conventionally the one on the lowest-numbered node).
+#[derive(Clone)]
 pub struct GcsDaemon {
     cfg: GcsConfig,
     sequencer: Addr,
@@ -679,5 +680,9 @@ impl Process for GcsDaemon {
 
     fn label(&self) -> &str {
         "gcs-daemon"
+    }
+
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        Some(Box::new(self.clone()))
     }
 }

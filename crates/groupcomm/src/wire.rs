@@ -374,7 +374,7 @@ impl WireCodec for GcsWire {
 /// Incremental splitter for length-prefixed GCS frames. A message that
 /// arrived inside one segment is decoded in place, without copying the
 /// segment (see [`SegmentBuf`]).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct GcsSplitter {
     buf: SegmentBuf,
 }

@@ -57,7 +57,7 @@ pub enum Scanned {
 /// buffering the rest of the connection's traffic behind the poison the
 /// scanner hands it on raw — the ORB above then sees the corrupt stream
 /// and tears the connection down itself.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Scanner {
     split: FrameSplitter,
     desynced: bool,
@@ -90,7 +90,7 @@ impl Scanner {
 /// One intercepted byte stream, identified to the application by its
 /// original connection id even if the interceptor has since redirected it
 /// (`dup2()`-style) to a different real connection.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Stream {
     /// The application-visible connection id (the original one).
     pub app: ConnId,

@@ -20,7 +20,9 @@
 //! * answers `AddressQuery` multicasts when it is the first live replica
 //!   (section 4.2).
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use faults::{
@@ -31,6 +33,7 @@ use giop::{
 };
 use groupcomm::{GcsClient, GcsDelivery};
 use obs::{EventKind, Phase};
+use orb::CounterState;
 use simnet::{
     ConnId, Event, ExitReason, ListenerId, Port, Process, ProcessFactory, ProcessId, ReadOutcome,
     SimDuration, SimRng, SimTime, SysApi, SysError, TimerId,
@@ -43,23 +46,45 @@ use crate::intercept::common::{
     TOKEN_PRESSURE_ARM, TOKEN_PRESSURE_TICK,
 };
 use crate::messages::{FailoverNotice, GroupMsg};
+use crate::replica::ReplicaApp;
 
-/// Hooks through which the interceptor captures and restores application
-/// state for warm-passive replication. The application itself stays
-/// MEAD-unaware: it shares its state (e.g. through an `Rc<Cell<..>>`)
-/// with whoever builds the interceptor — the reproduction's stand-in for
-/// MEAD's checkpointing library.
+/// What the interceptor captures and restores for warm-passive
+/// replication — the reproduction's stand-in for MEAD's checkpointing
+/// library. The application itself stays MEAD-unaware: whoever builds
+/// the replica hands the one [`CounterState`] to the servant and, here,
+/// to the interceptor. The two handles are the only ones; a fork of the
+/// replica ([`Process::fork`]) duplicates the state once and points both
+/// at the duplicate, so a replica shares state with no other.
+#[derive(Clone)]
 pub struct StateHooks {
-    /// Serialises the current application state.
-    pub capture: CaptureFn,
-    /// Installs a received checkpoint into the application state.
-    pub restore: RestoreFn,
+    /// The application state, shared with the servant that serves from
+    /// it.
+    pub state: Rc<CounterState>,
+    /// What a checkpoint carries.
+    pub payload: CheckpointPayload,
 }
 
-/// Serialises the application state for a checkpoint.
-pub type CaptureFn = Box<dyn Fn() -> Vec<u8>>;
-/// Installs a received checkpoint into the application state.
-pub type RestoreFn = Box<dyn Fn(&[u8])>;
+/// The part of a [`CounterState`] a checkpoint carries. Backups restore
+/// either.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CheckpointPayload {
+    /// [`CounterState::snapshot`]: value and last applied operation id,
+    /// 16 bytes — what exactly-once fail-over needs.
+    Snapshot,
+    /// The 8-byte value alone, for an application that never sends
+    /// operation ids.
+    Value,
+}
+
+impl StateHooks {
+    /// Serialises the current application state.
+    fn capture(&self) -> Vec<u8> {
+        match self.payload {
+            CheckpointPayload::Snapshot => self.state.snapshot(),
+            CheckpointPayload::Value => self.state.value().to_be_bytes().to_vec(),
+        }
+    }
+}
 
 /// The server-side interceptor process: `Interceptor(app)` in Figure 1.
 pub struct ServerInterceptor {
@@ -68,6 +93,7 @@ pub struct ServerInterceptor {
     label: String,
 }
 
+#[derive(Clone)]
 struct ServerState {
     cfg: MeadConfig,
     slot: Slot,
@@ -161,11 +187,21 @@ impl ServerInterceptor {
 
 impl ServerInterceptor {
     /// Attaches warm-passive state hooks: the primary's checkpoints carry
-    /// `capture()`'s bytes, and checkpoints received from the primary are
-    /// fed to `restore()` (backups track the primary's state).
+    /// the hooks' payload of the state, and checkpoints received from the
+    /// primary are restored into it (backups track the primary's state).
     pub fn with_state_hooks(mut self, hooks: StateHooks) -> Self {
         self.st.state_hooks = Some(hooks);
         self
+    }
+
+    /// The attached state hooks, if any.
+    pub fn state_hooks(&self) -> Option<&StateHooks> {
+        self.st.state_hooks.as_ref()
+    }
+
+    /// This replica's directory of the group: view, addresses, IORs.
+    pub fn directory(&self) -> &ReplicaDirectory {
+        &self.st.dir
     }
 }
 
@@ -277,6 +313,31 @@ impl Process for ServerInterceptor {
 
     fn label(&self) -> &str {
         &self.label
+    }
+
+    /// Forkable over a forkable application. With [`StateHooks`] the
+    /// application must be a [`ReplicaApp`]: its servant holds the other
+    /// handle to the state, which only a typed copy can re-point.
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        let mut st = self.st.clone();
+        let inner: Box<dyn Process> = match st.state_hooks.as_mut() {
+            None => self.inner.fork()?,
+            Some(hooks) => {
+                // `st.clone()` copied the handle, not the state: give the
+                // copy a state of its own, once, for both its holders.
+                hooks.state = hooks.state.duplicate();
+                let app: &dyn Any = self.inner.as_ref();
+                Box::new(
+                    app.downcast_ref::<ReplicaApp>()?
+                        .fork_over(Some(&hooks.state))?,
+                )
+            }
+        };
+        Some(Box::new(ServerInterceptor {
+            inner,
+            st,
+            label: self.label.clone(),
+        }))
     }
 }
 
@@ -621,7 +682,7 @@ impl ServerState {
                 .push_back(std::mem::take(&mut self.current_batch));
         }
         let state = match self.state_hooks.as_ref() {
-            Some(hooks) => (hooks.capture)(),
+            Some(hooks) => hooks.capture(),
             None => vec![0u8; self.cfg.checkpoint_bytes],
         };
         let group = self.cfg.server_group.clone();
@@ -774,7 +835,7 @@ impl ServerState {
                         // checkpoints (single-writer discipline).
                         if !self.ever_served {
                             if let Some(hooks) = self.state_hooks.as_ref() {
-                                (hooks.restore)(&state);
+                                hooks.state.restore(&state);
                                 sys.count("mead.state_restored", 1);
                             }
                         }

@@ -33,7 +33,7 @@ pub use directory::{
 };
 pub use giop::{CodecError, WireCodec};
 pub use intercept::client::ClientInterceptor;
-pub use intercept::server::{CaptureFn, RestoreFn, ServerInterceptor, StateHooks};
+pub use intercept::server::{CheckpointPayload, ServerInterceptor, StateHooks};
 pub use intercept::tokens;
 pub use messages::{FailoverNotice, GroupMsg};
 pub use recovery::{RecoveryManager, ReplicaFactory, ReplicaSpec};

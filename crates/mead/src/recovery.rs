@@ -53,13 +53,15 @@ pub type ReplicaFactory = Rc<dyn Fn(&ReplicaSpec) -> Box<dyn simnet::Process>>;
 const TOKEN_GCS: u64 = 1;
 const TOKEN_TICK: u64 = 2;
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct SlotState {
     /// Member name we are waiting to see join, with launch time.
     pending: Option<(MemberName, SimTime)>,
 }
 
-/// The Recovery Manager process.
+/// The Recovery Manager process. A clone shares the replica factory
+/// (which only reads what it captured) and nothing else.
+#[derive(Clone)]
 pub struct RecoveryManager {
     cfg: MeadConfig,
     gcs: Option<GcsClient>,
@@ -401,6 +403,10 @@ impl Process for RecoveryManager {
 
     fn label(&self) -> &str {
         "recovery-manager"
+    }
+
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        Some(Box::new(self.clone()))
     }
 }
 

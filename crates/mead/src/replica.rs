@@ -9,9 +9,11 @@
 //! group communication: everything proactive happens in the interceptor
 //! underneath it, preserving the paper's transparency claim.
 
+use std::rc::Rc;
+
 use giop::{Ior, ObjectKey};
 use orb::{
-    encode_bind, host_of, naming_ior, ClientOrb, ClientOrbConfig, Servant, ServerOrb,
+    encode_bind, host_of, naming_ior, ClientOrb, ClientOrbConfig, CounterState, Servant, ServerOrb,
     ServerOrbConfig, TimeOfDayServant, TIME_TYPE_ID,
 };
 use simnet::{Event, NodeId, Port, Process, SimDuration, SysApi};
@@ -88,6 +90,22 @@ impl ReplicaApp {
         self
     }
 
+    /// A copy of this application for a forked simulation, its servants
+    /// copied by [`Servant::fork`] — over `state` where they serve from
+    /// the replica's shared [`CounterState`]. `None` when a servant
+    /// cannot be copied.
+    pub fn fork_over(&self, state: Option<&Rc<CounterState>>) -> Option<ReplicaApp> {
+        Some(ReplicaApp {
+            orb: self.orb.fork(state)?,
+            client_orb: self.client_orb.clone(),
+            naming_node: self.naming_node,
+            bind_name: self.bind_name.clone(),
+            objects: self.objects.clone(),
+            port: self.port,
+            rebind_interval: self.rebind_interval,
+        })
+    }
+
     /// The IOR of this instance's object `key`.
     fn ior_for(&self, sys: &dyn SysApi, key: &ObjectKey, type_id: &str) -> Ior {
         Ior::singleton(type_id, &host_of(sys.my_node()), self.port.0, key.clone())
@@ -125,6 +143,10 @@ impl Process for ReplicaApp {
 
     fn label(&self) -> &str {
         "replica-app"
+    }
+
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        Some(Box::new(self.fork_over(None)?))
     }
 }
 

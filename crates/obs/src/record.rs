@@ -61,6 +61,11 @@ impl Recorder {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
+
+    /// The ordered trace, by value.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.events
+    }
 }
 
 #[cfg(test)]

@@ -131,7 +131,7 @@ enum ConnPhase {
     Dead,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct ConnInfo {
     addr: Addr,
     phase: ConnPhase,
@@ -140,7 +140,7 @@ struct ConnInfo {
     queued: Vec<u32>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Pending {
     operation: String,
     body: Vec<u8>,
@@ -152,7 +152,7 @@ struct Pending {
 
 /// The client-side ORB: connection management, request correlation,
 /// forwarding semantics.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ClientOrb {
     cfg: ClientOrbConfig,
     conns: BTreeMap<ConnId, ConnInfo>,

@@ -23,12 +23,14 @@
 //! connection-establishment cost is charged separately by the client ORB.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use giop::{CdrError, CdrReader, CdrWriter, Endian, Ior, ObjectKey};
 use simnet::{Event, NodeId, Port, Process, SimDuration, SysApi};
 
 use crate::client::host_of;
 use crate::exceptions::SystemException;
+use crate::servants::CounterState;
 use crate::server::{Servant, ServerOrb, ServerOrbConfig};
 
 /// Well-known Naming Service port (the OMG's standard 2809).
@@ -114,6 +116,7 @@ pub fn decode_list_reply(payload: &[u8]) -> Result<Vec<(String, Ior)>, CdrError>
 }
 
 /// The naming servant: a name → IOR registry.
+#[derive(Clone)]
 pub struct NamingServant {
     cfg: NamingConfig,
     bindings: BTreeMap<String, Ior>,
@@ -214,6 +217,10 @@ impl Servant for NamingServant {
     fn type_id(&self) -> &str {
         NAMING_TYPE_ID
     }
+
+    fn fork(&self, _state: Option<&Rc<CounterState>>) -> Option<Box<dyn Servant>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// The Naming Service as a standalone simulated process.
@@ -241,6 +248,11 @@ impl Process for NamingService {
 
     fn label(&self) -> &str {
         "naming-service"
+    }
+
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        let orb = self.orb.fork(None)?;
+        Some(Box::new(NamingService { orb }))
     }
 }
 

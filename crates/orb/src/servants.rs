@@ -25,6 +25,7 @@ pub const COUNTER_TYPE_ID: &str = "IDL:Counter:1.0";
 ///
 /// Operations:
 /// * `time_of_day` () → `u64` nanoseconds since simulation start.
+#[derive(Clone)]
 pub struct TimeOfDayServant {
     /// Per-call application CPU (beyond ORB dispatch).
     pub op_cpu: SimDuration,
@@ -58,6 +59,10 @@ impl Servant for TimeOfDayServant {
 
     fn type_id(&self) -> &str {
         TIME_TYPE_ID
+    }
+
+    fn fork(&self, _state: Option<&Rc<CounterState>>) -> Option<Box<dyn Servant>> {
+        Some(Box::new(self.clone()))
     }
 }
 
@@ -93,6 +98,15 @@ impl CounterState {
     /// Fresh state: value 0, no operations applied.
     pub fn new() -> Rc<CounterState> {
         Rc::new(CounterState::default())
+    }
+
+    /// A second state with the same contents, sharing nothing with this
+    /// one: what a forked replica runs on.
+    pub fn duplicate(&self) -> Rc<CounterState> {
+        Rc::new(CounterState {
+            value: self.value.clone(),
+            last_op: self.last_op.clone(),
+        })
     }
 
     /// Current counter value.
@@ -165,6 +179,11 @@ impl CounterServant {
     pub fn new(state: Rc<CounterState>) -> Self {
         CounterServant { state }
     }
+
+    /// The state this servant serves from.
+    pub fn state(&self) -> &Rc<CounterState> {
+        &self.state
+    }
 }
 
 impl Servant for CounterServant {
@@ -209,6 +228,11 @@ impl Servant for CounterServant {
 
     fn type_id(&self) -> &str {
         COUNTER_TYPE_ID
+    }
+
+    fn fork(&self, state: Option<&Rc<CounterState>>) -> Option<Box<dyn Servant>> {
+        let state = state.cloned().unwrap_or_else(|| self.state.duplicate());
+        Some(Box::new(CounterServant::new(state)))
     }
 }
 

@@ -9,6 +9,7 @@
 //! exactly as the paper layers its interceptor under an unmodified ORB.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use giop::{
     Endian, FrameKind, FrameSplitter, Message, MessageView, ObjectKey, ReplyBody, ReplyMessage,
@@ -17,6 +18,7 @@ use giop::{
 use simnet::{ConnId, Event, ListenerId, Port, SimDuration, SysApi};
 
 use crate::exceptions::{Completed, SystemException};
+use crate::servants::CounterState;
 
 /// An object implementation, dispatched by operation name.
 ///
@@ -38,6 +40,19 @@ pub trait Servant {
 
     /// Repository id of the servant's interface.
     fn type_id(&self) -> &str;
+
+    /// A copy of this servant for a forked simulation
+    /// ([`simnet::Process::fork`]), sharing no mutable state with it.
+    ///
+    /// `state` is the forked replica's copy of the [`CounterState`] its
+    /// servant shares with checkpointing: a servant over that state
+    /// serves the copy from `state` and not from a duplicate of its own,
+    /// so that in the fork, too, servant and checkpoints see one state.
+    /// Servants without such state ignore it. `None`, the default, says
+    /// the servant cannot be copied.
+    fn fork(&self, _state: Option<&Rc<CounterState>>) -> Option<Box<dyn Servant>> {
+        None
+    }
 }
 
 /// Server-ORB cost model.
@@ -104,6 +119,24 @@ impl ServerOrb {
     /// Number of live client connections.
     pub fn connection_count(&self) -> usize {
         self.conns.len()
+    }
+
+    /// A copy of this ORB for a forked simulation, every servant copied
+    /// by [`Servant::fork`] over `state`; `None` when one of them cannot
+    /// be.
+    pub fn fork(&self, state: Option<&Rc<CounterState>>) -> Option<ServerOrb> {
+        let adapter = self
+            .adapter
+            .iter()
+            .map(|(key, servant)| Some((key.clone(), servant.fork(state)?)))
+            .collect::<Option<_>>()?;
+        Some(ServerOrb {
+            port: self.port,
+            cfg: self.cfg.clone(),
+            listener: self.listener,
+            adapter,
+            conns: self.conns.clone(),
+        })
     }
 
     /// Offers an event to the ORB. Returns `None` when the event is not

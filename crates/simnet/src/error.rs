@@ -1,8 +1,8 @@
-//! Error type for syscall-shaped operations.
+//! Error types: syscall-shaped operations, and forking a simulation.
 
 use core::fmt;
 
-use crate::ids::{ConnId, Port};
+use crate::ids::{ConnId, Port, ProcessId};
 
 /// Errors returned by [`SysApi`](crate::SysApi) operations.
 ///
@@ -40,6 +40,50 @@ impl fmt::Display for SysError {
 
 impl std::error::Error for SysError {}
 
+/// Why [`Simulation::fork`](crate::Simulation::fork) refused to copy a
+/// simulation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ForkError {
+    /// A live process keeps the default
+    /// [`Process::fork`](crate::Process::fork) and cannot be copied.
+    Unforkable {
+        /// The process.
+        pid: ProcessId,
+        /// The label it was spawned with.
+        label: String,
+    },
+    /// The fork's scheduler names a different
+    /// [`gate`](crate::Scheduler::gate) from the one the simulation was
+    /// built with. Notify coalescing is keyed on whether there is a gate
+    /// and pooling on what it is, so the copied state would not be one
+    /// that scheduler could have produced.
+    GateMismatch,
+    /// The simulation has already surfaced a choice point: its state
+    /// depends on a decision of the scheduler it ran under, which a fork
+    /// under another scheduler would inherit without having made.
+    ChoicePointConsumed,
+}
+
+impl fmt::Display for ForkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ForkError::Unforkable { pid, label } => {
+                write!(f, "cannot fork: live process {pid} ({label}) is not forkable")
+            }
+            ForkError::GateMismatch => write!(
+                f,
+                "cannot fork: the scheduler's gate differs from the one the simulation was built with"
+            ),
+            ForkError::ChoicePointConsumed => write!(
+                f,
+                "cannot fork: the simulation has already consumed a choice point"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ForkError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,5 +101,6 @@ mod tests {
     fn is_std_error() {
         fn assert_err<E: std::error::Error + Send + Sync + 'static>() {}
         assert_err::<SysError>();
+        assert_err::<ForkError>();
     }
 }

@@ -62,7 +62,7 @@ pub mod testkit;
 mod time;
 mod wheel;
 
-pub use error::SysError;
+pub use error::{ForkError, SysError};
 pub use ids::{Addr, ConnId, ListenerId, NodeId, Port, ProcessId, TimerId};
 pub use latency::{LatencyModel, LossModel, NoiseModel};
 pub use metrics::{ByteRecord, Fnv, Metrics};

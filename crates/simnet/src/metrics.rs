@@ -102,6 +102,14 @@ impl Metrics {
     pub fn byte_tags(&self) -> impl Iterator<Item = &'static str> + '_ {
         self.bytes.keys().copied()
     }
+
+    /// Gives back the room the record lists grew ahead of their contents:
+    /// for a store that is done recording and will be kept.
+    pub fn shrink_to_fit(&mut self) {
+        for records in self.bytes.values_mut() {
+            records.shrink_to_fit();
+        }
+    }
 }
 
 /// The 64-bit FNV-1a fold behind every digest in the workspace (outcome

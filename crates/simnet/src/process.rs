@@ -15,6 +15,8 @@
 //! by implementing [`SysApi`] on a façade that filters reads and writes
 //! before delegating to the real kernel context.
 
+use std::any::Any;
+
 use bytes::Bytes;
 
 use crate::error::SysError;
@@ -214,7 +216,10 @@ pub trait SysApi {
 /// Implementations should be deterministic given the event sequence and
 /// their [`SysApi::rng`] stream — the paper assumes "deterministic,
 /// reproducible behavior of the application and the ORB".
-pub trait Process {
+///
+/// Every process is `'static` ([`Any`]), which is what lets a driver look
+/// at one through [`Simulation::process`](crate::Simulation::process).
+pub trait Process: Any {
     /// Called once when the process starts running (after launch latency).
     fn on_start(&mut self, sys: &mut dyn SysApi);
 
@@ -224,6 +229,18 @@ pub trait Process {
     /// Human-readable label used in traces.
     fn label(&self) -> &str {
         "process"
+    }
+
+    /// A copy of this process for a forked simulation
+    /// ([`Simulation::fork`](crate::Simulation::fork)): equal in every
+    /// field that can influence a later handler, and sharing no mutable
+    /// state with `self` — an `Rc<Cell<..>>` both would write through
+    /// must be duplicated, immutable data (configuration, a factory
+    /// closure, [`Bytes`]) may be shared. `None`, the default, says the
+    /// process cannot be copied; a simulation holding one alive refuses
+    /// to fork.
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        None
     }
 }
 

@@ -23,6 +23,7 @@
 //!   replicas manifest as `COMM_FAILURE` exceptions);
 //! * per-connection FIFO order is preserved even under latency jitter.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem;
@@ -31,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::error::SysError;
+use crate::error::{ForkError, SysError};
 use crate::ids::{Addr, ConnId, ListenerId, NodeId, Port, ProcessId, TimerId};
 use crate::latency::{LatencyModel, LossModel, NoiseModel};
 use crate::metrics::Metrics;
@@ -82,7 +83,7 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Action {
     StartProcess(ProcessId),
     ConnectAttempt {
@@ -125,6 +126,7 @@ enum Action {
 /// `first_seq`. Lives outside the wheel until some other push needs a
 /// sequence number (breaking the consecutive run) or the clock is about
 /// to reach `at` — see [`Simulation::flush_bounce`].
+#[derive(Clone)]
 struct PendingBounce {
     pid: ProcessId,
     at: SimTime,
@@ -135,6 +137,7 @@ struct PendingBounce {
 /// A queued action with its full scheduling key; the event queue itself
 /// (a [`TimingWheel`]) stores the `(at, seq)` pair unpacked, so this
 /// struct only survives in the partition parking lot.
+#[derive(Clone)]
 struct Scheduled {
     at: SimTime,
     seq: u64,
@@ -148,6 +151,7 @@ enum EpState {
     ClosedLocal,
 }
 
+#[derive(Clone)]
 struct Endpoint {
     owner: ProcessId,
     peer: Option<ConnId>,
@@ -160,12 +164,14 @@ struct Endpoint {
     remote_node: NodeId,
 }
 
+#[derive(Clone)]
 struct TimerState {
     pid: ProcessId,
     token: u64,
     cancelled: bool,
 }
 
+#[derive(Clone)]
 struct NodeState {
     #[allow(dead_code)]
     name: String,
@@ -177,6 +183,7 @@ struct NodeState {
 /// must keep answering for dead pids, so this record is never removed.
 /// Indexed directly by `ProcessId` (pids are issued densely in spawn
 /// order).
+#[derive(Clone)]
 struct ProcMeta {
     node: NodeId,
     label: String,
@@ -360,6 +367,88 @@ impl Simulation {
             gate,
             sched_steps: 0,
         }
+    }
+
+    /// A copy of this simulation that runs on under `scheduler`,
+    /// independently of `self`: driving either changes nothing the other
+    /// can observe, and from the same calls both produce the same events,
+    /// metrics and trace as a simulation that was never copied.
+    ///
+    /// Copied: every kernel table, the event queue with its pending
+    /// actions, endpoints and their receive queues, timers, the kernel's
+    /// and every process's random stream, partitions, the sequence and
+    /// event counters and the clock; the metrics store and the trace
+    /// recorder are deep copies (handles taken from `self` keep pointing
+    /// at `self`'s). Each live process is copied by its own
+    /// [`Process::fork`]. In-flight [`Bytes`] are immutable and shared.
+    /// The copy's buffers are sized to what they hold.
+    ///
+    /// # Errors
+    ///
+    /// [`ForkError::GateMismatch`] when `scheduler` names another gate
+    /// than the scheduler `self` was built with,
+    /// [`ForkError::ChoicePointConsumed`] when `self` has already put a
+    /// decision to its scheduler, and [`ForkError::Unforkable`] naming
+    /// the first live process (in pid order) that cannot be copied.
+    pub fn fork(&self, scheduler: Box<dyn Scheduler>) -> Result<Simulation, ForkError> {
+        if scheduler.gate() != self.gate {
+            return Err(ForkError::GateMismatch);
+        }
+        if self.sched_steps != 0 {
+            return Err(ForkError::ChoicePointConsumed);
+        }
+        let mut proc_slab = self.proc_slab.map(|live| ProcLive {
+            proc: None,
+            rng: live.rng.clone(),
+            started: live.started,
+            conns: live.conns.clone(),
+            listeners: live.listeners.clone(),
+            exit_requested: live.exit_requested.clone(),
+        });
+        // Dead pids are skipped: their slab slot is gone.
+        for (pid, meta) in self.procs.iter().enumerate().filter(|(_, m)| m.alive) {
+            let forked = self
+                .proc_slab
+                .get(meta.live)
+                .and_then(|live| live.proc.as_ref())
+                .and_then(|proc| proc.fork())
+                .ok_or_else(|| ForkError::Unforkable {
+                    pid: ProcessId(pid as u64),
+                    label: meta.label.clone(),
+                })?;
+            if let Some(live) = proc_slab.get_mut(meta.live) {
+                live.proc = Some(forked);
+            }
+        }
+        Ok(Simulation {
+            cfg: self.cfg.clone(),
+            now: self.now,
+            seq: self.seq,
+            queue: self.queue.clone(),
+            nodes: self.nodes.clone(),
+            procs: self.procs.clone(),
+            proc_slab,
+            node_listeners: self.node_listeners.clone(),
+            listeners: self.listeners.clone(),
+            endpoints: self.endpoints.clone(),
+            timers: self.timers.clone(),
+            net_rng: self.net_rng.clone(),
+            metrics: Rc::new(RefCell::new(self.metrics.borrow().clone())),
+            recorder: Rc::new(RefCell::new(self.recorder.borrow().clone())),
+            obs_kernel: self.obs_kernel,
+            events_processed: self.events_processed,
+            wall_in_run: self.wall_in_run,
+            partitions: self.partitions.clone(),
+            parked: self.parked.clone(),
+            oneway_cuts: self.oneway_cuts.clone(),
+            link_jitter: self.link_jitter.clone(),
+            pending_bounce: self.pending_bounce.clone(),
+            bounce_spare: VecDeque::new(),
+            batched_extra: self.batched_extra,
+            scheduler,
+            gate: self.gate,
+            sched_steps: 0,
+        })
     }
 
     /// Adds a node (host) and returns its id.
@@ -717,6 +806,15 @@ impl Simulation {
         self.meta(pid).map(|m| m.node)
     }
 
+    /// The live process `pid`, if it is a `P`: a read-only look at its
+    /// state from outside the simulation (a driver reading what an
+    /// observer process saw, a test comparing two copies).
+    pub fn process<P: Process>(&self, pid: ProcessId) -> Option<&P> {
+        let meta = self.meta(pid).filter(|m| m.alive)?;
+        let proc: &dyn Any = self.proc_slab.get(meta.live)?.proc.as_deref()?;
+        proc.downcast_ref()
+    }
+
     /// Ids of all live processes, in spawn order (the meta table is
     /// indexed by pid, and pids are assigned densely in spawn order —
     /// slab slot recycling underneath never reorders this view).
@@ -768,6 +866,15 @@ impl Simulation {
         f(&self.recorder.borrow())
     }
 
+    /// Moves the trace recorded so far out of the simulation, leaving an
+    /// empty recorder at the same level behind: for a driver that is done
+    /// with the run.
+    pub fn take_trace(&mut self) -> Vec<obs::TraceEvent> {
+        let mut recorder = self.recorder.borrow_mut();
+        let empty = obs::Recorder::with_level(recorder.level());
+        mem::replace(&mut *recorder, empty).into_events()
+    }
+
     /// Sets the trace verbosity, resetting the recorder. At
     /// [`obs::TraceLevel::Kernel`] every dispatched action is recorded;
     /// the default [`obs::TraceLevel::Recovery`] keeps only lifecycle and
@@ -788,6 +895,12 @@ impl Simulation {
     /// Immutable snapshot accessor for the metrics store.
     pub fn with_metrics<T>(&self, f: impl FnOnce(&Metrics) -> T) -> T {
         f(&self.metrics.borrow())
+    }
+
+    /// Moves the metrics gathered so far out of the simulation, leaving an
+    /// empty store behind: for a driver that is done with the run.
+    pub fn take_metrics(&mut self) -> Metrics {
+        mem::take(&mut *self.metrics.borrow_mut())
     }
 
     /// Runs until the clock reaches `deadline`, the queue drains, or

@@ -28,6 +28,7 @@ impl SlotKey {
     };
 }
 
+#[derive(Clone)]
 struct Slot<T> {
     generation: u32,
     value: Option<T>,
@@ -47,6 +48,7 @@ struct Slot<T> {
 /// assert_eq!(slab.get(reused), Some(&"beta"));
 /// assert_eq!(slab.slot_count(), 1); // the slot was reused, not regrown
 /// ```
+#[derive(Clone)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
@@ -128,6 +130,24 @@ impl<T> Slab<T> {
         slot.value.as_mut()
     }
 
+    /// A structural copy — the same slots, generations and free list, so
+    /// every outstanding [`SlotKey`] means in the copy what it means here —
+    /// with each live value replaced by `f` of it.
+    pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> Slab<U> {
+        Slab {
+            slots: self
+                .slots
+                .iter()
+                .map(|slot| Slot {
+                    generation: slot.generation,
+                    value: slot.value.as_ref().map(&mut f),
+                })
+                .collect(),
+            free: self.free.clone(),
+            live: self.live,
+        }
+    }
+
     /// Frees the entry behind `key` and recycles its slot under the next
     /// generation; `None` if the key was already stale.
     pub fn remove(&mut self, key: SlotKey) -> Option<T> {
@@ -151,6 +171,7 @@ impl<T> Slab<T> {
 /// removed. Ids are allocated by [`IdTable::insert`] in issue order
 /// (0, 1, 2, …) and never reused, so external identifiers keep the exact
 /// numbering the old `BTreeMap` kernel produced.
+#[derive(Clone)]
 pub struct IdTable<T> {
     directory: Vec<SlotKey>,
     slab: Slab<T>,

@@ -56,6 +56,7 @@ const LEVELS: usize = 6;
 
 /// One scheduled item: full-resolution timestamp, tie-break sequence
 /// number, payload.
+#[derive(Clone)]
 struct Entry<T> {
     at: u64,
     seq: u64,
@@ -80,6 +81,7 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+#[derive(Clone)]
 struct Level<T> {
     /// Bit `s` set iff `slots[s]` is non-empty.
     occupied: u64,
@@ -111,6 +113,10 @@ impl<T> Level<T> {
 /// assert_eq!(q.pop_due(u64::MAX), Some((2_000_000, 1, "later")));
 /// assert!(q.is_empty());
 /// ```
+///
+/// A clone holds the same entries at the same cursor, in buffers sized to
+/// what they hold.
+#[derive(Clone)]
 pub struct TimingWheel<T> {
     /// Entries whose tick is at (or, defensively, behind) the cursor.
     /// `sorted[head..]` is an ascending `(at, seq)` run consumed from the
