@@ -81,8 +81,8 @@ fn row(speed: f64, strategy: &'static str, outcome: &ScenarioOutcome) -> Adaptiv
         strategy,
         restarts: outcome.server_failures(),
         crashes: outcome.metrics.counter("mead.crash_exhaustion"),
-        client_failures: outcome.report.client_failures(),
-        completed: outcome.report.completed,
+        client_failures: outcome.report().client_failures(),
+        completed: outcome.report().completed,
     }
 }
 

@@ -132,7 +132,7 @@ pub fn fig5_point(
     let bandwidth = outcome.metrics.bandwidth(MESH_TAG, from, to);
     let max_spike = crate::stats::max_f64(
         outcome
-            .report
+            .report()
             .records
             .iter()
             .skip(1) // initial naming spike is reported separately by the paper

@@ -22,6 +22,12 @@
 //! timing-wheel kernel (DESIGN §11) is measured against: tens of
 //! thousands of live processes, endpoints and timers make every O(log n)
 //! table walk visible.
+//!
+//! Memory is the other axis that scales with the fleet: a group's
+//! simulation holds every client's state until it ends, and nothing of it
+//! afterwards — each group is folded into a [`GroupRollup`] the moment its
+//! simulation finishes, so a fleet of `n` groups peaks at about the heap
+//! of one (DESIGN §11, "What a fleet client costs").
 
 use std::time::Duration;
 
@@ -30,7 +36,7 @@ use simnet::{Fnv, SimTime};
 
 use crate::cli::{check_thread_independence, positional_or, run_command, take_flag, CliError};
 use crate::runner::run_batch_with;
-use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{run_scenario, ScenarioConfig};
 
 /// Clients hosted per simulated client node.
 pub const CLIENTS_PER_NODE: u32 = 64;
@@ -101,6 +107,41 @@ pub fn group_configs(cfg: &FleetConfig) -> Vec<ScenarioConfig> {
         .collect()
 }
 
+/// What a fleet keeps of one group once its simulation has ended.
+#[derive(Clone, Copy, Debug)]
+struct GroupRollup {
+    digest: u64,
+    events: u64,
+    completed_invocations: u64,
+    client_failures: u64,
+    server_failures: u64,
+    completed: bool,
+    wall: Duration,
+}
+
+impl GroupRollup {
+    /// Runs one group and folds its outcome; the outcome itself — trace,
+    /// metrics, every client's records — is dropped before this returns.
+    fn run(cfg: &ScenarioConfig) -> GroupRollup {
+        let out = run_scenario(cfg);
+        let mut rollup = GroupRollup {
+            digest: out.digest(),
+            events: out.events_processed,
+            completed_invocations: 0,
+            client_failures: 0,
+            server_failures: out.server_failures(),
+            completed: true,
+            wall: out.wall,
+        };
+        for report in &out.all_reports {
+            rollup.completed_invocations += report.records.len() as u64;
+            rollup.client_failures += u64::from(report.client_failures());
+            rollup.completed &= report.completed;
+        }
+        rollup
+    }
+}
+
 /// Everything a fleet run produced, aggregated over its groups.
 #[derive(Clone, Debug)]
 pub struct FleetOutcome {
@@ -150,9 +191,9 @@ impl FleetOutcome {
         }
     }
 
-    fn from_groups(outcomes: &[ScenarioOutcome]) -> FleetOutcome {
+    fn from_groups(groups: &[GroupRollup]) -> FleetOutcome {
         let mut fleet = FleetOutcome {
-            group_digests: outcomes.iter().map(ScenarioOutcome::digest).collect(),
+            group_digests: groups.iter().map(|g| g.digest).collect(),
             total_events: 0,
             completed_invocations: 0,
             client_failures: 0,
@@ -160,19 +201,13 @@ impl FleetOutcome {
             groups_completed: 0,
             wall: Duration::ZERO,
         };
-        for out in outcomes {
-            fleet.total_events += out.events_processed;
-            fleet.wall += out.wall;
-            fleet.server_failures += out.server_failures();
-            let mut all_done = true;
-            for report in &out.all_reports {
-                fleet.completed_invocations += report.records.len() as u64;
-                fleet.client_failures += u64::from(report.client_failures());
-                all_done &= report.completed;
-            }
-            if all_done {
-                fleet.groups_completed += 1;
-            }
+        for group in groups {
+            fleet.total_events += group.events;
+            fleet.wall += group.wall;
+            fleet.server_failures += group.server_failures;
+            fleet.completed_invocations += group.completed_invocations;
+            fleet.client_failures += group.client_failures;
+            fleet.groups_completed += u32::from(group.completed);
         }
         fleet
     }
@@ -180,11 +215,13 @@ impl FleetOutcome {
 
 /// Runs every group of the fleet on up to `threads` workers and
 /// aggregates. Groups are independent simulations, so the outcome — and
-/// its digest — is bit-identical for every `threads` value.
+/// its digest — is bit-identical for every `threads` value. Each worker
+/// folds a group as soon as its simulation ends, so at most `threads`
+/// simulations are alive at once.
 pub fn run_fleet(cfg: &FleetConfig, threads: usize) -> FleetOutcome {
     let configs = group_configs(cfg);
-    let outcomes = run_batch_with(&configs, threads, run_scenario);
-    FleetOutcome::from_groups(&outcomes)
+    let groups = run_batch_with(&configs, threads, GroupRollup::run);
+    FleetOutcome::from_groups(&groups)
 }
 
 /// `mead-repro fleet [--threads N] [--smoke] [--scheme KEY] [clients]`:

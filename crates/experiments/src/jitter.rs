@@ -31,7 +31,7 @@ pub struct JitterStats {
 /// Computes jitter stats from an outcome.
 pub fn jitter_stats(label: impl Into<String>, outcome: &ScenarioOutcome) -> JitterStats {
     let rtts: Vec<f64> = outcome
-        .report
+        .report()
         .records
         .iter()
         .skip(1) // the initial resolution spike is reported separately

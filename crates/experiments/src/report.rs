@@ -48,7 +48,7 @@ pub struct Table1Row {
 /// initial naming-resolution spike by dropping the first record.
 pub fn steady_state_rtt_ms(outcome: &ScenarioOutcome) -> f64 {
     let rtts: Vec<f64> = outcome
-        .report
+        .report()
         .records
         .iter()
         .skip(1)
@@ -60,7 +60,7 @@ pub fn steady_state_rtt_ms(outcome: &ScenarioOutcome) -> f64 {
 
 /// Extracts per-episode fail-over times (elevated episode RTTs), in ms.
 pub fn failover_episodes_ms(outcome: &ScenarioOutcome, scheme: RecoveryScheme) -> Vec<f64> {
-    let records = &outcome.report.records;
+    let records = &outcome.report().records;
     let mut indices: BTreeSet<usize> = records
         .iter()
         .enumerate()
@@ -201,7 +201,7 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
 /// Writes an RTT trace as CSV (`run,rtt_ms`) for the Figure 3/4 plots.
 pub fn trace_csv(outcome: &ScenarioOutcome) -> String {
     let mut out = String::from("run,rtt_ms,disrupted\n");
-    for r in &outcome.report.records {
+    for r in &outcome.report().records {
         out.push_str(&format!(
             "{},{:.6},{}\n",
             r.index,
@@ -216,7 +216,7 @@ pub fn trace_csv(outcome: &ScenarioOutcome) -> String {
 /// the Figure 3/4 shapes): one row per bucket of invocations, bar length
 /// proportional to the bucket's max RTT.
 pub fn trace_ascii(outcome: &ScenarioOutcome, buckets: usize, full_scale_ms: f64) -> String {
-    let records = &outcome.report.records;
+    let records = &outcome.report().records;
     if records.is_empty() || buckets == 0 {
         return String::new();
     }

@@ -117,9 +117,7 @@ pub fn paper_workload(invocations: u32) -> Vec<(String, ScenarioConfig)> {
 /// Results of one scenario run.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
-    /// The first client's measurements (the paper's single-client view).
-    pub report: WorkloadReport,
-    /// Every client's measurements (multi-client runs).
+    /// Every client's measurements, in spawn order; never empty.
     pub all_reports: Vec<WorkloadReport>,
     /// Full kernel metrics (counters, byte accounting, marks).
     pub metrics: Metrics,
@@ -139,6 +137,11 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
+    /// The first client's measurements (the paper's single-client view).
+    pub fn report(&self) -> &WorkloadReport {
+        &self.all_reports[0]
+    }
+
     /// Server-side failures: crashes from resource exhaustion plus
     /// graceful proactive rejuvenations.
     pub fn server_failures(&self) -> u64 {
@@ -153,7 +156,7 @@ impl ScenarioOutcome {
         if servers == 0 {
             return 0.0;
         }
-        self.report.client_failures() as f64 * 100.0 / servers as f64
+        self.report().client_failures() as f64 * 100.0 / servers as f64
     }
 
     /// Events dispatched per wall-clock second for this run (0.0 when the
@@ -282,6 +285,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         RecoveryScheme::ReactiveCache => ClientPolicy::CachedReferences,
         _ => ClientPolicy::ResolveOnFailure,
     };
+    // One configuration for every client interceptor of the run.
+    let client_cfg = Rc::new(mead_cfg);
     let mut reports: Vec<ReportHandle> = Vec::new();
     for c in 0..cfg.clients.max(1) {
         let report: ReportHandle = Rc::new(RefCell::new(WorkloadReport::default()));
@@ -296,7 +301,10 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
             report.clone(),
         );
         let client_proc: Box<dyn simnet::Process> = if cfg.scheme.has_client_interceptor() {
-            Box::new(ClientInterceptor::new(mead_cfg.clone(), Box::new(workload)))
+            Box::new(ClientInterceptor::new(
+                client_cfg.clone(),
+                Box::new(workload),
+            ))
         } else {
             Box::new(workload)
         };
@@ -325,9 +333,10 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         events_processed,
         wall,
     } = testbed.harvest();
+    // Copied, not moved out of their cells: a copy is sized to its
+    // records, where the vector the workload grew has up to twice the room.
     let all_reports: Vec<WorkloadReport> = reports.iter().map(|r| r.borrow().clone()).collect();
     ScenarioOutcome {
-        report: all_reports[0].clone(),
         all_reports,
         metrics,
         finished_at,

@@ -1,5 +1,5 @@
 //! Pins the 13 paper-workload scenario digests to their committed
-//! values (`BENCH_harness.json`).
+//! values (`BENCH_harness.json`), and the seed-42 `fleet-1k` digests.
 //!
 //! The DESIGN §11 kernel refactor (slab-indexed state tables, timing-
 //! wheel event queue) was performed under the obligation that every one
@@ -10,7 +10,8 @@
 //! a *semantic* change to the simulation and needs the baselines
 //! regenerated deliberately, not silently.
 
-use experiments::{paper_workload, run_scenario};
+use experiments::{paper_workload, run_fleet, run_scenario, FleetConfig};
+use mead::RecoveryScheme;
 
 /// `(label, digest)` exactly as committed in `BENCH_harness.json`.
 const PINNED: [(&str, u64); 13] = [
@@ -46,4 +47,26 @@ fn paper_workload_digests_match_committed_values() {
         "scenario digests drifted from committed baselines:\n{}",
         failures.join("\n")
     );
+}
+
+/// `fleet-1k` at seed 42 (the ledger's workload: 4 groups x 1000 clients
+/// x 5 invocations under the MEAD scheme): per-group digests, then the
+/// fleet digest that folds them with the fleet totals.
+const FLEET_1K_GROUPS: [u64; 4] = [
+    0x9a9b5053f5334758,
+    0x243f268b626c3197,
+    0xb442fb8924b97720,
+    0x9e2ba1b9d9fa5171,
+];
+const FLEET_1K: u64 = 0x137f9b71998a5ea7;
+
+#[test]
+fn fleet_1k_digests_match_committed_values() {
+    let out = run_fleet(&FleetConfig::new(RecoveryScheme::MeadFailover, 1000), 2);
+    assert_eq!(
+        out.group_digests, FLEET_1K_GROUPS,
+        "a group's outcome moved"
+    );
+    assert_eq!(out.digest(), FLEET_1K, "the fleet totals moved");
+    assert_eq!(out.total_events, 5_327_220);
 }

@@ -9,11 +9,10 @@
 //! group-communication socket into the list of read-sockets examined by
 //! `select()`" (section 3.1).
 
-use std::collections::BTreeSet;
-
 use simnet::{Addr, ConnId, Event, SimDuration, SysApi};
 
 use crate::daemon::GCS_PORT;
+use crate::names::NameSet;
 use crate::wire::{GcsSplitter, GcsWire};
 
 /// Something the group-communication system delivered to this member.
@@ -62,7 +61,7 @@ pub struct GcsClient {
     conn: Option<ConnId>,
     splitter: GcsSplitter,
     backlog: Vec<GcsWire>,
-    joined: BTreeSet<String>,
+    joined: NameSet,
     retry_interval: SimDuration,
 }
 
@@ -79,7 +78,7 @@ impl GcsClient {
             conn: None,
             splitter: GcsSplitter::new(),
             backlog: Vec::new(),
-            joined: BTreeSet::new(),
+            joined: NameSet::default(),
             retry_interval: SimDuration::from_millis(10),
         }
     }
@@ -97,7 +96,7 @@ impl GcsClient {
     /// Groups currently joined (as requested; authoritative membership
     /// arrives via [`GcsDelivery::View`]).
     pub fn joined_groups(&self) -> impl Iterator<Item = &str> {
-        self.joined.iter().map(String::as_str)
+        self.joined.iter()
     }
 
     /// Connects to the daemon on the local node. Call from `on_start`.
@@ -109,7 +108,7 @@ impl GcsClient {
 
     /// Joins `group` (queued until attached).
     pub fn join(&mut self, sys: &mut dyn SysApi, group: &str) {
-        self.joined.insert(group.to_string());
+        self.joined.insert(group);
         self.send(
             sys,
             GcsWire::Join {
@@ -241,11 +240,11 @@ impl GcsClient {
                 // the daemon has forgotten us), then the backlog — minus
                 // queued joins for those same groups, which would
                 // otherwise be sent twice.
-                for group in &self.joined {
+                for group in self.joined.iter() {
                     let _ = sys.write_bytes(
                         conn,
                         GcsWire::Join {
-                            group: group.clone(),
+                            group: group.to_string(),
                         }
                         .encode(),
                     );

@@ -18,11 +18,12 @@
 //! view change is exactly the "membership-change notification from Spread"
 //! the MEAD Recovery Manager reacts to.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::Rng;
 use simnet::{Addr, ConnId, Event, ListenerId, Port, Process, SimDuration, SysApi};
 
+use crate::names::NameSet;
 use crate::wire::{GcsSplitter, GcsWire};
 
 /// The well-known daemon port (Spread's default).
@@ -78,10 +79,7 @@ enum ConnKind {
     /// Accepted, protocol not yet identified.
     Pending,
     /// A local client (application process) attached as `member`.
-    Client {
-        member: String,
-        groups: BTreeSet<String>,
-    },
+    Client { member: String, groups: NameSet },
     /// Another daemon (only ever seen at the sequencer).
     Peer { node: u32 },
 }
@@ -129,7 +127,7 @@ pub struct GcsDaemon {
     up_backlog: Vec<GcsWire>,
     /// Local membership per group (intersection of the global view with
     /// locally attached members), for routing deliveries.
-    local_groups: BTreeMap<String, BTreeSet<String>>,
+    local_groups: BTreeMap<String, NameSet>,
     /// Member name -> client connection, for local delivery.
     local_members: BTreeMap<String, ConnId>,
     seq_state: Option<SequencerState>,
@@ -317,17 +315,18 @@ impl GcsDaemon {
                 members,
                 ..
             } => {
-                let local: BTreeSet<String> = members
+                let local: NameSet = members
                     .iter()
+                    .map(String::as_str)
                     .filter(|m| self.local_members.contains_key(*m))
-                    .cloned()
                     .collect();
                 // Members removed from the view must also hear about it if
                 // they are still attached locally (they may have crashed, in
                 // which case the connection is already gone).
-                let previously: BTreeSet<String> =
-                    self.local_groups.get(&group).cloned().unwrap_or_default();
-                let recipients: BTreeSet<String> = local.union(&previously).cloned().collect();
+                let recipients = match self.local_groups.get(&group) {
+                    Some(previously) => local.union(previously),
+                    None => local.clone(),
+                };
                 if local.is_empty() {
                     self.local_groups.remove(&group);
                 } else {
@@ -339,8 +338,8 @@ impl GcsDaemon {
                     members,
                 };
                 let encoded = msg.encode();
-                for member in recipients {
-                    if let Some(&conn) = self.local_members.get(&member) {
+                for member in recipients.iter() {
+                    if let Some(&conn) = self.local_members.get(member) {
                         let _ = sys.write_bytes(conn, encoded.clone());
                     }
                 }
@@ -360,7 +359,7 @@ impl GcsDaemon {
                     payload,
                 };
                 let encoded = msg.encode();
-                for member in local {
+                for member in local.iter() {
                     if let Some(&conn) = self.local_members.get(member) {
                         let _ = sys.write_bytes(conn, encoded.clone());
                     }
@@ -396,7 +395,7 @@ impl GcsDaemon {
                     if let Some(c) = self.conns.get_mut(&conn) {
                         c.kind = ConnKind::Client {
                             member,
-                            groups: BTreeSet::new(),
+                            groups: NameSet::default(),
                         };
                     }
                     let _ = sys.write_bytes(conn, GcsWire::Attached.encode());
@@ -447,7 +446,7 @@ impl GcsDaemon {
                         ..
                     }) = self.conns.get_mut(&conn)
                     {
-                        groups.insert(group.clone());
+                        groups.insert(&group);
                     }
                     let daemon = sys.my_node().index();
                     self.forward(

@@ -25,6 +25,7 @@
 
 mod client;
 mod daemon;
+mod names;
 mod wire;
 
 pub use client::{GcsClient, GcsDelivery};

@@ -23,6 +23,7 @@
 //!   is released and the application sees `COMM_FAILURE`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use giop::{Endian, FrameKind, Message, MessageView, MsgType, ReplyBody, ReplyMessage};
@@ -71,11 +72,13 @@ pub struct ClientInterceptor {
 }
 
 struct ClientState {
-    cfg: MeadConfig,
+    /// Shared by every client interceptor of a scenario.
+    cfg: Rc<MeadConfig>,
     gcs: Option<GcsClient>,
     reply_group: String,
-    /// app conn id -> stream.
-    streams: BTreeMap<ConnId, Stream>,
+    /// app conn id -> stream. Boxed: a client holds one or two streams,
+    /// and a B-tree leaf reserves room for eleven values inline.
+    streams: BTreeMap<ConnId, Box<Stream>>,
     /// real conn id -> app conn id (diverges after redirects).
     real_to_app: BTreeMap<ConnId, ConnId>,
     /// new real conn -> redirect bookkeeping.
@@ -95,12 +98,13 @@ struct ClientState {
 }
 
 impl ClientInterceptor {
-    /// Wraps `inner` (an unmodified client process).
-    pub fn new(cfg: MeadConfig, inner: Box<dyn Process>) -> Self {
+    /// Wraps `inner` (an unmodified client process). A scenario hands
+    /// every client the same `Rc<MeadConfig>`; a plain config works too.
+    pub fn new(cfg: impl Into<Rc<MeadConfig>>, inner: Box<dyn Process>) -> Self {
         ClientInterceptor {
             inner,
             st: ClientState {
-                cfg,
+                cfg: cfg.into(),
                 gcs: None,
                 reply_group: String::new(),
                 streams: BTreeMap::new(),
@@ -230,6 +234,10 @@ impl Process for ClientInterceptor {
                 // ConnEstablished / ConnRefused for app-initiated conns
                 // (identity-mapped), app timers, accepts (clients don't
                 // listen) — all pass through with translation where known.
+                let refused = match &other {
+                    Event::ConnRefused { conn } => Some(*conn),
+                    _ => None,
+                };
                 let translated = match other {
                     Event::ConnEstablished { conn } => Event::ConnEstablished {
                         conn: self.st.real_to_app.get(&conn).copied().unwrap_or(conn),
@@ -244,6 +252,13 @@ impl Process for ClientInterceptor {
                     st: &mut self.st,
                 };
                 self.inner.on_event(&mut facade, translated);
+                if let Some(conn) = refused {
+                    // The ORB drops a refused connection without closing
+                    // it, so its stream is forgotten here or never.
+                    if let Some(app) = self.st.real_to_app.remove(&conn) {
+                        self.st.streams.remove(&app);
+                    }
+                }
             }
         }
     }
@@ -561,7 +576,7 @@ impl SysApi for ClientFacade<'_> {
 
     fn connect(&mut self, addr: Addr) -> ConnId {
         let conn = self.sys.connect(addr);
-        self.st.streams.insert(conn, Stream::new(conn));
+        self.st.streams.insert(conn, Box::new(Stream::new(conn)));
         self.st.real_to_app.insert(conn, conn);
         conn
     }
@@ -663,5 +678,58 @@ impl SysApi for ClientFacade<'_> {
 
     fn emit(&mut self, kind: EventKind) {
         self.sys.emit(kind)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::testkit::MockSys;
+    use simnet::NodeId;
+
+    fn dead_port() -> Addr {
+        Addr::new(NodeId::from_index(1), Port(2810))
+    }
+
+    /// Dials a dead port at start and again after every refusal, and —
+    /// as `ClientOrb` does — drops each refused connection unclosed.
+    struct Redialer {
+        left: u32,
+    }
+
+    impl Process for Redialer {
+        fn on_start(&mut self, sys: &mut dyn SysApi) {
+            sys.connect(dead_port());
+        }
+
+        fn on_event(&mut self, sys: &mut dyn SysApi, event: Event) {
+            if matches!(event, Event::ConnRefused { .. }) && self.left > 0 {
+                self.left -= 1;
+                sys.connect(dead_port());
+            }
+        }
+    }
+
+    #[test]
+    fn refused_connects_leave_no_stream() {
+        const REFUSALS: u32 = 10;
+        let mut sys = MockSys::new(NodeId::from_index(4));
+        let mut interceptor = ClientInterceptor::new(
+            MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+            Box::new(Redialer { left: REFUSALS - 1 }),
+        );
+        interceptor.on_start(&mut sys);
+        for _ in 0..REFUSALS {
+            let (conn, addr) = *sys.connected().last().expect("the app dialled");
+            assert_eq!(addr, dead_port());
+            interceptor.on_event(&mut sys, Event::ConnRefused { conn });
+        }
+        assert_eq!(
+            sys.connected().len(),
+            1 + REFUSALS as usize,
+            "GCS + redials"
+        );
+        assert!(interceptor.st.streams.is_empty());
+        assert!(interceptor.st.real_to_app.is_empty());
     }
 }

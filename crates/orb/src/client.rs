@@ -155,9 +155,14 @@ struct Pending {
 #[derive(Clone, Debug)]
 pub struct ClientOrb {
     cfg: ClientOrbConfig,
-    conns: BTreeMap<ConnId, ConnInfo>,
+    /// Boxed: an ORB holds one or two connections, and a B-tree leaf
+    /// reserves room for eleven values inline.
+    conns: BTreeMap<ConnId, Box<ConnInfo>>,
     by_addr: BTreeMap<Addr, ConnId>,
-    pending: BTreeMap<u32, Pending>,
+    /// In-flight requests in request-id order — at most a few, inserted
+    /// and removed on every invocation, so a vector that keeps its
+    /// capacity instead of a map that allocates a node for the first.
+    pending: Vec<(u32, Pending)>,
     next_request_id: u32,
 }
 
@@ -168,9 +173,30 @@ impl ClientOrb {
             cfg,
             conns: BTreeMap::new(),
             by_addr: BTreeMap::new(),
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
             next_request_id: 1,
         }
+    }
+
+    fn pending_index(&self, request_id: u32) -> Option<usize> {
+        self.pending
+            .binary_search_by_key(&request_id, |(rid, _)| *rid)
+            .ok()
+    }
+
+    fn pending_get(&self, request_id: u32) -> Option<&Pending> {
+        let i = self.pending_index(request_id)?;
+        Some(&self.pending[i].1)
+    }
+
+    fn pending_get_mut(&mut self, request_id: u32) -> Option<&mut Pending> {
+        let i = self.pending_index(request_id)?;
+        Some(&mut self.pending[i].1)
+    }
+
+    fn pending_remove(&mut self, request_id: u32) -> Option<Pending> {
+        let i = self.pending_index(request_id)?;
+        Some(self.pending.remove(i).1)
     }
 
     /// Number of invocations in flight.
@@ -205,7 +231,10 @@ impl ClientOrb {
         };
         let request_id = self.next_request_id;
         self.next_request_id += 1;
-        self.pending.insert(
+        // Request ids only grow, so pushing keeps `pending` sorted. One
+        // more slot at a time: a client rarely has two requests out.
+        self.pending.reserve_exact(1);
+        self.pending.push((
             request_id,
             Pending {
                 operation: operation.to_string(),
@@ -214,9 +243,9 @@ impl ClientOrb {
                 conn: None,
                 forward_hops: 0,
             },
-        );
+        ));
         if let Err(ex) = self.dispatch(sys, request_id, addr) {
-            self.pending.remove(&request_id);
+            self.pending_remove(request_id);
             return Err(ex);
         }
         Ok(request_id)
@@ -254,17 +283,17 @@ impl ClientOrb {
                 self.by_addr.insert(addr, c);
                 self.conns.insert(
                     c,
-                    ConnInfo {
+                    Box::new(ConnInfo {
                         addr,
                         phase: ConnPhase::Connecting,
                         splitter: FrameSplitter::new(),
                         queued: Vec::new(),
-                    },
+                    }),
                 );
                 c
             }
         };
-        if let Some(p) = self.pending.get_mut(&request_id) {
+        if let Some(p) = self.pending_get_mut(request_id) {
             p.conn = Some(conn);
         }
         let info = self.conns.get_mut(&conn).expect("conn tracked");
@@ -279,7 +308,7 @@ impl ClientOrb {
     /// Encodes the pending request straight from its one stored copy of
     /// operation, key and body, and hands the buffer to the kernel.
     fn send_request(&mut self, sys: &mut dyn SysApi, request_id: u32, conn: ConnId) {
-        let Some(p) = self.pending.get(&request_id) else {
+        let Some(p) = self.pending_get(request_id) else {
             return;
         };
         let wire = encode_request(
@@ -300,7 +329,7 @@ impl ClientOrb {
     /// Re-sends a pending request on its current connection (the
     /// `NEEDS_ADDRESSING_MODE` reaction).
     fn resend(&mut self, sys: &mut dyn SysApi, request_id: u32) {
-        if let Some(conn) = self.pending.get(&request_id).and_then(|p| p.conn) {
+        if let Some(conn) = self.pending_get(request_id).and_then(|p| p.conn) {
             self.send_request(sys, request_id, conn);
         }
     }
@@ -329,7 +358,7 @@ impl ClientOrb {
                 let mut out = Vec::new();
                 // Stale reference: every queued request fails TRANSIENT.
                 for rid in info.queued {
-                    if let Some(p) = self.pending.remove(&rid) {
+                    if let Some(p) = self.pending_remove(rid) {
                         sys.charge_cpu(self.cfg.transient_cpu);
                         sys.count("orb.exception.transient", 1);
                         out.push(OrbUpshot::Exception {
@@ -422,7 +451,7 @@ impl ClientOrb {
         }
         sys.close(conn);
         for rid in failed {
-            let p = self.pending.remove(&rid).expect("collected above");
+            let p = self.pending_remove(rid).expect("collected above");
             sys.charge_cpu(self.cfg.comm_failure_cpu);
             sys.count("orb.exception.comm_failure", 1);
             out.push(OrbUpshot::Exception {
@@ -443,13 +472,13 @@ impl ClientOrb {
         out: &mut Vec<OrbUpshot>,
     ) {
         let rid = rep.request_id;
-        if !self.pending.contains_key(&rid) {
+        if self.pending_index(rid).is_none() {
             sys.count("orb.orphan_reply", 1);
             return;
         }
         match rep.body {
             ReplyBodyView::NoException(payload) => {
-                let p = self.pending.remove(&rid).expect("checked");
+                let p = self.pending_remove(rid).expect("checked");
                 sys.charge_cpu(self.cfg.reply_cpu);
                 if p.forward_hops > 0 {
                     // This reply came from the forwarded-to replica: the
@@ -463,7 +492,7 @@ impl ClientOrb {
                 });
             }
             ReplyBodyView::UserException(repo_id) => {
-                let p = self.pending.remove(&rid).expect("checked");
+                let p = self.pending_remove(rid).expect("checked");
                 sys.charge_cpu(self.cfg.reply_cpu);
                 out.push(OrbUpshot::Exception {
                     request_id: rid,
@@ -477,7 +506,7 @@ impl ClientOrb {
             ReplyBodyView::SystemException {
                 repo_id, completed, ..
             } => {
-                let p = self.pending.remove(&rid).expect("checked");
+                let p = self.pending_remove(rid).expect("checked");
                 sys.charge_cpu(self.cfg.reply_cpu);
                 out.push(OrbUpshot::Exception {
                     request_id: rid,
@@ -488,12 +517,12 @@ impl ClientOrb {
             ReplyBodyView::LocationForward(ior) => {
                 // Transparent retransmission to the forwarded location.
                 let hops = {
-                    let p = self.pending.get_mut(&rid).expect("checked");
+                    let p = self.pending_get_mut(rid).expect("checked");
                     p.forward_hops += 1;
                     p.forward_hops
                 };
                 if hops > self.cfg.forward_hop_limit {
-                    let p = self.pending.remove(&rid).expect("checked");
+                    let p = self.pending_remove(rid).expect("checked");
                     sys.count("orb.forward_loop", 1);
                     out.push(OrbUpshot::Exception {
                         request_id: rid,
@@ -506,7 +535,7 @@ impl ClientOrb {
                 }
                 match (addr_of(&ior), ior.primary_profile()) {
                     (Some(addr), Some(profile)) => {
-                        if let Some(p) = self.pending.get_mut(&rid) {
+                        if let Some(p) = self.pending_get_mut(rid) {
                             p.object_key = profile.object_key.clone();
                         }
                         sys.count("orb.forwarded", 1);
@@ -522,7 +551,7 @@ impl ClientOrb {
                                 });
                             }
                             Err(ex) => {
-                                let p = self.pending.remove(&rid).expect("checked");
+                                let p = self.pending_remove(rid).expect("checked");
                                 out.push(OrbUpshot::Exception {
                                     request_id: rid,
                                     operation: p.operation,
@@ -532,7 +561,7 @@ impl ClientOrb {
                         }
                     }
                     _ => {
-                        let p = self.pending.remove(&rid).expect("checked");
+                        let p = self.pending_remove(rid).expect("checked");
                         out.push(OrbUpshot::Exception {
                             request_id: rid,
                             operation: p.operation,

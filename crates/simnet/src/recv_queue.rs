@@ -17,6 +17,13 @@
 //! order, same lengths returned for every `push`/`read(max)`/`clear`
 //! interleaving — is pinned down by a property test in
 //! `crates/simnet/tests/recv_queue_equivalence.rs`.
+//!
+//! A queue almost always holds at most one segment: a frame arrives and
+//! is read whole before the next one lands. So the front segment lives
+//! inline in the queue, and the segments behind it go to a deque that is
+//! allocated the first time a segment arrives while another is unread.
+//! The queue is then no larger than the deque and length it replaced, and
+//! an idle endpoint — a fleet has tens of thousands — costs no heap.
 
 use std::collections::VecDeque;
 
@@ -25,8 +32,12 @@ use bytes::Bytes;
 /// A FIFO of received byte segments supporting zero-copy bulk reads.
 #[derive(Debug, Default, Clone)]
 pub struct RecvQueue {
-    segments: VecDeque<Bytes>,
-    len: usize,
+    /// The front segment; empty exactly when the whole queue is.
+    head: Bytes,
+    /// Segments queued behind `head`, in arrival order. Boxed so that a
+    /// queue that never needed it pays one word for it, not four.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<VecDeque<Bytes>>>,
 }
 
 impl RecvQueue {
@@ -37,12 +48,15 @@ impl RecvQueue {
 
     /// Total buffered bytes across all segments.
     pub fn len(&self) -> usize {
-        self.len
+        let rest = self.rest.iter().flat_map(|rest| rest.iter());
+        rest.fold(self.head.len(), |len, segment| {
+            len.saturating_add(segment.len())
+        })
     }
 
     /// `true` when no bytes are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.head.is_empty()
     }
 
     /// Enqueues a delivered segment without copying it. Empty segments
@@ -51,8 +65,17 @@ impl RecvQueue {
         if data.is_empty() {
             return;
         }
-        self.len = self.len.saturating_add(data.len());
-        self.segments.push_back(data);
+        if self.head.is_empty() {
+            self.head = data;
+        } else {
+            self.rest.get_or_insert_with(Box::default).push_back(data);
+        }
+    }
+
+    /// Takes the whole front segment, moving the next one up.
+    fn pop_head(&mut self) -> Bytes {
+        let next = self.rest.as_mut().and_then(|rest| rest.pop_front());
+        std::mem::replace(&mut self.head, next.unwrap_or_default())
     }
 
     /// Dequeues up to `max` bytes, preserving arrival order.
@@ -60,48 +83,27 @@ impl RecvQueue {
     /// Fast paths return a view of an existing segment (no copy); a read
     /// spanning segments copies once into an exactly-sized buffer.
     pub fn read(&mut self, max: usize) -> Bytes {
-        let take = max.min(self.len);
+        let take = max.min(self.len());
         if take == 0 {
             return Bytes::new();
         }
-        // `len` counts exactly the bytes in `segments`, so `take` bytes are
-        // really available; every queue access below still degrades to a
-        // short read rather than panicking if that invariant ever broke
-        // (the simnet kernel is a detlint R3 no-panic zone).
-        self.len -= take;
-
-        match self.segments.front_mut() {
-            None => {
-                self.len = 0; // resync; unreachable while len is accounted
-                return Bytes::new();
-            }
-            Some(front) if take < front.len() => {
-                // Partial read of the front segment: O(1) split.
-                return front.split_to(take);
-            }
-            Some(front) if take == front.len() => {
-                // Whole-segment read: O(1) pop.
-                if let Some(seg) = self.segments.pop_front() {
-                    return seg;
-                }
-            }
-            Some(_) => {}
+        if take < self.head.len() {
+            // Partial read of the front segment: O(1) split.
+            return self.head.split_to(take);
+        }
+        if take == self.head.len() {
+            // Whole-segment read: O(1) pop.
+            return self.pop_head();
         }
 
         // Spanning read: one copy into a buffer reserved up front.
         let mut out = Vec::with_capacity(take);
-        let mut remaining = take;
-        while remaining > 0 {
-            let Some(front) = self.segments.front_mut() else {
-                break;
-            };
-            if front.len() > remaining {
-                out.extend_from_slice(&front.split_to(remaining));
-                break;
-            }
-            remaining -= front.len();
-            if let Some(seg) = self.segments.pop_front() {
-                out.extend_from_slice(&seg);
+        while out.len() < take && !self.head.is_empty() {
+            let want = take - out.len();
+            if self.head.len() > want {
+                out.extend_from_slice(&self.head.split_to(want));
+            } else {
+                out.extend_from_slice(&self.pop_head());
             }
         }
         Bytes::from(out)
@@ -109,8 +111,7 @@ impl RecvQueue {
 
     /// Discards all buffered bytes.
     pub fn clear(&mut self) {
-        self.segments.clear();
-        self.len = 0;
+        *self = Self::default();
     }
 }
 

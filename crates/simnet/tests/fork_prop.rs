@@ -1,12 +1,13 @@
 //! A forked simulation is the simulation: equivalence and isolation of
 //! [`Simulation::fork`], and its three typed refusals.
 //!
-//! For three small worlds — a ping-pong with a heartbeat timer, a fan-in
+//! For four small worlds — a ping-pong with a heartbeat timer, a fan-in
 //! onto a busy sink (the notify-herd shape: parked notifies, coalesced
-//! batches under FIFO), and jittered self-re-arming timers (every
-//! process draws from its own random stream) — under FIFO and under a
-//! gate that opens right after the split, and for arbitrary instants
-//! `a <= b`:
+//! batches under FIFO), jittered self-re-arming timers (every process
+//! draws from its own random stream), and a backlog that a slow reader
+//! nibbles at (its receive queue always holds a partly read head segment
+//! and more behind it) — under FIFO and under a gate that opens right
+//! after the split, and for arbitrary instants `a <= b`:
 //!
 //! * `run_until(a); run_until(b)` is `run_until(b)` — what every driver
 //!   that advances a simulation in steps already assumes;
@@ -30,6 +31,7 @@ use simnet::{
 
 const ECHO_PORT: Port = Port(7);
 const SINK_PORT: Port = Port(9);
+const NIBBLE_PORT: Port = Port(11);
 const TAG: &str = "fork-prop";
 
 fn forked<P: Process + Clone>(proc: &P) -> Option<Box<dyn Process>> {
@@ -115,12 +117,14 @@ impl Process for BusySink {
     }
 }
 
-/// Writes a few bytes to the sink every `period`.
+/// Writes the next five bytes of a byte counter to the sink every
+/// `period`.
 #[derive(Clone)]
 struct Blaster {
     sink: Addr,
     period: SimDuration,
     conn: Option<ConnId>,
+    next: u8,
 }
 
 impl Process for Blaster {
@@ -131,7 +135,10 @@ impl Process for Blaster {
         if let (Event::ConnEstablished { .. } | Event::TimerFired { .. }, Some(conn)) =
             (ev, self.conn)
         {
-            sys.write(conn, b"abcde").expect("blast");
+            let segment: Vec<u8> = (0..5).map(|i| self.next.wrapping_add(i)).collect();
+            self.next = self.next.wrapping_add(5);
+            sys.write(conn, &segment).expect("blast");
+            sys.count("blast.bytes", 5);
             sys.set_timer(self.period, 0);
         }
     }
@@ -174,6 +181,45 @@ impl Process for Ticker {
     }
 }
 
+/// Reads three bytes every 97 µs, whatever has arrived — slower than a
+/// blaster every 50 µs writes, so its queue holds a partly read segment
+/// and more behind it — and checks that they continue the blaster's
+/// counter.
+#[derive(Clone)]
+struct Nibbler {
+    conn: Option<ConnId>,
+    expect: u8,
+}
+
+impl Process for Nibbler {
+    fn on_start(&mut self, sys: &mut dyn SysApi) {
+        sys.listen(NIBBLE_PORT).expect("listen");
+        sys.set_timer(SimDuration::from_micros(97), 0);
+    }
+    fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
+        match ev {
+            Event::Accepted { conn, .. } => self.conn = Some(conn),
+            Event::TimerFired { .. } => {
+                if let Some(conn) = self.conn {
+                    let got = sys.read(conn, 3).expect("read").data;
+                    for &b in got.iter() {
+                        if b != self.expect {
+                            sys.count("nibble.out_of_order", 1);
+                        }
+                        self.expect = b.wrapping_add(1);
+                    }
+                    sys.count("nibble.bytes", got.len() as u64);
+                }
+                sys.set_timer(SimDuration::from_micros(97), 0);
+            }
+            _ => {}
+        }
+    }
+    fn fork(&self) -> Option<Box<dyn Process>> {
+        forked(self)
+    }
+}
+
 /// A process that keeps the default [`Process::fork`].
 struct Stubborn;
 
@@ -187,6 +233,7 @@ enum World {
     PingPong,
     FanIn,
     Timers,
+    Backlog,
 }
 
 /// `world` under `scheduler`, every process spawned and nothing run, at
@@ -218,6 +265,7 @@ fn build(world: World, scheduler: Box<dyn Scheduler>) -> Simulation {
                     sink,
                     period,
                     conn: None,
+                    next: 0,
                 };
                 sim.spawn(node, "blaster", Box::new(blaster));
             }
@@ -226,6 +274,23 @@ fn build(world: World, scheduler: Box<dyn Scheduler>) -> Simulation {
             for _ in 0..4 {
                 sim.spawn(a, "ticker", Box::new(Ticker { fired: 0 }));
             }
+        }
+        World::Backlog => {
+            sim.spawn(
+                a,
+                "nibbler",
+                Box::new(Nibbler {
+                    conn: None,
+                    expect: 0,
+                }),
+            );
+            let blaster = Blaster {
+                sink: Addr::new(a, NIBBLE_PORT),
+                period: SimDuration::from_micros(50),
+                conn: None,
+                next: 0,
+            };
+            sim.spawn(b, "blaster", Box::new(blaster));
         }
     }
     sim
@@ -333,6 +398,41 @@ proptest! {
     fn timers_survive_splitting_and_forking(split in arb_split(), gated in any::<bool>()) {
         split_fork_and_straight_runs_agree(World::Timers, gated, split.0, split.1)?;
     }
+
+    #[test]
+    fn a_backlog_survives_splitting_and_forking(split in arb_split(), gated in any::<bool>()) {
+        split_fork_and_straight_runs_agree(World::Backlog, gated, split.0, split.1)?;
+    }
+}
+
+/// A fork taken while a receive queue holds a partly read head segment
+/// with more segments behind it reads on from exactly where its parent
+/// was: the same bytes, in order, as a run that was never forked.
+#[test]
+fn a_fork_whose_queue_holds_a_head_segment_reads_on_in_order() {
+    let counter = |sim: &Simulation, name| sim.with_metrics(|m| m.counter(name));
+    let split = SimTime::from_nanos(3_200_000);
+    let mut parent = build(World::Backlog, Box::new(FifoScheduler));
+    parent.run_until(split);
+    let read = counter(&parent, "nibble.bytes");
+    // Three bytes a read of five-byte segments: the head is split
+    // whenever the count is not a multiple of five, and far more has been
+    // written than read.
+    assert_ne!(read % 5, 0, "the head segment is partly read at the split");
+    assert!(
+        counter(&parent, "blast.bytes") > read + 40,
+        "segments queue behind the head"
+    );
+
+    let mut fork = parent
+        .fork(Box::new(FifoScheduler))
+        .expect("every process forks");
+    fork.run_until(END);
+    let mut straight = build(World::Backlog, Box::new(FifoScheduler));
+    straight.run_until(END);
+    assert_eq!(observe(&fork), observe(&straight));
+    assert!(counter(&fork, "nibble.bytes") > read);
+    assert_eq!(counter(&fork, "nibble.out_of_order"), 0);
 }
 
 /// The worlds above do what their names say, so the properties are not
@@ -368,7 +468,7 @@ fn the_worlds_exercise_what_they_claim() {
         }
     }
     let gate = scheduler(true, SimTime::ZERO).gate().expect("gated");
-    for world in [World::PingPong, World::FanIn, World::Timers] {
+    for world in [World::PingPong, World::FanIn, World::Timers, World::Backlog] {
         let choices = std::rc::Rc::new(std::cell::Cell::new(0));
         let mut sim = build(world, Box::new(Counting(gate, choices.clone())));
         sim.run_until(END);

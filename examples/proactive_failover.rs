@@ -19,7 +19,7 @@ fn main() {
     println!("running 3,000 invocations against leaky replicas (MEAD fail-over messages)...");
     let out = run_scenario(&cfg);
 
-    let rtts = out.report.rtts_ms();
+    let rtts = out.report().rtts_ms();
     let s = Summary::of(&rtts).expect("invocations ran");
     let episodes = failover_episodes_ms(&out, RecoveryScheme::MeadFailover);
     let mean_failover = episodes.iter().sum::<f64>() / episodes.len().max(1) as f64;
@@ -38,7 +38,8 @@ fn main() {
     );
     println!(
         "client-visible failures: {} COMM_FAILURE, {} TRANSIENT",
-        out.report.comm_failures, out.report.transients
+        out.report().comm_failures,
+        out.report().transients
     );
     println!(
         "connection redirects   : {} (dup2-style, invisible to the ORB)",
@@ -55,7 +56,7 @@ fn main() {
     );
 
     assert_eq!(
-        out.report.client_failures(),
+        out.report().client_failures(),
         0,
         "proactive migration must mask every failure from the application"
     );

@@ -34,7 +34,7 @@ fn main() {
             "{:<24} {:>10.3} {:>11}x {:>14.2} {:>+9.1}%",
             scheme.name(),
             steady,
-            out.report.client_failures(),
+            out.report().client_failures(),
             failover,
             (failover - base) / base * 100.0,
         );

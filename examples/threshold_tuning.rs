@@ -25,14 +25,14 @@ fn main() {
         let bw = out
             .metrics
             .bandwidth(MESH_TAG, SimTime::from_millis(1000), out.finished_at);
-        let rtts = out.report.rtts_ms();
+        let rtts = out.report().rtts_ms();
         let p99 = Summary::of(&rtts).map(|s| s.p99).unwrap_or(f64::NAN);
         println!(
             "{:>8}% | {:>8} | {:>10.0} B/s | {:>13} | {:>9.2}",
             pct,
             out.server_failures(),
             bw,
-            out.report.client_failures(),
+            out.report().client_failures(),
             p99,
         );
     }

@@ -32,14 +32,14 @@ fn preset_thresholds_fail_on_fast_leaks_adaptive_does_not() {
         "preset must crash often on a fast leak, got {}",
         preset.metrics.counter("mead.crash_exhaustion")
     );
-    assert!(preset.report.client_failures() > 0);
+    assert!(preset.report().client_failures() > 0);
     // The adaptive trigger fires early enough in fraction terms.
     assert!(
         adaptive.metrics.counter("mead.crash_exhaustion") <= 1,
         "adaptive must avoid exhaustion, got {}",
         adaptive.metrics.counter("mead.crash_exhaustion")
     );
-    assert_eq!(adaptive.report.client_failures(), 0);
+    assert_eq!(adaptive.report().client_failures(), 0);
 }
 
 #[test]

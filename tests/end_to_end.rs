@@ -16,12 +16,12 @@ fn every_scheme_completes_the_workload_under_faults() {
     for scheme in RecoveryScheme::ALL {
         let out = run_scenario(&quick(scheme, 800));
         assert!(
-            out.report.completed,
+            out.report().completed,
             "{} did not complete: {} records",
             scheme.name(),
-            out.report.records.len()
+            out.report().records.len()
         );
-        assert_eq!(out.report.records.len(), 800, "{}", scheme.name());
+        assert_eq!(out.report().records.len(), 800, "{}", scheme.name());
         assert!(
             out.server_failures() > 0,
             "{} saw no injected failures",
@@ -38,7 +38,7 @@ fn proactive_migration_masks_all_failures_from_the_client() {
     ] {
         let out = run_scenario(&quick(scheme, 1200));
         assert_eq!(
-            out.report.client_failures(),
+            out.report().client_failures(),
             0,
             "{}: section 5.2.1 — thresholds below 100% mean the client \
              catches no exceptions at all",
@@ -53,7 +53,7 @@ fn proactive_migration_masks_all_failures_from_the_client() {
         // client writes there is no event-driven threshold check (the
         // paper's deliberate design, section 3.1). During the measured
         // window, though, every failure must be a graceful rejuvenation.
-        let last_invocation_end = out.report.records.last().expect("records exist").end;
+        let last_invocation_end = out.report().records.last().expect("records exist").end;
         for crash in out.metrics.byte_records("mead.crash_at") {
             assert!(
                 crash.at > last_invocation_end,
@@ -71,12 +71,12 @@ fn reactive_no_cache_has_one_comm_failure_per_server_crash() {
     let crashes = out.metrics.counter("mead.crash_exhaustion");
     assert!(crashes >= 3, "expected several crashes, got {crashes}");
     assert_eq!(
-        u64::from(out.report.comm_failures),
+        u64::from(out.report().comm_failures),
         crashes,
         "section 5.2.1: exact 1:1 correspondence between server crashes \
          and client COMM_FAILUREs"
     );
-    assert_eq!(out.report.transients, 0, "no TRANSIENTs without a cache");
+    assert_eq!(out.report().transients, 0, "no TRANSIENTs without a cache");
 }
 
 #[test]
@@ -165,9 +165,9 @@ fn fault_free_run_is_clean_and_fast() {
         ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 600)
     };
     let out = run_scenario(&cfg);
-    assert!(out.report.completed);
+    assert!(out.report().completed);
     assert_eq!(out.server_failures(), 0);
-    assert_eq!(out.report.client_failures(), 0);
+    assert_eq!(out.report().client_failures(), 0);
     let steady = steady_state_rtt_ms(&out);
     assert!(
         (0.70..0.85).contains(&steady),
@@ -183,7 +183,7 @@ fn runs_are_deterministic_per_seed() {
             ..ScenarioConfig::quick(RecoveryScheme::LocationForward, 500)
         });
         (
-            out.report.rtts_ms(),
+            out.report().rtts_ms(),
             out.server_failures(),
             out.metrics.counter("mead.forwards_sent"),
         )
@@ -201,7 +201,7 @@ fn runs_are_deterministic_per_seed() {
 fn needs_addressing_masks_most_but_not_all_failures() {
     // Run a little longer so the race statistics are meaningful.
     let out = run_scenario(&quick(RecoveryScheme::NeedsAddressing, 2500));
-    let failures = out.report.client_failures() as f64;
+    let failures = out.report().client_failures() as f64;
     let server = out.server_failures() as f64;
     assert!(server >= 5.0);
     let ratio = failures / server;
@@ -228,7 +228,7 @@ fn os_noise_produces_the_papers_jitter_profile() {
         ..cfg
     };
     let out = run_scenario(&cfg);
-    let rtts: Vec<f64> = out.report.rtts_ms().into_iter().skip(1).collect();
+    let rtts: Vec<f64> = out.report().rtts_ms().into_iter().skip(1).collect();
     let s = mead_repro::experiments::Summary::of(&rtts).expect("samples");
     let (_, frac) = s.three_sigma_outliers(&rtts);
     assert!(

@@ -49,7 +49,8 @@ fn mead_scheme_uses_piggybacks_not_forwards() {
         "interceptor-level redirects must bypass the ORB's connection machinery"
     );
     assert_eq!(
-        out.report.naming_lookups, 1,
+        out.report().naming_lookups,
+        1,
         "one initial resolve, no re-resolution"
     );
 }
@@ -79,9 +80,9 @@ fn needs_addressing_fabricates_replies_for_in_flight_requests() {
         "the race must produce some timeouts over 2500 invocations"
     );
     assert!(
-        u64::from(out.report.comm_failures) + 1 >= timeouts,
+        u64::from(out.report().comm_failures) + 1 >= timeouts,
         "timeouts must surface as COMM_FAILURE ({} failures, {timeouts} timeouts)",
-        out.report.comm_failures
+        out.report().comm_failures
     );
 }
 
@@ -101,13 +102,13 @@ fn proactive_notifications_prelaunch_replacements() {
 fn stale_references_surface_as_transients_with_cache() {
     // Longer run so cache refreshes race replica restarts.
     let out = run_scenario(&ScenarioConfig::quick(RecoveryScheme::ReactiveCache, 3500));
-    assert!(out.report.comm_failures > 0);
+    assert!(out.report().comm_failures > 0);
     assert!(
-        out.report.transients > 0,
+        out.report().transients > 0,
         "stale cache entries must produce TRANSIENT exceptions (section 5.2.1)"
     );
     assert!(
-        out.report.transients < out.report.comm_failures,
+        out.report().transients < out.report().comm_failures,
         "TRANSIENTs are the minority case"
     );
 }
@@ -124,8 +125,8 @@ fn key_hash_ablation_still_works_but_costs_more() {
         ..ScenarioConfig::quick(RecoveryScheme::LocationForward, 900)
     });
     // Functionally equivalent (the lookup result is identical)...
-    assert_eq!(with_hash.report.client_failures(), 0);
-    assert_eq!(without_hash.report.client_failures(), 0);
+    assert_eq!(with_hash.report().client_failures(), 0);
+    assert_eq!(without_hash.report().client_failures(), 0);
     assert!(without_hash.metrics.counter("mead.forwards_sent") > 0);
     // ...but the byte-wise comparison charges more CPU per forward, so the
     // fail-over episodes get (slightly) slower on the ablated run.
@@ -184,7 +185,7 @@ fn polling_ablation_still_rejuvenates() {
         ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 1000)
     });
     assert!(out.metrics.counter("mead.migrations") > 0);
-    assert_eq!(out.report.client_failures(), 0);
+    assert_eq!(out.report().client_failures(), 0);
 }
 
 #[test]

@@ -12,14 +12,14 @@ fn mead_scheme_tolerates_one_percent_loss() {
         message_loss: 0.01,
         ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 1000)
     });
-    assert!(out.report.completed, "loss must not wedge the workload");
+    assert!(out.report().completed, "loss must not wedge the workload");
     assert_eq!(
-        out.report.client_failures(),
+        out.report().client_failures(),
         0,
         "retransmission delays are not failures"
     );
     // The retransmit delays show up as a heavier tail, not a shifted median.
-    let rtts = out.report.rtts_ms();
+    let rtts = out.report().rtts_ms();
     let s = Summary::of(&rtts).expect("samples");
     assert!(s.p99 > s.p50 * 2.0, "loss should fatten the tail: {s:?}");
 }
@@ -35,14 +35,14 @@ fn loss_raises_tail_latency_not_steady_state() {
         message_loss: 0.02,
         ..ScenarioConfig::quick(RecoveryScheme::ReactiveNoCache, 800)
     });
-    assert!(lossy.report.completed);
+    assert!(lossy.report().completed);
     let clean_median = steady_state_rtt_ms(&clean);
     let lossy_median = steady_state_rtt_ms(&lossy);
     assert!(
         (lossy_median - clean_median).abs() / clean_median < 0.10,
         "median barely moves: {clean_median} vs {lossy_median}"
     );
-    let lossy_rtts = lossy.report.rtts_ms();
+    let lossy_rtts = lossy.report().rtts_ms();
     let s = Summary::of(&lossy_rtts).expect("samples");
     assert!(
         s.max >= 20.0,

@@ -16,7 +16,7 @@ fn node_crash_is_survived_by_mead_scheme() {
         ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 2000)
     });
     assert!(
-        out.report.completed,
+        out.report().completed,
         "workload must finish despite the node crash"
     );
     // The sequencer must have synthesized leaves for the dead node's
@@ -35,9 +35,9 @@ fn node_crash_is_survived_by_mead_scheme() {
     // a couple of failures surface (the node crash is abrupt — no
     // proactive warning is possible for it).
     assert!(
-        out.report.client_failures() <= 2,
+        out.report().client_failures() <= 2,
         "at most the one abrupt failure may surface, got {}",
-        out.report.client_failures()
+        out.report().client_failures()
     );
 }
 
@@ -47,9 +47,9 @@ fn node_crash_under_reactive_scheme_costs_one_comm_failure() {
         crash_server_node_at: Some((0, SimTime::from_millis(1500))),
         ..ScenarioConfig::quick(RecoveryScheme::ReactiveNoCache, 2000)
     });
-    assert!(out.report.completed);
+    assert!(out.report().completed);
     assert!(
-        out.report.comm_failures >= 1,
+        out.report().comm_failures >= 1,
         "the abrupt node crash must surface"
     );
     // Replication degree restored on surviving nodes.
@@ -65,7 +65,7 @@ fn crashing_two_nodes_still_leaves_service() {
     cfg.seed = 5;
     let out = run_scenario(&cfg);
     assert!(
-        out.report.completed,
+        out.report().completed,
         "one dead node of three must not stop service"
     );
 }
