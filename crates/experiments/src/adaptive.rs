@@ -41,27 +41,9 @@ fn set_speed(cfg: &mut MeadConfig, mult: f64) {
     }
 }
 
-// `ScenarioConfig::tweak` is a plain fn pointer, so each (speed, strategy)
-// pair gets a named function.
-macro_rules! tweaks {
-    ($($name:ident, $aname:ident => $mult:expr;)*) => {
-        $(
-            fn $name(cfg: &mut MeadConfig) {
-                set_speed(cfg, $mult);
-            }
-            fn $aname(cfg: &mut MeadConfig) {
-                set_speed(cfg, $mult);
-                cfg.adaptive = Some(faults::AdaptiveConfig::default());
-            }
-        )*
-    };
-}
-
-tweaks! {
-    preset_half, adaptive_half => 0.5;
-    preset_one, adaptive_one => 1.0;
-    preset_triple, adaptive_triple => 3.0;
-    preset_six, adaptive_six => 6.0;
+fn set_adaptive(cfg: &mut MeadConfig, mult: f64) {
+    set_speed(cfg, mult);
+    cfg.adaptive = Some(faults::AdaptiveConfig::default());
 }
 
 /// A configuration tweak applied to the scenario's [`MeadConfig`].
@@ -69,10 +51,10 @@ type Tweak = fn(&mut MeadConfig);
 
 /// The (speed, preset tweak, adaptive tweak) sweep points.
 const SWEEP: [(f64, Tweak, Tweak); 4] = [
-    (0.5, preset_half, adaptive_half),
-    (1.0, preset_one, adaptive_one),
-    (3.0, preset_triple, adaptive_triple),
-    (6.0, preset_six, adaptive_six),
+    (0.5, |c| set_speed(c, 0.5), |c| set_adaptive(c, 0.5)),
+    (1.0, |c| set_speed(c, 1.0), |c| set_adaptive(c, 1.0)),
+    (3.0, |c| set_speed(c, 3.0), |c| set_adaptive(c, 3.0)),
+    (6.0, |c| set_speed(c, 6.0), |c| set_adaptive(c, 6.0)),
 ];
 
 fn row(speed: f64, strategy: &'static str, outcome: &ScenarioOutcome) -> AdaptiveRow {

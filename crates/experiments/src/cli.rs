@@ -117,12 +117,25 @@ pub fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     args.len() != before
 }
 
-/// Parses positional argument `index` as a `T`, falling back to
-/// `default` when absent or unparsable.
-pub fn positional_or<T: std::str::FromStr>(args: &[String], index: usize, default: T) -> T {
-    args.get(index)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Parses what is left of a command line once every flag the command
+/// knows has been taken: at most one positional argument, a `T`, with
+/// `default` when there is none.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] for a value that does not parse as a `T`, a
+/// leftover `--flag` or a second positional argument.
+pub fn positional_or<T: std::str::FromStr>(args: &[String], default: T) -> Result<T, CliError> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
+    }
+    match args {
+        [] => Ok(default),
+        [value] => value
+            .parse()
+            .map_err(|_| CliError::Usage(format!("expected a whole number, got `{value}`"))),
+        [_, extra, ..] => Err(CliError::Usage(format!("unexpected argument `{extra}`"))),
+    }
 }
 
 /// Runs one command: parses the shared flags, hands them to `command`
@@ -306,14 +319,6 @@ mod tests {
     fn zero_threads_resolves_to_default() {
         let cli = cli_from_args(&argv(&["--threads", "0"])).unwrap();
         assert_eq!(cli.threads, default_threads());
-    }
-
-    #[test]
-    fn positional_or_falls_back() {
-        let args = argv(&["250", "nope"]);
-        assert_eq!(positional_or(&args, 0, 10u32), 250);
-        assert_eq!(positional_or(&args, 1, 10u32), 10);
-        assert_eq!(positional_or(&args, 5, 7u64), 7);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use mead::{CostModel, RecoveryScheme};
 use orb::ClientOrbConfig;
 
 use crate::report::failover_episodes_ms;
-use crate::runner::run_batch;
-use crate::scenario::{ScenarioConfig, ScenarioOutcome};
+use crate::scenario::ScenarioOutcome;
 use crate::stats::Summary;
 
 /// Measured fail-over distribution for one scheme.
@@ -96,30 +95,6 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
             )
         }
     }
-}
-
-/// Builds the full decomposition table — one row per scheme — on up to
-/// `threads` worker threads. Returns each row alongside its source
-/// outcome (for trace dumps and digests).
-pub fn failover_rows(
-    invocations: u32,
-    seed: u64,
-    threads: usize,
-) -> Vec<(FailoverRow, ScenarioOutcome)> {
-    let schemes = RecoveryScheme::ALL;
-    let configs: Vec<ScenarioConfig> = schemes
-        .iter()
-        .map(|&scheme| ScenarioConfig {
-            seed,
-            invocations,
-            ..ScenarioConfig::paper(scheme)
-        })
-        .collect();
-    schemes
-        .into_iter()
-        .zip(run_batch(&configs, threads))
-        .map(|(scheme, outcome)| (failover_row_from(scheme, &outcome), outcome))
-        .collect()
 }
 
 /// Builds a fail-over row from an existing outcome.

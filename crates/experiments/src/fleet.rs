@@ -238,6 +238,7 @@ pub fn cli_main(args: &[String]) -> i32 {
                 .map_err(|e: mead::UnknownScheme| CliError::Usage(e.to_string()))?,
             None => RecoveryScheme::MeadFailover,
         };
+        let clients = positional_or(&cli.args, 1000)?;
         let cfg = if cli.smoke {
             FleetConfig {
                 groups: 2,
@@ -246,7 +247,7 @@ pub fn cli_main(args: &[String]) -> i32 {
                 ..FleetConfig::new(scheme, 32)
             }
         } else {
-            FleetConfig::new(scheme, positional_or(&cli.args, 0, 1000))
+            FleetConfig::new(scheme, clients)
         };
         println!(
             "fleet: scheme={:?} groups={} clients/group={} invocations={} seed={}",

@@ -7,10 +7,7 @@
 //! still updating its group membership); and a 6.9 ms maximum for MEAD
 //! messages at the 20 % threshold.
 
-use mead::RecoveryScheme;
-
-use crate::runner::run_batch;
-use crate::scenario::{ScenarioConfig, ScenarioOutcome};
+use crate::scenario::ScenarioOutcome;
 use crate::stats::Summary;
 
 /// Jitter statistics for one run.
@@ -54,53 +51,6 @@ pub fn jitter_stats(label: impl Into<String>, outcome: &ScenarioOutcome) -> Jitt
         outlier_fraction: fraction,
         max_spike_ms: summary.max,
     }
-}
-
-/// Runs the section 5.2.5 jitter suite — a fault-free baseline, each
-/// scheme at the default threshold, and the MEAD scheme at the aggressive
-/// 20 % threshold — on up to `threads` worker threads. Returns each row
-/// alongside its source outcome (for trace dumps and digests).
-pub fn run_jitter_suite(
-    invocations: u32,
-    seed: u64,
-    threads: usize,
-) -> Vec<(JitterStats, ScenarioOutcome)> {
-    let mut cells: Vec<(String, ScenarioConfig)> = Vec::new();
-    // Fault-free run (noise only).
-    cells.push((
-        "fault-free".into(),
-        ScenarioConfig {
-            seed,
-            invocations,
-            fault_free: true,
-            ..ScenarioConfig::paper(RecoveryScheme::ReactiveNoCache)
-        },
-    ));
-    for scheme in RecoveryScheme::ALL {
-        cells.push((
-            scheme.name().into(),
-            ScenarioConfig {
-                seed,
-                invocations,
-                ..ScenarioConfig::paper(scheme)
-            },
-        ));
-    }
-    cells.push((
-        "MEAD Message @ 20% threshold".into(),
-        ScenarioConfig {
-            seed,
-            invocations,
-            threshold: Some(0.2),
-            ..ScenarioConfig::paper(RecoveryScheme::MeadFailover)
-        },
-    ));
-    let configs: Vec<ScenarioConfig> = cells.iter().map(|(_, c)| c.clone()).collect();
-    cells
-        .into_iter()
-        .zip(run_batch(&configs, threads))
-        .map(|((label, _), outcome)| (jitter_stats(label, &outcome), outcome))
-        .collect()
 }
 
 /// Formats jitter rows as an aligned table.

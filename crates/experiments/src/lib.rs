@@ -4,8 +4,11 @@
 //! Distributed CORBA Applications* (DSN 2004); see `DESIGN.md` for the
 //! experiment index. The private `testbed` module assembles, boots and
 //! drives the five-node topology for every simulation; [`scenario`] runs
-//! the paper's experiment on it; [`workload`] is the measuring client; the
-//! remaining modules each regenerate one artefact of section 5. The
+//! the paper's experiment on it and defines its 13 cells once, in
+//! [`paper_workload`]; [`workload`] is the measuring client. Each paper
+//! command selects its cells from `paper_workload` by label and turns
+//! the outcomes into rows with the builders of [`report`], [`figures`],
+//! [`failover`] and [`jitter`]. The
 //! command-line surface is [`paper::EXPERIMENTS`] (eight rows run by
 //! [`run_experiment`]) plus [`sweep::cli_main`], [`fleet::cli_main`] and
 //! [`paper::digest_probe`], all on the shared flags of [`cli`]; the one
@@ -41,16 +44,14 @@ pub use cli::{
     take_flag, take_switch, write_artifact, Cli, CliError,
 };
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
-pub use failover::{failover_row_from, failover_rows, format_failover, model_budget, FailoverRow};
-pub use figures::{
-    fig5_csv, fig5_point, format_fig5, run_fig3, run_fig4, run_fig5, Fig5Point, Trace,
-};
+pub use failover::{failover_row_from, format_failover, model_budget, FailoverRow};
+pub use figures::{fig5_csv, fig5_point, format_fig5, Fig5Point};
 pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome, CLIENTS_PER_NODE};
-pub use jitter::{format_jitter, jitter_stats, run_jitter_suite, JitterStats};
+pub use jitter::{format_jitter, jitter_stats, JitterStats};
 pub use paper::{run_experiment, Experiment, Report, EXPERIMENTS};
 pub use report::{
-    failover_episodes_ms, format_table1, run_table1, steady_state_rtt_ms, table1_row, trace_ascii,
-    trace_csv, Table1Row, ViolationRecord, ViolationReport, VIOLATION_REPORT_SCHEMA,
+    failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, trace_ascii, trace_csv,
+    Table1Row, ViolationRecord, ViolationReport, VIOLATION_REPORT_SCHEMA,
 };
 pub use runner::{default_threads, run_batch, run_batch_with};
 pub use scenario::{paper_workload, run_scenario, ScenarioConfig, ScenarioOutcome};

@@ -3,17 +3,24 @@
 //! that turns `(invocations, threads)` into a [`Report`] — the text to
 //! print, the `results/` files to write and the labelled traces behind
 //! `--trace`. [`run_experiment`] is the one driver for all eight rows.
+//! The seven section-5 rows run cells of
+//! [`paper_workload`](crate::scenario::paper_workload), named by label;
+//! only `jitter` adds a run of its own, a fault-free copy of the baseline
+//! cell.
 
 use mead::RecoveryScheme;
 
 use crate::adaptive::{format_adaptive, run_adaptive_comparison};
 use crate::cli::{positional_or, run_command, write_artifact, CliError};
-use crate::failover::{failover_rows, format_failover};
-use crate::figures::{fig5_csv, format_fig5, run_fig3, run_fig4, run_fig5, Fig5Point, Trace};
-use crate::jitter::{format_jitter, jitter_stats, run_jitter_suite};
-use crate::report::{format_table1, run_table1, trace_ascii, trace_csv};
+use crate::failover::{failover_row_from, format_failover};
+use crate::figures::{fig5_csv, fig5_point, format_fig5};
+use crate::jitter::{format_jitter, jitter_stats};
+use crate::report::{
+    failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, trace_ascii, trace_csv,
+};
 use crate::runner::run_batch;
-use crate::scenario::{run_scenario, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{paper_cells, run_scenario, ScenarioConfig, ScenarioOutcome};
+use crate::stats::mean_f64;
 
 /// Everything one experiment run hands back to the driver.
 #[derive(Clone, Debug, Default)]
@@ -95,7 +102,7 @@ pub const EXPERIMENTS: [Experiment; 8] = [
 /// [invocations]`. Returns the process exit status.
 pub fn run_experiment(exp: &Experiment, args: &[String]) -> i32 {
     run_command(args, |cli| {
-        let invocations = positional_or(&cli.args, 0, exp.default_invocations);
+        let invocations = positional_or(&cli.args, exp.default_invocations)?;
         let report = (exp.run)(invocations, cli.threads);
         if !report.files.is_empty() {
             std::fs::create_dir_all("results")
@@ -134,53 +141,110 @@ impl Report {
     }
 }
 
-fn rows<R: Clone>(cells: &[(R, ScenarioOutcome)]) -> Vec<R> {
-    cells.iter().map(|(row, _)| row.clone()).collect()
+/// Table 1's cells, the baseline (reactive without cache) first, then the
+/// other reactive scheme and the three that migrate clients.
+const TABLE1: [&str; 5] = [
+    "table1/Reactive_Without_Cache",
+    "table1/Reactive_With_Cache",
+    "table1/NEEDS_ADDRESSING_Mode",
+    "table1/LOCATION_FORWARD",
+    "table1/MEAD_Message",
+];
+
+/// Figure 5's threshold sweep.
+const FIG5: [&str; 8] = [
+    "fig5/LOCATION_FORWARD@20",
+    "fig5/LOCATION_FORWARD@40",
+    "fig5/LOCATION_FORWARD@60",
+    "fig5/LOCATION_FORWARD@80",
+    "fig5/MEAD_Message@20",
+    "fig5/MEAD_Message@40",
+    "fig5/MEAD_Message@60",
+    "fig5/MEAD_Message@80",
+];
+
+/// Figure 4's three proactive schemes at the 80 % threshold of its
+/// captions. NEEDS_ADDRESSING never migrates, so it never reads the
+/// threshold: its Table 1 cell is the same run.
+const FIG4: [&str; 3] = [
+    "table1/NEEDS_ADDRESSING_Mode",
+    "fig5/LOCATION_FORWARD@80",
+    "fig5/MEAD_Message@80",
+];
+
+/// Runs `configs` on up to `threads` worker threads; each outcome stays
+/// next to its config.
+fn run_cells(
+    configs: Vec<ScenarioConfig>,
+    threads: usize,
+) -> Vec<(ScenarioConfig, ScenarioOutcome)> {
+    let outcomes = run_batch(&configs, threads);
+    configs.into_iter().zip(outcomes).collect()
+}
+
+fn scheme_name(cfg: &ScenarioConfig) -> String {
+    cfg.scheme.name().to_string()
+}
+
+/// A cell's migrate threshold in percent (`None`: the paper's default).
+fn threshold_pct(cfg: &ScenarioConfig) -> Option<u32> {
+    cfg.threshold.map(|t| (t * 100.0).round() as u32)
 }
 
 fn table1(invocations: u32, threads: usize) -> Report {
-    let cells = run_table1(invocations, 42, threads);
+    let cells = run_cells(paper_cells(&TABLE1, invocations), threads);
+    let (baseline_cfg, baseline) = &cells[0];
+    let baseline_steady = steady_state_rtt_ms(baseline);
+    let baseline_failover = mean_f64(&failover_episodes_ms(baseline, baseline_cfg.scheme));
+    let rows: Vec<_> = cells
+        .iter()
+        .map(|(cfg, out)| table1_row(out, cfg.scheme, baseline_steady, baseline_failover))
+        .collect();
     let text = format!(
         "\nTable 1: overhead and fail-over times (paper values in DESIGN/EXPERIMENTS docs)\n\n{}\n",
-        format_table1(&rows(&cells))
+        format_table1(&rows)
     );
-    Report::of(text, cells, |row| row.scheme.name().to_string())
+    Report::of(text, cells, scheme_name)
 }
 
 /// Figures 3 and 4 share a shape: one CSV and one ASCII preview per trace.
-fn rtt_figure(figure: u32, traces: Vec<Trace>) -> Report {
+fn rtt_figure(figure: u32, labels: &[&str], invocations: u32, threads: usize) -> Report {
     let mut report = Report::default();
-    for trace in traces {
-        let name = trace.scheme.name();
+    for (cfg, outcome) in run_cells(paper_cells(labels, invocations), threads) {
+        let name = cfg.scheme.name();
         let file = name.replace(' ', "_").to_lowercase();
         let path = format!("results/fig{figure}_{file}.csv");
         report.text += &format!(
             "\n=== Figure {figure}: {name} (RTT, 0-20ms scale) -> {path} ===\n{}\n",
-            trace_ascii(&trace.outcome, 40, 20.0)
+            trace_ascii(&outcome, 40, 20.0)
         );
-        report.files.push((path, trace_csv(&trace.outcome)));
-        report.traces.push((name.to_string(), trace.outcome.trace));
+        report.files.push((path, trace_csv(&outcome)));
+        report.traces.push((name.to_string(), outcome.trace));
     }
     report
 }
 
 fn fig3(invocations: u32, threads: usize) -> Report {
-    rtt_figure(3, run_fig3(invocations, 42, threads))
+    rtt_figure(3, &TABLE1[..2], invocations, threads)
 }
 
 fn fig4(invocations: u32, threads: usize) -> Report {
-    rtt_figure(4, run_fig4(invocations, 42, threads))
+    rtt_figure(4, &FIG4, invocations, threads)
 }
 
 fn fig5(invocations: u32, threads: usize) -> Report {
-    let cells = run_fig5(invocations, 42, &[20, 40, 60, 80], threads);
-    let points = rows(&cells);
+    let cells = run_cells(paper_cells(&FIG5, invocations), threads);
+    let pct = |cfg: &ScenarioConfig| threshold_pct(cfg).expect("a fig5 cell sets its threshold");
+    let points: Vec<_> = cells
+        .iter()
+        .map(|(cfg, out)| fig5_point(cfg.scheme, pct(cfg), out))
+        .collect();
     let text = format!(
         "\nFigure 5: effect of varying the rejuvenation threshold\n\n{}\n\
          (paper: ~6,000 B/s at 80% rising to ~10,000 B/s at 20%)\n",
         format_fig5(&points)
     );
-    let label = |p: &Fig5Point| format!("{}@{}%", p.scheme.name(), p.threshold_pct);
+    let label = |cfg: &ScenarioConfig| format!("{}@{}%", cfg.scheme.name(), pct(cfg));
     Report {
         files: vec![("results/fig5.csv".to_string(), fig5_csv(&points))],
         ..Report::of(text, cells, label)
@@ -188,12 +252,16 @@ fn fig5(invocations: u32, threads: usize) -> Report {
 }
 
 fn failover(invocations: u32, threads: usize) -> Report {
-    let cells = failover_rows(invocations, 42, threads);
+    let cells = run_cells(paper_cells(&TABLE1, invocations), threads);
+    let rows: Vec<_> = cells
+        .iter()
+        .map(|(cfg, out)| failover_row_from(cfg.scheme, out))
+        .collect();
     let text = format!(
         "\nFail-over decomposition (section 5.2.3)\n\n{}\n",
-        format_failover(&rows(&cells))
+        format_failover(&rows)
     );
-    Report::of(text, cells, |row| row.scheme.name().to_string())
+    Report::of(text, cells, scheme_name)
 }
 
 /// Unlike [`failover`] (which measures episodes from the workload's
@@ -203,31 +271,19 @@ fn failover(invocations: u32, threads: usize) -> Report {
 fn breakdown(invocations: u32, threads: usize) -> Report {
     // The three schemes that actually migrate clients (the reactive
     // schemes never recover, so they have no episodes to decompose).
-    const SCHEMES: [RecoveryScheme; 3] = [
-        RecoveryScheme::NeedsAddressing,
-        RecoveryScheme::LocationForward,
-        RecoveryScheme::MeadFailover,
-    ];
+    let cells = run_cells(paper_cells(&TABLE1[2..], invocations), threads);
     let ms = |ns: u64| ns as f64 / 1_000_000.0;
-    let configs = SCHEMES.map(|scheme| ScenarioConfig {
-        invocations,
-        ..ScenarioConfig::paper(scheme)
-    });
-    let cells: Vec<_> = SCHEMES
-        .into_iter()
-        .zip(run_batch(&configs, threads))
-        .collect();
 
     let mut text = format!(
         "\nFail-over breakdown from traces (section 5.2.3, seed 42, {invocations} invocations)\n\n"
     );
-    for (scheme, out) in &cells {
+    for (cfg, out) in &cells {
         let eps = out.episodes();
         text += &format!(
             "{} — {} episodes\n\
              \x20 stage         | samples | mean (ms) |  min (ms) |  max (ms)\n\
              \x20 --------------+---------+-----------+-----------+----------\n",
-            scheme.name(),
+            cfg.scheme.name(),
             eps.len()
         );
         for (name, s) in obs::STAGE_NAMES.iter().zip(&obs::stage_table(&eps)) {
@@ -244,8 +300,8 @@ fn breakdown(invocations: u32, threads: usize) -> Report {
     text += "Round-trip jitter (steady state, first invocation excluded)\n\n\
              \x20 scheme                   | mean (ms) |  std (ms) | >3-sigma | max spike (ms)\n\
              \x20 -------------------------+-----------+-----------+----------+---------------\n";
-    for (scheme, out) in &cells {
-        let j = jitter_stats(scheme.name(), out);
+    for (cfg, out) in &cells {
+        let j = jitter_stats(cfg.scheme.name(), out);
         text += &format!(
             "  {:<24} | {:>9.3} | {:>9.3} | {:>7.2}% | {:>14.3}\n",
             j.label,
@@ -255,16 +311,42 @@ fn breakdown(invocations: u32, threads: usize) -> Report {
             j.max_spike_ms,
         );
     }
-    Report::of(text, cells, |scheme| scheme.name().to_string())
+    Report::of(text, cells, scheme_name)
 }
 
+fn jitter_label(cfg: &ScenarioConfig) -> String {
+    let name = cfg.scheme.name();
+    match threshold_pct(cfg) {
+        _ if cfg.fault_free => "fault-free".to_string(),
+        Some(pct) => format!("{name} @ {pct}% threshold"),
+        None => name.to_string(),
+    }
+}
+
+/// A fault-free run of the baseline (OS noise only), each scheme at the
+/// default threshold, and the MEAD scheme at the aggressive 20 %.
 fn jitter(invocations: u32, threads: usize) -> Report {
-    let cells = run_jitter_suite(invocations, 42, threads);
+    let mut configs = paper_cells(
+        &[&TABLE1[..], &["fig5/MEAD_Message@20"]].concat(),
+        invocations,
+    );
+    configs.insert(
+        0,
+        ScenarioConfig {
+            fault_free: true,
+            ..configs[0].clone()
+        },
+    );
+    let cells = run_cells(configs, threads);
+    let rows: Vec<_> = cells
+        .iter()
+        .map(|(cfg, out)| jitter_stats(jitter_label(cfg), out))
+        .collect();
     let text = format!(
         "\nJitter (section 5.2.5): paper reports 1-2.5% outliers, 2.3ms fault-free max\n\n{}\n",
-        format_jitter(&rows(&cells))
+        format_jitter(&rows)
     );
-    Report::of(text, cells, |row| row.label.clone())
+    Report::of(text, cells, jitter_label)
 }
 
 fn adaptive(invocations: u32, threads: usize) -> Report {
@@ -273,7 +355,7 @@ fn adaptive(invocations: u32, threads: usize) -> Report {
         "\nAdaptive vs preset thresholds (MEAD scheme, {invocations} invocations per cell)\n\n{}\n\
          preset thresholds assume a known fault speed; the adaptive trigger\n\
          fires on predicted time-to-exhaustion and handles all speeds.\n",
-        format_adaptive(&rows(&cells))
+        format_adaptive(&cells.iter().map(|(row, _)| row.clone()).collect::<Vec<_>>())
     );
     Report::of(text, cells, |row| {
         format!("{}@{}x", row.strategy, row.speed)

@@ -17,8 +17,7 @@ use std::collections::BTreeSet;
 use mead::RecoveryScheme;
 use simnet::SimDuration;
 
-use crate::runner::run_batch;
-use crate::scenario::{ScenarioConfig, ScenarioOutcome};
+use crate::scenario::ScenarioOutcome;
 use crate::stats::Summary;
 use crate::workload::InvocationRecord;
 
@@ -139,39 +138,6 @@ pub fn table1_row(
         server_failures: outcome.server_failures(),
         steady_rtt_ms: steady,
     }
-}
-
-/// Regenerates all of Table 1 — every recovery strategy at the paper
-/// configuration — on up to `threads` worker threads. The first scheme
-/// (reactive without cache) is the baseline, exactly as in the paper.
-/// Returns the rows alongside their source outcomes (callers digest
-/// them).
-pub fn run_table1(
-    invocations: u32,
-    seed: u64,
-    threads: usize,
-) -> Vec<(Table1Row, ScenarioOutcome)> {
-    let schemes = RecoveryScheme::ALL;
-    let configs: Vec<ScenarioConfig> = schemes
-        .iter()
-        .map(|&scheme| ScenarioConfig {
-            seed,
-            invocations,
-            ..ScenarioConfig::paper(scheme)
-        })
-        .collect();
-    let outcomes = run_batch(&configs, threads);
-    let baseline_steady = steady_state_rtt_ms(&outcomes[0]);
-    let baseline_eps = failover_episodes_ms(&outcomes[0], schemes[0]);
-    let baseline_failover = crate::stats::mean_f64(&baseline_eps);
-    schemes
-        .into_iter()
-        .zip(outcomes)
-        .map(|(scheme, outcome)| {
-            let row = table1_row(&outcome, scheme, baseline_steady, baseline_failover);
-            (row, outcome)
-        })
-        .collect()
 }
 
 /// Formats rows as the paper's Table 1.

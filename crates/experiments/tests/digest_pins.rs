@@ -1,5 +1,6 @@
 //! Pins the 13 paper-workload scenario digests to their committed
-//! values (`BENCH_harness.json`), and the seed-42 `fleet-1k` digests.
+//! values (`BENCH_harness.json`), the fault-free baseline of the jitter
+//! table, and the seed-42 `fleet-1k` digests.
 //!
 //! The DESIGN §11 kernel refactor (slab-indexed state tables, timing-
 //! wheel event queue) was performed under the obligation that every one
@@ -10,7 +11,7 @@
 //! a *semantic* change to the simulation and needs the baselines
 //! regenerated deliberately, not silently.
 
-use experiments::{paper_workload, run_fleet, run_scenario, FleetConfig};
+use experiments::{paper_workload, run_fleet, run_scenario, FleetConfig, ScenarioConfig};
 use mead::RecoveryScheme;
 
 /// `(label, digest)` exactly as committed in `BENCH_harness.json`.
@@ -47,6 +48,18 @@ fn paper_workload_digests_match_committed_values() {
         "scenario digests drifted from committed baselines:\n{}",
         failures.join("\n")
     );
+}
+
+/// The one scenario behind `results/` outside `paper_workload`: the
+/// jitter table's fault-free run (OS noise, no leak), seed 42, 10 000
+/// invocations.
+#[test]
+fn fault_free_baseline_digest_matches_committed_value() {
+    let cfg = ScenarioConfig {
+        fault_free: true,
+        ..ScenarioConfig::paper(RecoveryScheme::ReactiveNoCache)
+    };
+    assert_eq!(run_scenario(&cfg).digest(), 0xf05c40d7f12b0f68);
 }
 
 /// `fleet-1k` at seed 42 (the ledger's workload: 4 groups x 1000 clients

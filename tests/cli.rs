@@ -38,12 +38,16 @@ fn usage_errors_exit_2_with_a_message() {
     let malformed = dir.join("malformed.toml");
     std::fs::write(&malformed, "[sweep]\nname = \"x\"\nbase_seed = \n").expect("write scenario");
     let missing = dir.join("missing.toml");
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 11] = [
         &[],
         &["tabel1"],
         &["table1", "--threads"],
         &["fleet", "--threads", "many"],
         &["fleet", "--smoke", "--scheme", "mead"],
+        &["table1", "--thread", "1", "150"],
+        &["table1", "10k"],
+        &["table1", "150", "200"],
+        &["fleet", "1e4"],
         &["sweep", missing.to_str().expect("utf-8 path")],
         &["sweep", malformed.to_str().expect("utf-8 path")],
     ];
