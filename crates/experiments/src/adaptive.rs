@@ -13,7 +13,7 @@
 //! keeps masking; on slow leaks the adaptive trigger fires *later* than
 //! 90 %, wringing more useful life out of each replica (fewer restarts).
 
-use mead::{MeadConfig, RecoveryScheme};
+use mead::{MeadConfig, RecoveryScheme, Trigger};
 
 use crate::runner::run_batch;
 use crate::scenario::{ScenarioConfig, ScenarioOutcome};
@@ -43,7 +43,7 @@ fn set_speed(cfg: &mut MeadConfig, mult: f64) {
 
 fn set_adaptive(cfg: &mut MeadConfig, mult: f64) {
     set_speed(cfg, mult);
-    cfg.adaptive = Some(faults::AdaptiveConfig::default());
+    cfg.trigger = Trigger::Adaptive;
 }
 
 /// A configuration tweak applied to the scenario's [`MeadConfig`].

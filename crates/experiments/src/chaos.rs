@@ -45,7 +45,7 @@ use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig};
 use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
     CheckpointPayload, ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp,
-    ServerInterceptor, StateHooks,
+    ServerInterceptor, StateHooks, SERVER_GROUP,
 };
 use orb::{
     decode_counter_reply, decode_increment_once, encode_counter_reply, encode_increment_once,
@@ -178,6 +178,7 @@ pub fn chaos_plan_space_for(slots: u32, rm_crashes: u32) -> PlanSpace {
     let client = slots + 1;
     PlanSpace {
         replica_slots: slots,
+        nodes: client + 1,
         daemon_nodes: (1..=client).collect(),
         naming: true,
         rm_crashes,
@@ -351,7 +352,6 @@ impl Job for Crowd {
 #[derive(Clone)]
 struct ChaosObserver {
     gcs: Option<GcsClient>,
-    group: String,
     view: Vec<String>,
 }
 
@@ -359,8 +359,7 @@ impl Process for ChaosObserver {
     fn on_start(&mut self, sys: &mut dyn SysApi) {
         let mut gcs = GcsClient::new("obs/chaos", 1);
         gcs.start(sys);
-        let group = self.group.clone();
-        gcs.join(sys, &group);
+        gcs.join(sys, SERVER_GROUP);
         self.gcs = Some(gcs);
     }
 
@@ -370,7 +369,7 @@ impl Process for ChaosObserver {
         };
         for d in deliveries {
             if let GcsDelivery::View { group, members, .. } = d {
-                if group == self.group {
+                if group == SERVER_GROUP {
                     self.view = members;
                 }
             }
@@ -438,7 +437,6 @@ const BOOT_UNTIL: SimTime = SimTime::from_millis(650);
 pub struct ChaosBoot<'a> {
     plan: &'a FaultPlan,
     cfg: &'a ChaosConfig,
-    mead_cfg: MeadConfig,
     testbed: Testbed,
     observer: ProcessId,
 }
@@ -454,7 +452,6 @@ impl<'a> ChaosBoot<'a> {
         let mut mead_cfg = MeadConfig::builder(cfg.scheme).build();
         mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
         mead_cfg.commit_acks = true;
-        mead_cfg.rm_instances = cfg.rm_instances;
         if !plan.leak_all() {
             mead_cfg.leak = None;
         }
@@ -484,7 +481,6 @@ impl<'a> ChaosBoot<'a> {
                 .checked_sub(1)
                 .map(|ns| SimTime::from_nanos(ns).min(BOOT_UNTIL)),
         };
-        let factory_cfg = mead_cfg.clone();
         let mutation = cfg.mutation;
         let mut testbed = Testbed::assemble(TestbedSpec {
             sim: SimConfig {
@@ -495,11 +491,11 @@ impl<'a> ChaosBoot<'a> {
             scheduler,
             slots,
             client_nodes: 1,
-            mead: mead_cfg.clone(),
+            trace_level: mead_cfg.trace_level,
             factory: move |infra| {
                 Rc::new(move |spec| {
-                    let mut factory_cfg = factory_cfg.clone();
-                    factory_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
+                    let mut replica_cfg = mead_cfg.clone();
+                    replica_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
                     // One state, two handles: the servant's and the
                     // interceptor's checkpointing hooks'.
                     let state = CounterState::new();
@@ -512,7 +508,7 @@ impl<'a> ChaosBoot<'a> {
                         .with_servant(counter_key(), COUNTER_TYPE_ID, servant)
                         .with_rebind(SimDuration::from_millis(150));
                     Box::new(
-                        ServerInterceptor::new(factory_cfg, spec.slot, Box::new(app))
+                        ServerInterceptor::new(replica_cfg, spec.slot, Box::new(app))
                             .with_state_hooks(StateHooks {
                                 state,
                                 payload: CheckpointPayload::Snapshot,
@@ -529,7 +525,6 @@ impl<'a> ChaosBoot<'a> {
             "chaos-observer",
             Box::new(ChaosObserver {
                 gcs: None,
-                group: mead_cfg.server_group.clone(),
                 view: Vec::new(),
             }),
         );
@@ -539,7 +534,6 @@ impl<'a> ChaosBoot<'a> {
         ChaosBoot {
             plan,
             cfg,
-            mead_cfg,
             testbed,
             observer,
         }
@@ -580,7 +574,6 @@ impl<'a> ChaosBoot<'a> {
     ) -> Result<ChaosOutcome, ForkError> {
         let copy = ChaosBoot {
             testbed: self.testbed.fork(scheduler)?,
-            mead_cfg: self.mead_cfg.clone(),
             ..*self
         };
         Ok(copy.finish_run())
@@ -593,7 +586,6 @@ impl<'a> ChaosBoot<'a> {
         let ChaosBoot {
             plan,
             cfg,
-            mead_cfg,
             mut testbed,
             observer,
         } = self;
@@ -615,7 +607,7 @@ impl<'a> ChaosBoot<'a> {
             client_node,
             "chaos-client",
             Box::new(ClientInterceptor::new(
-                mead_cfg,
+                cfg.scheme,
                 Box::new(SlotClient::new(
                     "chaos-client",
                     measured,

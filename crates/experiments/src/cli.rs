@@ -62,12 +62,7 @@ pub struct Cli {
 /// `--threads`.
 pub fn cli_from_args(args: &[String]) -> Result<Cli, CliError> {
     let mut rest = args.to_vec();
-    let threads = match take_flag(&mut rest, "--threads")? {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--threads expects a number, got `{v}`")))?,
-    };
+    let threads = take_number(&mut rest, "--threads")?.unwrap_or(0);
     let trace = take_flag(&mut rest, "--trace")?.map(PathBuf::from);
     let violations = take_flag(&mut rest, "--violations")?.map(PathBuf::from);
     let smoke = take_switch(&mut rest, "--smoke");
@@ -109,12 +104,44 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, C
     Ok(None)
 }
 
+/// [`take_flag`] for a flag whose value is a whole number.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] when the flag is present without a value or with
+/// one that is not a whole number.
+pub fn take_number(args: &mut Vec<String>, flag: &str) -> Result<Option<usize>, CliError> {
+    take_flag(args, flag)?
+        .map(|v| {
+            v.parse()
+                .map_err(|_| CliError::Usage(format!("{flag} expects a whole number, got `{v}`")))
+        })
+        .transpose()
+}
+
 /// Removes every occurrence of the value-less `flag` from `args` and
 /// returns whether there was one.
 pub fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     let before = args.len();
     args.retain(|a| a != flag);
     args.len() != before
+}
+
+/// Checks that nothing is left of a command line that takes no
+/// positional argument once every flag the command knows has been taken.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming a leftover `--flag`, or else the first
+/// leftover argument.
+pub fn no_args_left(args: &[String]) -> Result<(), CliError> {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
+    }
+    match args.first() {
+        None => Ok(()),
+        Some(extra) => Err(CliError::Usage(format!("unexpected argument `{extra}`"))),
+    }
 }
 
 /// Parses what is left of a command line once every flag the command
@@ -126,15 +153,14 @@ pub fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
 /// [`CliError::Usage`] for a value that does not parse as a `T`, a
 /// leftover `--flag` or a second positional argument.
 pub fn positional_or<T: std::str::FromStr>(args: &[String], default: T) -> Result<T, CliError> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(CliError::Usage(format!("unknown flag `{flag}`")));
-    }
     match args {
-        [] => Ok(default),
-        [value] => value
-            .parse()
-            .map_err(|_| CliError::Usage(format!("expected a whole number, got `{value}`"))),
-        [_, extra, ..] => Err(CliError::Usage(format!("unexpected argument `{extra}`"))),
+        [value, rest @ ..] if !value.starts_with("--") => {
+            no_args_left(rest)?;
+            value
+                .parse()
+                .map_err(|_| CliError::Usage(format!("expected a whole number, got `{value}`")))
+        }
+        _ => no_args_left(args).map(|()| default),
     }
 }
 

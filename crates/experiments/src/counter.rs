@@ -14,8 +14,7 @@ use mead::{
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, ClientOrbConfig, CounterServant, CounterState, OrbUpshot, RetryPolicy, RetryState,
-    COUNTER_TYPE_ID,
+    ClientOrb, CounterServant, CounterState, OrbUpshot, RetryPolicy, RetryState, COUNTER_TYPE_ID,
 };
 use simnet::{
     Event, FifoScheduler, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime,
@@ -150,7 +149,7 @@ impl<J: Job> SlotClient<J> {
         SlotClient {
             label: label.to_string(),
             job,
-            orb: ClientOrb::new(ClientOrbConfig::default()),
+            orb: ClientOrb::new(),
             naming_node,
             slots,
             slot: first_slot % slots,
@@ -340,7 +339,6 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
     if cfg.fault_free {
         mead_cfg.leak = None;
     }
-    let factory_cfg = mead_cfg.clone();
     let mut testbed = Testbed::assemble(TestbedSpec {
         sim: SimConfig {
             seed: cfg.seed,
@@ -350,7 +348,7 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
         scheduler: Box::new(FifoScheduler),
         slots: 3,
         client_nodes: 1,
-        mead: mead_cfg.clone(),
+        trace_level: mead_cfg.trace_level,
         // The counter servant's state, with the interceptor's warm-passive
         // hooks capturing and restoring it. This application never sends
         // operation ids, so its checkpoint is the 8-byte value alone.
@@ -363,7 +361,7 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
                     Box::new(CounterServant::new(state.clone())),
                 );
                 Box::new(
-                    ServerInterceptor::new(factory_cfg.clone(), spec.slot, Box::new(app))
+                    ServerInterceptor::new(mead_cfg.clone(), spec.slot, Box::new(app))
                         .with_state_hooks(StateHooks {
                             state,
                             payload: CheckpointPayload::Value,
@@ -383,7 +381,7 @@ pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
         client_node,
         "client",
         Box::new(ClientInterceptor::new(
-            mead_cfg,
+            RecoveryScheme::MeadFailover,
             Box::new(SlotClient::new(
                 "counter-client",
                 Increments {

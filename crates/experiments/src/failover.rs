@@ -6,8 +6,8 @@
 //! times per scheme and reports the model-side stage budget for
 //! comparison.
 
-use mead::{CostModel, RecoveryScheme};
-use orb::ClientOrbConfig;
+use mead::{RecoveryScheme, ADDRESS_REPLY_CPU, FABRICATE_CPU, GIOP_PARSE_CPU, REDIRECT_CPU};
+use orb::{COMM_FAILURE_CPU, CONNECT_CPU};
 
 use crate::report::failover_episodes_ms;
 use crate::scenario::ScenarioOutcome;
@@ -32,17 +32,15 @@ pub struct FailoverRow {
 /// derived from the calibrated cost constants (mirrors the arithmetic of
 /// section 5.2.3).
 pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
-    let orb = ClientOrbConfig::default();
-    let costs = CostModel::default();
     let ms = |d: simnet::SimDuration| d.as_millis_f64();
     // Transport legs at the default latency model (~0.35 ms one way).
     let one_way = 0.35;
     let rtt = 2.0 * one_way + 0.1;
     match scheme {
         RecoveryScheme::ReactiveNoCache => {
-            let detect = one_way + ms(orb.comm_failure_cpu) + 0.7;
+            let detect = one_way + ms(COMM_FAILURE_CPU) + 0.7;
             let resolve = rtt + 0.9; // naming round trip + servant cost
-            let reconnect = 2.0 * one_way + ms(orb.connect_cpu);
+            let reconnect = 2.0 * one_way + ms(CONNECT_CPU);
             let retry = rtt;
             (
                 detect + resolve + reconnect + retry,
@@ -52,8 +50,8 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
             )
         }
         RecoveryScheme::ReactiveCache => {
-            let detect = one_way + ms(orb.comm_failure_cpu);
-            let reconnect = 2.0 * one_way + ms(orb.connect_cpu);
+            let detect = one_way + ms(COMM_FAILURE_CPU);
+            let reconnect = 2.0 * one_way + ms(CONNECT_CPU);
             let retry = rtt;
             (
                 detect + reconnect + retry,
@@ -62,8 +60,8 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
         }
         RecoveryScheme::NeedsAddressing => {
             let detect = one_way;
-            let query = 4.0 * one_way + ms(costs.address_reply_cpu);
-            let redirect = 2.0 * one_way + ms(costs.redirect_cpu);
+            let query = 4.0 * one_way + ms(ADDRESS_REPLY_CPU);
+            let redirect = 2.0 * one_way + ms(REDIRECT_CPU);
             let resend = rtt;
             (
                 detect + query + redirect + resend,
@@ -73,8 +71,8 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
             )
         }
         RecoveryScheme::LocationForward => {
-            let forward_leg = rtt + ms(costs.giop_parse_cpu) + ms(costs.fabricate_cpu);
-            let reconnect = 2.0 * one_way + ms(orb.connect_cpu);
+            let forward_leg = rtt + ms(GIOP_PARSE_CPU) + ms(FABRICATE_CPU);
+            let reconnect = 2.0 * one_way + ms(CONNECT_CPU);
             let resend = rtt;
             (
                 forward_leg + reconnect + resend,
@@ -86,7 +84,7 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
         RecoveryScheme::MeadFailover => {
             let notice_leg = rtt;
             let raw_connect = 2.0 * one_way;
-            let redirect = ms(costs.redirect_cpu);
+            let redirect = ms(REDIRECT_CPU);
             (
                 notice_leg + raw_connect + redirect,
                 format!(

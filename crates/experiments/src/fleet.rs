@@ -38,9 +38,6 @@ use crate::cli::{check_thread_independence, positional_or, run_command, take_fla
 use crate::runner::run_batch_with;
 use crate::scenario::{run_scenario, ScenarioConfig};
 
-/// Clients hosted per simulated client node.
-pub const CLIENTS_PER_NODE: u32 = 64;
-
 /// Parameters of one fleet scenario.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
@@ -99,7 +96,6 @@ pub fn group_configs(cfg: &FleetConfig) -> Vec<ScenarioConfig> {
                 invocations: cfg.invocations,
                 clients,
                 replicas: cfg.replicas,
-                client_nodes: clients.div_ceil(CLIENTS_PER_NODE),
                 deadline_override: Some(deadline),
                 ..ScenarioConfig::quick(cfg.scheme, cfg.invocations)
             }
@@ -303,11 +299,10 @@ mod tests {
     }
 
     #[test]
-    fn clients_spread_over_nodes() {
+    fn every_group_hosts_the_fleet_clients() {
         let cfg = FleetConfig::new(RecoveryScheme::LocationForward, 200);
         let groups = group_configs(&cfg);
-        assert_eq!(groups[0].client_nodes, 4); // ceil(200 / 64)
-        assert_eq!(groups[0].clients, 200);
+        assert!(groups.iter().all(|g| g.clients == 200));
     }
 
     #[test]

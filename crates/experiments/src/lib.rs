@@ -40,13 +40,13 @@ pub use chaos::{
     ChaosOutcome, ServantMutation,
 };
 pub use cli::{
-    check_thread_independence, cli_from_args, positional_or, render_trace_sections, run_command,
-    take_flag, take_switch, write_artifact, Cli, CliError,
+    check_thread_independence, cli_from_args, no_args_left, positional_or, render_trace_sections,
+    run_command, take_flag, take_number, take_switch, write_artifact, Cli, CliError,
 };
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
 pub use failover::{failover_row_from, format_failover, model_budget, FailoverRow};
 pub use figures::{fig5_csv, fig5_point, format_fig5, Fig5Point};
-pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome, CLIENTS_PER_NODE};
+pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome};
 pub use jitter::{format_jitter, jitter_stats, JitterStats};
 pub use paper::{run_experiment, Experiment, Report, EXPERIMENTS};
 pub use report::{
@@ -54,7 +54,9 @@ pub use report::{
     Table1Row, ViolationRecord, ViolationReport, VIOLATION_REPORT_SCHEMA,
 };
 pub use runner::{default_threads, run_batch, run_batch_with};
-pub use scenario::{paper_workload, run_scenario, ScenarioConfig, ScenarioOutcome};
+pub use scenario::{
+    paper_workload, run_scenario, ScenarioConfig, ScenarioOutcome, CLIENTS_PER_NODE,
+};
 pub use stats::{percentile, Summary};
 pub use sweep::{
     expand_sweep, format_sweep, parse_sweep, run_sweep, SweepOutcome, SweepSpec, SweepUnit,

@@ -11,6 +11,9 @@ use simnet::{FifoScheduler, Fnv, LossModel, Metrics, NoiseModel, SimConfig, SimD
 use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
 use crate::workload::{ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport};
 
+/// Clients hosted per simulated client node.
+pub const CLIENTS_PER_NODE: u32 = 64;
+
 /// Experiment parameters.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
@@ -34,7 +37,7 @@ pub struct ScenarioConfig {
     /// full workload; per-connection migration must handle all of them.
     pub clients: u32,
     /// Optional final adjustment applied to the derived [`MeadConfig`]
-    /// (ablations: `use_key_hash`, `poll_thresholds`, drain delay, ...).
+    /// (ablations: `use_key_hash`, `trigger`, the leak speed, ...).
     pub tweak: Option<fn(&mut MeadConfig)>,
     /// Crash the `i`-th server node at the given time (node-crash fault).
     pub crash_server_node_at: Option<(usize, SimTime)>,
@@ -42,10 +45,6 @@ pub struct ScenarioConfig {
     /// (message-loss fault; manifests as added delay on the reliable
     /// streams).
     pub message_loss: f64,
-    /// Number of nodes the client processes are spread over (fleet
-    /// scenarios). `1` reproduces the paper topology exactly: every
-    /// client on the single client node.
-    pub client_nodes: u32,
     /// Explicit run deadline (`None` = the paper formula, which assumes a
     /// single client). Fleet scenarios scale the deadline with the total
     /// invocation count instead.
@@ -67,7 +66,6 @@ impl ScenarioConfig {
             tweak: None,
             crash_server_node_at: None,
             message_loss: 0.0,
-            client_nodes: 1,
             deadline_override: None,
         }
     }
@@ -277,9 +275,9 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         scheduler: Box::new(FifoScheduler),
         slots: cfg.replicas,
         // Fleet scenarios spread the client processes over several nodes;
-        // `client_nodes == 1` is the paper's single client node.
-        client_nodes: cfg.client_nodes,
-        mead: mead_cfg.clone(),
+        // up to `CLIENTS_PER_NODE` clients share the paper's single one.
+        client_nodes: cfg.clients.div_ceil(CLIENTS_PER_NODE),
+        trace_level: mead_cfg.trace_level,
         factory: move |naming_node| {
             Rc::new(move |spec| {
                 let app = ReplicaApp::time_server(spec.slot, spec.port, naming_node);
@@ -302,8 +300,6 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         RecoveryScheme::ReactiveCache => ClientPolicy::CachedReferences,
         _ => ClientPolicy::ResolveOnFailure,
     };
-    // One configuration for every client interceptor of the run.
-    let client_cfg = Rc::new(mead_cfg);
     let mut reports: Vec<ReportHandle> = Vec::new();
     for c in 0..cfg.clients.max(1) {
         let report: ReportHandle = Rc::new(RefCell::new(WorkloadReport::default()));
@@ -318,10 +314,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
             report.clone(),
         );
         let client_proc: Box<dyn simnet::Process> = if cfg.scheme.has_client_interceptor() {
-            Box::new(ClientInterceptor::new(
-                client_cfg.clone(),
-                Box::new(workload),
-            ))
+            Box::new(ClientInterceptor::new(cfg.scheme, Box::new(workload)))
         } else {
             Box::new(workload)
         };

@@ -24,7 +24,9 @@ use simnet::{Fnv, SimDuration};
 use tomlite::{Table, Value};
 
 use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome};
-use crate::cli::{check_thread_independence, run_command, take_flag, write_artifact, CliError};
+use crate::cli::{
+    check_thread_independence, positional_or, run_command, take_flag, write_artifact, CliError,
+};
 use crate::fleet::splitmix64;
 use crate::report::ViolationRecord;
 use crate::runner::run_batch_with;
@@ -442,8 +444,8 @@ pub fn cli_main(args: &[String]) -> i32 {
         } else {
             "scenarios/sweep-full.toml"
         };
-        let path = cli.args.first().map_or(default_scenario, String::as_str);
-        let src = std::fs::read_to_string(path)
+        let path = positional_or(&cli.args, default_scenario.to_string())?;
+        let src = std::fs::read_to_string(&path)
             .map_err(|e| CliError::Usage(format!("cannot read scenario {path}: {e}")))?;
         let spec = parse_sweep(&src)
             .map_err(|e| CliError::Usage(format!("invalid scenario {path}: {e}")))?;

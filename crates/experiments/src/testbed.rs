@@ -22,8 +22,8 @@
 use std::time::Duration;
 
 use groupcomm::{GcsConfig, GcsDaemon, GCS_PORT};
-use mead::{MeadConfig, RecoveryManager, ReplicaFactory};
-use orb::{NamingConfig, NamingService};
+use mead::{RecoveryManager, ReplicaFactory};
+use orb::NamingService;
 use simnet::{
     Addr, ForkError, Metrics, NodeId, RunOutcome, Scheduler, SimConfig, SimDuration, SimTime,
     Simulation,
@@ -58,9 +58,9 @@ pub(crate) struct TestbedSpec<F: FnOnce(NodeId) -> ReplicaFactory> {
     pub slots: u32,
     /// Nodes the client processes are spread over.
     pub client_nodes: u32,
-    /// MEAD configuration handed to the Recovery Manager; its trace level
-    /// is the run's.
-    pub mead: MeadConfig,
+    /// Observability verbosity of the run's trace
+    /// ([`MeadConfig::trace_level`](mead::MeadConfig::trace_level)).
+    pub trace_level: obs::TraceLevel,
     /// Builds the replica factory, given the infrastructure node (where
     /// replicas find the Naming Service).
     pub factory: F,
@@ -103,7 +103,7 @@ impl Testbed {
     /// the Recovery Manager instance(s). Nothing has run yet.
     pub fn assemble<F: FnOnce(NodeId) -> ReplicaFactory>(spec: TestbedSpec<F>) -> Testbed {
         let mut sim = Simulation::with_scheduler(spec.sim, spec.scheduler);
-        sim.set_trace_level(spec.mead.trace_level);
+        sim.set_trace_level(spec.trace_level);
 
         let server_count = spec.slots.max(1);
         let nodes: Vec<NodeId> = std::iter::once(0)
@@ -129,17 +129,16 @@ impl Testbed {
         let factory = (spec.factory)(infra);
         match spec.recovery_managers {
             RecoveryManagers::Paper => {
-                let rm = RecoveryManager::new(spec.mead, spec.slots, servers, factory);
+                let rm = RecoveryManager::new(spec.slots, servers, factory);
                 testbed.sim.spawn(infra, "recovery-manager", Box::new(rm));
             }
             RecoveryManagers::Numbered(instances) => {
                 for instance in 0..instances.max(1) {
-                    let (mead, nodes, factory) =
-                        (spec.mead.clone(), servers.clone(), factory.clone());
+                    let (nodes, factory) = (servers.clone(), factory.clone());
                     let rm = if instances <= 1 {
-                        RecoveryManager::new(mead, spec.slots, nodes, factory)
+                        RecoveryManager::new(spec.slots, nodes, factory)
                     } else {
-                        RecoveryManager::replicated(mead, spec.slots, nodes, factory, instance)
+                        RecoveryManager::replicated(spec.slots, nodes, factory, instance)
                     };
                     let node = match instance {
                         0 => infra,
@@ -180,7 +179,7 @@ impl Testbed {
     /// Spawns the Naming Service on the infrastructure node. Its store is
     /// in memory: a respawned instance comes back empty.
     pub fn spawn_naming(&mut self) {
-        let naming = NamingService::new(NamingConfig::default());
+        let naming = NamingService::new();
         self.sim.spawn(self.infra(), "naming", Box::new(naming));
     }
 

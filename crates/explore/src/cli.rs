@@ -4,8 +4,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use experiments::{
-    run_chaos_plan_with, run_command, take_flag, take_switch, write_artifact, CliError,
-    ViolationRecord,
+    no_args_left, run_chaos_plan_with, run_command, take_flag, take_number, take_switch,
+    write_artifact, CliError, ViolationRecord,
 };
 use simnet::{GateCfg, ReplayScheduler};
 
@@ -30,22 +30,25 @@ const MAX_MINIMIZED_DECISIONS: usize = 10;
 /// artifact (from `mead-repro lint --conflict-report`) that prunes
 /// statically proven independent branches from the search. Exit status
 /// 1 when any fixture's exploration misbehaves, the seeded bug is not
-/// caught, minimized and replayed, the relation cannot be loaded, or a
-/// fixture's booted world cannot be forked (the `ForkError` is the
-/// message).
+/// caught, minimized and replayed, or a fixture's booted world cannot be
+/// forked (the `ForkError` is the message); exit status 2 for a malformed
+/// argument or a relation that cannot be read or parsed.
 pub fn cli_main(args: &[String]) -> i32 {
     run_command(args, |mut cli| {
         let seeded = take_switch(&mut cli.args, "--seeded-bug");
-        let runs_flag = take_flag(&mut cli.args, "--runs")?;
-        let depth_flag = take_flag(&mut cli.args, "--depth")?;
-        let relation = match take_flag(&mut cli.args, "--conflict-relation")? {
+        let default_runs = if cli.smoke { 384 } else { 1024 };
+        let max_runs = take_number(&mut cli.args, "--runs")?.unwrap_or(default_runs);
+        let max_depth = take_number(&mut cli.args, "--depth")?.unwrap_or(12);
+        let relation_path = take_flag(&mut cli.args, "--conflict-relation")?;
+        no_args_left(&cli.args)?;
+        let relation = match relation_path {
             None => None,
             Some(path) => {
                 let src = std::fs::read_to_string(&path).map_err(|e| {
-                    CliError::Failed(format!("cannot read conflict relation {path}: {e}"))
+                    CliError::Usage(format!("cannot read conflict relation {path}: {e}"))
                 })?;
                 let rel = ConflictRelation::parse(&src)
-                    .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
+                    .map_err(|e| CliError::Usage(format!("{path}: {e}")))?;
                 eprintln!(
                     "conflict relation loaded from {path}: {} independent pair(s)",
                     rel.independent.len()
@@ -53,11 +56,6 @@ pub fn cli_main(args: &[String]) -> i32 {
                 Some(Arc::new(rel))
             }
         };
-        let default_runs = if cli.smoke { 384 } else { 1024 };
-        let max_runs: usize = runs_flag
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default_runs);
-        let max_depth: usize = depth_flag.and_then(|s| s.parse().ok()).unwrap_or(12);
 
         let config_for = |gate: GateCfg| ExploreConfig {
             gate,

@@ -13,8 +13,10 @@
 //!
 //! The parser is a hand-rolled subset-of-JSON reader (objects, arrays,
 //! strings) in the same spirit as the decision-trace loader: no
-//! external dependencies, strict about the schema tag, tolerant of
-//! unknown keys so the artifact can grow.
+//! external dependencies, strict about the schema tag and about the
+//! document being one whole object (a truncated artifact is an error,
+//! not an empty relation), tolerant of unknown keys so the artifact can
+//! grow.
 
 use simnet::Candidate;
 
@@ -85,6 +87,12 @@ impl std::fmt::Display for RelationError {
 impl ConflictRelation {
     /// Parses an artifact from its JSON text.
     pub fn parse(src: &str) -> Result<ConflictRelation, RelationError> {
+        let doc = src.trim();
+        if !(doc.starts_with('{') && doc.ends_with('}')) {
+            return Err(RelationError(
+                "not one whole JSON object (truncated?)".into(),
+            ));
+        }
         let schema = str_field(src, "schema")
             .ok_or_else(|| RelationError("missing \"schema\" field".into()))?;
         if schema != RELATION_SCHEMA {
@@ -257,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_wrong_schema_and_bad_qualifier() {
+    fn rejects_wrong_schema_bad_qualifier_and_truncation() {
         let err = ConflictRelation::parse("{\"schema\": \"conflict-relation/2\"}").unwrap_err();
         assert!(err.0.contains("unsupported schema"));
         let err = ConflictRelation::parse(&art(
@@ -266,6 +274,11 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("unknown \"when\""));
         assert!(ConflictRelation::parse("{\"independent\": []}").is_err());
+        let whole = art("");
+        for cut in [1, whole.find("\"indep").expect("key") + 6, whole.len() - 2] {
+            let err = ConflictRelation::parse(&whole[..cut]).unwrap_err();
+            assert!(err.0.contains("truncated"), "cut at {cut}: {err}");
+        }
     }
 
     #[test]

@@ -19,39 +19,22 @@ use simnet::{SimDuration, SimTime};
 
 use crate::resource::ThresholdAction;
 
-/// Configuration for adaptive triggering.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Fire [`ThresholdAction::LaunchReplacement`] when the predicted time
-    /// to exhaustion drops below this (covers process launch + group join
-    /// + advertisement).
-    pub launch_margin: SimDuration,
-    /// Fire [`ThresholdAction::MigrateClients`] when the predicted time to
-    /// exhaustion drops below this (covers redirecting every client plus
-    /// the drain delay, with slack).
-    pub migrate_margin: SimDuration,
-    /// EWMA smoothing factor for the rate estimate, in `(0, 1]`; higher
-    /// weights the newest observation more.
-    pub alpha: f64,
-}
-
-impl Default for AdaptiveConfig {
-    /// Margins sized for the reproduction's deployment: launch latency
-    /// 30 ms + join/advert ≈ 15 ms (margin 120 ms with slack); redirect +
-    /// drain ≈ 10 ms (margin 45 ms with slack).
-    fn default() -> Self {
-        AdaptiveConfig {
-            launch_margin: SimDuration::from_millis(120),
-            migrate_margin: SimDuration::from_millis(45),
-            alpha: 0.3,
-        }
-    }
-}
+/// Fire [`ThresholdAction::LaunchReplacement`] when the predicted time to
+/// exhaustion drops below this: it covers process launch (30 ms) + group
+/// join and advertisement (≈ 15 ms) in the reproduction's deployment,
+/// with slack.
+const LAUNCH_MARGIN: SimDuration = SimDuration::from_millis(120);
+/// Fire [`ThresholdAction::MigrateClients`] when the predicted time to
+/// exhaustion drops below this: it covers redirecting every client plus
+/// the drain delay (≈ 10 ms), with slack.
+const MIGRATE_MARGIN: SimDuration = SimDuration::from_millis(45);
+/// EWMA smoothing factor for the rate estimate, in `(0, 1]`; higher
+/// weights the newest observation more.
+const RATE_ALPHA: f64 = 0.3;
 
 /// Online estimator of time-to-exhaustion with margin-based triggering.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AdaptivePredictor {
-    cfg: AdaptiveConfig,
     last: Option<(SimTime, f64)>,
     /// EWMA of usage growth per second (fraction/s).
     rate: Option<f64>,
@@ -60,20 +43,9 @@ pub struct AdaptivePredictor {
 }
 
 impl AdaptivePredictor {
-    /// Creates a predictor with the given margins.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        AdaptivePredictor {
-            cfg,
-            last: None,
-            rate: None,
-            launch_fired: false,
-            migrate_fired: false,
-        }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
+    /// Creates a predictor that has seen no observation yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current rate estimate, fraction per second (None until two
@@ -101,19 +73,19 @@ impl AdaptivePredictor {
             if dt > 0.0 {
                 let inst = ((fraction - f0) / dt).max(0.0);
                 self.rate = Some(match self.rate {
-                    Some(prev) => prev + self.cfg.alpha * (inst - prev),
+                    Some(prev) => prev + RATE_ALPHA * (inst - prev),
                     None => inst,
                 });
             }
         }
         self.last = Some((now, fraction));
         let remaining = self.predicted_remaining(fraction)?;
-        if !self.migrate_fired && remaining <= self.cfg.migrate_margin {
+        if !self.migrate_fired && remaining <= MIGRATE_MARGIN {
             self.migrate_fired = true;
             self.launch_fired = true;
             return Some(ThresholdAction::MigrateClients);
         }
-        if !self.launch_fired && remaining <= self.cfg.launch_margin {
+        if !self.launch_fired && remaining <= LAUNCH_MARGIN {
             self.launch_fired = true;
             return Some(ThresholdAction::LaunchReplacement);
         }
@@ -157,7 +129,7 @@ mod tests {
 
     #[test]
     fn linear_growth_rate_is_estimated() {
-        let mut p = AdaptivePredictor::new(AdaptiveConfig::default());
+        let mut p = AdaptivePredictor::new();
         // 2.0 fraction/s: exhaustion in 0.5 s from empty.
         feed_linear(&mut p, 2.0, 10, 15);
         let rate = p.rate_per_sec().expect("rate estimated");
@@ -166,7 +138,7 @@ mod tests {
 
     #[test]
     fn fires_launch_then_migrate_in_order() {
-        let mut p = AdaptivePredictor::new(AdaptiveConfig::default());
+        let mut p = AdaptivePredictor::new();
         let actions = feed_linear(&mut p, 2.0, 40, 15);
         assert_eq!(
             actions,
@@ -183,7 +155,7 @@ mod tests {
         // The whole point of adaptivity: for a fast leak the margin is hit
         // at a lower usage fraction than for a slow one.
         let fire_fraction = |rate: f64| -> f64 {
-            let mut p = AdaptivePredictor::new(AdaptiveConfig::default());
+            let mut p = AdaptivePredictor::new();
             for i in 0..10_000 {
                 let t = SimTime::from_millis(i * 5);
                 let frac = (rate * t.as_secs_f64()).min(1.0);
@@ -210,7 +182,7 @@ mod tests {
 
     #[test]
     fn flat_usage_never_fires() {
-        let mut p = AdaptivePredictor::new(AdaptiveConfig::default());
+        let mut p = AdaptivePredictor::new();
         for i in 0..100 {
             let t = SimTime::from_millis(i * 15);
             assert_eq!(p.observe(t, 0.5), None, "constant usage is not a fault");
@@ -219,7 +191,7 @@ mod tests {
 
     #[test]
     fn reset_rearms() {
-        let mut p = AdaptivePredictor::new(AdaptiveConfig::default());
+        let mut p = AdaptivePredictor::new();
         feed_linear(&mut p, 2.0, 40, 15);
         assert!(p.migration_initiated());
         p.reset();
@@ -229,7 +201,7 @@ mod tests {
 
     #[test]
     fn predicted_remaining_tracks_fraction() {
-        let mut p = AdaptivePredictor::new(AdaptiveConfig::default());
+        let mut p = AdaptivePredictor::new();
         p.observe(SimTime::from_millis(0), 0.0);
         p.observe(SimTime::from_millis(100), 0.2); // 2.0/s
         let remaining = p.predicted_remaining(0.5).expect("rate known");

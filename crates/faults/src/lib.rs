@@ -35,7 +35,7 @@ mod pressure;
 mod resource;
 mod weibull;
 
-pub use adaptive::{AdaptiveConfig, AdaptivePredictor};
+pub use adaptive::AdaptivePredictor;
 pub use config::{ConfigError, NamedMix};
 pub use memleak::{LeakConfig, MemoryLeak};
 pub use plan::{

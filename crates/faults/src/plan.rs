@@ -242,6 +242,7 @@ pub struct FaultPlan {
 ///
 /// let space = PlanSpace {
 ///     replica_slots: 3,
+///     nodes: 5,
 ///     daemon_nodes: vec![],
 ///     naming: false,
 ///     rm_crashes: 0,
@@ -316,6 +317,8 @@ impl FaultPlanBuilder {
 pub struct PlanSpace {
     /// Number of server replica slots (crash targets).
     pub replica_slots: u32,
+    /// Number of nodes in the topology: node indices run `0..nodes`.
+    pub nodes: u32,
     /// Node indices whose GCS daemon may be crashed (and restarted).
     pub daemon_nodes: Vec<u32>,
     /// Whether the Naming Service may be crashed (and restarted).
@@ -458,6 +461,17 @@ pub enum PlanError {
         /// The node on both ends.
         node: u32,
     },
+    /// A node index at or beyond `space.nodes`.
+    BadNode {
+        /// The offending node.
+        node: u32,
+    },
+    /// A daemon crash on a node outside `space.daemon_nodes` (such as the
+    /// sequencer's, which the `f = 1` group stack cannot lose).
+    BadDaemon {
+        /// The node whose daemon may not be crashed.
+        node: u32,
+    },
     /// A duration outside its fault model's bounds (zero restarts, heals
     /// beyond [`MAX_PARTITION`], bursts beyond [`MAX_BURST`], …).
     BadDuration {
@@ -504,6 +518,10 @@ impl fmt::Display for PlanError {
             }
             PlanError::BadLink { node } => {
                 write!(f, "link fault with both endpoints on node {node}")
+            }
+            PlanError::BadNode { node } => write!(f, "node {node} beyond the topology"),
+            PlanError::BadDaemon { node } => {
+                write!(f, "the daemon on node {node} may not be crashed")
             }
             PlanError::BadDuration { fault, duration_ns } => {
                 write!(f, "{fault} duration {duration_ns} ns out of bounds")
@@ -719,7 +737,8 @@ impl FaultPlan {
 
     /// Validates the plan against `space`: every event inside the fault
     /// window, probabilities in `[0, 1]`, durations within their model
-    /// bounds, slot/link indices that exist, the crash-gap discipline
+    /// bounds, slot and node indices that exist, daemon crashes only on
+    /// `space.daemon_nodes`, the crash-gap discipline
     /// (including the kills a [`RollingRestart`] expands into), and at
     /// most one resource-pressure fault per slot.
     ///
@@ -735,6 +754,11 @@ impl FaultPlan {
             }
         }
         let slots = space.replica_slots;
+        let known_node = |node: u32| {
+            (node < space.nodes)
+                .then_some(())
+                .ok_or(PlanError::BadNode { node })
+        };
         let mut crash_instants: Vec<SimTime> = Vec::new();
         let mut pressured: Vec<u32> = Vec::new();
         for e in &self.events {
@@ -756,6 +780,12 @@ impl FaultPlan {
                 FaultKind::CrashRecoveryManager => {}
                 FaultKind::CrashGcsDaemon { restart_after, .. }
                 | FaultKind::CrashNaming { restart_after } => {
+                    if let FaultKind::CrashGcsDaemon { node, .. } = e.kind {
+                        known_node(node)?;
+                        if !space.daemon_nodes.contains(&node) {
+                            return Err(PlanError::BadDaemon { node });
+                        }
+                    }
                     if bad_duration(*restart_after, true, MAX_RESTART) {
                         return Err(PlanError::BadDuration {
                             fault: e.kind.name(),
@@ -764,6 +794,8 @@ impl FaultPlan {
                     }
                 }
                 FaultKind::Partition { a, b, heal_after } => {
+                    known_node(*a)?;
+                    known_node(*b)?;
                     if a == b {
                         return Err(PlanError::BadLink { node: *a });
                     }
@@ -836,6 +868,8 @@ impl FaultPlan {
                     to,
                     heal_after,
                 } => {
+                    known_node(*from)?;
+                    known_node(*to)?;
                     if from == to {
                         return Err(PlanError::BadLink { node: *from });
                     }
@@ -852,6 +886,8 @@ impl FaultPlan {
                     bound,
                     duration,
                 } => {
+                    known_node(*a)?;
+                    known_node(*b)?;
                     if a == b {
                         return Err(PlanError::BadLink { node: *a });
                     }
@@ -967,6 +1003,7 @@ mod tests {
     fn space() -> PlanSpace {
         PlanSpace {
             replica_slots: 3,
+            nodes: 5,
             daemon_nodes: vec![1, 2, 3],
             naming: true,
             rm_crashes: 1,
@@ -1275,6 +1312,45 @@ mod tests {
                     per_request: 0.05,
                 },
                 PlanError::BadSlot { slot: 9 },
+            ),
+            (
+                FaultKind::Partition {
+                    a: 0,
+                    b: 9,
+                    heal_after: SimDuration::from_millis(100),
+                },
+                PlanError::BadNode { node: 9 },
+            ),
+            (
+                FaultKind::AsymmetricPartition {
+                    from: 5,
+                    to: 1,
+                    heal_after: SimDuration::from_millis(100),
+                },
+                PlanError::BadNode { node: 5 },
+            ),
+            (
+                FaultKind::JitteryLink {
+                    a: 1,
+                    b: 7,
+                    bound: SimDuration::from_millis(1),
+                    duration: SimDuration::from_millis(100),
+                },
+                PlanError::BadNode { node: 7 },
+            ),
+            (
+                FaultKind::CrashGcsDaemon {
+                    node: 9,
+                    restart_after: SimDuration::from_millis(100),
+                },
+                PlanError::BadNode { node: 9 },
+            ),
+            (
+                FaultKind::CrashGcsDaemon {
+                    node: 0,
+                    restart_after: SimDuration::from_millis(100),
+                },
+                PlanError::BadDaemon { node: 0 },
             ),
         ];
         for (kind, want) in cases {

@@ -10,6 +10,7 @@ use simnet::{SimDuration, SimTime};
 fn space() -> PlanSpace {
     PlanSpace {
         replica_slots: 3,
+        nodes: 5,
         daemon_nodes: vec![1, 2, 3, 4],
         naming: true,
         rm_crashes: 1,

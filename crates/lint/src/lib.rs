@@ -47,7 +47,7 @@
 //! [`lint-allow.toml`](allow) entry; stale entries are configuration
 //! errors. Run it locally with `cargo run --release -- lint`; CI runs it as a
 //! blocking job and uploads the `--format sarif` report to code scanning
-//! and the `--json` summary as an artifact.
+//! and the `--format json` summary as an artifact.
 
 pub mod allow;
 pub mod callgraph;
@@ -825,7 +825,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                 };
                 conflict_report_path = Some(PathBuf::from(v));
             }
-            "--json" => format = Format::Json,
             "--format" => {
                 let Some(v) = it.next() else {
                     eprintln!("detlint: --format needs a value (text|json|sarif)");
@@ -852,7 +851,6 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
                      --root DIR        workspace root to scan (default: .)\n\
                      --allow FILE      suppression list (default: <root>/lint-allow.toml)\n\
                      --format FMT      output format: text (default), json, sarif\n\
-                     --json            shorthand for --format json\n\
                      --timings         print per-rule wall-clock and file counts to stderr\n\
                      --fsm-report FILE write the R9 state-machine extraction report (JSON)\n\
                      --conflict-report FILE\n\

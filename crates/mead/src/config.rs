@@ -1,7 +1,7 @@
-//! MEAD configuration: recovery scheme selection, thresholds, and the
-//! interceptor cost model.
+//! MEAD configuration: recovery scheme selection, thresholds and their
+//! trigger.
 
-use faults::{AdaptiveConfig, LeakConfig, PressureConfig};
+use faults::{LeakConfig, PressureConfig};
 use simnet::SimDuration;
 
 /// The recovery strategy in force, covering the paper's three proactive
@@ -110,63 +110,32 @@ impl std::str::FromStr for RecoveryScheme {
     }
 }
 
-/// Interceptor cost model. These per-message CPU charges are what turn
-/// into the "% increase in RTT" column of Table 1; the defaults are
-/// calibrated against the paper's 850 MHz testbed (baseline RTT 0.75 ms):
-///
-/// * `LOCATION_FORWARD` parses every GIOP request *and* reply to track
-///   `request_id`s and object keys → ≈90 % overhead;
-/// * `NEEDS_ADDRESSING` tracks request ids only (no object keys, no IOR
-///   table) → ≈8 %;
-/// * MEAD messages need only a frame-header scan → ≈3 %.
-#[derive(Clone, Debug)]
-pub struct CostModel {
-    /// Full GIOP header+body parse and table upkeep, per message
-    /// (LOCATION_FORWARD scheme; charged on both request and reply paths).
-    pub giop_parse_cpu: SimDuration,
-    /// Light parse extracting only the request id, plus the reply-path
-    /// frame scan (NEEDS_ADDRESSING; charged once per invocation on the
-    /// client's request path).
-    pub request_track_cpu: SimDuration,
-    /// Frame-magic/length scan (MEAD scheme). Charged once per invocation
-    /// on the server's reply path; it covers both interceptor halves,
-    /// since the client half's work happens between reply arrival and
-    /// delivery and is folded here for observability.
-    pub frame_scan_cpu: SimDuration,
-    /// IOR-table lookup via the 16-bit object-key hash, per forward.
-    pub ior_lookup_cpu: SimDuration,
-    /// Byte-by-byte object-key comparison (ablation of the 16-bit hash).
-    pub ior_bytewise_cpu: SimDuration,
-    /// Fabricating a reply / rewriting a message.
-    pub fabricate_cpu: SimDuration,
-    /// The first-listed replica's work to answer an `AddressQuery`
-    /// (section 4.2): consulting the membership listing and re-multicasting
-    /// through the group-communication stack.
-    pub address_reply_cpu: SimDuration,
-    /// Completing a `dup2()`-style connection redirect at the client:
-    /// socket teardown/re-pointing plus interceptor bookkeeping. Far
-    /// cheaper than an ORB-level reconnect (~6 ms) — this asymmetry is the
-    /// source of the MEAD scheme's 73.9 % fail-over win.
-    pub redirect_cpu: SimDuration,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            giop_parse_cpu: SimDuration::from_micros(330),
-            request_track_cpu: SimDuration::from_micros(60),
-            frame_scan_cpu: SimDuration::from_micros(22),
-            ior_lookup_cpu: SimDuration::from_micros(15),
-            ior_bytewise_cpu: SimDuration::from_micros(60),
-            fabricate_cpu: SimDuration::from_micros(80),
-            address_reply_cpu: SimDuration::from_micros(700),
-            redirect_cpu: SimDuration::from_micros(1250),
-        }
-    }
+/// Which trigger checks the resource usage against the two-step
+/// thresholds: the one real choice among the Fault-Tolerance Manager's
+/// settings.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Trigger {
+    /// On the write path, against the preset thresholds: "proactive
+    /// recovery needs to be triggered only when there are active client
+    /// connections" (section 3.1). The paper's choice, and the
+    /// builder's.
+    OnWrite,
+    /// On the periodic leak (or pressure) timer, against the preset
+    /// thresholds: the polling ablation the paper rejected (section 3.1).
+    /// Crossings are detected at timer granularity rather than at the
+    /// next client interaction.
+    Polled,
+    /// The adaptive rate-estimating predictor (the paper's future work,
+    /// section 6), sampled on the timer: actions fire when the
+    /// *predicted time to exhaustion* crosses its safety margins instead
+    /// of at fixed usage fractions.
+    Adaptive,
 }
 
 /// Complete MEAD deployment configuration shared by the interceptors and
-/// the Recovery Manager.
+/// the Recovery Manager: what a run decides. The calibrated costs and
+/// the deployment's fixed names and sizes are constants next to the code
+/// that charges them (DESIGN §7).
 #[derive(Clone, Debug)]
 pub struct MeadConfig {
     /// Strategy in force.
@@ -175,8 +144,6 @@ pub struct MeadConfig {
     pub launch_threshold: f64,
     /// Second (migrate) threshold as a fraction, e.g. 0.9.
     pub migrate_threshold: f64,
-    /// Interceptor cost model.
-    pub costs: CostModel,
     /// Memory-leak fault injected at the primary (section 5.1). `None`
     /// disables fault injection (fault-free runs).
     pub leak: Option<LeakConfig>,
@@ -186,42 +153,14 @@ pub struct MeadConfig {
     /// (a fresh replacement does not inherit the runaway). `None` (the
     /// default, and the paper's configuration) disables it.
     pub pressure: Option<PressureConfig>,
-    /// Group that replicas and the Recovery Manager join.
-    pub server_group: String,
     /// Warm-passive checkpoint interval (primary → backups over GCS).
     pub checkpoint_interval: SimDuration,
-    /// Checkpoint payload size (application state size).
-    pub checkpoint_bytes: usize,
-    /// How long a migrating replica waits after notifying all clients
-    /// before exiting gracefully.
-    pub drain_delay: SimDuration,
-    /// Client-side wait for an `AddressReply` before exposing the failure
-    /// (paper: "we used a 10 ms timeout").
-    pub address_query_timeout: SimDuration,
     /// Use the 16-bit object-key hash for IOR lookups (section 4.1's
     /// optimisation); `false` falls back to byte-wise comparison
     /// (ablation).
     pub use_key_hash: bool,
-    /// Replace the preset two-step thresholds with the adaptive
-    /// rate-estimating predictor (the paper's future work, section 6):
-    /// actions fire when the *predicted time to exhaustion* crosses the
-    /// configured safety margins instead of at fixed usage fractions.
-    pub adaptive: Option<AdaptiveConfig>,
-    /// Check thresholds from the periodic leak timer instead of on the
-    /// write path. The paper rejected timer-driven monitoring ("proactive
-    /// recovery needs to be triggered only when there are active client
-    /// connections", section 3.1); `true` enables it as an ablation:
-    /// crossings are detected at timer granularity rather than at the next
-    /// client interaction.
-    pub poll_thresholds: bool,
-    /// Number of Recovery Manager instances. `1` reproduces the paper's
-    /// deliberate single point of failure (DESIGN §6.5); higher values
-    /// replicate the RM warm-passively over `groupcomm` with leader
-    /// election on view change (chaos-campaign hardening, DESIGN §8).
-    pub rm_instances: u32,
-    /// Group the Recovery Manager instances join for leader election and
-    /// warm-passive state exchange.
-    pub manager_group: String,
+    /// What checks the thresholds.
+    pub trigger: Trigger,
     /// Hold each client reply until the checkpoint covering it has been
     /// self-delivered through the totally-ordered group (commit-before-
     /// ack). Off by default: the paper's warm-passive transfer replies
@@ -237,8 +176,8 @@ pub struct MeadConfig {
 
 impl MeadConfig {
     /// Starts a builder seeded with the paper's configuration for
-    /// `scheme`: the 80 %/90 % threshold pair, the calibrated cost model
-    /// and the standard memory leak. `MeadConfig::builder(s).build()`
+    /// `scheme`: the 80 %/90 % threshold pair, the write-path trigger and
+    /// the standard memory leak. `MeadConfig::builder(s).build()`
     /// reproduces the Table 1 deployment for scheme `s` exactly.
     pub fn builder(scheme: RecoveryScheme) -> MeadConfigBuilder {
         MeadConfigBuilder {
@@ -246,19 +185,11 @@ impl MeadConfig {
                 scheme,
                 launch_threshold: 0.8,
                 migrate_threshold: 0.9,
-                costs: CostModel::default(),
                 leak: Some(LeakConfig::default()),
                 pressure: None,
-                server_group: "servers".to_string(),
                 checkpoint_interval: SimDuration::from_millis(250),
-                checkpoint_bytes: 128,
-                drain_delay: SimDuration::from_millis(5),
-                address_query_timeout: SimDuration::from_millis(10),
                 use_key_hash: true,
-                adaptive: None,
-                poll_thresholds: false,
-                rm_instances: 1,
-                manager_group: "managers".to_string(),
+                trigger: Trigger::OnWrite,
                 commit_acks: false,
                 trace_level: obs::TraceLevel::Recovery,
             },
@@ -266,50 +197,22 @@ impl MeadConfig {
     }
 }
 
-/// Builder returned by [`MeadConfig::builder`]; every knob defaults to
-/// the paper's values, so experiments state only what they vary.
+/// Builder returned by [`MeadConfig::builder`]; every field starts at the
+/// paper's value, and the one knob an experiment sweeps has a method.
 #[derive(Clone, Debug)]
 pub struct MeadConfigBuilder {
     cfg: MeadConfig,
 }
 
 impl MeadConfigBuilder {
-    /// Sets both two-step thresholds explicitly. Both are clamped to
-    /// (0, 1] and `launch` is capped at `migrate` (the launch step can
-    /// never follow the migrate step).
-    pub fn thresholds(mut self, launch: f64, migrate: f64) -> Self {
-        self.cfg.migrate_threshold = migrate.clamp(0.05, 1.0);
-        self.cfg.launch_threshold = launch.clamp(0.01, self.cfg.migrate_threshold);
-        self
-    }
-
     /// Sets the migrate threshold with the launch threshold trailing it
     /// by the paper's 10-point gap (the Figure 5 sweep's single knob).
-    pub fn migrate_threshold(self, threshold: f64) -> Self {
-        self.thresholds(threshold - 0.1, threshold)
-    }
-
-    /// Replaces the interceptor cost model.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.cfg.costs = costs;
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the injected memory leak.
-    pub fn leak(mut self, leak: Option<LeakConfig>) -> Self {
-        self.cfg.leak = leak;
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the resource-pressure fault.
-    pub fn pressure(mut self, pressure: Option<PressureConfig>) -> Self {
-        self.cfg.pressure = pressure;
-        self
-    }
-
-    /// Sets the observability trace verbosity for the deployment.
-    pub fn trace_level(mut self, level: obs::TraceLevel) -> Self {
-        self.cfg.trace_level = level;
+    /// Both are clamped to (0, 1], and the launch threshold is capped at
+    /// the migrate threshold (the launch step can never follow the
+    /// migrate step).
+    pub fn migrate_threshold(mut self, threshold: f64) -> Self {
+        self.cfg.migrate_threshold = threshold.clamp(0.05, 1.0);
+        self.cfg.launch_threshold = (threshold - 0.1).clamp(0.01, self.cfg.migrate_threshold);
         self
     }
 
@@ -362,11 +265,10 @@ mod tests {
         assert_eq!(cfg.migrate_threshold, 0.9);
         assert!(cfg.leak.is_some());
         assert!(cfg.use_key_hash);
-        // Paper fidelity: the RM stays a SPOF and replies are immediate
-        // unless an experiment opts in to the hardened behaviour.
-        assert_eq!(cfg.rm_instances, 1);
-        assert_eq!(cfg.manager_group, "managers");
+        // Paper fidelity: replies are immediate unless an experiment opts
+        // in to the hardened behaviour.
         assert!(!cfg.commit_acks);
+        assert_eq!(cfg.trigger, Trigger::OnWrite);
         assert_eq!(cfg.trace_level, obs::TraceLevel::Recovery);
     }
 
@@ -382,24 +284,5 @@ mod tests {
             .build();
         assert!(cfg.launch_threshold <= cfg.migrate_threshold);
         assert!(cfg.launch_threshold > 0.0);
-    }
-
-    #[test]
-    fn builder_explicit_knobs() {
-        let cfg = MeadConfig::builder(RecoveryScheme::LocationForward)
-            .thresholds(0.5, 0.7)
-            .leak(None)
-            .trace_level(obs::TraceLevel::Kernel)
-            .build();
-        assert_eq!(cfg.scheme, RecoveryScheme::LocationForward);
-        assert!((cfg.launch_threshold - 0.5).abs() < 1e-9);
-        assert!((cfg.migrate_threshold - 0.7).abs() < 1e-9);
-        assert!(cfg.leak.is_none());
-        assert_eq!(cfg.trace_level, obs::TraceLevel::Kernel);
-        // launch can never trail migrate: it is capped.
-        let cfg = MeadConfig::builder(RecoveryScheme::MeadFailover)
-            .thresholds(0.9, 0.6)
-            .build();
-        assert!(cfg.launch_threshold <= cfg.migrate_threshold);
     }
 }

@@ -20,6 +20,10 @@ use giop::{Ior, ObjectKey};
 /// Recovery Manager, are ignored when selecting fail-over targets).
 pub const REPLICA_PREFIX: &str = "replica/";
 
+/// The replicas' group: replicas and the Recovery Manager join it, and a
+/// client-side interceptor multicasts its address queries to it.
+pub const SERVER_GROUP: &str = "servers";
+
 /// A replica slot index (0-based). The Recovery Manager maintains one
 /// intended live instance per slot; slot numbers are stable across
 /// relaunches while ports and pids change.

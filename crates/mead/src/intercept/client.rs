@@ -23,7 +23,6 @@
 //!   is released and the application sees `COMM_FAILURE`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 use bytes::Bytes;
 use giop::{Endian, FrameKind, Message, MessageView, MsgType, ReplyBody, ReplyMessage};
@@ -34,11 +33,26 @@ use simnet::{
     ReadOutcome, SimDuration, SimRng, SimTime, SysApi, SysError, TimerId,
 };
 
-use crate::config::{MeadConfig, RecoveryScheme};
+use crate::config::RecoveryScheme;
+use crate::directory::SERVER_GROUP;
 use crate::intercept::common::{
-    is_intercept_token, Scanned, Stream, TOKEN_GCS, TOKEN_QUERY_TIMEOUT, TOKEN_REDIRECT_DONE_BASE,
+    is_intercept_token, Scanned, Stream, FABRICATE_CPU, TOKEN_GCS, TOKEN_QUERY_TIMEOUT,
+    TOKEN_REDIRECT_DONE_BASE,
 };
 use crate::messages::{FailoverNotice, GroupMsg};
+
+/// Light parse extracting only the request id, plus the reply-path frame
+/// scan (NEEDS_ADDRESSING; charged once per invocation on the client's
+/// request path): ≈8 % RTT overhead on the paper's testbed (DESIGN §7).
+const REQUEST_TRACK_CPU: SimDuration = SimDuration::from_micros(60);
+/// Completing a `dup2()`-style connection redirect at the client: socket
+/// teardown/re-pointing plus interceptor bookkeeping. Far cheaper than an
+/// ORB-level reconnect (~6 ms) — this asymmetry is the source of the MEAD
+/// scheme's 73.9 % fail-over win.
+pub const REDIRECT_CPU: SimDuration = SimDuration::from_micros(1250);
+/// Wait for an `AddressReply` before exposing the failure (paper: "we
+/// used a 10 ms timeout").
+const ADDRESS_QUERY_TIMEOUT: SimDuration = SimDuration::from_millis(10);
 
 /// Why a new connection is being opened by the interceptor.
 #[derive(Debug)]
@@ -72,8 +86,7 @@ pub struct ClientInterceptor {
 }
 
 struct ClientState {
-    /// Shared by every client interceptor of a scenario.
-    cfg: Rc<MeadConfig>,
+    scheme: RecoveryScheme,
     gcs: Option<GcsClient>,
     reply_group: String,
     /// app conn id -> stream. Boxed: a client holds one or two streams,
@@ -98,13 +111,12 @@ struct ClientState {
 }
 
 impl ClientInterceptor {
-    /// Wraps `inner` (an unmodified client process). A scenario hands
-    /// every client the same `Rc<MeadConfig>`; a plain config works too.
-    pub fn new(cfg: impl Into<Rc<MeadConfig>>, inner: Box<dyn Process>) -> Self {
+    /// Wraps `inner` (an unmodified client process) for `scheme`.
+    pub fn new(scheme: RecoveryScheme, inner: Box<dyn Process>) -> Self {
         ClientInterceptor {
             inner,
             st: ClientState {
-                cfg: cfg.into(),
+                scheme,
                 gcs: None,
                 reply_group: String::new(),
                 streams: BTreeMap::new(),
@@ -214,7 +226,7 @@ impl Process for ClientInterceptor {
                     self.inner.on_event(&mut facade, event);
                     return;
                 };
-                if self.st.cfg.scheme == RecoveryScheme::NeedsAddressing {
+                if self.st.scheme == RecoveryScheme::NeedsAddressing {
                     // Suppress the failure and go ask the group
                     // (section 4.2).
                     self.st.suppress_eof(sys, app);
@@ -278,7 +290,7 @@ impl ClientState {
         let Some(stream) = self.streams.get_mut(&app) else {
             return false;
         };
-        if read.eof && self.cfg.scheme != RecoveryScheme::NeedsAddressing {
+        if read.eof && self.scheme != RecoveryScheme::NeedsAddressing {
             stream.stage_eof = true;
         }
         stream.incoming.push(read.data);
@@ -381,7 +393,7 @@ impl ClientState {
     /// matching the paper's synchronous in-`read()` redirect.
     fn complete_redirect(&mut self, sys: &mut dyn SysApi, new_real: ConnId) -> Option<Event> {
         let redirect = self.redirects.remove(&new_real)?;
-        sys.charge_cpu(self.cfg.costs.redirect_cpu);
+        sys.charge_cpu(REDIRECT_CPU);
         sys.count("mead.client.redirects_completed", 1);
         sys.mark("mead.client.redirect_at");
         sys.emit(EventKind::Phase(Phase::ClientRedirect));
@@ -399,7 +411,7 @@ impl ClientState {
         let token = TOKEN_REDIRECT_DONE_BASE + self.next_finish_token;
         self.next_finish_token += 1;
         self.finishing.insert(token, (app, outstanding));
-        sys.set_timer(self.cfg.costs.redirect_cpu, token);
+        sys.set_timer(REDIRECT_CPU, token);
         None
     }
 
@@ -422,7 +434,7 @@ impl ClientState {
         if let Some(request_id) = outstanding {
             // Fabricate the NEEDS_ADDRESSING_MODE reply that makes the ORB
             // resend over the redirected connection.
-            sys.charge_cpu(self.cfg.costs.fabricate_cpu);
+            sys.charge_cpu(FABRICATE_CPU);
             sys.count("mead.client.fabricated_needs_addr", 1);
             let fab = Message::Reply(ReplyMessage {
                 request_id,
@@ -451,7 +463,7 @@ impl ClientState {
             stream.redirecting = true;
         }
         let outstanding = self.outstanding.get(&app).copied();
-        let timer = sys.set_timer(self.cfg.address_query_timeout, TOKEN_QUERY_TIMEOUT);
+        let timer = sys.set_timer(ADDRESS_QUERY_TIMEOUT, TOKEN_QUERY_TIMEOUT);
         self.queries.insert(
             app,
             PendingQuery {
@@ -460,12 +472,11 @@ impl ClientState {
                 timer,
             },
         );
-        let group = self.cfg.server_group.clone();
         let reply_group = self.reply_group.clone();
         if let Some(gcs) = self.gcs.as_mut() {
             gcs.multicast(
                 sys,
-                &group,
+                SERVER_GROUP,
                 &GroupMsg::AddressQuery { reply_group }.encode(),
             );
         }
@@ -585,7 +596,7 @@ impl SysApi for ClientFacade<'_> {
         let Some(stream) = self.st.streams.get_mut(&conn) else {
             return self.sys.write_bytes(conn, bytes);
         };
-        if self.st.cfg.scheme == RecoveryScheme::NeedsAddressing {
+        if self.st.scheme == RecoveryScheme::NeedsAddressing {
             // Track the in-flight request id so a fabricated reply can
             // name it. This light parse is the scheme's ~8 % overhead.
             // It only peeks: the bytes go out below whatever it finds, so
@@ -594,7 +605,7 @@ impl SysApi for ClientFacade<'_> {
             stream.outgoing.push(bytes.clone());
             while let Some(Scanned::Frame(frame)) = stream.outgoing.scan() {
                 if frame.kind == FrameKind::Giop && frame.msg_type() == MsgType::Request as u8 {
-                    self.sys.charge_cpu(self.st.cfg.costs.request_track_cpu);
+                    self.sys.charge_cpu(REQUEST_TRACK_CPU);
                     if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
                         if req.response_expected {
                             self.st.outstanding.insert(conn, req.request_id);
@@ -715,7 +726,7 @@ mod tests {
         const REFUSALS: u32 = 10;
         let mut sys = MockSys::new(NodeId::from_index(4));
         let mut interceptor = ClientInterceptor::new(
-            MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+            RecoveryScheme::MeadFailover,
             Box::new(Redialer { left: REFUSALS - 1 }),
         );
         interceptor.on_start(&mut sys);

@@ -1,4 +1,5 @@
-//! Shared interceptor plumbing: staged streams and timer-token namespaces.
+//! Shared interceptor plumbing: staged streams, timer-token namespaces and
+//! the one CPU charge both interceptor halves pay.
 //!
 //! The interceptor sits between the kernel and the application process the
 //! way the paper's `LD_PRELOAD` library sits between libc and the ORB: it
@@ -13,7 +14,7 @@
 
 use bytes::Bytes;
 use giop::{Frame, FrameSplitter, GiopError};
-use simnet::{ConnId, ReadOutcome, RecvQueue};
+use simnet::{ConnId, ReadOutcome, RecvQueue, SimDuration};
 
 /// Timer tokens at or above this value belong to the interceptor (and its
 /// embedded GCS client); application code must keep its tokens below.
@@ -35,6 +36,11 @@ pub const TOKEN_PRESSURE_TICK: u64 = TOKEN_BASE + 6;
 /// Base for redirect-completion timers (client side); offsets index the
 /// interceptor's `finishing` table.
 pub const TOKEN_REDIRECT_DONE_BASE: u64 = TOKEN_BASE + 1000;
+
+/// Fabricating a reply or rewriting a message, charged by either
+/// interceptor half (calibrated with the other interceptor costs,
+/// DESIGN §7).
+pub const FABRICATE_CPU: SimDuration = SimDuration::from_micros(80);
 
 /// `true` when a timer token belongs to interceptor infrastructure.
 pub fn is_intercept_token(token: u64) -> bool {

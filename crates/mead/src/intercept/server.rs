@@ -39,14 +39,40 @@ use simnet::{
     SimDuration, SimRng, SimTime, SysApi, SysError, TimerId,
 };
 
-use crate::config::{MeadConfig, RecoveryScheme};
-use crate::directory::{replica_member_name, MemberName, ReplicaDirectory, Slot};
+use crate::config::{MeadConfig, RecoveryScheme, Trigger};
+use crate::directory::{replica_member_name, MemberName, ReplicaDirectory, Slot, SERVER_GROUP};
 use crate::intercept::common::{
-    is_intercept_token, Scanned, Stream, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS, TOKEN_LEAK,
-    TOKEN_PRESSURE_ARM, TOKEN_PRESSURE_TICK,
+    is_intercept_token, Scanned, Stream, FABRICATE_CPU, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS,
+    TOKEN_LEAK, TOKEN_PRESSURE_ARM, TOKEN_PRESSURE_TICK,
 };
 use crate::messages::{FailoverNotice, GroupMsg};
 use crate::replica::ReplicaApp;
+
+/// Full GIOP header+body parse and table upkeep, per message
+/// (LOCATION_FORWARD scheme; charged on both request and reply paths to
+/// track `request_id`s and object keys): the scheme's ≈90 % RTT overhead
+/// over the paper's 0.75 ms baseline (DESIGN §7).
+pub const GIOP_PARSE_CPU: SimDuration = SimDuration::from_micros(330);
+/// Frame-magic/length scan (MEAD scheme), the scheme's ≈3 % RTT overhead.
+/// Charged once per invocation on the server's reply path; it covers both
+/// interceptor halves, since the client half's work happens between
+/// reply arrival and delivery and is folded here for observability.
+const FRAME_SCAN_CPU: SimDuration = SimDuration::from_micros(22);
+/// IOR-table lookup via the 16-bit object-key hash, per forward.
+const IOR_LOOKUP_CPU: SimDuration = SimDuration::from_micros(15);
+/// Byte-by-byte object-key comparison (ablation of the 16-bit hash).
+const IOR_BYTEWISE_CPU: SimDuration = SimDuration::from_micros(60);
+/// The first-listed replica's work to answer an `AddressQuery`
+/// (section 4.2): consulting the membership listing and re-multicasting
+/// through the group-communication stack.
+pub const ADDRESS_REPLY_CPU: SimDuration = SimDuration::from_micros(700);
+/// Checkpoint payload size without state hooks: the paper's stateless
+/// application, whose fixed-size checkpoints make Figure 5's baseline
+/// bandwidth.
+const CHECKPOINT_BYTES: usize = 128;
+/// How long a migrating replica waits after notifying all clients before
+/// exiting gracefully.
+const DRAIN_DELAY: SimDuration = SimDuration::from_millis(5);
 
 /// What the interceptor captures and restores for warm-passive
 /// replication — the reproduction's stand-in for MEAD's checkpointing
@@ -108,7 +134,7 @@ struct ServerState {
     /// decile crossings, not every tick).
     pressure_decile: u32,
     monitor: ResourceMonitor,
-    adaptive: Option<AdaptivePredictor>,
+    adaptive: AdaptivePredictor,
     listen_port: Option<Port>,
     app_listeners: BTreeSet<ListenerId>,
     client_streams: BTreeMap<ConnId, Stream>,
@@ -149,7 +175,6 @@ impl ServerInterceptor {
         let leak = cfg.leak.clone().map(MemoryLeak::new);
         let pressure = cfg.pressure.clone().map(ResourcePressure::new);
         let monitor = ResourceMonitor::clamped(cfg.launch_threshold, cfg.migrate_threshold);
-        let adaptive = cfg.adaptive.clone().map(AdaptivePredictor::new);
         ServerInterceptor {
             label: format!("mead-server-interceptor/{slot}"),
             inner,
@@ -163,7 +188,7 @@ impl ServerInterceptor {
                 pressure,
                 pressure_decile: 0,
                 monitor,
-                adaptive,
+                adaptive: AdaptivePredictor::new(),
                 listen_port: None,
                 app_listeners: BTreeSet::new(),
                 client_streams: BTreeMap::new(),
@@ -210,8 +235,7 @@ impl Process for ServerInterceptor {
         self.st.member = replica_member_name(self.st.slot, sys.my_pid().raw());
         let mut gcs = GcsClient::new(self.st.member.as_str().to_string(), TOKEN_GCS);
         gcs.start(sys);
-        let group = self.st.cfg.server_group.clone();
-        gcs.join(sys, &group);
+        gcs.join(sys, SERVER_GROUP);
         self.st.gcs = Some(gcs);
         if self.st.leak.is_some() {
             let interval = self
@@ -388,7 +412,7 @@ impl ServerState {
                 && !self.dir.is_first_replica(&self.member)
             {
                 if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
-                    sys.charge_cpu(self.cfg.costs.fabricate_cpu);
+                    sys.charge_cpu(FABRICATE_CPU);
                     sys.count("mead.nonprimary_refusals", 1);
                     if req.response_expected {
                         let reply = Message::Reply(ReplyMessage {
@@ -452,7 +476,7 @@ impl ServerState {
         if self.cfg.scheme == RecoveryScheme::LocationForward {
             // Full parse to harvest request_id and object key — the source
             // of this scheme's ~90 % overhead (section 5.2.2).
-            sys.charge_cpu(self.cfg.costs.giop_parse_cpu);
+            sys.charge_cpu(GIOP_PARSE_CPU);
             if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
                 self.request_keys.entry(conn).or_default().insert(
                     req.request_id,
@@ -471,19 +495,14 @@ impl ServerState {
         }
         // Per-scheme steady-state costs on the reply path.
         match self.cfg.scheme {
-            RecoveryScheme::LocationForward => sys.charge_cpu(self.cfg.costs.giop_parse_cpu),
-            RecoveryScheme::MeadFailover => sys.charge_cpu(self.cfg.costs.frame_scan_cpu),
+            RecoveryScheme::LocationForward => sys.charge_cpu(GIOP_PARSE_CPU),
+            RecoveryScheme::MeadFailover => sys.charge_cpu(FRAME_SCAN_CPU),
             _ => {}
         }
         // Event-driven threshold check: "proactive recovery needs to be
         // triggered only when there are active client connections"
-        // (section 3.1) — hence on writev, not on a polling thread. The
-        // ablation flag `poll_thresholds` moves this to the leak timer,
-        // as does the adaptive predictor (whose rate estimate needs the
-        // leak tick cadence).
-        if !self.cfg.poll_thresholds && self.cfg.adaptive.is_none() {
-            self.check_thresholds(sys, false);
-        }
+        // (section 3.1) — hence on writev, not on a polling thread.
+        self.check_thresholds(sys, false);
         if !self.migrating {
             return frame.bytes.clone();
         }
@@ -509,9 +528,9 @@ impl ServerState {
             return frame.bytes.clone(); // cannot redirect; serve normally
         };
         sys.charge_cpu(if self.cfg.use_key_hash {
-            self.cfg.costs.ior_lookup_cpu
+            IOR_LOOKUP_CPU
         } else {
-            self.cfg.costs.ior_bytewise_cpu
+            IOR_BYTEWISE_CPU
         });
         let Some(ior) = self
             .dir
@@ -521,7 +540,7 @@ impl ServerState {
             sys.count("mead.forward_no_ior", 1);
             return frame.bytes.clone();
         };
-        sys.charge_cpu(self.cfg.costs.fabricate_cpu);
+        sys.charge_cpu(FABRICATE_CPU);
         sys.count("mead.forwards_sent", 1);
         sys.emit(EventKind::Phase(Phase::FailoverNotice));
         self.notified.insert(conn);
@@ -543,7 +562,7 @@ impl ServerState {
             sys.count("mead.piggyback_no_target", 1);
             return frame.bytes.clone();
         };
-        sys.charge_cpu(self.cfg.costs.fabricate_cpu);
+        sys.charge_cpu(FABRICATE_CPU);
         sys.count("mead.piggybacks_sent", 1);
         sys.emit(EventKind::Phase(Phase::FailoverNotice));
         self.notified.insert(conn);
@@ -566,7 +585,7 @@ impl ServerState {
         if frame.kind != FrameKind::Giop || frame.msg_type() != MsgType::Request as u8 {
             return;
         }
-        sys.charge_cpu(self.cfg.costs.giop_parse_cpu);
+        sys.charge_cpu(GIOP_PARSE_CPU);
         let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) else {
             return;
         };
@@ -582,10 +601,13 @@ impl ServerState {
         if let Some(ior) = parsed {
             sys.count("mead.ior_captured", 1);
             self.my_iors.push(ior.clone());
-            let group = self.cfg.server_group.clone();
             let member = self.member.as_str().to_string();
             if let Some(gcs) = self.gcs.as_mut() {
-                gcs.multicast(sys, &group, &GroupMsg::IorAdvert { member, ior }.encode());
+                gcs.multicast(
+                    sys,
+                    SERVER_GROUP,
+                    &GroupMsg::IorAdvert { member, ior }.encode(),
+                );
             }
         }
     }
@@ -635,9 +657,11 @@ impl ServerState {
         false
     }
 
-    /// Observes the current resource usage against the configured
-    /// trigger (preset two-step thresholds, or the adaptive predictor)
-    /// and initiates launch/migration on crossings.
+    /// Observes the current resource usage through the configured
+    /// [`Trigger`] and initiates launch/migration on crossings. The write
+    /// path (`from_timer == false`) feeds the paper's trigger; the leak
+    /// and pressure timers feed the polling ablation and the adaptive
+    /// predictor, whose rate estimate needs their clean usage deltas.
     fn check_thresholds(&mut self, sys: &mut dyn SysApi, from_timer: bool) {
         if !self.cfg.scheme.is_proactive_migration() {
             return;
@@ -645,12 +669,10 @@ impl ServerState {
         let Some(fraction) = self.usage_fraction() else {
             return;
         };
-        let action = match self.adaptive.as_mut() {
-            // The predictor samples on the leak-tick cadence so its rate
-            // estimate sees clean usage deltas.
-            Some(predictor) if from_timer => predictor.observe(sys.now(), fraction),
-            Some(_) => None,
-            None => self.monitor.observe(fraction),
+        let action = match (self.cfg.trigger, from_timer) {
+            (Trigger::OnWrite, false) | (Trigger::Polled, true) => self.monitor.observe(fraction),
+            (Trigger::Adaptive, true) => self.adaptive.observe(sys.now(), fraction),
+            _ => None,
         };
         match action {
             Some(ThresholdAction::LaunchReplacement) => {
@@ -683,14 +705,13 @@ impl ServerState {
         }
         let state = match self.state_hooks.as_ref() {
             Some(hooks) => hooks.capture(),
-            None => vec![0u8; self.cfg.checkpoint_bytes],
+            None => vec![0u8; CHECKPOINT_BYTES],
         };
-        let group = self.cfg.server_group.clone();
         let member = self.member.as_str().to_string();
         if let Some(gcs) = self.gcs.as_mut() {
             gcs.multicast(
                 sys,
-                &group,
+                SERVER_GROUP,
                 &GroupMsg::Checkpoint { member, state }.encode(),
             );
         }
@@ -702,10 +723,13 @@ impl ServerState {
         }
         self.launch_requested = true;
         sys.count("mead.launch_requests", 1);
-        let group = self.cfg.server_group.clone();
         let member = self.member.as_str().to_string();
         if let Some(gcs) = self.gcs.as_mut() {
-            gcs.multicast(sys, &group, &GroupMsg::LaunchRequest { member }.encode());
+            gcs.multicast(
+                sys,
+                SERVER_GROUP,
+                &GroupMsg::LaunchRequest { member }.encode(),
+            );
         }
     }
 
@@ -714,13 +738,12 @@ impl ServerState {
             return;
         };
         let host = crate::host_of(sys.my_node());
-        let group = self.cfg.server_group.clone();
         let member = self.member.as_str().to_string();
         let iors = self.my_iors.clone();
         if let Some(gcs) = self.gcs.as_mut() {
             gcs.multicast(
                 sys,
-                &group,
+                SERVER_GROUP,
                 &GroupMsg::AddrAdvert {
                     member: member.clone(),
                     host,
@@ -731,7 +754,7 @@ impl ServerState {
             for ior in iors {
                 gcs.multicast(
                     sys,
-                    &group,
+                    SERVER_GROUP,
                     &GroupMsg::IorAdvert {
                         member: member.clone(),
                         ior,
@@ -764,7 +787,7 @@ impl ServerState {
                     self.send_checkpoint(sys);
                 }
             }
-            GcsDelivery::View { group, members, .. } if group == self.cfg.server_group => {
+            GcsDelivery::View { group, members, .. } if group == SERVER_GROUP => {
                 let grew = members.len() > self.dir.view().len();
                 self.dir.on_view(members);
                 // Advertise once more when our own join is confirmed, in
@@ -785,9 +808,8 @@ impl ServerState {
                 // newcomers learn addresses from that SyncList.
                 if grew && self.dir.is_first_replica(&self.member) {
                     let entries = self.dir.sync_entries();
-                    let group = self.cfg.server_group.clone();
                     if let Some(gcs) = self.gcs.as_mut() {
-                        gcs.multicast(sys, &group, &GroupMsg::SyncList { entries }.encode());
+                        gcs.multicast(sys, SERVER_GROUP, &GroupMsg::SyncList { entries }.encode());
                         sys.count("mead.synclists_sent", 1);
                     }
                 }
@@ -805,8 +827,8 @@ impl ServerState {
                     // group-membership list responds" (section 4.2).
                     if self.dir.is_first_replica(&self.member) {
                         if let Some(port) = self.listen_port {
-                            sys.charge_cpu(self.cfg.costs.address_reply_cpu);
-                            sys.charge_cpu(self.cfg.costs.fabricate_cpu);
+                            sys.charge_cpu(ADDRESS_REPLY_CPU);
+                            sys.charge_cpu(FABRICATE_CPU);
                             sys.count("mead.address_replies", 1);
                             let host = crate::host_of(sys.my_node());
                             let member = self.member.as_str().to_string();
@@ -880,11 +902,7 @@ impl ServerState {
                     sys.exit(ExitReason::Crash("memory exhausted".into()));
                     return;
                 }
-                if self.cfg.poll_thresholds || self.cfg.adaptive.is_some() {
-                    // Timer-driven monitoring: the polling ablation, or
-                    // the adaptive predictor's sampling cadence.
-                    self.check_thresholds(sys, true);
-                }
+                self.check_thresholds(sys, true);
                 if let Some(cfg) = self.cfg.leak.as_ref() {
                     sys.set_timer(cfg.interval, TOKEN_LEAK);
                 }
@@ -943,9 +961,7 @@ impl ServerState {
                 if self.pressure_progress(sys) {
                     return;
                 }
-                if self.cfg.poll_thresholds || self.cfg.adaptive.is_some() {
-                    self.check_thresholds(sys, true);
-                }
+                self.check_thresholds(sys, true);
                 if let Some(tick) = tick {
                     sys.set_timer(tick, TOKEN_PRESSURE_TICK);
                 }
@@ -966,7 +982,7 @@ impl ServerState {
             .all(|c| self.notified.contains(c));
         if all_notified {
             self.draining = true;
-            sys.set_timer(self.cfg.drain_delay, TOKEN_DRAIN);
+            sys.set_timer(DRAIN_DELAY, TOKEN_DRAIN);
         }
     }
 }

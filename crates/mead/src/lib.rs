@@ -14,8 +14,10 @@
 //! * [`RecoveryManager`] — launches replacement replicas on membership
 //!   changes and proactive fault notifications;
 //! * [`ReplicaApp`] — the unmodified replicated time-of-day server;
-//! * [`RecoveryScheme`]/[`MeadConfig`]/[`CostModel`] — the five strategies
-//!   of Table 1 with the calibrated interceptor cost model.
+//! * [`RecoveryScheme`]/[`MeadConfig`]/[`Trigger`] — the five strategies
+//!   of Table 1 and what a run decides about them. The interceptors'
+//!   calibrated costs are constants beside the code that charges them
+//!   (DESIGN §7).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,13 +29,17 @@ mod messages;
 mod recovery;
 mod replica;
 
-pub use config::{CostModel, MeadConfig, MeadConfigBuilder, RecoveryScheme, UnknownScheme};
+pub use config::{MeadConfig, MeadConfigBuilder, RecoveryScheme, Trigger, UnknownScheme};
 pub use directory::{
     replica_member_name, slot_of_member, MemberName, ReplicaDirectory, Slot, REPLICA_PREFIX,
+    SERVER_GROUP,
 };
 pub use giop::{CodecError, WireCodec};
-pub use intercept::client::ClientInterceptor;
-pub use intercept::server::{CheckpointPayload, ServerInterceptor, StateHooks};
+pub use intercept::client::{ClientInterceptor, REDIRECT_CPU};
+pub use intercept::common::FABRICATE_CPU;
+pub use intercept::server::{
+    CheckpointPayload, ServerInterceptor, StateHooks, ADDRESS_REPLY_CPU, GIOP_PARSE_CPU,
+};
 pub use intercept::tokens;
 pub use messages::{FailoverNotice, GroupMsg};
 pub use recovery::{RecoveryManager, ReplicaFactory, ReplicaSpec};

@@ -16,8 +16,9 @@
 //!
 //! The Recovery Manager is deliberately a single point of failure, exactly
 //! as the paper admits of its own implementation — in its default
-//! configuration. With [`MeadConfig::rm_instances`] > 1 the manager is
-//! itself replicated warm-passively (DESIGN §8): instances join a
+//! configuration ([`RecoveryManager::new`]). Deployed as several
+//! [`RecoveryManager::replicated`] instances, the manager is itself
+//! replicated warm-passively (DESIGN §8): instances join a
 //! manager group, the first member of the group's view (join order) is
 //! the leader and the only instance that launches replicas, and the
 //! leader multicasts its launch state ([`GroupMsg::RmState`]) so a
@@ -31,8 +32,9 @@ use groupcomm::{GcsClient, GcsDelivery};
 use obs::{EventKind, Phase};
 use simnet::{Event, NodeId, Port, Process, SimDuration, SimTime, SysApi};
 
-use crate::config::MeadConfig;
-use crate::directory::{replica_member_name, slot_of_member, MemberName, Slot, REPLICA_PREFIX};
+use crate::directory::{
+    replica_member_name, slot_of_member, MemberName, Slot, REPLICA_PREFIX, SERVER_GROUP,
+};
 use crate::messages::GroupMsg;
 
 /// Parameters handed to the replica factory for each launch.
@@ -53,6 +55,10 @@ pub type ReplicaFactory = Rc<dyn Fn(&ReplicaSpec) -> Box<dyn simnet::Process>>;
 const TOKEN_GCS: u64 = 1;
 const TOKEN_TICK: u64 = 2;
 
+/// Group the Recovery Manager instances join for leader election and
+/// warm-passive state exchange.
+const MANAGER_GROUP: &str = "managers";
+
 #[derive(Clone, Debug, Default)]
 struct SlotState {
     /// Member name we are waiting to see join, with launch time.
@@ -63,7 +69,6 @@ struct SlotState {
 /// (which only reads what it captured) and nothing else.
 #[derive(Clone)]
 pub struct RecoveryManager {
-    cfg: MeadConfig,
     gcs: Option<GcsClient>,
     factory: ReplicaFactory,
     replica_nodes: Vec<NodeId>,
@@ -88,16 +93,10 @@ pub struct RecoveryManager {
 impl RecoveryManager {
     /// Creates a manager maintaining `target_degree` replicas spread over
     /// `replica_nodes`, built by `factory`.
-    pub fn new(
-        cfg: MeadConfig,
-        target_degree: u32,
-        replica_nodes: Vec<NodeId>,
-        factory: ReplicaFactory,
-    ) -> Self {
+    pub fn new(target_degree: u32, replica_nodes: Vec<NodeId>, factory: ReplicaFactory) -> Self {
         assert!(target_degree > 0, "need at least one replica");
         assert!(!replica_nodes.is_empty(), "need at least one server node");
         RecoveryManager {
-            cfg,
             gcs: None,
             factory,
             replica_nodes,
@@ -117,17 +116,15 @@ impl RecoveryManager {
     }
 
     /// Creates manager instance `instance` of a warm-passively replicated
-    /// Recovery Manager deployment (`cfg.rm_instances` of them; spawn one
-    /// per call). Instances elect the first member of the manager-group
-    /// view as leader.
+    /// Recovery Manager deployment (spawn one per instance). Instances
+    /// elect the first member of the manager-group view as leader.
     pub fn replicated(
-        cfg: MeadConfig,
         target_degree: u32,
         replica_nodes: Vec<NodeId>,
         factory: ReplicaFactory,
         instance: u32,
     ) -> Self {
-        let mut rm = RecoveryManager::new(cfg, target_degree, replica_nodes, factory);
+        let mut rm = RecoveryManager::new(target_degree, replica_nodes, factory);
         rm.replicated = true;
         rm.member_name = format!("mgr/recovery/{instance}");
         rm
@@ -158,9 +155,8 @@ impl RecoveryManager {
             next_port: self.next_port,
             pendings,
         };
-        let group = self.cfg.manager_group.clone();
         if let Some(gcs) = self.gcs.as_mut() {
-            gcs.multicast(sys, &group, &msg.encode());
+            gcs.multicast(sys, MANAGER_GROUP, &msg.encode());
         }
     }
 
@@ -248,11 +244,9 @@ impl Process for RecoveryManager {
     fn on_start(&mut self, sys: &mut dyn SysApi) {
         let mut gcs = GcsClient::new(self.member_name.clone(), TOKEN_GCS);
         gcs.start(sys);
-        let group = self.cfg.server_group.clone();
-        gcs.join(sys, &group);
+        gcs.join(sys, SERVER_GROUP);
         if self.replicated {
-            let managers = self.cfg.manager_group.clone();
-            gcs.join(sys, &managers);
+            gcs.join(sys, MANAGER_GROUP);
         }
         self.gcs = Some(gcs);
         sys.set_timer(SimDuration::from_millis(100), TOKEN_TICK);
@@ -290,7 +284,7 @@ impl Process for RecoveryManager {
                         }
                     }
                 }
-                GcsDelivery::View { group, members, .. } if group == self.cfg.server_group => {
+                GcsDelivery::View { group, members, .. } if group == SERVER_GROUP => {
                     self.last_view = members;
                     sys.count("rm.views", 1);
                     if self.initial_launched && self.is_leader() {
@@ -299,7 +293,7 @@ impl Process for RecoveryManager {
                     }
                 }
                 GcsDelivery::View { group, members, .. }
-                    if self.replicated && group == self.cfg.manager_group =>
+                    if self.replicated && group == MANAGER_GROUP =>
                 {
                     self.manager_view = members;
                     let leader = self.is_leader();
@@ -424,11 +418,6 @@ mod tests {
     #[should_panic(expected = "at least one replica")]
     fn zero_degree_rejected() {
         let factory: ReplicaFactory = Rc::new(|_spec| unreachable!("never launched"));
-        let _ = RecoveryManager::new(
-            MeadConfig::builder(crate::RecoveryScheme::MeadFailover).build(),
-            0,
-            vec![NodeId::from_index(0)],
-            factory,
-        );
+        let _ = RecoveryManager::new(0, vec![NodeId::from_index(0)], factory);
     }
 }

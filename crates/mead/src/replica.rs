@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use giop::{Ior, ObjectKey};
 use orb::{
-    encode_bind, host_of, naming_ior, ClientOrb, ClientOrbConfig, CounterState, Servant, ServerOrb,
-    ServerOrbConfig, TimeOfDayServant, TIME_TYPE_ID,
+    encode_bind, host_of, naming_ior, ClientOrb, CounterState, Servant, ServerOrb,
+    TimeOfDayServant, TIME_TYPE_ID,
 };
 use simnet::{Event, NodeId, Port, Process, SimDuration, SysApi};
 
@@ -45,12 +45,12 @@ impl ReplicaApp {
     /// `port` and binding `replicas/slot<slot>` at the Naming Service on
     /// `naming_node`.
     pub fn time_server(slot: crate::Slot, port: Port, naming_node: NodeId) -> Self {
-        let mut orb = ServerOrb::new(port, ServerOrbConfig::default());
+        let mut orb = ServerOrb::new(port);
         let key = time_object_key();
-        orb.register(key.clone(), Box::new(TimeOfDayServant::default()));
+        orb.register(key.clone(), Box::new(TimeOfDayServant));
         ReplicaApp {
             orb,
-            client_orb: ClientOrb::new(ClientOrbConfig::default()),
+            client_orb: ClientOrb::new(),
             naming_node,
             bind_name: crate::RecoveryManager::slot_binding(slot),
             objects: vec![(key, TIME_TYPE_ID.to_string())],

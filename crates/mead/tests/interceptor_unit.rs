@@ -439,8 +439,8 @@ impl Process for OrbServer {
 #[test]
 fn server_interceptor_hands_a_desynchronised_stream_to_the_orb() {
     let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
-    let mut server = orb::ServerOrb::new(Port(2810), orb::ServerOrbConfig::default());
-    server.register(key, Box::new(orb::TimeOfDayServant::default()));
+    let mut server = orb::ServerOrb::new(Port(2810));
+    server.register(key, Box::new(orb::TimeOfDayServant));
     let mut interceptor = ServerInterceptor::new(
         MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
         mead::Slot(0),
@@ -526,10 +526,7 @@ fn client_rig(scheme: RecoveryScheme) -> ClientRig {
         connect_on_start: Some(Addr::new(NodeId::from_index(1), Port(2810))),
         ..AppState::default()
     }));
-    let mut interceptor = ClientInterceptor::new(
-        MeadConfig::builder(scheme).build(),
-        Box::new(TestApp(app.clone())),
-    );
+    let mut interceptor = ClientInterceptor::new(scheme, Box::new(TestApp(app.clone())));
     let mut sys = MockSys::new(NodeId::from_index(4));
     interceptor.on_start(&mut sys);
     let (gcs_conn, gcs_addr) = sys.connected()[0];
@@ -726,9 +723,9 @@ fn client_interceptor_hands_a_desynchronised_stream_to_the_orb() {
         ObjectKey::persistent("TimePOA", "TimeOfDay"),
     );
     let mut interceptor = ClientInterceptor::new(
-        MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+        RecoveryScheme::MeadFailover,
         Box::new(OrbClient {
-            orb: orb::ClientOrb::new(orb::ClientOrbConfig::default()),
+            orb: orb::ClientOrb::new(),
             target,
             upshots: upshots.clone(),
         }),

@@ -45,42 +45,26 @@ pub fn addr_of(ior: &Ior) -> Option<Addr> {
     Some(Addr::new(node_of(&p.host)?, Port(p.port)))
 }
 
-/// Client-ORB cost model (per-message CPU charges that show up in
-/// round-trip times).
-#[derive(Clone, Debug)]
-pub struct ClientOrbConfig {
-    /// Marshalling cost per outgoing request.
-    pub request_cpu: SimDuration,
-    /// Unmarshalling cost per incoming reply.
-    pub reply_cpu: SimDuration,
-    /// Cost for a `COMM_FAILURE` to register at the client (the paper
-    /// measures ~1.1–1.8 ms on its testbed).
-    pub comm_failure_cpu: SimDuration,
-    /// Cost to process a `TRANSIENT` exception.
-    pub transient_cpu: SimDuration,
-    /// Cost of establishing a *new* GIOP connection at the ORB level
-    /// (TCP setup plus object-reference binding). TAO on the paper's
-    /// 850 MHz hosts pays several milliseconds here — it dominates the
-    /// reactive fail-over times of Table 1 (e.g. the 7.9 ms fail-over to a
-    /// cached reference) and is precisely the cost MEAD's interceptor-level
-    /// `dup2()` redirect avoids (section 4.3).
-    pub connect_cpu: SimDuration,
-    /// Maximum `LOCATION_FORWARD` hops before giving up with `TRANSIENT`.
-    pub forward_hop_limit: u32,
-}
-
-impl Default for ClientOrbConfig {
-    fn default() -> Self {
-        ClientOrbConfig {
-            request_cpu: SimDuration::from_micros(20),
-            reply_cpu: SimDuration::from_micros(20),
-            comm_failure_cpu: SimDuration::from_micros(1100),
-            transient_cpu: SimDuration::from_micros(1000),
-            connect_cpu: SimDuration::from_micros(5300),
-            forward_hop_limit: 8,
-        }
-    }
-}
+/// Marshalling cost per outgoing request; with the other ORB charges
+/// calibrated to the paper's fault-free RTT on its 850 MHz testbed
+/// (DESIGN §7).
+const REQUEST_CPU: SimDuration = SimDuration::from_micros(20);
+/// Unmarshalling cost per incoming reply.
+const REPLY_CPU: SimDuration = SimDuration::from_micros(20);
+/// Cost for a `COMM_FAILURE` to register at the client (the paper
+/// measures ~1.1–1.8 ms on its testbed).
+pub const COMM_FAILURE_CPU: SimDuration = SimDuration::from_micros(1100);
+/// Cost to process a `TRANSIENT` exception.
+const TRANSIENT_CPU: SimDuration = SimDuration::from_micros(1000);
+/// Cost of establishing a *new* GIOP connection at the ORB level
+/// (TCP setup plus object-reference binding). TAO on the paper's
+/// 850 MHz hosts pays several milliseconds here — it dominates the
+/// reactive fail-over times of Table 1 (e.g. the 7.9 ms fail-over to a
+/// cached reference) and is precisely the cost MEAD's interceptor-level
+/// `dup2()` redirect avoids (section 4.3).
+pub const CONNECT_CPU: SimDuration = SimDuration::from_micros(5300);
+/// Maximum `LOCATION_FORWARD` hops before giving up with `TRANSIENT`.
+pub const FORWARD_HOP_LIMIT: u32 = 8;
 
 /// Something the ORB hands up to the application (or records for metrics).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,9 +136,8 @@ struct Pending {
 
 /// The client-side ORB: connection management, request correlation,
 /// forwarding semantics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClientOrb {
-    cfg: ClientOrbConfig,
     /// Boxed: an ORB holds one or two connections, and a B-tree leaf
     /// reserves room for eleven values inline.
     conns: BTreeMap<ConnId, Box<ConnInfo>>,
@@ -163,19 +146,14 @@ pub struct ClientOrb {
     /// and removed on every invocation, so a vector that keeps its
     /// capacity instead of a map that allocates a node for the first.
     pending: Vec<(u32, Pending)>,
-    next_request_id: u32,
+    /// The id of the latest invocation; the first one gets 1.
+    last_request_id: u32,
 }
 
 impl ClientOrb {
-    /// Creates an ORB with the given cost model.
-    pub fn new(cfg: ClientOrbConfig) -> Self {
-        ClientOrb {
-            cfg,
-            conns: BTreeMap::new(),
-            by_addr: BTreeMap::new(),
-            pending: Vec::new(),
-            next_request_id: 1,
-        }
+    /// Creates an ORB with no connections and nothing in flight.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn pending_index(&self, request_id: u32) -> Option<usize> {
@@ -229,8 +207,8 @@ impl ClientOrb {
                 })
             }
         };
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
+        self.last_request_id += 1;
+        let request_id = self.last_request_id;
         // Request ids only grow, so pushing keeps `pending` sorted. One
         // more slot at a time: a client rarely has two requests out.
         self.pending.reserve_exact(1);
@@ -268,7 +246,7 @@ impl ClientOrb {
                 self.by_addr.remove(&addr);
                 self.conns.remove(&conn);
                 sys.close(conn);
-                sys.charge_cpu(self.cfg.comm_failure_cpu);
+                sys.charge_cpu(COMM_FAILURE_CPU);
                 sys.count("orb.exception.comm_failure", 1);
                 return Err(SystemException::CommFailure {
                     completed: Completed::Maybe,
@@ -319,7 +297,7 @@ impl ClientOrb {
             &p.body,
             Endian::Big,
         );
-        sys.charge_cpu(self.cfg.request_cpu);
+        sys.charge_cpu(REQUEST_CPU);
         if sys.write_bytes(conn, wire).is_err() {
             // Connection died between dispatch and send; the PeerClosed
             // event will raise COMM_FAILURE for this request.
@@ -346,7 +324,7 @@ impl ClientOrb {
                 // ORB-level connection establishment (object binding etc.)
                 // is expensive; charged only on success — a refused
                 // connect (stale reference) fails fast, as TAO's does.
-                sys.charge_cpu(self.cfg.connect_cpu);
+                sys.charge_cpu(CONNECT_CPU);
                 for rid in queued {
                     self.send_request(sys, rid, *conn);
                 }
@@ -359,7 +337,7 @@ impl ClientOrb {
                 // Stale reference: every queued request fails TRANSIENT.
                 for rid in info.queued {
                     if let Some(p) = self.pending_remove(rid) {
-                        sys.charge_cpu(self.cfg.transient_cpu);
+                        sys.charge_cpu(TRANSIENT_CPU);
                         sys.count("orb.exception.transient", 1);
                         out.push(OrbUpshot::Exception {
                             request_id: rid,
@@ -452,7 +430,7 @@ impl ClientOrb {
         sys.close(conn);
         for rid in failed {
             let p = self.pending_remove(rid).expect("collected above");
-            sys.charge_cpu(self.cfg.comm_failure_cpu);
+            sys.charge_cpu(COMM_FAILURE_CPU);
             sys.count("orb.exception.comm_failure", 1);
             out.push(OrbUpshot::Exception {
                 request_id: rid,
@@ -479,7 +457,7 @@ impl ClientOrb {
         match rep.body {
             ReplyBodyView::NoException(payload) => {
                 let p = self.pending_remove(rid).expect("checked");
-                sys.charge_cpu(self.cfg.reply_cpu);
+                sys.charge_cpu(REPLY_CPU);
                 if p.forward_hops > 0 {
                     // This reply came from the forwarded-to replica: the
                     // end of a LOCATION_FORWARD fail-over window.
@@ -493,7 +471,7 @@ impl ClientOrb {
             }
             ReplyBodyView::UserException(repo_id) => {
                 let p = self.pending_remove(rid).expect("checked");
-                sys.charge_cpu(self.cfg.reply_cpu);
+                sys.charge_cpu(REPLY_CPU);
                 out.push(OrbUpshot::Exception {
                     request_id: rid,
                     operation: p.operation,
@@ -507,7 +485,7 @@ impl ClientOrb {
                 repo_id, completed, ..
             } => {
                 let p = self.pending_remove(rid).expect("checked");
-                sys.charge_cpu(self.cfg.reply_cpu);
+                sys.charge_cpu(REPLY_CPU);
                 out.push(OrbUpshot::Exception {
                     request_id: rid,
                     operation: p.operation,
@@ -521,7 +499,7 @@ impl ClientOrb {
                     p.forward_hops += 1;
                     p.forward_hops
                 };
-                if hops > self.cfg.forward_hop_limit {
+                if hops > FORWARD_HOP_LIMIT {
                     let p = self.pending_remove(rid).expect("checked");
                     sys.count("orb.forward_loop", 1);
                     out.push(OrbUpshot::Exception {

@@ -31,11 +31,14 @@ mod retry;
 mod servants;
 mod server;
 
-pub use client::{addr_of, host_of, node_of, ClientOrb, ClientOrbConfig, OrbUpshot};
+pub use client::{
+    addr_of, host_of, node_of, ClientOrb, OrbUpshot, COMM_FAILURE_CPU, CONNECT_CPU,
+    FORWARD_HOP_LIMIT,
+};
 pub use exceptions::{Completed, SystemException};
 pub use naming::{
     decode_list_reply, decode_resolve_reply, encode_bind, encode_name, naming_ior, naming_key,
-    NamingConfig, NamingServant, NamingService, EX_NOT_FOUND, NAMING_PORT, NAMING_TYPE_ID,
+    NamingServant, NamingService, EX_NOT_FOUND, NAMING_PORT, NAMING_TYPE_ID,
 };
 pub use retry::{RetryPolicy, RetryState};
 pub use servants::{
@@ -43,4 +46,4 @@ pub use servants::{
     encode_increment, encode_increment_once, CounterServant, CounterState, TimeOfDayServant,
     COUNTER_TYPE_ID, TIME_TYPE_ID,
 };
-pub use server::{Servant, ServerOrb, ServerOrbConfig};
+pub use server::{Servant, ServerOrb};

@@ -31,7 +31,7 @@ use simnet::{Event, NodeId, Port, Process, SimDuration, SysApi};
 use crate::client::host_of;
 use crate::exceptions::SystemException;
 use crate::servants::CounterState;
-use crate::server::{Servant, ServerOrb, ServerOrbConfig};
+use crate::server::{Servant, ServerOrb};
 
 /// Well-known Naming Service port (the OMG's standard 2809).
 pub const NAMING_PORT: Port = Port(2809);
@@ -52,27 +52,13 @@ pub fn naming_ior(node: NodeId) -> Ior {
     Ior::singleton(NAMING_TYPE_ID, &host_of(node), NAMING_PORT.0, naming_key())
 }
 
-/// Cost model for the naming servant.
-#[derive(Clone, Debug)]
-pub struct NamingConfig {
-    /// CPU per `resolve`/first `list` entry (part of the paper's ~8.4 ms
-    /// resolve spike; the rest is the ORB connection cost).
-    pub resolve_cpu: SimDuration,
-    /// CPU per additional `list` entry (the 3-entry refresh costs ~9.7 ms).
-    pub entry_cpu: SimDuration,
-    /// CPU per `bind`/`unbind`.
-    pub bind_cpu: SimDuration,
-}
-
-impl Default for NamingConfig {
-    fn default() -> Self {
-        NamingConfig {
-            resolve_cpu: SimDuration::from_micros(900),
-            entry_cpu: SimDuration::from_micros(650),
-            bind_cpu: SimDuration::from_micros(200),
-        }
-    }
-}
+/// CPU per `resolve`/first `list` entry (part of the paper's ~8.4 ms
+/// resolve spike; the rest is the ORB connection cost).
+const RESOLVE_CPU: SimDuration = SimDuration::from_micros(900);
+/// CPU per additional `list` entry (the 3-entry refresh costs ~9.7 ms).
+const ENTRY_CPU: SimDuration = SimDuration::from_micros(650);
+/// CPU per `bind`/`unbind`.
+const BIND_CPU: SimDuration = SimDuration::from_micros(200);
 
 /// Encodes the `bind` request body.
 pub fn encode_bind(name: &str, ior: &Ior) -> Vec<u8> {
@@ -115,22 +101,13 @@ pub fn decode_list_reply(payload: &[u8]) -> Result<Vec<(String, Ior)>, CdrError>
     Ok(out)
 }
 
-/// The naming servant: a name → IOR registry.
-#[derive(Clone)]
+/// The naming servant: a name → IOR registry, empty by default.
+#[derive(Clone, Default)]
 pub struct NamingServant {
-    cfg: NamingConfig,
     bindings: BTreeMap<String, Ior>,
 }
 
 impl NamingServant {
-    /// Creates an empty registry.
-    pub fn new(cfg: NamingConfig) -> Self {
-        NamingServant {
-            cfg,
-            bindings: BTreeMap::new(),
-        }
-    }
-
     /// Number of bindings (for tests).
     pub fn len(&self) -> usize {
         self.bindings.len()
@@ -156,7 +133,7 @@ impl Servant for NamingServant {
         };
         match operation {
             "bind" => {
-                sys.charge_cpu(self.cfg.bind_cpu);
+                sys.charge_cpu(BIND_CPU);
                 let name = r.read_string().map_err(malformed)?;
                 let bytes = r.read_octet_slice().map_err(malformed)?;
                 let ior = Ior::decode(bytes).map_err(malformed)?;
@@ -165,14 +142,14 @@ impl Servant for NamingServant {
                 Ok(Vec::new())
             }
             "unbind" => {
-                sys.charge_cpu(self.cfg.bind_cpu);
+                sys.charge_cpu(BIND_CPU);
                 let name = r.read_string().map_err(malformed)?;
                 sys.count("naming.unbind", 1);
                 self.bindings.remove(&name);
                 Ok(Vec::new())
             }
             "resolve" => {
-                sys.charge_cpu(self.cfg.resolve_cpu);
+                sys.charge_cpu(RESOLVE_CPU);
                 let name = r.read_string().map_err(malformed)?;
                 sys.count("naming.resolve", 1);
                 match self.bindings.get(&name) {
@@ -194,10 +171,7 @@ impl Servant for NamingServant {
                     .iter()
                     .filter(|(n, _)| n.starts_with(&prefix))
                     .collect();
-                sys.charge_cpu(
-                    self.cfg.resolve_cpu
-                        + self.cfg.entry_cpu * (matches.len().saturating_sub(1)) as u64,
-                );
+                sys.charge_cpu(RESOLVE_CPU + ENTRY_CPU * (matches.len().saturating_sub(1)) as u64);
                 sys.count("naming.list", 1);
                 let mut w = CdrWriter::new(Endian::Big);
                 w.write_u32(matches.len() as u32);
@@ -229,11 +203,17 @@ pub struct NamingService {
 }
 
 impl NamingService {
-    /// Creates the service with default costs.
-    pub fn new(cfg: NamingConfig) -> Self {
-        let mut orb = ServerOrb::new(NAMING_PORT, ServerOrbConfig::default());
-        orb.register(naming_key(), Box::new(NamingServant::new(cfg)));
+    /// Creates the service with an empty registry.
+    pub fn new() -> Self {
+        let mut orb = ServerOrb::new(NAMING_PORT);
+        orb.register(naming_key(), Box::new(NamingServant::default()));
         NamingService { orb }
+    }
+}
+
+impl Default for NamingService {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -295,7 +275,7 @@ mod tests {
 
     #[test]
     fn servant_registry_is_empty_initially() {
-        let s = NamingServant::new(NamingConfig::default());
+        let s = NamingServant::default();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
     }

@@ -26,18 +26,11 @@ pub const COUNTER_TYPE_ID: &str = "IDL:Counter:1.0";
 /// Operations:
 /// * `time_of_day` () → `u64` nanoseconds since simulation start.
 #[derive(Clone)]
-pub struct TimeOfDayServant {
-    /// Per-call application CPU (beyond ORB dispatch).
-    pub op_cpu: SimDuration,
-}
+pub struct TimeOfDayServant;
 
-impl Default for TimeOfDayServant {
-    fn default() -> Self {
-        TimeOfDayServant {
-            op_cpu: SimDuration::from_micros(15),
-        }
-    }
-}
+/// Per-call application CPU beyond ORB dispatch, calibrated with the ORB
+/// charges to the paper's fault-free RTT (DESIGN §7).
+const TIME_OF_DAY_CPU: SimDuration = SimDuration::from_micros(15);
 
 impl Servant for TimeOfDayServant {
     fn invoke(
@@ -48,7 +41,7 @@ impl Servant for TimeOfDayServant {
     ) -> Result<Vec<u8>, SystemException> {
         match operation {
             "time_of_day" => {
-                sys.charge_cpu(self.op_cpu);
+                sys.charge_cpu(TIME_OF_DAY_CPU);
                 let mut w = CdrWriter::new(Endian::Big);
                 w.write_u64(sys.now().as_nanos());
                 Ok(w.into_vec())

@@ -55,26 +55,14 @@ pub trait Servant {
     }
 }
 
-/// Server-ORB cost model.
-#[derive(Clone, Debug)]
-pub struct ServerOrbConfig {
-    /// CPU to unmarshal a request, locate the servant and marshal the
-    /// reply (excluding servant work).
-    pub dispatch_cpu: SimDuration,
-}
-
-impl Default for ServerOrbConfig {
-    fn default() -> Self {
-        ServerOrbConfig {
-            dispatch_cpu: SimDuration::from_micros(40),
-        }
-    }
-}
+/// CPU to unmarshal a request, locate the servant and marshal the reply
+/// (excluding servant work); calibrated with the client ORB's charges
+/// to the paper's fault-free RTT (DESIGN §7).
+const DISPATCH_CPU: SimDuration = SimDuration::from_micros(40);
 
 /// The server-side ORB.
 pub struct ServerOrb {
     port: Port,
-    cfg: ServerOrbConfig,
     listener: Option<ListenerId>,
     adapter: BTreeMap<ObjectKey, Box<dyn Servant>>,
     conns: BTreeMap<ConnId, FrameSplitter>,
@@ -82,10 +70,9 @@ pub struct ServerOrb {
 
 impl ServerOrb {
     /// Creates an ORB that will listen on `port`.
-    pub fn new(port: Port, cfg: ServerOrbConfig) -> Self {
+    pub fn new(port: Port) -> Self {
         ServerOrb {
             port,
-            cfg,
             listener: None,
             adapter: BTreeMap::new(),
             conns: BTreeMap::new(),
@@ -132,7 +119,6 @@ impl ServerOrb {
             .collect::<Option<_>>()?;
         Some(ServerOrb {
             port: self.port,
-            cfg: self.cfg.clone(),
             listener: self.listener,
             adapter,
             conns: self.conns.clone(),
@@ -207,7 +193,7 @@ impl ServerOrb {
     /// Looks the servant up and invokes it straight from the request as
     /// it lies in the received frame.
     fn dispatch(&mut self, sys: &mut dyn SysApi, conn: ConnId, req: RequestView<'_>) {
-        sys.charge_cpu(self.cfg.dispatch_cpu);
+        sys.charge_cpu(DISPATCH_CPU);
         sys.count("orb.server.requests", 1);
         let outcome = match self.adapter.get_mut(req.object_key) {
             Some(servant) => servant.invoke(sys, req.operation, req.body),
@@ -251,7 +237,7 @@ mod tests {
 
     #[test]
     fn register_and_enumerate_keys() {
-        let mut orb = ServerOrb::new(Port(1), ServerOrbConfig::default());
+        let mut orb = ServerOrb::new(Port(1));
         let k = ObjectKey::persistent("POA", "A");
         orb.register(k.clone(), Box::new(Nop));
         assert_eq!(orb.keys().collect::<Vec<_>>(), vec![&k]);

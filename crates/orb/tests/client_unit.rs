@@ -2,7 +2,7 @@
 //! context — no simulator, every effect inspected directly.
 
 use giop::{Endian, Ior, Message, ObjectKey, ReplyBody, ReplyMessage};
-use orb::{ClientOrb, ClientOrbConfig, Completed, OrbUpshot, SystemException};
+use orb::{ClientOrb, Completed, OrbUpshot, SystemException, FORWARD_HOP_LIMIT};
 use simnet::testkit::MockSys;
 use simnet::{Event, NodeId};
 
@@ -11,7 +11,7 @@ fn ior(host: &str, port: u16, obj: &str) -> Ior {
 }
 
 fn orb() -> ClientOrb {
-    ClientOrb::new(ClientOrbConfig::default())
+    ClientOrb::new()
 }
 
 fn reply_bytes(request_id: u32, body: ReplyBody) -> Vec<u8> {
@@ -300,13 +300,10 @@ fn malformed_ior_is_rejected_synchronously() {
 #[test]
 fn forward_hop_limit_terminates_loops() {
     let mut sys = MockSys::new(NodeId::from_index(4));
-    let mut orb = ClientOrb::new(ClientOrbConfig {
-        forward_hop_limit: 2,
-        ..ClientOrbConfig::default()
-    });
+    let mut orb = orb();
     let target = ior("node1", 20000, "X");
     let (rid, mut conn) = establish(&mut orb, &mut sys, &target, "op");
-    for hop in 0..3 {
+    for hop in 0..=FORWARD_HOP_LIMIT {
         let next = ior(&format!("node{}", 2 + hop), 30000 + hop as u16, "X");
         sys.push_incoming(conn, &reply_bytes(rid, ReplyBody::LocationForward(next)));
         let upshots = orb
@@ -321,7 +318,7 @@ fn forward_hop_limit_terminates_loops() {
             }
             OrbUpshot::Exception { ex, .. } => {
                 assert!(ex.is_transient(), "loop must end in TRANSIENT");
-                assert_eq!(hop, 2, "limit of 2 hops");
+                assert_eq!(hop, FORWARD_HOP_LIMIT, "one forward past the limit");
                 return;
             }
             other => panic!("unexpected {other:?}"),

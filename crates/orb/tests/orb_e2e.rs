@@ -22,14 +22,14 @@ struct PlainServer {
 
 impl PlainServer {
     fn new(port: Port, key: ObjectKey, servant: Box<dyn Servant>) -> Self {
-        let mut orb = ServerOrb::new(port, ServerOrbConfig::default());
+        let mut orb = ServerOrb::new(port);
         orb.register(key.clone(), servant);
         PlainServer {
             orb,
             naming_node: None,
             bind_name: None,
             key,
-            client_orb: ClientOrb::new(ClientOrbConfig::default()),
+            client_orb: ClientOrb::new(),
             crash_after_requests: None,
             served: 0,
         }
@@ -102,7 +102,7 @@ struct ScriptClient {
 impl ScriptClient {
     fn invoking(target: Ior, rounds: u32, outcomes: Outcomes, rtts: Rc<RefCell<Vec<f64>>>) -> Self {
         ScriptClient {
-            orb: ClientOrb::new(ClientOrbConfig::default()),
+            orb: ClientOrb::new(),
             target: Some(target),
             resolve: None,
             rounds,
@@ -122,7 +122,7 @@ impl ScriptClient {
         rtts: Rc<RefCell<Vec<f64>>>,
     ) -> Self {
         ScriptClient {
-            orb: ClientOrb::new(ClientOrbConfig::default()),
+            orb: ClientOrb::new(),
             target: None,
             resolve: Some((naming, name.to_string())),
             rounds,
@@ -229,7 +229,7 @@ fn invoke_round_trip_and_baseline_rtt() {
         Box::new(PlainServer::new(
             Port(2810),
             key.clone(),
-            Box::new(TimeOfDayServant::default()),
+            Box::new(TimeOfDayServant),
         )),
     );
     let ior = Ior::singleton(TIME_TYPE_ID, "node0", 2810, key);
@@ -262,17 +262,13 @@ fn resolve_then_invoke_through_naming() {
     let a = sim.add_node("a");
     let b = sim.add_node("b");
     let c = sim.add_node("c");
-    sim.spawn(
-        c,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
+    sim.spawn(c, "naming", Box::new(NamingService::new()));
     let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
     sim.spawn(
         a,
         "server",
         Box::new(
-            PlainServer::new(Port(2810), key, Box::new(TimeOfDayServant::default()))
+            PlainServer::new(Port(2810), key, Box::new(TimeOfDayServant))
                 .with_binding(c, "replicas/r1"),
         ),
     );
@@ -306,11 +302,7 @@ fn resolve_unknown_name_raises_user_exception() {
     let mut sim = sim(3);
     let a = sim.add_node("a");
     let b = sim.add_node("b");
-    sim.spawn(
-        a,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
+    sim.spawn(a, "naming", Box::new(NamingService::new()));
     let outcomes: Outcomes = Rc::default();
     let rtts = Rc::new(RefCell::new(Vec::new()));
     sim.spawn(
@@ -338,11 +330,7 @@ fn server_crash_mid_stream_raises_comm_failure() {
     let a = sim.add_node("a");
     let b = sim.add_node("b");
     let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
-    let mut server = PlainServer::new(
-        Port(2810),
-        key.clone(),
-        Box::new(TimeOfDayServant::default()),
-    );
+    let mut server = PlainServer::new(Port(2810), key.clone(), Box::new(TimeOfDayServant));
     server.crash_after_requests = Some(10);
     sim.spawn(a, "server", Box::new(server));
     let ior = Ior::singleton(TIME_TYPE_ID, "node0", 2810, key);
@@ -448,7 +436,7 @@ fn location_forward_is_followed_transparently() {
         Box::new(PlainServer::new(
             Port(2810),
             key.clone(),
-            Box::new(TimeOfDayServant::default()),
+            Box::new(TimeOfDayServant),
         )),
     );
     // Forwarder on node a redirecting to b.
@@ -571,7 +559,7 @@ fn counter_servant_keeps_state_across_invocations() {
         b,
         "client",
         Box::new(CounterClient {
-            orb: ClientOrb::new(ClientOrbConfig::default()),
+            orb: ClientOrb::new(),
             target: Ior::singleton(COUNTER_TYPE_ID, "node0", 2811, key),
             values: values.clone(),
             sent: 0,

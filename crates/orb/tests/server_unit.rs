@@ -1,7 +1,7 @@
 //! Unit tests of the server-ORB dispatch machinery over the mock context.
 
 use giop::{Endian, Message, ObjectKey, ReplyBody, RequestMessage};
-use orb::{Completed, Servant, ServerOrb, ServerOrbConfig, SystemException, TimeOfDayServant};
+use orb::{Completed, Servant, ServerOrb, SystemException, TimeOfDayServant};
 use simnet::testkit::MockSys;
 use simnet::{Event, NodeId, Port, SimDuration, SysApi};
 
@@ -25,10 +25,10 @@ fn decode_reply(bytes: &[u8]) -> (u32, ReplyBody) {
 }
 
 fn start_server(sys: &mut MockSys) -> (ServerOrb, simnet::ListenerId) {
-    let mut orb = ServerOrb::new(Port(2810), ServerOrbConfig::default());
+    let mut orb = ServerOrb::new(Port(2810));
     orb.register(
         ObjectKey::persistent("TimePOA", "TimeOfDay"),
-        Box::new(TimeOfDayServant::default()),
+        Box::new(TimeOfDayServant),
     );
     orb.start(sys);
     let (listener, port) = sys.listeners()[0];
@@ -138,7 +138,7 @@ fn servant_errors_are_marshalled() {
         }
     }
     let mut sys = MockSys::new(NodeId::from_index(1));
-    let mut orb = ServerOrb::new(Port(1), ServerOrbConfig::default());
+    let mut orb = ServerOrb::new(Port(1));
     let key = ObjectKey::persistent("P", "F");
     orb.register(key.clone(), Box::new(Failing));
     orb.start(&mut sys);

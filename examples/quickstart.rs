@@ -10,8 +10,7 @@ use std::rc::Rc;
 use mead_repro::giop::{Ior, ObjectKey};
 use mead_repro::orb::{
     decode_resolve_reply, decode_time_reply, encode_bind, encode_name, host_of, naming_ior,
-    ClientOrb, ClientOrbConfig, NamingConfig, NamingService, OrbUpshot, ServerOrb, ServerOrbConfig,
-    TimeOfDayServant, TIME_TYPE_ID,
+    ClientOrb, NamingService, OrbUpshot, ServerOrb, TimeOfDayServant, TIME_TYPE_ID,
 };
 use mead_repro::simnet::{
     Event, NodeId, Port, Process, SimConfig, SimDuration, SimTime, Simulation, SysApi,
@@ -118,15 +117,11 @@ fn main() {
     let server_node = sim.add_node("node1");
     let client_node = sim.add_node("node2");
 
-    sim.spawn(
-        infra,
-        "naming",
-        Box::new(NamingService::new(NamingConfig::default())),
-    );
-    let mut orb = ServerOrb::new(Port(2810), ServerOrbConfig::default());
+    sim.spawn(infra, "naming", Box::new(NamingService::new()));
+    let mut orb = ServerOrb::new(Port(2810));
     orb.register(
         ObjectKey::persistent("TimePOA", "TimeOfDay"),
-        Box::new(TimeOfDayServant::default()),
+        Box::new(TimeOfDayServant),
     );
     sim.spawn(
         server_node,
@@ -134,7 +129,7 @@ fn main() {
         Box::new(TimeServer {
             orb,
             naming_node: infra,
-            client_orb: ClientOrb::new(ClientOrbConfig::default()),
+            client_orb: ClientOrb::new(),
         }),
     );
     // Let the server bind before the client resolves.
@@ -145,7 +140,7 @@ fn main() {
         client_node,
         "client",
         Box::new(DemoClient {
-            orb: ClientOrb::new(ClientOrbConfig::default()),
+            orb: ClientOrb::new(),
             naming_node: infra,
             target: None,
             resolve_rid: None,

@@ -51,8 +51,8 @@ const TOOLS: [Tool; 5] = [
     ),
     (
         "lint",
-        "[--json | --format text|json|sarif] [--timings] [--fsm-report F] [--conflict-report F] \
-         [--root D] [--allow F]",
+        "[--format text|json|sarif] [--timings] [--fsm-report F] [--conflict-report F] [--root D] \
+         [--allow F]",
         "detlint: check the workspace against the determinism contract (R1-R12)",
         lint,
     ),

@@ -2,7 +2,7 @@
 //! predictor must handle fault speeds the preset thresholds cannot.
 
 use mead_repro::experiments::{run_adaptive_comparison, run_scenario, ScenarioConfig};
-use mead_repro::mead::{MeadConfig, RecoveryScheme};
+use mead_repro::mead::{MeadConfig, RecoveryScheme, Trigger};
 
 fn fast_leak_preset(cfg: &mut MeadConfig) {
     if let Some(leak) = cfg.leak.as_mut() {
@@ -12,7 +12,7 @@ fn fast_leak_preset(cfg: &mut MeadConfig) {
 
 fn fast_leak_adaptive(cfg: &mut MeadConfig) {
     fast_leak_preset(cfg);
-    cfg.adaptive = Some(faults::AdaptiveConfig::default());
+    cfg.trigger = Trigger::Adaptive;
 }
 
 #[test]

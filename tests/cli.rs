@@ -31,14 +31,46 @@ fn help_names_every_command() {
     assert_eq!(listed.len(), 13 + 1, "thirteen commands and `help`");
 }
 
+/// A scenario on the paper topology whose one `[[fault]]` is `fault`.
+fn one_fault_scenario(fault: &str) -> String {
+    format!(
+        "[sweep]\nname = \"x\"\nbase_seed = 1\nplans_per_cell = 0\n\n\
+         [[topology]]\nname = \"paper\"\nslots = 3\n\n\
+         [[mix]]\nname = \"loss\"\nloss = true\n\n\
+         [[fault]]\nat_ms = 900\n{fault}\n"
+    )
+}
+
 #[test]
 fn usage_errors_exit_2_with_a_message() {
     let dir = std::env::temp_dir().join(format!("mead-repro-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let malformed = dir.join("malformed.toml");
-    std::fs::write(&malformed, "[sweep]\nname = \"x\"\nbase_seed = \n").expect("write scenario");
-    let missing = dir.join("missing.toml");
-    let cases: [&[&str]; 11] = [
+    let file = |name: &str, body: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).expect("write input file");
+        path.to_str().expect("utf-8 path").to_string()
+    };
+    let malformed = file("malformed.toml", "[sweep]\nname = \"x\"\nbase_seed = \n");
+    let missing = dir
+        .join("missing.toml")
+        .to_str()
+        .expect("utf-8 path")
+        .to_string();
+    // Node 9 is not on the five-node paper topology.
+    let far_node = file(
+        "far-node.toml",
+        &one_fault_scenario("kind = \"partition\"\na = 0\nb = 9\nheal_ms = 100"),
+    );
+    // Node 0 hosts the sequencer, whose daemon the group stack cannot lose.
+    let sequencer = file(
+        "sequencer.toml",
+        &one_fault_scenario("kind = \"crash_daemon\"\nnode = 0\nrestart_ms = 100"),
+    );
+    let truncated = file(
+        "truncated.json",
+        "{\"schema\": \"conflict-relation/1\", \"indep",
+    );
+    let cases: [&[&str]; 18] = [
         &[],
         &["tabel1"],
         &["table1", "--threads"],
@@ -48,8 +80,15 @@ fn usage_errors_exit_2_with_a_message() {
         &["table1", "10k"],
         &["table1", "150", "200"],
         &["fleet", "1e4"],
-        &["sweep", missing.to_str().expect("utf-8 path")],
-        &["sweep", malformed.to_str().expect("utf-8 path")],
+        &["sweep", &missing],
+        &["sweep", &malformed],
+        &["sweep", &far_node],
+        &["sweep", &sequencer],
+        &["sweep", &malformed, &missing],
+        &["explore", "--runs", "zzz"],
+        &["explore", "--depth", "-1"],
+        &["explore", "--bogus"],
+        &["explore", "--conflict-relation", &truncated],
     ];
     for args in cases {
         let out = mead_repro(args);
@@ -58,6 +97,14 @@ fn usage_errors_exit_2_with_a_message() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+    // The two scenarios are refused for their one bad node, nothing else.
+    for (scenario, why) in [
+        (&far_node, "node 9 beyond the topology"),
+        (&sequencer, "the daemon on node 0 may not be crashed"),
+    ] {
+        let stderr = String::from_utf8_lossy(&mead_repro(&["sweep", scenario]).stderr).into_owned();
+        assert!(stderr.contains(why), "{scenario}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

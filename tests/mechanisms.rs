@@ -4,6 +4,7 @@
 use mead_repro::experiments::{run_scenario, steady_state_rtt_ms, ScenarioConfig};
 use mead_repro::mead::{
     replica_member_name, slot_of_member, MemberName, RecoveryScheme, ReplicaDirectory, Slot,
+    Trigger,
 };
 
 #[test]
@@ -178,10 +179,11 @@ fn directory_semantics() {
 
 #[test]
 fn polling_ablation_still_rejuvenates() {
-    // With poll_thresholds the checks move to the leak timer; migrations
-    // must still happen (at timer granularity) and still mask failures.
+    // With the polled trigger the checks move to the leak timer;
+    // migrations must still happen (at timer granularity) and still mask
+    // failures.
     let out = run_scenario(&ScenarioConfig {
-        tweak: Some(|cfg| cfg.poll_thresholds = true),
+        tweak: Some(|cfg| cfg.trigger = Trigger::Polled),
         ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 1000)
     });
     assert!(out.metrics.counter("mead.migrations") > 0);
