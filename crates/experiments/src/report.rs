@@ -15,6 +15,7 @@
 use std::collections::BTreeSet;
 
 use mead::RecoveryScheme;
+use obs::jsonl::push_json_str;
 use simnet::SimDuration;
 
 use crate::scenario::ScenarioOutcome;
@@ -245,49 +246,32 @@ impl ViolationReport {
     /// Renders the report as its single-object JSON document (trailing
     /// newline included), the exact bytes written to `--violations`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::from("{\"schema\":");
+        push_json_str(&mut out, VIOLATION_REPORT_SCHEMA);
+        out.push_str(",\"scenario\":");
+        push_json_str(&mut out, &self.scenario);
         out.push_str(&format!(
-            "{{\"schema\":\"{}\",\"scenario\":\"{}\",\"violated_plans\":{},\"violations\":[",
-            json_escape(VIOLATION_REPORT_SCHEMA),
-            json_escape(&self.scenario),
+            ",\"violated_plans\":{},\"violations\":[",
             self.records.len()
         ));
         for (i, v) in self.records.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"cell\":\"{}\",\"seed\":{},\"violations\":[",
-                json_escape(&v.cell),
-                v.seed
-            ));
+            out.push_str("{\"cell\":");
+            push_json_str(&mut out, &v.cell);
+            out.push_str(&format!(",\"seed\":{},\"violations\":[", v.seed));
             for (j, msg) in v.violations.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\"", json_escape(msg)));
+                push_json_str(&mut out, msg);
             }
             out.push_str("]}");
         }
         out.push_str("]}\n");
         out
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -17,11 +17,13 @@
 //! partitions, jittery links, flash crowds, CPU/fd pressure) to a
 //! reviewable timeline.
 
-use faults::config::{fault_from_table, mix_from_table};
-use faults::{ConfigError, FaultEvent, FaultPlan, FaultPlanBuilder, NamedMix};
+use std::fmt;
+
+use faults::config::{duration_ms_or, fault_from_table, mix_from_table};
+use faults::{FaultEvent, FaultPlan, FaultPlanBuilder, NamedMix, PlanError};
 use mead::RecoveryScheme;
 use simnet::{Fnv, SimDuration};
-use tomlite::{Table, Value};
+use tomlite::TomlError;
 
 use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome};
 use crate::cli::{
@@ -86,54 +88,27 @@ impl SweepSpec {
     }
 }
 
-fn section_tables<'a>(root: &'a Table, key: &str) -> Result<Vec<&'a Table>, ConfigError> {
-    match root.get(key) {
-        None => Ok(Vec::new()),
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| {
-                v.as_table().ok_or_else(|| {
-                    ConfigError::new(
-                        key,
-                        format!("expected [[{key}]] tables, got {}", v.type_name()),
-                    )
-                })
-            })
-            .collect(),
-        Some(other) => Err(ConfigError::new(
-            key,
-            format!("expected [[{key}]] tables, got {}", other.type_name()),
-        )),
-    }
-}
-
 /// Parses a sweep scenario document (the `tomlite` TOML subset).
 ///
 /// Required sections: `[sweep]` (name, base_seed, plans_per_cell plus
 /// optional workload knobs and the `schemes` array), at least one
 /// `[[topology]]` and at least one `[[mix]]`; `[[fault]]` entries are
-/// optional. Unknown keys anywhere are rejected, so a typo cannot
-/// silently weaken a scenario.
+/// optional. Unknown sections and keys are rejected, so a typo cannot
+/// silently weaken a scenario, and so are repeated topology, mix and
+/// scheme names, which would merge two cells of the report into one.
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] naming the offending section and key for any
-/// syntactic or semantic problem.
-pub fn parse_sweep(src: &str) -> Result<SweepSpec, ConfigError> {
-    let root = tomlite::parse(src).map_err(|e| ConfigError::new("scenario", e.to_string()))?;
-    for key in root.keys() {
-        if !matches!(key.as_str(), "sweep" | "topology" | "mix" | "fault") {
-            return Err(ConfigError::new(
-                "scenario",
-                format!("unknown section \"{key}\""),
-            ));
-        }
-    }
-    let sweep_table = root
-        .get("sweep")
-        .and_then(Value::as_table)
-        .ok_or_else(|| ConfigError::new("scenario", "missing [sweep] section"))?;
-    let r = faults::config::TableReader::new(sweep_table, "sweep");
+/// Returns a [`TomlError`] at the header line of the offending section,
+/// naming the section and key, for any syntactic or semantic problem.
+pub fn parse_sweep(src: &str) -> Result<SweepSpec, TomlError> {
+    let doc = tomlite::parse(src)?;
+    let root = doc.root().with_context("scenario");
+    root.reject_unknown(&["sweep", "topology", "mix", "fault"])?;
+    let r = root
+        .table("sweep")?
+        .ok_or_else(|| root.error("missing [sweep] section"))?
+        .with_context("sweep");
     r.reject_unknown(&[
         "name",
         "base_seed",
@@ -145,55 +120,43 @@ pub fn parse_sweep(src: &str) -> Result<SweepSpec, ConfigError> {
         "schemes",
     ])?;
     let name = r.str_req("name")?.to_string();
-    let base_seed = r.u64_req("base_seed")?;
-    let plans_per_cell = r.u32_req("plans_per_cell")?;
-    let increments = r.u32_or("increments", 120)?;
-    let think_time = r.duration_ms_or("think_ms", SimDuration::from_millis(10))?;
-    let goodput_budget = r.duration_ms_or("goodput_budget_ms", SimDuration::from_millis(3_500))?;
-    let rm_crashes = r.u32_or("rm_crashes", 1)?;
+    let base_seed = r.int("base_seed")?;
+    let plans_per_cell = r.int("plans_per_cell")?;
+    let increments = r.int_or("increments", 120)?;
+    let think_time = duration_ms_or(&r, "think_ms", SimDuration::from_millis(10))?;
+    let goodput_budget = duration_ms_or(&r, "goodput_budget_ms", SimDuration::from_millis(3_500))?;
+    let rm_crashes = r.int_or("rm_crashes", 1)?;
 
-    let schemes = match sweep_table.get("schemes") {
-        None => vec![RecoveryScheme::MeadFailover],
-        Some(Value::Array(items)) => {
-            let mut schemes = Vec::new();
-            for v in items {
-                let name = v.as_str().ok_or_else(|| {
-                    ConfigError::new(
-                        "sweep",
-                        format!("schemes entries must be strings, got {}", v.type_name()),
-                    )
-                })?;
-                let scheme = name
-                    .parse()
-                    .map_err(|e: mead::UnknownScheme| ConfigError::new("scheme", e.to_string()))?;
-                schemes.push(scheme);
-            }
-            schemes
+    let mut schemes = Vec::new();
+    for key in r.str_array("schemes")? {
+        let scheme: RecoveryScheme = key.parse().map_err(|e: mead::UnknownScheme| r.error(e))?;
+        if schemes.contains(&scheme) {
+            return Err(r.error(format!("duplicate scheme `{key}`")));
         }
-        Some(other) => {
-            return Err(ConfigError::new(
-                "sweep",
-                format!("schemes must be an array, got {}", other.type_name()),
-            ))
-        }
-    };
-    if schemes.is_empty() {
-        return Err(ConfigError::new("sweep", "schemes array is empty"));
+        schemes.push(scheme);
+    }
+    if r.get("schemes").is_none() {
+        schemes.push(RecoveryScheme::MeadFailover);
+    } else if schemes.is_empty() {
+        return Err(r.error("schemes array is empty"));
     }
 
-    let mut topologies = Vec::new();
-    for table in section_tables(&root, "topology")? {
-        let probe = faults::config::TableReader::new(table, "topology");
-        let name = probe.str_req("name")?.to_string();
-        let r = faults::config::TableReader::new(table, format!("topology \"{name}\""));
-        r.reject_unknown(&["name", "slots", "rm_instances"])?;
-        let slots = r.u32_or("slots", 3)?;
-        let rm_instances = r.u32_or("rm_instances", 2)?;
+    let mut topologies: Vec<TopologySpec> = Vec::new();
+    for t in root.tables("topology")? {
+        let name = t
+            .clone()
+            .with_context("topology")
+            .str_req("name")?
+            .to_string();
+        let t = t.with_context(format!("topology \"{name}\""));
+        if topologies.iter().any(|topo| topo.name == name) {
+            return Err(t.error("duplicate topology name"));
+        }
+        t.reject_unknown(&["name", "slots", "rm_instances"])?;
+        let slots = t.int_or("slots", 3)?;
+        let rm_instances = t.int_or("rm_instances", 2)?;
         if slots == 0 {
-            return Err(ConfigError::new(
-                format!("topology \"{name}\""),
-                "slots must be at least 1",
-            ));
+            return Err(t.error("slots must be at least 1"));
         }
         topologies.push(TopologySpec {
             name,
@@ -202,34 +165,29 @@ pub fn parse_sweep(src: &str) -> Result<SweepSpec, ConfigError> {
         });
     }
     if topologies.is_empty() {
-        return Err(ConfigError::new(
-            "scenario",
-            "at least one [[topology]] is required",
-        ));
+        return Err(root.error("at least one [[topology]] is required"));
     }
 
-    let mut mixes = Vec::new();
-    for table in section_tables(&root, "mix")? {
-        mixes.push(mix_from_table(table)?);
+    let mut mixes: Vec<NamedMix> = Vec::new();
+    for t in root.tables("mix")? {
+        let mix = mix_from_table(&t)?;
+        if mixes.iter().any(|m| m.name == mix.name) {
+            return Err(t.error(format!("mix \"{}\": duplicate mix name", mix.name)));
+        }
+        mixes.push(mix);
     }
     if mixes.is_empty() {
-        return Err(ConfigError::new(
-            "scenario",
-            "at least one [[mix]] is required",
-        ));
+        return Err(root.error("at least one [[mix]] is required"));
     }
 
     let mut explicit = Vec::new();
-    for table in section_tables(&root, "fault")? {
-        explicit.push(fault_from_table(table)?);
+    for t in root.tables("fault")? {
+        explicit.push(fault_from_table(&t)?);
     }
     explicit.sort_by_key(|e| e.at);
 
     if plans_per_cell == 0 && explicit.is_empty() {
-        return Err(ConfigError::new(
-            "sweep",
-            "plans_per_cell = 0 with no [[fault]] events leaves nothing to run",
-        ));
+        return Err(r.error("plans_per_cell = 0 with no [[fault]] events leaves nothing to run"));
     }
 
     Ok(SweepSpec {
@@ -259,16 +217,35 @@ pub struct SweepUnit {
     pub chaos: ChaosConfig,
 }
 
+/// A matrix cell whose plan fails [`FaultPlan::validate`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellError {
+    /// Cell label, `"<topology>/<scheme>/<mix>"`.
+    pub cell: String,
+    /// The plan's seed.
+    pub seed: u64,
+    /// Why the plan is invalid.
+    pub error: PlanError,
+}
+
+impl fmt::Display for CellError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cell {}, seed {}: {}", self.cell, self.seed, self.error)
+    }
+}
+
+impl std::error::Error for CellError {}
+
 /// Expands the scenario matrix into validated plans, in deterministic
 /// matrix order (topology-major, then scheme, then mix, then plan index;
 /// explicit timelines come after a cell's generated mixes).
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] when a plan fails [`FaultPlan::validate`] —
+/// Returns a [`CellError`] when a plan fails [`FaultPlan::validate`] —
 /// generated plans validating clean is a generator invariant, so this
 /// practically fires only for malformed explicit `[[fault]]` timelines.
-pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, ConfigError> {
+pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, CellError> {
     let mut units = Vec::with_capacity(spec.total_plans());
     let mut cell_index: u64 = 0;
     for topo in &spec.topologies {
@@ -292,11 +269,10 @@ pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, ConfigError> {
                 for i in 0..spec.plans_per_cell {
                     let seed = splitmix64(spec.base_seed ^ (cell_index << 32) ^ u64::from(i));
                     let plan = FaultPlan::generate_with(seed, &space, &named.mix);
-                    plan.validate(&space).map_err(|e| {
-                        ConfigError::new(
-                            format!("cell {cell}, seed {seed}"),
-                            format!("generated plan failed validation: {e}"),
-                        )
+                    plan.validate(&space).map_err(|error| CellError {
+                        cell: cell.clone(),
+                        seed,
+                        error,
                     })?;
                     units.push(SweepUnit {
                         cell: cell.clone(),
@@ -312,8 +288,10 @@ pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, ConfigError> {
                 let plan = FaultPlanBuilder::new(seed)
                     .events(spec.explicit.iter().cloned())
                     .build(&space)
-                    .map_err(|e| {
-                        ConfigError::new(format!("cell {cell}"), format!("explicit plan: {e}"))
+                    .map_err(|error| CellError {
+                        cell: cell.clone(),
+                        seed,
+                        error,
                     })?;
                 units.push(SweepUnit { cell, plan, chaos });
                 cell_index += 1;
@@ -572,5 +550,60 @@ slots = [0, 2]
         assert!(parse_sweep(&unknown).is_err());
         let bad_scheme = SMOKE.replace("mead_failover", "quantum");
         assert!(parse_sweep(&bad_scheme).is_err());
+    }
+
+    /// The 1-based line of `needle`'s first occurrence in `src`.
+    fn line_of(src: &str, needle: &str) -> u32 {
+        let idx = src
+            .lines()
+            .position(|l| l.contains(needle))
+            .expect("needle");
+        u32::try_from(idx + 1).expect("small")
+    }
+
+    #[test]
+    fn errors_anchor_at_the_offending_section() {
+        let unknown = format!("{SMOKE}\n[wat]\nx = 1\n");
+        let e = parse_sweep(&unknown).unwrap_err();
+        assert_eq!(
+            (e.line, e.msg.as_str()),
+            (
+                line_of(&unknown, "[wat]"),
+                "scenario: unknown section `wat`"
+            )
+        );
+        let typo = SMOKE.replace("asymmetric = true", "asymetric = true");
+        let e = parse_sweep(&typo).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "line {}: mix \"net\": unknown key `asymetric`",
+                line_of(SMOKE, "name = \"net\"") - 1
+            )
+        );
+        let e = parse_sweep(&SMOKE.replace("increments = 40", "increments = -4")).unwrap_err();
+        assert_eq!(e.line, line_of(SMOKE, "[sweep]"));
+    }
+
+    #[test]
+    fn repeated_axis_names_are_rejected_at_the_repeat() {
+        let mixes = SMOKE.replace("name = \"net\"", "name = \"classic\"");
+        let e = parse_sweep(&mixes).unwrap_err();
+        assert_eq!(e.line, line_of(SMOKE, "name = \"net\"") - 1);
+        assert!(e.msg.contains("duplicate mix"), "{e}");
+        let topologies = format!("{SMOKE}\n[[topology]]\nname = \"paper\"\n");
+        let e = parse_sweep(&topologies).unwrap_err();
+        assert_eq!(
+            e.line,
+            u32::try_from(topologies.lines().count()).unwrap() - 1
+        );
+        assert!(e.msg.contains("duplicate topology"), "{e}");
+        let schemes = SMOKE.replace(
+            "schemes = [\"mead_failover\"]",
+            "schemes = [\"mead_failover\", \"reactive_cache\", \"mead_failover\"]",
+        );
+        let e = parse_sweep(&schemes).unwrap_err();
+        assert_eq!(e.line, line_of(SMOKE, "[sweep]"));
+        assert!(e.msg.contains("duplicate scheme `mead_failover`"), "{e}");
     }
 }

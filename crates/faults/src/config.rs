@@ -5,43 +5,15 @@
 //! plans either *generatively* — named [`FaultMix`] entries the sweep
 //! driver crosses with topologies and schemes, seeding
 //! [`FaultPlan::generate_with`] — or *explicitly*, as a list of
-//! [`FaultEvent`]s with absolute injection instants. This module turns
-//! parsed [`tomlite`] tables into those typed values; everything it
+//! [`FaultEvent`]s with absolute injection instants. This module reads
+//! those entries through a [`tomlite::Reader`], plus the two value types
+//! tomlite cannot name (millisecond durations and instants); everything it
 //! accepts round-trips deterministically (same file bytes ⇒ same plans).
 
-use std::fmt;
-
 use simnet::{SimDuration, SimTime};
-use tomlite::{Table, Value};
+use tomlite::{Reader, TomlError};
 
 use crate::plan::{FaultEvent, FaultKind, FaultMix};
-
-/// A configuration error: which scenario-file entry was bad, and why.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The table or key the error was found in (e.g. `mix "surge"`).
-    pub context: String,
-    /// What was wrong.
-    pub msg: String,
-}
-
-impl ConfigError {
-    /// Creates an error for `context`.
-    pub fn new(context: impl Into<String>, msg: impl Into<String>) -> Self {
-        ConfigError {
-            context: context.into(),
-            msg: msg.into(),
-        }
-    }
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.context, self.msg)
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// A [`FaultMix`] with the scenario-file name it was declared under.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,174 +24,46 @@ pub struct NamedMix {
     pub mix: FaultMix,
 }
 
-/// Typed getters over a [`tomlite::Table`], shared by every schema layer
-/// (fault sections here, topology/scheme sections in `experiments`).
-pub struct TableReader<'a> {
-    table: &'a Table,
-    context: String,
+/// A required duration given in (possibly fractional) milliseconds; must
+/// be non-negative.
+pub fn duration_ms(r: &Reader, key: &str) -> Result<SimDuration, TomlError> {
+    let ms = r.f64_req(key)?;
+    if ms < 0.0 {
+        return Err(r.error(format!("`{key}` must be >= 0 ms")));
+    }
+    Ok(SimDuration::from_nanos((ms * 1_000_000.0) as u64))
 }
 
-impl<'a> TableReader<'a> {
-    /// Wraps `table`; `context` names it in errors.
-    pub fn new(table: &'a Table, context: impl Into<String>) -> Self {
-        TableReader {
-            table,
-            context: context.into(),
-        }
+/// An optional millisecond duration with a default.
+pub fn duration_ms_or(
+    r: &Reader,
+    key: &str,
+    default: SimDuration,
+) -> Result<SimDuration, TomlError> {
+    match r.get(key) {
+        None => Ok(default),
+        Some(_) => duration_ms(r, key),
     }
+}
 
-    fn missing(&self, key: &str) -> ConfigError {
-        ConfigError::new(&self.context, format!("missing key `{key}`"))
-    }
-
-    fn wrong_type(&self, key: &str, want: &str, got: &Value) -> ConfigError {
-        ConfigError::new(
-            &self.context,
-            format!("`{key}` must be a {want}, got {}", got.type_name()),
-        )
-    }
-
-    /// The raw value at `key`, if present.
-    pub fn get(&self, key: &str) -> Option<&'a Value> {
-        self.table.get(key)
-    }
-
-    /// A required string.
-    pub fn str_req(&self, key: &str) -> Result<&'a str, ConfigError> {
-        let v = self.get(key).ok_or_else(|| self.missing(key))?;
-        v.as_str().ok_or_else(|| self.wrong_type(key, "string", v))
-    }
-
-    /// An optional boolean with a default.
-    pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| self.wrong_type(key, "boolean", v)),
-        }
-    }
-
-    /// A required non-negative integer that fits in `u32`.
-    pub fn u32_req(&self, key: &str) -> Result<u32, ConfigError> {
-        let v = self.get(key).ok_or_else(|| self.missing(key))?;
-        let i = v
-            .as_int()
-            .ok_or_else(|| self.wrong_type(key, "integer", v))?;
-        u32::try_from(i)
-            .map_err(|_| ConfigError::new(&self.context, format!("`{key}` out of range: {i}")))
-    }
-
-    /// An optional `u32` with a default.
-    pub fn u32_or(&self, key: &str, default: u32) -> Result<u32, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(_) => self.u32_req(key),
-        }
-    }
-
-    /// A required non-negative integer that fits in `u64`.
-    pub fn u64_req(&self, key: &str) -> Result<u64, ConfigError> {
-        let v = self.get(key).ok_or_else(|| self.missing(key))?;
-        let i = v
-            .as_int()
-            .ok_or_else(|| self.wrong_type(key, "integer", v))?;
-        u64::try_from(i)
-            .map_err(|_| ConfigError::new(&self.context, format!("`{key}` out of range: {i}")))
-    }
-
-    /// A required finite float (integers widen).
-    pub fn f64_req(&self, key: &str) -> Result<f64, ConfigError> {
-        let v = self.get(key).ok_or_else(|| self.missing(key))?;
-        let x = v
-            .as_float()
-            .ok_or_else(|| self.wrong_type(key, "number", v))?;
-        if x.is_finite() {
-            Ok(x)
-        } else {
-            Err(ConfigError::new(
-                &self.context,
-                format!("`{key}` must be finite"),
-            ))
-        }
-    }
-
-    /// A required duration given in (possibly fractional) milliseconds;
-    /// must be non-negative.
-    pub fn duration_ms_req(&self, key: &str) -> Result<SimDuration, ConfigError> {
-        let ms = self.f64_req(key)?;
-        if ms < 0.0 {
-            return Err(ConfigError::new(
-                &self.context,
-                format!("`{key}` must be >= 0 ms"),
-            ));
-        }
-        Ok(SimDuration::from_nanos((ms * 1_000_000.0) as u64))
-    }
-
-    /// An optional millisecond duration with a default.
-    pub fn duration_ms_or(
-        &self,
-        key: &str,
-        default: SimDuration,
-    ) -> Result<SimDuration, ConfigError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(_) => self.duration_ms_req(key),
-        }
-    }
-
-    /// An instant given in milliseconds since simulation start.
-    pub fn time_ms_req(&self, key: &str) -> Result<SimTime, ConfigError> {
-        Ok(SimTime::ZERO + self.duration_ms_req(key)?)
-    }
-
-    /// A required array of `u32`s.
-    pub fn u32_array_req(&self, key: &str) -> Result<Vec<u32>, ConfigError> {
-        let v = self.get(key).ok_or_else(|| self.missing(key))?;
-        let items = v
-            .as_array()
-            .ok_or_else(|| self.wrong_type(key, "array", v))?;
-        items
-            .iter()
-            .map(|item| {
-                item.as_int()
-                    .and_then(|i| u32::try_from(i).ok())
-                    .ok_or_else(|| {
-                        ConfigError::new(
-                            &self.context,
-                            format!("`{key}` must contain non-negative integers"),
-                        )
-                    })
-            })
-            .collect()
-    }
-
-    /// Rejects keys outside `allowed` (typo protection: a misspelled
-    /// `probabillity` should fail parsing, not silently default).
-    pub fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ConfigError> {
-        for key in self.table.keys() {
-            if !allowed.contains(&key.as_str()) {
-                return Err(ConfigError::new(
-                    &self.context,
-                    format!("unknown key `{key}`"),
-                ));
-            }
-        }
-        Ok(())
-    }
+/// An instant given in milliseconds since simulation start.
+pub fn time_ms(r: &Reader, key: &str) -> Result<SimTime, TomlError> {
+    Ok(SimTime::ZERO + duration_ms(r, key)?)
 }
 
 /// Parses one `[[mix]]` table into a [`NamedMix`].
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] on missing `name`, unknown keys, or
-/// non-boolean family flags.
-pub fn mix_from_table(table: &Table) -> Result<NamedMix, ConfigError> {
-    let probe = TableReader::new(table, "mix");
-    let name = probe.str_req("name")?.to_string();
-    let r = TableReader::new(table, format!("mix \"{name}\""));
+/// Returns a [`TomlError`] at the table's header line on missing `name`,
+/// unknown keys, or non-boolean family flags.
+pub fn mix_from_table(table: &Reader) -> Result<NamedMix, TomlError> {
+    let name = table
+        .clone()
+        .with_context("mix")
+        .str_req("name")?
+        .to_string();
+    let r = table.clone().with_context(format!("mix \"{name}\""));
     r.reject_unknown(&[
         "name",
         "crashes",
@@ -248,10 +92,7 @@ pub fn mix_from_table(table: &Table) -> Result<NamedMix, ConfigError> {
         leak: r.bool_or("leak", false)?,
     };
     if mix == FaultMix::none() {
-        return Err(ConfigError::new(
-            format!("mix \"{name}\""),
-            "enables no fault family",
-        ));
+        return Err(r.error("enables no fault family"));
     }
     Ok(NamedMix { name, mix })
 }
@@ -264,22 +105,23 @@ pub fn mix_from_table(table: &Table) -> Result<NamedMix, ConfigError> {
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] on unknown kinds, missing or mistyped keys.
-pub fn fault_from_table(table: &Table) -> Result<FaultEvent, ConfigError> {
-    let probe = TableReader::new(table, "fault");
-    let kind_name = probe.str_req("kind")?.to_string();
-    let r = TableReader::new(table, format!("fault \"{kind_name}\""));
-    let at = r.time_ms_req("at_ms")?;
+/// Returns a [`TomlError`] at the table's header line on unknown kinds,
+/// missing or mistyped keys.
+pub fn fault_from_table(table: &Reader) -> Result<FaultEvent, TomlError> {
+    let probe = table.clone().with_context("fault");
+    let kind_name = probe.str_req("kind")?;
+    let r = table.clone().with_context(format!("fault \"{kind_name}\""));
+    let at = time_ms(&r, "at_ms")?;
     fn allow<'x>(extra: &[&'x str]) -> Vec<&'x str> {
         let mut all = vec!["at_ms", "kind"];
         all.extend_from_slice(extra);
         all
     }
-    let kind = match kind_name.as_str() {
+    let kind = match kind_name {
         "crash_replica" => {
             r.reject_unknown(&allow(&["slot"]))?;
             FaultKind::CrashReplica {
-                slot: r.u32_req("slot")?,
+                slot: r.int("slot")?,
             }
         }
         "crash_rm" => {
@@ -289,89 +131,84 @@ pub fn fault_from_table(table: &Table) -> Result<FaultEvent, ConfigError> {
         "crash_daemon" => {
             r.reject_unknown(&allow(&["node", "restart_ms"]))?;
             FaultKind::CrashGcsDaemon {
-                node: r.u32_req("node")?,
-                restart_after: r.duration_ms_req("restart_ms")?,
+                node: r.int("node")?,
+                restart_after: duration_ms(&r, "restart_ms")?,
             }
         }
         "crash_naming" => {
             r.reject_unknown(&allow(&["restart_ms"]))?;
             FaultKind::CrashNaming {
-                restart_after: r.duration_ms_req("restart_ms")?,
+                restart_after: duration_ms(&r, "restart_ms")?,
             }
         }
         "partition" => {
             r.reject_unknown(&allow(&["a", "b", "heal_ms"]))?;
             FaultKind::Partition {
-                a: r.u32_req("a")?,
-                b: r.u32_req("b")?,
-                heal_after: r.duration_ms_req("heal_ms")?,
+                a: r.int("a")?,
+                b: r.int("b")?,
+                heal_after: duration_ms(&r, "heal_ms")?,
             }
         }
         "loss_burst" => {
             r.reject_unknown(&allow(&["probability", "duration_ms"]))?;
             FaultKind::LossBurst {
                 probability: r.f64_req("probability")?,
-                duration: r.duration_ms_req("duration_ms")?,
+                duration: duration_ms(&r, "duration_ms")?,
             }
         }
         "correlated_crash" => {
             r.reject_unknown(&allow(&["slots"]))?;
             FaultKind::CorrelatedCrash {
-                slots: r.u32_array_req("slots")?,
+                slots: r.u32_array("slots")?,
             }
         }
         "flash_crowd" => {
             r.reject_unknown(&allow(&["clients", "reads", "spread_ms"]))?;
             FaultKind::FlashCrowd {
-                clients: r.u32_req("clients")?,
-                reads: r.u32_req("reads")?,
-                spread: r.duration_ms_req("spread_ms")?,
+                clients: r.int("clients")?,
+                reads: r.int("reads")?,
+                spread: duration_ms(&r, "spread_ms")?,
             }
         }
         "rolling_restart" => {
             r.reject_unknown(&allow(&["slots", "gap_ms"]))?;
             FaultKind::RollingRestart {
-                slots: r.u32_req("slots")?,
-                gap: r.duration_ms_req("gap_ms")?,
+                slots: r.int("slots")?,
+                gap: duration_ms(&r, "gap_ms")?,
             }
         }
         "asymmetric_partition" => {
             r.reject_unknown(&allow(&["from", "to", "heal_ms"]))?;
             FaultKind::AsymmetricPartition {
-                from: r.u32_req("from")?,
-                to: r.u32_req("to")?,
-                heal_after: r.duration_ms_req("heal_ms")?,
+                from: r.int("from")?,
+                to: r.int("to")?,
+                heal_after: duration_ms(&r, "heal_ms")?,
             }
         }
         "jittery_link" => {
             r.reject_unknown(&allow(&["a", "b", "bound_ms", "duration_ms"]))?;
             FaultKind::JitteryLink {
-                a: r.u32_req("a")?,
-                b: r.u32_req("b")?,
-                bound: r.duration_ms_req("bound_ms")?,
-                duration: r.duration_ms_req("duration_ms")?,
+                a: r.int("a")?,
+                b: r.int("b")?,
+                bound: duration_ms(&r, "bound_ms")?,
+                duration: duration_ms(&r, "duration_ms")?,
             }
         }
         "cpu_exhaustion" => {
             r.reject_unknown(&allow(&["slot", "ramp_per_sec"]))?;
             FaultKind::CpuExhaustion {
-                slot: r.u32_req("slot")?,
+                slot: r.int("slot")?,
                 ramp_per_sec: r.f64_req("ramp_per_sec")?,
             }
         }
         "fd_leak" => {
             r.reject_unknown(&allow(&["slot", "per_request"]))?;
             FaultKind::FdLeak {
-                slot: r.u32_req("slot")?,
+                slot: r.int("slot")?,
                 per_request: r.f64_req("per_request")?,
             }
         }
-        other => {
-            return Err(ConfigError::new(
-                "fault",
-                format!("unknown fault kind `{other}`"),
-            ));
-        }
+        other => return Err(probe.error(format!("unknown fault kind `{other}`"))),
     };
     Ok(FaultEvent { at, kind })
 }
@@ -380,16 +217,14 @@ pub fn fault_from_table(table: &Table) -> Result<FaultEvent, ConfigError> {
 mod tests {
     use super::*;
 
-    fn first_mix(src: &str) -> Result<NamedMix, ConfigError> {
+    fn first_mix(src: &str) -> Result<NamedMix, TomlError> {
         let doc = tomlite::parse(src).expect("parses");
-        let mixes = doc["mix"].as_array().expect("array");
-        mix_from_table(mixes[0].as_table().expect("table"))
+        mix_from_table(&doc.root().tables("mix").expect("array")[0])
     }
 
-    fn first_fault(src: &str) -> Result<FaultEvent, ConfigError> {
+    fn first_fault(src: &str) -> Result<FaultEvent, TomlError> {
         let doc = tomlite::parse(src).expect("parses");
-        let faults = doc["fault"].as_array().expect("array");
-        fault_from_table(faults[0].as_table().expect("table"))
+        fault_from_table(&doc.root().tables("fault").expect("array")[0])
     }
 
     #[test]
@@ -449,8 +284,12 @@ mod tests {
     fn fault_errors_are_contextual() {
         let err = first_fault("[[fault]]\nat_ms = 900\nkind = \"warp_core_breach\"\n").unwrap_err();
         assert!(err.msg.contains("unknown fault kind"), "{err}");
-        let err = first_fault("[[fault]]\nat_ms = 900\nkind = \"crash_replica\"\n").unwrap_err();
-        assert!(err.msg.contains("missing key `slot`"), "{err}");
+        let err =
+            first_fault("# c\n[[fault]]\nat_ms = 900\nkind = \"crash_replica\"\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: fault \"crash_replica\": missing key `slot`"
+        );
         let err = first_fault("[[fault]]\nat_ms = 900\nkind = \"crash_replica\"\nslot = -1\n")
             .unwrap_err();
         assert!(err.msg.contains("out of range"), "{err}");

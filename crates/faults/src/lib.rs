@@ -21,8 +21,9 @@
 //!   checked by [`FaultPlan::validate`], and
 //! * [`ResourcePressure`] — deterministic CPU-exhaustion / fd-leak
 //!   models feeding the two-step thresholds, and
-//! * [`config`] — the scenario-file (`tomlite`) schema for mixes and
-//!   explicit fault events.
+//! * [`config`] — the scenario-file schema for mixes and explicit fault
+//!   events, read through [`tomlite::Reader`] (errors are
+//!   [`tomlite::TomlError`]s at the entry's header line).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +37,7 @@ mod resource;
 mod weibull;
 
 pub use adaptive::AdaptivePredictor;
-pub use config::{ConfigError, NamedMix};
+pub use config::NamedMix;
 pub use memleak::{LeakConfig, MemoryLeak};
 pub use plan::{
     FaultEvent, FaultKind, FaultMix, FaultPlan, FaultPlanBuilder, PlanError, PlanSpace, MAX_BURST,

@@ -14,8 +14,8 @@
 //!   statuses of the paper's schemes, encoded into one buffer and parsed
 //!   in place as [`MessageView`]s,
 //! * [`Ior`]/[`IiopProfile`] — Interoperable Object References,
-//! * [`WireCodec`]/[`CodecError`] — the one encode/decode contract the
-//!   non-GIOP protocols (`mead::messages`, groupcomm framing) share,
+//! * [`CodecError`] — the one decode error the non-GIOP protocols
+//!   (`mead::messages`, groupcomm framing) share,
 //! * [`ObjectKey`] — persistent object keys with the 16-bit lookup hash of
 //!   section 4.1, and
 //! * [`FrameSplitter`] — an incremental splitter that separates GIOP frames
@@ -32,7 +32,7 @@ mod message;
 mod segbuf;
 
 pub use cdr::{wire_len, CdrError, CdrReader, CdrWriter, Endian};
-pub use codec::{CodecError, WireCodec};
+pub use codec::CodecError;
 pub use ior::{IiopProfile, Ior, TAG_INTERNET_IOP};
 pub use key::ObjectKey;
 pub use message::{

@@ -30,5 +30,5 @@ mod wire;
 
 pub use client::{GcsClient, GcsDelivery};
 pub use daemon::{GcsConfig, GcsDaemon, GCS_PORT, MESH_TAG};
-pub use giop::{CodecError, WireCodec};
+pub use giop::CodecError;
 pub use wire::{GcsSplitter, GcsWire, MAX_FRAME};

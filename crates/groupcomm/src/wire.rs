@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 
-use giop::{CdrReader, CdrWriter, CodecError, Endian, SegmentBuf, WireCodec};
+use giop::{CdrReader, CdrWriter, CodecError, Endian, SegmentBuf};
 
 /// Upper bound on a sane GCS frame, to catch stream desynchronisation.
 pub const MAX_FRAME: u32 = 1 << 20;
@@ -151,125 +151,6 @@ impl GcsWire {
     /// Encodes as a length-prefixed frame ready for the wire (prefix and
     /// body in one buffer).
     pub fn encode(&self) -> Bytes {
-        self.encode_wire()
-    }
-
-    /// Decodes one frame body (without the length prefix).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on malformed input.
-    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
-        Self::decode_body(body)
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Self, CodecError> {
-        let mut r = CdrReader::new(body, Endian::Big);
-        let kind = r.read_u8()?;
-        Ok(match kind {
-            0 => GcsWire::Attach {
-                member: r.read_string()?,
-            },
-            1 => GcsWire::Join {
-                group: r.read_string()?,
-            },
-            2 => GcsWire::Leave {
-                group: r.read_string()?,
-            },
-            3 => GcsWire::Multicast {
-                group: r.read_string()?,
-                payload: r.read_octets()?,
-            },
-            4 => GcsWire::Attached,
-            5 => {
-                let group = r.read_string()?;
-                let view_id = r.read_u64()?;
-                let n = r.read_u32()?;
-                let mut members = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    members.push(r.read_string()?);
-                }
-                GcsWire::View {
-                    group,
-                    view_id,
-                    members,
-                }
-            }
-            6 => GcsWire::Deliver {
-                group: r.read_string()?,
-                sender: r.read_string()?,
-                payload: r.read_octets()?,
-            },
-            7 => GcsWire::Hello {
-                node: r.read_u32()?,
-            },
-            8 => GcsWire::FwdJoin {
-                group: r.read_string()?,
-                member: r.read_string()?,
-                daemon: r.read_u32()?,
-            },
-            9 => GcsWire::FwdLeave {
-                group: r.read_string()?,
-                member: r.read_string()?,
-            },
-            10 => GcsWire::FwdMulticast {
-                group: r.read_string()?,
-                sender: r.read_string()?,
-                payload: r.read_octets()?,
-            },
-            11 => {
-                let seq = r.read_u64()?;
-                let group = r.read_string()?;
-                let view_id = r.read_u64()?;
-                let n = r.read_u32()?;
-                let mut members = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    members.push(r.read_string()?);
-                }
-                GcsWire::OrdView {
-                    seq,
-                    group,
-                    view_id,
-                    members,
-                }
-            }
-            12 => GcsWire::OrdDeliver {
-                seq: r.read_u64()?,
-                group: r.read_string()?,
-                sender: r.read_string()?,
-                payload: r.read_octets()?,
-            },
-            13 => GcsWire::Heartbeat {
-                pad: r.read_octets()?,
-            },
-            other => return Err(CodecError::UnknownKind(other)),
-        })
-    }
-}
-
-impl WireCodec for GcsWire {
-    const PROTOCOL: &'static str = "gcs";
-
-    fn frame_name(&self) -> &'static str {
-        match self {
-            GcsWire::Attach { .. } => "attach",
-            GcsWire::Join { .. } => "join",
-            GcsWire::Leave { .. } => "leave",
-            GcsWire::Multicast { .. } => "multicast",
-            GcsWire::Attached => "attached",
-            GcsWire::View { .. } => "view",
-            GcsWire::Deliver { .. } => "deliver",
-            GcsWire::Hello { .. } => "hello",
-            GcsWire::FwdJoin { .. } => "fwd_join",
-            GcsWire::FwdLeave { .. } => "fwd_leave",
-            GcsWire::FwdMulticast { .. } => "fwd_multicast",
-            GcsWire::OrdView { .. } => "ord_view",
-            GcsWire::OrdDeliver { .. } => "ord_deliver",
-            GcsWire::Heartbeat { .. } => "heartbeat",
-        }
-    }
-
-    fn encode_wire(&self) -> Bytes {
         // The u32 length prefix is the frame's whole header; `finish`
         // fills it in.
         let mut w = CdrWriter::framed(Endian::Big, &[0; 4], 0, 124);
@@ -356,18 +237,92 @@ impl WireCodec for GcsWire {
         w.finish()
     }
 
-    fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError> {
-        if bytes.len() < 4 {
-            return Err(CodecError::BadMagic);
-        }
-        let len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        if len > MAX_FRAME {
-            return Err(CodecError::Oversize(len));
-        }
-        if bytes.len() != 4 + len as usize {
-            return Err(CodecError::BadMagic);
-        }
-        Self::decode_body(&bytes[4..])
+    /// Decodes one frame body (without the length prefix).
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on malformed input.
+    pub fn decode(body: &[u8]) -> Result<Self, CodecError> {
+        let mut r = CdrReader::new(body, Endian::Big);
+        let kind = r.read_u8()?;
+        Ok(match kind {
+            0 => GcsWire::Attach {
+                member: r.read_string()?,
+            },
+            1 => GcsWire::Join {
+                group: r.read_string()?,
+            },
+            2 => GcsWire::Leave {
+                group: r.read_string()?,
+            },
+            3 => GcsWire::Multicast {
+                group: r.read_string()?,
+                payload: r.read_octets()?,
+            },
+            4 => GcsWire::Attached,
+            5 => {
+                let group = r.read_string()?;
+                let view_id = r.read_u64()?;
+                let n = r.read_u32()?;
+                let mut members = Vec::with_capacity(n.min(1024) as usize);
+                for _ in 0..n {
+                    members.push(r.read_string()?);
+                }
+                GcsWire::View {
+                    group,
+                    view_id,
+                    members,
+                }
+            }
+            6 => GcsWire::Deliver {
+                group: r.read_string()?,
+                sender: r.read_string()?,
+                payload: r.read_octets()?,
+            },
+            7 => GcsWire::Hello {
+                node: r.read_u32()?,
+            },
+            8 => GcsWire::FwdJoin {
+                group: r.read_string()?,
+                member: r.read_string()?,
+                daemon: r.read_u32()?,
+            },
+            9 => GcsWire::FwdLeave {
+                group: r.read_string()?,
+                member: r.read_string()?,
+            },
+            10 => GcsWire::FwdMulticast {
+                group: r.read_string()?,
+                sender: r.read_string()?,
+                payload: r.read_octets()?,
+            },
+            11 => {
+                let seq = r.read_u64()?;
+                let group = r.read_string()?;
+                let view_id = r.read_u64()?;
+                let n = r.read_u32()?;
+                let mut members = Vec::with_capacity(n.min(1024) as usize);
+                for _ in 0..n {
+                    members.push(r.read_string()?);
+                }
+                GcsWire::OrdView {
+                    seq,
+                    group,
+                    view_id,
+                    members,
+                }
+            }
+            12 => GcsWire::OrdDeliver {
+                seq: r.read_u64()?,
+                group: r.read_string()?,
+                sender: r.read_string()?,
+                payload: r.read_octets()?,
+            },
+            13 => GcsWire::Heartbeat {
+                pad: r.read_octets()?,
+            },
+            other => return Err(CodecError::UnknownKind(other)),
+        })
     }
 }
 
@@ -529,19 +484,6 @@ mod tests {
     #[test]
     fn unknown_kind_is_rejected() {
         assert_eq!(GcsWire::decode(&[200]), Err(CodecError::UnknownKind(200)));
-    }
-
-    #[test]
-    fn wire_codec_trait_round_trips_and_describes_frames() {
-        for msg in samples() {
-            let framed = msg.encode_wire();
-            assert_eq!(GcsWire::decode_wire(&framed), Ok(msg.clone()));
-        }
-        assert_eq!(GcsWire::PROTOCOL, "gcs");
-        // A frame whose length prefix disagrees with the buffer is rejected.
-        let mut framed = samples()[0].encode_wire().to_vec();
-        framed.pop();
-        assert_eq!(GcsWire::decode_wire(&framed), Err(CodecError::BadMagic));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Determinism findings may only be silenced through an explicit,
 //! *justified* entry here — never with an inline attribute — so every
 //! exception to the contract is reviewable in one place. The file is
-//! parsed with the vendored [`tomlite`] parser (the same one the chaos
-//! scenario DSL uses — one TOML parser in the tree, not two):
+//! read through [`tomlite::Reader`], the same schema layer the chaos
+//! scenarios and the protocol spec use:
 //!
 //! ```toml
 //! [[allow]]
@@ -28,17 +28,19 @@
 //! edges is suppressed, so blessing one flow never blesses a new
 //! transitive flow through the same source.
 //!
-//! Diagnostics carry 1-based line numbers: TOML syntax errors point at
-//! the offending line (straight from [`tomlite::TomlError`]), semantic
-//! errors (missing/unknown keys, bad rule ids) point at the `[[allow]]`
-//! header line of the entry they belong to.
+//! Every error is a [`tomlite::TomlError`]: a syntax error at the
+//! offending line, a semantic one (missing/unknown keys, bad rule ids)
+//! at the `[[allow]]` header line of the entry it belongs to. The CLI
+//! prefixes the path it read (`detlint: <path>:<line>: …`).
+
+use tomlite::{Reader, TomlError};
 
 use crate::Finding;
 
 /// One suppression entry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id this entry suppresses (`R1`..`R10`).
+    /// Rule id this entry suppresses (`R1`..`R12`).
     pub rule: String,
     /// Exact workspace-relative path of the finding's file (for R5: of
     /// the suppressed edge's caller).
@@ -57,23 +59,6 @@ pub struct AllowList {
     entries: Vec<AllowEntry>,
 }
 
-/// A malformed allow file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AllowError {
-    /// 1-based line in the allow file.
-    pub line: u32,
-    /// What is wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for AllowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lint-allow.toml:{}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for AllowError {}
-
 /// Rule ids that may appear in `rule = "..."`.
 const KNOWN_RULES: [&str; 12] = [
     "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12",
@@ -91,46 +76,20 @@ impl AllowList {
     }
 
     /// Parses the allow file. See the module docs for the format.
-    pub fn parse(text: &str) -> Result<AllowList, AllowError> {
-        let tracked = tomlite::parse_tracked(text).map_err(|e| AllowError {
-            line: e.line,
-            message: e.msg,
-        })?;
-        for key in tracked.table.keys() {
-            if key != "allow" {
-                return Err(AllowError {
-                    line: 1,
-                    message: format!("unknown section `{key}` (only [[allow]] is recognised)"),
-                });
-            }
-        }
-        let raw = match tracked.table.get("allow") {
-            None => return Ok(AllowList::default()),
-            Some(tomlite::Value::Array(items)) => items,
-            Some(other) => {
-                return Err(AllowError {
-                    line: 1,
-                    message: format!(
-                        "`allow` must be an array of tables, got {}",
-                        other.type_name()
-                    ),
-                });
-            }
-        };
-        let header_lines = tracked
-            .array_lines
-            .get("allow")
-            .cloned()
-            .unwrap_or_default();
-        let mut entries = Vec::with_capacity(raw.len());
-        for (idx, item) in raw.iter().enumerate() {
-            let at = header_lines.get(idx).copied().unwrap_or(1);
-            let table = item.as_table().ok_or_else(|| AllowError {
-                line: at,
-                message: "`allow` must be an array of tables".to_string(),
-            })?;
-            entries.push(entry_from_table(table, at)?);
-        }
+    ///
+    /// # Errors
+    ///
+    /// A [`TomlError`] at the offending line: a syntax error's own line,
+    /// or the `[[allow]]` header of the entry a schema error belongs to.
+    pub fn parse(text: &str) -> Result<AllowList, TomlError> {
+        let doc = tomlite::parse(text)?;
+        let root = doc.root();
+        root.reject_unknown(&["allow"])?;
+        let entries = root
+            .tables("allow")?
+            .iter()
+            .map(entry_from)
+            .collect::<Result<_, _>>()?;
         Ok(AllowList { entries })
     }
 
@@ -169,62 +128,27 @@ impl AllowList {
     }
 }
 
-/// Validates one `[[allow]]` table into an [`AllowEntry`]. `at` is the
-/// header line used to anchor diagnostics.
-fn entry_from_table(table: &tomlite::Table, at: u32) -> Result<AllowEntry, AllowError> {
-    for key in table.keys() {
-        if !matches!(key.as_str(), "rule" | "path" | "pattern" | "justification") {
-            return Err(AllowError {
-                line: at,
-                message: format!("unknown key `{key}`"),
-            });
-        }
+/// Validates one `[[allow]]` table into an [`AllowEntry`].
+fn entry_from(r: &Reader) -> Result<AllowEntry, TomlError> {
+    r.reject_unknown(&["rule", "path", "pattern", "justification"])?;
+    let rule = r.str_req("rule")?;
+    if !KNOWN_RULES.contains(&rule) {
+        return Err(r.error(format!("unknown rule `{rule}` (expected R1..R12)")));
     }
-    let string_key = |key: &str| -> Result<Option<String>, AllowError> {
-        match table.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| AllowError {
-                    line: at,
-                    message: format!("`{key}` must be a string, got {}", v.type_name()),
-                }),
-        }
-    };
-    let rule = string_key("rule")?.ok_or(AllowError {
-        line: at,
-        message: "entry is missing `rule`".to_string(),
-    })?;
-    if !KNOWN_RULES.contains(&rule.as_str()) {
-        return Err(AllowError {
-            line: at,
-            message: format!("unknown rule `{rule}` (expected R1..R10)"),
-        });
-    }
-    let path = string_key("path")?.ok_or(AllowError {
-        line: at,
-        message: "entry is missing `path`".to_string(),
-    })?;
+    let path = r.str_req("path")?;
     if path.is_empty() {
-        return Err(AllowError {
-            line: at,
-            message: "`path` must be non-empty".to_string(),
-        });
+        return Err(r.error("`path` must be non-empty"));
     }
-    let justification = string_key("justification")?.unwrap_or_default();
+    let justification = r.str_opt("justification")?.unwrap_or_default();
     if justification.trim().is_empty() {
-        return Err(AllowError {
-            line: at,
-            message: "suppression requires a non-empty `justification`".to_string(),
-        });
+        return Err(r.error("suppression requires a non-empty `justification`"));
     }
     Ok(AllowEntry {
-        rule,
-        path,
-        pattern: string_key("pattern")?,
-        justification,
-        defined_at: at,
+        rule: rule.to_string(),
+        path: path.to_string(),
+        pattern: r.str_opt("pattern")?.map(str::to_string),
+        justification: justification.to_string(),
+        defined_at: r.line(),
     })
 }
 
@@ -310,14 +234,14 @@ justification = "wall-clock accounting only"
         let err =
             AllowList::parse("[[allow]]\nrule = \"R2\"\npath = \"a.rs\"\njustification = \"  \"\n")
                 .expect_err("must fail");
-        assert!(err.message.contains("justification"));
+        assert!(err.msg.contains("justification"));
     }
 
     #[test]
     fn missing_justification_is_an_error() {
         let err =
             AllowList::parse("[[allow]]\nrule = \"R3\"\npath = \"a.rs\"\n").expect_err("must fail");
-        assert!(err.message.contains("justification"));
+        assert!(err.msg.contains("justification"));
     }
 
     #[test]
@@ -345,6 +269,6 @@ justification = "wall-clock accounting only"
         .expect_err("second entry invalid");
         assert_eq!(err.line, 8);
         let err = AllowList::parse("[x]\ny = 1\n").expect_err("unknown section");
-        assert!(err.message.contains("unknown section"));
+        assert!(err.msg.contains("unknown section"));
     }
 }

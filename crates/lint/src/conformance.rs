@@ -12,8 +12,8 @@
 //!    into the paper's stage table is a silent reporting gap.
 //! 3. **Codec coverage** — every variant of a wire codec enum
 //!    (`GcsWire`, `GroupMsg`) must appear on both the encode side
-//!    (`kind`/`frame_name`/`encode`/`encode_wire`) and the decode side
-//!    (`decode`/`decode_body`/`decode_wire`) of its defining file, and
+//!    (`kind`/`encode`) and the decode side (`decode`) of its defining
+//!    file, and
 //!    the `write_*`/`read_*` type suffixes used by the two sides of each
 //!    codec impl (including codec structs like `FailoverNotice`) must
 //!    agree — an encoder writing a field no decoder reads back is a wire
@@ -74,14 +74,8 @@ impl Default for ConformanceConfig {
             ]),
             codec_enums: strs(&["GcsWire", "GroupMsg"]),
             codec_structs: strs(&["FailoverNotice"]),
-            encode_fns: strs(&["kind", "frame_name", "encode", "encode_wire"]),
-            decode_fns: strs(&[
-                "decode",
-                "decode_body",
-                "decode_wire",
-                "from_u8",
-                "from_u32",
-            ]),
+            encode_fns: strs(&["kind", "encode"]),
+            decode_fns: strs(&["decode", "from_u8", "from_u32"]),
         }
     }
 }

@@ -28,6 +28,7 @@ use std::fmt::Write as _;
 
 use synlite::ast::{Item, ItemKind, MatchArm};
 use synlite::{Delim, Span, Tok, TokenTree};
+use tomlite::TomlError;
 
 use crate::callgraph::{CallGraph, FileAst};
 use crate::{json_escape, Finding};
@@ -160,23 +161,6 @@ pub struct Spec {
     pub transitions: Vec<SpecTransition>,
 }
 
-/// A malformed spec file (configuration error — detlint exits 2).
-#[derive(Clone, Debug)]
-pub struct SpecError {
-    /// 1-based line in the spec file.
-    pub line: u32,
-    /// What is wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "spec:{}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
 /// How a receive site treats the matched message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SiteKind {
@@ -219,204 +203,108 @@ pub struct Analysis {
     pub sites: Vec<CodeSite>,
 }
 
-/// Parses and validates the spec text.
-pub fn parse_spec(src: &str) -> Result<Spec, SpecError> {
-    let tracked = tomlite::parse_tracked(src).map_err(|e| SpecError {
-        line: e.line,
-        message: e.msg,
-    })?;
-    spec_from_tracked(&tracked)
-}
-
-fn array_of<'a>(
-    tracked: &'a tomlite::Tracked,
-    key: &str,
-) -> Result<Vec<(&'a tomlite::Table, u32)>, SpecError> {
-    let lines = tracked.array_lines.get(key).cloned().unwrap_or_default();
-    match tracked.table.get(key) {
-        None => Ok(Vec::new()),
-        Some(tomlite::Value::Array(items)) => items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let at = lines.get(i).copied().unwrap_or(1);
-                v.as_table().map(|t| (t, at)).ok_or_else(|| SpecError {
-                    line: at,
-                    message: format!("`[[{key}]]` must be an array of tables"),
-                })
-            })
-            .collect(),
-        Some(other) => Err(SpecError {
-            line: 1,
-            message: format!(
-                "`{key}` must be an array of tables, got {}",
-                other.type_name()
-            ),
-        }),
-    }
-}
-
-fn req_str(table: &tomlite::Table, key: &str, at: u32, what: &str) -> Result<String, SpecError> {
-    match table.get(key) {
-        Some(v) => v.as_str().map(str::to_string).ok_or_else(|| SpecError {
-            line: at,
-            message: format!("{what}: `{key}` must be a string, got {}", v.type_name()),
-        }),
-        None => Err(SpecError {
-            line: at,
-            message: format!("{what} is missing `{key}`"),
-        }),
-    }
-}
-
-fn opt_str_array(
-    table: &tomlite::Table,
-    key: &str,
-    at: u32,
-    what: &str,
-) -> Result<Vec<String>, SpecError> {
-    match table.get(key) {
-        None => Ok(Vec::new()),
-        Some(tomlite::Value::Array(items)) => items
-            .iter()
-            .map(|v| {
-                v.as_str().map(str::to_string).ok_or_else(|| SpecError {
-                    line: at,
-                    message: format!(
-                        "{what}: `{key}` must be an array of strings, got {}",
-                        v.type_name()
-                    ),
-                })
-            })
-            .collect(),
-        Some(other) => Err(SpecError {
-            line: at,
-            message: format!(
-                "{what}: `{key}` must be an array of strings, got {}",
-                other.type_name()
-            ),
-        }),
-    }
-}
-
-fn spec_from_tracked(tracked: &tomlite::Tracked) -> Result<Spec, SpecError> {
-    let machine = tracked
-        .table
-        .get("machine")
-        .and_then(|v| v.as_table())
-        .ok_or(SpecError {
-            line: 1,
-            message: "spec is missing the `[machine]` table".to_string(),
-        })?;
-    let name = req_str(machine, "name", 1, "`[machine]`")?;
-    let initial = req_str(machine, "initial", 1, "`[machine]`")?;
+/// Parses and validates the spec text. Only the five sections and the
+/// keys listed in DESIGN §9 are accepted, so a misspelled key fails here
+/// instead of silently emptying a cell or transition.
+///
+/// # Errors
+///
+/// A [`TomlError`] (detlint exits 2) at the offending line: a syntax
+/// error's own line, or the header of the section a schema error is in.
+pub fn parse_spec(src: &str) -> Result<Spec, TomlError> {
+    let doc = tomlite::parse(src)?;
+    let root = doc.root();
+    root.reject_unknown(&["machine", "state", "role", "cell", "transition"])?;
+    let machine = root
+        .table("machine")?
+        .ok_or_else(|| root.error("spec is missing the `[machine]` table"))?;
+    machine.reject_unknown(&["name", "initial"])?;
+    let name = machine.str_req("name")?.to_string();
+    let initial = machine.str_req("initial")?.to_string();
 
     let mut states = Vec::new();
-    for (table, at) in array_of(tracked, "state")? {
-        let name = req_str(table, "name", at, "`[[state]]`")?;
+    for r in root.tables("state")? {
+        r.reject_unknown(&["name", "about"])?;
+        let name = r.str_req("name")?.to_string();
         if states.iter().any(|s: &SpecState| s.name == name) {
-            return Err(SpecError {
-                line: at,
-                message: format!("duplicate state `{name}`"),
-            });
+            return Err(r.error(format!("duplicate state `{name}`")));
         }
-        states.push(SpecState { name, line: at });
+        states.push(SpecState {
+            name,
+            line: r.line(),
+        });
     }
     let mut roles = Vec::new();
-    for (table, at) in array_of(tracked, "role")? {
-        let name = req_str(table, "name", at, "`[[role]]`")?;
-        let path = req_str(table, "path", at, "`[[role]]`")?;
-        if roles.iter().any(|r: &SpecRole| r.name == name) {
-            return Err(SpecError {
-                line: at,
-                message: format!("duplicate role `{name}`"),
-            });
+    for r in root.tables("role")? {
+        r.reject_unknown(&["name", "path"])?;
+        let name = r.str_req("name")?.to_string();
+        let path = r.str_req("path")?.to_string();
+        if roles.iter().any(|role: &SpecRole| role.name == name) {
+            return Err(r.error(format!("duplicate role `{name}`")));
         }
         roles.push(SpecRole { name, path });
     }
     let state_names: BTreeSet<&str> = states.iter().map(|s| s.name.as_str()).collect();
     if !state_names.contains(initial.as_str()) {
-        return Err(SpecError {
-            line: 1,
-            message: format!("initial state `{initial}` is not a declared [[state]]"),
-        });
+        return Err(machine.error(format!(
+            "initial state `{initial}` is not a declared [[state]]"
+        )));
     }
     let mut cells: Vec<SpecCell> = Vec::new();
-    for (table, at) in array_of(tracked, "cell")? {
-        let name = req_str(table, "name", at, "`[[cell]]`")?;
-        let kind = req_str(table, "kind", at, "`[[cell]]`")?;
+    for r in root.tables("cell")? {
+        r.reject_unknown(&["name", "kind", "fields"])?;
+        let name = r.str_req("name")?.to_string();
+        let kind = r.str_req("kind")?.to_string();
         if !CELL_KINDS.contains(&kind.as_str()) {
-            return Err(SpecError {
-                line: at,
-                message: format!(
-                    "cell `{name}` has unknown kind `{kind}` (expected one of {})",
-                    CELL_KINDS.join("/")
-                ),
-            });
+            return Err(r.error(format!(
+                "cell `{name}` has unknown kind `{kind}` (expected one of {})",
+                CELL_KINDS.join("/")
+            )));
         }
         if cells.iter().any(|c| c.name == name) {
-            return Err(SpecError {
-                line: at,
-                message: format!("duplicate cell `{name}`"),
-            });
+            return Err(r.error(format!("duplicate cell `{name}`")));
         }
-        let fields = opt_str_array(table, "fields", at, "`[[cell]]`")?;
         cells.push(SpecCell {
             name,
             kind,
-            fields,
-            line: at,
+            fields: r.str_array("fields")?,
+            line: r.line(),
         });
     }
     let cell_names: BTreeSet<&str> = cells.iter().map(|c| c.name.as_str()).collect();
     let mut transitions = Vec::new();
-    for (table, at) in array_of(tracked, "transition")? {
-        let from = req_str(table, "from", at, "`[[transition]]`")?;
-        let to = req_str(table, "to", at, "`[[transition]]`")?;
-        let role = req_str(table, "role", at, "`[[transition]]`")?;
+    for r in root.tables("transition")? {
+        r.reject_unknown(&["from", "to", "role", "send", "recv", "reads", "writes"])?;
+        let from = r.str_req("from")?.to_string();
+        let to = r.str_req("to")?.to_string();
+        let role = r.str_req("role")?.to_string();
         for s in [&from, &to] {
             if !state_names.contains(s.as_str()) {
-                return Err(SpecError {
-                    line: at,
-                    message: format!("transition references undeclared state `{s}`"),
-                });
+                return Err(r.error(format!("transition references undeclared state `{s}`")));
             }
         }
         if !roles.iter().any(|r| r.name == role) {
-            return Err(SpecError {
-                line: at,
-                message: format!("transition references undeclared role `{role}`"),
-            });
+            return Err(r.error(format!("transition references undeclared role `{role}`")));
         }
-        let (dir, msg) = match (table.get("send"), table.get("recv")) {
+        let (dir, msg) = match (r.get("send"), r.get("recv")) {
             (Some(v), None) => (Dir::Send, v),
             (None, Some(v)) => (Dir::Recv, v),
-            _ => {
-                return Err(SpecError {
-                    line: at,
-                    message: "transition needs exactly one of `send`/`recv`".to_string(),
-                });
-            }
+            _ => return Err(r.error("transition needs exactly one of `send`/`recv`")),
         };
-        let msg = msg.as_str().map(str::to_string).ok_or(SpecError {
-            line: at,
-            message: "`send`/`recv` must be a string message name".to_string(),
-        })?;
-        let reads = opt_str_array(table, "reads", at, "`[[transition]]`")?;
-        let writes = opt_str_array(table, "writes", at, "`[[transition]]`")?;
+        let msg = msg
+            .as_str()
+            .ok_or_else(|| r.error("`send`/`recv` must be a string message name"))?
+            .to_string();
+        let reads = r.str_array("reads")?;
+        let writes = r.str_array("writes")?;
         if dir == Dir::Send && (!reads.is_empty() || !writes.is_empty()) {
-            return Err(SpecError {
-                line: at,
-                message: "effect clauses (`reads`/`writes`) are only valid on recv transitions"
-                    .to_string(),
-            });
+            return Err(
+                r.error("effect clauses (`reads`/`writes`) are only valid on recv transitions")
+            );
         }
         for cell in reads.iter().chain(writes.iter()) {
             if !cell_names.contains(cell.as_str()) {
-                return Err(SpecError {
-                    line: at,
-                    message: format!("transition references undeclared cell `{cell}`"),
-                });
+                return Err(r.error(format!("transition references undeclared cell `{cell}`")));
             }
         }
         transitions.push(SpecTransition {
@@ -427,7 +315,7 @@ fn spec_from_tracked(tracked: &tomlite::Tracked) -> Result<Spec, SpecError> {
             msg,
             reads,
             writes,
-            line: at,
+            line: r.line(),
         });
     }
     Ok(Spec {
@@ -447,7 +335,7 @@ pub fn check(
     cfg: &FsmConfig,
     spec_src: &str,
     graph: &CallGraph,
-) -> Result<Analysis, SpecError> {
+) -> Result<Analysis, TomlError> {
     let spec = parse_spec(spec_src)?;
     let enums: BTreeSet<&str> = cfg.enums.iter().map(String::as_str).collect();
     let codecs: BTreeSet<&str> = cfg.codec_structs.iter().map(String::as_str).collect();

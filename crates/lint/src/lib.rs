@@ -45,9 +45,13 @@
 //!
 //! Suppressions are allowed only through a justified
 //! [`lint-allow.toml`](allow) entry; stale entries are configuration
-//! errors. Run it locally with `cargo run --release -- lint`; CI runs it as a
-//! blocking job and uploads the `--format sarif` report to code scanning
-//! and the `--format json` summary as an artifact.
+//! errors. Both TOML inputs, the allowlist and the protocol spec, are
+//! read through [`tomlite::Reader`]: unknown sections and keys are
+//! rejected, and every malformed entry is a [`tomlite::TomlError`]
+//! reported as `<path>:<line>: …` at its header line. Run it locally
+//! with `cargo run --release -- lint`; CI runs it as a blocking job and
+//! uploads the `--format sarif` report to code scanning and the
+//! `--format json` summary as an artifact.
 
 pub mod allow;
 pub mod callgraph;
@@ -63,7 +67,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-pub use allow::{AllowError, AllowList};
+pub use allow::AllowList;
 pub use callgraph::{CallGraph, FileAst};
 pub use conformance::ConformanceConfig;
 pub use rules::RuleSet;
@@ -139,9 +143,14 @@ impl Default for Contract {
             "crates/experiments/src",
             "crates/explore/src",
         ];
-        // The lint engine and its parser must themselves be deterministic:
+        // The lint engine and its parsers must themselves be deterministic:
         // their output feeds CI gates, so they are in scope for R1/R2.
-        let self_scopes = ["crates/obs/src", "crates/lint/src", "vendor/synlite/src"];
+        let self_scopes = [
+            "crates/obs/src",
+            "crates/lint/src",
+            "vendor/synlite/src",
+            "vendor/tomlite/src",
+        ];
         let strs = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         Contract {
             r1_scopes: sim_crates
@@ -523,7 +532,7 @@ fn fsm_analysis_of(ws: &Workspace<'_>, cfg: &fsm::FsmConfig) -> Result<fsm::Anal
         message: format!("fsm report: spec {} not loaded", cfg.spec_path),
     })?;
     fsm::check(&ws.files, cfg, spec_src, &ws.graph).map_err(|e| EngineError {
-        message: format!("{}:{}: {}", cfg.spec_path, e.line, e.message),
+        message: format!("{}:{}: {}", cfg.spec_path, e.line, e.msg),
     })
 }
 
@@ -569,6 +578,21 @@ pub fn load_spec(root: &Path, contract: &Contract) -> Result<Contract, EngineErr
         }
     }
     Ok(contract)
+}
+
+/// Reads the allowlist at `path`; a missing file allows nothing. An
+/// unreadable or malformed file is a configuration error naming `path`
+/// (and, when malformed, the offending line: `<path>:<line>: …`).
+pub fn load_allow(path: &Path) -> Result<AllowList, EngineError> {
+    if !path.exists() {
+        return Ok(AllowList::empty());
+    }
+    let text = std::fs::read_to_string(path).map_err(|e| EngineError {
+        message: format!("reading {}: {e}", path.display()),
+    })?;
+    AllowList::parse(&text).map_err(|e| EngineError {
+        message: format!("{}:{}: {}", path.display(), e.line, e.msg),
+    })
 }
 
 /// Scans every `.rs` file under `root`'s `crates/` and `vendor/` trees
@@ -629,7 +653,7 @@ pub fn conflict_report(ws: &Workspace<'_>, contract: &Contract) -> Result<String
         message: "conflict report: the R11/R12 pass is disabled in this contract".to_string(),
     })?;
     let spec = fsm::parse_spec(spec_src).map_err(|e| EngineError {
-        message: format!("{}:{}: {}", fsm_cfg.spec_path, e.line, e.message),
+        message: format!("{}:{}: {}", fsm_cfg.spec_path, e.line, e.msg),
     })?;
     Ok(effects::conflict_report(&ws.graph, &spec, effects_cfg))
 }
@@ -870,22 +894,12 @@ pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 
         }
     }
     let allow_path = allow_path.unwrap_or_else(|| root.join("lint-allow.toml"));
-    let allow = if allow_path.exists() {
-        match std::fs::read_to_string(&allow_path) {
-            Ok(text) => match AllowList::parse(&text) {
-                Ok(list) => list,
-                Err(e) => {
-                    eprintln!("detlint: {e}");
-                    return 2;
-                }
-            },
-            Err(e) => {
-                eprintln!("detlint: reading {}: {e}", allow_path.display());
-                return 2;
-            }
+    let allow = match load_allow(&allow_path) {
+        Ok(list) => list,
+        Err(e) => {
+            eprintln!("detlint: {e}");
+            return 2;
         }
-    } else {
-        AllowList::empty()
     };
 
     let sources = match collect_sources(&root) {

@@ -109,6 +109,58 @@ fn malformed_spec_exits_two() {
     assert_eq!(run(&["--root", &root_arg(&root)]), 2);
 }
 
+/// The engine error a workspace scan of `root` stops with.
+fn config_error(root: &Path) -> String {
+    lint::lint_workspace(root, &lint::Contract::default(), &lint::AllowList::empty())
+        .expect_err("a configuration error")
+        .to_string()
+}
+
+#[test]
+fn misspelled_spec_key_exits_two_at_its_section() {
+    let root = workspace("spec-typo");
+    write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
+    // A misspelled `fields` would otherwise leave the cell with no fields,
+    // and R11/R12 would silently stop seeing them.
+    let spec = format!(
+        "{MINIMAL_SPEC}\n[[cell]]\nname = \"c\"\nkind = \"counter\"\nfeilds = [\"count\"]\n"
+    );
+    write(&root, "specs/recovery-protocol.toml", &spec);
+    assert_eq!(run(&["--root", &root_arg(&root)]), 2);
+    assert_eq!(
+        config_error(&root),
+        "specs/recovery-protocol.toml:8: unknown key `feilds`"
+    );
+
+    let machine = MINIMAL_SPEC.replace("initial", "start = \"Idle\"\ninitial");
+    write(&root, "specs/recovery-protocol.toml", &machine);
+    assert_eq!(run(&["--root", &root_arg(&root)]), 2);
+    assert_eq!(
+        config_error(&root),
+        "specs/recovery-protocol.toml:1: unknown key `start`"
+    );
+}
+
+#[test]
+fn malformed_allow_file_is_reported_under_its_own_path() {
+    let root = workspace("other-allow");
+    write(&root, "crates/demo/src/lib.rs", "pub fn ok() {}\n");
+    write(&root, "specs/recovery-protocol.toml", MINIMAL_SPEC);
+    let other = root.join("other-allow.toml");
+    write(
+        &root,
+        "other-allow.toml",
+        "# R13 does not exist\n[[allow]]\nrule = \"R13\"\npath = \"a.rs\"\njustification = \"j\"\n",
+    );
+    let other_arg = other.to_string_lossy().to_string();
+    assert_eq!(run(&["--root", &root_arg(&root), "--allow", &other_arg]), 2);
+    let err = lint::load_allow(&other).expect_err("R13 is no rule");
+    assert_eq!(
+        err.to_string(),
+        format!("{other_arg}:2: unknown rule `R13` (expected R1..R12)")
+    );
+}
+
 #[test]
 fn file_that_does_not_lex_exits_two() {
     let root = workspace("no-lex");

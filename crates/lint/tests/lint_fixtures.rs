@@ -381,7 +381,7 @@ justification = "   "
     )
     .expect_err("blank justification must not parse");
     assert!(
-        err.message.contains("justification"),
+        err.msg.contains("justification"),
         "error should name the missing justification: {err:?}"
     );
 }

@@ -34,7 +34,7 @@ pub use directory::{
     replica_member_name, slot_of_member, MemberName, ReplicaDirectory, Slot, REPLICA_PREFIX,
     SERVER_GROUP,
 };
-pub use giop::{CodecError, WireCodec};
+pub use giop::CodecError;
 pub use intercept::client::{ClientInterceptor, REDIRECT_CPU};
 pub use intercept::common::FABRICATE_CPU;
 pub use intercept::server::{

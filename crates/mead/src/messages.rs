@@ -14,10 +14,8 @@
 //!    synchronisation, and the address query/reply pair used by the
 //!    `NEEDS_ADDRESSING_MODE` scheme.
 
-use bytes::Bytes;
 use giop::{
-    frame_writer, CdrReader, CdrWriter, CodecError, Endian, Frame, Ior, WireCodec, HEADER_LEN,
-    MEAD_MAGIC,
+    frame_writer, CdrReader, CdrWriter, CodecError, Endian, Frame, Ior, HEADER_LEN, MEAD_MAGIC,
 };
 
 /// The proactive fail-over notice piggybacked onto GIOP replies
@@ -67,23 +65,7 @@ impl FailoverNotice {
     ///
     /// [`CodecError`] on foreign or malformed frames.
     pub fn decode(frame: &Frame) -> Result<Self, CodecError> {
-        Self::decode_wire(&frame.bytes)
-    }
-}
-
-impl WireCodec for FailoverNotice {
-    const PROTOCOL: &'static str = "mead";
-
-    fn frame_name(&self) -> &'static str {
-        "failover_notice"
-    }
-
-    fn encode_wire(&self) -> Bytes {
-        self.encode().into()
-    }
-
-    fn decode_wire(bytes: &[u8]) -> Result<Self, CodecError> {
-        let body = match bytes.split_at_checked(HEADER_LEN) {
+        let body = match frame.bytes.split_at_checked(HEADER_LEN) {
             Some((header, body)) if header.starts_with(&MEAD_MAGIC) => body,
             _ => return Err(CodecError::BadMagic),
         };
@@ -237,31 +219,6 @@ impl GroupMsg {
     ///
     /// [`CodecError`] on malformed input.
     pub fn decode(payload: &[u8]) -> Result<Self, CodecError> {
-        Self::decode_wire(payload)
-    }
-}
-
-impl WireCodec for GroupMsg {
-    const PROTOCOL: &'static str = "mead-group";
-
-    fn frame_name(&self) -> &'static str {
-        match self {
-            GroupMsg::AddrAdvert { .. } => "addr_advert",
-            GroupMsg::IorAdvert { .. } => "ior_advert",
-            GroupMsg::LaunchRequest { .. } => "launch_request",
-            GroupMsg::SyncList { .. } => "sync_list",
-            GroupMsg::AddressQuery { .. } => "address_query",
-            GroupMsg::AddressReply { .. } => "address_reply",
-            GroupMsg::Checkpoint { .. } => "checkpoint",
-            GroupMsg::RmState { .. } => "rm_state",
-        }
-    }
-
-    fn encode_wire(&self) -> Bytes {
-        self.encode().into()
-    }
-
-    fn decode_wire(payload: &[u8]) -> Result<Self, CodecError> {
         let mut r = CdrReader::new(payload, Endian::Big);
         let kind = r.read_u8()?;
         Ok(match kind {
@@ -414,23 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn wire_codec_trait_round_trips_and_describes_frames() {
-        let notice = FailoverNotice::new("node3", 20001, "replica/7");
-        assert_eq!(
-            FailoverNotice::decode_wire(&notice.encode_wire()).unwrap(),
-            notice
-        );
-        assert_eq!(FailoverNotice::PROTOCOL, "mead");
-        assert_eq!(notice.frame_name(), "failover_notice");
-        let msg = GroupMsg::AddressQuery {
-            reply_group: "clients/1".into(),
+    fn foreign_magic_is_a_typed_error_not_a_kind_confusion() {
+        let frame = Frame {
+            kind: giop::FrameKind::Mead,
+            bytes: vec![0u8; 16].into(),
         };
-        assert_eq!(GroupMsg::decode_wire(&msg.encode_wire()).unwrap(), msg);
-        assert_eq!(msg.frame_name(), "address_query");
-        // Foreign magic is a typed error, not a kind confusion.
-        assert_eq!(
-            FailoverNotice::decode_wire(&[0u8; 16]),
-            Err(CodecError::BadMagic)
-        );
+        assert_eq!(FailoverNotice::decode(&frame), Err(CodecError::BadMagic));
     }
 }

@@ -41,6 +41,18 @@ fn one_fault_scenario(fault: &str) -> String {
     )
 }
 
+/// A generated-plan scenario on the paper topology with one `[[mix]]`
+/// per name, each setting `flag = true`.
+fn mixes_scenario(names: &[&str], flag: &str) -> String {
+    let mut src = "[sweep]\nname = \"x\"\nbase_seed = 1\nplans_per_cell = 1\n\n\
+                   [[topology]]\nname = \"paper\"\n"
+        .to_string();
+    for name in names {
+        src.push_str(&format!("\n[[mix]]\nname = \"{name}\"\n{flag} = true\n"));
+    }
+    src
+}
+
 #[test]
 fn usage_errors_exit_2_with_a_message() {
     let dir = std::env::temp_dir().join(format!("mead-repro-cli-{}", std::process::id()));
@@ -66,11 +78,14 @@ fn usage_errors_exit_2_with_a_message() {
         "sequencer.toml",
         &one_fault_scenario("kind = \"crash_daemon\"\nnode = 0\nrestart_ms = 100"),
     );
+    // Two report cells named `paper/mead_failover/x` could not be told apart.
+    let repeated_mix = file("xyx.toml", &mixes_scenario(&["x", "y", "x"], "loss"));
+    let misspelled = file("los.toml", &mixes_scenario(&["x"], "los"));
     let truncated = file(
         "truncated.json",
         "{\"schema\": \"conflict-relation/1\", \"indep",
     );
-    let cases: [&[&str]; 18] = [
+    let cases: [&[&str]; 20] = [
         &[],
         &["tabel1"],
         &["table1", "--threads"],
@@ -84,6 +99,8 @@ fn usage_errors_exit_2_with_a_message() {
         &["sweep", &malformed],
         &["sweep", &far_node],
         &["sweep", &sequencer],
+        &["sweep", &repeated_mix],
+        &["sweep", &misspelled],
         &["sweep", &malformed, &missing],
         &["explore", "--runs", "zzz"],
         &["explore", "--depth", "-1"],
@@ -98,10 +115,12 @@ fn usage_errors_exit_2_with_a_message() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
-    // The two scenarios are refused for their one bad node, nothing else.
+    // Each scenario is refused for its one defect, at the line it is on.
     for (scenario, why) in [
         (&far_node, "node 9 beyond the topology"),
         (&sequencer, "the daemon on node 0 may not be crashed"),
+        (&repeated_mix, "line 17: mix \"x\": duplicate mix name"),
+        (&misspelled, "line 9: mix \"x\": unknown key `los`"),
     ] {
         let stderr = String::from_utf8_lossy(&mead_repro(&["sweep", scenario]).stderr).into_owned();
         assert!(stderr.contains(why), "{scenario}: {stderr}");
