@@ -1,16 +1,16 @@
 //! The command-line plumbing every `mead-repro` command shares.
 //!
-//! The flags more than one command takes — `--threads N`, `--trace PATH`,
-//! `--smoke`, `--violations PATH` — are parsed once, here
-//! ([`cli_from_args`]); a command-specific `--flag VALUE` is lifted out of
-//! the remainder with [`take_flag`]. Nothing in this module exits the
-//! process: parsing and artifact writing return [`CliError`], and
-//! [`run_command`] turns a command's result into the exit status the
-//! binary leaves with, from the one place it exits — 0 passed, 1 failed
-//! check or unwritable output, 2 usage error or unreadable/invalid input
-//! file.
+//! A command owns its arguments and takes from them exactly the flags it
+//! reads — [`take_threads`], [`take_flag`], [`take_number`],
+//! [`take_switch`] — then ends with [`no_args_left`] or
+//! [`positional_or`], so a flag it does not read is a usage error that
+//! names it. Nothing in this module exits the process: parsing and
+//! artifact writing return [`CliError`], and [`run_command`] turns a
+//! command's result into the exit status the binary leaves with, from
+//! the one place it exits — 0 passed, 1 failed check or unwritable
+//! output, 2 usage error or unreadable/invalid input file.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::report::{ViolationRecord, ViolationReport};
 use crate::runner::default_threads;
@@ -35,47 +35,16 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// The shared command line of one `mead-repro` command.
-#[derive(Clone, Debug)]
-pub struct Cli {
-    /// Worker threads to use ([`default_threads`] when `--threads` is
-    /// absent or `0`).
-    pub threads: usize,
-    /// Where to write the JSONL trace, if `--trace` was given.
-    pub trace: Option<PathBuf>,
-    /// `--smoke`: the short fixed-shape CI configuration.
-    pub smoke: bool,
-    /// Where to write the `violation-report/1` document, if
-    /// `--violations` was given.
-    pub violations: Option<PathBuf>,
-    /// Everything else, in order: positional arguments and the flags
-    /// only one command takes.
-    pub args: Vec<String>,
-}
-
-/// Parses a command's arguments (command name already stripped). Flags
-/// take either the `--flag value` or the `--flag=value` form.
+/// Removes `--threads N` from `args` and returns the worker-thread
+/// count: [`default_threads`] when the flag is absent or `0`.
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] for a flag without its value or a non-numeric
-/// `--threads`.
-pub fn cli_from_args(args: &[String]) -> Result<Cli, CliError> {
-    let mut rest = args.to_vec();
-    let threads = take_number(&mut rest, "--threads")?.unwrap_or(0);
-    let trace = take_flag(&mut rest, "--trace")?.map(PathBuf::from);
-    let violations = take_flag(&mut rest, "--violations")?.map(PathBuf::from);
-    let smoke = take_switch(&mut rest, "--smoke");
-    Ok(Cli {
-        threads: if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        },
-        trace,
-        smoke,
-        violations,
-        args: rest,
+/// [`CliError::Usage`] for a `--threads` without a whole-number value.
+pub fn take_threads(args: &mut Vec<String>) -> Result<usize, CliError> {
+    Ok(match take_number(args, "--threads")? {
+        None | Some(0) => default_threads(),
+        Some(n) => n,
     })
 }
 
@@ -164,11 +133,14 @@ pub fn positional_or<T: std::str::FromStr>(args: &[String], default: T) -> Resul
     }
 }
 
-/// Runs one command: parses the shared flags, hands them to `command`
-/// (which returns whether every check it made passed) and maps the
+/// Runs one command: hands it its arguments (it takes the flags it
+/// reads and returns whether every check it made passed) and maps the
 /// result to the process exit status, printing any error to stderr.
-pub fn run_command(args: &[String], command: impl FnOnce(Cli) -> Result<bool, CliError>) -> i32 {
-    match cli_from_args(args).and_then(command) {
+pub fn run_command(
+    args: &[String],
+    command: impl FnOnce(Vec<String>) -> Result<bool, CliError>,
+) -> i32 {
+    match command(args.to_vec()) {
         Ok(true) => 0,
         Ok(false) => 1,
         Err(CliError::Failed(msg)) => {
@@ -177,10 +149,7 @@ pub fn run_command(args: &[String], command: impl FnOnce(Cli) -> Result<bool, Cl
         }
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
-            eprintln!(
-                "usage: mead-repro <command> [--threads N] [--trace out.jsonl] [--smoke] \
-                 [--violations out.json] [args...]  (see `mead-repro help`)"
-            );
+            eprintln!("usage: mead-repro <command> [args...]  (see `mead-repro help`)");
             2
         }
     }
@@ -199,38 +168,39 @@ pub fn write_artifact(what: &str, path: &Path, body: &str) -> Result<(), CliErro
     Ok(())
 }
 
-impl Cli {
-    /// Writes the labelled run traces to the `--trace` path, if one was
-    /// given.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::Failed`] when the file cannot be written.
-    pub fn write_trace(&self, sections: &[(String, &[obs::TraceEvent])]) -> Result<(), CliError> {
-        match &self.trace {
-            Some(path) => write_artifact("trace", path, &render_trace_sections(sections)),
-            None => Ok(()),
-        }
+/// Writes the labelled run traces to `path` (a `--trace` value), if one
+/// was given.
+///
+/// # Errors
+///
+/// [`CliError::Failed`] when the file cannot be written.
+pub fn write_trace(
+    path: Option<impl AsRef<Path>>,
+    sections: &[(String, &[obs::TraceEvent])],
+) -> Result<(), CliError> {
+    match path {
+        Some(path) => write_artifact("trace", path.as_ref(), &render_trace_sections(sections)),
+        None => Ok(()),
     }
+}
 
-    /// Writes `records` as a `violation-report/1` document to the
-    /// `--violations` path, if one was given.
-    ///
-    /// # Errors
-    ///
-    /// [`CliError::Failed`] when the file cannot be written.
-    pub fn write_violations(
-        &self,
-        source: &str,
-        records: Vec<ViolationRecord>,
-    ) -> Result<(), CliError> {
-        match &self.violations {
-            Some(path) => {
-                let body = ViolationReport::new(source, records).to_json();
-                write_artifact("violations", path, &body)
-            }
-            None => Ok(()),
+/// Writes `records` as a `violation-report/1` document to `path` (a
+/// `--violations` value), if one was given.
+///
+/// # Errors
+///
+/// [`CliError::Failed`] when the file cannot be written.
+pub fn write_violations(
+    path: Option<impl AsRef<Path>>,
+    source: &str,
+    records: Vec<ViolationRecord>,
+) -> Result<(), CliError> {
+    match path {
+        Some(path) => {
+            let body = ViolationReport::new(source, records).to_json();
+            write_artifact("violations", path.as_ref(), &body)
         }
+        None => Ok(()),
     }
 }
 
@@ -287,64 +257,51 @@ mod tests {
     }
 
     #[test]
-    fn no_flag_leaves_positionals_untouched() {
-        let cli = cli_from_args(&argv(&["500", "extra"])).unwrap();
-        assert_eq!(cli.threads, default_threads());
-        assert_eq!(cli.trace, None);
-        assert_eq!(cli.violations, None);
-        assert!(!cli.smoke);
-        assert_eq!(cli.args, argv(&["500", "extra"]));
-    }
-
-    #[test]
-    fn separate_and_equals_forms_parse() {
-        let cli = cli_from_args(&argv(&["--threads", "4", "100"])).unwrap();
-        assert_eq!(cli.threads, 4);
-        assert_eq!(cli.args, argv(&["100"]));
-        let cli = cli_from_args(&argv(&["100", "--threads=8"])).unwrap();
-        assert_eq!(cli.threads, 8);
-        assert_eq!(cli.args, argv(&["100"]));
-    }
-
-    #[test]
-    fn shared_flags_parse_in_any_order_and_leave_the_rest() {
-        let cli = cli_from_args(&argv(&[
-            "--smoke",
-            "--trace=t.jsonl",
-            "--runs",
-            "9",
-            "--violations",
-            "v.json",
-            "--threads=2",
-        ]))
-        .unwrap();
-        assert_eq!(cli.trace.as_deref(), Some(Path::new("t.jsonl")));
-        assert_eq!(cli.violations.as_deref(), Some(Path::new("v.json")));
-        assert_eq!(cli.threads, 2);
-        assert!(cli.smoke);
-        assert_eq!(cli.args, argv(&["--runs", "9"]));
+    fn threads_parse_in_both_forms_and_leave_the_rest() {
+        let mut args = argv(&["--threads", "4", "100"]);
+        assert_eq!(take_threads(&mut args), Ok(4));
+        assert_eq!(args, argv(&["100"]));
+        let mut args = argv(&["100", "--threads=8"]);
+        assert_eq!(take_threads(&mut args), Ok(8));
+        assert_eq!(args, argv(&["100"]));
+        let mut args = argv(&["500", "extra"]);
+        assert_eq!(take_threads(&mut args), Ok(default_threads()));
+        assert_eq!(args, argv(&["500", "extra"]));
+        assert_eq!(
+            take_threads(&mut argv(&["--threads", "0"])),
+            Ok(default_threads())
+        );
     }
 
     #[test]
     fn malformed_flag_is_an_error_not_a_panic() {
-        for bad in [
-            &["--threads"][..],
-            &["--threads", "many"],
-            &["--threads=x"],
-            &["--trace"],
-            &["12", "--violations"],
-        ] {
+        for bad in [&["--threads"][..], &["--threads", "many"], &["--threads=x"]] {
             assert!(
-                matches!(cli_from_args(&argv(bad)), Err(CliError::Usage(_))),
+                matches!(take_threads(&mut argv(bad)), Err(CliError::Usage(_))),
+                "{bad:?}"
+            );
+        }
+        for bad in [&["--trace"][..], &["12", "--trace"]] {
+            assert!(
+                matches!(
+                    take_flag(&mut argv(bad), "--trace"),
+                    Err(CliError::Usage(_))
+                ),
                 "{bad:?}"
             );
         }
     }
 
     #[test]
-    fn zero_threads_resolves_to_default() {
-        let cli = cli_from_args(&argv(&["--threads", "0"])).unwrap();
-        assert_eq!(cli.threads, default_threads());
+    fn a_flag_nobody_took_is_named() {
+        let unknown = |args: &[&str]| no_args_left(&argv(args)).unwrap_err().to_string();
+        assert_eq!(unknown(&["x", "--smoke"]), "unknown flag `--smoke`");
+        assert_eq!(unknown(&["extra"]), "unexpected argument `extra`");
+        assert_eq!(
+            positional_or(&argv(&["--violations", "v.json"]), 1),
+            Err(CliError::Usage("unknown flag `--violations`".into()))
+        );
+        assert_eq!(positional_or(&argv(&["7"]), 1), Ok(7));
     }
 
     #[test]
@@ -371,7 +328,11 @@ mod tests {
         assert_eq!(run_command(&[], |_| Ok(false)), 1);
         assert_eq!(run_command(&[], |_| Err(CliError::Failed("x".into()))), 1);
         assert_eq!(run_command(&[], |_| Err(CliError::Usage("x".into()))), 2);
-        assert_eq!(run_command(&argv(&["--threads"]), |_| Ok(true)), 2);
+        assert_eq!(
+            run_command(&argv(&["--threads"]), |mut args| take_threads(&mut args)
+                .map(|_| true)),
+            2
+        );
     }
 
     #[test]

@@ -34,7 +34,10 @@ use std::time::Duration;
 use mead::RecoveryScheme;
 use simnet::{Fnv, SimTime};
 
-use crate::cli::{check_thread_independence, positional_or, run_command, take_flag, CliError};
+use crate::cli::{
+    check_thread_independence, positional_or, run_command, take_flag, take_switch, take_threads,
+    CliError,
+};
 use crate::runner::run_batch_with;
 use crate::scenario::{run_scenario, ScenarioConfig};
 
@@ -227,15 +230,17 @@ pub fn run_fleet(cfg: &FleetConfig, threads: usize) -> FleetOutcome {
 /// throughput and checks that the fleet digest is bit-identical at 1, 2
 /// and N worker threads. Exit status 1 when any thread count disagrees.
 pub fn cli_main(args: &[String]) -> i32 {
-    run_command(args, |mut cli| {
-        let scheme = match take_flag(&mut cli.args, "--scheme")? {
+    run_command(args, |mut args| {
+        let threads = take_threads(&mut args)?;
+        let smoke = take_switch(&mut args, "--smoke");
+        let scheme = match take_flag(&mut args, "--scheme")? {
             Some(key) => key
                 .parse()
                 .map_err(|e: mead::UnknownScheme| CliError::Usage(e.to_string()))?,
             None => RecoveryScheme::MeadFailover,
         };
-        let clients = positional_or(&cli.args, 1000)?;
-        let cfg = if cli.smoke {
+        let clients = positional_or(&args, 1000)?;
+        let cfg = if smoke {
             FleetConfig {
                 groups: 2,
                 clients: 32,
@@ -250,8 +255,8 @@ pub fn cli_main(args: &[String]) -> i32 {
             cfg.scheme, cfg.groups, cfg.clients, cfg.invocations, cfg.seed
         );
         let mut thread_counts = vec![1, 2];
-        if cli.threads > 2 {
-            thread_counts.push(cli.threads);
+        if threads > 2 {
+            thread_counts.push(threads);
         }
         Ok(check_thread_independence(
             "fleet",

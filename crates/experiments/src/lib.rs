@@ -11,7 +11,8 @@
 //! [`failover`] and [`jitter`]. The
 //! command-line surface is [`paper::EXPERIMENTS`] (eight rows run by
 //! [`run_experiment`]) plus [`sweep::cli_main`], [`fleet::cli_main`] and
-//! [`paper::digest_probe`], all on the shared flags of [`cli`]; the one
+//! [`paper::digest_probe`], each taking the flags it reads through
+//! [`cli`]; the one
 //! binary that dispatches to them is the root package's `mead-repro`.
 
 #![forbid(unsafe_code)]
@@ -40,8 +41,9 @@ pub use chaos::{
     ChaosOutcome, ServantMutation,
 };
 pub use cli::{
-    check_thread_independence, cli_from_args, no_args_left, positional_or, render_trace_sections,
-    run_command, take_flag, take_number, take_switch, write_artifact, Cli, CliError,
+    check_thread_independence, no_args_left, positional_or, render_trace_sections, run_command,
+    take_flag, take_number, take_switch, take_threads, write_artifact, write_trace,
+    write_violations, CliError,
 };
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
 pub use failover::{failover_row_from, format_failover, model_budget, FailoverRow};

@@ -11,7 +11,10 @@
 use mead::RecoveryScheme;
 
 use crate::adaptive::{format_adaptive, run_adaptive_comparison};
-use crate::cli::{positional_or, run_command, write_artifact, CliError};
+use crate::cli::{
+    no_args_left, positional_or, run_command, take_flag, take_threads, write_artifact, write_trace,
+    CliError,
+};
 use crate::failover::{failover_row_from, format_failover};
 use crate::figures::{fig5_csv, fig5_point, format_fig5};
 use crate::jitter::{format_jitter, jitter_stats};
@@ -101,9 +104,11 @@ pub const EXPERIMENTS: [Experiment; 8] = [
 /// Runs `exp` as a command: `[--threads N] [--trace out.jsonl]
 /// [invocations]`. Returns the process exit status.
 pub fn run_experiment(exp: &Experiment, args: &[String]) -> i32 {
-    run_command(args, |cli| {
-        let invocations = positional_or(&cli.args, exp.default_invocations)?;
-        let report = (exp.run)(invocations, cli.threads);
+    run_command(args, |mut args| {
+        let threads = take_threads(&mut args)?;
+        let trace = take_flag(&mut args, "--trace")?;
+        let invocations = positional_or(&args, exp.default_invocations)?;
+        let report = (exp.run)(invocations, threads);
         if !report.files.is_empty() {
             std::fs::create_dir_all("results")
                 .map_err(|e| CliError::Failed(format!("cannot create results/: {e}")))?;
@@ -115,9 +120,9 @@ pub fn run_experiment(exp: &Experiment, args: &[String]) -> i32 {
         let sections: Vec<_> = report
             .traces
             .iter()
-            .map(|(label, trace)| (label.clone(), trace.as_slice()))
+            .map(|(label, events)| (label.clone(), events.as_slice()))
             .collect();
-        cli.write_trace(&sections)?;
+        write_trace(trace, &sections)?;
         Ok(true)
     })
 }
@@ -371,7 +376,9 @@ fn adaptive(invocations: u32, threads: usize) -> Report {
 /// against statically. `tests/digest_stability.rs` spawns it 32 times
 /// and asserts bit-identical output.
 pub fn digest_probe(args: &[String]) -> i32 {
-    run_command(args, |cli| {
+    run_command(args, |mut args| {
+        let trace = take_flag(&mut args, "--trace")?;
+        no_args_left(&args)?;
         let configs = [
             ScenarioConfig::quick(RecoveryScheme::MeadFailover, 200),
             ScenarioConfig::quick(RecoveryScheme::ReactiveNoCache, 200),
@@ -394,7 +401,7 @@ pub fn digest_probe(args: &[String]) -> i32 {
                 )
             })
             .collect();
-        cli.write_trace(&sections)?;
+        write_trace(trace, &sections)?;
         Ok(true)
     })
 }

@@ -27,7 +27,8 @@ use tomlite::TomlError;
 
 use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome};
 use crate::cli::{
-    check_thread_independence, positional_or, run_command, take_flag, write_artifact, CliError,
+    check_thread_independence, positional_or, run_command, take_flag, take_switch, take_threads,
+    write_artifact, write_trace, write_violations, CliError,
 };
 use crate::fleet::splitmix64;
 use crate::report::ViolationRecord;
@@ -415,14 +416,17 @@ const DETERMINISM_SAMPLE: usize = 24;
 /// invariant violation or digest mismatch, 2 on an unreadable or invalid
 /// scenario.
 pub fn cli_main(args: &[String]) -> i32 {
-    run_command(args, |mut cli| {
-        let report_path = take_flag(&mut cli.args, "--report")?;
-        let default_scenario = if cli.smoke {
+    run_command(args, |mut args| {
+        let threads = take_threads(&mut args)?;
+        let trace = take_flag(&mut args, "--trace")?;
+        let violations_path = take_flag(&mut args, "--violations")?;
+        let report_path = take_flag(&mut args, "--report")?;
+        let default_scenario = if take_switch(&mut args, "--smoke") {
             "scenarios/sweep-smoke.toml"
         } else {
             "scenarios/sweep-full.toml"
         };
-        let path = positional_or(&cli.args, default_scenario.to_string())?;
+        let path = positional_or(&args, default_scenario.to_string())?;
         let src = std::fs::read_to_string(&path)
             .map_err(|e| CliError::Usage(format!("cannot read scenario {path}: {e}")))?;
         let spec = parse_sweep(&src)
@@ -436,10 +440,10 @@ pub fn cli_main(args: &[String]) -> i32 {
             spec.schemes.len(),
             spec.mixes.len(),
             units.len(),
-            cli.threads
+            threads
         );
 
-        let outcome = run_sweep(&spec.name, &units, cli.threads);
+        let outcome = run_sweep(&spec.name, &units, threads);
         let report = format_sweep(&outcome);
         print!("{report}");
         let violations = outcome.violations();
@@ -460,11 +464,11 @@ pub fn cli_main(args: &[String]) -> i32 {
         let sample = &units[..units.len().min(DETERMINISM_SAMPLE)];
         passed &= check_thread_independence(
             &format!("{}-plan", sample.len()),
-            &[1, cli.threads.max(2)],
+            &[1, threads.max(2)],
             |threads| run_sweep(&spec.name, sample, threads).digest(),
         );
 
-        cli.write_violations(&spec.name, violations)?;
+        write_violations(violations_path, &spec.name, violations)?;
         if let Some(path) = &report_path {
             write_artifact("report", path.as_ref(), &report)?;
         }
@@ -473,7 +477,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             .iter()
             .map(|(cell, o)| (format!("{cell}/seed{}", o.seed), o.trace.as_slice()))
             .collect();
-        cli.write_trace(&sections)?;
+        write_trace(trace, &sections)?;
         Ok(passed)
     })
 }

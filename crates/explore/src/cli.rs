@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use experiments::{
     no_args_left, run_chaos_plan_with, run_command, take_flag, take_number, take_switch,
-    write_artifact, CliError, ViolationRecord,
+    take_threads, write_artifact, write_violations, CliError, ViolationRecord,
 };
 use simnet::{GateCfg, ReplayScheduler};
 
@@ -34,13 +34,25 @@ const MAX_MINIMIZED_DECISIONS: usize = 10;
 /// forked (the `ForkError` is the message); exit status 2 for a malformed
 /// argument or a relation that cannot be read or parsed.
 pub fn cli_main(args: &[String]) -> i32 {
-    run_command(args, |mut cli| {
-        let seeded = take_switch(&mut cli.args, "--seeded-bug");
-        let default_runs = if cli.smoke { 384 } else { 1024 };
-        let max_runs = take_number(&mut cli.args, "--runs")?.unwrap_or(default_runs);
-        let max_depth = take_number(&mut cli.args, "--depth")?.unwrap_or(12);
-        let relation_path = take_flag(&mut cli.args, "--conflict-relation")?;
-        no_args_left(&cli.args)?;
+    run_command(args, |mut args| {
+        let threads = take_threads(&mut args)?;
+        let seeded = take_switch(&mut args, "--seeded-bug");
+        let default_runs = if take_switch(&mut args, "--smoke") {
+            384
+        } else {
+            1024
+        };
+        let max_runs = take_number(&mut args, "--runs")?.unwrap_or(default_runs);
+        let max_depth = take_number(&mut args, "--depth")?.unwrap_or(12);
+        let relation_path = take_flag(&mut args, "--conflict-relation")?;
+        let violations_path = take_flag(&mut args, "--violations")?;
+        let trace = take_flag(&mut args, "--trace")?;
+        if trace.is_some() && !seeded {
+            return Err(CliError::Usage(
+                "--trace writes the minimized seeded-bug schedule; it needs --seeded-bug".into(),
+            ));
+        }
+        no_args_left(&args)?;
         let relation = match relation_path {
             None => None,
             Some(path) => {
@@ -61,7 +73,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             gate,
             max_runs,
             max_depth,
-            threads: cli.threads,
+            threads,
             relation: relation.clone(),
         };
 
@@ -104,10 +116,10 @@ pub fn cli_main(args: &[String]) -> i32 {
         // Seeded-bug pipeline: the mutation must be invisible to FIFO,
         // caught by the search, minimized small, and replayable by digest.
         if seeded {
-            passed &= run_seeded_bug(config_for, cli.trace.as_deref())?;
+            passed &= run_seeded_bug(config_for, trace.as_deref().map(Path::new))?;
         }
 
-        cli.write_violations("explore", records)?;
+        write_violations(violations_path, "explore", records)?;
         Ok(passed)
     })
 }

@@ -30,8 +30,9 @@
 //!
 //! Every error is a [`tomlite::TomlError`]: a syntax error at the
 //! offending line, a semantic one (missing/unknown keys, bad rule ids)
-//! at the `[[allow]]` header line of the entry it belongs to. The CLI
-//! prefixes the path it read (`detlint: <path>:<line>: …`).
+//! at the `[[allow]]` header line of the entry it belongs to.
+//! [`crate::load_allow`] prefixes the path it read (`<path>:<line>: …`),
+//! and `mead-repro lint` does the same for a stale entry.
 
 use tomlite::{Reader, TomlError};
 

@@ -44,6 +44,7 @@ use synlite::{Delim, Tok, TokenTree};
 
 use crate::callgraph::CallGraph;
 use crate::fsm::{Analysis, Dir, SiteKind, Spec, SpecCell};
+use crate::rules::contains_ident;
 use crate::{json_escape, Finding};
 
 /// Configuration for the R11/R12 pass.
@@ -565,14 +566,6 @@ fn has_partial_read(trees: &[TokenTree]) -> bool {
         i += 1;
     }
     false
-}
-
-fn contains_ident(trees: &[TokenTree], name: &str) -> bool {
-    trees.iter().any(|t| match &t.tok {
-        Tok::Ident(s) => *s == name,
-        Tok::Group(_, inner) => contains_ident(inner, name),
-        _ => false,
-    })
 }
 
 #[cfg(test)]

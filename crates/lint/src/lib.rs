@@ -38,8 +38,8 @@
 //!   `conflict-relation/1` artifact (`--conflict-report`) that
 //!   `explore --conflict-relation` uses for persistent-set pruning.
 //!
-//! A command lexes and parses the tree **once** ([`Workspace::parse`]):
-//! every pass, report and `--timings` row borrows that one value — the
+//! A run lexes and parses the tree **once** ([`Workspace::parse`]):
+//! every pass, report and [`timings`] row borrows that one value — the
 //! token trees, the item trees, and the call graph over them (R5 uses
 //! the induced subgraph of its scope, R9/R11/R12 the full graph).
 //!
@@ -48,10 +48,17 @@
 //! errors. Both TOML inputs, the allowlist and the protocol spec, are
 //! read through [`tomlite::Reader`]: unknown sections and keys are
 //! rejected, and every malformed entry is a [`tomlite::TomlError`]
-//! reported as `<path>:<line>: …` at its header line. Run it locally
-//! with `cargo run --release -- lint`; CI runs it as a blocking job and
-//! uploads the `--format sarif` report to code scanning and the
-//! `--format json` summary as an artifact.
+//! reported as `<path>:<line>: …` at its header line.
+//!
+//! This crate is a library with no command line: it parses, lints and
+//! renders ([`Report::to_text`], [`Report::to_json`], [`sarif::render`],
+//! [`fsm_report`], [`conflict_report`], [`timings`]) and returns
+//! [`EngineError`]s. The `mead-repro lint` command in the root package
+//! parses the flags, owns the wall clock `--timings` reads (this crate
+//! is in R2 scope, so the clock is injected) and maps errors to exit
+//! statuses; CI runs it as a blocking job and uploads the
+//! `--format sarif` report to code scanning and the `--format json`
+//! summary as an artifact.
 
 pub mod allow;
 pub mod callgraph;
@@ -256,6 +263,9 @@ pub struct Report {
     /// silenced through a suppressed edge).
     pub suppressed: Vec<Finding>,
     /// Allowlist entries that suppressed nothing — a configuration error.
+    /// Each reads `<line>: stale suppression …`, anchored at the entry's
+    /// `[[allow]]` header; the caller prefixes the path it loaded the
+    /// list from, as for a malformed entry.
     pub stale_allows: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
@@ -283,6 +293,28 @@ impl Report {
             *counts.entry(f.rule).or_insert(0) += 1;
         }
         counts
+    }
+
+    /// The human-readable report: one line per finding, then the summary.
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        for f in &self.findings {
+            let _ = writeln!(out, "{f}");
+        }
+        let summary: Vec<String> = self
+            .counts()
+            .iter()
+            .map(|(r, n)| format!("{r}={n}"))
+            .collect();
+        let _ = writeln!(
+            out,
+            "detlint: {} file(s) scanned, {} finding(s) [{}], {} suppressed",
+            self.files_scanned,
+            self.findings.len(),
+            summary.join(" "),
+            self.suppressed.len()
+        );
+        out
     }
 
     /// Machine-readable JSON summary (schema `detlint/5`).
@@ -378,8 +410,9 @@ impl<'a> Workspace<'a> {
     }
 
     /// [`Workspace::parse`], also returning the nanoseconds `now_nanos`
-    /// saw pass while lexing + parsing and while building the graph.
-    fn parse_timed(
+    /// saw pass while lexing + parsing and while building the graph (the
+    /// first two [`timings`] rows).
+    pub fn parse_timed(
         sources: &'a [(String, String)],
         now_nanos: &dyn Fn() -> u64,
     ) -> Result<(Workspace<'a>, [u64; 2]), EngineError> {
@@ -506,15 +539,17 @@ pub fn lint_parsed(
         }
     }
 
-    for (i, used) in allow_used.iter().enumerate() {
-        if !used {
-            let e = &allow.entries()[i];
-            report.stale_allows.push(format!(
-                "lint-allow.toml:{}: stale suppression ({} on {}) matches nothing in the \
-                 current tree; delete the entry",
-                e.defined_at, e.rule, e.path
-            ));
-        }
+    for (e, _) in allow
+        .entries()
+        .iter()
+        .zip(&allow_used)
+        .filter(|(_, used)| !**used)
+    {
+        report.stale_allows.push(format!(
+            "{}: stale suppression ({} on {}) matches nothing in the current tree; \
+             delete the entry",
+            e.defined_at, e.rule, e.path
+        ));
     }
 
     report
@@ -624,17 +659,13 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 /// Runs the R9 extractor alone over `ws` and renders its
 /// machine-readable report (`detlint-fsm/1`): the parsed spec, every
 /// recovered code site, and the conformance diff.
-pub fn fsm_report(ws: &Workspace<'_>, cfg: &fsm::FsmConfig) -> Result<String, EngineError> {
+pub fn fsm_report(ws: &Workspace<'_>, contract: &Contract) -> Result<String, EngineError> {
+    let cfg = contract.fsm.as_ref().ok_or_else(|| EngineError {
+        message: "fsm report: the R9 pass is disabled in this contract".to_string(),
+    })?;
     Ok(fsm::report_json(&fsm_analysis_of(ws, cfg)?))
 }
 
@@ -798,219 +829,43 @@ fn files_for_rule(rule: &str, contract: &Contract, sources: &[(String, String)])
     }
 }
 
-/// The `mead-repro lint` command (detlint). Returns the process exit
-/// code: 0 clean, 1 unsuppressed findings, 2 configuration error (bad
-/// flags, malformed or stale allowlist, unreadable tree, missing or
-/// malformed protocol spec). The lint crate is itself in R1 scope, so
-/// the monotonic clock used by `--timings` is injected by the binary;
-/// [`cli_main`] runs with a zero clock (timings print as 0.00ms).
-pub fn cli_main(args: &[String]) -> i32 {
-    cli_main_with_clock(args, &|| 0)
-}
-
-/// [`cli_main`] with an injected monotonic nanosecond clock for
-/// `--timings`.
-pub fn cli_main_with_clock(args: &[String], now_nanos: &dyn Fn() -> u64) -> i32 {
-    let mut root = PathBuf::from(".");
-    let mut allow_path: Option<PathBuf> = None;
-    let mut timings = false;
-    let mut fsm_report_path: Option<PathBuf> = None;
-    let mut conflict_report_path: Option<PathBuf> = None;
-    let mut format = Format::Text;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let Some(v) = it.next() else {
-                    eprintln!("detlint: --root needs a value");
-                    return 2;
-                };
-                root = PathBuf::from(v);
-            }
-            "--allow" => {
-                let Some(v) = it.next() else {
-                    eprintln!("detlint: --allow needs a value");
-                    return 2;
-                };
-                allow_path = Some(PathBuf::from(v));
-            }
-            "--timings" => timings = true,
-            "--fsm-report" => {
-                let Some(v) = it.next() else {
-                    eprintln!("detlint: --fsm-report needs a value");
-                    return 2;
-                };
-                fsm_report_path = Some(PathBuf::from(v));
-            }
-            "--conflict-report" => {
-                let Some(v) = it.next() else {
-                    eprintln!("detlint: --conflict-report needs a value");
-                    return 2;
-                };
-                conflict_report_path = Some(PathBuf::from(v));
-            }
-            "--format" => {
-                let Some(v) = it.next() else {
-                    eprintln!("detlint: --format needs a value (text|json|sarif)");
-                    return 2;
-                };
-                format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => {
-                        eprintln!("detlint: unknown format `{other}` (expected text|json|sarif)");
-                        return 2;
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "detlint — determinism lint for the MEAD reproduction (DESIGN §9)\n\
-                     \n\
-                     USAGE: detlint [--root DIR] [--allow FILE]\n\
-                     \x20              [--format text|json|sarif] [--timings]\n\
-                     \x20              [--fsm-report FILE] [--conflict-report FILE]\n\
-                     \n\
-                     --root DIR        workspace root to scan (default: .)\n\
-                     --allow FILE      suppression list (default: <root>/lint-allow.toml)\n\
-                     --format FMT      output format: text (default), json, sarif\n\
-                     --timings         print per-rule wall-clock and file counts to stderr\n\
-                     --fsm-report FILE write the R9 state-machine extraction report (JSON)\n\
-                     --conflict-report FILE\n\
-                     \x20                 write the statically derived conflict-relation/1\n\
-                     \x20                 artifact for `explore --conflict-relation`\n\
-                     \n\
-                     Exit codes: 0 clean, 1 unsuppressed findings, 2 configuration\n\
-                     error (bad flags, malformed or stale allowlist, unreadable tree,\n\
-                     missing or malformed protocol spec)."
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("detlint: unknown argument `{other}`");
-                return 2;
-            }
-        }
+/// The `--timings` report over one shared parse: the `parse` and
+/// `callgraph` rows from `spent` (as [`Workspace::parse_timed`] returns
+/// it), then one row per rule, each that pass alone over `ws` timed on
+/// `now_nanos`. The empty allowlist keeps suppression cost out of the
+/// rule rows.
+pub fn timings(
+    sources: &[(String, String)],
+    ws: &Workspace<'_>,
+    [parse_ns, graph_ns]: [u64; 2],
+    contract: &Contract,
+    now_nanos: &dyn Fn() -> u64,
+) -> String {
+    let no_allow = AllowList::empty();
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let n = sources.len();
+    let mut out = String::from("detlint: per-rule timings:\n");
+    let _ = writeln!(
+        out,
+        "detlint:   {:<7} {:>9.2}ms  {n} file(s), {} KiB, {} token(s) — lexed and parsed once, shared by every row",
+        "parse",
+        ms(parse_ns),
+        sources.iter().map(|(_, src)| src.len()).sum::<usize>().div_ceil(1024),
+        ws.files.iter().map(|f| count_tokens(&f.trees)).sum::<usize>(),
+    );
+    let _ = writeln!(
+        out,
+        "detlint:   {:<7} {:>9.2}ms  {n} file(s), {} node(s) — built once, shared by R5/R9/R11+R12",
+        "callgraph",
+        ms(graph_ns),
+        ws.graph.nodes.len(),
+    );
+    for (name, rule_contract) in per_rule_contracts(contract) {
+        let n = files_for_rule(name, contract, sources);
+        let t0 = now_nanos();
+        let _ = lint_parsed(ws, &rule_contract, &no_allow);
+        let dt = now_nanos().saturating_sub(t0);
+        let _ = writeln!(out, "detlint:   {name:<7} {:>9.2}ms  {n} file(s)", ms(dt));
     }
-    let allow_path = allow_path.unwrap_or_else(|| root.join("lint-allow.toml"));
-    let allow = match load_allow(&allow_path) {
-        Ok(list) => list,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return 2;
-        }
-    };
-
-    let sources = match collect_sources(&root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return 2;
-        }
-    };
-    let contract = match load_spec(&root, &Contract::default()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return 2;
-        }
-    };
-    let (ws, [parse_ns, graph_ns]) = match Workspace::parse_timed(&sources, now_nanos) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return 2;
-        }
-    };
-    let report = match lint_parsed(&ws, &contract, &allow) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return 2;
-        }
-    };
-    if !report.stale_allows.is_empty() {
-        for s in &report.stale_allows {
-            eprintln!("detlint: {s}");
-        }
-        return 2;
-    }
-    let fsm_json = || {
-        let cfg = contract.fsm.as_ref().ok_or_else(|| EngineError {
-            message: "fsm report: the R9 pass is disabled in this contract".to_string(),
-        })?;
-        fsm_report(&ws, cfg)
-    };
-    let conflict_json = || conflict_report(&ws, &contract);
-    let artifacts: [(_, _, &dyn Fn() -> Result<String, EngineError>); 2] = [
-        (&fsm_report_path, "fsm report", &fsm_json),
-        (&conflict_report_path, "conflict relation", &conflict_json),
-    ];
-    for (path, what, json) in artifacts {
-        let Some(path) = path else { continue };
-        let json = match json() {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("detlint: {e}");
-                return 2;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("detlint: writing {}: {e}", path.display());
-            return 2;
-        }
-        eprintln!("detlint: wrote {what} to {}", path.display());
-    }
-    if timings {
-        // Every row is that step alone over the one shared parse; the
-        // empty allowlist keeps suppression cost out of the rule rows.
-        let no_allow = AllowList::empty();
-        let ms = |ns: u64| ns as f64 / 1e6;
-        let n = sources.len();
-        eprintln!("detlint: per-rule timings:");
-        eprintln!(
-            "detlint:   {:<7} {:>9.2}ms  {n} file(s), {} KiB, {} token(s) — lexed and parsed once, shared by every row",
-            "parse",
-            ms(parse_ns),
-            sources.iter().map(|(_, src)| src.len()).sum::<usize>().div_ceil(1024),
-            ws.files.iter().map(|f| count_tokens(&f.trees)).sum::<usize>(),
-        );
-        eprintln!(
-            "detlint:   {:<7} {:>9.2}ms  {n} file(s), {} node(s) — built once, shared by R5/R9/R11+R12",
-            "callgraph",
-            ms(graph_ns),
-            ws.graph.nodes.len(),
-        );
-        for (name, rule_contract) in per_rule_contracts(&contract) {
-            let n = files_for_rule(name, &contract, &sources);
-            let t0 = now_nanos();
-            let _ = lint_parsed(&ws, &rule_contract, &no_allow);
-            let dt = now_nanos().saturating_sub(t0);
-            eprintln!("detlint:   {name:<7} {:>9.2}ms  {n} file(s)", ms(dt));
-        }
-    }
-    match format {
-        Format::Json => print!("{}", report.to_json()),
-        Format::Sarif => print!("{}", sarif::render(&report)),
-        Format::Text => {
-            for f in &report.findings {
-                println!("{f}");
-            }
-            let counts = report.counts();
-            let summary: Vec<String> = counts.iter().map(|(r, n)| format!("{r}={n}")).collect();
-            println!(
-                "detlint: {} file(s) scanned, {} finding(s) [{}], {} suppressed",
-                report.files_scanned,
-                report.findings.len(),
-                summary.join(" "),
-                report.suppressed.len()
-            );
-        }
-    }
-    if report.findings.is_empty() {
-        0
-    } else {
-        1
-    }
+    out
 }

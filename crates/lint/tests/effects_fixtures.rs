@@ -10,7 +10,7 @@
 //! spec and asserts it is clean and non-vacuous.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use lint::{effects, fsm, lint_files, AllowList, Contract, Finding};
 
@@ -222,27 +222,6 @@ fn malformed_effect_specs_are_engine_errors() {
             "want {want:?} in {msg}"
         );
     }
-}
-
-/// The CLI surfaces a malformed effect spec as exit 2, same as every
-/// other configuration error.
-#[test]
-fn cli_malformed_effect_spec_exits_two() {
-    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bad-effect-spec");
-    if root.exists() {
-        std::fs::remove_dir_all(&root).expect("clear stale fixture root");
-    }
-    std::fs::create_dir_all(root.join("crates/demo/src")).expect("mkdir");
-    std::fs::write(root.join("crates/demo/src/lib.rs"), "pub fn ok() {}\n").expect("write");
-    std::fs::create_dir_all(root.join("specs")).expect("mkdir");
-    std::fs::write(
-        root.join("specs/recovery-protocol.toml"),
-        "[machine]\nname = \"t\"\ninitial = \"Idle\"\n\n[[state]]\nname = \"Idle\"\n\n\
-         [[cell]]\nname = \"x\"\nkind = \"bag\"\nfields = [\"x\"]\n",
-    )
-    .expect("write");
-    let args = vec!["--root".to_string(), root.to_string_lossy().to_string()];
-    assert_eq!(lint::cli_main(&args), 2);
 }
 
 /// The real workspace, real spec, real allowlist: R11/R12 must be

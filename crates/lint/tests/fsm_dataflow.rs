@@ -276,8 +276,7 @@ fn workspace_r9_r10_are_clean_and_non_vacuous() {
     let sources = lint::collect_sources(&root).expect("workspace sources");
     let contract = lint::load_spec(&root, &Contract::default()).expect("spec loads");
     let ws = lint::Workspace::parse(&sources).expect("workspace parses");
-    let json = lint::fsm_report(&ws, contract.fsm.as_ref().expect("R9 enabled"))
-        .expect("fsm report renders");
+    let json = lint::fsm_report(&ws, &contract).expect("fsm report renders");
     assert!(json.contains("\"schema\": \"detlint-fsm/1\""), "{json}");
     // The extractor really recovered transition sites, not an empty map.
     assert!(json.contains("GcsWire::"), "no GcsWire sites extracted");

@@ -270,7 +270,8 @@ justification = "stale on purpose"
     .expect("valid allowlist");
     let report = lint_files(&sources, &r5_contract(), &allow).expect("lints");
     assert_eq!(report.stale_allows.len(), 1, "{:?}", report.stale_allows);
-    assert!(report.stale_allows[0].contains("stale suppression"));
+    assert!(report.stale_allows[0]
+        .starts_with("2: stale suppression (R5 on tests/fixtures/r5/suppressed.rs)"));
 }
 
 /// `taint::check` ignores a sink name that matches no function (a

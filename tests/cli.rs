@@ -107,13 +107,37 @@ fn usage_errors_exit_2_with_a_message() {
         &["explore", "--bogus"],
         &["explore", "--conflict-relation", &truncated],
     ];
-    for args in cases {
+    // Exit 2 with an `error: …` message, no panic, nothing on stdout;
+    // returns the message.
+    let refused = |args: &[&str]| {
         let out = mead_repro(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        stderr
+    };
+    for args in cases {
+        refused(args);
+    }
+    // A command names the argument it does not read.
+    for (args, named) in [
+        (&["digest-probe", "extra"][..], "`extra`"),
+        (&["digest-probe", "--bogus"], "`--bogus`"),
+        (&["table1", "--smoke", "50"], "`--smoke`"),
+        (
+            &["table1", "--violations", "v.json", "50"],
+            "`--violations`",
+        ),
+        (&["fleet", "--violations", "v.json"], "`--violations`"),
+        (&["fleet", "--trace", "t.jsonl"], "`--trace`"),
+        (&["explore", "--trace", "t.jsonl"], "--trace"),
+        (&["lint", "--threads", "2"], "`--threads`"),
+        (&["lint", "--smoke"], "`--smoke`"),
+    ] {
+        let stderr = refused(args);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
     // Each scenario is refused for its one defect, at the line it is on.
     for (scenario, why) in [
@@ -122,7 +146,7 @@ fn usage_errors_exit_2_with_a_message() {
         (&repeated_mix, "line 17: mix \"x\": duplicate mix name"),
         (&misspelled, "line 9: mix \"x\": unknown key `los`"),
     ] {
-        let stderr = String::from_utf8_lossy(&mead_repro(&["sweep", scenario]).stderr).into_owned();
+        let stderr = refused(&["sweep", scenario]);
         assert!(stderr.contains(why), "{scenario}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
