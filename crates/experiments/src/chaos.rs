@@ -41,7 +41,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig};
+use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig, PressureKind};
 use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
     CheckpointPayload, ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp,
@@ -183,7 +183,6 @@ pub fn chaos_plan_space_for(slots: u32, rm_crashes: u32) -> PlanSpace {
         naming: true,
         rm_crashes,
         partition_pairs: (0..=slots).map(|n| (n, client)).collect(),
-        loss: true,
         start: SimTime::from_millis(700),
         end: SimTime::from_millis(4_500),
     }
@@ -461,15 +460,20 @@ impl<'a> ChaosBoot<'a> {
         // before the activation instant) does the injection.
         let mut pressure_by_slot: BTreeMap<u32, PressureConfig> = BTreeMap::new();
         for FaultEvent { at, kind } in plan.events() {
-            match kind {
+            let (slot, kind) = match *kind {
                 FaultKind::CpuExhaustion { slot, ramp_per_sec } => {
-                    pressure_by_slot.insert(*slot, PressureConfig::cpu(*at, *ramp_per_sec));
+                    (slot, PressureKind::Cpu { ramp_per_sec })
                 }
-                FaultKind::FdLeak { slot, per_request } => {
-                    pressure_by_slot.insert(*slot, PressureConfig::fd(*at, *per_request));
-                }
-                _ => {}
-            }
+                FaultKind::FdLeak { slot, per_request } => (slot, PressureKind::Fd { per_request }),
+                _ => continue,
+            };
+            pressure_by_slot.insert(
+                slot,
+                PressureConfig {
+                    kind,
+                    activate_at: *at,
+                },
+            );
         }
         // Strictly before the gate can open: a gate opening at instant 0
         // leaves nothing to share.

@@ -4,11 +4,13 @@
 //! reads — [`take_threads`], [`take_flag`], [`take_number`],
 //! [`take_switch`] — then ends with [`no_args_left`] or
 //! [`positional_or`], so a flag it does not read is a usage error that
-//! names it. Nothing in this module exits the process: parsing and
-//! artifact writing return [`CliError`], and [`run_command`] turns a
-//! command's result into the exit status the binary leaves with, from
-//! the one place it exits — 0 passed, 1 failed check or unwritable
-//! output, 2 usage error or unreadable/invalid input file.
+//! names it; a count of runs, invocations or clients goes through
+//! [`nonzero`], so asking for none is one too. Nothing in this module
+//! exits the process: parsing and artifact writing return [`CliError`],
+//! and [`run_command`] turns a command's result into the exit status the
+//! binary leaves with, from the one place it exits — 0 passed, 1 failed
+//! check or unwritable output, 2 usage error or unreadable/invalid input
+//! file.
 
 use std::path::Path;
 
@@ -131,6 +133,19 @@ pub fn positional_or<T: std::str::FromStr>(args: &[String], default: T) -> Resul
         }
         _ => no_args_left(args).map(|()| default),
     }
+}
+
+/// Passes `count` through unless it is zero: a run of nothing is a usage
+/// error, not an empty report.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming `what` when `count` is zero.
+pub fn nonzero<T: PartialEq + From<u8>>(what: &str, count: T) -> Result<T, CliError> {
+    if count == T::from(0) {
+        return Err(CliError::Usage(format!("{what} must be at least 1, got 0")));
+    }
+    Ok(count)
 }
 
 /// Runs one command: hands it its arguments (it takes the flags it
@@ -302,6 +317,15 @@ mod tests {
             Err(CliError::Usage("unknown flag `--violations`".into()))
         );
         assert_eq!(positional_or(&argv(&["7"]), 1), Ok(7));
+    }
+
+    #[test]
+    fn a_zero_count_is_named() {
+        assert_eq!(nonzero("clients", 3u32), Ok(3));
+        assert_eq!(
+            nonzero("--runs", 0usize),
+            Err(CliError::Usage("--runs must be at least 1, got 0".into()))
+        );
     }
 
     #[test]

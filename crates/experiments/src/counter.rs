@@ -14,7 +14,7 @@ use mead::{
 };
 use orb::{
     decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, CounterServant, CounterState, OrbUpshot, RetryPolicy, RetryState, COUNTER_TYPE_ID,
+    ClientOrb, CounterServant, CounterState, OrbUpshot, RetryState, COUNTER_TYPE_ID,
 };
 use simnet::{
     Event, FifoScheduler, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime,
@@ -130,7 +130,6 @@ pub(crate) struct SlotClient<J: Job> {
     target: Option<Ior>,
     naming_rid: Option<u32>,
     current_rid: Option<u32>,
-    policy: RetryPolicy,
     retry: RetryState,
 }
 
@@ -157,7 +156,6 @@ impl<J: Job> SlotClient<J> {
             target: None,
             naming_rid: None,
             current_rid: None,
-            policy: RetryPolicy::client_default(),
             retry: RetryState::new(),
         }
     }
@@ -207,7 +205,7 @@ impl<J: Job> SlotClient<J> {
     /// Schedules the next attempt after a jittered backoff delay, or
     /// hands the job its typed give-up when the budget is spent.
     fn backoff(&mut self, sys: &mut dyn SysApi) {
-        match self.policy.next_delay(&mut self.retry, sys.rng()) {
+        match self.retry.next_delay(sys.rng()) {
             Some(delay) => {
                 if J::TRACED {
                     sys.emit(obs::EventKind::Retry {

@@ -11,7 +11,8 @@
 //!   fail-overs, Naming re-resolution);
 //! * **replica groups** — a fleet scenario is `groups` *independent*
 //!   replica groups, each its own deterministic single-threaded
-//!   simulation with a seed derived from the fleet seed. Groups share
+//!   simulation with a seed derived from the fleet seed (and the safety
+//!   deadline [`run_scenario`] derives from its client count). Groups share
 //!   nothing, so [`run_fleet`] fans them across worker threads with
 //!   [`run_batch_with`](crate::runner::run_batch_with) — the
 //!   within-one-scenario counterpart of the across-scenario parallelism
@@ -32,11 +33,11 @@
 use std::time::Duration;
 
 use mead::RecoveryScheme;
-use simnet::{Fnv, SimTime};
+use simnet::Fnv;
 
 use crate::cli::{
-    check_thread_independence, positional_or, run_command, take_flag, take_switch, take_threads,
-    CliError,
+    check_thread_independence, nonzero, positional_or, run_command, take_flag, take_switch,
+    take_threads, CliError,
 };
 use crate::runner::run_batch_with;
 use crate::scenario::{run_scenario, ScenarioConfig};
@@ -54,13 +55,12 @@ pub struct FleetConfig {
     pub clients: u32,
     /// Logical invocations per client.
     pub invocations: u32,
-    /// Replication degree per group (paper: 3).
-    pub replicas: u32,
 }
 
 impl FleetConfig {
     /// The default fleet shape: 4 independent groups of `clients`
-    /// clients, 5 invocations each, three-way replication.
+    /// clients, 5 invocations each (every group replicates its server
+    /// three ways, as the paper does).
     pub fn new(scheme: RecoveryScheme, clients: u32) -> Self {
         FleetConfig {
             scheme,
@@ -68,7 +68,6 @@ impl FleetConfig {
             groups: 4,
             clients,
             invocations: 5,
-            replicas: 3,
         }
     }
 }
@@ -86,22 +85,10 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 /// The per-group scenario configurations of a fleet, in group order.
 pub fn group_configs(cfg: &FleetConfig) -> Vec<ScenarioConfig> {
     (0..cfg.groups.max(1))
-        .map(|g| {
-            let clients = cfg.clients.max(1);
-            // Generous completion deadline: boot plus the serialised
-            // server-side cost of every invocation in the group. The run
-            // loop breaks as soon as all clients report completion, so
-            // headroom here never changes a completed run's digest.
-            let total_inv = u64::from(clients) * u64::from(cfg.invocations);
-            let deadline = SimTime::from_millis(2000 + total_inv * 6);
-            ScenarioConfig {
-                seed: splitmix64(cfg.seed ^ (u64::from(g) << 32)),
-                invocations: cfg.invocations,
-                clients,
-                replicas: cfg.replicas,
-                deadline_override: Some(deadline),
-                ..ScenarioConfig::quick(cfg.scheme, cfg.invocations)
-            }
+        .map(|g| ScenarioConfig {
+            seed: splitmix64(cfg.seed ^ (u64::from(g) << 32)),
+            clients: cfg.clients,
+            ..ScenarioConfig::quick(cfg.scheme, cfg.invocations)
         })
         .collect()
 }
@@ -239,7 +226,7 @@ pub fn cli_main(args: &[String]) -> i32 {
                 .map_err(|e: mead::UnknownScheme| CliError::Usage(e.to_string()))?,
             None => RecoveryScheme::MeadFailover,
         };
-        let clients = positional_or(&args, 1000)?;
+        let clients = nonzero("clients", positional_or(&args, 1000)?)?;
         let cfg = if smoke {
             FleetConfig {
                 groups: 2,

@@ -41,8 +41,8 @@ pub use chaos::{
     ChaosOutcome, ServantMutation,
 };
 pub use cli::{
-    check_thread_independence, no_args_left, positional_or, render_trace_sections, run_command,
-    take_flag, take_number, take_switch, take_threads, write_artifact, write_trace,
+    check_thread_independence, no_args_left, nonzero, positional_or, render_trace_sections,
+    run_command, take_flag, take_number, take_switch, take_threads, write_artifact, write_trace,
     write_violations, CliError,
 };
 pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};

@@ -12,8 +12,8 @@ use mead::RecoveryScheme;
 
 use crate::adaptive::{format_adaptive, run_adaptive_comparison};
 use crate::cli::{
-    no_args_left, positional_or, run_command, take_flag, take_threads, write_artifact, write_trace,
-    CliError,
+    no_args_left, nonzero, positional_or, run_command, take_flag, take_threads, write_artifact,
+    write_trace, CliError,
 };
 use crate::failover::{failover_row_from, format_failover};
 use crate::figures::{fig5_csv, fig5_point, format_fig5};
@@ -107,7 +107,10 @@ pub fn run_experiment(exp: &Experiment, args: &[String]) -> i32 {
     run_command(args, |mut args| {
         let threads = take_threads(&mut args)?;
         let trace = take_flag(&mut args, "--trace")?;
-        let invocations = positional_or(&args, exp.default_invocations)?;
+        let invocations = nonzero(
+            "invocations",
+            positional_or(&args, exp.default_invocations)?,
+        )?;
         let report = (exp.run)(invocations, threads);
         if !report.files.is_empty() {
             std::fs::create_dir_all("results")

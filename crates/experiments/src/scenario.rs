@@ -1,6 +1,10 @@
 //! The paper's experiment: the measuring client(s) of section 5 against
-//! time-server replicas, on the testbed every simulation shares
-//! (`crate::testbed`).
+//! three (`REPLICAS`) time-server replicas, on the testbed every
+//! simulation shares (`crate::testbed`). A [`ScenarioConfig`] holds what
+//! a run chooses — scheme, seed, invocation and client counts,
+//! thresholds, faults; the replica count and think time are the paper's
+//! constants, and the run's safety deadline is derived from the client
+//! and invocation counts.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,7 +13,9 @@ use mead::{ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInte
 use simnet::{FifoScheduler, Fnv, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
 
 use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
-use crate::workload::{ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport};
+use crate::workload::{
+    ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport, REPLICAS,
+};
 
 /// Clients hosted per simulated client node.
 pub const CLIENTS_PER_NODE: u32 = 64;
@@ -31,10 +37,9 @@ pub struct ScenarioConfig {
     /// Enable the OS-noise model (section 5.2.5 jitter); off for clean
     /// calibration runs.
     pub os_noise: bool,
-    /// Replication degree (paper: 3).
-    pub replicas: u32,
     /// Number of concurrent client processes (paper: 1). Each runs the
     /// full workload; per-connection migration must handle all of them.
+    /// The run's safety deadline grows with it (see [`run_scenario`]).
     pub clients: u32,
     /// Optional final adjustment applied to the derived [`MeadConfig`]
     /// (ablations: `use_key_hash`, `trigger`, the leak speed, ...).
@@ -45,10 +50,6 @@ pub struct ScenarioConfig {
     /// (message-loss fault; manifests as added delay on the reliable
     /// streams).
     pub message_loss: f64,
-    /// Explicit run deadline (`None` = the paper formula, which assumes a
-    /// single client). Fleet scenarios scale the deadline with the total
-    /// invocation count instead.
-    pub deadline_override: Option<SimTime>,
 }
 
 impl ScenarioConfig {
@@ -61,12 +62,10 @@ impl ScenarioConfig {
             threshold: None,
             fault_free: false,
             os_noise: true,
-            replicas: 3,
             clients: 1,
             tweak: None,
             crash_server_node_at: None,
             message_loss: 0.0,
-            deadline_override: None,
         }
     }
 
@@ -240,7 +239,9 @@ impl ScenarioOutcome {
     }
 }
 
-/// Builds and runs one scenario to completion (or the safety deadline).
+/// Builds and runs one scenario to completion, or to the safety deadline
+/// of `1000 + 6 · clients · invocations` ms of simulated time (for one
+/// client, the paper formula).
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let mut mead_cfg = match cfg.threshold {
         Some(t) => MeadConfig::builder(cfg.scheme).migrate_threshold(t).build(),
@@ -273,7 +274,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let mut testbed = Testbed::assemble(TestbedSpec {
         sim: sim_cfg,
         scheduler: Box::new(FifoScheduler),
-        slots: cfg.replicas,
+        slots: REPLICAS,
         // Fleet scenarios spread the client processes over several nodes;
         // up to `CLIENTS_PER_NODE` clients share the paper's single one.
         client_nodes: cfg.clients.div_ceil(CLIENTS_PER_NODE),
@@ -301,14 +302,13 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         _ => ClientPolicy::ResolveOnFailure,
     };
     let mut reports: Vec<ReportHandle> = Vec::new();
-    for c in 0..cfg.clients.max(1) {
+    let clients = cfg.clients.max(1);
+    for c in 0..clients {
         let report: ReportHandle = Rc::new(RefCell::new(WorkloadReport::default()));
         let workload = ClientWorkload::new(
             WorkloadConfig {
                 invocations: cfg.invocations,
-                think_time: SimDuration::from_millis(1),
                 policy,
-                slots: cfg.replicas,
                 naming_node: infra,
             },
             report.clone(),
@@ -329,11 +329,11 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         testbed.sim.run_until(at);
         testbed.sim.crash_node(node);
     }
-    // Run until the workload completes; generous safety deadline (~6 ms
-    // per invocation worst case, plus boot).
-    let deadline = cfg
-        .deadline_override
-        .unwrap_or_else(|| SimTime::from_millis(1000 + cfg.invocations as u64 * 6));
+    // Run until the workload completes; generous safety deadline: boot
+    // plus ~6 ms of serialised server-side work per invocation of every
+    // client, the worst case.
+    let total_invocations = u64::from(clients) * u64::from(cfg.invocations);
+    let deadline = SimTime::from_millis(1000 + 6 * total_invocations);
     testbed.run_until_done(|| reports.iter().all(|r| r.borrow().completed), deadline);
 
     let Harvest {
@@ -366,7 +366,6 @@ mod tests {
         let cfg = ScenarioConfig::quick(RecoveryScheme::MeadFailover, 100);
         assert!(!cfg.os_noise);
         assert_eq!(cfg.invocations, 100);
-        assert_eq!(cfg.replicas, 3);
     }
 
     #[test]

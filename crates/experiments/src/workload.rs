@@ -6,8 +6,10 @@
 //! The workload is a closed loop: each logical invocation is retried (with
 //! whatever recovery the policy prescribes) until a reply arrives, and its
 //! recorded round-trip time spans the whole episode — matching the RTT
-//! spikes plotted in Figures 3 and 4. The next invocation starts one think
-//! time after the previous reply.
+//! spikes plotted in Figures 3 and 4. The next invocation starts one
+//! think time (`THINK_TIME`, 1 ms) after the previous reply. The replica
+//! count and the think time are the paper's constants; a run chooses only
+//! the invocation count and the recovery policy.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,17 +36,20 @@ pub enum ClientPolicy {
     CachedReferences,
 }
 
+/// Warm-passive time-server replicas, one replica slot each, bound in the
+/// Naming Service (paper: three).
+pub(crate) const REPLICAS: u32 = 3;
+
+/// Think time between a reply and the next request (paper: 1 ms).
+const THINK_TIME: SimDuration = SimDuration::from_millis(1);
+
 /// Workload parameters.
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
     /// Number of logical invocations (paper: 10 000).
     pub invocations: u32,
-    /// Think time between a reply and the next request (paper: 1 ms).
-    pub think_time: SimDuration,
     /// Application-level recovery policy.
     pub policy: ClientPolicy,
-    /// Number of replica slots bound in the Naming Service.
-    pub slots: u32,
     /// Node hosting the Naming Service.
     pub naming_node: NodeId,
 }
@@ -246,7 +251,7 @@ impl ClientWorkload {
         match self.cfg.policy {
             ClientPolicy::ResolveOnFailure => {
                 // Ask the Naming Service for the next replica.
-                self.slot_rr = (self.slot_rr + 1) % self.cfg.slots.max(1);
+                self.slot_rr = (self.slot_rr + 1) % REPLICAS;
                 let name = RecoveryManager::slot_binding(mead::Slot(self.slot_rr));
                 self.naming_call(
                     sys,
@@ -316,7 +321,7 @@ impl ClientWorkload {
         // NotFound (slot not yet re-bound) or a naming hiccup: try again
         // shortly — for recovery resolves, with the next slot.
         if kind == NamingOp::RecoveryResolve {
-            self.slot_rr = (self.slot_rr + 1) % self.cfg.slots.max(1);
+            self.slot_rr = (self.slot_rr + 1) % REPLICAS;
         }
         sys.set_timer(SimDuration::from_millis(5), TOKEN_RETRY);
     }
@@ -394,7 +399,7 @@ impl Process for ClientWorkload {
                         if self.index >= self.cfg.invocations {
                             self.report.borrow_mut().completed = true;
                         } else {
-                            sys.set_timer(self.cfg.think_time, TOKEN_THINK);
+                            sys.set_timer(THINK_TIME, TOKEN_THINK);
                         }
                     }
                 }

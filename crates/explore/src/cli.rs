@@ -4,7 +4,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use experiments::{
-    no_args_left, run_chaos_plan_with, run_command, take_flag, take_number, take_switch,
+    no_args_left, nonzero, run_chaos_plan_with, run_command, take_flag, take_number, take_switch,
     take_threads, write_artifact, write_violations, CliError, ViolationRecord,
 };
 use simnet::{GateCfg, ReplayScheduler};
@@ -42,7 +42,10 @@ pub fn cli_main(args: &[String]) -> i32 {
         } else {
             1024
         };
-        let max_runs = take_number(&mut args, "--runs")?.unwrap_or(default_runs);
+        let max_runs = nonzero(
+            "--runs",
+            take_number(&mut args, "--runs")?.unwrap_or(default_runs),
+        )?;
         let max_depth = take_number(&mut args, "--depth")?.unwrap_or(12);
         let relation_path = take_flag(&mut args, "--conflict-relation")?;
         let violations_path = take_flag(&mut args, "--violations")?;

@@ -6,7 +6,7 @@
 //!
 //! * [`Weibull`] — the distribution driving the leak (scale 64, shape 2),
 //! * [`MemoryLeak`] — the 32 KB-buffer memory-exhaustion fault, activated
-//!   on the first client request and stepped every 150 ms,
+//!   on the first client request and stepped every [`LEAK_INTERVAL`],
 //! * [`ResourceMonitor`] — the 80 %/90 % two-step thresholds with
 //!   fire-once semantics,
 //! * [`AdaptivePredictor`] — rate-estimating adaptive thresholds (the
@@ -38,12 +38,12 @@ mod weibull;
 
 pub use adaptive::AdaptivePredictor;
 pub use config::NamedMix;
-pub use memleak::{LeakConfig, MemoryLeak};
+pub use memleak::{LeakConfig, MemoryLeak, LEAK_INTERVAL};
 pub use plan::{
     FaultEvent, FaultKind, FaultMix, FaultPlan, FaultPlanBuilder, PlanError, PlanSpace, MAX_BURST,
     MAX_CROWD, MAX_CROWD_SPREAD, MAX_JITTER_BOUND, MAX_JITTER_SPAN, MAX_PARTITION, MAX_RESTART,
     MIN_CRASH_GAP,
 };
-pub use pressure::{PressureConfig, PressureKind, ResourcePressure};
+pub use pressure::{PressureConfig, PressureKind, ResourcePressure, PRESSURE_TICK};
 pub use resource::{ResourceMonitor, ThresholdAction, ThresholdError};
 pub use weibull::Weibull;

@@ -23,27 +23,29 @@
 //! demonstrates reliable proactive migration at those thresholds. We
 //! therefore preserve the two *behavioural* constants — the Weibull(64, 2)
 //! shape of each step and the ≈0.45 s expected time to exhaustion — and
-//! scale step interval and chunk unit together (default 15 ms / 19 bytes
-//! per Weibull unit) so that usage advances ≈3 % per step and threshold
-//! crossings are observable, as the paper's mechanism requires.
+//! scale step interval and chunk unit together ([`LEAK_INTERVAL`] = 15 ms,
+//! 19 bytes per Weibull unit by default) so that usage advances ≈3 % per
+//! step and threshold crossings are observable, as the paper's mechanism
+//! requires. The buffer, interval and distribution are constants; only
+//! the chunk unit is a [`LeakConfig`] field.
 
 use rand::Rng;
 use simnet::SimDuration;
 
 use crate::weibull::Weibull;
 
-/// Parameters of the injected leak.
+/// Size of the doomed buffer (paper: 32 KB).
+pub(crate) const LEAK_BUFFER_BYTES: u64 = 32 * 1024;
+
+/// Interval between leak steps (paper: 150 ms; see the calibration note
+/// in the module docs for why it is finer).
+pub const LEAK_INTERVAL: SimDuration = SimDuration::from_millis(15);
+
+/// Parameters of the injected leak. The buffer, the step interval and the
+/// Weibull(64, 2) chunk distribution are the paper's constants; only the
+/// chunk unit is calibrated, and the `adaptive` command varies it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LeakConfig {
-    /// Size of the doomed buffer (paper: 32 KB).
-    pub buffer_bytes: u64,
-    /// Interval between leak steps (paper: 150 ms; see the calibration
-    /// note in the module docs for why the default is finer).
-    pub interval: SimDuration,
-    /// Weibull scale (paper: 64).
-    pub weibull_scale: f64,
-    /// Weibull shape (paper: 2.0).
-    pub weibull_shape: f64,
     /// Bytes per Weibull unit (calibration constant, see module docs).
     pub chunk_unit_bytes: u64,
 }
@@ -51,10 +53,6 @@ pub struct LeakConfig {
 impl Default for LeakConfig {
     fn default() -> Self {
         LeakConfig {
-            buffer_bytes: 32 * 1024,
-            interval: SimDuration::from_millis(15),
-            weibull_scale: 64.0,
-            weibull_shape: 2.0,
             chunk_unit_bytes: 19,
         }
     }
@@ -63,10 +61,9 @@ impl Default for LeakConfig {
 impl LeakConfig {
     /// Expected time from activation to buffer exhaustion.
     pub fn expected_time_to_exhaustion(&self) -> SimDuration {
-        let mean_step = Weibull::new(self.weibull_scale, self.weibull_shape).mean()
-            * self.chunk_unit_bytes as f64;
-        let steps = self.buffer_bytes as f64 / mean_step;
-        SimDuration::from_nanos((steps * self.interval.as_nanos() as f64) as u64)
+        let mean_step = Weibull::paper_leak().mean() * self.chunk_unit_bytes as f64;
+        let steps = LEAK_BUFFER_BYTES as f64 / mean_step;
+        SimDuration::from_nanos((steps * LEAK_INTERVAL.as_nanos() as f64) as u64)
     }
 }
 
@@ -74,11 +71,10 @@ impl LeakConfig {
 ///
 /// The owning interceptor activates the leak when the server answers its
 /// first client request, then calls [`MemoryLeak::step`] on every
-/// 150 ms timer tick.
+/// [`LEAK_INTERVAL`] timer tick.
 #[derive(Clone, Debug)]
 pub struct MemoryLeak {
     cfg: LeakConfig,
-    dist: Weibull,
     used: u64,
     active: bool,
 }
@@ -86,18 +82,11 @@ pub struct MemoryLeak {
 impl MemoryLeak {
     /// Creates an inactive leak.
     pub fn new(cfg: LeakConfig) -> Self {
-        let dist = Weibull::new(cfg.weibull_scale, cfg.weibull_shape);
         MemoryLeak {
             cfg,
-            dist,
             used: 0,
             active: false,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &LeakConfig {
-        &self.cfg
     }
 
     /// Starts leaking (idempotent). The paper activates on the first client
@@ -117,8 +106,9 @@ impl MemoryLeak {
         if !self.active {
             return self.fraction();
         }
-        let chunk = (self.dist.sample(rng) * self.cfg.chunk_unit_bytes as f64).round() as u64;
-        self.used = (self.used + chunk).min(self.cfg.buffer_bytes);
+        let units = Weibull::paper_leak().sample(rng);
+        let chunk = (units * self.cfg.chunk_unit_bytes as f64).round() as u64;
+        self.used = (self.used + chunk).min(LEAK_BUFFER_BYTES);
         self.fraction()
     }
 
@@ -129,12 +119,12 @@ impl MemoryLeak {
 
     /// Usage as a fraction of the buffer, in `[0, 1]`.
     pub fn fraction(&self) -> f64 {
-        self.used as f64 / self.cfg.buffer_bytes as f64
+        self.used as f64 / LEAK_BUFFER_BYTES as f64
     }
 
     /// `true` once the buffer is fully consumed — the process-crash point.
     pub fn is_exhausted(&self) -> bool {
-        self.used >= self.cfg.buffer_bytes
+        self.used >= LEAK_BUFFER_BYTES
     }
 
     /// Resets to a clean state (what rejuvenation achieves by restarting
@@ -193,7 +183,8 @@ mod tests {
     #[test]
     fn empirical_exhaustion_time_matches_expectation() {
         let cfg = LeakConfig::default();
-        let expected_steps = cfg.expected_time_to_exhaustion().as_nanos() / cfg.interval.as_nanos();
+        let expected_steps =
+            cfg.expected_time_to_exhaustion().as_nanos() / LEAK_INTERVAL.as_nanos();
         let mut total_steps = 0u64;
         let runs = 200;
         for seed in 0..runs {

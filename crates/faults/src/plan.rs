@@ -2,8 +2,10 @@
 //!
 //! A [`FaultPlan`] is a deterministic, timed schedule of faults — process
 //! crashes, infrastructure crashes, link partitions, message-loss bursts
-//! and multi-replica leaks — generated from a seed and a [`PlanSpace`]
-//! describing what the target topology can absorb. A sweep
+//! and multi-replica leaks — generated from a seed, a [`PlanSpace`]
+//! describing what the target topology can absorb, and a [`FaultMix`]
+//! naming the fault families (loss bursts among them) that may be drawn.
+//! A sweep
 //! (`mead-repro sweep <scenario.toml>`; the chaos campaign is
 //! `scenarios/chaos-campaign.toml`) runs hundreds of such plans through
 //! the simulator and checks recovery invariants after each one.
@@ -247,7 +249,6 @@ pub struct FaultPlan {
 ///     naming: false,
 ///     rm_crashes: 0,
 ///     partition_pairs: vec![],
-///     loss: true,
 ///     start: SimTime::from_millis(500),
 ///     end: SimTime::from_secs(9),
 /// };
@@ -328,8 +329,6 @@ pub struct PlanSpace {
     pub rm_crashes: u32,
     /// Node pairs whose link may be partitioned.
     pub partition_pairs: Vec<(u32, u32)>,
-    /// Whether message-loss bursts may be drawn.
-    pub loss: bool,
     /// Earliest injection instant (after boot/warm-up).
     pub start: SimTime,
     /// Latest instant a fault may *begin* (heals/restarts may run past).
@@ -1008,7 +1007,6 @@ mod tests {
             naming: true,
             rm_crashes: 1,
             partition_pairs: vec![(0, 4), (1, 4), (2, 4)],
-            loss: true,
             start: SimTime::from_millis(700),
             end: SimTime::from_secs(5),
         }

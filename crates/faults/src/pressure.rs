@@ -8,11 +8,13 @@
 //!
 //! * **CPU exhaustion** — consumed CPU fraction grows linearly with
 //!   *time* (a runaway background computation): the interceptor advances
-//!   it from a timer and charges genuine simulated CPU so service
-//!   degrades as the fraction climbs.
+//!   it every [`PRESSURE_TICK`] and charges genuine simulated CPU so
+//!   service degrades as the fraction climbs.
 //! * **fd leak** — consumed descriptor-table fraction grows with each
 //!   *client request* (a leaked socket per connection): the interceptor
 //!   advances it from the request path.
+//!
+//! Each [`PressureKind`] carries its one rate, as the fault plan drew it.
 //!
 //! Both are deterministic (no RNG): the fraction is a pure function of
 //! elapsed ticks / observed requests. Reaching 1.0 means the resource is
@@ -22,13 +24,22 @@
 
 use simnet::{SimDuration, SimTime};
 
-/// Which resource a [`PressureConfig`] exhausts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Cadence of the timer that advances a CPU ramp.
+pub const PRESSURE_TICK: SimDuration = SimDuration::from_millis(100);
+
+/// Which resource a [`PressureConfig`] exhausts, and how fast.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PressureKind {
     /// Time-driven CPU exhaustion.
-    Cpu,
+    Cpu {
+        /// Consumed-fraction growth per second of simulated time.
+        ramp_per_sec: f64,
+    },
     /// Request-driven file-descriptor leak.
-    Fd,
+    Fd {
+        /// Consumed-fraction growth per observed client request.
+        per_request: f64,
+    },
 }
 
 impl PressureKind {
@@ -36,8 +47,8 @@ impl PressureKind {
     /// trace tag.
     pub fn resource(self) -> &'static str {
         match self {
-            PressureKind::Cpu => "cpu",
-            PressureKind::Fd => "fd",
+            PressureKind::Cpu { .. } => "cpu",
+            PressureKind::Fd { .. } => "fd",
         }
     }
 }
@@ -46,43 +57,13 @@ impl PressureKind {
 /// `MeadConfig::pressure` into the server interceptor.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PressureConfig {
-    /// Which resource is exhausted.
+    /// Which resource is exhausted, at what rate.
     pub kind: PressureKind,
     /// Absolute simulation instant the pressure starts. Instances that
     /// start *after* this instant never activate — a freshly launched
     /// replacement replica does not inherit its predecessor's runaway
     /// computation.
     pub activate_at: SimTime,
-    /// CPU: consumed-fraction growth per second of simulated time.
-    pub ramp_per_sec: f64,
-    /// Fd: consumed-fraction growth per observed client request.
-    pub per_request: f64,
-    /// CPU: cadence of the advancing timer.
-    pub tick: SimDuration,
-}
-
-impl PressureConfig {
-    /// A CPU-exhaustion ramp starting at `activate_at`.
-    pub fn cpu(activate_at: SimTime, ramp_per_sec: f64) -> Self {
-        PressureConfig {
-            kind: PressureKind::Cpu,
-            activate_at,
-            ramp_per_sec,
-            per_request: 0.0,
-            tick: SimDuration::from_millis(100),
-        }
-    }
-
-    /// An fd leak starting at `activate_at`.
-    pub fn fd(activate_at: SimTime, per_request: f64) -> Self {
-        PressureConfig {
-            kind: PressureKind::Fd,
-            activate_at,
-            ramp_per_sec: 0.0,
-            per_request,
-            tick: SimDuration::from_millis(100),
-        }
-    }
 }
 
 /// Live state of one pressure fault inside a server interceptor.
@@ -131,8 +112,11 @@ impl ResourcePressure {
     /// Advances a CPU ramp by one tick; returns the new fraction.
     /// No-op (returns the current fraction) unless active and CPU-kind.
     pub fn on_tick(&mut self) -> f64 {
-        if self.active && self.cfg.kind == PressureKind::Cpu {
-            self.fraction += self.cfg.ramp_per_sec * self.cfg.tick.as_secs_f64();
+        match self.cfg.kind {
+            PressureKind::Cpu { ramp_per_sec } if self.active => {
+                self.fraction += ramp_per_sec * PRESSURE_TICK.as_secs_f64();
+            }
+            _ => {}
         }
         self.fraction()
     }
@@ -140,8 +124,9 @@ impl ResourcePressure {
     /// Advances an fd leak by one observed client request; returns the
     /// new fraction. No-op unless active and fd-kind.
     pub fn on_request(&mut self) -> f64 {
-        if self.active && self.cfg.kind == PressureKind::Fd {
-            self.fraction += self.cfg.per_request;
+        match self.cfg.kind {
+            PressureKind::Fd { per_request } if self.active => self.fraction += per_request,
+            _ => {}
         }
         self.fraction()
     }
@@ -156,9 +141,16 @@ impl ResourcePressure {
 mod tests {
     use super::*;
 
+    fn pressure(kind: PressureKind) -> ResourcePressure {
+        ResourcePressure::new(PressureConfig {
+            kind,
+            activate_at: SimTime::from_millis(500),
+        })
+    }
+
     #[test]
     fn cpu_ramp_is_time_driven() {
-        let mut p = ResourcePressure::new(PressureConfig::cpu(SimTime::from_millis(500), 0.5));
+        let mut p = pressure(PressureKind::Cpu { ramp_per_sec: 0.5 });
         assert_eq!(p.on_tick(), 0.0, "inactive models do not grow");
         p.activate();
         // 0.5/s at a 100 ms tick = 0.05 per tick.
@@ -173,7 +165,7 @@ mod tests {
 
     #[test]
     fn fd_leak_is_request_driven() {
-        let mut p = ResourcePressure::new(PressureConfig::fd(SimTime::ZERO, 0.25));
+        let mut p = pressure(PressureKind::Fd { per_request: 0.25 });
         p.activate();
         assert_eq!(p.on_tick(), 0.0, "ticks do not grow fd");
         assert!((p.on_request() - 0.25).abs() < 1e-12);
@@ -185,7 +177,9 @@ mod tests {
 
     #[test]
     fn permille_rounds_down_and_saturates() {
-        let mut p = ResourcePressure::new(PressureConfig::fd(SimTime::ZERO, 0.2505));
+        let mut p = pressure(PressureKind::Fd {
+            per_request: 0.2505,
+        });
         p.activate();
         p.on_request();
         assert_eq!(p.permille(), 250);

@@ -15,7 +15,6 @@ fn space() -> PlanSpace {
         naming: true,
         rm_crashes: 1,
         partition_pairs: vec![(0, 4), (1, 4), (2, 4), (3, 4)],
-        loss: true,
         start: SimTime::from_millis(700),
         end: SimTime::from_millis(4_500),
     }

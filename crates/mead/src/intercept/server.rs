@@ -26,7 +26,8 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use faults::{
-    AdaptivePredictor, MemoryLeak, PressureKind, ResourceMonitor, ResourcePressure, ThresholdAction,
+    AdaptivePredictor, MemoryLeak, PressureKind, ResourceMonitor, ResourcePressure,
+    ThresholdAction, LEAK_INTERVAL, PRESSURE_TICK,
 };
 use giop::{
     Endian, Frame, FrameKind, Message, MessageView, MsgType, ObjectKey, ReplyBody, ReplyMessage,
@@ -238,14 +239,7 @@ impl Process for ServerInterceptor {
         gcs.join(sys, SERVER_GROUP);
         self.st.gcs = Some(gcs);
         if self.st.leak.is_some() {
-            let interval = self
-                .st
-                .cfg
-                .leak
-                .as_ref()
-                .expect("leak config present")
-                .interval;
-            sys.set_timer(interval, TOKEN_LEAK);
+            sys.set_timer(LEAK_INTERVAL, TOKEN_LEAK);
         }
         if let Some(pressure) = self.st.pressure.as_ref() {
             let activate_at = pressure.config().activate_at;
@@ -466,7 +460,7 @@ impl ServerState {
         }
         // An armed fd leak consumes descriptor-table space per request.
         if let Some(p) = self.pressure.as_mut() {
-            if p.is_active() && p.config().kind == PressureKind::Fd {
+            if p.is_active() && matches!(p.config().kind, PressureKind::Fd { .. }) {
                 p.on_request();
                 if self.pressure_progress(sys) {
                     return;
@@ -903,8 +897,8 @@ impl ServerState {
                     return;
                 }
                 self.check_thresholds(sys, true);
-                if let Some(cfg) = self.cfg.leak.as_ref() {
-                    sys.set_timer(cfg.interval, TOKEN_LEAK);
+                if self.cfg.leak.is_some() {
+                    sys.set_timer(LEAK_INTERVAL, TOKEN_LEAK);
                 }
             }
             TOKEN_CHECKPOINT => {
@@ -931,39 +925,38 @@ impl ServerState {
                 if let Some(p) = self.pressure.as_mut() {
                     p.activate();
                     let kind = p.config().kind;
-                    let tick = p.config().tick;
                     match kind {
-                        PressureKind::Cpu => sys.count("mead.pressure_armed_cpu", 1),
-                        PressureKind::Fd => sys.count("mead.pressure_armed_fd", 1),
+                        PressureKind::Cpu { .. } => sys.count("mead.pressure_armed_cpu", 1),
+                        PressureKind::Fd { .. } => sys.count("mead.pressure_armed_fd", 1),
                     }
                     sys.emit(EventKind::ResourcePressure {
                         resource: kind.resource(),
                         permille: 0,
                     });
-                    if kind == PressureKind::Cpu {
-                        sys.set_timer(tick, TOKEN_PRESSURE_TICK);
+                    if let PressureKind::Cpu { .. } = kind {
+                        sys.set_timer(PRESSURE_TICK, TOKEN_PRESSURE_TICK);
                     }
                 }
             }
             TOKEN_PRESSURE_TICK => {
-                let mut tick = None;
+                let mut ticking = false;
                 if let Some(p) = self.pressure.as_mut() {
-                    if p.is_active() && p.config().kind == PressureKind::Cpu {
+                    if p.is_active() && matches!(p.config().kind, PressureKind::Cpu { .. }) {
                         let fraction = p.on_tick();
                         // The runaway computation steals real cycles:
                         // charge the consumed share of the tick so service
                         // latency degrades as the ramp climbs.
-                        let stolen = p.config().tick.as_nanos() as f64 * fraction * 0.25;
+                        let stolen = PRESSURE_TICK.as_nanos() as f64 * fraction * 0.25;
                         sys.charge_cpu(SimDuration::from_nanos(stolen as u64));
-                        tick = Some(p.config().tick);
+                        ticking = true;
                     }
                 }
                 if self.pressure_progress(sys) {
                     return;
                 }
                 self.check_thresholds(sys, true);
-                if let Some(tick) = tick {
-                    sys.set_timer(tick, TOKEN_PRESSURE_TICK);
+                if ticking {
+                    sys.set_timer(PRESSURE_TICK, TOKEN_PRESSURE_TICK);
                 }
             }
             _ => {}

@@ -40,7 +40,7 @@ pub use naming::{
     decode_list_reply, decode_resolve_reply, encode_bind, encode_name, naming_ior, naming_key,
     NamingServant, NamingService, EX_NOT_FOUND, NAMING_PORT, NAMING_TYPE_ID,
 };
-pub use retry::{RetryPolicy, RetryState};
+pub use retry::RetryState;
 pub use servants::{
     decode_counter_reply, decode_increment_once, decode_time_reply, encode_counter_reply,
     encode_increment, encode_increment_once, CounterServant, CounterState, TimeOfDayServant,

@@ -3,44 +3,23 @@
 //! The seed's clients retried failed resolves/reconnects on a *fixed*
 //! short timer, which hammers a recovering infrastructure and never
 //! gives up — under a slow recovery the client fails permanently in all
-//! but name. [`RetryPolicy`] replaces that with the standard discipline:
-//! delays grow exponentially from `base` up to `cap`, each draw is
-//! jittered uniformly over `[delay/2, delay]` to de-synchronise
-//! concurrent clients, and a `budget` caps the total number of attempts
-//! so a truly-dead target surfaces as a typed failure instead of an
-//! infinite loop.
+//! but name. [`RetryState::next_delay`] replaces that with the standard
+//! discipline: delays double from [`RETRY_BASE`] up to [`RETRY_CAP`], each
+//! draw is jittered uniformly over `[delay/2, delay]` to de-synchronise
+//! concurrent clients, and [`RETRY_BUDGET`] caps the number of retries so
+//! a truly-dead target surfaces as a typed failure instead of an infinite
+//! loop. Forty capped delays sum to several simulated seconds — enough to
+//! ride out any recovery the chaos campaign's fault plans allow.
 
 use rand::Rng;
 use simnet::SimDuration;
 
-/// Backoff/budget parameters for one logical operation (a resolve, a
-/// reconnect, an invocation retry).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// First retry delay (before jitter).
-    pub base: SimDuration,
-    /// Upper bound on the un-jittered delay.
-    pub cap: SimDuration,
-    /// Per-attempt delay multiplier (`2` = classic doubling).
-    pub multiplier: u32,
-    /// Maximum number of retries before giving up.
-    pub budget: u32,
-}
-
-impl RetryPolicy {
-    /// The chaos-client default: 5 ms → 160 ms doubling, 40 retries.
-    /// Forty capped delays sum to several simulated seconds — enough to
-    /// ride out any recovery the campaign's fault plans allow, while
-    /// still bounding a truly-dead target.
-    pub fn client_default() -> RetryPolicy {
-        RetryPolicy {
-            base: SimDuration::from_millis(5),
-            cap: SimDuration::from_millis(160),
-            multiplier: 2,
-            budget: 40,
-        }
-    }
-}
+/// First retry delay (before jitter).
+pub(crate) const RETRY_BASE: SimDuration = SimDuration::from_millis(5);
+/// Upper bound on the un-jittered delay.
+pub(crate) const RETRY_CAP: SimDuration = SimDuration::from_millis(160);
+/// Maximum number of retries before giving up.
+pub(crate) const RETRY_BUDGET: u32 = 40;
 
 /// Mutable per-operation state; reset it when the operation succeeds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -63,30 +42,21 @@ impl RetryState {
     pub fn reset(&mut self) {
         self.attempts = 0;
     }
-}
 
-impl RetryPolicy {
     /// Consumes one attempt and returns the jittered delay before the
     /// next try, or `None` when the budget is exhausted.
-    pub fn next_delay<R: Rng + ?Sized>(
-        &self,
-        state: &mut RetryState,
-        rng: &mut R,
-    ) -> Option<SimDuration> {
-        if state.attempts >= self.budget {
+    pub fn next_delay<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<SimDuration> {
+        if self.attempts >= RETRY_BUDGET {
             return None;
         }
-        let exp = self
-            .base
+        let exp = RETRY_BASE
             .as_nanos()
-            .saturating_mul(u64::from(self.multiplier).saturating_pow(state.attempts))
-            .min(self.cap.as_nanos())
-            .max(1);
-        state.attempts += 1;
+            .saturating_mul(2u64.saturating_pow(self.attempts))
+            .min(RETRY_CAP.as_nanos());
+        self.attempts += 1;
         // Jitter uniformly over [exp/2, exp] — "equal jitter": spreads
         // synchronized clients while keeping a floor on the wait.
-        let lo = (exp / 2).max(1);
-        Some(SimDuration::from_nanos(rng.gen_range(lo..=exp)))
+        Some(SimDuration::from_nanos(rng.gen_range(exp / 2..=exp)))
     }
 }
 
@@ -96,63 +66,41 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn policy() -> RetryPolicy {
-        RetryPolicy {
-            base: SimDuration::from_millis(10),
-            cap: SimDuration::from_millis(80),
-            multiplier: 2,
-            budget: 6,
-        }
-    }
-
     #[test]
     fn delays_grow_to_cap_with_jitter_in_range() {
-        let p = policy();
         let mut st = RetryState::new();
         let mut rng = StdRng::seed_from_u64(3);
-        let expected_ceiling = [10u64, 20, 40, 80, 80, 80];
-        for ceil_ms in expected_ceiling {
-            let d = p.next_delay(&mut st, &mut rng).expect("within budget");
+        let ceilings = [5u64, 10, 20, 40, 80, 160]
+            .into_iter()
+            .chain(std::iter::repeat(160));
+        for ceil_ms in ceilings.take(RETRY_BUDGET as usize) {
+            let d = st.next_delay(&mut rng).expect("within budget");
             let ceil = SimDuration::from_millis(ceil_ms);
             assert!(d <= ceil, "jitter above ceiling: {d} > {ceil}");
             assert!(d >= ceil / 2, "jitter below half-ceiling: {d}");
         }
-        assert_eq!(p.next_delay(&mut st, &mut rng), None, "budget exhausted");
-        assert_eq!(st.attempts(), 6);
+        assert_eq!(st.next_delay(&mut rng), None, "budget exhausted");
+        assert_eq!(st.attempts(), 40);
     }
 
     #[test]
     fn reset_restores_the_budget_and_the_base_delay() {
-        let p = policy();
         let mut st = RetryState::new();
         let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..6 {
-            p.next_delay(&mut st, &mut rng).expect("within budget");
-        }
-        assert_eq!(p.next_delay(&mut st, &mut rng), None);
+        while st.next_delay(&mut rng).is_some() {}
+        assert_eq!(st.attempts(), 40);
         st.reset();
-        let d = p.next_delay(&mut st, &mut rng).expect("budget back");
-        assert!(d <= SimDuration::from_millis(10), "delay back at base");
-    }
-
-    #[test]
-    fn zero_budget_never_retries() {
-        let p = RetryPolicy {
-            budget: 0,
-            ..policy()
-        };
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(p.next_delay(&mut RetryState::new(), &mut rng), None);
+        let d = st.next_delay(&mut rng).expect("budget back");
+        assert!(d <= SimDuration::from_millis(5), "delay back at base");
     }
 
     #[test]
     fn deterministic_under_same_rng_stream() {
-        let p = RetryPolicy::client_default();
         let draw = |seed| {
             let mut st = RetryState::new();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut out = Vec::new();
-            while let Some(d) = p.next_delay(&mut st, &mut rng) {
+            while let Some(d) = st.next_delay(&mut rng) {
                 out.push(d);
             }
             out

@@ -79,8 +79,6 @@ pub enum RunOutcome {
     DeadlineReached,
     /// The event queue drained before the deadline.
     Idle,
-    /// The configured event budget was exhausted (runaway guard).
-    EventLimit,
 }
 
 #[derive(Clone, Debug)]
@@ -903,21 +901,14 @@ impl Simulation {
         mem::take(&mut *self.metrics.borrow_mut())
     }
 
-    /// Runs until the clock reaches `deadline`, the queue drains, or
-    /// `event_limit` events have been dispatched.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.run_until_limited(deadline, u64::MAX)
-    }
-
-    /// [`run_until`](Self::run_until) with an explicit event budget, as a
-    /// guard against runaway periodic behaviour in tests.
+    /// Runs until the clock reaches `deadline` or the queue drains.
     // Wall-clock accounting only (events/sec reporting); the reading never
     // feeds back into simulated time. Suppressed in lint-allow.toml (R2)
     // and for clippy's disallowed-methods mirror of the same rule.
     #[allow(clippy::disallowed_methods)]
-    pub fn run_until_limited(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
+    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         let started = Instant::now();
-        let outcome = self.dispatch_until(deadline, event_limit);
+        let outcome = self.dispatch_until(deadline);
         self.wall_in_run += started.elapsed();
         outcome
     }
@@ -930,14 +921,9 @@ impl Simulation {
     /// closed one the popped head *is* the pick — the pool-of-one case —
     /// so events run in `(at, seq)` order and no pool is ever built.
     /// Every iteration either dispatches at least one event or returns,
-    /// so the loop ends by queue drain, deadline or event budget.
-    fn dispatch_until(&mut self, deadline: SimTime, event_limit: u64) -> RunOutcome {
-        let mut dispatched = 0u64;
+    /// so the loop ends by queue drain or deadline.
+    fn dispatch_until(&mut self, deadline: SimTime) -> RunOutcome {
         loop {
-            if dispatched >= event_limit {
-                self.flush_bounce();
-                return RunOutcome::EventLimit;
-            }
             // While a bounce accumulator is open, every queued entry has
             // a smaller sequence number than the accumulator's (pushes
             // flush it first), so entries up to and including its `at`
@@ -979,15 +965,15 @@ impl Simulation {
             // plausible late-delivery history.
             self.now = self.now.max(at);
             if let Action::NotifyBatch { pid, events } = action {
-                self.batched_extra -= events.len() as u64 - 1;
-                let n = self.notify_batch(pid, events, seq, event_limit - dispatched);
+                // Every element counts as one dispatched event.
+                let n = events.len() as u64;
+                self.batched_extra -= n - 1;
                 self.events_processed += n;
-                dispatched += n;
+                self.notify_batch(pid, events);
                 continue;
             }
             let sched = Scheduled { at, seq, action };
             self.events_processed += 1;
-            dispatched += 1;
             // A severed link (symmetric or directional) parks the action
             // instead of delivering it; heal() re-releases parked actions
             // in send order.
@@ -1325,91 +1311,37 @@ impl Simulation {
     /// element counts as one dispatched event and sees the *current*
     /// liveness/busyness of its destination. A busy destination requeues
     /// every remaining element in one move (the O(1) wave bounce); a
-    /// dead one drops them one by one. Returns how many elements were
-    /// consumed against `budget` (≥ 1 on entry); an unconsumed tail is
-    /// re-queued under its own original key so an event-limited run
-    /// stops exactly where the individual entries would have.
-    fn notify_batch(
-        &mut self,
-        pid: ProcessId,
-        mut events: VecDeque<Event>,
-        first_seq: u64,
-        budget: u64,
-    ) -> u64 {
-        let mut consumed = 0u64;
-        loop {
-            if events.is_empty() {
-                events.clear();
-                self.bounce_spare = events;
-                return consumed;
-            }
-            if consumed >= budget {
-                // Event budget exhausted mid-batch: the tail keeps its
-                // original key (`self.now` is the batch's pop time), so
-                // it pops first when the run resumes.
-                let extra = events.len() as u64 - 1;
-                self.batched_extra += extra;
-                let action = Self::batch_action(pid, events);
-                self.queue
-                    .push(self.now.as_nanos(), first_seq + consumed, action);
-                return consumed;
-            }
+    /// dead one drops them one by one.
+    fn notify_batch(&mut self, pid: ProcessId, mut events: VecDeque<Event>) {
+        while let Some(ev) = events.pop_front() {
             if self.obs_kernel {
                 self.emit_kernel(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
             }
-            let Some(ev) = events.pop_front() else {
-                return consumed;
-            };
-            consumed += 1;
             match self.procs.get(pid.0 as usize) {
                 None => continue,
                 Some(meta) if !meta.alive => continue,
                 Some(meta) if meta.busy_until > self.now => {
                     // Still busy: this element and every one behind it
-                    // requeue at the new horizon, as far as the budget
-                    // allows; the rest keep their original key.
+                    // requeue at the new horizon.
                     let busy_until = meta.busy_until;
-                    events.push_front(ev);
-                    consumed -= 1;
-                    let can = (budget - consumed).min(events.len() as u64);
-                    let tail = events.split_off(can as usize);
-                    consumed += can;
                     if self.obs_kernel {
                         // The old kernel emitted one Dispatch line per
-                        // bounce pop; the first element's was emitted
-                        // above already.
-                        for _ in 1..can {
+                        // bounce pop; this element's was emitted above.
+                        for _ in 0..events.len() {
                             self.emit_kernel(
                                 NodeId(0),
                                 obs::EventKind::Dispatch { action: "notify" },
                             );
                         }
                     }
+                    events.push_front(ev);
                     self.bounce_many(pid, busy_until, events);
-                    if !tail.is_empty() {
-                        let extra = tail.len() as u64 - 1;
-                        self.batched_extra += extra;
-                        let action = Self::batch_action(pid, tail);
-                        self.queue
-                            .push(self.now.as_nanos(), first_seq + consumed, action);
-                    }
-                    return consumed;
+                    return;
                 }
                 Some(_) => self.dispatch(pid, Some(ev)),
             }
         }
-    }
-
-    /// Wraps a drained run back up as the smallest action that holds it.
-    fn batch_action(pid: ProcessId, mut events: VecDeque<Event>) -> Action {
-        if events.len() == 1 {
-            match events.pop_front() {
-                Some(event) => Action::Notify { pid, event },
-                None => Action::NotifyBatch { pid, events },
-            }
-        } else {
-            Action::NotifyBatch { pid, events }
-        }
+        self.bounce_spare = events;
     }
 
     fn handle(&mut self, action: Action) {

@@ -645,24 +645,6 @@ fn read_after_local_close_errors_and_double_close_is_idempotent() {
     }
 }
 
-#[test]
-fn event_limit_guard_stops_runaway() {
-    struct Ticker;
-    impl Process for Ticker {
-        fn on_start(&mut self, sys: &mut dyn SysApi) {
-            sys.set_timer(SimDuration::from_nanos(1), 0);
-        }
-        fn on_event(&mut self, sys: &mut dyn SysApi, _: Event) {
-            sys.set_timer(SimDuration::from_nanos(1), 0);
-        }
-    }
-    let mut sim = Simulation::new(quiet_config(14));
-    let a = sim.add_node("a");
-    sim.spawn(a, "ticker", Box::new(Ticker));
-    let outcome = sim.run_until_limited(SimTime::from_secs(1), 1000);
-    assert_eq!(outcome, RunOutcome::EventLimit);
-}
-
 /// Writes one byte to the sink at each of a fixed series of instants.
 struct StormSender {
     sink: Addr,
@@ -718,12 +700,10 @@ impl Process for StormSink {
     }
 }
 
-/// Receive log, `events_processed` and final `now` of a notify storm:
-/// twelve senders on two nodes, six writes each, one busy sink.
-fn notify_storm(
-    scheduler: Box<dyn Scheduler>,
-    run: impl FnOnce(&mut Simulation),
-) -> (Vec<(SimTime, u8)>, u64, SimTime) {
+/// Receive log, `events_processed` and final `now` of a notify storm run
+/// until its queue drains: twelve senders on two nodes, six writes each,
+/// one busy sink.
+fn notify_storm(scheduler: Box<dyn Scheduler>) -> (Vec<(SimTime, u8)>, u64, SimTime) {
     let mut sim = Simulation::with_scheduler(quiet_config(15), scheduler);
     let hub = sim.add_node("hub");
     let edges = [sim.add_node("edge-a"), sim.add_node("edge-b")];
@@ -749,17 +729,14 @@ fn notify_storm(
             }),
         );
     }
-    run(&mut sim);
+    assert_eq!(sim.run_until(SimTime::from_secs(1)), RunOutcome::Idle);
     let log = received.borrow().clone();
     (log, sim.events_processed(), sim.now())
 }
 
 #[test]
-fn notify_storm_is_identical_under_fifo_choosing_and_sliced_budgets() {
-    let deadline = SimTime::from_secs(1);
-    let fifo = notify_storm(Box::new(FifoScheduler), |sim| {
-        assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
-    });
+fn notify_storm_is_identical_under_fifo_choosing_and_gated_schedulers() {
+    let fifo = notify_storm(Box::new(FifoScheduler));
     let (log, events, _) = &fifo;
     assert_eq!(log.len(), 72, "every write is received");
     // The herd: a parked notify bounces again at every service completion
@@ -769,12 +746,10 @@ fn notify_storm_is_identical_under_fifo_choosing_and_sliced_budgets() {
 
     // Always taking candidate 0 is the FIFO order, found by the choosing
     // path: individually queued notifies instead of NotifyBatch waves.
-    let choosing = notify_storm(
-        Box::new(ReplayScheduler::new(GateCfg::default(), Vec::new())),
-        |sim| {
-            assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
-        },
-    );
+    let choosing = notify_storm(Box::new(ReplayScheduler::new(
+        GateCfg::default(),
+        Vec::new(),
+    )));
     assert_eq!(choosing, fifo);
 
     // A gate that never opens, and one that opens mid-storm: the closed
@@ -797,18 +772,9 @@ fn notify_storm_is_identical_under_fifo_choosing_and_sliced_budgets() {
             ..GateCfg::default()
         },
     ] {
-        let gated = notify_storm(Box::new(ReplayScheduler::new(gate, Vec::new())), |sim| {
-            assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
-        });
+        let gated = notify_storm(Box::new(ReplayScheduler::new(gate, Vec::new())));
         assert_eq!(gated, fifo, "gate {gate:?}");
     }
-
-    // An event budget that runs out inside a batch re-queues the tail
-    // exactly where the individual entries would have been.
-    let sliced = notify_storm(Box::new(FifoScheduler), |sim| {
-        while sim.run_until_limited(deadline, 7) == RunOutcome::EventLimit {}
-    });
-    assert_eq!(sliced, fifo);
 }
 
 /// Picks candidate 0 and logs what it was asked: instant, ordinal, pool
@@ -839,10 +805,7 @@ impl Scheduler for AskLog {
 /// asking.
 #[test]
 fn scheduler_is_asked_only_while_the_gate_is_open() {
-    let deadline = SimTime::from_secs(1);
-    let fifo = notify_storm(Box::new(FifoScheduler), |sim| {
-        assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
-    });
+    let fifo = notify_storm(Box::new(FifoScheduler));
     let window = (SimTime::from_millis(34), SimTime::from_millis(36));
     // (max_steps, calls expected): a budget the window outlasts is spent
     // to the last step; a window the budget outlasts closes it early.
@@ -858,9 +821,7 @@ fn scheduler_is_asked_only_while_the_gate_is_open() {
             gate,
             asked: asked.clone(),
         };
-        let run = notify_storm(Box::new(scheduler), |sim| {
-            assert_eq!(sim.run_until(deadline), RunOutcome::Idle);
-        });
+        let run = notify_storm(Box::new(scheduler));
         assert_eq!(run, fifo, "all-default picks are the FIFO order");
         let asked = asked.borrow();
         assert!(

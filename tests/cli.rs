@@ -135,6 +135,11 @@ fn usage_errors_exit_2_with_a_message() {
         (&["explore", "--trace", "t.jsonl"], "--trace"),
         (&["lint", "--threads", "2"], "`--threads`"),
         (&["lint", "--smoke"], "`--smoke`"),
+        // A count of nothing is refused, not run as an empty report.
+        (&["table1", "0"], "invocations must be at least 1"),
+        (&["breakdown", "0"], "invocations must be at least 1"),
+        (&["fleet", "0"], "clients must be at least 1"),
+        (&["explore", "--runs", "0"], "--runs must be at least 1"),
     ] {
         let stderr = refused(args);
         assert!(stderr.contains(named), "{args:?}: {stderr}");

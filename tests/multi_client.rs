@@ -55,3 +55,16 @@ fn reactive_clients_each_observe_their_own_failures() {
         "at least one failure per crash somewhere: {total} vs {crashes}"
     );
 }
+
+#[test]
+fn the_run_deadline_grows_with_the_client_count() {
+    // 256 clients share one server group: their 12 800 invocations take
+    // far longer than 50 invocations of a single client would.
+    let out = run_scenario(&ScenarioConfig {
+        clients: 256,
+        ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 50)
+    });
+    assert_eq!(out.all_reports.len(), 256);
+    let done = out.all_reports.iter().filter(|r| r.completed).count();
+    assert_eq!(done, 256, "only {done} of 256 clients completed");
+}
