@@ -6,7 +6,10 @@
 //! sees every read and write first. Incoming bytes are drained from the
 //! real connection into a per-stream [`giop::FrameSplitter`]; control
 //! frames are consumed, application frames are re-staged byte-identically
-//! for the application's own `read()` to pick up.
+//! for the application's own `read()` to pick up. A [`Stream`] is only
+//! that scanning and staging; each interceptor half wraps it in its own
+//! per-connection record with what that half alone tracks (the client's
+//! redirect, the server's harvested object keys).
 //!
 //! Nothing on this path copies a message: the splitter holds the segment
 //! the kernel delivered, a frame is a reference-counted view of it, and
@@ -14,7 +17,7 @@
 
 use bytes::Bytes;
 use giop::{Frame, FrameSplitter, GiopError};
-use simnet::{ConnId, ReadOutcome, RecvQueue, SimDuration};
+use simnet::{ReadOutcome, RecvQueue, SimDuration};
 
 /// Timer tokens at or above this value belong to the interceptor (and its
 /// embedded GCS client); application code must keep its tokens below.
@@ -33,8 +36,8 @@ pub const TOKEN_QUERY_TIMEOUT: u64 = TOKEN_BASE + 4;
 pub const TOKEN_PRESSURE_ARM: u64 = TOKEN_BASE + 5;
 /// CPU-exhaustion ramp tick timer.
 pub const TOKEN_PRESSURE_TICK: u64 = TOKEN_BASE + 6;
-/// Base for redirect-completion timers (client side); offsets index the
-/// interceptor's `finishing` table.
+/// Base for redirect-completion timers (client side); the offset is the
+/// raw application id of the connection whose redirect is finishing.
 pub const TOKEN_REDIRECT_DONE_BASE: u64 = TOKEN_BASE + 1000;
 
 /// Fabricating a reply or rewriting a message, charged by either
@@ -93,15 +96,11 @@ impl Scanner {
     }
 }
 
-/// One intercepted byte stream, identified to the application by its
-/// original connection id even if the interceptor has since redirected it
-/// (`dup2()`-style) to a different real connection.
-#[derive(Clone, Debug)]
+/// One intercepted byte stream: what both interceptor halves scan and
+/// stage for it. Each half keeps its streams inside its own
+/// per-connection record, next to what only that half tracks.
+#[derive(Clone, Debug, Default)]
 pub struct Stream {
-    /// The application-visible connection id (the original one).
-    pub app: ConnId,
-    /// The real connection currently carrying the stream.
-    pub real: ConnId,
     /// Scanner over incoming real bytes.
     pub incoming: Scanner,
     /// Scanner over outgoing application bytes.
@@ -111,33 +110,9 @@ pub struct Stream {
     stage: RecvQueue,
     /// EOF reached (after `stage` drains).
     pub stage_eof: bool,
-    /// Writes buffered while a redirect is in flight.
-    pub pending_writes: Vec<Bytes>,
-    /// Inbound frames held while a redirect is in flight (the paper's
-    /// interceptor redirects synchronously inside `read()` before passing
-    /// the accompanying reply up to the application).
-    pub held_frames: Vec<giop::Frame>,
-    /// A redirect is in flight; application writes are buffered.
-    pub redirecting: bool,
 }
 
 impl Stream {
-    /// Creates a stream whose app-visible and real ids coincide (the
-    /// initial state of every connection).
-    pub fn new(conn: ConnId) -> Self {
-        Stream {
-            app: conn,
-            real: conn,
-            incoming: Scanner::default(),
-            outgoing: Scanner::default(),
-            stage: RecvQueue::new(),
-            stage_eof: false,
-            pending_writes: Vec::new(),
-            held_frames: Vec::new(),
-            redirecting: false,
-        }
-    }
-
     /// Re-stages a frame byte-identically for the application to read.
     /// Zero-copy: the frame's refcounted bytes are enqueued as a segment.
     pub fn stage_frame(&mut self, frame: Frame) {
@@ -179,7 +154,7 @@ mod tests {
 
     #[test]
     fn stage_and_read_roundtrip() {
-        let mut s = Stream::new(ConnId::default_for_tests());
+        let mut s = Stream::default();
         let wire = Message::CloseConnection.encode(Endian::Big);
         s.incoming.push(wire.clone());
         let Some(Scanned::Frame(frame)) = s.incoming.scan() else {
@@ -197,7 +172,7 @@ mod tests {
 
     #[test]
     fn partial_reads_respect_max() {
-        let mut s = Stream::new(ConnId::default_for_tests());
+        let mut s = Stream::default();
         s.stage_bytes(Bytes::from_static(&[1, 2, 3, 4, 5]));
         let first = s.read(2);
         assert_eq!(&first.data[..], &[1, 2]);
@@ -223,33 +198,5 @@ mod tests {
         sc.push(good.clone());
         assert!(matches!(sc.scan(), Some(Scanned::Raw(raw, None)) if raw == good));
         assert!(sc.scan().is_none());
-    }
-
-    /// Test-only ConnId constructor (streams don't dereference the id).
-    trait ConnIdTestExt {
-        fn default_for_tests() -> ConnId;
-    }
-    impl ConnIdTestExt for ConnId {
-        fn default_for_tests() -> ConnId {
-            // Any ConnId works for Stream bookkeeping; obtain one via a
-            // throwaway simulation.
-            use simnet::*;
-            use std::cell::RefCell;
-            use std::rc::Rc;
-            struct Grab(Rc<RefCell<Option<ConnId>>>);
-            impl Process for Grab {
-                fn on_start(&mut self, sys: &mut dyn SysApi) {
-                    *self.0.borrow_mut() = Some(sys.connect(Addr::new(sys.my_node(), Port(1))));
-                }
-                fn on_event(&mut self, _: &mut dyn SysApi, _: Event) {}
-            }
-            let cell = Rc::new(RefCell::new(None));
-            let mut sim = Simulation::new(SimConfig::default());
-            let n = sim.add_node("t");
-            sim.spawn(n, "grab", Box::new(Grab(cell.clone())));
-            sim.run_until(SimTime::from_millis(50));
-            let got = *cell.borrow();
-            got.expect("connect allocates an id")
-        }
     }
 }
