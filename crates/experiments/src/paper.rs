@@ -172,8 +172,9 @@ const FIG5: [&str; 8] = [
 ];
 
 /// Figure 4's three proactive schemes at the 80 % threshold of its
-/// captions. NEEDS_ADDRESSING never migrates, so it never reads the
-/// threshold: its Table 1 cell is the same run.
+/// captions. NEEDS_ADDRESSING migrates nobody and acts only at its
+/// launch threshold, which is 80 % in its Table 1 cell: that cell is
+/// its run.
 const FIG4: [&str; 3] = [
     "table1/NEEDS_ADDRESSING_Mode",
     "fig5/LOCATION_FORWARD@80",

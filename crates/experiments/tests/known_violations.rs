@@ -1,20 +1,26 @@
-//! Characterization of ROADMAP item 1's open hole: four generated plans,
-//! all under `needs_addressing`, that violate the chaos invariants today.
+//! Generated plans that once broke the chaos invariants, and the one
+//! exactly-once hole still open (ROADMAP item 1).
 //!
-//! The committed `sweep-full.toml` (`base_seed = 2004`) passes 508/508;
-//! these four turn up when only `base_seed` changes (found while the
-//! performance ledger was choosing seeds — `perfledger/README.md`, "Why
-//! `sweep` is seedless"). Three lose or duplicate counter state across a
-//! fail-over (the exactly-once invariant), one exhausts the client's
-//! retry budget.
+//! The committed `sweep-full.toml` (`base_seed = 2004`) passes 508/508.
+//! Each row below is a plan that turns up when only `base_seed` changes.
+//! The `needs_addressing` rows failed for two reasons, both fixed in
+//! `mead`, and now expect no violation:
 //!
-//! Each test asserts the **exact** violation list the plan produces now,
-//! so the hole is under CI instead of beside it. This is not the desired
-//! behaviour: the fix for item 1 (in `mead`/`orb`, not in the invariants)
-//! must flip every `expected` list here to empty — or, for a plan shown
-//! to be legitimately unrecoverable, teach `chaos_plan_space_for` not to
-//! generate it, at which point the plan seed is no longer found and the
-//! row is deleted with that explanation.
+//! - **lost or duplicated state** (the zoo rows): the primary never
+//!   pre-launched a replacement at the first threshold, so when it died
+//!   of exhaustion and a correlated crash took both other slots inside
+//!   the replacement's launch latency, no state holder survived;
+//! - **the give-ups** (the classic rows): the client interceptor
+//!   suppressed an EOF on the *Naming Service* connection and redirected
+//!   it to a replica, after which every `resolve` failed until the retry
+//!   budget ran out.
+//!
+//! The `mead_failover` row is open, and asserts its **exact** violation
+//! list so the hole is under CI instead of beside it: its primary drains
+//! and exits before the successor it launched has started, and a
+//! correlated crash of both backups then leaves no state holder. The
+//! fix (delaying the graceful exit until the successor is warm) belongs
+//! in `mead`, not in the invariants, and must flip that list to empty.
 
 use experiments::{expand_sweep, parse_sweep, run_chaos_plan};
 
@@ -37,43 +43,55 @@ fn violations_of(base_seed: u64, cell: &str, plan_seed: u64) -> Vec<String> {
     run_chaos_plan(&unit.plan, &unit.chaos).violations
 }
 
+const NA_ZOO: &str = "paper/needs_addressing/zoo";
+
 #[test]
-fn base_seed_17842_loses_state_at_increment_41() {
-    assert_eq!(
-        violations_of(17842, "paper/needs_addressing/zoo", 11855738815923485640),
-        [
-            "increment 41 acknowledged value 1 (lost or duplicated state)",
-            "1 operation-id gap(s) observed at replicas",
-        ]
-    );
+fn base_seed_1_keeps_state_across_a_correlated_crash() {
+    assert!(violations_of(1, NA_ZOO, 14088326897070232123).is_empty());
 }
 
 #[test]
-fn base_seed_25761_loses_state_at_increment_119() {
-    assert_eq!(
-        violations_of(25761, "paper/needs_addressing/zoo", 6758631626910312429),
-        [
-            "increment 119 acknowledged value 1 (lost or duplicated state)",
-            "1 operation-id gap(s) observed at replicas",
-        ]
-    );
+fn base_seed_4096_keeps_state_across_a_correlated_crash() {
+    assert!(violations_of(4096, NA_ZOO, 9910067516662377613).is_empty());
 }
 
 #[test]
-fn base_seed_49518_loses_state_at_increment_116() {
-    assert_eq!(
-        violations_of(49518, "paper/needs_addressing/zoo", 748409730216358911),
-        [
-            "increment 116 acknowledged value 1 (lost or duplicated state)",
-            "1 operation-id gap(s) observed at replicas",
-        ]
-    );
+fn base_seed_17842_keeps_state_across_a_correlated_crash() {
+    assert!(violations_of(17842, NA_ZOO, 11855738815923485640).is_empty());
 }
 
 #[test]
-fn base_seed_33680_exhausts_the_retry_budget() {
+fn base_seed_25761_keeps_state_across_a_correlated_crash() {
+    assert!(violations_of(25761, NA_ZOO, 6758631626910312429).is_empty());
+}
+
+#[test]
+fn base_seed_49518_keeps_state_across_a_correlated_crash() {
+    assert!(violations_of(49518, NA_ZOO, 748409730216358911).is_empty());
+}
+
+#[test]
+fn base_seed_33680_resolves_through_a_failover() {
+    let cell = "wide/needs_addressing/classic";
+    assert!(violations_of(33680, cell, 9585200432423754835).is_empty());
+}
+
+#[test]
+fn base_seed_1048576_resolves_through_a_failover() {
+    let cell = "wide/needs_addressing/classic";
+    assert!(violations_of(1048576, cell, 17486445707976427248).is_empty());
+}
+
+/// Open: s1 crosses 80 % and 90 % only 11.5 ms apart, drains and exits
+/// at 1152.4 ms before its successor (spawned at 1136.3 ms) has started,
+/// and `CorrelatedCrash [0,2]` at 1153.9 ms kills both backups.
+#[test]
+fn base_seed_777777_mead_primary_retires_before_its_successor_is_up() {
     assert_eq!(
-        violations_of(33680, "wide/needs_addressing/classic", 9585200432423754835),
-        ["client exhausted its retry budget (typed give-up)"]
+        violations_of(777777, "paper/mead_failover/zoo", 5904551164170999097),
+        [
+            "increment 13 acknowledged value 1 (lost or duplicated state)",
+            "1 operation-id gap(s) observed at replicas",
+        ]
     );
 }

@@ -64,8 +64,17 @@ impl RecoveryScheme {
         }
     }
 
-    /// `true` for the proactive schemes that migrate clients before the
-    /// crash (thresholds below 100 %).
+    /// `true` for the paper's three proactive schemes (section 4): each
+    /// launches a replacement at the first threshold.
+    pub fn is_proactive(self) -> bool {
+        !matches!(
+            self,
+            RecoveryScheme::ReactiveNoCache | RecoveryScheme::ReactiveCache
+        )
+    }
+
+    /// `true` for the proactive schemes that also migrate clients before
+    /// the crash, at the second threshold.
     pub fn is_proactive_migration(self) -> bool {
         matches!(
             self,
@@ -253,6 +262,8 @@ mod tests {
         assert!(RecoveryScheme::LocationForward.is_proactive_migration());
         assert!(RecoveryScheme::MeadFailover.is_proactive_migration());
         assert!(!RecoveryScheme::NeedsAddressing.is_proactive_migration());
+        assert!(RecoveryScheme::NeedsAddressing.is_proactive());
+        assert!(!RecoveryScheme::ReactiveCache.is_proactive());
         assert!(RecoveryScheme::NeedsAddressing.has_client_interceptor());
         assert!(!RecoveryScheme::LocationForward.has_client_interceptor());
         assert!(!RecoveryScheme::ReactiveNoCache.has_client_interceptor());

@@ -90,6 +90,19 @@ fn gcs_frames(bytes: &[u8]) -> Vec<GcsWire> {
     s.drain().expect("well-formed gcs stream")
 }
 
+/// The group messages a component multicast to the server group.
+fn server_group_msgs(sys: &MockSys, gcs_conn: ConnId) -> Vec<GroupMsg> {
+    gcs_frames(sys.written(gcs_conn))
+        .into_iter()
+        .filter_map(|f| match f {
+            GcsWire::Multicast { group, payload } if group == "servers" => {
+                GroupMsg::decode(&payload).ok()
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Feeds a GCS wire message into the interceptor as daemon traffic.
 fn feed_gcs(interceptor: &mut dyn Process, sys: &mut MockSys, gcs_conn: ConnId, msg: &GcsWire) {
     sys.push_incoming(gcs_conn, &msg.encode());
@@ -248,24 +261,21 @@ fn server_interceptor_stages_requests_and_passes_replies_through() {
     assert_eq!(&frames[0].bytes[..], &reply(7)[..]);
 }
 
-#[test]
-fn migrating_server_piggybacks_failover_notice_before_reply() {
-    let mut rig = server_rig(RecoveryScheme::MeadFailover);
-    let me_member = {
-        feed_gcs(
-            &mut rig.interceptor,
-            &mut rig.sys,
-            rig.gcs_conn,
-            &GcsWire::Attached,
-        );
-        let frames = gcs_frames(rig.sys.written(rig.gcs_conn));
-        match &frames[0] {
-            GcsWire::Attach { member } => member.clone(),
-            other => panic!("expected attach, got {other:?}"),
-        }
+/// A rig whose group is online with one peer replica, serving one
+/// accepted client whose first request has activated the leak.
+fn serving_rig(scheme: RecoveryScheme) -> (ServerRig, ConnId) {
+    let mut rig = server_rig(scheme);
+    feed_gcs(
+        &mut rig.interceptor,
+        &mut rig.sys,
+        rig.gcs_conn,
+        &GcsWire::Attached,
+    );
+    let me_member = match &gcs_frames(rig.sys.written(rig.gcs_conn))[0] {
+        GcsWire::Attach { member } => member.clone(),
+        other => panic!("expected attach, got {other:?}"),
     };
     bring_group_online(&mut rig, &me_member, "replica/1/55");
-    // Client connection + first request (activates leak).
     let conn = rig.sys.accept_conn();
     rig.interceptor.on_event(
         &mut rig.sys,
@@ -278,9 +288,16 @@ fn migrating_server_piggybacks_failover_notice_before_reply() {
     rig.sys.push_incoming(conn, &request(1));
     rig.interceptor
         .on_event(&mut rig.sys, Event::DataReadable { conn });
-    // Step the leak to exhaustion-threshold by firing its timer repeatedly.
+    (rig, conn)
+}
+
+/// Steps the leak by firing its timer, answering one request per step
+/// (a reply write is what trips the event-driven threshold check), until
+/// `done` holds, the replica exits, or 40 steps have passed. Each step
+/// clears what was written to `conn` before.
+fn leak_until(rig: &mut ServerRig, conn: ConnId, done: impl Fn(&MockSys) -> bool) {
     for _ in 0..40 {
-        if rig.sys.counter("mead.migrations") > 0 || rig.sys.exit_requested().is_some() {
+        if done(&rig.sys) || rig.sys.exit_requested().is_some() {
             break;
         }
         let timer = timer_by_token(&rig.sys, tokens::TOKEN_LEAK);
@@ -291,13 +308,18 @@ fn migrating_server_piggybacks_failover_notice_before_reply() {
                 token: tokens::TOKEN_LEAK,
             },
         );
-        // A reply write is what trips the event-driven threshold check.
         rig.app.borrow_mut().write_queue.push_back((conn, reply(2)));
         rig.sys.clear_written(conn);
         rig.sys.push_incoming(conn, &request(2));
         rig.interceptor
             .on_event(&mut rig.sys, Event::DataReadable { conn });
     }
+}
+
+#[test]
+fn migrating_server_piggybacks_failover_notice_before_reply() {
+    let (mut rig, conn) = serving_rig(RecoveryScheme::MeadFailover);
+    leak_until(&mut rig, conn, |sys| sys.counter("mead.migrations") > 0);
     assert_eq!(
         rig.sys.counter("mead.migrations"),
         1,
@@ -332,21 +354,7 @@ fn migrating_server_piggybacks_failover_notice_before_reply() {
 
 #[test]
 fn location_forward_server_replaces_reply_with_forward() {
-    let mut rig = server_rig(RecoveryScheme::LocationForward);
-    let me_member = {
-        feed_gcs(
-            &mut rig.interceptor,
-            &mut rig.sys,
-            rig.gcs_conn,
-            &GcsWire::Attached,
-        );
-        let frames = gcs_frames(rig.sys.written(rig.gcs_conn));
-        match &frames[0] {
-            GcsWire::Attach { member } => member.clone(),
-            other => panic!("expected attach, got {other:?}"),
-        }
-    };
-    bring_group_online(&mut rig, &me_member, "replica/1/55");
+    let (mut rig, conn) = serving_rig(RecoveryScheme::LocationForward);
     // The peer also advertises the IOR for the shared persistent key.
     let peer_ior = giop::Ior::singleton(
         "IDL:TimeOfDay:1.0",
@@ -368,36 +376,7 @@ fn location_forward_server_replaces_reply_with_forward() {
             .encode(),
         },
     );
-    let conn = rig.sys.accept_conn();
-    rig.interceptor.on_event(
-        &mut rig.sys,
-        Event::Accepted {
-            listener: rig.listener,
-            conn,
-            peer_node: NodeId::from_index(4),
-        },
-    );
-    rig.sys.push_incoming(conn, &request(1));
-    rig.interceptor
-        .on_event(&mut rig.sys, Event::DataReadable { conn });
-    for _ in 0..40 {
-        if rig.sys.counter("mead.migrations") > 0 {
-            break;
-        }
-        let timer = timer_by_token(&rig.sys, tokens::TOKEN_LEAK);
-        rig.interceptor.on_event(
-            &mut rig.sys,
-            Event::TimerFired {
-                timer,
-                token: tokens::TOKEN_LEAK,
-            },
-        );
-        rig.app.borrow_mut().write_queue.push_back((conn, reply(2)));
-        rig.sys.clear_written(conn);
-        rig.sys.push_incoming(conn, &request(2));
-        rig.interceptor
-            .on_event(&mut rig.sys, Event::DataReadable { conn });
-    }
+    leak_until(&mut rig, conn, |sys| sys.counter("mead.migrations") > 0);
     assert_eq!(rig.sys.counter("mead.forwards_sent"), 1);
     // The last written frame is a LOCATION_FORWARD reply, not the normal
     // reply the app produced.
@@ -416,6 +395,22 @@ fn location_forward_server_replaces_reply_with_forward() {
         },
         other => panic!("expected reply, got {other:?}"),
     }
+}
+
+/// NEEDS_ADDRESSING migrates nobody, but its primary still launches a
+/// replacement at the first threshold, so a successor is up before the
+/// leak kills it.
+#[test]
+fn needs_addressing_server_launches_a_replacement_past_the_first_threshold() {
+    let (mut rig, conn) = serving_rig(RecoveryScheme::NeedsAddressing);
+    leak_until(&mut rig, conn, |_| false);
+    assert_eq!(rig.sys.counter("mead.launch_requests"), 1);
+    assert_eq!(rig.sys.counter("mead.migrations"), 0);
+    let launches = server_group_msgs(&rig.sys, rig.gcs_conn)
+        .iter()
+        .filter(|m| matches!(m, GroupMsg::LaunchRequest { .. }))
+        .count();
+    assert_eq!(launches, 1, "one LaunchRequest multicast to the group");
 }
 
 /// An unmodified server: a `ServerOrb` with one servant, as the paper's
@@ -516,14 +511,18 @@ struct ClientRig {
     interceptor: ClientInterceptor,
     sys: MockSys,
     app: Rc<RefCell<AppState>>,
-    #[allow(dead_code)]
     gcs_conn: ConnId,
     server_conn: ConnId,
 }
 
 fn client_rig(scheme: RecoveryScheme) -> ClientRig {
+    client_rig_to(scheme, Addr::new(NodeId::from_index(1), Port(2810)))
+}
+
+/// A client interceptor whose application dials `addr` on start.
+fn client_rig_to(scheme: RecoveryScheme, addr: Addr) -> ClientRig {
     let app = Rc::new(RefCell::new(AppState {
-        connect_on_start: Some(Addr::new(NodeId::from_index(1), Port(2810))),
+        connect_on_start: Some(addr),
         ..AppState::default()
     }));
     let mut interceptor = ClientInterceptor::new(scheme, Box::new(TestApp(app.clone())));
@@ -609,6 +608,13 @@ fn client_interceptor_strips_notice_holds_reply_and_redirects() {
     assert_eq!(rig.sys.counter("mead.client.redirects_completed"), 1);
 }
 
+/// Whether the client interceptor multicast an `AddressQuery`.
+fn asked_for_an_address(rig: &ClientRig) -> bool {
+    server_group_msgs(&rig.sys, rig.gcs_conn)
+        .iter()
+        .any(|m| matches!(m, GroupMsg::AddressQuery { .. }))
+}
+
 #[test]
 fn needs_addressing_suppresses_eof_and_fabricates_resend_trigger() {
     let mut rig = client_rig(RecoveryScheme::NeedsAddressing);
@@ -633,15 +639,7 @@ fn needs_addressing_suppresses_eof_and_fabricates_resend_trigger() {
     assert_eq!(rig.app.borrow().log.len(), app_log_before, "EOF suppressed");
     assert_eq!(rig.sys.counter("mead.client.eof_suppressed"), 1);
     // An AddressQuery went out over group communication.
-    let frames = gcs_frames(rig.sys.written(rig.gcs_conn));
-    let query = frames.iter().any(|f| {
-        matches!(
-            f,
-            GcsWire::Multicast { group, payload } if group == "servers"
-                && matches!(GroupMsg::decode(payload), Ok(GroupMsg::AddressQuery { .. }))
-        )
-    });
-    assert!(query, "AddressQuery must be multicast, got {frames:?}");
+    assert!(asked_for_an_address(&rig), "AddressQuery must be multicast");
     // The group answers; the interceptor redirects.
     feed_gcs(
         &mut rig.interceptor,
@@ -818,5 +816,24 @@ fn needs_addressing_timeout_releases_the_eof() {
     assert!(
         log.iter().any(|l| l.contains("PeerClosed")),
         "EOF must be released to the app on timeout: {log:?}"
+    );
+}
+
+/// The Naming Service is not a replica, so no scheme acts on its
+/// connection: an EOF there reaches the application as it happened, and
+/// the server group is not asked where the Naming Service went.
+#[test]
+fn needs_addressing_leaves_the_naming_service_connection_alone() {
+    let naming = Addr::new(NodeId::from_index(0), orb::NAMING_PORT);
+    let mut rig = client_rig_to(RecoveryScheme::NeedsAddressing, naming);
+    let conn = rig.server_conn;
+    rig.interceptor
+        .on_event(&mut rig.sys, Event::PeerClosed { conn });
+    assert_eq!(rig.sys.counter("mead.client.eof_suppressed"), 0);
+    assert!(!asked_for_an_address(&rig));
+    let log = rig.app.borrow().log.clone();
+    assert_eq!(
+        log.last(),
+        Some(&format!("{:?}", Event::PeerClosed { conn }))
     );
 }

@@ -11,8 +11,9 @@
 //!
 //! anchored on the migrate decision (step 2 of the two-step threshold),
 //! with detection measured from the preceding `LeakDetected` (fault
-//! activation) when one is present. NEEDS_ADDRESSING never crosses a
-//! threshold — its episodes are anchored on `FaultDetected` instead, the
+//! activation) when one is present. NEEDS_ADDRESSING crosses step 1 only
+//! (it launches a replacement but migrates nobody) — its episodes are
+//! anchored on `FaultDetected` instead, the
 //! client-side EOF that starts the group address query, and detection is
 //! measured from the crash (`Exit{crashed}`) the client is reacting to.
 
