@@ -6,25 +6,27 @@
 //! Instead of firing at fixed usage fractions, [`AdaptivePredictor`]
 //! estimates the resource-consumption *rate* online (an exponentially
 //! weighted moving average over observed usage deltas) and predicts the
-//! time remaining until exhaustion. Recovery actions fire when the
-//! predicted remaining time drops below safety margins derived from how
-//! long replacement launch and client hand-off actually take — so the
+//! time remaining until exhaustion. An observation reaches a step when
+//! the predicted remaining time drops below safety margins derived from
+//! how long replacement launch and client hand-off actually take — so the
 //! trigger point self-adjusts to the fault's speed, firing early for fast
 //! leaks and late (wasting nothing) for slow ones. This is exactly the
 //! "ideal scenario" of section 5.2.4: "delay proactive recovery so that
 //! the proactive dependability framework has just enough time to redirect
-//! clients".
+//! clients". Like the preset [`ResourceMonitor`](crate::ResourceMonitor),
+//! it remembers nothing of what already fired: its only state is the rate
+//! estimate.
 
 use simnet::{SimDuration, SimTime};
 
 use crate::resource::ThresholdAction;
 
-/// Fire [`ThresholdAction::LaunchReplacement`] when the predicted time to
+/// Report [`ThresholdAction::LaunchReplacement`] when the predicted time to
 /// exhaustion drops below this: it covers process launch (30 ms) + group
 /// join and advertisement (≈ 15 ms) in the reproduction's deployment,
 /// with slack.
 const LAUNCH_MARGIN: SimDuration = SimDuration::from_millis(120);
-/// Fire [`ThresholdAction::MigrateClients`] when the predicted time to
+/// Report [`ThresholdAction::MigrateClients`] when the predicted time to
 /// exhaustion drops below this: it covers redirecting every client plus
 /// the drain delay (≈ 10 ms), with slack.
 const MIGRATE_MARGIN: SimDuration = SimDuration::from_millis(45);
@@ -32,14 +34,12 @@ const MIGRATE_MARGIN: SimDuration = SimDuration::from_millis(45);
 /// weights the newest observation more.
 const RATE_ALPHA: f64 = 0.3;
 
-/// Online estimator of time-to-exhaustion with margin-based triggering.
+/// Online estimator of time-to-exhaustion with margin-based steps.
 #[derive(Clone, Debug, Default)]
 pub struct AdaptivePredictor {
     last: Option<(SimTime, f64)>,
     /// EWMA of usage growth per second (fraction/s).
     rate: Option<f64>,
-    launch_fired: bool,
-    migrate_fired: bool,
 }
 
 impl AdaptivePredictor {
@@ -64,9 +64,9 @@ impl AdaptivePredictor {
         Some(SimDuration::from_nanos((secs * 1e9) as u64))
     }
 
-    /// Feeds a fresh usage observation; returns an action if a margin was
-    /// newly crossed. Each action fires once per cycle, like the preset
-    /// [`ResourceMonitor`](crate::ResourceMonitor).
+    /// Feeds a fresh usage observation into the rate estimate and returns
+    /// the furthest step it has reached: the predicted remaining time
+    /// within both margins reports [`ThresholdAction::MigrateClients`].
     pub fn observe(&mut self, now: SimTime, fraction: f64) -> Option<ThresholdAction> {
         if let Some((t0, f0)) = self.last {
             let dt = now.saturating_since(t0).as_secs_f64();
@@ -80,29 +80,13 @@ impl AdaptivePredictor {
         }
         self.last = Some((now, fraction));
         let remaining = self.predicted_remaining(fraction)?;
-        if !self.migrate_fired && remaining <= MIGRATE_MARGIN {
-            self.migrate_fired = true;
-            self.launch_fired = true;
-            return Some(ThresholdAction::MigrateClients);
+        if remaining <= MIGRATE_MARGIN {
+            Some(ThresholdAction::MigrateClients)
+        } else if remaining <= LAUNCH_MARGIN {
+            Some(ThresholdAction::LaunchReplacement)
+        } else {
+            None
         }
-        if !self.launch_fired && remaining <= LAUNCH_MARGIN {
-            self.launch_fired = true;
-            return Some(ThresholdAction::LaunchReplacement);
-        }
-        None
-    }
-
-    /// `true` once migration has been triggered this cycle.
-    pub fn migration_initiated(&self) -> bool {
-        self.migrate_fired
-    }
-
-    /// Resets for a new rejuvenation cycle.
-    pub fn reset(&mut self) {
-        self.last = None;
-        self.rate = None;
-        self.launch_fired = false;
-        self.migrate_fired = false;
     }
 }
 
@@ -110,21 +94,25 @@ impl AdaptivePredictor {
 mod tests {
     use super::*;
 
+    /// Feeds a linear leak and returns the distinct steps reached, in the
+    /// order they were first reported in a row.
     fn feed_linear(
         p: &mut AdaptivePredictor,
         rate_per_sec: f64,
         steps: u32,
         dt_ms: u64,
     ) -> Vec<ThresholdAction> {
-        let mut actions = Vec::new();
+        let mut reached: Vec<ThresholdAction> = Vec::new();
         for i in 0..steps {
             let t = SimTime::from_millis(i as u64 * dt_ms);
             let frac = rate_per_sec * t.as_secs_f64();
-            if let Some(a) = p.observe(t, frac.min(1.0)) {
-                actions.push(a);
+            if let Some(step) = p.observe(t, frac.min(1.0)) {
+                if reached.last() != Some(&step) {
+                    reached.push(step);
+                }
             }
         }
-        actions
+        reached
     }
 
     #[test]
@@ -137,17 +125,16 @@ mod tests {
     }
 
     #[test]
-    fn fires_launch_then_migrate_in_order() {
+    fn reaches_launch_then_migrate_in_order() {
         let mut p = AdaptivePredictor::new();
-        let actions = feed_linear(&mut p, 2.0, 40, 15);
+        let reached = feed_linear(&mut p, 2.0, 40, 15);
         assert_eq!(
-            actions,
+            reached,
             vec![
                 ThresholdAction::LaunchReplacement,
                 ThresholdAction::MigrateClients
             ]
         );
-        assert!(p.migration_initiated());
     }
 
     #[test]
@@ -187,16 +174,6 @@ mod tests {
             let t = SimTime::from_millis(i * 15);
             assert_eq!(p.observe(t, 0.5), None, "constant usage is not a fault");
         }
-    }
-
-    #[test]
-    fn reset_rearms() {
-        let mut p = AdaptivePredictor::new();
-        feed_linear(&mut p, 2.0, 40, 15);
-        assert!(p.migration_initiated());
-        p.reset();
-        assert!(!p.migration_initiated());
-        assert!(p.rate_per_sec().is_none());
     }
 
     #[test]

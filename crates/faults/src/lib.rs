@@ -7,10 +7,12 @@
 //! * [`Weibull`] — the distribution driving the leak (scale 64, shape 2),
 //! * [`MemoryLeak`] — the 32 KB-buffer memory-exhaustion fault, activated
 //!   on the first client request and stepped every [`LEAK_INTERVAL`],
-//! * [`ResourceMonitor`] — the 80 %/90 % two-step thresholds with
-//!   fire-once semantics,
+//! * [`ResourceMonitor`] — the 80 %/90 % two-step thresholds, reporting
+//!   which [`ThresholdAction`] step a usage fraction has reached,
 //! * [`AdaptivePredictor`] — rate-estimating adaptive thresholds (the
-//!   paper's stated future work), and
+//!   paper's stated future work) reporting the same steps; neither
+//!   remembers what already fired (the server interceptor's rejuvenation
+//!   phase does), and
 //! * [`FaultPlan`] — seeded chaos schedules composing crashes,
 //!   partitions, loss bursts and multi-replica leaks for the chaos
 //!   sweeps (`mead-repro sweep`), plus the expanded zoo
@@ -45,5 +47,5 @@ pub use plan::{
     MIN_CRASH_GAP,
 };
 pub use pressure::{PressureConfig, PressureKind, ResourcePressure, PRESSURE_TICK};
-pub use resource::{ResourceMonitor, ThresholdAction, ThresholdError};
+pub use resource::{ResourceMonitor, ThresholdAction};
 pub use weibull::Weibull;

@@ -129,13 +129,9 @@ pub enum Trigger {
     /// connections" (section 3.1). The paper's choice, and the
     /// builder's.
     OnWrite,
-    /// On the periodic leak (or pressure) timer, against the preset
-    /// thresholds: the polling ablation the paper rejected (section 3.1).
-    /// Crossings are detected at timer granularity rather than at the
-    /// next client interaction.
-    Polled,
     /// The adaptive rate-estimating predictor (the paper's future work,
-    /// section 6), sampled on the timer: actions fire when the
+    /// section 6), sampled on the leak (or pressure) timer, whose clean
+    /// usage deltas its rate estimate needs: steps are reached when the
     /// *predicted time to exhaustion* crosses its safety margins instead
     /// of at fixed usage fractions.
     Adaptive,
@@ -149,9 +145,8 @@ pub enum Trigger {
 pub struct MeadConfig {
     /// Strategy in force.
     pub scheme: RecoveryScheme,
-    /// First (launch) threshold as a fraction, e.g. 0.8.
-    pub launch_threshold: f64,
-    /// Second (migrate) threshold as a fraction, e.g. 0.9.
+    /// Second (migrate) threshold as a fraction, e.g. 0.9. The first
+    /// (launch) threshold trails it by the paper's 10-point gap.
     pub migrate_threshold: f64,
     /// Memory-leak fault injected at the primary (section 5.1). `None`
     /// disables fault injection (fault-free runs).
@@ -192,7 +187,6 @@ impl MeadConfig {
         MeadConfigBuilder {
             cfg: MeadConfig {
                 scheme,
-                launch_threshold: 0.8,
                 migrate_threshold: 0.9,
                 leak: Some(LeakConfig::default()),
                 pressure: None,
@@ -214,14 +208,10 @@ pub struct MeadConfigBuilder {
 }
 
 impl MeadConfigBuilder {
-    /// Sets the migrate threshold with the launch threshold trailing it
-    /// by the paper's 10-point gap (the Figure 5 sweep's single knob).
-    /// Both are clamped to (0, 1], and the launch threshold is capped at
-    /// the migrate threshold (the launch step can never follow the
-    /// migrate step).
+    /// Sets the migrate threshold (the Figure 5 sweep's single knob),
+    /// clamped to [0.05, 1]; the launch threshold follows it.
     pub fn migrate_threshold(mut self, threshold: f64) -> Self {
         self.cfg.migrate_threshold = threshold.clamp(0.05, 1.0);
-        self.cfg.launch_threshold = (threshold - 0.1).clamp(0.01, self.cfg.migrate_threshold);
         self
     }
 
@@ -272,7 +262,6 @@ mod tests {
     #[test]
     fn builder_defaults_match_the_paper() {
         let cfg = MeadConfig::builder(RecoveryScheme::MeadFailover).build();
-        assert_eq!(cfg.launch_threshold, 0.8);
         assert_eq!(cfg.migrate_threshold, 0.9);
         assert!(cfg.leak.is_some());
         assert!(cfg.use_key_hash);
@@ -284,16 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_threshold_sweep_keeps_gap_and_bounds() {
-        let cfg = MeadConfig::builder(RecoveryScheme::MeadFailover)
-            .migrate_threshold(0.2)
-            .build();
-        assert!((cfg.migrate_threshold - 0.2).abs() < 1e-9);
-        assert!((cfg.launch_threshold - 0.1).abs() < 1e-9);
-        let cfg = MeadConfig::builder(RecoveryScheme::MeadFailover)
-            .migrate_threshold(0.05)
-            .build();
-        assert!(cfg.launch_threshold <= cfg.migrate_threshold);
-        assert!(cfg.launch_threshold > 0.0);
+    fn builder_clamps_the_migrate_threshold() {
+        for (asked, set) in [(0.2, 0.2), (0.01, 0.05), (1.5, 1.0)] {
+            let cfg = MeadConfig::builder(RecoveryScheme::MeadFailover)
+                .migrate_threshold(asked)
+                .build();
+            assert_eq!(cfg.migrate_threshold, set, "asked {asked}");
+        }
     }
 }

@@ -4,7 +4,6 @@
 use mead_repro::experiments::{run_scenario, steady_state_rtt_ms, ScenarioConfig};
 use mead_repro::mead::{
     replica_member_name, slot_of_member, MemberName, RecoveryScheme, ReplicaDirectory, Slot,
-    Trigger,
 };
 
 #[test]
@@ -175,19 +174,6 @@ fn directory_semantics() {
         dir.addr_of(&MemberName::from("replica/0/99")),
         Some(("node1", 20009))
     );
-}
-
-#[test]
-fn polling_ablation_still_rejuvenates() {
-    // With the polled trigger the checks move to the leak timer;
-    // migrations must still happen (at timer granularity) and still mask
-    // failures.
-    let out = run_scenario(&ScenarioConfig {
-        tweak: Some(|cfg| cfg.trigger = Trigger::Polled),
-        ..ScenarioConfig::quick(RecoveryScheme::MeadFailover, 1000)
-    });
-    assert!(out.metrics.counter("mead.migrations") > 0);
-    assert_eq!(out.report().client_failures(), 0);
 }
 
 #[test]
