@@ -1,10 +1,9 @@
-//! Generated plans that once broke the chaos invariants, and the one
-//! exactly-once hole still open (ROADMAP item 1).
+//! Generated plans that once broke the chaos invariants.
 //!
 //! The committed `sweep-full.toml` (`base_seed = 2004`) passes 508/508.
 //! Each row below is a plan that turns up when only `base_seed` changes.
-//! The `needs_addressing` rows failed for two reasons, both fixed in
-//! `mead`, and now expect no violation:
+//! Every row failed for one of three reasons, each fixed in `mead`, and
+//! now expects no violation:
 //!
 //! - **lost or duplicated state** (the zoo rows): the primary never
 //!   pre-launched a replacement at the first threshold, so when it died
@@ -13,14 +12,12 @@
 //! - **the give-ups** (the classic rows): the client interceptor
 //!   suppressed an EOF on the *Naming Service* connection and redirected
 //!   it to a replica, after which every `resolve` failed until the retry
-//!   budget ran out.
-//!
-//! The `mead_failover` row is open, and asserts its **exact** violation
-//! list so the hole is under CI instead of beside it: its primary drains
-//! and exits before the successor it launched has started, and a
-//! correlated crash of both backups then leaves no state holder. The
-//! fix (delaying the graceful exit until the successor is warm) belongs
-//! in `mead`, not in the invariants, and must flip that list to empty.
+//!   budget ran out;
+//! - **lost or duplicated state** (the `mead_failover` row): the primary
+//!   drained and exited before the successor it launched had started, so
+//!   a correlated crash of both backups left no state holder. A primary
+//!   with state now exits gracefully only once its successor is in the
+//!   view and warm.
 
 use experiments::{expand_sweep, parse_sweep, run_chaos_plan};
 
@@ -82,16 +79,13 @@ fn base_seed_1048576_resolves_through_a_failover() {
     assert!(violations_of(1048576, cell, 17486445707976427248).is_empty());
 }
 
-/// Open: s1 crosses 80 % and 90 % only 11.5 ms apart, drains and exits
-/// at 1152.4 ms before its successor (spawned at 1136.3 ms) has started,
-/// and `CorrelatedCrash [0,2]` at 1153.9 ms kills both backups.
+/// s1 crosses 80 % and 90 % only 11.5 ms apart, and `CorrelatedCrash
+/// [0,2]` at 1153.9 ms kills both backups. It used to drain and exit at
+/// 1152.4 ms, before its successor (spawned at 1136.3 ms) had started;
+/// now it stays, warms the successor when it joins, and only then dies
+/// of exhaustion (1170.5 ms).
 #[test]
-fn base_seed_777777_mead_primary_retires_before_its_successor_is_up() {
-    assert_eq!(
-        violations_of(777777, "paper/mead_failover/zoo", 5904551164170999097),
-        [
-            "increment 13 acknowledged value 1 (lost or duplicated state)",
-            "1 operation-id gap(s) observed at replicas",
-        ]
-    );
+fn base_seed_777777_mead_primary_stays_until_its_successor_is_warm() {
+    let cell = "paper/mead_failover/zoo";
+    assert!(violations_of(777777, cell, 5904551164170999097).is_empty());
 }
