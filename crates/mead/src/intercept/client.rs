@@ -76,8 +76,8 @@ enum Redirection {
     /// The replacement connection `to` is being dialled.
     Dialing { to: ConnId, resend: Option<u32> },
     /// The application closed the stream while `to` was being dialled.
-    /// The record stays until the dial resolves, which is still charged
-    /// and traced as a redirect.
+    /// The record stays until the dial resolves; an established dial is
+    /// then hung up, with nothing charged or traced.
     Orphaned { to: ConnId },
     /// The descriptor is swapped; the redirect's cost is being paid until
     /// the completion timer fires.
@@ -386,18 +386,20 @@ impl ClientState {
     /// so the cost is visible in the round-trip the client measures —
     /// matching the paper's synchronous in-`read()` redirect.
     fn complete_redirect(&mut self, sys: &mut dyn SysApi, app: ConnId, new_real: ConnId) {
-        sys.charge_cpu(REDIRECT_CPU);
-        sys.count("mead.client.redirects_completed", 1);
-        sys.mark("mead.client.redirect_at");
-        sys.emit(EventKind::Phase(Phase::ClientRedirect));
         let Some(link) = self.links.get_mut(&app) else {
             return;
         };
         let Redirection::Dialing { resend, .. } = link.redirect else {
-            // Orphaned: nobody is left to redirect.
+            // Orphaned: nobody is left to redirect. Hang up, or the new
+            // replica would keep waiting on a client that never writes.
             self.links.remove(&app);
+            sys.close(new_real);
             return;
         };
+        sys.charge_cpu(REDIRECT_CPU);
+        sys.count("mead.client.redirects_completed", 1);
+        sys.mark("mead.client.redirect_at");
+        sys.emit(EventKind::Phase(Phase::ClientRedirect));
         link.redirect = Redirection::Finishing { resend };
         let old_real = std::mem::replace(&mut link.real, new_real);
         self.real_to_app.remove(&old_real);
@@ -728,6 +730,71 @@ mod tests {
         );
         interceptor.on_start(&mut sys);
         assert_eq!(sys.connected().last().map(|&(_, addr)| addr), Some(naming));
+        assert!(interceptor.st.links.is_empty());
+        assert!(interceptor.st.real_to_app.is_empty());
+    }
+
+    /// Writes nothing, reads nothing; closes its connection on the first
+    /// application timer.
+    struct Closer {
+        addr: Addr,
+        conn: Option<ConnId>,
+    }
+
+    impl Process for Closer {
+        fn on_start(&mut self, sys: &mut dyn SysApi) {
+            self.conn = Some(sys.connect(self.addr));
+        }
+
+        fn on_event(&mut self, sys: &mut dyn SysApi, event: Event) {
+            if let (Event::TimerFired { .. }, Some(conn)) = (event, self.conn.take()) {
+                sys.close(conn);
+            }
+        }
+    }
+
+    /// The application closes a stream while its redirect is dialling:
+    /// the dial, once established, is hung up instead of staying open at
+    /// the new replica, and no redirect is charged or traced.
+    #[test]
+    fn an_orphaned_redirect_dial_is_hung_up() {
+        let replica = Addr::new(NodeId::from_index(1), Port(20000));
+        let mut sys = MockSys::new(NodeId::from_index(4));
+        let mut interceptor = ClientInterceptor::new(
+            RecoveryScheme::MeadFailover,
+            Box::new(Closer {
+                addr: replica,
+                conn: None,
+            }),
+        );
+        interceptor.on_start(&mut sys);
+        let (conn, _) = *sys.connected().last().expect("the app dialled");
+        sys.push_incoming(
+            conn,
+            &FailoverNotice::new("node2", 20001, "replica/0/9").encode(),
+        );
+        interceptor.on_event(&mut sys, Event::DataReadable { conn });
+        let (dial, addr) = *sys.connected().last().expect("the redirect dialled");
+        assert_eq!(addr, Addr::new(NodeId::from_index(2), Port(20001)));
+        let tick = sys.set_timer(SimDuration::from_millis(1), 1);
+        interceptor.on_event(
+            &mut sys,
+            Event::TimerFired {
+                timer: tick,
+                token: 1,
+            },
+        );
+        assert!(sys.is_closed(conn), "the application closed its stream");
+        let cpu = sys.cpu_charged();
+        interceptor.on_event(&mut sys, Event::ConnEstablished { conn: dial });
+        assert!(sys.is_closed(dial), "the orphaned dial must be hung up");
+        assert_eq!(sys.cpu_charged(), cpu, "no redirect is charged");
+        assert_eq!(sys.counter("mead.client.redirects_completed"), 0);
+        let traced = |kind: &EventKind| matches!(kind, EventKind::Phase(Phase::ClientRedirect));
+        assert!(
+            !sys.emitted().iter().any(|(_, kind)| traced(kind)),
+            "no redirect is traced"
+        );
         assert!(interceptor.st.links.is_empty());
         assert!(interceptor.st.real_to_app.is_empty());
     }
