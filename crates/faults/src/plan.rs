@@ -137,9 +137,11 @@ pub enum FaultKind {
         duration: SimDuration,
     },
     /// CPU-exhaustion ramp on the replica bound to `slot`: consumed CPU
-    /// fraction grows by `ramp_per_sec` per second, feeding the
-    /// two-step `ResourceMonitor` thresholds (and crashing the process
-    /// if it ever reaches 1.0 before rejuvenation).
+    /// fraction grows by `ramp_per_sec` per second. The interceptor
+    /// checks it against the two-step thresholds like the leak
+    /// ([`crate::ResourceMonitor`] on the write path,
+    /// [`crate::AdaptivePredictor`] on the timer), and the process
+    /// crashes if it reaches 1.0 before the replica retires.
     CpuExhaustion {
         /// Replica slot index the pressure lands on.
         slot: u32,
