@@ -181,11 +181,11 @@ impl<J: Job> SlotClient<J> {
             self.job.complete(sys);
             return;
         };
-        let Some(target) = self.target.clone() else {
+        let Some(target) = &self.target else {
             self.backoff(sys);
             return;
         };
-        match self.orb.invoke(sys, &target, operation, &body) {
+        match self.orb.invoke(sys, target, operation, &body) {
             Ok(rid) => {
                 self.current_rid = Some(rid);
                 sys.set_timer(self.watchdog, WATCHDOG_BASE + rid as u64);

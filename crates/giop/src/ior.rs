@@ -112,13 +112,36 @@ impl Ior {
         Self::read_from(&mut r)
     }
 
+    /// Checks that `bytes` hold an IOR, allocating nothing: `Ok` exactly
+    /// when [`decode`](Self::decode) would succeed, and otherwise its error.
+    ///
+    /// # Errors
+    ///
+    /// The [`CdrError`] `decode` would return.
+    pub fn validate(bytes: &[u8]) -> Result<(), CdrError> {
+        let mut r = CdrReader::new(bytes, crate::Endian::Big);
+        Self::walk(&mut r, None).map(drop)
+    }
+
     /// Reads an IOR from an ongoing CDR stream.
     ///
     /// # Errors
     ///
     /// Any [`CdrError`] from malformed input.
     pub fn read_from(r: &mut CdrReader<'_>) -> Result<Self, CdrError> {
-        let type_id = r.read_string()?;
+        let mut profiles = Vec::new();
+        let type_id = Self::walk(r, Some(&mut profiles))?.to_owned();
+        Ok(Ior { type_id, profiles })
+    }
+
+    /// The one IOR parser: reads the type id and every profile, skipping
+    /// foreign ones, and returns the type id. Owned copies of the IIOP
+    /// profiles go to `profiles` when it is given.
+    fn walk<'a>(
+        r: &mut CdrReader<'a>,
+        mut profiles: Option<&mut Vec<IiopProfile>>,
+    ) -> Result<&'a str, CdrError> {
+        let type_id = r.read_str()?;
         let n = r.read_u32()?;
         if n as usize > r.remaining() {
             return Err(CdrError::LengthOverrun {
@@ -126,7 +149,12 @@ impl Ior {
                 remaining: r.remaining(),
             });
         }
-        let mut profiles = Vec::with_capacity(n as usize);
+        if let Some(out) = profiles.as_mut() {
+            // A profile takes a few bytes on the wire and ~50 in memory:
+            // trust a hostile count only so far. Exact: an IOR usually has
+            // one profile, and `reserve` would make room for four.
+            out.reserve_exact(n.min(1024) as usize);
+        }
         for _ in 0..n {
             let tag = r.read_u32()?;
             let body = r.read_octet_slice()?;
@@ -144,18 +172,20 @@ impl Ior {
             }
             let version_major = b.read_u8()?;
             let version_minor = b.read_u8()?;
-            let host = b.read_string()?;
+            let host = b.read_str()?;
             let port = b.read_u16()?;
-            let object_key = ObjectKey::from_bytes(b.read_octets()?);
-            profiles.push(IiopProfile {
-                version_major,
-                version_minor,
-                host,
-                port,
-                object_key,
-            });
+            let object_key = b.read_octet_slice()?;
+            if let Some(out) = profiles.as_mut() {
+                out.push(IiopProfile {
+                    version_major,
+                    version_minor,
+                    host: host.to_owned(),
+                    port,
+                    object_key: ObjectKey::from_slice(object_key),
+                });
+            }
         }
-        Ok(Ior { type_id, profiles })
+        Ok(type_id)
     }
 }
 
@@ -177,6 +207,13 @@ mod tests {
         let ior = sample();
         let b = ior.encode();
         assert_eq!(Ior::decode(&b).unwrap(), ior);
+    }
+
+    #[test]
+    fn decoding_reserves_no_spare_profiles() {
+        // Clients hold decoded IORs for the whole run.
+        let got = Ior::decode(&sample().encode()).unwrap();
+        assert_eq!(got.profiles.capacity(), 1);
     }
 
     #[test]

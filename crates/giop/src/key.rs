@@ -12,8 +12,12 @@
 //! byte-by-byte comparison. [`ObjectKey::hash16`] implements it.
 
 use core::fmt;
+use std::sync::Arc;
 
 /// A persistent CORBA object key.
+///
+/// The bytes are shared, so a clone (one per client invocation, one per
+/// copied IOR) allocates nothing.
 ///
 /// ```
 /// use giop::ObjectKey;
@@ -23,7 +27,7 @@ use core::fmt;
 /// assert_eq!(k, ObjectKey::persistent("TimePOA", "TimeOfDay"));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjectKey(Vec<u8>);
+pub struct ObjectKey(Arc<[u8]>);
 
 impl ObjectKey {
     /// The canonical padded key length, matching the ~52-byte keys of the
@@ -40,12 +44,12 @@ impl ObjectKey {
         if v.len() < Self::CANONICAL_LEN {
             v.resize(Self::CANONICAL_LEN, 0);
         }
-        ObjectKey(v)
+        ObjectKey(v.into())
     }
 
-    /// Wraps raw key bytes received off the wire.
-    pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        ObjectKey(bytes)
+    /// Copies key bytes read off the wire: one allocation.
+    pub fn from_slice(bytes: &[u8]) -> Self {
+        ObjectKey(bytes.into())
     }
 
     /// The raw key bytes.
@@ -60,7 +64,7 @@ impl ObjectKey {
     pub fn hash16(&self) -> u16 {
         let mut a: u16 = 0;
         let mut b: u16 = 0;
-        for &byte in &self.0 {
+        for &byte in self.as_bytes() {
             a = (a + u16::from(byte)) % 255;
             b = (b + a) % 255;
         }
@@ -121,8 +125,7 @@ mod tests {
     #[test]
     fn raw_roundtrip() {
         let k = ObjectKey::persistent("A", "B");
-        let k2 = ObjectKey::from_bytes(k.as_bytes().to_vec());
-        assert_eq!(k, k2);
+        assert_eq!(k, ObjectKey::from_slice(k.as_bytes()));
     }
 
     #[test]
@@ -134,7 +137,7 @@ mod tests {
     #[test]
     fn hash16_is_fletcher() {
         // Independent Fletcher-16 computation for a known input.
-        let k = ObjectKey::from_bytes(vec![1, 2]);
+        let k = ObjectKey::from_slice(&[1, 2]);
         // a: 1 then 3; b: 1 then 4 -> 0x0403
         assert_eq!(k.hash16(), 0x0403);
     }

@@ -394,7 +394,7 @@ impl RequestView<'_> {
         RequestMessage {
             request_id: self.request_id,
             response_expected: self.response_expected,
-            object_key: ObjectKey::from_bytes(self.object_key.to_vec()),
+            object_key: ObjectKey::from_slice(self.object_key),
             operation: self.operation.to_owned(),
             body: self.body.to_vec(),
         }

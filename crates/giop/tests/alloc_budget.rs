@@ -15,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use giop::{
-    encode_request, Endian, FrameSplitter, Message, MessageView, ObjectKey, ReplyBody,
-    ReplyBodyView, ReplyMessage, RequestMessage,
+    encode_request, CdrError, CdrWriter, Endian, FrameSplitter, Ior, Message, MessageView,
+    ObjectKey, ReplyBody, ReplyBodyView, ReplyMessage, RequestMessage,
 };
 
 struct Counting;
@@ -25,12 +25,14 @@ thread_local! {
     // Const-initialised and without a destructor, so touching it from
     // inside the allocator neither allocates nor registers anything.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn book() {
+fn book(size: usize) {
     // `try_with`: a thread's last allocations can come after its
     // thread-locals are gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -38,7 +40,7 @@ fn book() {
 // thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        book();
+        book(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
@@ -49,13 +51,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        book();
+        book(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        book();
+        book(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
         // the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -71,6 +73,14 @@ fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f`, returning its result and the size of the largest single
+/// allocation this thread requested meanwhile.
+fn largest<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|m| m.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 fn request(body: Vec<u8>) -> RequestMessage {
@@ -176,4 +186,38 @@ fn splitting_a_whole_frame_segment_allocates_nothing() {
         assert_eq!(frame.expect("well-formed").expect("complete").bytes, wire);
         assert_eq!(splitter.buffered(), 0);
     }
+}
+
+#[test]
+fn validating_an_ior_and_cloning_a_key_allocate_nothing() {
+    let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
+    let wire = Ior::singleton("IDL:TimeOfDay:1.0", "node1", 2810, key.clone()).encode();
+    let (valid, allocs) = count(|| Ior::validate(&wire));
+    assert_eq!(allocs, 0, "Ior::validate");
+    assert_eq!(valid, Ok(()));
+    let (copy, allocs) = count(|| key.clone());
+    assert_eq!(allocs, 0, "ObjectKey::clone");
+    assert_eq!(copy, key);
+}
+
+/// A profile takes at least 8 bytes on the wire but about 50 in memory,
+/// so a decoder that reserves room for the declared count can be made to
+/// allocate several times the size of its input before failing.
+#[test]
+fn a_hostile_profile_count_does_not_size_an_allocation() {
+    const PROFILES: u32 = 1 << 20;
+    let mut w = CdrWriter::new(Endian::Big);
+    w.write_string("IDL:x:1.0");
+    w.write_u32(PROFILES);
+    let mut hostile = w.into_vec();
+    // Enough bytes that the count passes the length check; the first
+    // profile (tag 0, an empty body) then fails to decode.
+    hostile.resize(1_048_600, 0);
+    let (decoded, peak) = largest(|| Ior::decode(&hostile));
+    assert_eq!(decoded, Err(CdrError::UnexpectedEof { what: "octet" }));
+    assert!(
+        peak < hostile.len(),
+        "decoding {} bytes made a {peak}-byte allocation",
+        hostile.len()
+    );
 }

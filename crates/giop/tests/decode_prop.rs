@@ -25,7 +25,7 @@ fn arb_valid_message() -> impl Strategy<Value = Message> {
                 Message::Request(RequestMessage {
                     request_id,
                     response_expected,
-                    object_key: ObjectKey::from_bytes(key),
+                    object_key: ObjectKey::from_slice(&key),
                     operation,
                     body,
                 })
@@ -55,6 +55,71 @@ fn arb_valid_message() -> impl Strategy<Value = Message> {
         Just(Message::CloseConnection),
         Just(Message::MessageError),
     ]
+}
+
+/// One tagged profile of an encoded IOR: IIOP, or a tag this ORB skips.
+#[derive(Clone, Debug)]
+enum WireProfile {
+    Iiop(IiopProfile),
+    Foreign(u32, Vec<u8>),
+}
+
+fn arb_wire_profile() -> impl Strategy<Value = WireProfile> {
+    prop_oneof![
+        (
+            "[a-z0-9.-]{1,20}",
+            any::<u16>(),
+            prop::collection::vec(any::<u8>(), 0..40),
+        )
+            .prop_map(|(host, port, key)| WireProfile::Iiop(IiopProfile {
+                version_major: 1,
+                version_minor: 0,
+                host,
+                port,
+                object_key: ObjectKey::from_slice(&key),
+            })),
+        (1u32..=u32::MAX, prop::collection::vec(any::<u8>(), 0..16))
+            .prop_map(|(tag, body)| WireProfile::Foreign(tag, body)),
+    ]
+}
+
+/// A well-formed encoded IOR, foreign profiles included.
+fn arb_ior_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        "[A-Za-z0-9:/._-]{1,30}",
+        prop::collection::vec(arb_wire_profile(), 0..4),
+    )
+        .prop_map(|(type_id, profiles)| {
+            let mut w = CdrWriter::new(Endian::Big);
+            w.write_string(&type_id);
+            w.write_u32(profiles.len() as u32);
+            for p in profiles {
+                match p {
+                    WireProfile::Iiop(p) => {
+                        let alone = Ior {
+                            type_id: String::new(),
+                            profiles: vec![p],
+                        }
+                        .encode();
+                        // Its encapsulation follows the empty type id
+                        // (4 + 1 bytes, 3 of padding), the count, the tag
+                        // and the body length.
+                        w.write_u32(TAG_INTERNET_IOP);
+                        w.write_octets(&alone[20..]);
+                    }
+                    WireProfile::Foreign(tag, body) => {
+                        w.write_u32(tag);
+                        w.write_octets(&body);
+                    }
+                }
+            }
+            w.into_vec()
+        })
+}
+
+/// `Ior::validate` answers exactly what `Ior::decode` does.
+fn validate_agrees(bytes: &[u8]) -> bool {
+    Ior::validate(bytes) == Ior::decode(bytes).map(drop)
 }
 
 proptest! {
@@ -212,7 +277,7 @@ proptest! {
                 version_minor: 0,
                 host,
                 port,
-                object_key: ObjectKey::from_bytes(key),
+                object_key: ObjectKey::from_slice(&key),
             }],
         };
         let wire = ior.encode();
@@ -221,5 +286,26 @@ proptest! {
         }
         prop_assert!(Ior::decode(&wire).is_ok());
         let _ = Ior::decode(&garbage);
+    }
+
+    /// `Ior::validate` accepts and rejects what `Ior::decode` does, with
+    /// the same error: on arbitrary bytes, and on every truncation and
+    /// every single-byte flip of a valid IOR.
+    #[test]
+    fn ior_validate_agrees_with_decode(
+        wire in arb_ior_bytes(),
+        xor in 1u8..=255,
+        garbage in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        prop_assert_eq!(Ior::validate(&wire), Ok(()));
+        prop_assert!(validate_agrees(&garbage), "garbage {:?}", garbage);
+        for cut in 0..wire.len() {
+            prop_assert!(validate_agrees(&wire[..cut]), "{:?} cut at {}", wire, cut);
+        }
+        for pos in 0..wire.len() {
+            let mut flipped = wire.clone();
+            flipped[pos] ^= xor;
+            prop_assert!(validate_agrees(&flipped), "{:?} flipped at {}", wire, pos);
+        }
     }
 }

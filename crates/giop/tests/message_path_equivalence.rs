@@ -159,7 +159,7 @@ fn model_decode(frame: &[u8]) -> Result<Message, GiopError> {
             let _svc = r.read_u32()?;
             let request_id = r.read_u32()?;
             let response_expected = r.read_bool()?;
-            let object_key = ObjectKey::from_bytes(r.read_octets()?);
+            let object_key = ObjectKey::from_slice(r.read_octet_slice()?);
             let operation = r.read_string()?;
             let _principal = r.read_octets()?;
             let consumed = body.len().saturating_sub(r.remaining());
@@ -273,7 +273,7 @@ fn arb_ior() -> impl Strategy<Value = Ior> {
                     version_minor: 0,
                     host,
                     port,
-                    object_key: ObjectKey::from_bytes(key),
+                    object_key: ObjectKey::from_slice(&key),
                 })
                 .collect(),
         })
@@ -309,7 +309,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 Message::Request(RequestMessage {
                     request_id,
                     response_expected,
-                    object_key: ObjectKey::from_bytes(key),
+                    object_key: ObjectKey::from_slice(&key),
                     operation,
                     body,
                 })

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use giop::*;
 
 fn arb_object_key() -> impl Strategy<Value = ObjectKey> {
-    prop::collection::vec(any::<u8>(), 1..80).prop_map(ObjectKey::from_bytes)
+    prop::collection::vec(any::<u8>(), 1..80).prop_map(|k| ObjectKey::from_slice(&k))
 }
 
 fn arb_ior() -> impl Strategy<Value = Ior> {
@@ -153,8 +153,8 @@ proptest! {
 
     #[test]
     fn hash16_is_stable_and_key_dependent(bytes in prop::collection::vec(any::<u8>(), 1..64)) {
-        let k1 = ObjectKey::from_bytes(bytes.clone());
-        let k2 = ObjectKey::from_bytes(bytes);
+        let k1 = ObjectKey::from_slice(&bytes);
+        let k2 = ObjectKey::from_slice(&bytes);
         prop_assert_eq!(k1.hash16(), k2.hash16());
     }
 }

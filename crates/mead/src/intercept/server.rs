@@ -515,10 +515,9 @@ impl ServerState {
             sys.charge_cpu(GIOP_PARSE_CPU);
             if let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) {
                 if let Some(client) = self.client_streams.get_mut(&conn) {
-                    client.request_keys.insert(
-                        req.request_id,
-                        ObjectKey::from_bytes(req.object_key.to_vec()),
-                    );
+                    client
+                        .request_keys
+                        .insert(req.request_id, ObjectKey::from_slice(req.object_key));
                 }
             }
         }

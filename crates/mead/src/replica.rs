@@ -38,6 +38,10 @@ pub struct ReplicaApp {
     objects: Vec<(ObjectKey, String)>,
     port: Port,
     rebind_interval: Option<SimDuration>,
+    /// The Naming Service's IOR and one encoded `bind` body per object:
+    /// built by the first [`bind_all`](Self::bind_all), once the node is
+    /// known, and sent as they are by every re-bind.
+    binds: Option<(Ior, Vec<Vec<u8>>)>,
 }
 
 impl ReplicaApp {
@@ -56,6 +60,7 @@ impl ReplicaApp {
             objects: vec![(key, TIME_TYPE_ID.to_string())],
             port,
             rebind_interval: None,
+            binds: None,
         }
     }
 
@@ -70,12 +75,29 @@ impl ReplicaApp {
     }
 
     fn bind_all(&mut self, sys: &mut dyn SysApi) {
-        let naming = naming_ior(self.naming_node);
-        for (key, type_id) in self.objects.clone() {
-            let ior = self.ior_for(sys, &key, &type_id);
-            let body = encode_bind(&self.bind_name, &ior);
-            let _ = self.client_orb.invoke(sys, &naming, "bind", &body);
+        if self.binds.is_none() {
+            self.binds = Some(self.encode_binds(sys.my_node()));
         }
+        let Some((naming, bodies)) = &self.binds else {
+            return;
+        };
+        for body in bodies {
+            let _ = self.client_orb.invoke(sys, naming, "bind", body);
+        }
+    }
+
+    /// The naming IOR and the `bind` body of each object served on `node`.
+    fn encode_binds(&self, node: NodeId) -> (Ior, Vec<Vec<u8>>) {
+        let host = host_of(node);
+        let bodies = self
+            .objects
+            .iter()
+            .map(|(key, type_id)| {
+                let ior = Ior::singleton(type_id, &host, self.port.0, key.clone());
+                encode_bind(&self.bind_name, &ior)
+            })
+            .collect();
+        (naming_ior(self.naming_node), bodies)
     }
 
     /// Adds another servant under `key`, also bound for forwarding.
@@ -103,12 +125,8 @@ impl ReplicaApp {
             objects: self.objects.clone(),
             port: self.port,
             rebind_interval: self.rebind_interval,
+            binds: self.binds.clone(),
         })
-    }
-
-    /// The IOR of this instance's object `key`.
-    fn ior_for(&self, sys: &dyn SysApi, key: &ObjectKey, type_id: &str) -> Ior {
-        Ior::singleton(type_id, &host_of(sys.my_node()), self.port.0, key.clone())
     }
 }
 
@@ -152,7 +170,91 @@ impl Process for ReplicaApp {
 
 #[cfg(test)]
 mod tests {
+    use giop::{FrameSplitter, MessageView};
+    use orb::{naming_key, CounterServant, COUNTER_TYPE_ID};
+    use simnet::testkit::MockSys;
+    use simnet::ConnId;
+
     use super::*;
+
+    /// The bodies of the `bind` requests written on `conn` since the last
+    /// `clear_written`.
+    fn sent_binds(sys: &MockSys, conn: ConnId) -> Vec<Vec<u8>> {
+        let mut split = FrameSplitter::new();
+        split.push(sys.written(conn));
+        let mut out = Vec::new();
+        while let Ok(Some(frame)) = split.next_frame() {
+            let Ok(MessageView::Request(req)) = MessageView::parse(&frame.bytes) else {
+                panic!("not a request: {frame:?}");
+            };
+            assert_eq!(req.operation, "bind");
+            assert_eq!(req.object_key, naming_key().as_bytes());
+            out.push(req.body.to_vec());
+        }
+        out
+    }
+
+    fn fire_rebind(app: &mut ReplicaApp, sys: &mut MockSys) {
+        let timer = sys
+            .timers()
+            .iter()
+            .rev()
+            .find(|t| t.token == REBIND_TOKEN)
+            .expect("re-bind timer armed")
+            .timer;
+        app.on_event(
+            sys,
+            Event::TimerFired {
+                timer,
+                token: REBIND_TOKEN,
+            },
+        );
+    }
+
+    #[test]
+    fn cached_bind_bodies_equal_fresh_encodings() {
+        let naming_node = NodeId::from_index(0);
+        let counter_key = ObjectKey::persistent("CounterPOA", "Counter");
+        let mut app = ReplicaApp::time_server(crate::Slot(1), Port(2810), naming_node)
+            .with_servant(
+                counter_key.clone(),
+                COUNTER_TYPE_ID,
+                Box::new(CounterServant::new(CounterState::new())),
+            )
+            .with_rebind(SimDuration::from_millis(150));
+        // Each body encoded from scratch.
+        let fresh = |key: ObjectKey, type_id: &str| {
+            encode_bind(
+                "replicas/slot1",
+                &Ior::singleton(type_id, "node2", 2810, key),
+            )
+        };
+        let expected = vec![
+            fresh(time_object_key(), TIME_TYPE_ID),
+            fresh(counter_key, COUNTER_TYPE_ID),
+        ];
+
+        let mut sys = MockSys::new(NodeId::from_index(2));
+        app.on_start(&mut sys);
+        assert_eq!(app.binds, Some((naming_ior(naming_node), expected.clone())));
+        let [(conn, _)] = sys.connected()[..] else {
+            panic!("one connection, to the Naming Service");
+        };
+        app.on_event(&mut sys, Event::ConnEstablished { conn });
+        assert_eq!(sent_binds(&sys, conn), expected, "first bind");
+
+        for _ in 0..2 {
+            sys.clear_written(conn);
+            fire_rebind(&mut app, &mut sys);
+            assert_eq!(sent_binds(&sys, conn), expected, "re-bind");
+        }
+
+        let mut copy = app.fork_over(None).expect("servants fork");
+        assert_eq!(copy.binds, app.binds);
+        sys.clear_written(conn);
+        fire_rebind(&mut copy, &mut sys);
+        assert_eq!(sent_binds(&sys, conn), expected, "re-bind after fork_over");
+    }
 
     #[test]
     fn time_key_is_persistent_and_shared() {

@@ -17,7 +17,7 @@ fn arb_ior() -> impl Strategy<Value = Ior> {
         prop::collection::vec(any::<u8>(), 1..64),
     )
         .prop_map(|(type_id, host, port, key)| {
-            Ior::singleton(&type_id, &host, port, ObjectKey::from_bytes(key))
+            Ior::singleton(&type_id, &host, port, ObjectKey::from_slice(&key))
         })
 }
 

@@ -102,9 +102,16 @@ pub fn decode_list_reply(payload: &[u8]) -> Result<Vec<(String, Ior)>, CdrError>
 }
 
 /// The naming servant: a name → IOR registry, empty by default.
+///
+/// A binding is stored as the IOR bytes the `bind` carried, checked by
+/// [`Ior::validate`] but not decoded: replicas re-bind every slot name on
+/// a timer, so a re-bind of a known name only overwrites its bytes in
+/// place. `resolve` and `list` decode and re-encode a binding, so a reply
+/// carries exactly what a decoded store would send (a foreign profile is
+/// dropped).
 #[derive(Clone, Default)]
 pub struct NamingServant {
-    bindings: BTreeMap<String, Ior>,
+    bindings: BTreeMap<String, Vec<u8>>,
 }
 
 impl NamingServant {
@@ -117,6 +124,12 @@ impl NamingServant {
     pub fn is_empty(&self) -> bool {
         self.bindings.is_empty()
     }
+}
+
+/// Writes a stored binding as the reply's `sequence<octet>` IOR.
+fn write_bound(w: &mut CdrWriter, bytes: &[u8]) -> Result<(), CdrError> {
+    w.write_octets(&Ior::decode(bytes)?.encode());
+    Ok(())
 }
 
 impl Servant for NamingServant {
@@ -134,28 +147,37 @@ impl Servant for NamingServant {
         match operation {
             "bind" => {
                 sys.charge_cpu(BIND_CPU);
-                let name = r.read_string().map_err(malformed)?;
+                let name = r.read_str().map_err(malformed)?;
                 let bytes = r.read_octet_slice().map_err(malformed)?;
-                let ior = Ior::decode(bytes).map_err(malformed)?;
+                Ior::validate(bytes).map_err(malformed)?;
                 sys.count("naming.bind", 1);
-                self.bindings.insert(name, ior); // rebind semantics
+                // Rebind semantics.
+                match self.bindings.get_mut(name) {
+                    Some(bound) => {
+                        bound.clear();
+                        bound.extend_from_slice(bytes);
+                    }
+                    None => {
+                        self.bindings.insert(name.to_owned(), bytes.to_vec());
+                    }
+                }
                 Ok(Vec::new())
             }
             "unbind" => {
                 sys.charge_cpu(BIND_CPU);
-                let name = r.read_string().map_err(malformed)?;
+                let name = r.read_str().map_err(malformed)?;
                 sys.count("naming.unbind", 1);
-                self.bindings.remove(&name);
+                self.bindings.remove(name);
                 Ok(Vec::new())
             }
             "resolve" => {
                 sys.charge_cpu(RESOLVE_CPU);
-                let name = r.read_string().map_err(malformed)?;
+                let name = r.read_str().map_err(malformed)?;
                 sys.count("naming.resolve", 1);
-                match self.bindings.get(&name) {
-                    Some(ior) => {
+                match self.bindings.get(name) {
+                    Some(bytes) => {
                         let mut w = CdrWriter::new(Endian::Big);
-                        w.write_octets(&ior.encode());
+                        write_bound(&mut w, bytes).map_err(malformed)?;
                         Ok(w.into_vec())
                     }
                     None => Err(SystemException::Other {
@@ -165,19 +187,19 @@ impl Servant for NamingServant {
                 }
             }
             "list" => {
-                let prefix = r.read_string().map_err(malformed)?;
-                let matches: Vec<(&String, &Ior)> = self
+                let prefix = r.read_str().map_err(malformed)?;
+                let matches: Vec<(&String, &Vec<u8>)> = self
                     .bindings
                     .iter()
-                    .filter(|(n, _)| n.starts_with(&prefix))
+                    .filter(|(n, _)| n.starts_with(prefix))
                     .collect();
                 sys.charge_cpu(RESOLVE_CPU + ENTRY_CPU * (matches.len().saturating_sub(1)) as u64);
                 sys.count("naming.list", 1);
                 let mut w = CdrWriter::new(Endian::Big);
                 w.write_u32(matches.len() as u32);
-                for (name, ior) in matches {
+                for (name, bytes) in matches {
                     w.write_string(name);
-                    w.write_octets(&ior.encode());
+                    write_bound(&mut w, bytes).map_err(malformed)?;
                 }
                 Ok(w.into_vec())
             }
