@@ -44,8 +44,7 @@ use std::rc::Rc;
 use faults::{FaultEvent, FaultKind, FaultPlan, PlanSpace, PressureConfig, PressureKind};
 use groupcomm::{GcsClient, GcsDelivery};
 use mead::{
-    CheckpointPayload, ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp,
-    ServerInterceptor, StateHooks, SERVER_GROUP,
+    ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor, SERVER_GROUP,
 };
 use orb::{
     decode_counter_reply, decode_increment_once, encode_counter_reply, encode_increment_once,
@@ -426,7 +425,7 @@ pub fn run_chaos_plan_with(
 const BOOT_UNTIL: SimTime = SimTime::from_millis(650);
 
 /// The first half of a chaos run: the world of `(plan, cfg)` configured,
-/// assembled and booted up to the *split* — [`BOOT_UNTIL`], or the last
+/// assembled and booted up to the *split* — `BOOT_UNTIL`, or the last
 /// instant before the scheduler's gate can open if that is earlier.
 /// Until the split the kernel never consults the scheduler, so what has
 /// happened is the same under every scheduler with that gate:
@@ -449,8 +448,6 @@ impl<'a> ChaosBoot<'a> {
     ) -> ChaosBoot<'a> {
         let slots = cfg.slots.max(1);
         let mut mead_cfg = MeadConfig::builder(cfg.scheme).build();
-        mead_cfg.checkpoint_interval = SimDuration::from_millis(50);
-        mead_cfg.commit_acks = true;
         if !plan.leak_all() {
             mead_cfg.leak = None;
         }
@@ -501,7 +498,7 @@ impl<'a> ChaosBoot<'a> {
                     let mut replica_cfg = mead_cfg.clone();
                     replica_cfg.pressure = pressure_by_slot.get(&spec.slot.0).cloned();
                     // One state, two handles: the servant's and the
-                    // interceptor's checkpointing hooks'.
+                    // interceptor's, which checkpoints it.
                     let state = CounterState::new();
                     let intact = CounterServant::new(state.clone());
                     let servant: Box<dyn Servant> = match mutation {
@@ -513,10 +510,7 @@ impl<'a> ChaosBoot<'a> {
                         .with_rebind(SimDuration::from_millis(150));
                     Box::new(
                         ServerInterceptor::new(replica_cfg, spec.slot, Box::new(app))
-                            .with_state_hooks(StateHooks {
-                                state,
-                                payload: CheckpointPayload::Snapshot,
-                            }),
+                            .with_state(state),
                     )
                 })
             },
@@ -1129,7 +1123,7 @@ mod tests {
         let sim = &boot.testbed.sim;
         let of = |pid| {
             if let Some(replica) = sim.process::<ServerInterceptor>(pid) {
-                let state = &replica.state_hooks().expect("replicas checkpoint").state;
+                let state = replica.state().expect("replicas have state");
                 return Some(format!(
                     "{pid}: value {} last_op {} directory {:?}",
                     state.value(),
@@ -1147,8 +1141,8 @@ mod tests {
         Box::new(ReplayScheduler::from_trace(&DecisionTrace::empty(gate)))
     }
 
-    /// The aliasing trap: a replica's servant and its checkpointing hooks
-    /// share one `Rc<CounterState>`, and a field-by-field clone of the
+    /// The aliasing trap: a replica's servant and its interceptor share
+    /// one `Rc<CounterState>`, and a field-by-field clone of the
     /// replica would hand that same state to the copy. Drive increments
     /// through a copy and nothing in the world it was copied from may
     /// have moved.

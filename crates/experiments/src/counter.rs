@@ -1,79 +1,18 @@
-//! The replicated-counter application: its object key, the one hardened
-//! client every counter run uses (`SlotClient`, told what to do by a
-//! `Job`), and the stateful warm-passive scenario — real
-//! checkpoint-based state transfer, an extension beyond the paper's
-//! stateless evaluation workload (see `DESIGN.md` §8).
-
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+//! The replicated-counter application's client side: its object key and
+//! the one hardened client every counter run uses (`SlotClient`, told
+//! what to do by a `Job`). The chaos executor (`crate::chaos`) runs it
+//! against replicas with state — real checkpoint-based state transfer,
+//! an extension beyond the paper's stateless evaluation workload (see
+//! `DESIGN.md` §8).
 
 use giop::{Ior, ObjectKey};
-use mead::{
-    CheckpointPayload, ClientInterceptor, MeadConfig, RecoveryManager, RecoveryScheme, ReplicaApp,
-    ServerInterceptor, StateHooks,
-};
-use orb::{
-    decode_counter_reply, decode_resolve_reply, encode_increment, encode_name, naming_ior,
-    ClientOrb, CounterServant, CounterState, OrbUpshot, RetryState, COUNTER_TYPE_ID,
-};
-use simnet::{
-    Event, FifoScheduler, Metrics, NodeId, NoiseModel, Process, SimConfig, SimDuration, SimTime,
-    SysApi,
-};
-
-use crate::testbed::{RecoveryManagers, Testbed, TestbedSpec};
+use mead::RecoveryManager;
+use orb::{decode_resolve_reply, encode_name, naming_ior, ClientOrb, OrbUpshot, RetryState};
+use simnet::{Event, NodeId, Process, SimDuration, SysApi};
 
 /// The persistent key of the replicated counter object.
 pub fn counter_key() -> ObjectKey {
     ObjectKey::persistent("CounterPOA", "Counter")
-}
-
-/// Parameters of the counter scenario.
-#[derive(Clone, Debug)]
-pub struct CounterConfig {
-    /// Number of `increment` invocations.
-    pub increments: u32,
-    /// Warm-passive checkpoint interval.
-    pub checkpoint_interval: SimDuration,
-    /// Master seed.
-    pub seed: u64,
-    /// Disable the leak for a fault-free control run.
-    pub fault_free: bool,
-}
-
-impl Default for CounterConfig {
-    fn default() -> Self {
-        CounterConfig {
-            increments: 2000,
-            checkpoint_interval: SimDuration::from_millis(50),
-            seed: 42,
-            fault_free: false,
-        }
-    }
-}
-
-/// Results of a counter run.
-#[derive(Clone, Debug)]
-pub struct CounterOutcome {
-    /// Counter values acknowledged to the client, in invocation order.
-    pub values: Vec<u64>,
-    /// Kernel metrics.
-    pub metrics: Metrics,
-    /// Whether all increments were acknowledged.
-    pub completed: bool,
-}
-
-impl CounterOutcome {
-    /// The final acknowledged counter value.
-    pub fn final_value(&self) -> u64 {
-        self.values.last().copied().unwrap_or(0)
-    }
-
-    /// Number of visible state regressions (value not increasing between
-    /// consecutive replies — a fail-over onto a slightly stale backup).
-    pub fn regressions(&self) -> usize {
-        self.values.windows(2).filter(|w| w[1] <= w[0]).count()
-    }
 }
 
 /// Timer tokens of the slot client (the interceptor namespace starts at
@@ -89,8 +28,8 @@ pub(crate) const WATCHDOG: SimDuration = SimDuration::from_millis(800);
 
 /// What a [`SlotClient`] is run for: which requests it sends and what
 /// their acknowledgement, completion and abandonment mean to the caller.
-/// Three jobs exist — the measured chaos client and a flash-crowd arrival
-/// (`chaos`), and the state-transfer client below.
+/// Two jobs exist, both in `chaos`: the measured client and a
+/// flash-crowd arrival.
 pub(crate) trait Job: 'static {
     /// Whether retries are traced: an `obs::EventKind::Retry` per backoff
     /// and a `chaos.client_watchdog` count per expired watchdog.
@@ -296,111 +235,5 @@ impl<J: Job> Process for SlotClient<J> {
 
     fn label(&self) -> &str {
         &self.label
-    }
-}
-
-/// The state-transfer client's job: plain `increment`s, 1 ms apart.
-struct Increments {
-    sent: u32,
-    total: u32,
-    values: Rc<RefCell<Vec<u64>>>,
-    done: Rc<Cell<bool>>,
-}
-
-impl Job for Increments {
-    fn next(&mut self) -> Option<(&'static str, Vec<u8>)> {
-        (self.sent < self.total).then(|| ("increment", encode_increment(1)))
-    }
-
-    fn acknowledged(&mut self, _sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration> {
-        if let Ok(value) = decode_counter_reply(payload) {
-            self.values.borrow_mut().push(value);
-        }
-        self.sent += 1;
-        (self.sent < self.total).then_some(SimDuration::from_millis(1))
-    }
-
-    fn complete(&mut self, _sys: &mut dyn SysApi) {
-        self.done.set(true);
-    }
-
-    fn give_up(&mut self, _sys: &mut dyn SysApi) {
-        // `done` stays unset: the run ends at its deadline and reports
-        // `completed: false`.
-    }
-}
-
-/// Runs the replicated-counter scenario under the MEAD fail-over scheme.
-pub fn run_counter_scenario(cfg: &CounterConfig) -> CounterOutcome {
-    let mut mead_cfg = MeadConfig::builder(RecoveryScheme::MeadFailover).build();
-    mead_cfg.checkpoint_interval = cfg.checkpoint_interval;
-    if cfg.fault_free {
-        mead_cfg.leak = None;
-    }
-    let mut testbed = Testbed::assemble(TestbedSpec {
-        sim: SimConfig {
-            seed: cfg.seed,
-            noise: NoiseModel::none(),
-            ..SimConfig::default()
-        },
-        scheduler: Box::new(FifoScheduler),
-        slots: 3,
-        client_nodes: 1,
-        trace_level: mead_cfg.trace_level,
-        // The counter servant's state, with the interceptor's warm-passive
-        // hooks capturing and restoring it. This application never sends
-        // operation ids, so its checkpoint is the 8-byte value alone.
-        factory: move |infra| {
-            Rc::new(move |spec| {
-                let state = CounterState::new();
-                let app = ReplicaApp::time_server(spec.slot, spec.port, infra).with_servant(
-                    counter_key(),
-                    COUNTER_TYPE_ID,
-                    Box::new(CounterServant::new(state.clone())),
-                );
-                Box::new(
-                    ServerInterceptor::new(mead_cfg.clone(), spec.slot, Box::new(app))
-                        .with_state_hooks(StateHooks {
-                            state,
-                            payload: CheckpointPayload::Value,
-                        }),
-                )
-            })
-        },
-        recovery_managers: RecoveryManagers::Paper,
-        boot_until: SimTime::from_millis(500),
-    });
-    testbed.boot();
-
-    let values = Rc::new(RefCell::new(Vec::new()));
-    let done = Rc::new(Cell::new(false));
-    let client_node = testbed.client_nodes()[0];
-    testbed.sim.spawn(
-        client_node,
-        "client",
-        Box::new(ClientInterceptor::new(
-            RecoveryScheme::MeadFailover,
-            Box::new(SlotClient::new(
-                "counter-client",
-                Increments {
-                    sent: 0,
-                    total: cfg.increments,
-                    values: values.clone(),
-                    done: done.clone(),
-                },
-                testbed.infra(),
-                3,
-                0,
-                WATCHDOG,
-            )),
-        )),
-    );
-    let deadline = SimTime::from_millis(1000 + cfg.increments as u64 * 8);
-    testbed.run_until_done(|| done.get(), deadline);
-    let values = values.borrow().clone();
-    CounterOutcome {
-        completed: done.get(),
-        values,
-        metrics: testbed.harvest().metrics,
     }
 }

@@ -14,10 +14,10 @@
 //!   simulation with a seed derived from the fleet seed (and the safety
 //!   deadline [`run_scenario`] derives from its client count). Groups share
 //!   nothing, so [`run_fleet`] fans them across worker threads with
-//!   [`run_batch_with`](crate::runner::run_batch_with) — the
-//!   within-one-scenario counterpart of the across-scenario parallelism
-//!   of [`run_batch`](crate::runner::run_batch) — and the fleet digest is bit-identical at every thread
-//!   count.
+//!   [`run_batch_with`] — the within-one-scenario counterpart of the
+//!   across-scenario parallelism of
+//!   [`run_batch`](crate::runner::run_batch) — and the fleet digest is
+//!   bit-identical at every thread count.
 //!
 //! Throughput of this family is the kernel-bound workload the slab/
 //! timing-wheel kernel (DESIGN §11) is measured against: tens of
@@ -26,7 +26,7 @@
 //!
 //! Memory is the other axis that scales with the fleet: a group's
 //! simulation holds every client's state until it ends, and nothing of it
-//! afterwards — each group is folded into a [`GroupRollup`] the moment its
+//! afterwards — each group is folded into a `GroupRollup` the moment its
 //! simulation finishes, so a fleet of `n` groups peaks at about the heap
 //! of one (DESIGN §11, "What a fleet client costs").
 
@@ -151,7 +151,8 @@ pub struct FleetOutcome {
 impl FleetOutcome {
     /// FNV-1a fold of the per-group digests plus the deterministic
     /// aggregates — the fleet counterpart of
-    /// [`ScenarioOutcome::digest`]. Bit-identical across thread counts.
+    /// [`ScenarioOutcome::digest`](crate::ScenarioOutcome::digest).
+    /// Bit-identical across thread counts.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.group_digests.len() as u64);

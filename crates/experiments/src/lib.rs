@@ -45,7 +45,7 @@ pub use cli::{
     run_command, take_flag, take_number, take_switch, take_threads, write_artifact, write_trace,
     write_violations, CliError,
 };
-pub use counter::{counter_key, run_counter_scenario, CounterConfig, CounterOutcome};
+pub use counter::counter_key;
 pub use failover::{failover_row_from, format_failover, model_budget, FailoverRow};
 pub use figures::{fig5_csv, fig5_point, format_fig5, Fig5Point};
 pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome};

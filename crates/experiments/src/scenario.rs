@@ -41,8 +41,9 @@ pub struct ScenarioConfig {
     /// full workload; per-connection migration must handle all of them.
     /// The run's safety deadline grows with it (see [`run_scenario`]).
     pub clients: u32,
-    /// Optional final adjustment applied to the derived [`MeadConfig`]
-    /// (ablations: `use_key_hash`, `trigger`, the leak speed, ...).
+    /// Optional final adjustment applied to the derived [`MeadConfig`]:
+    /// the adaptive comparison's `trigger` and leak speed, a traced run's
+    /// `trace_level`.
     pub tweak: Option<fn(&mut MeadConfig)>,
     /// Crash the `i`-th server node at the given time (node-crash fault).
     pub crash_server_node_at: Option<(usize, SimTime)>,

@@ -159,6 +159,9 @@ pub fn parse_sweep(src: &str) -> Result<SweepSpec, TomlError> {
         if slots == 0 {
             return Err(t.error("slots must be at least 1"));
         }
+        if rm_instances == 0 {
+            return Err(t.error("rm_instances must be at least 1"));
+        }
         topologies.push(TopologySpec {
             name,
             slots,

@@ -6,9 +6,10 @@
 //! replica slot, and the client node(s) — with a group-communication
 //! daemon on every node, as Spread runs one. [`Testbed`] builds that
 //! topology, boots it, drives it in slices until the caller's workload is
-//! done and hands back the run's measurements; `run_scenario`,
-//! `ChaosBoot` and `run_counter_scenario` differ only in the values they
-//! put into [`TestbedSpec`] and the client they spawn. A booted testbed
+//! done and hands back the run's measurements. Its two drivers,
+//! `run_scenario` (the paper's stateless replicas) and `ChaosBoot`
+//! (replicas with state), differ only in the values they put into
+//! [`TestbedSpec`] and the client they spawn. A booted testbed
 //! can be copied ([`Testbed::fork`]), so runs that share a boot — the
 //! schedule explorer's — pay for it once.
 //!

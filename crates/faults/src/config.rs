@@ -4,7 +4,8 @@
 //! A scenario file (see `scenarios/` and DESIGN §12) describes fault
 //! plans either *generatively* — named [`FaultMix`] entries the sweep
 //! driver crosses with topologies and schemes, seeding
-//! [`FaultPlan::generate_with`] — or *explicitly*, as a list of
+//! [`FaultPlan::generate_with`](crate::FaultPlan::generate_with) — or
+//! *explicitly*, as a list of
 //! [`FaultEvent`]s with absolute injection instants. This module reads
 //! those entries through a [`tomlite::Reader`], plus the two value types
 //! tomlite cannot name (millisecond durations and instants); everything it

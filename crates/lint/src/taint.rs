@@ -4,7 +4,7 @@
 //! nondeterminism (`Instant::now`, `SystemTime`, `thread_rng`,
 //! `RandomState`/`DefaultHasher`, or iteration over a `HashMap`/`HashSet`
 //! binding). Taint propagates from callee to caller over the
-//! [`CallGraph`](crate::callgraph::CallGraph); a *sink* (digest, trace
+//! [`CallGraph`]; a *sink* (digest, trace
 //! serialization, JSONL writer — see `Contract::r5_sinks`) is flagged when
 //! any call chain from it reaches a source.
 //!

@@ -2,7 +2,6 @@
 //! trigger.
 
 use faults::{LeakConfig, PressureConfig};
-use simnet::SimDuration;
 
 /// The recovery strategy in force, covering the paper's three proactive
 /// schemes (section 4) and two reactive baselines (section 5).
@@ -157,21 +156,8 @@ pub struct MeadConfig {
     /// (a fresh replacement does not inherit the runaway). `None` (the
     /// default, and the paper's configuration) disables it.
     pub pressure: Option<PressureConfig>,
-    /// Warm-passive checkpoint interval (primary → backups over GCS).
-    pub checkpoint_interval: SimDuration,
-    /// Use the 16-bit object-key hash for IOR lookups (section 4.1's
-    /// optimisation); `false` falls back to byte-wise comparison
-    /// (ablation).
-    pub use_key_hash: bool,
     /// What checks the thresholds.
     pub trigger: Trigger,
-    /// Hold each client reply until the checkpoint covering it has been
-    /// self-delivered through the totally-ordered group (commit-before-
-    /// ack). Off by default: the paper's warm-passive transfer replies
-    /// immediately and tolerates a small state-staleness window, which
-    /// is what Table 1 measures. The chaos campaign turns this on to get
-    /// exactly-once fail-over semantics.
-    pub commit_acks: bool,
     /// Observability verbosity this deployment asks of the simulation
     /// trace ([`obs::TraceLevel`]); the scenario runner applies it to the
     /// kernel recorder before the run starts.
@@ -190,10 +176,7 @@ impl MeadConfig {
                 migrate_threshold: 0.9,
                 leak: Some(LeakConfig::default()),
                 pressure: None,
-                checkpoint_interval: SimDuration::from_millis(250),
-                use_key_hash: true,
                 trigger: Trigger::OnWrite,
-                commit_acks: false,
                 trace_level: obs::TraceLevel::Recovery,
             },
         }
@@ -264,10 +247,6 @@ mod tests {
         let cfg = MeadConfig::builder(RecoveryScheme::MeadFailover).build();
         assert_eq!(cfg.migrate_threshold, 0.9);
         assert!(cfg.leak.is_some());
-        assert!(cfg.use_key_hash);
-        // Paper fidelity: replies are immediate unless an experiment opts
-        // in to the hardened behaviour.
-        assert!(!cfg.commit_acks);
         assert_eq!(cfg.trigger, Trigger::OnWrite);
         assert_eq!(cfg.trace_level, obs::TraceLevel::Recovery);
     }

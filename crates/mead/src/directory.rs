@@ -256,30 +256,19 @@ impl ReplicaDirectory {
         self.addrs.get(member).map(|(h, p)| (h.as_str(), *p))
     }
 
-    /// Looks up the IOR `member` advertises for `object_key`.
-    ///
-    /// With `use_hash` the comparison is by the 16-bit key hash first
-    /// (section 4.1's optimisation), verified byte-wise on a hit; without
-    /// it, byte-wise only (the ablation baseline).
-    pub fn ior_of(
-        &self,
-        member: &MemberName,
-        object_key: &ObjectKey,
-        use_hash: bool,
-    ) -> Option<&Ior> {
-        let iors = self.iors.get(member)?;
-        let wanted_hash = use_hash.then(|| object_key.hash16());
-        iors.iter()
+    /// Looks up the IOR `member` advertises for `object_key`: by the
+    /// 16-bit key hash first (section 4.1's optimisation), verified
+    /// byte-wise on a hit.
+    pub fn ior_of(&self, member: &MemberName, object_key: &ObjectKey) -> Option<&Ior> {
+        let wanted_hash = object_key.hash16();
+        self.iors
+            .get(member)?
+            .iter()
             .find(|(stored_hash, ior)| {
-                if let Some(h) = wanted_hash {
-                    // Cheap 16-bit comparison first; verify bytes on a hit.
-                    if *stored_hash != h {
-                        return false;
-                    }
-                }
-                ior.primary_profile()
-                    .map(|p| p.object_key == *object_key)
-                    .unwrap_or(false)
+                *stored_hash == wanted_hash
+                    && ior
+                        .primary_profile()
+                        .is_some_and(|p| p.object_key == *object_key)
             })
             .map(|(_, ior)| ior)
     }
@@ -371,18 +360,16 @@ mod tests {
     }
 
     #[test]
-    fn ior_lookup_by_hash_and_bytewise() {
+    fn ior_lookup_by_key_hash() {
         let mut d = ReplicaDirectory::new();
         d.on_view(vec!["replica/0/10".into()]);
         d.record_ior("replica/0/10", ior("node1", 20000, "TimeOfDay"));
         d.record_ior("replica/0/10", ior("node1", 20000, "Counter"));
         let key = ObjectKey::persistent("P", "Counter");
-        for use_hash in [true, false] {
-            let found = d.ior_of(&m("replica/0/10"), &key, use_hash).expect("found");
-            assert_eq!(found.primary_profile().unwrap().object_key, key);
-        }
+        let found = d.ior_of(&m("replica/0/10"), &key).expect("found");
+        assert_eq!(found.primary_profile().unwrap().object_key, key);
         let missing = ObjectKey::persistent("P", "Nope");
-        assert!(d.ior_of(&m("replica/0/10"), &missing, true).is_none());
+        assert!(d.ior_of(&m("replica/0/10"), &missing).is_none());
         assert_eq!(d.ior_count(&m("replica/0/10")), 2);
     }
 
@@ -394,7 +381,7 @@ mod tests {
         d.record_ior("replica/0/10", ior("node1", 30000, "TimeOfDay"));
         assert_eq!(d.ior_count(&m("replica/0/10")), 1);
         let key = ObjectKey::persistent("P", "TimeOfDay");
-        let found = d.ior_of(&m("replica/0/10"), &key, true).expect("found");
+        let found = d.ior_of(&m("replica/0/10"), &key).expect("found");
         assert_eq!(found.primary_profile().unwrap().port, 30000);
     }
 }

@@ -14,6 +14,10 @@
 //! * joins the replica group over GCS, advertises its address (from the
 //!   intercepted `listen()`, section 4.3) and its IORs (from the
 //!   intercepted Naming Service registration, section 4.1),
+//! * checkpoints to the backups: a replica with state holds each client
+//!   reply until the checkpoint covering it has self-delivered
+//!   (commit-before-ack); one without sends the paper's fixed-size
+//!   checkpoints,
 //! * past the migrate threshold, redirects clients by the configured
 //!   scheme: replacing replies with `LOCATION_FORWARD`, or piggybacking
 //!   MEAD fail-over notices onto replies, then exits gracefully once
@@ -63,16 +67,20 @@ pub const GIOP_PARSE_CPU: SimDuration = SimDuration::from_micros(330);
 const FRAME_SCAN_CPU: SimDuration = SimDuration::from_micros(22);
 /// IOR-table lookup via the 16-bit object-key hash, per forward.
 const IOR_LOOKUP_CPU: SimDuration = SimDuration::from_micros(15);
-/// Byte-by-byte object-key comparison (ablation of the 16-bit hash).
-const IOR_BYTEWISE_CPU: SimDuration = SimDuration::from_micros(60);
 /// The first-listed replica's work to answer an `AddressQuery`
 /// (section 4.2): consulting the membership listing and re-multicasting
 /// through the group-communication stack.
 pub const ADDRESS_REPLY_CPU: SimDuration = SimDuration::from_micros(700);
-/// Checkpoint payload size without state hooks: the paper's stateless
-/// application, whose fixed-size checkpoints make Figure 5's baseline
-/// bandwidth.
+/// Checkpoint payload size of a replica without state: the paper's
+/// stateless application, whose fixed-size checkpoints make Figure 5's
+/// baseline bandwidth.
 const CHECKPOINT_BYTES: usize = 128;
+/// How often the first-listed replica without state sends its
+/// fixed-size checkpoint: the paper's warm-passive cadence.
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// How often the acting primary with state checkpoints state that no
+/// checkpoint covers yet (each batch of replies sends its own).
+const STATE_CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_millis(50);
 /// How long a migrating replica waits after notifying all clients before
 /// exiting gracefully.
 const DRAIN_DELAY: SimDuration = SimDuration::from_millis(5);
@@ -94,44 +102,6 @@ enum Rejuvenation {
     /// Every client moved and the successor is warm; the graceful exit
     /// is scheduled.
     Draining,
-}
-
-/// What the interceptor captures and restores for warm-passive
-/// replication — the reproduction's stand-in for MEAD's checkpointing
-/// library. The application itself stays MEAD-unaware: whoever builds
-/// the replica hands the one [`CounterState`] to the servant and, here,
-/// to the interceptor. The two handles are the only ones; a fork of the
-/// replica ([`Process::fork`]) duplicates the state once and points both
-/// at the duplicate, so a replica shares state with no other.
-#[derive(Clone)]
-pub struct StateHooks {
-    /// The application state, shared with the servant that serves from
-    /// it.
-    pub state: Rc<CounterState>,
-    /// What a checkpoint carries.
-    pub payload: CheckpointPayload,
-}
-
-/// The part of a [`CounterState`] a checkpoint carries. Backups restore
-/// either.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointPayload {
-    /// [`CounterState::snapshot`]: value and last applied operation id,
-    /// 16 bytes — what exactly-once fail-over needs.
-    Snapshot,
-    /// The 8-byte value alone, for an application that never sends
-    /// operation ids.
-    Value,
-}
-
-impl StateHooks {
-    /// Serialises the current application state.
-    fn capture(&self) -> Vec<u8> {
-        match self.payload {
-            CheckpointPayload::Snapshot => self.state.snapshot(),
-            CheckpointPayload::Value => self.state.value().to_be_bytes().to_vec(),
-        }
-    }
 }
 
 /// One accepted client connection: its stream plus what the interceptor
@@ -175,9 +145,16 @@ struct ServerState {
     app_listeners: BTreeSet<ListenerId>,
     client_streams: BTreeMap<ConnId, ClientConn>,
     out_streams: BTreeMap<ConnId, Stream>,
-    /// IORs captured from the app's Naming Service registrations.
+    /// IORs captured from the app's Naming Service registrations, one per
+    /// object key.
     my_iors: Vec<giop::Ior>,
-    state_hooks: Option<StateHooks>,
+    /// The application state this replica checkpoints and restores — the
+    /// reproduction's stand-in for MEAD's checkpointing library. The
+    /// application stays MEAD-unaware: whoever builds the replica hands
+    /// the one [`CounterState`] to the servant and, here, to the
+    /// interceptor. A replica with state commits before it acknowledges;
+    /// one without sends the paper's fixed-size checkpoints.
+    state: Option<Rc<CounterState>>,
     /// Has served at least one client request (making this instance the
     /// acting primary for warm-passive purposes).
     ever_served: bool,
@@ -191,8 +168,8 @@ struct ServerState {
     successor: Option<(MemberName, usize)>,
     /// We have seen ourselves in a view and re-advertised once.
     advertised_in_view: bool,
-    /// Commit-before-ack (`cfg.commit_acks`): client replies written by
-    /// the app since the last checkpoint, waiting for the checkpoint
+    /// Commit-before-ack (a replica with state): client replies written
+    /// by the app since the last checkpoint, waiting for the checkpoint
     /// that covers them.
     current_batch: Vec<(ConnId, Bytes)>,
     /// One entry per checkpoint multicast still in flight; its batch is
@@ -232,7 +209,7 @@ impl ServerInterceptor {
                 client_streams: BTreeMap::new(),
                 out_streams: BTreeMap::new(),
                 my_iors: Vec::new(),
-                state_hooks: None,
+                state: None,
                 ever_served: false,
                 served_since_checkpoint: false,
                 checkpoints_in_flight: 0,
@@ -246,17 +223,18 @@ impl ServerInterceptor {
 }
 
 impl ServerInterceptor {
-    /// Attaches warm-passive state hooks: the primary's checkpoints carry
-    /// the hooks' payload of the state, and checkpoints received from the
-    /// primary are restored into it (backups track the primary's state).
-    pub fn with_state_hooks(mut self, hooks: StateHooks) -> Self {
-        self.st.state_hooks = Some(hooks);
+    /// Gives the replica its application state: the acting primary's
+    /// checkpoints carry its [`CounterState::snapshot`], backups restore
+    /// the primary's into it, and every client reply waits until the
+    /// checkpoint covering it has self-delivered (commit-before-ack).
+    pub fn with_state(mut self, state: Rc<CounterState>) -> Self {
+        self.st.state = Some(state);
         self
     }
 
-    /// The attached state hooks, if any.
-    pub fn state_hooks(&self) -> Option<&StateHooks> {
-        self.st.state_hooks.as_ref()
+    /// The application state, if the replica has any.
+    pub fn state(&self) -> Option<&Rc<CounterState>> {
+        self.st.state.as_ref()
     }
 
     /// This replica's directory of the group: view, addresses, IORs.
@@ -285,7 +263,7 @@ impl Process for ServerInterceptor {
                 self.st.pressure = None;
             }
         }
-        sys.set_timer(self.st.cfg.checkpoint_interval, TOKEN_CHECKPOINT);
+        sys.set_timer(self.st.checkpoint_interval(), TOKEN_CHECKPOINT);
         let mut facade = ServerFacade {
             sys,
             st: &mut self.st,
@@ -367,22 +345,20 @@ impl Process for ServerInterceptor {
         &self.label
     }
 
-    /// Forkable over a forkable application. With [`StateHooks`] the
-    /// application must be a [`ReplicaApp`]: its servant holds the other
-    /// handle to the state, which only a typed copy can re-point.
+    /// Forkable over a forkable application. With state the application
+    /// must be a [`ReplicaApp`]: its servant holds the other handle to
+    /// the state, which only a typed copy can re-point. The copy gets a
+    /// state of its own for both its holders, so a replica shares state
+    /// with no other.
     fn fork(&self) -> Option<Box<dyn Process>> {
         let mut st = self.st.clone();
-        let inner: Box<dyn Process> = match st.state_hooks.as_mut() {
+        let inner: Box<dyn Process> = match st.state.as_mut() {
             None => self.inner.fork()?,
-            Some(hooks) => {
-                // `st.clone()` copied the handle, not the state: give the
-                // copy a state of its own, once, for both its holders.
-                hooks.state = hooks.state.duplicate();
+            Some(state) => {
+                // `st.clone()` copied the handle, not the state.
+                *state = state.duplicate();
                 let app: &dyn Any = self.inner.as_ref();
-                Box::new(
-                    app.downcast_ref::<ReplicaApp>()?
-                        .fork_over(Some(&hooks.state))?,
-                )
+                Box::new(app.downcast_ref::<ReplicaApp>()?.fork_over(Some(state))?)
             }
         };
         Some(Box::new(ServerInterceptor {
@@ -426,14 +402,14 @@ impl ServerState {
                     continue;
                 }
             };
-            // Warm-passive single-writer discipline (exactly-once mode):
-            // a backup that has never served and is not the first listed
-            // replica must not touch application state — a client that
-            // resolved straight to a freshly launched, not-yet-warmed
+            // Warm-passive single-writer discipline (a replica with
+            // state): a backup that has never served and is not the first
+            // listed replica must not touch application state — a client
+            // that resolved straight to a freshly launched, not-yet-warmed
             // instance would otherwise fork the state. Refuse with
             // TRANSIENT so the client retries against the acting primary.
             if is_client
-                && self.cfg.commit_acks
+                && self.state.is_some()
                 && frame.kind == FrameKind::Giop
                 && frame.msg_type() == MsgType::Request as u8
                 && !self.ever_served
@@ -564,16 +540,8 @@ impl ServerState {
         let (Some(key), Some(target)) = (key, target) else {
             return frame.bytes.clone(); // cannot redirect; serve normally
         };
-        sys.charge_cpu(if self.cfg.use_key_hash {
-            IOR_LOOKUP_CPU
-        } else {
-            IOR_BYTEWISE_CPU
-        });
-        let Some(ior) = self
-            .dir
-            .ior_of(&target, &key, self.cfg.use_key_hash)
-            .cloned()
-        else {
+        sys.charge_cpu(IOR_LOOKUP_CPU);
+        let Some(ior) = self.dir.ior_of(&target, &key).cloned() else {
             sys.count("mead.forward_no_ior", 1);
             return frame.bytes.clone();
         };
@@ -614,7 +582,9 @@ impl ServerState {
     /// Outbound write-path processing (Naming Service traffic): in the
     /// LOCATION_FORWARD scheme, harvest the IORs the app registers
     /// (section 4.1 "we intercept the IOR ... when each server replica
-    /// registers its objects with the Naming Service").
+    /// registers its objects with the Naming Service"). One IOR is kept
+    /// per object key, and only a new or changed one is advertised: a
+    /// re-bind of the same object is no news to the group.
     fn process_outbound_frame(&mut self, sys: &mut dyn SysApi, frame: &Frame) {
         if self.cfg.scheme != RecoveryScheme::LocationForward {
             return;
@@ -636,8 +606,17 @@ impl ServerState {
             .ok()
             .and_then(|bytes| giop::Ior::decode(bytes).ok());
         if let Some(ior) = parsed {
+            let key = ior.primary_profile().map(|p| &p.object_key);
+            let held = self
+                .my_iors
+                .iter_mut()
+                .find(|held| held.primary_profile().map(|p| &p.object_key) == key);
+            match held {
+                Some(held) if *held == ior => return,
+                Some(held) => *held = ior.clone(),
+                None => self.my_iors.push(ior.clone()),
+            }
             sys.count("mead.ior_captured", 1);
-            self.my_iors.push(ior.clone());
             let member = self.member.as_str().to_string();
             if let Some(gcs) = self.gcs.as_mut() {
                 gcs.multicast(
@@ -735,22 +714,32 @@ impl ServerState {
         }
     }
 
+    /// The periodic checkpoint cadence: one for a replica with state,
+    /// the paper's for one without.
+    fn checkpoint_interval(&self) -> SimDuration {
+        match self.state {
+            Some(_) => STATE_CHECKPOINT_INTERVAL,
+            None => CHECKPOINT_INTERVAL,
+        }
+    }
+
     /// Multicasts a state checkpoint immediately (used for the periodic
     /// cadence and for warming a newly joined replica).
     fn send_checkpoint(&mut self, sys: &mut dyn SysApi) {
         self.served_since_checkpoint = false;
         self.checkpoints_in_flight += 1;
         sys.count("mead.checkpoints_sent", 1);
-        if self.cfg.commit_acks {
-            // Every checkpoint multicast owns the batch of replies it
-            // covers (possibly empty, e.g. a periodic or warming
-            // checkpoint); self-delivery releases batches in FIFO order,
-            // which matches multicast order from a single sender.
-            self.held_replies
-                .push_back(std::mem::take(&mut self.current_batch));
-        }
-        let state = match self.state_hooks.as_ref() {
-            Some(hooks) => hooks.capture(),
+        let state = match self.state.as_ref() {
+            Some(state) => {
+                // Every checkpoint multicast owns the batch of replies it
+                // covers (possibly empty, e.g. a periodic or warming
+                // checkpoint); self-delivery releases batches in FIFO
+                // order, which matches multicast order from a single
+                // sender.
+                self.held_replies
+                    .push_back(std::mem::take(&mut self.current_batch));
+                state.snapshot()
+            }
             None => vec![0u8; CHECKPOINT_BYTES],
         };
         let member = self.member.as_str().to_string();
@@ -826,9 +815,7 @@ impl ServerState {
                 if let Some((_, wait)) = self.successor.as_mut() {
                     *wait = (*wait).min(1);
                 }
-                if self.cfg.commit_acks
-                    && (!self.held_replies.is_empty() || !self.current_batch.is_empty())
-                {
+                if !self.held_replies.is_empty() || !self.current_batch.is_empty() {
                     let mut merged: Vec<(ConnId, Bytes)> = Vec::new();
                     for batch in std::mem::take(&mut self.held_replies) {
                         merged.extend(batch);
@@ -853,7 +840,7 @@ impl ServerState {
                 // primary pushes its current state so a hand-off moments
                 // later (pre-launch at T1, migrate at T2) finds the
                 // newcomer warm rather than empty.
-                if grew && self.ever_served && self.state_hooks.is_some() {
+                if grew && self.ever_served && self.state.is_some() {
                     self.send_checkpoint(sys);
                 }
                 // The first-listed replica synchronises the active-server
@@ -910,8 +897,8 @@ impl ServerState {
                         // the acting primary and ignores foreign
                         // checkpoints (single-writer discipline).
                         if !self.ever_served {
-                            if let Some(hooks) = self.state_hooks.as_ref() {
-                                hooks.state.restore(&state);
+                            if let Some(own) = self.state.as_ref() {
+                                own.restore(&state);
                                 sys.count("mead.state_restored", 1);
                             }
                         }
@@ -969,20 +956,20 @@ impl ServerState {
                 }
             }
             TOKEN_CHECKPOINT => {
-                // Warm-passive state transfer. With state hooks the acting
+                // Warm-passive state transfer. With state the acting
                 // primary — the instance actually serving clients —
-                // checkpoints whenever its state is dirty; without hooks
-                // (the paper's stateless workload) the first-listed
-                // replica emits fixed-size checkpoints for the Figure 5
-                // traffic model.
-                let should_send = match self.state_hooks {
+                // checkpoints whenever its state is dirty; without (the
+                // paper's stateless workload) the first-listed replica
+                // emits fixed-size checkpoints for the Figure 5 traffic
+                // model.
+                let should_send = match self.state {
                     Some(_) => self.served_since_checkpoint,
                     None => self.dir.is_first_replica(&self.member),
                 } && self.dir.replica_count() > 1;
                 if should_send {
                     self.send_checkpoint(sys);
                 }
-                sys.set_timer(self.cfg.checkpoint_interval, TOKEN_CHECKPOINT);
+                sys.set_timer(self.checkpoint_interval(), TOKEN_CHECKPOINT);
             }
             TOKEN_DRAIN => {
                 sys.count("mead.graceful_rejuvenations", 1);
@@ -1053,7 +1040,7 @@ impl ServerState {
     /// then the exhaustion crash is the only way out. A stateless replica
     /// has nothing for a successor to take over (DESIGN §8).
     fn maybe_drain(&mut self, sys: &mut dyn SysApi) {
-        let successor_warm = self.state_hooks.is_none() || matches!(self.successor, Some((_, 0)));
+        let successor_warm = self.state.is_none() || matches!(self.successor, Some((_, 0)));
         if self.phase != Rejuvenation::Migrating || !successor_warm {
             return;
         }
@@ -1121,10 +1108,10 @@ impl SysApi for ServerFacade<'_> {
                     }
                 };
                 let out = self.st.filter_client_write(self.sys, conn, &frame);
-                // Commit-before-ack: a GIOP reply only goes on the wire
-                // once the checkpoint covering the state it acknowledges
-                // is durable (self-delivered).
-                if self.st.cfg.commit_acks
+                // Commit-before-ack: a replica with state puts a GIOP
+                // reply on the wire only once the checkpoint covering the
+                // state it acknowledges is durable (self-delivered).
+                if self.st.state.is_some()
                     && frame.kind == FrameKind::Giop
                     && frame.msg_type() == MsgType::Reply as u8
                 {

@@ -37,9 +37,7 @@ pub use directory::{
 pub use giop::CodecError;
 pub use intercept::client::{ClientInterceptor, REDIRECT_CPU};
 pub use intercept::common::FABRICATE_CPU;
-pub use intercept::server::{
-    CheckpointPayload, ServerInterceptor, StateHooks, ADDRESS_REPLY_CPU, GIOP_PARSE_CPU,
-};
+pub use intercept::server::{ServerInterceptor, ADDRESS_REPLY_CPU, GIOP_PARSE_CPU};
 pub use intercept::tokens;
 pub use messages::{FailoverNotice, GroupMsg};
 pub use recovery::{RecoveryManager, ReplicaFactory, ReplicaSpec};

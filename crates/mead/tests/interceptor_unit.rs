@@ -11,12 +11,13 @@ use giop::{
 };
 use groupcomm::{GcsWire, GCS_PORT};
 use mead::{
-    tokens, CheckpointPayload, ClientInterceptor, FailoverNotice, GroupMsg, MeadConfig,
-    RecoveryScheme, ServerInterceptor, StateHooks,
+    tokens, ClientInterceptor, FailoverNotice, GroupMsg, MeadConfig, RecoveryScheme, ReplicaApp,
+    ServerInterceptor,
 };
 use obs::{EventKind, Phase};
+use orb::CounterState;
 use simnet::testkit::MockSys;
-use simnet::{Addr, ConnId, Event, NodeId, Port, Process, SysApi, TimerId};
+use simnet::{Addr, ConnId, Event, NodeId, Port, Process, SimDuration, SysApi, TimerId};
 
 /// A scriptable inner application: logs events, executes queued actions
 /// when any event arrives.
@@ -135,15 +136,15 @@ fn server_rig(scheme: RecoveryScheme) -> ServerRig {
     server_rig_with(MeadConfig::builder(scheme).build(), None)
 }
 
-fn server_rig_with(cfg: MeadConfig, hooks: Option<StateHooks>) -> ServerRig {
+fn server_rig_with(cfg: MeadConfig, state: Option<Rc<CounterState>>) -> ServerRig {
     let app = Rc::new(RefCell::new(AppState {
         listen_on_start: Some(Port(2810)),
         ..AppState::default()
     }));
     let mut interceptor =
         ServerInterceptor::new(cfg, mead::Slot(0), Box::new(TestApp(app.clone())));
-    if let Some(hooks) = hooks {
-        interceptor = interceptor.with_state_hooks(hooks);
+    if let Some(state) = state {
+        interceptor = interceptor.with_state(state);
     }
     let mut sys = MockSys::new(NodeId::from_index(1));
     interceptor.on_start(&mut sys);
@@ -280,8 +281,8 @@ fn member_of(rig: &ServerRig) -> String {
     }
 }
 
-fn serving_rig_with(cfg: MeadConfig, hooks: Option<StateHooks>) -> (ServerRig, ConnId) {
-    let mut rig = server_rig_with(cfg, hooks);
+fn serving_rig_with(cfg: MeadConfig, state: Option<Rc<CounterState>>) -> (ServerRig, ConnId) {
+    let mut rig = server_rig_with(cfg, state);
     feed_gcs(
         &mut rig.interceptor,
         &mut rig.sys,
@@ -322,12 +323,21 @@ fn leak_until(rig: &mut ServerRig, conn: ConnId, done: impl Fn(&MockSys) -> bool
                 token: tokens::TOKEN_LEAK,
             },
         );
-        rig.app.borrow_mut().write_queue.push_back((conn, reply(2)));
-        rig.sys.clear_written(conn);
-        rig.sys.push_incoming(conn, &request(2));
-        rig.interceptor
-            .on_event(&mut rig.sys, Event::DataReadable { conn });
+        answer(rig, conn, 2);
     }
+}
+
+/// The app answers with `reply(rid)` as request `rid` arrives; what was
+/// written to `conn` before is cleared.
+fn answer(rig: &mut ServerRig, conn: ConnId, rid: u32) {
+    rig.app
+        .borrow_mut()
+        .write_queue
+        .push_back((conn, reply(rid)));
+    rig.sys.clear_written(conn);
+    rig.sys.push_incoming(conn, &request(rid));
+    rig.interceptor
+        .on_event(&mut rig.sys, Event::DataReadable { conn });
 }
 
 #[test]
@@ -485,20 +495,46 @@ fn fire(rig: &mut ServerRig, token: u64) {
         .on_event(&mut rig.sys, Event::TimerFired { timer, token });
 }
 
+/// How many checkpoints the rig has multicast to the server group.
+fn checkpoints_sent(rig: &ServerRig) -> usize {
+    server_group_msgs(&rig.sys, rig.gcs_conn)
+        .iter()
+        .filter(|m| matches!(m, GroupMsg::Checkpoint { .. }))
+        .count()
+}
+
+/// Delivers one of the rig's own checkpoints back to it through the
+/// total order.
+fn self_deliver_checkpoint(rig: &mut ServerRig) {
+    let me = member_of(rig);
+    let own_checkpoint = GcsWire::Deliver {
+        group: "servers".into(),
+        sender: me.clone(),
+        payload: GroupMsg::Checkpoint {
+            member: me,
+            state: Vec::new(),
+        }
+        .encode(),
+    };
+    feed_gcs(
+        &mut rig.interceptor,
+        &mut rig.sys,
+        rig.gcs_conn,
+        &own_checkpoint,
+    );
+}
+
 /// A migrating primary with state retires only once its successor is up
 /// and warm. Every client is notified, yet no graceful exit is scheduled
 /// until a member of its slot with another pid is in the view and a
 /// checkpoint it sent after that view has come back through the total
-/// order. A checkpoint sent before the view does not count.
+/// order. The checkpoints sent before the view — one per reply, since
+/// the replica commits before it acknowledges — do not count.
 #[test]
 fn a_migrating_primary_drains_only_once_its_successor_is_warm() {
-    let hooks = StateHooks {
-        state: orb::CounterState::new(),
-        payload: CheckpointPayload::Snapshot,
-    };
     let (mut rig, conn) = serving_rig_with(
         MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
-        Some(hooks),
+        Some(CounterState::new()),
     );
     let me = member_of(&rig);
     leak_until(&mut rig, conn, |sys| sys.counter("mead.migrations") > 0);
@@ -508,8 +544,8 @@ fn a_migrating_primary_drains_only_once_its_successor_is_warm() {
         "the client is told"
     );
     assert!(!drain_armed(&rig.sys), "no successor yet");
-    // A periodic checkpoint goes out before the successor shows up.
-    fire(&mut rig, tokens::TOKEN_CHECKPOINT);
+    let before_view = checkpoints_sent(&rig);
+    assert!(before_view > 0, "each reply sent a checkpoint");
     let successor = "replica/0/77";
     feed_gcs(
         &mut rig.interceptor,
@@ -522,45 +558,175 @@ fn a_migrating_primary_drains_only_once_its_successor_is_warm() {
         },
     );
     assert!(!drain_armed(&rig.sys), "the successor is up but cold");
-    let checkpoints = server_group_msgs(&rig.sys, rig.gcs_conn)
-        .into_iter()
-        .filter(|m| matches!(m, GroupMsg::Checkpoint { .. }))
-        .count();
     assert_eq!(
-        checkpoints, 2,
-        "the periodic one, then one warming the successor"
+        checkpoints_sent(&rig),
+        before_view + 1,
+        "one more checkpoint warms the successor"
     );
-    let own_checkpoint = GcsWire::Deliver {
-        group: "servers".into(),
-        sender: me.clone(),
-        payload: GroupMsg::Checkpoint {
-            member: me.clone(),
-            state: Vec::new(),
-        }
-        .encode(),
-    };
-    feed_gcs(
-        &mut rig.interceptor,
-        &mut rig.sys,
-        rig.gcs_conn,
-        &own_checkpoint,
-    );
+    for _ in 0..before_view {
+        self_deliver_checkpoint(&mut rig);
+    }
     assert!(
         !drain_armed(&rig.sys),
-        "the checkpoint sent before the view does not warm the successor"
+        "the checkpoints sent before the view do not warm the successor"
     );
-    feed_gcs(
-        &mut rig.interceptor,
-        &mut rig.sys,
-        rig.gcs_conn,
-        &own_checkpoint,
-    );
+    self_deliver_checkpoint(&mut rig);
     assert!(drain_armed(&rig.sys), "the successor is warm");
     fire(&mut rig, tokens::TOKEN_DRAIN);
     assert!(matches!(
         rig.sys.exit_requested(),
         Some(simnet::ExitReason::Graceful)
     ));
+}
+
+/// The one commit rule. A replica without state writes a reply at once.
+/// One with state multicasts a checkpoint of the state the reply
+/// acknowledges and holds the reply until that checkpoint has come back
+/// through the total order.
+#[test]
+fn only_a_replica_with_state_holds_a_reply_until_its_checkpoint_self_delivers() {
+    let (mut stateless, conn) = serving_rig(RecoveryScheme::MeadFailover);
+    answer(&mut stateless, conn, 1);
+    assert_eq!(
+        stateless.sys.written(conn),
+        &reply(1)[..],
+        "written at once"
+    );
+    assert_eq!(checkpoints_sent(&stateless), 0);
+
+    let (mut rig, conn) = serving_rig_with(
+        MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+        Some(CounterState::new()),
+    );
+    answer(&mut rig, conn, 1);
+    assert!(rig.sys.written(conn).is_empty(), "held");
+    assert_eq!(checkpoints_sent(&rig), 1);
+    self_deliver_checkpoint(&mut rig);
+    assert_eq!(rig.sys.written(conn), &reply(1)[..], "released");
+    assert_eq!(rig.sys.counter("mead.acks_committed"), 1);
+}
+
+/// A replica that has never served and is not the first listed one
+/// refuses a request with `TRANSIENT` if it has state, which a cold
+/// backup must not write; without state it just serves.
+#[test]
+fn a_never_served_backup_with_state_refuses_with_transient() {
+    for state in [None, Some(CounterState::new())] {
+        let has_state = state.is_some();
+        let mut rig = server_rig_with(
+            MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+            state,
+        );
+        feed_gcs(
+            &mut rig.interceptor,
+            &mut rig.sys,
+            rig.gcs_conn,
+            &GcsWire::Attached,
+        );
+        let me = member_of(&rig);
+        feed_gcs(
+            &mut rig.interceptor,
+            &mut rig.sys,
+            rig.gcs_conn,
+            &GcsWire::View {
+                group: "servers".into(),
+                view_id: 1,
+                members: vec!["replica/1/55".into(), me],
+            },
+        );
+        let conn = rig.sys.accept_conn();
+        rig.interceptor.on_event(
+            &mut rig.sys,
+            Event::Accepted {
+                listener: rig.listener,
+                conn,
+                peer_node: NodeId::from_index(4),
+            },
+        );
+        rig.sys.push_incoming(conn, &request(3));
+        rig.interceptor
+            .on_event(&mut rig.sys, Event::DataReadable { conn });
+        let served = !rig.app.borrow().read_bytes.is_empty();
+        assert_eq!(served, !has_state, "state {has_state}");
+        if !has_state {
+            continue;
+        }
+        assert_eq!(rig.sys.counter("mead.nonprimary_refusals"), 1);
+        match Message::decode(rig.sys.written(conn)).expect("a reply on the wire") {
+            Message::Reply(ReplyMessage {
+                request_id: 3,
+                body: ReplyBody::SystemException { repo_id, .. },
+            }) => assert_eq!(repo_id, giop::EX_TRANSIENT),
+            other => panic!("expected TRANSIENT, got {other:?}"),
+        }
+    }
+}
+
+/// A LOCATION_FORWARD replica advertises the IOR of each object it binds
+/// once. Its re-binds of the same objects (every 150 ms in the chaos
+/// topology) are no news to the group.
+#[test]
+fn a_location_forward_replica_advertises_each_bound_ior_once() {
+    let rebind = SimDuration::from_millis(150);
+    let counter_key = ObjectKey::persistent("CounterPOA", "Counter");
+    let app = ReplicaApp::time_server(mead::Slot(0), Port(2810), NodeId::from_index(0))
+        .with_servant(
+            counter_key.clone(),
+            orb::COUNTER_TYPE_ID,
+            Box::new(orb::CounterServant::default()),
+        )
+        .with_rebind(rebind);
+    let mut interceptor = ServerInterceptor::new(
+        MeadConfig::builder(RecoveryScheme::LocationForward).build(),
+        mead::Slot(0),
+        Box::new(app),
+    );
+    let mut sys = MockSys::new(NodeId::from_index(1));
+    interceptor.on_start(&mut sys);
+    let [(gcs_conn, _), (naming_conn, _)] = sys.connected()[..] else {
+        panic!("the daemon and the Naming Service: {:?}", sys.connected());
+    };
+    interceptor.on_event(&mut sys, Event::ConnEstablished { conn: gcs_conn });
+    feed_gcs(&mut interceptor, &mut sys, gcs_conn, &GcsWire::Attached);
+    // The first bind goes out once the Naming Service is reached; two
+    // re-binds follow.
+    interceptor.on_event(&mut sys, Event::ConnEstablished { conn: naming_conn });
+    for _ in 0..2 {
+        let timer = *sys
+            .timers()
+            .iter()
+            .rev()
+            .find(|t| t.after == rebind && !t.cancelled)
+            .expect("re-bind timer armed");
+        interceptor.on_event(
+            &mut sys,
+            Event::TimerFired {
+                timer: timer.timer,
+                token: timer.token,
+            },
+        );
+    }
+    let mut split = FrameSplitter::new();
+    split.push(sys.written(naming_conn));
+    let binds = split
+        .drain_frames()
+        .expect("frames")
+        .iter()
+        .filter(|f| matches!(Message::decode(&f.bytes), Ok(Message::Request(r)) if r.operation == "bind"))
+        .count();
+    assert_eq!(binds, 6, "three binds of two objects each");
+    let advertised: Vec<ObjectKey> = server_group_msgs(&sys, gcs_conn)
+        .into_iter()
+        .filter_map(|m| match m {
+            GroupMsg::IorAdvert { ior, .. } => Some(ior.primary_profile()?.object_key.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        advertised,
+        [ObjectKey::persistent("TimePOA", "TimeOfDay"), counter_key]
+    );
+    assert_eq!(sys.counter("mead.ior_captured"), 2);
 }
 
 /// NEEDS_ADDRESSING migrates nobody, but its primary still launches a

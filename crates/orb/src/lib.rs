@@ -14,8 +14,8 @@
 //!   the paper's resolve spikes;
 //! * [`TimeOfDayServant`] — the evaluation workload's servant — and
 //!   [`CounterServant`] over a [`CounterState`], the one stateful
-//!   application (plain, at-most-once and read operations; the state is
-//!   what warm-passive checkpoints carry).
+//!   application (at-most-once and read operations; the state is what
+//!   warm-passive checkpoints carry).
 //!
 //! Everything is written against `simnet::SysApi`, so MEAD's interceptor
 //! can interpose transparently under an *unmodified* ORB, exactly the
@@ -43,7 +43,7 @@ pub use naming::{
 pub use retry::RetryState;
 pub use servants::{
     decode_counter_reply, decode_increment_once, decode_time_reply, encode_counter_reply,
-    encode_increment, encode_increment_once, CounterServant, CounterState, TimeOfDayServant,
-    COUNTER_TYPE_ID, TIME_TYPE_ID,
+    encode_increment_once, CounterServant, CounterState, TimeOfDayServant, COUNTER_TYPE_ID,
+    TIME_TYPE_ID,
 };
 pub use server::{Servant, ServerOrb};

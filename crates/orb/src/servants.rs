@@ -131,24 +131,19 @@ impl CounterState {
         out
     }
 
-    /// Restores a [`CounterState::snapshot`], or the 8-byte value-only
-    /// checkpoint of an application that never sends operation ids;
-    /// ignores malformed payloads (the state keeps its previous
-    /// contents).
+    /// Restores a [`CounterState::snapshot`]; ignores any payload of
+    /// another length (the state keeps its previous contents).
     pub fn restore(&self, bytes: &[u8]) {
+        if bytes.len() != 16 {
+            return;
+        }
         let word = |at: usize| {
             let mut w = [0u8; 8];
             w.copy_from_slice(&bytes[at..at + 8]);
             u64::from_be_bytes(w)
         };
-        match bytes.len() {
-            16 => {
-                self.value.set(word(0));
-                self.last_op.set(word(8));
-            }
-            8 => self.value.set(word(0)),
-            _ => {}
-        }
+        self.value.set(word(0));
+        self.last_op.set(word(8));
     }
 }
 
@@ -159,7 +154,6 @@ impl CounterState {
 /// across fail-overs — the invariant the chaos campaign checks.
 ///
 /// Operations:
-/// * `increment` (`u64` delta) → `u64` new value,
 /// * `increment_once` (`u64` op id, `u64` delta) → `u64` new value,
 /// * `get` () → `u64` value.
 #[derive(Debug, Default)]
@@ -188,14 +182,6 @@ impl Servant for CounterServant {
     ) -> Result<Vec<u8>, SystemException> {
         let marshal = |_| not_completed("IDL:omg.org/CORBA/MARSHAL:1.0");
         let value = match operation {
-            "increment" => {
-                let delta = CdrReader::new(body, Endian::Big)
-                    .read_u64()
-                    .map_err(marshal)?;
-                sys.count("counter.increments", 1);
-                // Operation id 0 is never newer than the last applied one.
-                self.state.apply(0, delta)
-            }
             "increment_once" => {
                 let (op_id, delta) = decode_increment_once(body).map_err(marshal)?;
                 let last_op = self.state.last_op();
@@ -247,16 +233,11 @@ pub fn decode_increment_once(body: &[u8]) -> Result<(u64, u64), giop::CdrError> 
     Ok((r.read_u64()?, r.read_u64()?))
 }
 
-/// Encodes an `increment` request body.
-pub fn encode_increment(delta: u64) -> Vec<u8> {
-    let mut w = CdrWriter::new(Endian::Big);
-    w.write_u64(delta);
-    w.into_vec()
-}
-
 /// Encodes a counter reply payload (every operation answers the value).
 pub fn encode_counter_reply(value: u64) -> Vec<u8> {
-    encode_increment(value)
+    let mut w = CdrWriter::new(Endian::Big);
+    w.write_u64(value);
+    w.into_vec()
 }
 
 /// Decodes a counter reply payload.
@@ -309,24 +290,32 @@ mod tests {
     }
 
     #[test]
-    fn plain_increment_and_get_leave_the_op_id_alone() {
+    fn get_reads_and_unknown_or_malformed_requests_fail() {
         let state = CounterState::new();
         let mut servant = CounterServant::new(state.clone());
         let mut sys = MockSys::new(NodeId::from_index(0));
-        let reply = servant.invoke(&mut sys, "increment", &encode_increment(3));
-        assert_eq!(decode_counter_reply(&reply.expect("ok")).unwrap(), 3);
+        state.apply(7, 3);
         let reply = servant.invoke(&mut sys, "get", &[]);
         assert_eq!(decode_counter_reply(&reply.expect("ok")).unwrap(), 3);
-        assert_eq!(state.last_op(), 0);
+        assert_eq!(state.last_op(), 7);
         assert_eq!(servant.type_id(), COUNTER_TYPE_ID);
-        assert!(servant.invoke(&mut sys, "increment", &[1]).is_err());
         assert!(servant.invoke(&mut sys, "increment_once", &[0; 8]).is_err());
+        assert!(servant.invoke(&mut sys, "increment", &[0; 8]).is_err());
         assert!(servant.invoke(&mut sys, "reset", &[]).is_err());
+    }
 
-        // The value-only checkpoint restores the value and nothing else.
-        state.apply(7, 1);
+    #[test]
+    fn restore_takes_only_a_full_snapshot() {
+        let state = CounterState::new();
+        state.apply(7, 3);
+        // An 8-byte value alone is not a checkpoint: nothing moves.
         state.restore(&9u64.to_be_bytes());
-        assert_eq!((state.value(), state.last_op()), (9, 7));
+        assert_eq!((state.value(), state.last_op()), (3, 7));
+        state.restore(&[0; 17]);
+        assert_eq!((state.value(), state.last_op()), (3, 7));
+        let backup = CounterState::new();
+        backup.restore(&state.snapshot());
+        assert_eq!((backup.value(), backup.last_op()), (3, 7));
     }
 
     #[test]

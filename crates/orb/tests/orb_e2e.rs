@@ -517,10 +517,15 @@ fn counter_servant_keeps_state_across_invocations() {
     }
     impl Process for CounterClient {
         fn on_start(&mut self, sys: &mut dyn SysApi) {
-            self.orb
-                .invoke(sys, &self.target, "increment", &encode_increment(5))
-                .expect("valid");
             self.sent = 1;
+            self.orb
+                .invoke(
+                    sys,
+                    &self.target,
+                    "increment_once",
+                    &encode_increment_once(1, 5),
+                )
+                .expect("valid");
         }
         fn on_event(&mut self, sys: &mut dyn SysApi, ev: Event) {
             let Some(upshots) = self.orb.handle_event(sys, &ev) else {
@@ -533,8 +538,9 @@ fn counter_servant_keeps_state_across_invocations() {
                         .push(decode_counter_reply(&payload).expect("counter reply"));
                     if self.sent < 4 {
                         self.sent += 1;
+                        let body = encode_increment_once(u64::from(self.sent), 5);
                         self.orb
-                            .invoke(sys, &self.target, "increment", &encode_increment(5))
+                            .invoke(sys, &self.target, "increment_once", &body)
                             .expect("valid");
                     }
                 }

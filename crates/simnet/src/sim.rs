@@ -648,7 +648,7 @@ impl Simulation {
     /// crossing the link draws one additional uniform delay in
     /// `[0, bound]` from the seeded kernel RNG — a jittery link rather
     /// than a severed one. Per-connection FIFO order is still enforced
-    /// downstream by [`fifo_arrival`](Self::fifo_arrival).
+    /// downstream by `fifo_arrival`.
     pub fn set_link_jitter(&mut self, a: NodeId, b: NodeId, bound: SimDuration) {
         if a == b {
             return;

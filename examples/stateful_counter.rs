@@ -1,58 +1,51 @@
 //! Warm-passive replication with *real* state: a replicated counter whose
 //! value is checkpointed to the backups over group communication, so a
-//! proactively migrated client continues against (almost) the same state.
+//! proactively migrated client continues against exactly the same state.
 //!
 //! The paper's test application (time-of-day) is stateless; this example
 //! exercises the state-transfer half of warm-passive replication that the
 //! paper's infrastructure provides but its evaluation never stresses.
-//! It also demonstrates warm-passive's fundamental trade-off: increments
-//! applied after the last checkpoint are lost at fail-over — bounded by
-//! the checkpoint interval.
+//! Every replica leaks memory and is rejuvenated again and again. A
+//! replica with state commits before it acknowledges: each reply waits
+//! until the checkpoint covering it has reached the backups, so no
+//! hand-off loses or repeats an acknowledged increment.
 //!
 //! Run with `cargo run --release --example stateful_counter`.
 
-use mead_repro::experiments::{run_counter_scenario, CounterConfig};
+use mead_repro::experiments::{chaos_plan_space_for, run_chaos_plan, ChaosConfig};
+use mead_repro::faults::FaultPlanBuilder;
 
 fn main() {
-    let increments: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3000);
-    // Checkpoint every 50 ms (the default): with a rejuvenation every
-    // ~400 ms, each hand-off then loses at most ~50 ms of increments.
-    let outcome = run_counter_scenario(&CounterConfig {
-        increments,
-        ..CounterConfig::default()
-    });
+    let cfg = ChaosConfig::default();
+    // The leak on every replica is the plan's only fault.
+    let plan = FaultPlanBuilder::new(5)
+        .leak_all(true)
+        .build(&chaos_plan_space_for(cfg.slots, 0))
+        .expect("a leak-only plan is valid");
+    let outcome = run_chaos_plan(&plan, &cfg);
 
-    let final_value = outcome.final_value();
-    let sent = outcome.values.len() as u64;
+    let acked = outcome.values.len();
     let rejuvenations = outcome.metrics.counter("mead.graceful_rejuvenations");
     let restores = outcome.metrics.counter("mead.state_restored");
-    // A value not increasing between consecutive replies is a fail-over
-    // onto a slightly stale backup.
-    let regressions = outcome.regressions();
-
-    println!("increments acknowledged : {sent}");
-    println!("final counter value     : {final_value}");
+    println!("increments acknowledged : {acked}");
     println!(
-        "state carried over      : {:.1}%",
-        final_value as f64 * 100.0 / sent as f64
+        "final counter value     : {}",
+        outcome.values.last().unwrap_or(&0)
     );
     println!("rejuvenations           : {rejuvenations}");
     println!("checkpoint restores     : {restores}");
-    println!("visible state regressions at fail-over: {regressions}");
     println!(
-        "\nwarm-passive semantics: increments since the last checkpoint are \
-         lost at each hand-off (bounded by the 50 ms checkpoint interval), \
-         so the final value trails the {sent} acknowledged increments."
+        "\ncommit-before-ack: every acknowledged increment was durable at the \
+         backups first, so the acknowledged values are exactly 1..={acked}."
     );
     assert!(
-        final_value > sent * 2 / 3,
-        "state must substantially survive fail-overs: {final_value}/{sent}"
+        outcome.violations.is_empty(),
+        "invariant violations: {:?}",
+        outcome.violations
     );
-    assert!(
-        final_value <= sent,
-        "the counter can never exceed the increments sent"
+    assert_eq!(
+        outcome.values,
+        (1..=u64::from(cfg.increments)).collect::<Vec<_>>(),
+        "every increment acknowledged exactly once, in order"
     );
 }

@@ -81,6 +81,12 @@ fn usage_errors_exit_2_with_a_message() {
     // Two report cells named `paper/mead_failover/x` could not be told apart.
     let repeated_mix = file("xyx.toml", &mixes_scenario(&["x", "y", "x"], "loss"));
     let misspelled = file("los.toml", &mixes_scenario(&["x"], "los"));
+    // A topology without a Recovery Manager cannot be deployed.
+    let no_rm = file(
+        "no-rm.toml",
+        &mixes_scenario(&["x"], "loss")
+            .replace("name = \"paper\"\n", "name = \"paper\"\nrm_instances = 0\n"),
+    );
     let truncated = file(
         "truncated.json",
         "{\"schema\": \"conflict-relation/1\", \"indep",
@@ -150,6 +156,10 @@ fn usage_errors_exit_2_with_a_message() {
         (&sequencer, "the daemon on node 0 may not be crashed"),
         (&repeated_mix, "line 17: mix \"x\": duplicate mix name"),
         (&misspelled, "line 9: mix \"x\": unknown key `los`"),
+        (
+            &no_rm,
+            "line 6: topology \"paper\": rm_instances must be at least 1",
+        ),
     ] {
         let stderr = refused(&["sweep", scenario]);
         assert!(stderr.contains(why), "{scenario}: {stderr}");

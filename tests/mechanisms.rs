@@ -114,38 +114,6 @@ fn stale_references_surface_as_transients_with_cache() {
 }
 
 #[test]
-fn key_hash_ablation_still_works_but_costs_more() {
-    let with_hash = run_scenario(&ScenarioConfig {
-        seed: 11,
-        ..ScenarioConfig::quick(RecoveryScheme::LocationForward, 900)
-    });
-    let without_hash = run_scenario(&ScenarioConfig {
-        seed: 11,
-        tweak: Some(|cfg| cfg.use_key_hash = false),
-        ..ScenarioConfig::quick(RecoveryScheme::LocationForward, 900)
-    });
-    // Functionally equivalent (the lookup result is identical)...
-    assert_eq!(with_hash.report().client_failures(), 0);
-    assert_eq!(without_hash.report().client_failures(), 0);
-    assert!(without_hash.metrics.counter("mead.forwards_sent") > 0);
-    // ...but the byte-wise comparison charges more CPU per forward, so the
-    // fail-over episodes get (slightly) slower on the ablated run.
-    let fast =
-        mead_repro::experiments::failover_episodes_ms(&with_hash, RecoveryScheme::LocationForward);
-    let slow = mead_repro::experiments::failover_episodes_ms(
-        &without_hash,
-        RecoveryScheme::LocationForward,
-    );
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    assert!(
-        mean(&slow) >= mean(&fast),
-        "byte-wise lookups must not be faster: {} vs {}",
-        mean(&slow),
-        mean(&fast)
-    );
-}
-
-#[test]
 fn directory_semantics() {
     let mut dir = ReplicaDirectory::new();
     dir.on_view(vec![
