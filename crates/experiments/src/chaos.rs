@@ -29,7 +29,7 @@
 //! 4. **View convergence**: the final server-group membership view
 //!    covers every slot.
 //! 5. **Graceful degradation**: goodput never stays at zero longer than
-//!    [`ChaosConfig::goodput_budget`] while increments are outstanding.
+//!    `GOODPUT_BUDGET` (3.5 s) while increments are outstanding.
 //!
 //! With `rm_instances >= 2` the Recovery Manager is replicated
 //! warm-passively and every generated plan must pass; with the paper's
@@ -57,15 +57,13 @@ use simnet::{
 };
 
 use crate::counter::{counter_key, Job, SlotClient, WATCHDOG};
-use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
+use crate::testbed::{Harvest, Testbed, TestbedSpec};
 
 /// One chaos scenario's parameters.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Increments the client must get acknowledged exactly once.
     pub increments: u32,
-    /// Client think time between acknowledged increments.
-    pub think_time: SimDuration,
     /// Recovery Manager instances (`1` = the paper's SPOF).
     pub rm_instances: u32,
     /// Replica slots (one server node each; the paper's topology is 3).
@@ -74,13 +72,6 @@ pub struct ChaosConfig {
     pub slots: u32,
     /// Recovery scheme deployed at the interceptors.
     pub scheme: RecoveryScheme,
-    /// Graceful-degradation budget: the longest the client's goodput may
-    /// stay at zero (no acknowledged increment) while it still has work
-    /// to do. Plan validation guarantees at least one replica slot stays
-    /// nominally live throughout (crash groups never cover every slot,
-    /// crashes are [`faults::MIN_CRASH_GAP`]-spaced), so a stall past
-    /// this budget means recovery — not the fault itself — was too slow.
-    pub goodput_budget: SimDuration,
     /// The client's in-flight invocation watchdog. The default (800 ms)
     /// is longer than any single honest delay a plan can impose; the
     /// schedule-space explorer shortens it towards the round-trip time
@@ -96,11 +87,9 @@ impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
             increments: 300,
-            think_time: SimDuration::from_millis(10),
             rm_instances: 2,
             slots: 3,
             scheme: RecoveryScheme::MeadFailover,
-            goodput_budget: SimDuration::from_millis(3_500),
             watchdog: WATCHDOG,
             mutation: ServantMutation::Intact,
         }
@@ -264,13 +253,15 @@ struct ClientLog {
     gave_up: Cell<bool>,
 }
 
+/// The measured client's think time between acknowledged increments.
+const THINK_TIME: SimDuration = SimDuration::from_millis(10);
+
 /// The measured chaos client's job: `increment_once` operations with
 /// client-assigned operation ids (the acknowledged count plus one, so a
-/// retry repeats the id), a think time between acknowledgements, and
+/// retry repeats the id), [`THINK_TIME`] between acknowledgements, and
 /// every acknowledgement logged with its instant.
 struct Measured {
     total: u32,
-    think_time: SimDuration,
     log: Rc<ClientLog>,
 }
 
@@ -296,7 +287,7 @@ impl Job for Measured {
             self.log.values.borrow_mut().push(value);
         }
         self.log.ack_times.borrow_mut().push(sys.now());
-        (self.acked() < self.total).then_some(self.think_time)
+        (self.acked() < self.total).then_some(THINK_TIME)
     }
 
     fn complete(&mut self, _sys: &mut dyn SysApi) {
@@ -514,7 +505,7 @@ impl<'a> ChaosBoot<'a> {
                     )
                 })
             },
-            recovery_managers: RecoveryManagers::Numbered(cfg.rm_instances),
+            rm_instances: cfg.rm_instances,
             boot_until: BOOT_UNTIL,
         });
         let infra = testbed.infra();
@@ -598,7 +589,6 @@ impl<'a> ChaosBoot<'a> {
         let crowd_acked = Rc::new(Cell::new(0u64));
         let measured = Measured {
             total: cfg.increments,
-            think_time: cfg.think_time,
             log: log.clone(),
         };
         testbed.sim.spawn(
@@ -623,13 +613,9 @@ impl<'a> ChaosBoot<'a> {
                 // Executor-side trace marker: every injection shows up in
                 // the run's observability stream, attributable without
                 // metrics.
-                let recorder = testbed.sim.recorder_handle();
-                recorder.borrow_mut().emit(
-                    testbed.sim.now().as_nanos(),
-                    0,
-                    0,
-                    obs::EventKind::FaultInjected { fault: kind.name() },
-                );
+                testbed
+                    .sim
+                    .emit(infra, obs::EventKind::FaultInjected { fault: kind.name() });
             }
             apply(&mut testbed, slots, action, &crowd_acked);
         }
@@ -784,6 +770,14 @@ struct Evidence {
     active_end: SimTime,
 }
 
+/// Graceful-degradation budget: the longest the client's goodput may
+/// stay at zero (no acknowledged increment) while it still has work to
+/// do. Plan validation guarantees at least one replica slot stays
+/// nominally live throughout (crash groups never cover every slot,
+/// crashes are [`faults::MIN_CRASH_GAP`]-spaced), so a stall past this
+/// budget means recovery — not the fault itself — was too slow.
+const GOODPUT_BUDGET: SimDuration = SimDuration::from_millis(3_500);
+
 /// The invariants: the violations `evidence` shows under `cfg` (empty =
 /// the plan passed) and the worst zero-goodput stretch. Each arm is one
 /// oracle; the `judge_names_each_violation_alone` table has a row per
@@ -862,11 +856,11 @@ fn judge(evidence: &Evidence, cfg: &ChaosConfig) -> (Vec<String>, SimDuration) {
         }
         prev = t;
     }
-    if !gave_up && worst_goodput_gap > cfg.goodput_budget {
+    if !gave_up && worst_goodput_gap > GOODPUT_BUDGET {
         violations.push(format!(
             "goodput stalled for {} ms (budget {} ms) ending at t={} ms",
             worst_goodput_gap.as_nanos() / 1_000_000,
-            cfg.goodput_budget.as_nanos() / 1_000_000,
+            GOODPUT_BUDGET.as_nanos() / 1_000_000,
             worst_gap_end.as_nanos() / 1_000_000
         ));
     }

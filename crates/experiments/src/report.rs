@@ -10,13 +10,15 @@
 //! * **Fail-over time** is the elevated round-trip of each failure
 //!   episode. Episodes are found from the client's own exception/redirect
 //!   bookkeeping, plus — for the schemes whose recovery is invisible to
-//!   the application — the interceptor's timestamped marks.
+//!   the application — the client interceptor's recovery phases in the
+//!   run's trace.
 
 use std::collections::BTreeSet;
 
 use mead::RecoveryScheme;
 use obs::jsonl::push_json_str;
-use simnet::SimDuration;
+use obs::{EventKind, Phase};
+use simnet::{SimDuration, SimTime};
 
 use crate::scenario::ScenarioOutcome;
 use crate::stats::Summary;
@@ -67,34 +69,38 @@ pub fn failover_episodes_ms(outcome: &ScenarioOutcome, scheme: RecoveryScheme) -
         .filter(|(_, r)| r.disrupted())
         .map(|(i, _)| i)
         .collect();
-    // Disruptions invisible to the application: interceptor marks.
-    let mark_series: &[&str] = match scheme {
-        RecoveryScheme::MeadFailover => &["mead.client.redirect_at"],
-        RecoveryScheme::NeedsAddressing => &["mead.client.suppressed_at"],
-        _ => &[],
+    // Disruptions invisible to the application: the client
+    // interceptor's redirect (MEAD) or suppressed EOF (NEEDS_ADDRESSING).
+    let invisible = match scheme {
+        RecoveryScheme::MeadFailover => Some(EventKind::Phase(Phase::ClientRedirect)),
+        RecoveryScheme::NeedsAddressing => Some(EventKind::Phase(Phase::FaultDetected)),
+        _ => None,
     };
     let window_before = SimDuration::from_millis(1);
     let window_after = SimDuration::from_millis(5);
-    for series in mark_series {
-        for mark in outcome.metrics.byte_records(series) {
-            let mut best: Option<(usize, f64)> = None;
-            for (i, r) in records.iter().enumerate() {
-                // Does [start, end] intersect [mark - before, mark + after]?
-                let before_ok = r.end + window_before >= mark.at;
-                let after_ok = r.start <= mark.at + window_after;
-                if before_ok && after_ok {
-                    let rtt = r.rtt_ms();
-                    if best.map(|(_, b)| rtt > b).unwrap_or(true) {
-                        best = Some((i, rtt));
-                    }
-                }
-                if r.start > mark.at + window_after {
-                    break;
+    let instants = outcome
+        .trace
+        .iter()
+        .filter(|e| invisible.as_ref() == Some(&e.kind))
+        .map(|e| SimTime::from_nanos(e.at_ns));
+    for at in instants {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, r) in records.iter().enumerate() {
+            // Does [start, end] intersect [at - before, at + after]?
+            let before_ok = r.end + window_before >= at;
+            let after_ok = r.start <= at + window_after;
+            if before_ok && after_ok {
+                let rtt = r.rtt_ms();
+                if best.map(|(_, b)| rtt > b).unwrap_or(true) {
+                    best = Some((i, rtt));
                 }
             }
-            if let Some((i, _)) = best {
-                indices.insert(i);
+            if r.start > at + window_after {
+                break;
             }
+        }
+        if let Some((i, _)) = best {
+            indices.insert(i);
         }
     }
     // Merge adjacent records into one episode, keeping the episode max.

@@ -12,7 +12,7 @@ use std::rc::Rc;
 use mead::{ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor};
 use simnet::{FifoScheduler, Fnv, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
 
-use crate::testbed::{Harvest, RecoveryManagers, Testbed, TestbedSpec};
+use crate::testbed::{Harvest, Testbed, TestbedSpec};
 use crate::workload::{
     ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport, REPLICAS,
 };
@@ -134,7 +134,7 @@ pub(crate) fn paper_cells(labels: &[&str], invocations: u32) -> Vec<ScenarioConf
 pub struct ScenarioOutcome {
     /// Every client's measurements, in spawn order; never empty.
     pub all_reports: Vec<WorkloadReport>,
-    /// Full kernel metrics (counters, byte accounting, marks).
+    /// Full kernel metrics (counters, byte accounting).
     pub metrics: Metrics,
     /// Simulated time at which the run ended.
     pub finished_at: SimTime,
@@ -290,7 +290,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
                 ))
             })
         },
-        recovery_managers: RecoveryManagers::Paper,
+        rm_instances: 1,
         boot_until: SimTime::from_millis(500),
     });
     testbed.boot();

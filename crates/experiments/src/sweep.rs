@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use faults::config::{duration_ms_or, fault_from_table, mix_from_table};
+use faults::config::{fault_from_table, mix_from_table};
 use faults::{FaultEvent, FaultPlan, FaultPlanBuilder, NamedMix, PlanError};
 use mead::RecoveryScheme;
 use simnet::{Fnv, SimDuration};
@@ -47,7 +47,8 @@ pub struct TopologySpec {
     pub rm_instances: u32,
 }
 
-/// A parsed sweep scenario: the full matrix plus per-run workload knobs.
+/// A parsed sweep scenario: the full matrix plus the per-plan increment
+/// count.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// Scenario name (reports and artifact labels).
@@ -58,13 +59,6 @@ pub struct SweepSpec {
     pub plans_per_cell: u32,
     /// Increments the chaos client must get acknowledged per plan.
     pub increments: u32,
-    /// Client think time between acknowledged increments.
-    pub think_time: SimDuration,
-    /// Graceful-degradation budget (see [`ChaosConfig::goodput_budget`]).
-    pub goodput_budget: SimDuration,
-    /// Recovery-Manager crashes allowed per generated plan (capped per
-    /// topology at `rm_instances - 1`, see [`expand_sweep`]).
-    pub rm_crashes: u32,
     /// Topology axis (at least one entry).
     pub topologies: Vec<TopologySpec>,
     /// Recovery-scheme axis (at least one entry).
@@ -92,7 +86,7 @@ impl SweepSpec {
 /// Parses a sweep scenario document (the `tomlite` TOML subset).
 ///
 /// Required sections: `[sweep]` (name, base_seed, plans_per_cell plus
-/// optional workload knobs and the `schemes` array), at least one
+/// the optional `increments` count and `schemes` array), at least one
 /// `[[topology]]` and at least one `[[mix]]`; `[[fault]]` entries are
 /// optional. Unknown sections and keys are rejected, so a typo cannot
 /// silently weaken a scenario, and so are repeated topology, mix and
@@ -115,18 +109,12 @@ pub fn parse_sweep(src: &str) -> Result<SweepSpec, TomlError> {
         "base_seed",
         "plans_per_cell",
         "increments",
-        "think_ms",
-        "goodput_budget_ms",
-        "rm_crashes",
         "schemes",
     ])?;
     let name = r.str_req("name")?.to_string();
     let base_seed = r.int("base_seed")?;
     let plans_per_cell = r.int("plans_per_cell")?;
     let increments = r.int_or("increments", 120)?;
-    let think_time = duration_ms_or(&r, "think_ms", SimDuration::from_millis(10))?;
-    let goodput_budget = duration_ms_or(&r, "goodput_budget_ms", SimDuration::from_millis(3_500))?;
-    let rm_crashes = r.int_or("rm_crashes", 1)?;
 
     let mut schemes = Vec::new();
     for key in r.str_array("schemes")? {
@@ -199,9 +187,6 @@ pub fn parse_sweep(src: &str) -> Result<SweepSpec, TomlError> {
         base_seed,
         plans_per_cell,
         increments,
-        think_time,
-        goodput_budget,
-        rm_crashes,
         topologies,
         schemes,
         mixes,
@@ -240,6 +225,10 @@ impl fmt::Display for CellError {
 
 impl std::error::Error for CellError {}
 
+/// Recovery-Manager crashes a generated plan may draw, before the cap of
+/// `rm_instances - 1` per topology.
+const RM_CRASHES: u32 = 1;
+
 /// Expands the scenario matrix into validated plans, in deterministic
 /// matrix order (topology-major, then scheme, then mix, then plan index;
 /// explicit timelines come after a cell's generated mixes).
@@ -255,17 +244,15 @@ pub fn expand_sweep(spec: &SweepSpec) -> Result<Vec<SweepUnit>, CellError> {
     for topo in &spec.topologies {
         // Nothing relaunches a Recovery Manager, so a plan may kill all
         // but one instance and no more: the budget is capped by the
-        // topology, not only by the file.
-        let rm_crashes = spec.rm_crashes.min(topo.rm_instances.saturating_sub(1));
+        // topology.
+        let rm_crashes = RM_CRASHES.min(topo.rm_instances.saturating_sub(1));
         let space = chaos_plan_space_for(topo.slots, rm_crashes);
         for &scheme in &spec.schemes {
             let chaos = ChaosConfig {
                 increments: spec.increments,
-                think_time: spec.think_time,
                 rm_instances: topo.rm_instances,
                 slots: topo.slots,
                 scheme,
-                goodput_budget: spec.goodput_budget,
                 ..ChaosConfig::default()
             };
             for named in &spec.mixes {

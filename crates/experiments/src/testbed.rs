@@ -34,19 +34,6 @@ use simnet::{
 /// completion flag.
 const SLICE: SimDuration = SimDuration::from_millis(250);
 
-/// How the Recovery Manager is deployed. The labels differ between the
-/// two because each is pinned by its callers' digests.
-pub(crate) enum RecoveryManagers {
-    /// The paper's deployment: one instance on the infrastructure node,
-    /// labelled `recovery-manager`.
-    Paper,
-    /// The chaos deployment: this many instances (at least one) labelled
-    /// `recovery-manager-{i}`, replicated warm-passively when there are
-    /// two or more. Instance 0 sits on the infrastructure node, standbys
-    /// are spread over the server nodes.
-    Numbered(u32),
-}
-
 /// Everything that distinguishes one caller's testbed from another's.
 pub(crate) struct TestbedSpec<F: FnOnce(NodeId) -> ReplicaFactory> {
     /// Kernel configuration: seed, OS noise, message loss.
@@ -65,8 +52,11 @@ pub(crate) struct TestbedSpec<F: FnOnce(NodeId) -> ReplicaFactory> {
     /// Builds the replica factory, given the infrastructure node (where
     /// replicas find the Naming Service).
     pub factory: F,
-    /// Recovery Manager deployment.
-    pub recovery_managers: RecoveryManagers,
+    /// Recovery Manager instances (the paper deploys one), labelled
+    /// `recovery-manager-{i}` and replicated warm-passively when there
+    /// are two or more. Instance 0 sits on the infrastructure node,
+    /// standbys are spread over the server nodes.
+    pub rm_instances: u32,
     /// Instant up to which [`Testbed::boot`] lets the infrastructure come
     /// up and the replicas register before any client starts.
     pub boot_until: SimTime,
@@ -86,7 +76,7 @@ pub(crate) struct Testbed {
 
 /// What a finished run is measured by.
 pub(crate) struct Harvest {
-    /// Kernel metrics (counters, byte accounting, marks).
+    /// Kernel metrics (counters, byte accounting).
     pub metrics: Metrics,
     /// The observability trace, in emission order.
     pub trace: Vec<obs::TraceEvent>,
@@ -128,27 +118,20 @@ impl Testbed {
         testbed.spawn_naming();
 
         let factory = (spec.factory)(infra);
-        match spec.recovery_managers {
-            RecoveryManagers::Paper => {
-                let rm = RecoveryManager::new(spec.slots, servers, factory);
-                testbed.sim.spawn(infra, "recovery-manager", Box::new(rm));
-            }
-            RecoveryManagers::Numbered(instances) => {
-                for instance in 0..instances.max(1) {
-                    let (nodes, factory) = (servers.clone(), factory.clone());
-                    let rm = if instances <= 1 {
-                        RecoveryManager::new(spec.slots, nodes, factory)
-                    } else {
-                        RecoveryManager::replicated(spec.slots, nodes, factory, instance)
-                    };
-                    let node = match instance {
-                        0 => infra,
-                        i => servers[(i as usize - 1) % servers.len()],
-                    };
-                    let label = format!("recovery-manager-{instance}");
-                    testbed.sim.spawn(node, &label, Box::new(rm));
-                }
-            }
+        let instances = spec.rm_instances.max(1);
+        for instance in 0..instances {
+            let (nodes, factory) = (servers.clone(), factory.clone());
+            let rm = if instances == 1 {
+                RecoveryManager::new(spec.slots, nodes, factory)
+            } else {
+                RecoveryManager::replicated(spec.slots, nodes, factory, instance)
+            };
+            let node = match instance {
+                0 => infra,
+                i => servers[(i as usize - 1) % servers.len()],
+            };
+            let label = format!("recovery-manager-{instance}");
+            testbed.sim.spawn(node, &label, Box::new(rm));
         }
         testbed
     }

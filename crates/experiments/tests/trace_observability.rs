@@ -7,9 +7,14 @@
 //!   and sequence numbers, not just a digest);
 //! * a LOCATION_FORWARD run must emit the scripted phase chain the
 //!   breakdown reconstruction is keyed on: launch threshold → migrate
-//!   threshold → fail-over notice → client redirect → first reply.
+//!   threshold → fail-over notice → client redirect → first reply;
+//! * the Table 1 fail-over episodes the application never sees (a MEAD
+//!   redirect, an EOF NEEDS_ADDRESSING suppresses) are found from the
+//!   trace alone.
 
-use experiments::{render_trace_sections, run_batch, ScenarioConfig};
+use experiments::{
+    failover_episodes_ms, render_trace_sections, run_batch, ScenarioConfig, ScenarioOutcome,
+};
 use mead::RecoveryScheme;
 use obs::{EventKind, Phase};
 
@@ -95,6 +100,32 @@ fn location_forward_trace_follows_the_scripted_phase_sequence() {
     assert!(full.detection_ns().is_some());
     assert!(full.reconnection_ns().is_some());
     assert!(full.total_ns().unwrap() > 0);
+}
+
+#[test]
+fn invisible_failovers_are_found_from_the_trace_alone() {
+    let schemes = [
+        RecoveryScheme::MeadFailover,
+        RecoveryScheme::NeedsAddressing,
+    ];
+    let configs: Vec<_> = schemes
+        .iter()
+        .map(|&scheme| ScenarioConfig::quick(scheme, 1200))
+        .collect();
+    for (scheme, outcome) in schemes.into_iter().zip(run_batch(&configs, 2)) {
+        let episodes = failover_episodes_ms(&outcome, scheme);
+        assert!(!episodes.is_empty(), "{}: no episodes", scheme.name());
+        let trace_only = ScenarioOutcome {
+            metrics: Default::default(),
+            ..outcome
+        };
+        assert_eq!(
+            failover_episodes_ms(&trace_only, scheme),
+            episodes,
+            "{}: episodes depend on more than the trace and the records",
+            scheme.name()
+        );
+    }
 }
 
 #[test]

@@ -35,18 +35,6 @@ pub fn duration_ms(r: &Reader, key: &str) -> Result<SimDuration, TomlError> {
     Ok(SimDuration::from_nanos((ms * 1_000_000.0) as u64))
 }
 
-/// An optional millisecond duration with a default.
-pub fn duration_ms_or(
-    r: &Reader,
-    key: &str,
-    default: SimDuration,
-) -> Result<SimDuration, TomlError> {
-    match r.get(key) {
-        None => Ok(default),
-        Some(_) => duration_ms(r, key),
-    }
-}
-
 /// An instant given in milliseconds since simulation start.
 pub fn time_ms(r: &Reader, key: &str) -> Result<SimTime, TomlError> {
     Ok(SimTime::ZERO + duration_ms(r, key)?)

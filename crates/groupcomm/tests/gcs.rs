@@ -323,7 +323,7 @@ fn mesh_traffic_is_accounted() {
         sim.spawn(node, "member", Box::new(m));
     }
     sim.run_until(SimTime::from_secs(1));
-    let mesh = sim.with_metrics(|m| m.total_bytes(MESH_TAG));
+    let mesh = sim.metrics().total_bytes(MESH_TAG);
     assert!(
         mesh > 300,
         "inter-daemon traffic should include forwarded+ordered multicasts, got {mesh}"

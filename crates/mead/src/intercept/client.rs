@@ -398,7 +398,6 @@ impl ClientState {
         };
         sys.charge_cpu(REDIRECT_CPU);
         sys.count("mead.client.redirects_completed", 1);
-        sys.mark("mead.client.redirect_at");
         sys.emit(EventKind::Phase(Phase::ClientRedirect));
         link.redirect = Redirection::Finishing { resend };
         let old_real = std::mem::replace(&mut link.real, new_real);
@@ -466,7 +465,6 @@ impl ClientState {
             return;
         }
         sys.count("mead.client.eof_suppressed", 1);
-        sys.mark("mead.client.suppressed_at");
         sys.emit(EventKind::Phase(Phase::FaultDetected));
         // The stream is in limbo until the group answers: writes are held
         // (the closed-loop client may fire its next request meanwhile).
@@ -675,10 +673,6 @@ impl SysApi for ClientFacade<'_> {
 
     fn count(&mut self, counter: &'static str, delta: u64) {
         self.sys.count(counter, delta)
-    }
-
-    fn mark(&mut self, series: &'static str) {
-        self.sys.mark(series)
     }
 
     fn emit(&mut self, kind: EventKind) {

@@ -323,7 +323,7 @@ impl Process for ServerInterceptor {
                     s.stage_eof = true;
                 }
                 // A departed client no longer needs a migration notice.
-                self.st.mark_notified(conn);
+                self.st.set_notified(conn);
                 let mut facade = ServerFacade {
                     sys,
                     st: &mut self.st,
@@ -454,7 +454,7 @@ impl ServerState {
     }
 
     /// Records that the client on `conn` owes no migration notice.
-    fn mark_notified(&mut self, conn: ConnId) {
+    fn set_notified(&mut self, conn: ConnId) {
         if let Some(client) = self.client_streams.get_mut(&conn) {
             client.notified = true;
         }
@@ -548,7 +548,7 @@ impl ServerState {
         sys.charge_cpu(FABRICATE_CPU);
         sys.count("mead.forwards_sent", 1);
         sys.emit(EventKind::Phase(Phase::FailoverNotice));
-        self.mark_notified(conn);
+        self.set_notified(conn);
         Message::Reply(ReplyMessage {
             request_id: rep.request_id,
             body: ReplyBody::LocationForward(ior),
@@ -570,7 +570,7 @@ impl ServerState {
         sys.charge_cpu(FABRICATE_CPU);
         sys.count("mead.piggybacks_sent", 1);
         sys.emit(EventKind::Phase(Phase::FailoverNotice));
-        self.mark_notified(conn);
+        self.set_notified(conn);
         // "Piggybacking regular GIOP Reply messages onto the MEAD proactive
         // failover messages": the notice travels first so the client-side
         // interceptor can redirect before handing the reply up.
@@ -666,7 +666,6 @@ impl ServerState {
         }
         if p.exhausted() {
             sys.count("mead.crash_exhaustion", 1);
-            sys.mark("mead.crash_at");
             sys.exit(ExitReason::Crash(format!("{resource} exhausted")));
             return true;
         }
@@ -708,7 +707,6 @@ impl ServerState {
                 self.request_launch(sys); // ensure a target exists
                 self.phase = Rejuvenation::Migrating;
                 sys.count("mead.migrations", 1);
-                sys.mark("mead.migrate_at");
             }
             _ => {}
         }
@@ -946,7 +944,6 @@ impl ServerState {
                 if exhausted {
                     // Resource exhaustion: the process-crash fault.
                     sys.count("mead.crash_exhaustion", 1);
-                    sys.mark("mead.crash_at");
                     sys.exit(ExitReason::Crash("memory exhausted".into()));
                     return;
                 }
@@ -1195,10 +1192,6 @@ impl SysApi for ServerFacade<'_> {
 
     fn count(&mut self, counter: &'static str, delta: u64) {
         self.sys.count(counter, delta)
-    }
-
-    fn mark(&mut self, series: &'static str) {
-        self.sys.mark(series)
     }
 
     fn emit(&mut self, kind: EventKind) {

@@ -294,7 +294,7 @@ fn resolve_then_invoke_through_naming() {
     assert_eq!(outcomes.iter().filter(|o| *o == "reply").count(), 5);
     // Resolve spike calibration: first RTT sample is just the invocation,
     // so check the naming cost indirectly via counters.
-    assert!(sim.with_metrics(|m| m.counter("naming.resolve")) == 1);
+    assert!(sim.metrics().counter("naming.resolve") == 1);
 }
 
 #[test]
@@ -349,10 +349,7 @@ fn server_crash_mid_stream_raises_comm_failure() {
         outcomes.iter().any(|o| o.contains("COMM_FAILURE")),
         "crash must surface as COMM_FAILURE: {outcomes:?}"
     );
-    assert_eq!(
-        sim.with_metrics(|m| m.counter("orb.exception.comm_failure")),
-        1
-    );
+    assert_eq!(sim.metrics().counter("orb.exception.comm_failure"), 1);
 }
 
 #[test]
@@ -504,7 +501,7 @@ fn forward_loop_is_cut_off_with_transient() {
         outcomes.iter().any(|o| o.contains("TRANSIENT")),
         "forward loop must end in TRANSIENT: {outcomes:?}"
     );
-    assert!(sim.with_metrics(|m| m.counter("orb.forward_loop")) >= 1);
+    assert!(sim.metrics().counter("orb.forward_loop") >= 1);
 }
 
 #[test]

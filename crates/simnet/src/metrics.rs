@@ -1,15 +1,16 @@
 //! Run-wide measurement infrastructure.
 //!
-//! The experiments need three kinds of observation:
+//! The experiments need two kinds of measurement:
 //!
-//! * named counters (exception counts, restarts, messages),
+//! * named counters (exception counts, restarts, messages), and
 //! * tagged byte accounting over time (Figure 5's group-communication
-//!   bandwidth), and
-//! * ad-hoc time series recorded by processes (round-trip samples).
+//!   bandwidth).
 //!
-//! All of it lives in [`Metrics`], owned by the kernel and shared with the
-//! driving experiment through `Rc<RefCell<..>>` handles. [`Fnv`] is the
-//! fold that turns a run's observables into a digest.
+//! Both live in [`Metrics`], which the kernel owns and a driver reads
+//! through [`Simulation::metrics`](crate::Simulation::metrics) or takes
+//! when the run is over. Occurrences — when something happened — are
+//! not measurements but trace events (`obs`). [`Fnv`] is the fold that
+//! turns a run's observables into a digest.
 
 use std::collections::BTreeMap;
 

@@ -194,20 +194,16 @@ pub trait SysApi {
     /// (used for the paper's Figure 5 bandwidth measurement).
     fn tag_conn(&mut self, conn: ConnId, tag: &'static str);
 
-    /// Increments a named metric counter.
+    /// Increments a named metric counter in [`Metrics`](crate::Metrics).
     fn count(&mut self, counter: &'static str, delta: u64);
-
-    /// Records a timestamped occurrence under `series` in
-    /// [`Metrics`](crate::Metrics) (retrievable via
-    /// [`Metrics::byte_records`](crate::Metrics::byte_records)). Used to
-    /// measure events that are invisible to the application, such as the
-    /// interceptor's transparent connection redirects.
-    fn mark(&mut self, series: &'static str);
 
     /// Emits a typed observability event into the run's trace
     /// ([`obs::Recorder`]), stamped with the current simulated time and
     /// this process's node/pid. This is how the MEAD interceptors, the
-    /// Recovery Manager and the ORB retry path report recovery phases.
+    /// Recovery Manager and the ORB retry path report recovery phases —
+    /// including the instants the application never sees, such as the
+    /// client interceptor's transparent redirects, which the Table 1
+    /// fail-over times are taken from.
     fn emit(&mut self, kind: obs::EventKind);
 }
 

@@ -24,10 +24,8 @@
 //! * per-connection FIFO order is preserved even under latency jitter.
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -271,11 +269,8 @@ pub struct Simulation {
     /// Timer id → state; recycled when the timer fires.
     timers: IdTable<TimerState>,
     net_rng: SimRng,
-    metrics: Rc<RefCell<Metrics>>,
-    recorder: Rc<RefCell<obs::Recorder>>,
-    /// Mirror of the recorder's level so the per-dispatch hot path can
-    /// skip the `RefCell` borrow entirely at the default level.
-    obs_kernel: bool,
+    metrics: Metrics,
+    recorder: obs::Recorder,
     events_processed: u64,
     wall_in_run: Duration,
     /// Severed node pairs (normalised lower-index first). Network actions
@@ -349,9 +344,8 @@ impl Simulation {
             endpoints: Vec::new(),
             timers: IdTable::new(),
             net_rng,
-            metrics: Rc::new(RefCell::new(Metrics::new())),
-            recorder: Rc::new(RefCell::new(obs::Recorder::new())),
-            obs_kernel: false,
+            metrics: Metrics::new(),
+            recorder: obs::Recorder::new(),
             events_processed: 0,
             wall_in_run: Duration::ZERO,
             partitions: BTreeSet::new(),
@@ -375,11 +369,10 @@ impl Simulation {
     /// Copied: every kernel table, the event queue with its pending
     /// actions, endpoints and their receive queues, timers, the kernel's
     /// and every process's random stream, partitions, the sequence and
-    /// event counters and the clock; the metrics store and the trace
-    /// recorder are deep copies (handles taken from `self` keep pointing
-    /// at `self`'s). Each live process is copied by its own
-    /// [`Process::fork`]. In-flight [`Bytes`] are immutable and shared.
-    /// The copy's buffers are sized to what they hold.
+    /// event counters, the clock, the metrics store and the trace. Each
+    /// live process is copied by its own [`Process::fork`]. In-flight
+    /// [`Bytes`] are immutable and shared. The copy's buffers are sized to
+    /// what they hold.
     ///
     /// # Errors
     ///
@@ -431,9 +424,8 @@ impl Simulation {
             endpoints: self.endpoints.clone(),
             timers: self.timers.clone(),
             net_rng: self.net_rng.clone(),
-            metrics: Rc::new(RefCell::new(self.metrics.borrow().clone())),
-            recorder: Rc::new(RefCell::new(self.recorder.borrow().clone())),
-            obs_kernel: self.obs_kernel,
+            metrics: self.metrics.clone(),
+            recorder: self.recorder.clone(),
             events_processed: self.events_processed,
             wall_in_run: self.wall_in_run,
             partitions: self.partitions.clone(),
@@ -566,9 +558,9 @@ impl Simulation {
     pub fn partition(&mut self, a: NodeId, b: NodeId) {
         if a != b {
             self.partitions.insert(Self::link_key(a, b));
-            self.metrics.borrow_mut().count("sim.partitions", 1);
+            self.metrics.count("sim.partitions", 1);
             let (lo, hi) = Self::link_key(a, b);
-            self.emit_kernel(NodeId(lo), obs::EventKind::Partition { a: lo, b: hi });
+            self.emit(NodeId(lo), obs::EventKind::Partition { a: lo, b: hi });
         }
     }
 
@@ -577,7 +569,7 @@ impl Simulation {
     pub fn heal(&mut self, a: NodeId, b: NodeId) {
         if self.partitions.remove(&Self::link_key(a, b)) {
             let (lo, hi) = Self::link_key(a, b);
-            self.emit_kernel(NodeId(lo), obs::EventKind::Heal { a: lo, b: hi });
+            self.emit(NodeId(lo), obs::EventKind::Heal { a: lo, b: hi });
             self.release_parked();
         }
     }
@@ -587,11 +579,11 @@ impl Simulation {
         let had_cuts = !self.partitions.is_empty() || !self.oneway_cuts.is_empty();
         let cut = std::mem::take(&mut self.partitions);
         for (lo, hi) in cut {
-            self.emit_kernel(NodeId(lo), obs::EventKind::Heal { a: lo, b: hi });
+            self.emit(NodeId(lo), obs::EventKind::Heal { a: lo, b: hi });
         }
         let oneway = std::mem::take(&mut self.oneway_cuts);
         for (from, to) in oneway {
-            self.emit_kernel(NodeId(from), obs::EventKind::HealOneway { from, to });
+            self.emit(NodeId(from), obs::EventKind::HealOneway { from, to });
         }
         if had_cuts {
             self.release_parked();
@@ -605,8 +597,8 @@ impl Simulation {
     /// for. Loopback traffic cannot be cut.
     pub fn partition_oneway(&mut self, from: NodeId, to: NodeId) {
         if from != to && self.oneway_cuts.insert((from.0, to.0)) {
-            self.metrics.borrow_mut().count("sim.partitions_oneway", 1);
-            self.emit_kernel(
+            self.metrics.count("sim.partitions_oneway", 1);
+            self.emit(
                 from,
                 obs::EventKind::PartitionOneway {
                     from: from.0,
@@ -620,7 +612,7 @@ impl Simulation {
     /// at the current simulated time in its original send order.
     pub fn heal_oneway(&mut self, from: NodeId, to: NodeId) {
         if self.oneway_cuts.remove(&(from.0, to.0)) {
-            self.emit_kernel(
+            self.emit(
                 from,
                 obs::EventKind::HealOneway {
                     from: from.0,
@@ -660,8 +652,8 @@ impl Simulation {
             self.link_jitter.insert(key, bound) != Some(bound)
         };
         if changed {
-            self.metrics.borrow_mut().count("sim.link_jitter_set", 1);
-            self.emit_kernel(
+            self.metrics.count("sim.link_jitter_set", 1);
+            self.emit(
                 NodeId(key.0),
                 obs::EventKind::LinkJitter {
                     a: key.0,
@@ -771,8 +763,8 @@ impl Simulation {
             live,
         });
         self.push(start_at, Action::StartProcess(pid));
-        self.metrics.borrow_mut().count("sim.spawned", 1);
-        self.recorder.borrow_mut().emit(
+        self.metrics.count("sim.spawned", 1);
+        self.recorder.emit(
             self.now.as_nanos(),
             node.0,
             pid.0,
@@ -853,24 +845,17 @@ impl Simulation {
         }
     }
 
-    /// Shared handle to the observability recorder (clone to keep the
-    /// trace after the run).
-    pub fn recorder_handle(&self) -> Rc<RefCell<obs::Recorder>> {
-        Rc::clone(&self.recorder)
-    }
-
-    /// Immutable snapshot accessor for the observability recorder.
-    pub fn with_recorder<T>(&self, f: impl FnOnce(&obs::Recorder) -> T) -> T {
-        f(&self.recorder.borrow())
+    /// The trace recorded so far, in emission order.
+    pub fn trace(&self) -> &[obs::TraceEvent] {
+        self.recorder.events()
     }
 
     /// Moves the trace recorded so far out of the simulation, leaving an
     /// empty recorder at the same level behind: for a driver that is done
     /// with the run.
     pub fn take_trace(&mut self) -> Vec<obs::TraceEvent> {
-        let mut recorder = self.recorder.borrow_mut();
-        let empty = obs::Recorder::with_level(recorder.level());
-        mem::replace(&mut *recorder, empty).into_events()
+        let empty = obs::Recorder::with_level(self.recorder.level());
+        mem::replace(&mut self.recorder, empty).into_events()
     }
 
     /// Sets the trace verbosity, resetting the recorder. At
@@ -879,26 +864,30 @@ impl Simulation {
     /// recovery-phase events. Call before the run starts: any events
     /// already recorded are discarded.
     pub fn set_trace_level(&mut self, level: obs::TraceLevel) {
-        self.obs_kernel = level == obs::TraceLevel::Kernel;
-        *self.recorder.borrow_mut() = obs::Recorder::with_level(level);
+        self.recorder = obs::Recorder::with_level(level);
     }
 
-    /// Emits a kernel-originated event (pid 0) into the trace.
-    fn emit_kernel(&self, node: NodeId, kind: obs::EventKind) {
-        self.recorder
-            .borrow_mut()
-            .emit(self.now.as_nanos(), node.0, 0, kind);
+    /// Whether every dispatched action is traced.
+    fn kernel_traced(&self) -> bool {
+        self.recorder.level() == obs::TraceLevel::Kernel
     }
 
-    /// Immutable snapshot accessor for the metrics store.
-    pub fn with_metrics<T>(&self, f: impl FnOnce(&Metrics) -> T) -> T {
-        f(&self.metrics.borrow())
+    /// Emits an event into the trace at the current instant, attributed
+    /// to `node` and to no process (pid 0): the kernel's own events, and
+    /// a driver's markers such as an injected fault.
+    pub fn emit(&mut self, node: NodeId, kind: obs::EventKind) {
+        self.recorder.emit(self.now.as_nanos(), node.0, 0, kind);
+    }
+
+    /// The counters and byte records gathered so far.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// Moves the metrics gathered so far out of the simulation, leaving an
     /// empty store behind: for a driver that is done with the run.
     pub fn take_metrics(&mut self) -> Metrics {
-        mem::take(&mut *self.metrics.borrow_mut())
+        mem::take(&mut self.metrics)
     }
 
     /// Runs until the clock reaches `deadline` or the queue drains.
@@ -981,12 +970,12 @@ impl Simulation {
                 self.parked.push(sched);
                 continue;
             }
-            if self.obs_kernel {
+            if self.kernel_traced() {
                 let node = self
                     .action_link(&sched.action)
                     .map(|(a, _)| a)
                     .unwrap_or(NodeId(0));
-                self.emit_kernel(
+                self.emit(
                     node,
                     obs::EventKind::Dispatch {
                         action: Self::action_name(&sched.action),
@@ -1314,8 +1303,8 @@ impl Simulation {
     /// dead one drops them one by one.
     fn notify_batch(&mut self, pid: ProcessId, mut events: VecDeque<Event>) {
         while let Some(ev) = events.pop_front() {
-            if self.obs_kernel {
-                self.emit_kernel(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
+            if self.kernel_traced() {
+                self.emit(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
             }
             match self.procs.get(pid.0 as usize) {
                 None => continue,
@@ -1324,14 +1313,11 @@ impl Simulation {
                     // Still busy: this element and every one behind it
                     // requeue at the new horizon.
                     let busy_until = meta.busy_until;
-                    if self.obs_kernel {
+                    if self.kernel_traced() {
                         // The old kernel emitted one Dispatch line per
                         // bounce pop; this element's was emitted above.
                         for _ in 0..events.len() {
-                            self.emit_kernel(
-                                NodeId(0),
-                                obs::EventKind::Dispatch { action: "notify" },
-                            );
+                            self.emit(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
                         }
                     }
                     events.push_front(ev);
@@ -1420,7 +1406,7 @@ impl Simulation {
                         peer_node: client_node,
                     },
                 );
-                self.emit_kernel(
+                self.emit(
                     client_node,
                     obs::EventKind::ConnectOutcome {
                         to_node: addr.node.0,
@@ -1440,7 +1426,7 @@ impl Simulation {
                 );
             }
             (None, true, Some(client_node)) => {
-                self.emit_kernel(
+                self.emit(
                     client_node,
                     obs::EventKind::ConnectOutcome {
                         to_node: addr.node.0,
@@ -1630,13 +1616,12 @@ impl Simulation {
         for c in conns {
             self.close_endpoint(c);
         }
-        let mut m = self.metrics.borrow_mut();
-        match &reason {
-            ExitReason::Graceful => m.count("sim.exit.graceful", 1),
-            ExitReason::Crash(_) => m.count("sim.exit.crash", 1),
-        }
-        drop(m);
-        self.recorder.borrow_mut().emit(
+        let exit = match &reason {
+            ExitReason::Graceful => "sim.exit.graceful",
+            ExitReason::Crash(_) => "sim.exit.crash",
+        };
+        self.metrics.count(exit, 1);
+        self.recorder.emit(
             self.now.as_nanos(),
             node.0,
             pid.0,
@@ -1815,7 +1800,6 @@ impl SysApi for Ctx<'_> {
         if let Some(tag) = tag {
             self.sim
                 .metrics
-                .borrow_mut()
                 .record_bytes(tag, depart, bytes.len() as u64);
         }
         // Is the peer still able to receive? If its process is dead the
@@ -1916,19 +1900,13 @@ impl SysApi for Ctx<'_> {
     }
 
     fn count(&mut self, counter: &'static str, delta: u64) {
-        self.sim.metrics.borrow_mut().count(counter, delta);
-    }
-
-    fn mark(&mut self, series: &'static str) {
-        let now = self.sim.now;
-        self.sim.metrics.borrow_mut().record_bytes(series, now, 1);
+        self.sim.metrics.count(counter, delta);
     }
 
     fn emit(&mut self, kind: obs::EventKind) {
         let node = self.node();
         self.sim
             .recorder
-            .borrow_mut()
             .emit(self.sim.now.as_nanos(), node.0, self.pid.0, kind);
     }
 }

@@ -63,7 +63,6 @@ pub struct MockSys {
     listeners: Vec<(ListenerId, Port)>,
     timers: Vec<MockTimer>,
     counters: BTreeMap<&'static str, u64>,
-    marks: Vec<(&'static str, SimTime)>,
     cpu_charged: SimDuration,
     exit: Option<ExitReason>,
     spawned: Vec<(NodeId, String)>,
@@ -83,7 +82,6 @@ impl MockSys {
             listeners: Vec::new(),
             timers: Vec::new(),
             counters: BTreeMap::new(),
-            marks: Vec::new(),
             cpu_charged: SimDuration::ZERO,
             exit: None,
             spawned: Vec::new(),
@@ -170,11 +168,6 @@ impl MockSys {
     /// Recorded counter value.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Recorded marks.
-    pub fn marks(&self) -> &[(&'static str, SimTime)] {
-        &self.marks
     }
 
     /// Total CPU charged by the subject.
@@ -294,9 +287,6 @@ impl SysApi for MockSys {
     fn count(&mut self, counter: &'static str, delta: u64) {
         *self.counters.entry(counter).or_insert(0) += delta;
     }
-    fn mark(&mut self, series: &'static str) {
-        self.marks.push((series, self.now));
-    }
     fn emit(&mut self, kind: obs::EventKind) {
         self.emitted.push((self.now, kind));
     }
@@ -406,7 +396,13 @@ mod tests {
         sys.count("x", 3);
         assert_eq!(sys.counter("x"), 5);
         sys.advance(SimDuration::from_millis(7));
-        sys.mark("ev");
-        assert_eq!(sys.marks(), &[("ev", SimTime::from_millis(7))]);
+        sys.emit(obs::EventKind::Exit { crashed: false });
+        assert_eq!(
+            sys.emitted(),
+            &[(
+                SimTime::from_millis(7),
+                obs::EventKind::Exit { crashed: false }
+            )]
+        );
     }
 }

@@ -79,7 +79,7 @@ impl Process for Pinger {
             Event::DataReadable { conn } => {
                 let _ = sys.read(conn, usize::MAX).expect("read");
                 self.sent += 1;
-                sys.mark("pong");
+                sys.count("pongs", 1);
                 let ping = vec![b'x'; 1 + (self.sent as usize % 7)];
                 sys.write(conn, &ping).expect("ping");
             }
@@ -312,13 +312,13 @@ fn observe(sim: &Simulation) -> Observed {
     Observed {
         now: sim.now(),
         events_processed: sim.events_processed(),
-        counters: sim.with_metrics(|m| m.counters().collect()),
-        bytes: sim.with_metrics(|m| {
-            m.byte_tags()
-                .map(|tag| (tag, m.byte_records(tag).to_vec()))
-                .collect()
-        }),
-        trace: sim.with_recorder(|r| r.events().to_vec()),
+        counters: sim.metrics().counters().collect(),
+        bytes: sim
+            .metrics()
+            .byte_tags()
+            .map(|tag| (tag, sim.metrics().byte_records(tag).to_vec()))
+            .collect(),
+        trace: sim.trace().to_vec(),
         stats: sim.kernel_stats(),
         live: sim.live_processes(),
     }
@@ -410,7 +410,7 @@ proptest! {
 /// was: the same bytes, in order, as a run that was never forked.
 #[test]
 fn a_fork_whose_queue_holds_a_head_segment_reads_on_in_order() {
-    let counter = |sim: &Simulation, name| sim.with_metrics(|m| m.counter(name));
+    let counter = |sim: &Simulation, name| sim.metrics().counter(name);
     let split = SimTime::from_nanos(3_200_000);
     let mut parent = build(World::Backlog, Box::new(FifoScheduler));
     parent.run_until(split);
@@ -445,16 +445,15 @@ fn the_worlds_exercise_what_they_claim() {
         sim.run_until(END);
         sim
     };
-    assert!(run(World::PingPong, false).with_metrics(|m| m.counter("echoed")) > 10);
-    assert!(run(World::Timers, false).with_metrics(|m| m.counter("ticks")) > 40);
+    assert!(run(World::PingPong, false).metrics().counter("echoed") > 10);
+    assert!(run(World::Timers, false).metrics().counter("ticks") > 40);
     let fan_in = run(World::FanIn, false);
-    assert!(fan_in.with_metrics(|m| m.counter("sink.reads")) > 100);
-    let batches = fan_in.with_recorder(|r| {
-        r.events()
-            .iter()
-            .filter(|e| e.kind == obs::EventKind::Dispatch { action: "notify" })
-            .count()
-    });
+    assert!(fan_in.metrics().counter("sink.reads") > 100);
+    let batches = fan_in
+        .trace()
+        .iter()
+        .filter(|e| e.kind == obs::EventKind::Dispatch { action: "notify" })
+        .count();
     assert!(batches > 50, "only {batches} parked notifies");
 
     struct Counting(GateCfg, std::rc::Rc<std::cell::Cell<u64>>);

@@ -221,7 +221,7 @@ fn server_crash_delivers_eof_to_client() {
         log.iter().any(|l| l.starts_with("client:eof")),
         "client must observe EOF, saw {log:?}"
     );
-    assert_eq!(sim.with_metrics(|m| m.counter("sim.exit.crash")), 1);
+    assert_eq!(sim.metrics().counter("sim.exit.crash"), 1);
 }
 
 #[test]
@@ -425,7 +425,7 @@ fn spawn_from_process_launches_after_latency() {
     let pid = child.borrow().expect("child spawned");
     assert!(sim.process_alive(pid));
     assert_eq!(sim.process_label(pid), "child");
-    assert_eq!(sim.with_metrics(|m| m.counter("sim.spawned")), 2);
+    assert_eq!(sim.metrics().counter("sim.spawned"), 2);
 }
 
 #[test]
@@ -596,7 +596,7 @@ fn tagged_connections_account_bytes() {
         }),
     );
     sim.run_until(SimTime::from_secs(1));
-    assert_eq!(sim.with_metrics(|m| m.total_bytes("testtag")), 100);
+    assert_eq!(sim.metrics().total_bytes("testtag"), 100);
 }
 
 #[test]

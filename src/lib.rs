@@ -11,6 +11,8 @@
 //!
 //! * [`simnet`] — discrete-event network/OS substrate,
 //! * [`giop`] — CDR/GIOP/IOR wire protocol,
+//! * [`obs`] — the run's trace of typed events and its fail-over
+//!   breakdown,
 //! * [`groupcomm`] — Spread-like group communication,
 //! * [`orb`] — client/server ORB and Naming Service,
 //! * [`faults`] — Weibull memory leaks, thresholds, crash schedules,
@@ -30,5 +32,6 @@ pub use faults;
 pub use giop;
 pub use groupcomm;
 pub use mead;
+pub use obs;
 pub use orb;
 pub use simnet;

@@ -87,6 +87,14 @@ fn usage_errors_exit_2_with_a_message() {
         &mixes_scenario(&["x"], "loss")
             .replace("name = \"paper\"\n", "name = \"paper\"\nrm_instances = 0\n"),
     );
+    // The RM-crash budget is a constant, not a scenario key.
+    let old_knob = file(
+        "rm-crashes.toml",
+        &mixes_scenario(&["x"], "loss").replace(
+            "plans_per_cell = 1\n",
+            "plans_per_cell = 1\nrm_crashes = 1\n",
+        ),
+    );
     let truncated = file(
         "truncated.json",
         "{\"schema\": \"conflict-relation/1\", \"indep",
@@ -160,6 +168,7 @@ fn usage_errors_exit_2_with_a_message() {
             &no_rm,
             "line 6: topology \"paper\": rm_instances must be at least 1",
         ),
+        (&old_knob, "line 1: sweep: unknown key `rm_crashes`"),
     ] {
         let stderr = refused(&["sweep", scenario]);
         assert!(stderr.contains(why), "{scenario}: {stderr}");

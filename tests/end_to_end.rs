@@ -6,6 +6,8 @@ use mead_repro::experiments::{
     failover_episodes_ms, run_scenario, steady_state_rtt_ms, ScenarioConfig,
 };
 use mead_repro::mead::RecoveryScheme;
+use mead_repro::obs::EventKind;
+use mead_repro::simnet::SimTime;
 
 fn quick(scheme: RecoveryScheme, invocations: u32) -> ScenarioConfig {
     ScenarioConfig::quick(scheme, invocations)
@@ -54,12 +56,17 @@ fn proactive_migration_masks_all_failures_from_the_client() {
         // paper's deliberate design, section 3.1). During the measured
         // window, though, every failure must be a graceful rejuvenation.
         let last_invocation_end = out.report().records.last().expect("records exist").end;
-        for crash in out.metrics.byte_records("mead.crash_at") {
+        let crashes = out
+            .trace
+            .iter()
+            .filter(|e| e.kind == EventKind::Exit { crashed: true })
+            .map(|e| SimTime::from_nanos(e.at_ns));
+        for crashed_at in crashes {
             assert!(
-                crash.at > last_invocation_end,
+                crashed_at > last_invocation_end,
                 "{}: replica exhausted at {} while the workload was active",
                 scheme.name(),
-                crash.at
+                crashed_at
             );
         }
     }
