@@ -132,12 +132,9 @@ impl Servant for DropDedup {
         match decode_increment_once(body) {
             // The bug: no `op_id <= last_op` check, so a retransmit of an
             // already-committed operation applies again.
-            Ok((op_id, delta)) if operation == "increment_once" => {
-                sys.count("counter.increments", 1);
-                Ok(encode_counter_reply(
-                    self.intact.state().apply(op_id, delta),
-                ))
-            }
+            Ok((op_id, delta)) if operation == "increment_once" => Ok(encode_counter_reply(
+                self.intact.state().apply(op_id, delta),
+            )),
             _ => self.intact.invoke(sys, operation, body),
         }
     }
@@ -294,8 +291,7 @@ impl Job for Measured {
         self.log.done.set(true);
     }
 
-    fn give_up(&mut self, sys: &mut dyn SysApi) {
-        sys.count("chaos.client_gave_up", 1);
+    fn give_up(&mut self, _sys: &mut dyn SysApi) {
         self.log.gave_up.set(true);
         self.log.done.set(true);
     }
@@ -314,10 +310,9 @@ impl Job for Crowd {
         (self.remaining > 0).then(|| ("get", Vec::new()))
     }
 
-    fn acknowledged(&mut self, sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration> {
+    fn acknowledged(&mut self, _sys: &mut dyn SysApi, payload: &[u8]) -> Option<SimDuration> {
         if decode_counter_reply(payload).is_ok() {
             self.acked.set(self.acked.get() + 1);
-            sys.count("chaos.crowd_acks", 1);
         }
         self.remaining = self.remaining.saturating_sub(1);
         None
@@ -328,9 +323,8 @@ impl Job for Crowd {
     }
 
     fn give_up(&mut self, sys: &mut dyn SysApi) {
-        // A crowd member giving up is shed load, not a recovery failure —
-        // counted, not an invariant violation.
-        sys.count("chaos.crowd_gave_up", 1);
+        // A crowd member giving up is shed load, not a recovery failure
+        // or an invariant violation.
         sys.exit(ExitReason::Graceful);
     }
 }

@@ -31,8 +31,8 @@ pub(crate) const WATCHDOG: SimDuration = SimDuration::from_millis(800);
 /// Two jobs exist, both in `chaos`: the measured client and a
 /// flash-crowd arrival.
 pub(crate) trait Job: 'static {
-    /// Whether retries are traced: an `obs::EventKind::Retry` per backoff
-    /// and a `chaos.client_watchdog` count per expired watchdog.
+    /// Whether retries are traced: an `obs::EventKind::Retry` per
+    /// backoff.
     const TRACED: bool = false;
 
     /// The next request — operation and body — or `None` once the work
@@ -162,9 +162,6 @@ impl<J: Job> SlotClient<J> {
         let invocation = Some(rid) == self.current_rid;
         if !invocation && Some(rid) != self.naming_rid {
             return; // answered in time
-        }
-        if J::TRACED {
-            sys.count("chaos.client_watchdog", 1);
         }
         if invocation {
             self.current_rid = None;

@@ -9,6 +9,7 @@
 //! group-communication socket into the list of read-sockets examined by
 //! `select()`" (section 3.1).
 
+use obs::EventKind;
 use simnet::{Addr, ConnId, Event, SimDuration, SysApi};
 
 use crate::daemon::GCS_PORT;
@@ -186,7 +187,6 @@ impl GcsClient {
                             sys.close(conn);
                         }
                         self.splitter = GcsSplitter::new();
-                        sys.count("gcs.client_reconnects", 1);
                         self.start(sys);
                     }
                     _ => {}
@@ -204,7 +204,7 @@ impl GcsClient {
                         Ok(Some(msg)) => self.on_message(sys, msg, &mut out),
                         Ok(None) => break,
                         Err(_) => {
-                            sys.count("gcs.client_protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("gcs.client_protocol_error"));
                             self.lose(sys, &mut out);
                             break;
                         }
@@ -288,7 +288,7 @@ impl GcsClient {
             | GcsWire::OrdView { .. }
             | GcsWire::OrdDeliver { .. }
             | GcsWire::Heartbeat { .. } => {
-                sys.count("gcs.client_protocol_error", 1);
+                sys.emit(EventKind::ProtocolError("gcs.client_protocol_error"));
             }
         }
     }

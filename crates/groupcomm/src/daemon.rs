@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use obs::EventKind;
 use rand::Rng;
 use simnet::{Addr, ConnId, Event, ListenerId, Port, Process, SimDuration, SysApi};
 
@@ -276,7 +277,7 @@ impl GcsDaemon {
             | GcsWire::OrdView { .. }
             | GcsWire::OrdDeliver { .. }
             | GcsWire::Heartbeat { .. } => {
-                sys.count("gcs.protocol_error", 1);
+                sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                 return;
             }
         };
@@ -377,7 +378,7 @@ impl GcsDaemon {
             | GcsWire::FwdLeave { .. }
             | GcsWire::FwdMulticast { .. }
             | GcsWire::Heartbeat { .. } => {
-                sys.count("gcs.protocol_error", 1);
+                sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
             }
         }
     }
@@ -408,7 +409,7 @@ impl GcsDaemon {
                     if let Some(seq) = self.seq_state.as_mut() {
                         seq.peers.insert(node, conn);
                     } else {
-                        sys.count("gcs.protocol_error", 1);
+                        sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                     }
                 }
                 GcsWire::Join { .. }
@@ -423,7 +424,7 @@ impl GcsDaemon {
                 | GcsWire::OrdView { .. }
                 | GcsWire::OrdDeliver { .. }
                 | GcsWire::Heartbeat { .. } => {
-                    sys.count("gcs.protocol_error", 1);
+                    sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                     sys.close(conn);
                     self.conns.remove(&conn);
                 }
@@ -489,7 +490,7 @@ impl GcsDaemon {
                 | GcsWire::OrdView { .. }
                 | GcsWire::OrdDeliver { .. }
                 | GcsWire::Heartbeat { .. } => {
-                    sys.count("gcs.protocol_error", 1);
+                    sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                 }
             }
         } else {
@@ -502,7 +503,7 @@ impl GcsDaemon {
                     if self.seq_state.is_some() {
                         self.sequence(sys, fwd);
                     } else {
-                        sys.count("gcs.protocol_error", 1);
+                        sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                     }
                 }
                 ord @ (GcsWire::OrdView { .. } | GcsWire::OrdDeliver { .. }) => {
@@ -523,7 +524,7 @@ impl GcsDaemon {
                 | GcsWire::View { .. }
                 | GcsWire::Deliver { .. }
                 | GcsWire::Hello { .. } => {
-                    sys.count("gcs.protocol_error", 1);
+                    sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                 }
             }
         }
@@ -544,7 +545,6 @@ impl GcsDaemon {
                 }
                 self.local_groups.retain(|_, s| !s.is_empty());
                 for group in groups {
-                    sys.count("gcs.crash_leave", 1);
                     self.forward(
                         sys,
                         GcsWire::FwdLeave {
@@ -665,7 +665,7 @@ impl Process for GcsDaemon {
                         Ok(Some(msg)) => self.handle_message(sys, conn, msg),
                         Ok(None) => break,
                         Err(_) => {
-                            sys.count("gcs.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("gcs.protocol_error"));
                             self.handle_conn_gone(sys, conn);
                             break;
                         }

@@ -1,11 +1,15 @@
 //! End-to-end tests of the group-communication system on the simulated
 //! network: total order, membership views, crash detection, open-group
-//! multicast, and bandwidth accounting.
+//! multicast, and bandwidth accounting; and, on the mock syscall
+//! context, what a daemon and a client do with hostile input.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use groupcomm::{GcsClient, GcsConfig, GcsDaemon, GcsDelivery, GCS_PORT, MESH_TAG};
+use groupcomm::{
+    GcsClient, GcsConfig, GcsDaemon, GcsDelivery, GcsSplitter, GcsWire, GCS_PORT, MESH_TAG,
+};
+use simnet::testkit::MockSys;
 use simnet::*;
 
 /// A scripted GCS member: joins groups, multicasts on a timer, records all
@@ -394,4 +398,112 @@ fn deterministic_delivery_order_across_runs() {
             .collect()
     };
     assert_eq!(run(99), run(99));
+}
+
+// ---------------------------------------------------------------------
+// Hostile input: each rejection is one `ProtocolError` trace event, and
+// the process keeps serving.
+// ---------------------------------------------------------------------
+
+/// The sequencer daemon (node 0), started on a mock.
+fn mock_sequencer() -> (GcsDaemon, MockSys) {
+    let node = NodeId::from_index(0);
+    let mut sys = MockSys::new(node);
+    let mut daemon = GcsDaemon::new(Addr::new(node, GCS_PORT), GcsConfig::default());
+    daemon.on_start(&mut sys);
+    (daemon, sys)
+}
+
+/// Delivers `wire` on `conn` to the daemon.
+fn feed(daemon: &mut GcsDaemon, sys: &mut MockSys, conn: ConnId, wire: &[u8]) {
+    sys.push_incoming(conn, wire);
+    daemon.on_event(sys, Event::DataReadable { conn });
+}
+
+/// A connection the daemon accepts, on which `wire` then arrives.
+fn accept_and_feed(daemon: &mut GcsDaemon, sys: &mut MockSys, wire: &[u8]) -> ConnId {
+    let listener = sys.listeners()[0].0;
+    let conn = sys.accept_conn();
+    let peer_node = NodeId::from_index(1);
+    daemon.on_event(
+        sys,
+        Event::Accepted {
+            listener,
+            conn,
+            peer_node,
+        },
+    );
+    feed(daemon, sys, conn, wire);
+    conn
+}
+
+/// Everything written on `conn`, decoded.
+fn frames(sys: &MockSys, conn: ConnId) -> Vec<GcsWire> {
+    let mut splitter = GcsSplitter::new();
+    splitter.push(sys.written(conn));
+    splitter
+        .drain()
+        .expect("the daemon writes well-formed frames")
+}
+
+#[test]
+fn a_truncated_frame_is_a_protocol_error_and_the_daemon_serves_on() {
+    let (mut daemon, mut sys) = mock_sequencer();
+    // A length prefix that matches a body cut two bytes short: the
+    // splitter hands over a whole frame that does not decode.
+    let attach = GcsWire::Attach {
+        member: "client/1".into(),
+    }
+    .encode();
+    let body = &attach[4..attach.len() - 2];
+    let mut truncated = u32::try_from(body.len()).unwrap().to_be_bytes().to_vec();
+    truncated.extend_from_slice(body);
+    let bad = accept_and_feed(&mut daemon, &mut sys, &truncated);
+    assert_eq!(sys.protocol_errors(), ["gcs.protocol_error"]);
+    assert!(
+        sys.is_closed(bad),
+        "a stream that cannot be framed is dropped"
+    );
+    let good = accept_and_feed(&mut daemon, &mut sys, &attach);
+    assert_eq!(frames(&sys, good), [GcsWire::Attached]);
+    assert_eq!(sys.protocol_errors().len(), 1);
+}
+
+#[test]
+fn a_client_message_on_a_daemon_link_is_a_protocol_error() {
+    let (mut daemon, mut sys) = mock_sequencer();
+    let peer = accept_and_feed(&mut daemon, &mut sys, &GcsWire::Hello { node: 1 }.encode());
+    // A client sends `Join` to its own daemon; no daemon sends it on.
+    let join = GcsWire::Join { group: "g".into() };
+    feed(&mut daemon, &mut sys, peer, &join.encode());
+    assert_eq!(sys.protocol_errors(), ["gcs.protocol_error"]);
+    assert!(!sys.is_closed(peer));
+    // The link still carries the heartbeat round.
+    let beat = GcsWire::Heartbeat { pad: vec![0; 8] };
+    feed(&mut daemon, &mut sys, peer, &beat.encode());
+    assert_eq!(frames(&sys, peer), [beat]);
+}
+
+#[test]
+fn a_daemon_message_at_a_client_is_a_protocol_error() {
+    let mut sys = MockSys::new(NodeId::from_index(2));
+    let mut client = GcsClient::new("member/1", 100);
+    client.start(&mut sys);
+    let (conn, _) = sys.connected()[0];
+    client.handle_event(&mut sys, &Event::ConnEstablished { conn });
+    // `OrdDeliver` travels between daemons only.
+    let ordered = GcsWire::OrdDeliver {
+        seq: 1,
+        group: "g".into(),
+        sender: "member/2".into(),
+        payload: vec![1],
+    };
+    sys.push_incoming(conn, &ordered.encode());
+    let out = client.handle_event(&mut sys, &Event::DataReadable { conn });
+    assert_eq!(out, Some(Vec::new()));
+    assert_eq!(sys.protocol_errors(), ["gcs.client_protocol_error"]);
+    sys.push_incoming(conn, &GcsWire::Attached.encode());
+    let out = client.handle_event(&mut sys, &Event::DataReadable { conn });
+    assert_eq!(out, Some(vec![GcsDelivery::Ready]));
+    assert!(client.is_ready());
 }

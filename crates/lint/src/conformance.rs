@@ -71,6 +71,7 @@ impl Default for ConformanceConfig {
                 "Spawn",
                 "Dispatch",
                 "Retry",
+                "ProtocolError",
             ]),
             codec_enums: strs(&["GcsWire", "GroupMsg"]),
             codec_structs: strs(&["FailoverNotice"]),

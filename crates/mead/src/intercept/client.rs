@@ -136,7 +136,7 @@ impl Link {
                     // Out of sync: stop interpreting this stream and let
                     // the ORB see (and close) it.
                     if error.is_some() {
-                        sys.count("mead.client.desync", 1);
+                        sys.emit(EventKind::ProtocolError("mead.client.desync"));
                     }
                     self.stream.stage_bytes(raw);
                     staged = true;
@@ -149,7 +149,7 @@ impl Link {
                     match FailoverNotice::decode(&frame) {
                         Ok(notice) => self.begin_mead_redirect(sys, &notice),
                         Err(_) => {
-                            sys.count("mead.client.bad_notice", 1);
+                            sys.emit(EventKind::ProtocolError("mead.client.bad_notice"));
                         }
                     }
                 }
@@ -184,7 +184,7 @@ impl Link {
     /// Starts the dup2-style redirect after a fail-over notice.
     fn begin_mead_redirect(&mut self, sys: &mut dyn SysApi, notice: &FailoverNotice) {
         let Some(node) = crate::node_of(&notice.host) else {
-            sys.count("mead.client.bad_notice", 1);
+            sys.emit(EventKind::ProtocolError("mead.client.bad_notice"));
             return;
         };
         if self.redirecting() {
@@ -292,7 +292,7 @@ impl Process for ClientInterceptor {
             (Event::ConnRefused { .. }, Some(app)) => {
                 // Redirect target is gone too: release the failure to the
                 // application.
-                self.st.refuse_redirect(sys, app);
+                self.st.refuse_redirect(app);
                 self.deliver(sys, Event::PeerClosed { conn: app });
             }
             (Event::DataReadable { conn }, Some(app)) => {
@@ -397,7 +397,6 @@ impl ClientState {
             return;
         };
         sys.charge_cpu(REDIRECT_CPU);
-        sys.count("mead.client.redirects_completed", 1);
         sys.emit(EventKind::Phase(Phase::ClientRedirect));
         link.redirect = Redirection::Finishing { resend };
         let old_real = std::mem::replace(&mut link.real, new_real);
@@ -409,8 +408,7 @@ impl ClientState {
 
     /// The replacement connection was refused: the link falls back to its
     /// old connection with the EOF staged (an orphaned link just goes).
-    fn refuse_redirect(&mut self, sys: &mut dyn SysApi, app: ConnId) {
-        sys.count("mead.client.redirect_refused", 1);
+    fn refuse_redirect(&mut self, app: ConnId) {
         let Some(link) = self.links.get_mut(&app) else {
             return;
         };
@@ -464,7 +462,6 @@ impl ClientState {
         if let Redirection::Asking { .. } = link.redirect {
             return;
         }
-        sys.count("mead.client.eof_suppressed", 1);
         sys.emit(EventKind::Phase(Phase::FaultDetected));
         // The stream is in limbo until the group answers: writes are held
         // (the closed-loop client may fire its next request meanwhile).
@@ -492,7 +489,7 @@ impl ClientState {
                         return; // late reply; timeout already fired
                     };
                     let Some(node) = crate::node_of(&host) else {
-                        sys.count("mead.client.bad_group_msg", 1);
+                        sys.emit(EventKind::ProtocolError("mead.client.bad_group_msg"));
                         return; // the query times out instead
                     };
                     sys.cancel_timer(timer);
@@ -514,7 +511,7 @@ impl ClientState {
                     | GroupMsg::RmState { .. },
                 ) => {}
                 Err(_) => {
-                    sys.count("mead.client.bad_group_msg", 1);
+                    sys.emit(EventKind::ProtocolError("mead.client.bad_group_msg"));
                 }
             }
         }
@@ -783,7 +780,6 @@ mod tests {
         interceptor.on_event(&mut sys, Event::ConnEstablished { conn: dial });
         assert!(sys.is_closed(dial), "the orphaned dial must be hung up");
         assert_eq!(sys.cpu_charged(), cpu, "no redirect is charged");
-        assert_eq!(sys.counter("mead.client.redirects_completed"), 0);
         let traced = |kind: &EventKind| matches!(kind, EventKind::Phase(Phase::ClientRedirect));
         assert!(
             !sys.emitted().iter().any(|(_, kind)| traced(kind)),

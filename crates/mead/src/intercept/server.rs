@@ -393,7 +393,7 @@ impl ServerState {
                     // Out of sync: stop interpreting this stream and let
                     // the ORB see (and close) it.
                     if error.is_some() {
-                        sys.count("mead.server.desync", 1);
+                        sys.emit(EventKind::ProtocolError("mead.server.desync"));
                     }
                     if let Some(stream) = self.stream_mut(conn) {
                         stream.stage_bytes(raw);
@@ -472,7 +472,6 @@ impl ServerState {
         if let Some(leak) = self.leak.as_mut() {
             if !leak.is_active() {
                 leak.activate();
-                sys.count("mead.leak_activated", 1);
                 sys.emit(EventKind::Phase(Phase::LeakDetected));
             }
         }
@@ -542,7 +541,6 @@ impl ServerState {
         };
         sys.charge_cpu(IOR_LOOKUP_CPU);
         let Some(ior) = self.dir.ior_of(&target, &key).cloned() else {
-            sys.count("mead.forward_no_ior", 1);
             return frame.bytes.clone();
         };
         sys.charge_cpu(FABRICATE_CPU);
@@ -564,7 +562,6 @@ impl ServerState {
             .as_ref()
             .and_then(|t| self.dir.addr_of(t).map(|(h, p)| (h.to_string(), p)));
         let Some((host, port)) = addr else {
-            sys.count("mead.piggyback_no_target", 1);
             return frame.bytes.clone();
         };
         sys.charge_cpu(FABRICATE_CPU);
@@ -726,7 +723,6 @@ impl ServerState {
     fn send_checkpoint(&mut self, sys: &mut dyn SysApi) {
         self.served_since_checkpoint = false;
         self.checkpoints_in_flight += 1;
-        sys.count("mead.checkpoints_sent", 1);
         let state = match self.state.as_ref() {
             Some(state) => {
                 // Every checkpoint multicast owns the batch of replies it
@@ -820,7 +816,6 @@ impl ServerState {
                     }
                     merged.append(&mut self.current_batch);
                     self.current_batch = merged;
-                    sys.count("mead.ack_recheckpoints", 1);
                     self.send_checkpoint(sys);
                 }
             }
@@ -848,7 +843,6 @@ impl ServerState {
                     let entries = self.dir.sync_entries();
                     if let Some(gcs) = self.gcs.as_mut() {
                         gcs.multicast(sys, SERVER_GROUP, &GroupMsg::SyncList { entries }.encode());
-                        sys.count("mead.synclists_sent", 1);
                     }
                 }
                 self.maybe_drain(sys);
@@ -868,7 +862,6 @@ impl ServerState {
                         if let Some(port) = self.listen_port {
                             sys.charge_cpu(ADDRESS_REPLY_CPU);
                             sys.charge_cpu(FABRICATE_CPU);
-                            sys.count("mead.address_replies", 1);
                             let host = crate::host_of(sys.my_node());
                             let member = self.member.as_str().to_string();
                             if let Some(gcs) = self.gcs.as_mut() {
@@ -888,7 +881,6 @@ impl ServerState {
                 }
                 Ok(GroupMsg::Checkpoint { member, state }) => {
                     if self.member != member.as_str() {
-                        sys.count("mead.checkpoints_received", 1);
                         sys.count("mead.checkpoint_bytes", state.len() as u64);
                         // Warm-passive backups apply the primary's state.
                         // An instance that has served requests is itself
@@ -923,13 +915,10 @@ impl ServerState {
                 Ok(GroupMsg::AddressReply { .. }) => {}  // client-side message
                 Ok(GroupMsg::RmState { .. }) => {}       // manager-to-manager
                 Err(_) => {
-                    sys.count("mead.bad_group_msg", 1);
+                    sys.emit(EventKind::ProtocolError("mead.bad_group_msg"));
                 }
             },
-            GcsDelivery::DaemonLost => {
-                sys.count("mead.gcs_lost", 1);
-            }
-            GcsDelivery::View { .. } => {}
+            GcsDelivery::DaemonLost | GcsDelivery::View { .. } => {}
         }
     }
 
@@ -976,10 +965,6 @@ impl ServerState {
                 if let Some(p) = self.pressure.as_mut() {
                     p.activate();
                     let kind = p.config().kind;
-                    match kind {
-                        PressureKind::Cpu { .. } => sys.count("mead.pressure_armed_cpu", 1),
-                        PressureKind::Fd { .. } => sys.count("mead.pressure_armed_fd", 1),
-                    }
                     sys.emit(EventKind::ResourcePressure {
                         resource: kind.resource(),
                         permille: 0,

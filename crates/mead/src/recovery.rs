@@ -197,7 +197,6 @@ impl RecoveryManager {
             // A failed spawn moves on to the next node;
             // `rm.fallback_placements` counts it when a later one lands.
             if let Ok(pid) = sys.spawn(node, &label, Box::new(move || proc_box)) {
-                sys.count("rm.launches", 1);
                 sys.emit(EventKind::Phase(Phase::ReplicaLaunch));
                 if attempt > 0 {
                     sys.count("rm.fallback_placements", 1);
@@ -208,7 +207,6 @@ impl RecoveryManager {
                 return;
             }
         }
-        sys.count("rm.launch_failed", 1);
     }
 
     fn slot_is_live(&self, slot: Slot) -> bool {
@@ -223,11 +221,8 @@ impl RecoveryManager {
             // Clear fulfilled or expired pendings.
             let entry = self.slots.entry(slot).or_default();
             if let Some((expected, since)) = entry.pending.clone() {
-                if self.last_view.iter().any(|m| expected == m.as_str()) {
-                    self.slots.entry(slot).or_default().pending = None;
-                    self.dirty = true;
-                } else if now.saturating_since(since) > self.pending_timeout {
-                    sys.count("rm.pending_expired", 1);
+                let fulfilled = self.last_view.iter().any(|m| expected == m.as_str());
+                if fulfilled || now.saturating_since(since) > self.pending_timeout {
                     self.slots.entry(slot).or_default().pending = None;
                     self.dirty = true;
                 }
@@ -376,11 +371,10 @@ impl Process for RecoveryManager {
                     Err(_) => {
                         // A corrupted frame is a fault to surface, not a
                         // message to silently drop (chaos satellite).
-                        sys.count("rm.bad_group_msg", 1);
+                        sys.emit(EventKind::ProtocolError("rm.bad_group_msg"));
                     }
                 },
                 GcsDelivery::DaemonLost => {
-                    sys.count("rm.gcs_lost", 1);
                     // A replicated instance cannot claim leadership on a
                     // stale view: demote until the re-attached daemon
                     // delivers a fresh manager-group view (otherwise two

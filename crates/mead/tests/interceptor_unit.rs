@@ -248,7 +248,7 @@ fn server_interceptor_stages_requests_and_passes_replies_through() {
         "request must pass through unmodified"
     );
     assert_eq!(
-        rig.sys.counter("mead.leak_activated"),
+        phases(&rig.sys, Phase::LeakDetected),
         1,
         "first request activates the leak"
     );
@@ -419,6 +419,12 @@ fn location_forward_server_replaces_reply_with_forward() {
         },
         other => panic!("expected reply, got {other:?}"),
     }
+}
+
+/// How many `phase` events the subject emitted.
+fn phases(sys: &MockSys, phase: Phase) -> usize {
+    let kind = EventKind::Phase(phase);
+    sys.emitted().iter().filter(|(_, k)| *k == kind).count()
 }
 
 /// The steps of the two-step thresholds the replica announced, in order.
@@ -798,8 +804,10 @@ fn server_interceptor_hands_a_desynchronised_stream_to_the_orb() {
         other => panic!("expected a reply, got {other:?}"),
     }
     // ...and the garbage reached the ORB, which tore the connection down.
-    assert_eq!(sys.counter("mead.server.desync"), 1);
-    assert_eq!(sys.counter("orb.server.protocol_error"), 1);
+    assert_eq!(
+        sys.protocol_errors(),
+        ["mead.server.desync", "orb.server.protocol_error"]
+    );
     assert!(sys.is_closed(conn), "the ORB must close the corrupt stream");
 }
 
@@ -833,7 +841,7 @@ fn server_interceptor_passes_everything_after_a_desync_through_raw() {
     expected.extend_from_slice(&request(8));
     assert_eq!(rig.app.borrow().read_bytes, expected);
     assert_eq!(rig.sys.cpu_charged(), cpu_after_desync);
-    assert_eq!(rig.sys.counter("mead.server.desync"), 1);
+    assert_eq!(rig.sys.protocol_errors(), ["mead.server.desync"]);
 }
 
 // ---------------------------------------------------------------------
@@ -938,7 +946,7 @@ fn client_interceptor_strips_notice_holds_reply_and_redirects() {
         &request(4)[..],
         "buffered write flushed to new conn"
     );
-    assert_eq!(rig.sys.counter("mead.client.redirects_completed"), 1);
+    assert_eq!(phases(&rig.sys, Phase::ClientRedirect), 1);
 }
 
 /// Whether the client interceptor multicast an `AddressQuery`.
@@ -970,7 +978,7 @@ fn needs_addressing_suppresses_eof_and_fabricates_resend_trigger() {
     rig.interceptor
         .on_event(&mut rig.sys, Event::PeerClosed { conn });
     assert_eq!(rig.app.borrow().log.len(), app_log_before, "EOF suppressed");
-    assert_eq!(rig.sys.counter("mead.client.eof_suppressed"), 1);
+    assert_eq!(phases(&rig.sys, Phase::FaultDetected), 1);
     // An AddressQuery went out over group communication.
     assert!(asked_for_an_address(&rig), "AddressQuery must be multicast");
     // The group answers; the interceptor redirects.
@@ -1083,8 +1091,10 @@ fn client_interceptor_hands_a_desynchronised_stream_to_the_orb() {
         "the reply ahead of the garbage must be delivered: {:?}",
         upshots.borrow()
     );
-    assert_eq!(sys.counter("mead.client.desync"), 1);
-    assert_eq!(sys.counter("orb.protocol_error"), 1);
+    assert_eq!(
+        sys.protocol_errors(),
+        ["mead.client.desync", "orb.protocol_error"]
+    );
 }
 
 /// Garbage on the application's own output stops the NEEDS_ADDRESSING
@@ -1162,7 +1172,7 @@ fn needs_addressing_leaves_the_naming_service_connection_alone() {
     let conn = rig.server_conn;
     rig.interceptor
         .on_event(&mut rig.sys, Event::PeerClosed { conn });
-    assert_eq!(rig.sys.counter("mead.client.eof_suppressed"), 0);
+    assert_eq!(phases(&rig.sys, Phase::FaultDetected), 0);
     assert!(!asked_for_an_address(&rig));
     let log = rig.app.borrow().log.clone();
     assert_eq!(

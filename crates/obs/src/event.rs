@@ -102,6 +102,11 @@ pub enum EventKind {
         /// Back-off delay before the attempt, in sim-nanoseconds.
         delay_ns: u64,
     },
+    /// A process rejected malformed or unexpected input (an unframeable
+    /// stream, an undecodable message, a message its role never accepts)
+    /// and kept serving. `what` names the rejecting site, dotted like a
+    /// counter: `"gcs.protocol_error"`, `"rm.bad_group_msg"`.
+    ProtocolError(&'static str),
 }
 
 impl EventKind {
@@ -122,8 +127,16 @@ impl EventKind {
             EventKind::Exit { .. } => "exit",
             EventKind::Dispatch { .. } => "dispatch",
             EventKind::Retry { .. } => "retry",
+            EventKind::ProtocolError(_) => "protocol_error",
         }
     }
+}
+
+/// How many `phase` events `trace` holds: an occurrence is counted from
+/// the trace, not kept in a counter of its own.
+pub fn count_phase(trace: &[TraceEvent], phase: Phase) -> u64 {
+    let kind = EventKind::Phase(phase);
+    trace.iter().filter(|ev| ev.kind == kind).count() as u64
 }
 
 /// One recorded event: where and when (in simulated time) plus what.

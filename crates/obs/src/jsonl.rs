@@ -80,6 +80,10 @@ pub fn push_event_line(out: &mut String, ev: &TraceEvent) {
         EventKind::Retry { attempt, delay_ns } => {
             let _ = write!(out, ",\"attempt\":{attempt},\"delay\":{delay_ns}");
         }
+        EventKind::ProtocolError(what) => {
+            out.push_str(",\"what\":");
+            push_json_str(out, what);
+        }
     }
     out.push_str("}\n");
 }
@@ -113,10 +117,16 @@ mod tests {
             pid: 7,
             kind: EventKind::Phase(Phase::ThresholdCrossed { step: 2 }),
         };
-        let line = to_jsonl(&[ev]);
+        let rejected = TraceEvent {
+            seq: 4,
+            kind: EventKind::ProtocolError("gcs.protocol_error"),
+            ..ev.clone()
+        };
+        let lines = to_jsonl(&[ev, rejected]);
         assert_eq!(
-            line,
-            "{\"seq\":3,\"at\":1500000,\"node\":2,\"pid\":7,\"ev\":\"threshold_crossed\",\"step\":2}\n"
+            lines,
+            "{\"seq\":3,\"at\":1500000,\"node\":2,\"pid\":7,\"ev\":\"threshold_crossed\",\"step\":2}\n\
+             {\"seq\":4,\"at\":1500000,\"node\":2,\"pid\":7,\"ev\":\"protocol_error\",\"what\":\"gcs.protocol_error\"}\n"
         );
     }
 }

@@ -8,8 +8,9 @@
 //! * [`span`] — typed recovery phases ([`Phase`]), the vocabulary shared
 //!   by the simnet kernel, both MEAD interceptors, the Recovery Manager
 //!   and the ORB retry path;
-//! * [`Recorder`] — the levelled, ordered log of [`TraceEvent`]s (the
-//!   counters of a run live in `simnet::Metrics`);
+//! * [`Recorder`] — the levelled, ordered log of [`TraceEvent`]s, and
+//!   [`count_phase`], the fold that counts an occurrence in it (the few
+//!   counters a report reads live in `simnet::Metrics`);
 //! * [`Histogram`] — an HDR-style fixed-bucket histogram;
 //! * [`jsonl`] — a hand-rolled (dependency-free) JSON-lines sink;
 //! * [`breakdown`] — reconstruction of the paper's per-scheme fail-over
@@ -30,7 +31,7 @@ mod record;
 pub mod span;
 
 pub use breakdown::{episodes, stage_table, Episode, StageStats, STAGE_NAMES};
-pub use event::{EventKind, TraceEvent};
+pub use event::{count_phase, EventKind, TraceEvent};
 pub use hist::Histogram;
 pub use record::{Recorder, TraceLevel};
 pub use span::Phase;

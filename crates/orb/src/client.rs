@@ -367,7 +367,7 @@ impl ClientOrb {
                         Some(Err(_)) => {
                             // Nothing after this point can be framed:
                             // tear the connection down, as for an EOF.
-                            sys.count("orb.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("orb.protocol_error"));
                             self.fail_conn(sys, *conn, &mut out);
                             break;
                         }
@@ -376,7 +376,7 @@ impl ClientOrb {
                         // A MEAD control frame leaked through (no
                         // interceptor present): ignore, as an unmodified
                         // ORB would reject unknown magics.
-                        sys.count("orb.alien_frame", 1);
+                        sys.emit(EventKind::ProtocolError("orb.alien_frame"));
                         continue;
                     }
                     match MessageView::parse(&frame.bytes) {
@@ -386,10 +386,10 @@ impl ClientOrb {
                             self.fail_conn(sys, *conn, &mut out);
                         }
                         Ok(_) => {
-                            sys.count("orb.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("orb.protocol_error"));
                         }
                         Err(_) => {
-                            sys.count("orb.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("orb.protocol_error"));
                         }
                     }
                 }
@@ -451,8 +451,7 @@ impl ClientOrb {
     ) {
         let rid = rep.request_id;
         if self.pending_index(rid).is_none() {
-            sys.count("orb.orphan_reply", 1);
-            return;
+            return; // an orphan: its request already failed or completed
         }
         match rep.body {
             ReplyBodyView::NoException(payload) => {

@@ -166,7 +166,6 @@ impl Servant for NamingServant {
             "unbind" => {
                 sys.charge_cpu(BIND_CPU);
                 let name = r.read_str().map_err(malformed)?;
-                sys.count("naming.unbind", 1);
                 self.bindings.remove(name);
                 Ok(Vec::new())
             }
@@ -194,7 +193,6 @@ impl Servant for NamingServant {
                     .filter(|(n, _)| n.starts_with(prefix))
                     .collect();
                 sys.charge_cpu(RESOLVE_CPU + ENTRY_CPU * (matches.len().saturating_sub(1)) as u64);
-                sys.count("naming.list", 1);
                 let mut w = CdrWriter::new(Endian::Big);
                 w.write_u32(matches.len() as u32);
                 for (name, bytes) in matches {

@@ -186,7 +186,6 @@ impl Servant for CounterServant {
                 let (op_id, delta) = decode_increment_once(body).map_err(marshal)?;
                 let last_op = self.state.last_op();
                 if op_id <= last_op {
-                    sys.count("counter.duplicates", 1);
                     self.state.value()
                 } else {
                     if op_id != last_op + 1 {
@@ -195,7 +194,6 @@ impl Servant for CounterServant {
                         // pin the failure to the replica, not the sums.
                         sys.count("counter.op_gap", 1);
                     }
-                    sys.count("counter.increments", 1);
                     self.state.apply(op_id, delta)
                 }
             }

@@ -15,6 +15,7 @@ use giop::{
     Endian, FrameKind, FrameSplitter, Message, MessageView, ObjectKey, ReplyBody, ReplyMessage,
     RequestView,
 };
+use obs::EventKind;
 use simnet::{ConnId, Event, ListenerId, Port, SimDuration, SysApi};
 
 use crate::exceptions::{Completed, SystemException};
@@ -148,14 +149,14 @@ impl ServerOrb {
                         Some(Ok(Some(f))) => f,
                         Some(Ok(None)) | None => break,
                         Some(Err(_)) => {
-                            sys.count("orb.server.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("orb.server.protocol_error"));
                             sys.close(*conn);
                             self.conns.remove(conn);
                             break;
                         }
                     };
                     if frame.kind != FrameKind::Giop {
-                        sys.count("orb.server.alien_frame", 1);
+                        sys.emit(EventKind::ProtocolError("orb.server.alien_frame"));
                         continue;
                     }
                     match MessageView::parse(&frame.bytes) {
@@ -169,10 +170,10 @@ impl ServerOrb {
                             break;
                         }
                         Ok(_) => {
-                            sys.count("orb.server.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("orb.server.protocol_error"));
                         }
                         Err(_) => {
-                            sys.count("orb.server.protocol_error", 1);
+                            sys.emit(EventKind::ProtocolError("orb.server.protocol_error"));
                         }
                     }
                 }

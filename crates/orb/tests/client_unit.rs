@@ -191,7 +191,7 @@ fn corrupt_stream_fails_pending_and_closes_the_connection() {
         }
         other => panic!("expected one COMM_FAILURE, got {other:?}"),
     }
-    assert_eq!(sys.counter("orb.protocol_error"), 1);
+    assert_eq!(sys.protocol_errors(), ["orb.protocol_error"]);
     assert!(sys.is_closed(conn), "desynchronised stream must be closed");
     assert_eq!(orb.pending_count(), 0);
 }

@@ -215,5 +215,5 @@ fn corrupt_stream_tears_down_the_connection() {
     orb.handle_event(&mut sys, &Event::DataReadable { conn })
         .expect("orb event");
     assert!(sys.is_closed(conn), "desynchronised stream must be closed");
-    assert_eq!(sys.counter("orb.server.protocol_error"), 1);
+    assert_eq!(sys.protocol_errors(), ["orb.server.protocol_error"]);
 }

@@ -2,15 +2,19 @@
 //!
 //! The experiments need two kinds of measurement:
 //!
-//! * named counters (exception counts, restarts, messages), and
+//! * named counters — each one kept because a report, an invariant, a
+//!   test or the ledger reads it (exception counts, restarts, messages),
+//!   and
 //! * tagged byte accounting over time (Figure 5's group-communication
 //!   bandwidth).
 //!
 //! Both live in [`Metrics`], which the kernel owns and a driver reads
 //! through [`Simulation::metrics`](crate::Simulation::metrics) or takes
 //! when the run is over. Occurrences — when something happened — are
-//! not measurements but trace events (`obs`). [`Fnv`] is the fold that
-//! turns a run's observables into a digest.
+//! not measurements but trace events (`obs`), and so is malformed input
+//! (`obs::EventKind::ProtocolError`); the kernel writes no counter of its
+//! own. [`Fnv`] is the fold that turns a run's observables into a
+//! digest.
 
 use std::collections::BTreeMap;
 

@@ -195,6 +195,9 @@ pub trait SysApi {
     fn tag_conn(&mut self, conn: ConnId, tag: &'static str);
 
     /// Increments a named metric counter in [`Metrics`](crate::Metrics).
+    /// Keep a counter only for a reader (a report, an invariant, a test
+    /// or the ledger): an occurrence is an [`emit`](Self::emit)ted trace
+    /// event, and malformed input an `obs::EventKind::ProtocolError`.
     fn count(&mut self, counter: &'static str, delta: u64);
 
     /// Emits a typed observability event into the run's trace

@@ -558,7 +558,6 @@ impl Simulation {
     pub fn partition(&mut self, a: NodeId, b: NodeId) {
         if a != b {
             self.partitions.insert(Self::link_key(a, b));
-            self.metrics.count("sim.partitions", 1);
             let (lo, hi) = Self::link_key(a, b);
             self.emit(NodeId(lo), obs::EventKind::Partition { a: lo, b: hi });
         }
@@ -597,7 +596,6 @@ impl Simulation {
     /// for. Loopback traffic cannot be cut.
     pub fn partition_oneway(&mut self, from: NodeId, to: NodeId) {
         if from != to && self.oneway_cuts.insert((from.0, to.0)) {
-            self.metrics.count("sim.partitions_oneway", 1);
             self.emit(
                 from,
                 obs::EventKind::PartitionOneway {
@@ -652,7 +650,6 @@ impl Simulation {
             self.link_jitter.insert(key, bound) != Some(bound)
         };
         if changed {
-            self.metrics.count("sim.link_jitter_set", 1);
             self.emit(
                 NodeId(key.0),
                 obs::EventKind::LinkJitter {
@@ -763,7 +760,6 @@ impl Simulation {
             live,
         });
         self.push(start_at, Action::StartProcess(pid));
-        self.metrics.count("sim.spawned", 1);
         self.recorder.emit(
             self.now.as_nanos(),
             node.0,
@@ -1616,11 +1612,6 @@ impl Simulation {
         for c in conns {
             self.close_endpoint(c);
         }
-        let exit = match &reason {
-            ExitReason::Graceful => "sim.exit.graceful",
-            ExitReason::Crash(_) => "sim.exit.crash",
-        };
-        self.metrics.count(exit, 1);
         self.recorder.emit(
             self.now.as_nanos(),
             node.0,

@@ -190,6 +190,16 @@ impl MockSys {
     pub fn emitted(&self) -> &[(SimTime, obs::EventKind)] {
         &self.emitted
     }
+
+    /// The `what` of every `ProtocolError` the subject emitted, in order:
+    /// the malformed or unexpected input it rejected.
+    pub fn protocol_errors(&self) -> Vec<&'static str> {
+        let what = |(_, kind): &(SimTime, obs::EventKind)| match kind {
+            obs::EventKind::ProtocolError(what) => Some(*what),
+            _ => None,
+        };
+        self.emitted.iter().filter_map(what).collect()
+    }
 }
 
 impl SysApi for MockSys {

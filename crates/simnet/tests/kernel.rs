@@ -221,7 +221,12 @@ fn server_crash_delivers_eof_to_client() {
         log.iter().any(|l| l.starts_with("client:eof")),
         "client must observe EOF, saw {log:?}"
     );
-    assert_eq!(sim.metrics().counter("sim.exit.crash"), 1);
+    let crashes = sim
+        .trace()
+        .iter()
+        .filter(|ev| ev.kind == obs::EventKind::Exit { crashed: true })
+        .count();
+    assert_eq!(crashes, 1);
 }
 
 #[test]
@@ -425,7 +430,12 @@ fn spawn_from_process_launches_after_latency() {
     let pid = child.borrow().expect("child spawned");
     assert!(sim.process_alive(pid));
     assert_eq!(sim.process_label(pid), "child");
-    assert_eq!(sim.metrics().counter("sim.spawned"), 2);
+    let spawns = sim
+        .trace()
+        .iter()
+        .filter(|ev| matches!(ev.kind, obs::EventKind::Spawn { .. }))
+        .count();
+    assert_eq!(spawns, 2);
 }
 
 #[test]

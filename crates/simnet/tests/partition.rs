@@ -140,7 +140,10 @@ fn heal_after_peer_death_delivers_eof_not_hang() {
     sim.run_until(SimTime::from_millis(200));
     // The ticker's endpoint has observed EOF: a write now fails with a
     // typed error rather than silently vanishing.
-    assert!(sim.metrics().counter("sim.exit.crash") >= 1);
+    assert!(sim
+        .trace()
+        .iter()
+        .any(|ev| ev.kind == obs::EventKind::Exit { crashed: true }));
 }
 
 #[test]

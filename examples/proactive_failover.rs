@@ -10,6 +10,7 @@
 
 use mead_repro::experiments::{failover_episodes_ms, run_scenario, ScenarioConfig, Summary};
 use mead_repro::mead::RecoveryScheme;
+use mead_repro::obs::{self, Phase};
 
 fn main() {
     let cfg = ScenarioConfig {
@@ -43,7 +44,7 @@ fn main() {
     );
     println!(
         "connection redirects   : {} (dup2-style, invisible to the ORB)",
-        out.metrics.counter("mead.client.redirects_completed")
+        obs::count_phase(&out.trace, Phase::ClientRedirect)
     );
     println!(
         "fail-over episodes     : {} (mean {:.2} ms)",
@@ -52,7 +53,7 @@ fn main() {
     );
     println!(
         "replicas launched      : {} (initial 3 + proactive replacements)",
-        out.metrics.counter("rm.launches")
+        obs::count_phase(&out.trace, Phase::ReplicaLaunch)
     );
 
     assert_eq!(

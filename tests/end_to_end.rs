@@ -6,7 +6,7 @@ use mead_repro::experiments::{
     failover_episodes_ms, run_scenario, steady_state_rtt_ms, ScenarioConfig,
 };
 use mead_repro::mead::RecoveryScheme;
-use mead_repro::obs::EventKind;
+use mead_repro::obs::{self, EventKind, Phase};
 use mead_repro::simnet::SimTime;
 
 fn quick(scheme: RecoveryScheme, invocations: u32) -> ScenarioConfig {
@@ -155,7 +155,7 @@ fn mead_failover_is_several_times_faster_than_reactive() {
 #[test]
 fn replication_degree_is_maintained_across_failures() {
     let out = run_scenario(&quick(RecoveryScheme::MeadFailover, 1500));
-    let launches = out.metrics.counter("rm.launches");
+    let launches = obs::count_phase(&out.trace, Phase::ReplicaLaunch);
     let failures = out.server_failures();
     // Initial 3 + one replacement per failure, within slack for in-flight
     // launches at the end of the run.
@@ -218,7 +218,7 @@ fn needs_addressing_masks_most_but_not_all_failures() {
     );
     // The masking machinery must actually have run.
     assert!(
-        out.metrics.counter("mead.client.eof_suppressed") > 0,
+        obs::count_phase(&out.trace, Phase::FaultDetected) > 0,
         "EOFs must be suppressed"
     );
 }

@@ -5,6 +5,7 @@ use mead_repro::experiments::{run_scenario, steady_state_rtt_ms, ScenarioConfig}
 use mead_repro::mead::{
     replica_member_name, slot_of_member, MemberName, RecoveryScheme, ReplicaDirectory, Slot,
 };
+use mead_repro::obs::{self, Phase};
 
 #[test]
 fn location_forward_uses_giop_forwards_not_exceptions() {
@@ -36,14 +37,14 @@ fn mead_scheme_uses_piggybacks_not_forwards() {
     // The client interceptor must have completed dup2-style redirects.
     assert_eq!(
         out.metrics.counter("mead.client.redirects_started"),
-        out.metrics.counter("mead.client.redirects_completed"),
+        obs::count_phase(&out.trace, Phase::ClientRedirect),
         "every started redirect must complete"
     );
     // The client ORB never opens extra connections for fail-over: only
     // naming + the first replica connection. (The global counter also
     // includes one naming connection per launched replica instance.)
-    let client_opens =
-        out.metrics.counter("orb.connections_opened") - out.metrics.counter("rm.launches");
+    let client_opens = out.metrics.counter("orb.connections_opened")
+        - obs::count_phase(&out.trace, Phase::ReplicaLaunch);
     assert_eq!(
         client_opens, 2,
         "interceptor-level redirects must bypass the ORB's connection machinery"
@@ -61,7 +62,7 @@ fn needs_addressing_fabricates_replies_for_in_flight_requests() {
         RecoveryScheme::NeedsAddressing,
         2500,
     ));
-    let suppressed = out.metrics.counter("mead.client.eof_suppressed");
+    let suppressed = obs::count_phase(&out.trace, Phase::FaultDetected);
     assert!(suppressed > 0);
     // Some of the suppressed EOFs had a request in flight; those must
     // produce a fabricated NEEDS_ADDRESSING_MODE reply and an ORB resend.

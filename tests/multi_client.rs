@@ -4,6 +4,7 @@
 
 use mead_repro::experiments::{run_scenario, ScenarioConfig};
 use mead_repro::mead::RecoveryScheme;
+use mead_repro::obs::{self, Phase};
 
 #[test]
 fn mead_masks_failures_for_all_three_clients() {
@@ -21,7 +22,7 @@ fn mead_masks_failures_for_all_three_clients() {
         );
     }
     // With three clients on the primary, a migration redirects all three.
-    assert!(out.metrics.counter("mead.client.redirects_completed") >= 3);
+    assert!(obs::count_phase(&out.trace, Phase::ClientRedirect) >= 3);
 }
 
 #[test]

@@ -7,6 +7,7 @@
 
 use mead_repro::experiments::{run_scenario, ScenarioConfig};
 use mead_repro::mead::RecoveryScheme;
+use mead_repro::obs::{self, Phase};
 use mead_repro::simnet::SimTime;
 
 #[test]
@@ -53,7 +54,7 @@ fn node_crash_under_reactive_scheme_costs_one_comm_failure() {
         "the abrupt node crash must surface"
     );
     // Replication degree restored on surviving nodes.
-    assert!(out.metrics.counter("rm.launches") >= 4);
+    assert!(obs::count_phase(&out.trace, Phase::ReplicaLaunch) >= 4);
 }
 
 #[test]
