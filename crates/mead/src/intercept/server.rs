@@ -885,11 +885,16 @@ impl ServerState {
                         // Warm-passive backups apply the primary's state.
                         // An instance that has served requests is itself
                         // the acting primary and ignores foreign
-                        // checkpoints (single-writer discipline).
+                        // checkpoints (single-writer discipline). A
+                        // payload that is not a snapshot restores nothing.
                         if !self.ever_served {
                             if let Some(own) = self.state.as_ref() {
-                                own.restore(&state);
-                                sys.count("mead.state_restored", 1);
+                                match own.restore(&state) {
+                                    Ok(()) => sys.count("mead.state_restored", 1),
+                                    Err(_) => {
+                                        sys.emit(EventKind::ProtocolError("mead.bad_checkpoint"))
+                                    }
+                                }
                             }
                         }
                     } else {

@@ -668,6 +668,44 @@ fn a_never_served_backup_with_state_refuses_with_transient() {
     }
 }
 
+/// A warm backup restores the primary's 16-byte snapshot and nothing
+/// else: a 15- or 17-byte checkpoint leaves its state as it was, is not
+/// counted as a restore, and is one `ProtocolError` event each.
+#[test]
+fn a_warm_backup_rejects_a_malformed_checkpoint() {
+    let state = CounterState::new();
+    let mut rig = server_rig_with(
+        MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
+        Some(state.clone()),
+    );
+    let me = member_of(&rig);
+    bring_group_online(&mut rig, &me, "replica/1/55");
+    let primary = CounterState::new();
+    primary.apply(4, 9);
+    for payload in [primary.snapshot(), vec![7; 15], vec![7; 17]] {
+        feed_gcs(
+            &mut rig.interceptor,
+            &mut rig.sys,
+            rig.gcs_conn,
+            &GcsWire::Deliver {
+                group: "servers".into(),
+                sender: "replica/1/55".into(),
+                payload: GroupMsg::Checkpoint {
+                    member: "replica/1/55".into(),
+                    state: payload,
+                }
+                .encode(),
+            },
+        );
+    }
+    assert_eq!((state.value(), state.last_op()), (9, 4), "warm, unchanged");
+    assert_eq!(rig.sys.counter("mead.state_restored"), 1);
+    assert_eq!(
+        rig.sys.protocol_errors(),
+        ["mead.bad_checkpoint", "mead.bad_checkpoint"]
+    );
+}
+
 /// A LOCATION_FORWARD replica advertises the IOR of each object it binds
 /// once. Its re-binds of the same objects (every 150 ms in the chaos
 /// topology) are no news to the group.

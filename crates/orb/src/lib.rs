@@ -43,7 +43,7 @@ pub use naming::{
 pub use retry::RetryState;
 pub use servants::{
     decode_counter_reply, decode_increment_once, decode_time_reply, encode_counter_reply,
-    encode_increment_once, CounterServant, CounterState, TimeOfDayServant, COUNTER_TYPE_ID,
-    TIME_TYPE_ID,
+    encode_increment_once, BadSnapshot, CounterServant, CounterState, TimeOfDayServant,
+    COUNTER_TYPE_ID, TIME_TYPE_ID,
 };
 pub use server::{Servant, ServerOrb};

@@ -131,11 +131,15 @@ impl CounterState {
         out
     }
 
-    /// Restores a [`CounterState::snapshot`]; ignores any payload of
-    /// another length (the state keeps its previous contents).
-    pub fn restore(&self, bytes: &[u8]) {
+    /// Restores a [`CounterState::snapshot`].
+    ///
+    /// # Errors
+    ///
+    /// [`BadSnapshot`] for a payload of any other length; the state keeps
+    /// its previous contents.
+    pub fn restore(&self, bytes: &[u8]) -> Result<(), BadSnapshot> {
         if bytes.len() != 16 {
-            return;
+            return Err(BadSnapshot { len: bytes.len() });
         }
         let word = |at: usize| {
             let mut w = [0u8; 8];
@@ -144,8 +148,24 @@ impl CounterState {
         };
         self.value.set(word(0));
         self.last_op.set(word(8));
+        Ok(())
     }
 }
+
+/// A checkpoint payload that is not a 16-byte [`CounterState::snapshot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BadSnapshot {
+    /// The payload's length in bytes.
+    pub len: usize,
+}
+
+impl std::fmt::Display for BadSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "a counter snapshot is 16 bytes, got {}", self.len)
+    }
+}
+
+impl std::error::Error for BadSnapshot {}
 
 /// The replicated counter. `increment_once` has at-most-once semantics:
 /// it carries a client-assigned operation id, and a retransmitted id is
@@ -276,14 +296,14 @@ mod tests {
 
         // A backup restored from the snapshot also dedupes op 2.
         let backup = CounterState::new();
-        backup.restore(&state.snapshot());
+        backup.restore(&state.snapshot()).unwrap();
         let mut warm = CounterServant::new(backup.clone());
         assert_eq!(call(&mut warm, &mut sys, 2, 1), 2);
         assert_eq!(call(&mut warm, &mut sys, 3, 1), 3);
         assert_eq!(backup.value(), 3);
 
         // Malformed snapshot leaves the state untouched.
-        backup.restore(&[1, 2, 3]);
+        assert_eq!(backup.restore(&[1, 2, 3]), Err(BadSnapshot { len: 3 }));
         assert_eq!(backup.value(), 3);
     }
 
@@ -307,12 +327,15 @@ mod tests {
         let state = CounterState::new();
         state.apply(7, 3);
         // An 8-byte value alone is not a checkpoint: nothing moves.
-        state.restore(&9u64.to_be_bytes());
+        assert_eq!(
+            state.restore(&9u64.to_be_bytes()),
+            Err(BadSnapshot { len: 8 })
+        );
         assert_eq!((state.value(), state.last_op()), (3, 7));
-        state.restore(&[0; 17]);
+        assert!(state.restore(&[0; 17]).is_err());
         assert_eq!((state.value(), state.last_op()), (3, 7));
         let backup = CounterState::new();
-        backup.restore(&state.snapshot());
+        backup.restore(&state.snapshot()).unwrap();
         assert_eq!((backup.value(), backup.last_op()), (3, 7));
     }
 
