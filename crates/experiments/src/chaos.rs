@@ -51,12 +51,13 @@ use orb::{
     CounterServant, CounterState, Servant, SystemException, COUNTER_TYPE_ID,
 };
 use simnet::{
-    DecisionTrace, Event, ExitReason, FifoScheduler, Fnv, ForkError, GateCfg, LossModel, Metrics,
+    DecisionTrace, Event, ExitReason, FifoScheduler, ForkError, GateCfg, LossModel, Metrics,
     NodeId, NoiseModel, Process, ProcessId, ReplayScheduler, Scheduler, SimConfig, SimDuration,
     SimTime, Simulation, SysApi,
 };
 
 use crate::counter::{counter_key, Job, SlotClient, WATCHDOG};
+use crate::pins::Components;
 use crate::testbed::{Harvest, Testbed, TestbedSpec};
 
 /// One chaos scenario's parameters.
@@ -207,36 +208,46 @@ pub struct ChaosOutcome {
 }
 
 impl ChaosOutcome {
-    /// FNV-1a digest over every deterministic observable — what the
-    /// sweep folds and compares across thread counts.
+    /// The run's named parts ([`crate::pins`]): the plan seed with what
+    /// the client saw (`values`), the final views, the violations, each
+    /// counter, each byte series, the trace by event kind, the end instant
+    /// and the event count.
+    pub fn components(&self) -> Components {
+        let mut parts = Components::builder();
+        parts.words("values", self.values.len() as u64, |w| {
+            w.put(self.seed);
+            for &v in &self.values {
+                w.put(v);
+            }
+            w.put(self.completed as u64);
+            w.put(self.gave_up as u64);
+            w.put(self.crowd_acked);
+            w.put(self.worst_goodput_gap.as_nanos());
+        });
+        // The final view, an empty line, then the live replicas.
+        let view = self.final_view.iter().map(String::as_str);
+        let live = self.live_replicas.iter().map(String::as_str);
+        parts.lines(
+            "views",
+            self.final_view.len() as u64,
+            view.chain([""]).chain(live),
+        );
+        parts.lines(
+            "violations",
+            self.violations.len() as u64,
+            self.violations.iter().map(String::as_str),
+        );
+        parts.metrics(&self.metrics);
+        parts.trace(&self.trace);
+        parts.value("finished_at", self.finished_at.as_nanos());
+        parts.value("events_processed", self.events_processed);
+        parts.finish()
+    }
+
+    /// The fold of [`components`](Self::components): what the sweep folds
+    /// and compares across thread counts.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.seed);
-        h.u64(self.values.len() as u64);
-        for &v in &self.values {
-            h.u64(v);
-        }
-        h.u64(self.completed as u64);
-        h.u64(self.gave_up as u64);
-        h.u64(self.crowd_acked);
-        h.u64(self.worst_goodput_gap.as_nanos());
-        for m in &self.final_view {
-            h.bytes(m.as_bytes());
-        }
-        for l in &self.live_replicas {
-            h.bytes(l.as_bytes());
-        }
-        for v in &self.violations {
-            h.bytes(v.as_bytes());
-        }
-        for (name, value) in self.metrics.counters() {
-            h.bytes(name.as_bytes());
-            h.u64(value);
-        }
-        h.u64(self.finished_at.as_nanos());
-        h.u64(self.events_processed);
-        h.bytes(obs::jsonl::to_jsonl(&self.trace).as_bytes());
-        h.finish()
+        self.components().digest()
     }
 }
 

@@ -33,12 +33,12 @@
 use std::time::Duration;
 
 use mead::RecoveryScheme;
-use simnet::Fnv;
 
 use crate::cli::{
     check_thread_independence, nonzero, positional_or, run_command, take_flag, take_switch,
     take_threads, CliError,
 };
+use crate::pins::Components;
 use crate::runner::run_batch_with;
 use crate::scenario::{run_scenario, ScenarioConfig};
 
@@ -70,6 +70,16 @@ impl FleetConfig {
             invocations: 5,
         }
     }
+
+    /// The short fixed shape of `fleet --smoke`: 2 groups of 32 clients,
+    /// 3 invocations each.
+    pub fn smoke(scheme: RecoveryScheme) -> Self {
+        FleetConfig {
+            groups: 2,
+            invocations: 3,
+            ..FleetConfig::new(scheme, 32)
+        }
+    }
 }
 
 /// SplitMix64 step — the standard 64-bit seed expander. Group seeds must
@@ -94,9 +104,9 @@ pub fn group_configs(cfg: &FleetConfig) -> Vec<ScenarioConfig> {
 }
 
 /// What a fleet keeps of one group once its simulation has ended.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct GroupRollup {
-    digest: u64,
+    components: Components,
     events: u64,
     completed_invocations: u64,
     client_failures: u64,
@@ -111,7 +121,7 @@ impl GroupRollup {
     fn run(cfg: &ScenarioConfig) -> GroupRollup {
         let out = run_scenario(cfg);
         let mut rollup = GroupRollup {
-            digest: out.digest(),
+            components: out.components(),
             events: out.events_processed,
             completed_invocations: 0,
             client_failures: 0,
@@ -131,7 +141,10 @@ impl GroupRollup {
 /// Everything a fleet run produced, aggregated over its groups.
 #[derive(Clone, Debug)]
 pub struct FleetOutcome {
-    /// Per-group outcome digests, in group order.
+    /// Per-group outcome components, in group order.
+    pub groups: Vec<Components>,
+    /// Per-group outcome digests (each the fold of its `groups` entry),
+    /// in group order.
     pub group_digests: Vec<u64>,
     /// Kernel events dispatched, summed over groups.
     pub total_events: u64,
@@ -149,22 +162,24 @@ pub struct FleetOutcome {
 }
 
 impl FleetOutcome {
-    /// FNV-1a fold of the per-group digests plus the deterministic
-    /// aggregates — the fleet counterpart of
+    /// The fleet's parts: each of its groups' parts, folded across the
+    /// groups ([`Components::batch`]).
+    pub fn components(&self) -> Components {
+        Components::batch(
+            "groups",
+            self.groups
+                .iter()
+                .enumerate()
+                .map(|(g, c)| ((g as u64).to_le_bytes(), c)),
+        )
+    }
+
+    /// The fold of [`components`](Self::components) — the fleet
+    /// counterpart of
     /// [`ScenarioOutcome::digest`](crate::ScenarioOutcome::digest).
     /// Bit-identical across thread counts.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.group_digests.len() as u64);
-        for &d in &self.group_digests {
-            h.u64(d);
-        }
-        h.u64(self.total_events);
-        h.u64(self.completed_invocations);
-        h.u64(self.client_failures);
-        h.u64(self.server_failures);
-        h.u64(u64::from(self.groups_completed));
-        h.finish()
+        self.components().digest()
     }
 
     /// Events dispatched per wall-clock second of kernel time (0.0 when
@@ -178,9 +193,10 @@ impl FleetOutcome {
         }
     }
 
-    fn from_groups(groups: &[GroupRollup]) -> FleetOutcome {
+    fn from_groups(groups: Vec<GroupRollup>) -> FleetOutcome {
         let mut fleet = FleetOutcome {
-            group_digests: groups.iter().map(|g| g.digest).collect(),
+            groups: Vec::with_capacity(groups.len()),
+            group_digests: Vec::with_capacity(groups.len()),
             total_events: 0,
             completed_invocations: 0,
             client_failures: 0,
@@ -189,6 +205,8 @@ impl FleetOutcome {
             wall: Duration::ZERO,
         };
         for group in groups {
+            fleet.group_digests.push(group.components.digest());
+            fleet.groups.push(group.components);
             fleet.total_events += group.events;
             fleet.wall += group.wall;
             fleet.server_failures += group.server_failures;
@@ -208,7 +226,7 @@ impl FleetOutcome {
 pub fn run_fleet(cfg: &FleetConfig, threads: usize) -> FleetOutcome {
     let configs = group_configs(cfg);
     let groups = run_batch_with(&configs, threads, GroupRollup::run);
-    FleetOutcome::from_groups(&groups)
+    FleetOutcome::from_groups(groups)
 }
 
 /// `mead-repro fleet [--threads N] [--smoke] [--scheme KEY] [clients]`:
@@ -229,12 +247,7 @@ pub fn cli_main(args: &[String]) -> i32 {
         };
         let clients = nonzero("clients", positional_or(&args, 1000)?)?;
         let cfg = if smoke {
-            FleetConfig {
-                groups: 2,
-                clients: 32,
-                invocations: 3,
-                ..FleetConfig::new(scheme, 32)
-            }
+            FleetConfig::smoke(scheme)
         } else {
             FleetConfig::new(scheme, clients)
         };

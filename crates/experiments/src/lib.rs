@@ -27,6 +27,7 @@ pub mod figures;
 pub mod fleet;
 pub mod jitter;
 pub mod paper;
+pub mod pins;
 pub mod report;
 pub mod runner;
 pub mod scenario;

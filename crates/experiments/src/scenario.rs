@@ -10,8 +10,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mead::{ClientInterceptor, MeadConfig, RecoveryScheme, ReplicaApp, ServerInterceptor};
-use simnet::{FifoScheduler, Fnv, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
+use simnet::{FifoScheduler, LossModel, Metrics, NoiseModel, SimConfig, SimDuration, SimTime};
 
+use crate::pins::Components;
 use crate::testbed::{Harvest, Testbed, TestbedSpec};
 use crate::workload::{
     ClientPolicy, ClientWorkload, ReportHandle, WorkloadConfig, WorkloadReport, REPLICAS,
@@ -195,48 +196,46 @@ impl ScenarioOutcome {
         obs::episodes(&self.trace)
     }
 
-    /// A 64-bit FNV-1a digest over every deterministic observable of the
-    /// outcome: all per-invocation records of every client, all metric
-    /// counters and byte-record series, the observability trace, the
-    /// simulated timestamps and the event count. Two runs of the same [`ScenarioConfig`] are
-    /// *bit-identical* exactly when their digests match — this is what the
-    /// determinism regression test compares across thread counts.
-    /// Wall-clock accounting is deliberately excluded.
+    /// The run's named parts ([`crate::pins`]): every client's records,
+    /// each counter, each byte series, the trace by event kind, the
+    /// workload's start and end instants and the event count. Wall-clock
+    /// accounting is not a part.
+    pub fn components(&self) -> Components {
+        let mut parts = Components::builder();
+        let records = self.all_reports.iter().map(|r| r.records.len() as u64);
+        parts.words("records", records.sum(), |w| {
+            w.put(self.all_reports.len() as u64);
+            for report in &self.all_reports {
+                w.put(report.records.len() as u64);
+                for r in &report.records {
+                    w.put(r.index as u64);
+                    w.put(r.start.as_nanos());
+                    w.put(r.end.as_nanos());
+                    w.put(r.comm_failures as u64);
+                    w.put(r.transients as u64);
+                    w.put(r.forwards as u64);
+                    w.put(r.resents as u64);
+                }
+                w.put(report.completed as u64);
+                w.put(report.comm_failures as u64);
+                w.put(report.transients as u64);
+                w.put(report.naming_lookups as u64);
+            }
+        });
+        parts.metrics(&self.metrics);
+        parts.trace(&self.trace);
+        parts.value("finished_at", self.finished_at.as_nanos());
+        parts.value("workload_start", self.workload_start.as_nanos());
+        parts.value("events_processed", self.events_processed);
+        parts.finish()
+    }
+
+    /// The fold of [`components`](Self::components). Two runs of the same
+    /// [`ScenarioConfig`] are *bit-identical* exactly when their digests
+    /// match — this is what the determinism regression test compares
+    /// across thread counts.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.u64(self.all_reports.len() as u64);
-        for report in &self.all_reports {
-            h.u64(report.records.len() as u64);
-            for r in &report.records {
-                h.u64(r.index as u64);
-                h.u64(r.start.as_nanos());
-                h.u64(r.end.as_nanos());
-                h.u64(r.comm_failures as u64);
-                h.u64(r.transients as u64);
-                h.u64(r.forwards as u64);
-                h.u64(r.resents as u64);
-            }
-            h.u64(report.completed as u64);
-            h.u64(report.comm_failures as u64);
-            h.u64(report.transients as u64);
-            h.u64(report.naming_lookups as u64);
-        }
-        for (name, value) in self.metrics.counters() {
-            h.bytes(name.as_bytes());
-            h.u64(value);
-        }
-        for tag in self.metrics.byte_tags() {
-            h.bytes(tag.as_bytes());
-            for rec in self.metrics.byte_records(tag) {
-                h.u64(rec.at.as_nanos());
-                h.u64(rec.len);
-            }
-        }
-        h.bytes(self.trace_jsonl().as_bytes());
-        h.u64(self.finished_at.as_nanos());
-        h.u64(self.workload_start.as_nanos());
-        h.u64(self.events_processed);
-        h.finish()
+        self.components().digest()
     }
 }
 

@@ -22,7 +22,7 @@ use std::fmt;
 use faults::config::{fault_from_table, mix_from_table};
 use faults::{FaultEvent, FaultPlan, FaultPlanBuilder, NamedMix, PlanError};
 use mead::RecoveryScheme;
-use simnet::{Fnv, SimDuration};
+use simnet::SimDuration;
 use tomlite::TomlError;
 
 use crate::chaos::{chaos_plan_space_for, run_chaos_plan, ChaosConfig, ChaosOutcome};
@@ -31,6 +31,7 @@ use crate::cli::{
     write_artifact, write_trace, write_violations, CliError,
 };
 use crate::fleet::splitmix64;
+use crate::pins::Components;
 use crate::report::ViolationRecord;
 use crate::runner::run_batch_with;
 
@@ -315,15 +316,21 @@ impl SweepOutcome {
             .collect()
     }
 
-    /// FNV-1a fold of cell labels and per-plan digests — identical across
+    /// The sweep's parts: each plan's parts, folded across the plans in
+    /// matrix order, and the cell labels ([`Components::batch`]).
+    pub fn components(&self) -> Components {
+        Components::batch(
+            "plans",
+            self.results
+                .iter()
+                .map(|(cell, o)| (cell.as_bytes(), o.components())),
+        )
+    }
+
+    /// The fold of [`components`](Self::components) — identical across
     /// worker-thread counts when the sweep is deterministic.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        for (cell, o) in &self.results {
-            h.bytes(cell.as_bytes());
-            h.u64(o.digest());
-        }
-        h.finish()
+        self.components().digest()
     }
 }
 

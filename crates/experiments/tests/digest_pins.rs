@@ -1,95 +1,139 @@
-//! Pins the 13 paper-workload scenario digests, the fault-free baseline
-//! of the jitter table, and the seed-42 `fleet-1k` digests.
-//!
-//! The DESIGN §11 kernel refactor (slab-indexed state tables, timing-
-//! wheel event queue) was performed under the obligation that every one
-//! of these digests stays bit-identical — the digest folds the workload
-//! reports, metrics, observability trace, timestamps and event count, so
-//! any drift in RNG draw order, id allocation, or event dispatch order
-//! shows up here. If a future change moves one of these values, that is
-//! a *semantic* change to the simulation and needs the baselines
-//! regenerated deliberately, not silently.
+//! Every run of this crate that `pins.toml` pins: the 13 paper cells, the
+//! jitter table's fault-free run, seed-42 `fleet-1k` and `fleet --smoke`,
+//! the chaos campaign, `sweep --smoke` and `sweep-full.toml` at its
+//! thirteen base seeds. A run that moves fails with the components that
+//! moved and the entry that would re-pin it (DESIGN §9 "Pinned runs").
+//! The sweeps are `#[ignore]`d; CI runs them in release.
 
-use experiments::{paper_workload, run_fleet, run_scenario, FleetConfig, ScenarioConfig};
+use experiments::pins::{Pins, Run};
+use experiments::{
+    default_threads, expand_sweep, paper_workload, parse_sweep, run_fleet, run_scenario, run_sweep,
+    FleetConfig, ScenarioConfig,
+};
 use mead::RecoveryScheme;
 
-/// `(label, digest)`. Every value here, the fault-free baseline and the
-/// fleet digests below were last re-pinned together when the counter set
-/// every digest folds shrank to the counters something reads: write-only
-/// counters went, the kernel's own counters and four MEAD/RM counters
-/// that restated a trace event went (their counts are read from the
-/// trace), and malformed input became a `ProtocolError` trace event
-/// instead of a counter. Records, every kept counter, the byte series,
-/// event counts, end instants and the trace stayed equal in every cell,
-/// and each deleted restating counter equalled its trace count.
-const PINNED: [(&str, u64); 13] = [
-    ("table1/Reactive_Without_Cache", 0x942daf1c1a8f64f6),
-    ("table1/Reactive_With_Cache", 0x8f0c10ba06a84801),
-    ("table1/NEEDS_ADDRESSING_Mode", 0xa8f423acab4253e4),
-    ("table1/LOCATION_FORWARD", 0xfca063e5b0a97814),
-    ("table1/MEAD_Message", 0xaaa5ccce589299e3),
-    ("fig5/LOCATION_FORWARD@20", 0x37f9d811d36e09c8),
-    ("fig5/LOCATION_FORWARD@40", 0x6e91fa3ebeb0ea4c),
-    ("fig5/LOCATION_FORWARD@60", 0xfb5e44cfaa36bb54),
-    ("fig5/LOCATION_FORWARD@80", 0x19b4b2836a2b305e),
-    ("fig5/MEAD_Message@20", 0x3b4566c5e65d0690),
-    ("fig5/MEAD_Message@40", 0x8abf9fb1f8f4f074),
-    ("fig5/MEAD_Message@60", 0x338e23ee64d31fe5),
-    ("fig5/MEAD_Message@80", 0x154e99522c73cc3c),
-];
+fn pins() -> Pins {
+    Pins::committed().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Panics with a report for each run that moved from its pin.
+fn hold<K: AsRef<str>>(runs: impl IntoIterator<Item = (K, Run)>) {
+    if let Err(moved) = pins().check_all(runs) {
+        panic!("{moved}");
+    }
+}
 
 #[test]
-fn paper_workload_digests_match_committed_values() {
+fn paper_cells_match_their_pins() {
     let cells = paper_workload(10_000);
-    assert_eq!(cells.len(), PINNED.len(), "workload shape changed");
-    let mut failures = Vec::new();
-    for ((label, cfg), (pin_label, pin)) in cells.iter().zip(PINNED) {
-        assert_eq!(label, pin_label, "workload order changed");
-        let digest = run_scenario(cfg).digest();
-        if digest != pin {
-            failures.push(format!("{label}: got {digest:#018x}, pinned {pin:#018x}"));
-        }
-    }
+    let mut keys: Vec<String> = cells
+        .iter()
+        .map(|(cell, _)| format!("paper/{cell}"))
+        .collect();
+    let runs: Vec<Run> = cells
+        .iter()
+        .map(|(_, cfg)| Run::of(run_scenario(cfg).components()))
+        .collect();
+    hold(keys.clone().into_iter().zip(runs));
+    keys.sort();
     assert!(
-        failures.is_empty(),
-        "scenario digests drifted from committed baselines:\n{}",
-        failures.join("\n")
+        pins()
+            .keys_under("paper/")
+            .eq(keys.iter().map(String::as_str)),
+        "pins of no cell"
     );
 }
 
 /// The one scenario behind `results/` outside `paper_workload`: the
-/// jitter table's fault-free run (OS noise, no leak), seed 42, 10 000
-/// invocations.
+/// jitter table's fault-free run (OS noise, no leak), seed 42.
 #[test]
-fn fault_free_baseline_digest_matches_committed_value() {
+fn fault_free_baseline_matches_its_pin() {
     let cfg = ScenarioConfig {
         fault_free: true,
         ..ScenarioConfig::paper(RecoveryScheme::ReactiveNoCache)
     };
-    assert_eq!(run_scenario(&cfg).digest(), 0x1dade779470bfe62);
+    hold([(
+        "jitter/fault-free",
+        Run::of(run_scenario(&cfg).components()),
+    )]);
 }
 
 /// `fleet-1k` at seed 42 (the ledger's workload: 4 groups x 1000 clients
-/// x 5 invocations under the MEAD scheme): per-group digests, then the
-/// fleet digest that folds them with the fleet totals. Re-pinned when a
-/// redirect dial the application had abandoned began to be hung up
-/// (26 more kernel events; completions and failures did not move), and
-/// twice more with `PINNED` above (no event, completion or failure moved).
-const FLEET_1K_GROUPS: [u64; 4] = [
-    0xf9f7a577a3a50d95,
-    0x371622ebf0356396,
-    0x371f3fe6edd3b8f3,
-    0xa1eb40198127c3d3,
-];
-const FLEET_1K: u64 = 0xa240491c58edf0bb;
+/// x 5 invocations under the MEAD scheme): each group, then the fleet
+/// with its event count.
+#[test]
+fn fleet_1k_matches_its_pins() {
+    let out = run_fleet(&FleetConfig::new(RecoveryScheme::MeadFailover, 1000), 2);
+    let pins = pins();
+    let groups: Vec<&str> = pins.keys_under("fleet-1k/group").collect();
+    assert_eq!(groups.len(), out.groups.len(), "the pinned groups");
+    let fleet = Run::of(out.components()).count("events", out.total_events);
+    hold(
+        groups
+            .into_iter()
+            .zip(out.groups.into_iter().map(Run::of))
+            .chain([("fleet-1k", fleet)]),
+    );
+}
+
+/// `fleet --smoke`, identical at 1, 2 and 4 worker threads.
+#[test]
+fn fleet_smoke_matches_its_pin_at_1_2_and_4_threads() {
+    let cfg = FleetConfig::smoke(RecoveryScheme::MeadFailover);
+    let one = run_fleet(&cfg, 1);
+    for threads in [2, 4] {
+        assert_eq!(
+            run_fleet(&cfg, threads).digest(),
+            one.digest(),
+            "{threads} threads"
+        );
+    }
+    hold([(
+        "fleet/smoke",
+        Run::of(one.components()).count("events", one.total_events),
+    )]);
+}
+
+/// The checked-in scenario `file`, its base seed replaced by `base_seed`
+/// when given, with its plan and violating-plan counts. Like the `sweep`
+/// command, it first checks that the first 24 plans give one digest at 1
+/// and 4 worker threads.
+fn sweep(file: &str, base_seed: Option<u64>) -> Run {
+    let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let mut spec = parse_sweep(&src).expect("scenario parses");
+    spec.base_seed = base_seed.unwrap_or(spec.base_seed);
+    let units = expand_sweep(&spec).expect("expansion validates");
+    let sample = |threads| run_sweep(&spec.name, &units[..24.min(units.len())], threads).digest();
+    assert_eq!(sample(1), sample(4), "{file}: thread count");
+    let out = run_sweep(&spec.name, &units, default_threads());
+    Run::of(out.components())
+        .count("plans", out.results.len() as u64)
+        .count("violating", out.violations().len() as u64)
+}
 
 #[test]
-fn fleet_1k_digests_match_committed_values() {
-    let out = run_fleet(&FleetConfig::new(RecoveryScheme::MeadFailover, 1000), 2);
-    assert_eq!(
-        out.group_digests, FLEET_1K_GROUPS,
-        "a group's outcome moved"
-    );
-    assert_eq!(out.digest(), FLEET_1K, "the fleet totals moved");
-    assert_eq!(out.total_events, 5_327_246);
+#[ignore = "480 chaos plans; CI runs it in release"]
+fn chaos_campaign_matches_its_pin() {
+    hold([("sweep/chaos-campaign", sweep("chaos-campaign.toml", None))]);
+}
+
+#[test]
+#[ignore = "23 chaos plans; CI runs it in release"]
+fn sweep_smoke_matches_its_pin() {
+    hold([("sweep/smoke", sweep("sweep-smoke.toml", None))]);
+}
+
+/// `sweep-full.toml` at each pinned base seed (`sweep/full@<seed>`). The
+/// seeds differ above bit 5 on purpose (DESIGN §12).
+#[test]
+#[ignore = "13 x 508 chaos plans; CI runs it in release"]
+fn sweep_full_matches_its_pins_at_every_base_seed() {
+    let pins = pins();
+    let keys: Vec<&str> = pins.keys_under("sweep/full@").collect();
+    assert_eq!(keys.len(), 13, "the pinned base seeds");
+    hold(keys.into_iter().map(|key| {
+        let seed = key["sweep/full@".len()..].parse().expect("a base seed");
+        (key, sweep("sweep-full.toml", Some(seed)))
+    }));
 }

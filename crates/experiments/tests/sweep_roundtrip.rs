@@ -1,9 +1,10 @@
 //! Round-trip determinism of the checked-in sweep scenarios: parsing a
 //! scenario file twice yields identical specs and byte-identical plans,
 //! and running the expanded units produces the same digest at 1 and 4
-//! worker threads — a pinned one, so a change to the chaos executor that
-//! moves any plan's outcome fails here.
+//! worker threads — a pinned one (`pins.toml`), so a change to the chaos
+//! executor that moves any plan's outcome fails here.
 
+use experiments::pins::{Pins, Run};
 use experiments::{expand_sweep, parse_sweep, run_sweep, SweepUnit};
 use faults::FaultKind;
 
@@ -59,14 +60,8 @@ fn chaos_campaign_expands_within_each_topologys_rm_budget() {
     assert!(paper.iter().any(|u| kills_an_rm(u)));
 }
 
-/// The digest of the trimmed smoke sweep below, re-pinned when the
-/// counter set every outcome digest folds shrank to the counters
-/// something reads (no plan's values, views or trace moved). CI pins
-/// the untrimmed scenario files the same way (`digest …` greps in the
-/// `chaos-smoke` and `chaos-sweep` jobs). A deliberate behaviour change
-/// re-pins all of them together and says why.
-const TRIMMED_SMOKE_DIGEST: u64 = 0x50ce_9c8c_1a25_441a;
-
+/// A trimmed smoke sweep gives the same digest at 1 and 4 worker
+/// threads, and the one pinned as `sweep/smoke-trimmed`.
 #[test]
 fn sweep_digest_is_thread_count_independent() {
     let mut spec = parse_sweep(&scenario_source("sweep-smoke.toml")).expect("scenario parses");
@@ -74,11 +69,16 @@ fn sweep_digest_is_thread_count_independent() {
     spec.increments = 40;
     spec.plans_per_cell = 2;
     let units = expand_sweep(&spec).expect("expansion validates");
-    let run = |threads: usize| run_sweep(&spec.name, &units, threads).digest();
-    let digest = run(1);
-    assert_eq!(digest, run(4), "sweep digest depends on thread count");
+    let one = run_sweep(&spec.name, &units, 1);
+    let four = run_sweep(&spec.name, &units, 4);
     assert_eq!(
-        digest, TRIMMED_SMOKE_DIGEST,
-        "the chaos executor's observable behaviour moved: {digest:016x}"
+        one.digest(),
+        four.digest(),
+        "sweep digest depends on thread count"
     );
+    let run = Run::of(one.components()).count("plans", one.results.len() as u64);
+    let pins = Pins::committed().unwrap_or_else(|e| panic!("{e}"));
+    if let Err(moved) = pins.check_all([("sweep/smoke-trimmed", run)]) {
+        panic!("{moved}");
+    }
 }

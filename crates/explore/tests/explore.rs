@@ -1,15 +1,17 @@
 //! End-to-end coverage of the exploration pipeline: the empty prefix is
 //! FIFO-equivalent, every recorded [`DecisionTrace`] replays bit for bit
-//! (as a property, over arbitrary choice vectors), the search digest is
-//! pinned and thread-count independent, the scheduler is asked exactly
+//! (as a property, over arbitrary choice vectors), the search digests are
+//! pinned (`pins.toml`) and thread-count independent, the scheduler is asked exactly
 //! `max_steps` times a run, and the seeded known-bug fixture is caught,
 //! minimized to a handful of decisions, and replayable by digest.
 
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
+use experiments::pins::{Pins, Run};
 use experiments::{run_chaos_plan, run_chaos_plan_with};
-use explore::{explore, fixtures, minimize, run_prefix, ExploreConfig};
+use explore::{explore, fixtures, minimize, run_prefix, ConflictRelation, ExploreConfig};
 use proptest::strategy::Strategy;
 use simnet::{ChoicePoint, DecisionTrace, GateCfg, ReplayScheduler, Scheduler};
 
@@ -76,13 +78,10 @@ fn a_run_builds_exactly_max_steps_choice_points() {
     }
 }
 
-/// The exhaustive `pair` search at the smoke budget, pinned: run count,
-/// outcome count and the search digest (every run's schedule and outcome
-/// folded in execution order). A kernel or scheduler change that moves
-/// any schedule moves this digest.
-#[test]
-fn pair_exhausts_to_the_pinned_digest() {
-    let fixture = fixtures::pair();
+/// The fixture's search at the smoke budget (384 runs, depth 12): its
+/// counts and its digest (every run's schedule and outcome folded in
+/// execution order), which any change to a schedule moves.
+fn search(fixture: &fixtures::Fixture, relation: Option<Arc<ConflictRelation>>) -> Run {
     let outcome = explore(
         &fixture.plan,
         &fixture.chaos,
@@ -91,19 +90,54 @@ fn pair_exhausts_to_the_pinned_digest() {
             max_runs: 384,
             max_depth: 12,
             threads: 2,
-            relation: None,
+            relation,
         },
     );
-    assert_eq!(outcome.executed, 318);
-    assert_eq!(outcome.outcome_digests.len(), 8);
-    assert!(outcome.exhausted);
-    assert!(outcome.failures.is_empty());
-    assert_eq!(outcome.digest, 0x71f6_b871_f17c_dbfb);
+    Run::digest(outcome.digest)
+        .count("runs", outcome.executed as u64)
+        .count("outcomes", outcome.outcome_digests.len() as u64)
+        .count("violating", outcome.failures.len() as u64)
+        .count("exhausted", u64::from(outcome.exhausted))
+}
+
+/// Panics with a report for each run that moved from its pin.
+fn hold<const N: usize>(runs: [(&str, Run); N]) {
+    let pins = Pins::committed().unwrap_or_else(|e| panic!("{e}"));
+    if let Err(moved) = pins.check_all(runs) {
+        panic!("{moved}");
+    }
+}
+
+#[test]
+fn pair_exhausts_to_its_pin() {
+    hold([("explore/pair", search(&fixtures::pair(), None))]);
+}
+
+const RELATION: &str = r#"{"schema": "conflict-relation/1", "independent": [
+    {"a": "notify:data_readable", "b": "notify:data_readable", "when": "same_touch_conn"}]}"#;
+
+/// `trio`, and `pair` pruned by the derived independence relation: the
+/// file `CONFLICT_RELATION` names (CI passes `mead-repro lint
+/// --conflict-report`'s), else the one entry that file holds today.
+#[test]
+#[ignore = "two searches; CI runs them in release"]
+fn trio_and_the_relation_pruned_pair_match_their_pins() {
+    let src = std::env::var("CONFLICT_RELATION").map_or_else(
+        |_| RELATION.to_string(),
+        |path| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}")),
+    );
+    let relation = Arc::new(ConflictRelation::parse(&src).expect("a conflict relation"));
+    hold([
+        ("explore/trio", search(&fixtures::trio(), None)),
+        (
+            "explore/pair+relation",
+            search(&fixtures::pair(), Some(relation)),
+        ),
+    ]);
 }
 
 /// The frontier search must not depend on worker-thread count: same
-/// budget, same digest (the one the search had before the kernel took
-/// the gate over), same failure set.
+/// budget, same digest (pinned as `explore/pair-48`), same failure set.
 #[test]
 fn explore_digest_is_thread_count_independent() {
     let fixture = fixtures::pair();
@@ -122,11 +156,14 @@ fn explore_digest_is_thread_count_independent() {
     };
     let one = outcome(1);
     let four = outcome(4);
-    assert_eq!(one.digest, 0xfb02_e83a_905c_254d);
     assert_eq!(one.digest, four.digest);
     assert_eq!(one.executed, four.executed);
     assert_eq!(one.outcome_digests, four.outcome_digests);
     assert_eq!(one.failures.len(), four.failures.len());
+    hold([(
+        "explore/pair-48",
+        Run::digest(one.digest).count("runs", one.executed as u64),
+    )]);
 }
 
 /// Any choice vector — in range, out of range (clamped to default), long
@@ -209,4 +246,11 @@ fn seeded_bug_is_caught_minimized_and_replayable() {
     );
     assert_eq!(replayed.digest(), minimal.outcome_digest);
     assert_eq!(replayed.violations, minimal.violations);
+    hold([
+        (
+            "explore/seeded-bug/trace",
+            Run::digest(minimal.trace.digest()),
+        ),
+        ("explore/seeded-bug/replay", Run::of(replayed.components())),
+    ]);
 }
