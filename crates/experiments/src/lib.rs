@@ -62,8 +62,8 @@ pub use scenario::{
 };
 pub use stats::{percentile, Summary};
 pub use sweep::{
-    expand_sweep, format_sweep, parse_sweep, run_sweep, CellError, SweepOutcome, SweepSpec,
-    SweepUnit, TopologySpec,
+    expand_sweep, format_sweep, parse_sweep, read_sweep, run_sweep, sample_is_thread_independent,
+    CellError, SweepOutcome, SweepSpec, SweepUnit, TopologySpec,
 };
 pub use workload::{
     ClientPolicy, ClientWorkload, InvocationRecord, ReportHandle, WorkloadConfig, WorkloadReport,

@@ -12,10 +12,11 @@
 //! ([`Components::batch`]).
 //!
 //! `pins.toml` at the repository root holds every pinned run once: its
-//! top-level digest, its counts and its components. [`Pins::check_all`]
-//! compares runs with their entries; a mismatch names the components that
-//! moved and prints the entry that would re-pin the run, so a deliberate
-//! re-pin is an edit of that one file.
+//! counts and its components, whose fold is its digest (a run without
+//! components, such as an explorer search, by its digest alone).
+//! [`hold`] compares runs with their entries; a mismatch names the
+//! components that moved and prints the entry that would re-pin the run,
+//! so a deliberate re-pin is an edit of that one file.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -262,7 +263,7 @@ impl Builder {
     }
 }
 
-/// The counts a pin may hold besides its digest: explorer `runs`,
+/// The counts a pin may hold besides its digest or components: explorer `runs`,
 /// distinct `outcomes` and `violating` runs, `exhausted` (1 or 0), sweep
 /// `plans`, and kernel `events`.
 const COUNTS: [&str; 6] = [
@@ -278,67 +279,63 @@ const COUNTS: [&str; 6] = [
 /// pin's counts or its components, by key.
 type Parts = BTreeMap<String, (u64, Option<u64>)>;
 
-/// One pinned run of `pins.toml`.
-#[derive(Clone, Debug)]
-struct Pin {
-    /// The run's top-level digest.
-    digest: u64,
-    /// Its counts (`plans`, `violating`, `runs`, …).
-    counts: Parts,
-    /// Its components.
-    components: Parts,
+/// What a run is pinned by besides its counts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Pinned {
+    /// One digest, for a run without components (an explorer search, a
+    /// decision trace).
+    Digest(u64),
+    /// Its components, whose fold is its digest.
+    Components(Parts),
 }
 
-/// What a pinned run produced, to compare with its pin.
-#[derive(Clone, Debug, Default)]
+/// A run as `pins.toml` pins it, or as a test produced it, to compare
+/// with its pin.
+#[derive(Clone, Debug)]
 pub struct Run {
-    /// The top-level digest.
-    pub digest: u64,
-    /// The counts the entry pins.
-    pub counts: Vec<(&'static str, u64)>,
-    /// The components, for an outcome that has them.
-    pub components: Option<Components>,
+    /// Its counts (`plans`, `violating`, `runs`, …).
+    counts: Parts,
+    pinned: Pinned,
 }
 
 impl Run {
-    /// A run known by its components; the digest is their fold.
+    /// A run known by its components.
     pub fn of(components: Components) -> Run {
         Run {
-            digest: components.digest(),
-            counts: Vec::new(),
-            components: Some(components),
+            counts: Parts::new(),
+            pinned: Pinned::Components(components.parts()),
         }
     }
 
     /// A run known by one digest (an explorer search, a decision trace).
     pub fn digest(digest: u64) -> Run {
         Run {
-            digest,
-            ..Run::default()
+            counts: Parts::new(),
+            pinned: Pinned::Digest(digest),
         }
     }
 
     /// Adds a count.
-    pub fn count(mut self, name: &'static str, value: u64) -> Run {
-        self.counts.push((name, value));
+    pub fn count(mut self, name: &str, value: u64) -> Run {
+        self.counts.insert(name.to_string(), (value, None));
         self
     }
 
     /// The `pins.toml` entry that pins this run at `key`.
     fn entry(&self, key: &str) -> String {
-        let mut out = format!(
-            "[[run]]\nkey = \"{key}\"\ndigest = \"{:016x}\"\n",
-            self.digest
-        );
-        for (name, value) in &self.counts {
+        let mut out = format!("[[run]]\nkey = \"{key}\"\n");
+        if let Pinned::Digest(d) = self.pinned {
+            out.push_str(&format!("digest = \"{d:016x}\"\n"));
+        }
+        for (name, (value, _)) in &self.counts {
             out.push_str(&format!("{name} = {value}\n"));
         }
-        if let Some(components) = &self.components {
+        if let Pinned::Components(parts) = &self.pinned {
             out.push_str("[run.components]\n");
-            for c in components.iter() {
-                match c.digest {
-                    None => out.push_str(&format!("\"{c}\" = {}\n", c.count)),
-                    Some(d) => out.push_str(&format!("\"{c}\" = [{}, \"{d:016x}\"]\n", c.count)),
+            for (name, part) in parts {
+                match part {
+                    (n, None) => out.push_str(&format!("\"{name}\" = {n}\n")),
+                    (n, Some(d)) => out.push_str(&format!("\"{name}\" = [{n}, \"{d:016x}\"]\n")),
                 }
             }
         }
@@ -348,7 +345,7 @@ impl Run {
 
 /// The pinned runs of a pin file, by key.
 #[derive(Clone, Debug, Default)]
-pub struct Pins(BTreeMap<String, Pin>);
+pub struct Pins(BTreeMap<String, Run>);
 
 impl Pins {
     /// The committed `pins.toml` at the repository root.
@@ -362,16 +359,17 @@ impl Pins {
         Pins::parse(&src).map_err(|e| format!("pins.toml: {e}"))
     }
 
-    /// Parses a pin file: one `[[run]]` per pinned run, with a `key`, a
-    /// 16-hex-digit `digest`, any of the counts `runs`, `outcomes`,
-    /// `violating`, `exhausted`, `plans` and `events`, and an optional
+    /// Parses a pin file: one `[[run]]` per pinned run, with a `key`, any
+    /// of the counts `runs`, `outcomes`, `violating`, `exhausted`, `plans`
+    /// and `events`, and either a 16-hex-digit `digest` or a
     /// `[run.components]` table whose values are a count, or a
     /// `[count, "digest"]` pair.
     ///
     /// # Errors
     ///
-    /// A [`TomlError`] at the entry's header line for a malformed entry or
-    /// a repeated key.
+    /// A [`TomlError`] at the entry's header line for a malformed entry, an
+    /// entry with both or neither of `digest` and `[run.components]`, or a
+    /// repeated key.
     pub fn parse(src: &str) -> Result<Pins, TomlError> {
         let doc = tomlite::parse(src)?;
         let root = doc.root();
@@ -383,32 +381,29 @@ impl Pins {
             run.reject_unknown(&allowed)?;
             let key = run.str_req("key")?.to_string();
             let run = run.with_context(format!("pin `{key}`"));
-            let digest = hex(&run, run.str_req("digest")?)?;
             let mut counts = Parts::new();
             for name in COUNTS {
                 if run.get(name).is_some() {
                     counts.insert(name.to_string(), (run.int(name)?, None));
                 }
             }
-            let mut components = Parts::new();
-            if let Some(table) = run.table("components")? {
-                let table = table.with_context(format!("pin `{key}`"));
-                let parts = run.get("components").and_then(tomlite::Value::as_table);
-                for (name, value) in parts.into_iter().flatten() {
-                    components.insert(name.clone(), component(&table, name, value)?);
+            let pinned = match (run.str_opt("digest")?, run.table("components")?) {
+                (Some(d), None) => Pinned::Digest(hex(&run, d)?),
+                (None, Some(table)) => {
+                    let table = table.with_context(format!("pin `{key}`"));
+                    let mut parts = Parts::new();
+                    let values = run.get("components").and_then(tomlite::Value::as_table);
+                    for (name, value) in values.into_iter().flatten() {
+                        parts.insert(name.clone(), component(&table, name, value)?);
+                    }
+                    Pinned::Components(parts)
                 }
-            }
+                _ => return Err(run.error("needs a `digest` or `[run.components]`, not both")),
+            };
             if pins.contains_key(&key) {
                 return Err(run.error("repeated"));
             }
-            pins.insert(
-                key,
-                Pin {
-                    digest,
-                    counts,
-                    components,
-                },
-            );
+            pins.insert(key, Run { counts, pinned });
         }
         Ok(Pins(pins))
     }
@@ -421,29 +416,9 @@ impl Pins {
             .map(String::as_str)
     }
 
-    /// Compares each `(key, run)` with the entry at `key`.
-    ///
-    /// # Errors
-    ///
-    /// For each run that moved, a report naming what moved — the digest,
-    /// each count, and each component that differs (for a counted part,
-    /// its count delta) — followed by the entry that would re-pin the run.
-    pub fn check_all<K: AsRef<str>>(
-        &self,
-        runs: impl IntoIterator<Item = (K, Run)>,
-    ) -> Result<(), String> {
-        let moved: Vec<String> = runs
-            .into_iter()
-            .filter_map(|(key, run)| self.check(key.as_ref(), &run).err())
-            .collect();
-        if moved.is_empty() {
-            Ok(())
-        } else {
-            Err(moved.join("\n"))
-        }
-    }
-
-    /// One run's report for [`check_all`](Self::check_all).
+    /// One run's report for [`hold`]: what moved — each count, and the
+    /// digest or each component that differs (for a counted part, its
+    /// count delta) — followed by the entry that would re-pin the run.
     fn check(&self, key: &str, run: &Run) -> Result<(), String> {
         let Some(pin) = self.0.get(key) else {
             return Err(format!(
@@ -451,18 +426,14 @@ impl Pins {
                 run.entry(key)
             ));
         };
-        let mut moved = Vec::new();
-        if run.digest != pin.digest {
-            moved.push(format!("digest {:016x} -> {:016x}", pin.digest, run.digest));
-        }
-        let counts = run
-            .counts
-            .iter()
-            .map(|&(name, n)| (name.to_string(), (n, None)))
-            .collect();
-        moved.extend(diff(&pin.counts, &counts));
-        if let Some(components) = &run.components {
-            moved.extend(diff(&pin.components, &components.parts()));
+        let mut moved = diff(&pin.counts, &run.counts);
+        match (&pin.pinned, &run.pinned) {
+            (Pinned::Digest(was), Pinned::Digest(is)) if was != is => {
+                moved.push(format!("digest {was:016x} -> {is:016x}"));
+            }
+            (Pinned::Components(was), Pinned::Components(is)) => moved.extend(diff(was, is)),
+            (Pinned::Digest(_), Pinned::Digest(_)) => {}
+            _ => moved.push("pinned by a digest, checked by components, or the reverse".into()),
         }
         if moved.is_empty() {
             return Ok(());
@@ -473,6 +444,23 @@ impl Pins {
             run.entry(key)
         ))
     }
+}
+
+/// Checks each `(key, run)` against its entry in the committed
+/// `pins.toml`: the one assertion of every pin test.
+///
+/// # Panics
+///
+/// If `pins.toml` cannot be read, or, for each run that moved from its
+/// pin, with a report naming what moved and the entry that would re-pin
+/// it.
+pub fn hold<K: AsRef<str>>(runs: impl IntoIterator<Item = (K, Run)>) {
+    let pins = Pins::committed().unwrap_or_else(|e| panic!("{e}"));
+    let moved: Vec<String> = runs
+        .into_iter()
+        .filter_map(|(key, run)| pins.check(key.as_ref(), &run).err())
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
 }
 
 /// One line per part that differs between `pinned` and `got`: a count

@@ -402,6 +402,29 @@ pub fn format_sweep(outcome: &SweepOutcome) -> String {
 /// the matrix keeps the check cheap on big sweeps).
 const DETERMINISM_SAMPLE: usize = 24;
 
+/// Reads and parses the scenario file at `path`.
+///
+/// # Errors
+///
+/// A message naming `path` if the file cannot be read or
+/// [`parse_sweep`] rejects it.
+pub fn read_sweep(path: &str) -> Result<SweepSpec, String> {
+    let src =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read scenario {path}: {e}"))?;
+    parse_sweep(&src).map_err(|e| format!("invalid scenario {path}: {e}"))
+}
+
+/// Whether the first units of `units` give one sweep digest at 1 and
+/// `threads` (at least 2) worker threads; prints the verdict.
+pub fn sample_is_thread_independent(name: &str, units: &[SweepUnit], threads: usize) -> bool {
+    let sample = &units[..units.len().min(DETERMINISM_SAMPLE)];
+    check_thread_independence(
+        &format!("{}-plan", sample.len()),
+        &[1, threads.max(2)],
+        |threads| run_sweep(name, sample, threads).digest(),
+    )
+}
+
 /// `mead-repro sweep [--threads N] [--trace out.jsonl] [--smoke]
 /// [--violations out.json] [--report out.txt] [scenario.toml]`: loads a
 /// scenario file, runs every plan of its matrix under the chaos
@@ -424,10 +447,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             "scenarios/sweep-full.toml"
         };
         let path = positional_or(&args, default_scenario.to_string())?;
-        let src = std::fs::read_to_string(&path)
-            .map_err(|e| CliError::Usage(format!("cannot read scenario {path}: {e}")))?;
-        let spec = parse_sweep(&src)
-            .map_err(|e| CliError::Usage(format!("invalid scenario {path}: {e}")))?;
+        let spec = read_sweep(&path).map_err(CliError::Usage)?;
         let units = expand_sweep(&spec)
             .map_err(|e| CliError::Usage(format!("scenario {path} does not expand: {e}")))?;
         println!(
@@ -458,12 +478,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             );
         }
 
-        let sample = &units[..units.len().min(DETERMINISM_SAMPLE)];
-        passed &= check_thread_independence(
-            &format!("{}-plan", sample.len()),
-            &[1, threads.max(2)],
-            |threads| run_sweep(&spec.name, sample, threads).digest(),
-        );
+        passed &= sample_is_thread_independent(&spec.name, &units, threads);
 
         write_violations(violations_path, &spec.name, violations)?;
         if let Some(path) = &report_path {

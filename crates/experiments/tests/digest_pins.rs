@@ -5,10 +5,10 @@
 //! moved and the entry that would re-pin it (DESIGN §9 "Pinned runs").
 //! The sweeps are `#[ignore]`d; CI runs them in release.
 
-use experiments::pins::{Pins, Run};
+use experiments::pins::{hold, Pins, Run};
 use experiments::{
-    default_threads, expand_sweep, paper_workload, parse_sweep, run_fleet, run_scenario, run_sweep,
-    FleetConfig, ScenarioConfig,
+    default_threads, expand_sweep, paper_workload, read_sweep, run_fleet, run_scenario, run_sweep,
+    sample_is_thread_independent, FleetConfig, ScenarioConfig,
 };
 use mead::RecoveryScheme;
 
@@ -16,32 +16,17 @@ fn pins() -> Pins {
     Pins::committed().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Panics with a report for each run that moved from its pin.
-fn hold<K: AsRef<str>>(runs: impl IntoIterator<Item = (K, Run)>) {
-    if let Err(moved) = pins().check_all(runs) {
-        panic!("{moved}");
-    }
-}
-
 #[test]
 fn paper_cells_match_their_pins() {
-    let cells = paper_workload(10_000);
-    let mut keys: Vec<String> = cells
-        .iter()
-        .map(|(cell, _)| format!("paper/{cell}"))
-        .collect();
-    let runs: Vec<Run> = cells
-        .iter()
-        .map(|(_, cfg)| Run::of(run_scenario(cfg).components()))
-        .collect();
-    hold(keys.clone().into_iter().zip(runs));
-    keys.sort();
+    let mut cells = paper_workload(10_000);
+    cells.sort_by(|a, b| a.0.cmp(&b.0));
+    let keys = cells.iter().map(|(cell, _)| format!("paper/{cell}"));
     assert!(
-        pins()
-            .keys_under("paper/")
-            .eq(keys.iter().map(String::as_str)),
+        pins().keys_under("paper/").eq(keys.clone()),
         "pins of no cell"
     );
+    let run = |(_, cfg): &(String, ScenarioConfig)| Run::of(run_scenario(cfg).components());
+    hold(keys.zip(cells.iter().map(run)));
 }
 
 /// The one scenario behind `results/` outside `paper_workload`: the
@@ -52,10 +37,8 @@ fn fault_free_baseline_matches_its_pin() {
         fault_free: true,
         ..ScenarioConfig::paper(RecoveryScheme::ReactiveNoCache)
     };
-    hold([(
-        "jitter/fault-free",
-        Run::of(run_scenario(&cfg).components()),
-    )]);
+    let run = Run::of(run_scenario(&cfg).components());
+    hold([("jitter/fault-free", run)]);
 }
 
 /// `fleet-1k` at seed 42 (the ledger's workload: 4 groups x 1000 clients
@@ -76,36 +59,30 @@ fn fleet_1k_matches_its_pins() {
     );
 }
 
-/// `fleet --smoke`, identical at 1, 2 and 4 worker threads.
+/// `fleet --smoke` at 1, 2 and 4 worker threads, each at the one pin.
 #[test]
 fn fleet_smoke_matches_its_pin_at_1_2_and_4_threads() {
     let cfg = FleetConfig::smoke(RecoveryScheme::MeadFailover);
-    let one = run_fleet(&cfg, 1);
-    for threads in [2, 4] {
-        assert_eq!(
-            run_fleet(&cfg, threads).digest(),
-            one.digest(),
-            "{threads} threads"
-        );
-    }
-    hold([(
-        "fleet/smoke",
-        Run::of(one.components()).count("events", one.total_events),
-    )]);
+    hold([1, 2, 4].map(|threads| {
+        let out = run_fleet(&cfg, threads);
+        let run = Run::of(out.components()).count("events", out.total_events);
+        ("fleet/smoke", run)
+    }));
 }
 
 /// The checked-in scenario `file`, its base seed replaced by `base_seed`
 /// when given, with its plan and violating-plan counts. Like the `sweep`
-/// command, it first checks that the first 24 plans give one digest at 1
-/// and 4 worker threads.
+/// command, it first checks that a sample of its plans gives one digest
+/// at 1 and 4 worker threads.
 fn sweep(file: &str, base_seed: Option<u64>) -> Run {
     let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let mut spec = parse_sweep(&src).expect("scenario parses");
+    let mut spec = read_sweep(&path).unwrap_or_else(|e| panic!("{e}"));
     spec.base_seed = base_seed.unwrap_or(spec.base_seed);
     let units = expand_sweep(&spec).expect("expansion validates");
-    let sample = |threads| run_sweep(&spec.name, &units[..24.min(units.len())], threads).digest();
-    assert_eq!(sample(1), sample(4), "{file}: thread count");
+    assert!(
+        sample_is_thread_independent(&spec.name, &units, 4),
+        "{file}: thread count"
+    );
     let out = run_sweep(&spec.name, &units, default_threads());
     Run::of(out.components())
         .count("plans", out.results.len() as u64)

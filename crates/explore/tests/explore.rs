@@ -1,15 +1,17 @@
 //! End-to-end coverage of the exploration pipeline: the empty prefix is
 //! FIFO-equivalent, every recorded [`DecisionTrace`] replays bit for bit
 //! (as a property, over arbitrary choice vectors), the search digests are
-//! pinned (`pins.toml`) and thread-count independent, the scheduler is asked exactly
-//! `max_steps` times a run, and the seeded known-bug fixture is caught,
-//! minimized to a handful of decisions, and replayable by digest.
+//! pinned (`pins.toml`) and thread-count independent, the scheduler is
+//! asked exactly `max_steps` times a run, and the seeded known-bug fixture
+//! is caught, minimized to a handful of decisions, and replayable by
+//! digest.
 
 use std::cell::Cell;
+use std::path::Path;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use experiments::pins::{Pins, Run};
+use experiments::pins::{hold, Run};
 use experiments::{run_chaos_plan, run_chaos_plan_with};
 use explore::{explore, fixtures, minimize, run_prefix, ConflictRelation, ExploreConfig};
 use proptest::strategy::Strategy;
@@ -78,10 +80,15 @@ fn a_run_builds_exactly_max_steps_choice_points() {
     }
 }
 
-/// The fixture's search at the smoke budget (384 runs, depth 12): its
-/// counts and its digest (every run's schedule and outcome folded in
-/// execution order), which any change to a schedule moves.
-fn search(fixture: &fixtures::Fixture, relation: Option<Arc<ConflictRelation>>) -> Run {
+/// The fixture's search at the smoke budget (384 runs, depth 12) on
+/// `threads` workers: its counts and its digest (every run's schedule and
+/// outcome folded in execution order), which any change to a schedule
+/// moves.
+fn search(
+    fixture: &fixtures::Fixture,
+    relation: Option<Arc<ConflictRelation>>,
+    threads: usize,
+) -> Run {
     let outcome = explore(
         &fixture.plan,
         &fixture.chaos,
@@ -89,7 +96,7 @@ fn search(fixture: &fixtures::Fixture, relation: Option<Arc<ConflictRelation>>) 
             gate: fixture.gate,
             max_runs: 384,
             max_depth: 12,
-            threads: 2,
+            threads,
             relation,
         },
     );
@@ -100,39 +107,33 @@ fn search(fixture: &fixtures::Fixture, relation: Option<Arc<ConflictRelation>>) 
         .count("exhausted", u64::from(outcome.exhausted))
 }
 
-/// Panics with a report for each run that moved from its pin.
-fn hold<const N: usize>(runs: [(&str, Run); N]) {
-    let pins = Pins::committed().unwrap_or_else(|e| panic!("{e}"));
-    if let Err(moved) = pins.check_all(runs) {
-        panic!("{moved}");
-    }
-}
-
 #[test]
 fn pair_exhausts_to_its_pin() {
-    hold([("explore/pair", search(&fixtures::pair(), None))]);
+    hold([("explore/pair", search(&fixtures::pair(), None, 2))]);
 }
 
-const RELATION: &str = r#"{"schema": "conflict-relation/1", "independent": [
-    {"a": "notify:data_readable", "b": "notify:data_readable", "when": "same_touch_conn"}]}"#;
+/// The independence relation `mead-repro lint --conflict-report` derives
+/// from this workspace's sources.
+fn derived_relation() -> Arc<ConflictRelation> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let sources = lint::collect_sources(&root).expect("workspace sources");
+    let contract = lint::load_spec(&root, &lint::Contract::default()).expect("spec loads");
+    let ws = lint::Workspace::parse(&sources).expect("workspace parses");
+    let json = lint::conflict_report(&ws, &contract).expect("conflict report renders");
+    Arc::new(ConflictRelation::parse(&json).expect("a conflict relation"))
+}
 
-/// `trio`, and `pair` pruned by the derived independence relation: the
-/// file `CONFLICT_RELATION` names (CI passes `mead-repro lint
-/// --conflict-report`'s), else the one entry that file holds today.
+/// `trio`, and `pair` pruned by the derived relation, at 1 and 4 worker
+/// threads against one pin.
 #[test]
-#[ignore = "two searches; CI runs them in release"]
+#[ignore = "three searches and a lint pass; CI runs them in release"]
 fn trio_and_the_relation_pruned_pair_match_their_pins() {
-    let src = std::env::var("CONFLICT_RELATION").map_or_else(
-        |_| RELATION.to_string(),
-        |path| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}")),
-    );
-    let relation = Arc::new(ConflictRelation::parse(&src).expect("a conflict relation"));
+    let relation = derived_relation();
+    let pruned = |threads| search(&fixtures::pair(), Some(Arc::clone(&relation)), threads);
     hold([
-        ("explore/trio", search(&fixtures::trio(), None)),
-        (
-            "explore/pair+relation",
-            search(&fixtures::pair(), Some(relation)),
-        ),
+        ("explore/trio", search(&fixtures::trio(), None, 2)),
+        ("explore/pair+relation", pruned(1)),
+        ("explore/pair+relation", pruned(4)),
     ]);
 }
 
@@ -160,10 +161,8 @@ fn explore_digest_is_thread_count_independent() {
     assert_eq!(one.executed, four.executed);
     assert_eq!(one.outcome_digests, four.outcome_digests);
     assert_eq!(one.failures.len(), four.failures.len());
-    hold([(
-        "explore/pair-48",
-        Run::digest(one.digest).count("runs", one.executed as u64),
-    )]);
+    let run = Run::digest(one.digest).count("runs", one.executed as u64);
+    hold([("explore/pair-48", run)]);
 }
 
 /// Any choice vector — in range, out of range (clamped to default), long
@@ -246,11 +245,9 @@ fn seeded_bug_is_caught_minimized_and_replayable() {
     );
     assert_eq!(replayed.digest(), minimal.outcome_digest);
     assert_eq!(replayed.violations, minimal.violations);
+    let trace = Run::digest(minimal.trace.digest());
     hold([
-        (
-            "explore/seeded-bug/trace",
-            Run::digest(minimal.trace.digest()),
-        ),
+        ("explore/seeded-bug/trace", trace),
         ("explore/seeded-bug/replay", Run::of(replayed.components())),
     ]);
 }
