@@ -197,6 +197,12 @@ impl CdrWriter {
         self.buf.put_u8(0);
     }
 
+    /// Writes a sequence's element count, the `unsigned long`
+    /// [`CdrReader::read_count`] reads back.
+    pub fn write_count(&mut self, n: usize) {
+        self.write_u32(wire_len(n));
+    }
+
     /// Writes `sequence<octet>`: u32 length then raw bytes.
     pub fn write_octets(&mut self, bytes: &[u8]) {
         self.write_u32(wire_len(bytes.len()));
@@ -384,6 +390,27 @@ impl<'a> CdrReader<'a> {
         self.read_str().map(str::to_owned)
     }
 
+    /// Reads a sequence's element count, trusting it only as far as the
+    /// bytes left can back it: each element takes at least
+    /// `min_wire_bytes` on the wire, so a count that fits is at most
+    /// `remaining() / min_wire_bytes` and may size an allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`CdrError::LengthOverrun`] when `count × min_wire_bytes` exceeds
+    /// [`remaining`](Self::remaining); `UnexpectedEof` as `read_u32`.
+    pub fn read_count(&mut self, min_wire_bytes: usize) -> Result<usize, CdrError> {
+        let declared = self.read_u32()?;
+        let n = declared as usize;
+        if n.saturating_mul(min_wire_bytes.max(1)) > self.remaining() {
+            return Err(CdrError::LengthOverrun {
+                declared,
+                remaining: self.remaining(),
+            });
+        }
+        Ok(n)
+    }
+
     /// Reads `sequence<octet>` as a view into the buffer.
     pub fn read_octet_slice(&mut self) -> Result<&'a [u8], CdrError> {
         let len = self.read_u32()?;
@@ -476,6 +503,23 @@ mod tests {
             r.read_string(),
             Err(CdrError::LengthOverrun { .. })
         ));
+    }
+
+    #[test]
+    fn a_count_is_trusted_only_as_far_as_the_bytes_left_back_it() {
+        let mut w = CdrWriter::new(Endian::Big);
+        for word in [2, 0, 0] {
+            w.write_u32(word);
+        }
+        let b = w.finish();
+        assert_eq!(CdrReader::new(&b, Endian::Big).read_count(4), Ok(2));
+        assert_eq!(
+            CdrReader::new(&b, Endian::Big).read_count(5),
+            Err(CdrError::LengthOverrun {
+                declared: 2,
+                remaining: 8
+            })
+        );
     }
 
     #[test]

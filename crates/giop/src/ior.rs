@@ -86,7 +86,7 @@ impl Ior {
     /// Writes this IOR into an ongoing CDR stream.
     pub fn write_into(&self, w: &mut CdrWriter) {
         w.write_string(&self.type_id);
-        w.write_u32(crate::cdr::wire_len(self.profiles.len()));
+        w.write_count(self.profiles.len());
         for p in &self.profiles {
             w.write_u32(TAG_INTERNET_IOP);
             // Profile body is an encapsulation: sequence<octet> with its own
@@ -142,18 +142,12 @@ impl Ior {
         mut profiles: Option<&mut Vec<IiopProfile>>,
     ) -> Result<&'a str, CdrError> {
         let type_id = r.read_str()?;
-        let n = r.read_u32()?;
-        if n as usize > r.remaining() {
-            return Err(CdrError::LengthOverrun {
-                declared: n,
-                remaining: r.remaining(),
-            });
-        }
+        // A profile is at least its tag and its body's length on the wire.
+        let n = r.read_count(8)?;
         if let Some(out) = profiles.as_mut() {
-            // A profile takes a few bytes on the wire and ~50 in memory:
-            // trust a hostile count only so far. Exact: an IOR usually has
-            // one profile, and `reserve` would make room for four.
-            out.reserve_exact(n.min(1024) as usize);
+            // Exact: an IOR usually has one profile, and `reserve` would
+            // make room for four.
+            out.reserve_exact(n);
         }
         for _ in 0..n {
             let tag = r.read_u32()?;

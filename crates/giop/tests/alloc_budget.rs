@@ -214,7 +214,7 @@ fn a_hostile_profile_count_does_not_size_an_allocation() {
     // profile (tag 0, an empty body) then fails to decode.
     hostile.resize(1_048_600, 0);
     let (decoded, peak) = largest(|| Ior::decode(&hostile));
-    assert_eq!(decoded, Err(CdrError::UnexpectedEof { what: "octet" }));
+    assert!(matches!(decoded, Err(CdrError::LengthOverrun { .. })));
     assert!(
         peak < hostile.len(),
         "decoding {} bytes made a {peak}-byte allocation",

@@ -170,7 +170,7 @@ impl GcsWire {
             } => {
                 w.write_string(group);
                 w.write_u64(*view_id);
-                w.write_u32(giop::wire_len(members.len()));
+                w.write_count(members.len());
                 for m in members {
                     w.write_string(m);
                 }
@@ -216,7 +216,7 @@ impl GcsWire {
                 w.write_u64(*seq);
                 w.write_string(group);
                 w.write_u64(*view_id);
-                w.write_u32(giop::wire_len(members.len()));
+                w.write_count(members.len());
                 for m in members {
                     w.write_string(m);
                 }
@@ -263,8 +263,9 @@ impl GcsWire {
             5 => {
                 let group = r.read_string()?;
                 let view_id = r.read_u64()?;
-                let n = r.read_u32()?;
-                let mut members = Vec::with_capacity(n.min(1024) as usize);
+                // A member name is at least a length and its NUL.
+                let n = r.read_count(5)?;
+                let mut members = Vec::with_capacity(n);
                 for _ in 0..n {
                     members.push(r.read_string()?);
                 }
@@ -300,8 +301,9 @@ impl GcsWire {
                 let seq = r.read_u64()?;
                 let group = r.read_string()?;
                 let view_id = r.read_u64()?;
-                let n = r.read_u32()?;
-                let mut members = Vec::with_capacity(n.min(1024) as usize);
+                // A member name is at least a length and its NUL.
+                let n = r.read_count(5)?;
+                let mut members = Vec::with_capacity(n);
                 for _ in 0..n {
                     members.push(r.read_string()?);
                 }

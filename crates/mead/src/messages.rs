@@ -181,7 +181,7 @@ impl GroupMsg {
             }
             GroupMsg::LaunchRequest { member } => w.write_string(member),
             GroupMsg::SyncList { entries } => {
-                w.write_u32(giop::wire_len(entries.len()));
+                w.write_count(entries.len());
                 for (m, h, p) in entries {
                     w.write_string(m);
                     w.write_string(h);
@@ -203,7 +203,7 @@ impl GroupMsg {
                 pendings,
             } => {
                 w.write_u16(*next_port);
-                w.write_u32(giop::wire_len(pendings.len()));
+                w.write_count(pendings.len());
                 for (slot, member) in pendings {
                     w.write_u32(*slot);
                     w.write_string(member);
@@ -235,8 +235,9 @@ impl GroupMsg {
                 member: r.read_string()?,
             },
             3 => {
-                let n = r.read_u32()?;
-                let mut entries = Vec::with_capacity(n.min(1024) as usize);
+                // An entry is at least two empty strings and a port.
+                let n = r.read_count(12)?;
+                let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let m = r.read_string()?;
                     let h = r.read_string()?;
@@ -259,8 +260,9 @@ impl GroupMsg {
             },
             7 => {
                 let next_port = r.read_u16()?;
-                let n = r.read_u32()?;
-                let mut pendings = Vec::with_capacity(n.min(1024) as usize);
+                // A pending launch is at least a slot and an empty name.
+                let n = r.read_count(9)?;
+                let mut pendings = Vec::with_capacity(n);
                 for _ in 0..n {
                     let slot = r.read_u32()?;
                     let member = r.read_string()?;

@@ -92,8 +92,9 @@ pub fn decode_resolve_reply(payload: &[u8]) -> Result<Ior, CdrError> {
 /// [`CdrError`] on malformed payload.
 pub fn decode_list_reply(payload: &[u8]) -> Result<Vec<(String, Ior)>, CdrError> {
     let mut r = CdrReader::new(payload, Endian::Big);
-    let n = r.read_u32()?;
-    let mut out = Vec::with_capacity(n.min(1024) as usize);
+    // An entry is at least an empty name and an IOR's length.
+    let n = r.read_count(9)?;
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let name = r.read_string()?;
         out.push((name, Ior::decode(r.read_octet_slice()?)?));
@@ -194,7 +195,7 @@ impl Servant for NamingServant {
                     .collect();
                 sys.charge_cpu(RESOLVE_CPU + ENTRY_CPU * (matches.len().saturating_sub(1)) as u64);
                 let mut w = CdrWriter::new(Endian::Big);
-                w.write_u32(matches.len() as u32);
+                w.write_count(matches.len());
                 for (name, bytes) in matches {
                     w.write_string(name);
                     write_bound(&mut w, bytes).map_err(malformed)?;
