@@ -10,7 +10,7 @@
 //! repeats exactly at a given seed.
 //!
 //! The counting allocator lives in this test binary only (the pattern of
-//! `crates/giop/tests/alloc_budget.rs`) and counts per thread, so the
+//! `tests/hostile_inputs.rs`) and counts per thread, so the
 //! harness running the other test in parallel does not disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -819,14 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_never_panics_on_truncation() {
-        let wire = Message::Request(sample_request()).encode(Endian::Big);
-        for cut in 0..wire.len() {
-            let _ = Message::decode(&wire[..cut]);
-        }
-    }
-
-    #[test]
     fn oneway_request_flag_survives() {
         let mut req = sample_request();
         req.response_expected = false;

@@ -1,9 +1,11 @@
-//! Property tests for the group-communication wire format.
+//! Property tests for the group-communication wire format: round-trips
+//! and any chunking of a stream. Hostile input is the root
+//! `tests/hostile_inputs.rs` table's.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use groupcomm::{CodecError, GcsSplitter, GcsWire, MAX_FRAME};
+use groupcomm::{GcsSplitter, GcsWire};
 
 fn arb_name() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9/_.-]{1,40}"
@@ -139,43 +141,5 @@ proptest! {
             }
         }
         prop_assert_eq!(&got, &msgs);
-    }
-
-    /// A prefix declaring more than `MAX_FRAME` bytes is refused as soon
-    /// as its four bytes are in, however they arrive and whatever follows;
-    /// the limit itself is only an incomplete frame.
-    #[test]
-    fn oversized_declared_length_is_a_typed_error(
-        excess in 1u32..=(u32::MAX - MAX_FRAME),
-        tail in prop::collection::vec(any::<u8>(), 0..32),
-        chunk in 1usize..8,
-    ) {
-        let declared = MAX_FRAME + excess;
-        let mut stream = declared.to_be_bytes().to_vec();
-        stream.extend_from_slice(&tail);
-        let mut s = GcsSplitter::new();
-        let mut fed = 0;
-        for piece in stream.chunks(chunk) {
-            s.push(piece);
-            fed += piece.len();
-            let got = s.next_message();
-            if fed < 4 {
-                prop_assert_eq!(got, Ok(None));
-            } else {
-                prop_assert_eq!(got, Err(CodecError::Oversize(declared)));
-            }
-        }
-        let mut at_limit = GcsSplitter::new();
-        at_limit.push(&MAX_FRAME.to_be_bytes());
-        prop_assert_eq!(at_limit.next_message(), Ok(None));
-    }
-
-    #[test]
-    fn decoder_never_panics_on_noise(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = GcsWire::decode(&bytes);
-        let mut s = GcsSplitter::new();
-        s.push(&bytes);
-        // Either a message, None (incomplete) or a decode error — no panic.
-        while let Ok(Some(_)) = s.next_message() {}
     }
 }

@@ -349,25 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_group_messages_error_not_panic() {
-        let cases = vec![
-            GroupMsg::SyncList {
-                entries: vec![("m".into(), "h".into(), 1)],
-            },
-            GroupMsg::RmState {
-                next_port: 20007,
-                pendings: vec![(1, "replicas/1/9".into())],
-            },
-        ];
-        for msg in cases {
-            let wire = msg.encode();
-            for cut in 0..wire.len() {
-                assert!(GroupMsg::decode(&wire[..cut]).is_err());
-            }
-        }
-    }
-
-    #[test]
     fn unknown_kind_rejected() {
         assert_eq!(GroupMsg::decode(&[77]), Err(CodecError::UnknownKind(77)));
     }

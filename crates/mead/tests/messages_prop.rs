@@ -44,11 +44,6 @@ proptest! {
     }
 
     #[test]
-    fn group_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = GroupMsg::decode(&bytes);
-    }
-
-    #[test]
     fn failover_notices_roundtrip_and_interleave_with_giop(
         host in "[a-z0-9]{1,16}",
         port in any::<u16>(),

@@ -8,7 +8,7 @@
 //! host; the allocator's call count can, exactly.
 //!
 //! The counting allocator lives in this test binary only (the pattern of
-//! `crates/giop/tests/alloc_budget.rs`) and counts per thread, so the
+//! `tests/hostile_inputs.rs`) and counts per thread, so the
 //! harness running other tests in parallel does not disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
