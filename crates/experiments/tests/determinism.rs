@@ -3,9 +3,7 @@
 //! configurations, the outcomes — compared via [`ScenarioOutcome::digest`],
 //! which folds in every per-invocation record, metric counter, byte-record
 //! series and simulated timestamp — must be bit-identical whether the
-//! batch runs sequentially or on 1, 2 or `DETERMINISM_THREADS` workers.
-//!
-//! CI runs this test twice, with `DETERMINISM_THREADS=1` and `=4`.
+//! batch runs sequentially or on 1, 2 or 4 workers.
 
 use experiments::{run_batch, run_scenario, ScenarioConfig, ScenarioOutcome};
 use mead::RecoveryScheme;
@@ -33,18 +31,11 @@ fn batch() -> Vec<ScenarioConfig> {
     configs
 }
 
-fn env_threads() -> usize {
-    std::env::var("DETERMINISM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(experiments::default_threads)
-}
-
 #[test]
 fn runner_is_bit_identical_at_every_thread_count() {
     let configs = batch();
     let sequential: Vec<u64> = configs.iter().map(|c| run_scenario(c).digest()).collect();
-    for threads in [1, 2, env_threads()] {
+    for threads in [1, 2, 4] {
         let parallel: Vec<u64> = run_batch(&configs, threads)
             .iter()
             .map(ScenarioOutcome::digest)
