@@ -256,6 +256,11 @@ impl CdrWriter {
     }
 }
 
+/// The memory a sequence decoder may reserve before its elements decode,
+/// when the bytes left are fewer: a short input's few elements get exact
+/// room, a long one's room is bounded by its own length.
+const ROOM_FLOOR: usize = 4 << 10;
+
 /// A CDR decoder borrowing the bytes it reads.
 ///
 /// See [`CdrWriter`] for a round-trip example.
@@ -393,7 +398,8 @@ impl<'a> CdrReader<'a> {
     /// Reads a sequence's element count, trusting it only as far as the
     /// bytes left can back it: each element takes at least
     /// `min_wire_bytes` on the wire, so a count that fits is at most
-    /// `remaining() / min_wire_bytes` and may size an allocation.
+    /// `remaining() / min_wire_bytes`. Reserve room for its elements with
+    /// [`room_for`](Self::room_for), never with the count itself.
     ///
     /// # Errors
     ///
@@ -409,6 +415,17 @@ impl<'a> CdrReader<'a> {
             });
         }
         Ok(n)
+    }
+
+    /// How many of `n` counted elements of `T` to reserve room for up
+    /// front: all of them when that takes no more memory than the bytes
+    /// left (or than 4 KiB, for a short input), else as many as fit in
+    /// that. A count [`read_count`](Self::read_count) let through can
+    /// still promise `size_of::<T>() / min_wire_bytes` times the input in
+    /// memory; elements past the reservation are paid for by pushing what
+    /// actually decodes.
+    pub fn room_for<T>(&self, n: usize) -> usize {
+        n.min(self.remaining().max(ROOM_FLOOR) / size_of::<T>().max(1))
     }
 
     /// Reads `sequence<octet>` as a view into the buffer.
@@ -520,6 +537,11 @@ mod tests {
                 remaining: 8
             })
         );
+        // Room is exact for a short input and bounded by a long one.
+        assert_eq!(CdrReader::new(&b, Endian::Big).room_for::<String>(2), 2);
+        let long = vec![0; 1 << 20];
+        let room = CdrReader::new(&long, Endian::Big).room_for::<String>(1 << 20);
+        assert_eq!(room, long.len() / size_of::<String>());
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl Ior {
         if let Some(out) = profiles.as_mut() {
             // Exact: an IOR usually has one profile, and `reserve` would
             // make room for four.
-            out.reserve_exact(n);
+            out.reserve_exact(r.room_for::<IiopProfile>(n));
         }
         for _ in 0..n {
             let tag = r.read_u32()?;

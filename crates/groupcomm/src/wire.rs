@@ -265,7 +265,7 @@ impl GcsWire {
                 let view_id = r.read_u64()?;
                 // A member name is at least a length and its NUL.
                 let n = r.read_count(5)?;
-                let mut members = Vec::with_capacity(n);
+                let mut members = Vec::with_capacity(r.room_for::<String>(n));
                 for _ in 0..n {
                     members.push(r.read_string()?);
                 }
@@ -303,7 +303,7 @@ impl GcsWire {
                 let view_id = r.read_u64()?;
                 // A member name is at least a length and its NUL.
                 let n = r.read_count(5)?;
-                let mut members = Vec::with_capacity(n);
+                let mut members = Vec::with_capacity(r.room_for::<String>(n));
                 for _ in 0..n {
                     members.push(r.read_string()?);
                 }

@@ -237,7 +237,7 @@ impl GroupMsg {
             3 => {
                 // An entry is at least two empty strings and a port.
                 let n = r.read_count(12)?;
-                let mut entries = Vec::with_capacity(n);
+                let mut entries = Vec::with_capacity(r.room_for::<(String, String, u16)>(n));
                 for _ in 0..n {
                     let m = r.read_string()?;
                     let h = r.read_string()?;
@@ -262,7 +262,7 @@ impl GroupMsg {
                 let next_port = r.read_u16()?;
                 // A pending launch is at least a slot and an empty name.
                 let n = r.read_count(9)?;
-                let mut pendings = Vec::with_capacity(n);
+                let mut pendings = Vec::with_capacity(r.room_for::<(u32, String)>(n));
                 for _ in 0..n {
                     let slot = r.read_u32()?;
                     let member = r.read_string()?;

@@ -94,7 +94,7 @@ pub fn decode_list_reply(payload: &[u8]) -> Result<Vec<(String, Ior)>, CdrError>
     let mut r = CdrReader::new(payload, Endian::Big);
     // An entry is at least an empty name and an IOR's length.
     let n = r.read_count(9)?;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(r.room_for::<(String, Ior)>(n));
     for _ in 0..n {
         let name = r.read_string()?;
         out.push((name, Ior::decode(r.read_octet_slice()?)?));

@@ -32,8 +32,8 @@ use rand::{Rng, RngCore, SeedableRng};
 use explore::ConflictRelation;
 use giop::{
     encode_request, CdrReader, CdrWriter, Endian, FrameKind, FrameSplitter, GiopError, Ior,
-    Message, MessageView, ObjectKey, ReplyBody, ReplyMessage, RequestMessage, HEADER_LEN,
-    MAX_FRAME_LEN,
+    Message, MessageView, ObjectKey, ReplyBody, ReplyBodyView, ReplyMessage, RequestMessage,
+    HEADER_LEN, MAX_FRAME_LEN,
 };
 use groupcomm::{CodecError, GcsSplitter, GcsWire, MAX_FRAME};
 use lint::{AllowList, Contract};
@@ -134,16 +134,17 @@ fn tally<T>(f: impl FnOnce() -> T) -> (T, Tally) {
 /// rendered as text when it does not; a broken property panics.
 type Decode = fn(&[u8]) -> Result<(), String>;
 
-struct Row {
-    name: &'static str,
-    decode: Decode,
-    seeds: fn() -> Vec<Vec<u8>>,
-    /// `(fixed, per_byte)`: an input of `len` bytes may allocate at most
-    /// `fixed + per_byte · len`, at once and in all.
-    budget: (usize, usize),
-    /// Every strict prefix of a seed is refused.
-    prefixes_fail: bool,
-}
+/// A row: the decoder's name, the decoder, its seeds, its budget
+/// `(fixed, per_byte)` (an input of `len` bytes may allocate at most
+/// `fixed + per_byte · len`, at once and in all), and whether every strict
+/// prefix of a seed is refused.
+struct Row(
+    &'static str,
+    Decode,
+    fn() -> Vec<Vec<u8>>,
+    (usize, usize),
+    bool,
+);
 
 /// Where a declared count or length meets the bytes that back it, the
 /// budget of a binary decoder: a few kilobytes and 16 bytes per input
@@ -153,48 +154,31 @@ const BINARY: (usize, usize) = (4 << 10, 16);
 /// front but no more per byte.
 const TEXT: (usize, usize) = (16 << 10, 16);
 
-const fn row(
-    name: &'static str,
-    decode: Decode,
-    seeds: fn() -> Vec<Vec<u8>>,
-    budget: (usize, usize),
-    prefixes_fail: bool,
-) -> Row {
-    Row {
-        name,
-        decode,
-        seeds,
-        budget,
-        prefixes_fail,
-    }
-}
-
 #[rustfmt::skip]
 const ROWS: &[Row] = &[
-    // name, decoder, seeds, budget, every strict prefix of a seed refused
-    row("giop Message::decode", |b| ok(Message::decode(b)), giop_messages, BINARY, true),
-    row("giop MessageView::parse", |b| ok(MessageView::parse(b)), giop_messages, BINARY, true),
-    row("giop FrameSplitter", giop_splitter, giop_streams, BINARY, false),
-    row("giop Ior::decode/validate", ior_decode, iors, BINARY, true),
-    row("giop CdrReader", cdr_reader, cdr_programs, BINARY, false),
-    row("groupcomm GcsWire::decode", |b| ok(GcsWire::decode(b)), gcs_bodies, BINARY, true),
-    row("groupcomm GcsSplitter", gcs_splitter, gcs_streams, BINARY, false),
-    row("mead GroupMsg::decode", |b| ok(GroupMsg::decode(b)), group_msgs, BINARY, true),
-    row("mead FailoverNotice::decode", failover_notice, notices, BINARY, false),
-    row("orb CounterState::restore", counter_restore, snapshots, BINARY, true),
-    row("orb naming bind", naming_bind, bind_bodies, BINARY, true),
-    row("orb decode_resolve_reply", |b| ok(orb::decode_resolve_reply(b)), || naming_reply("resolve", "naming"), BINARY, true),
-    row("orb decode_list_reply", |b| ok(orb::decode_list_reply(b)), || naming_reply("list", ""), BINARY, true),
-    row("orb decode_time_reply", |b| ok(orb::decode_time_reply(b)), time_replies, BINARY, true),
-    row("orb decode_counter_reply", |b| ok(orb::decode_counter_reply(b)), || vec![orb::encode_counter_reply(300)], BINARY, true),
-    row("orb decode_increment_once", |b| ok(orb::decode_increment_once(b)), || vec![orb::encode_increment_once(7, 1)], BINARY, true),
-    row("tomlite::parse", |b| toml(b, tomlite::parse), scenarios, TEXT, false),
-    row("experiments::parse_sweep", |b| toml(b, experiments::parse_sweep), scenarios, TEXT, false),
-    row("lint protocol spec", |b| toml(b, lint::fsm::parse_spec), || vec![SPEC.to_vec()], TEXT, false),
-    row("lint AllowList::parse", |b| toml(b, AllowList::parse), || vec![ALLOW.to_vec()], TEXT, false),
-    row("simnet DecisionTrace::parse", trace_parse, traces, TEXT, false),
-    row("explore ConflictRelation::parse", |b| ok(ConflictRelation::parse(&String::from_utf8_lossy(b))), relation, TEXT, true),
-    row("synlite parse_file", rust_lex, || vec![LEXER.to_vec()], TEXT, false),
+    Row("giop Message::decode", |b| ok(Message::decode(b)), giop_messages, BINARY, true),
+    Row("giop MessageView::parse", |b| ok(MessageView::parse(b)), giop_messages, BINARY, true),
+    Row("giop FrameSplitter", giop_splitter, giop_streams, BINARY, false),
+    Row("giop Ior::decode/validate", ior_decode, iors, BINARY, true),
+    Row("giop CdrReader", cdr_reader, cdr_programs, BINARY, false),
+    Row("groupcomm GcsWire::decode", |b| ok(GcsWire::decode(b)), gcs_bodies, BINARY, true),
+    Row("groupcomm GcsSplitter", gcs_splitter, gcs_streams, BINARY, false),
+    Row("mead GroupMsg::decode", |b| ok(GroupMsg::decode(b)), group_msgs, BINARY, true),
+    Row("mead FailoverNotice::decode", failover_notice, notices, BINARY, false),
+    Row("orb CounterState::restore", counter_restore, snapshots, BINARY, true),
+    Row("orb naming bind", naming_bind, bind_bodies, BINARY, true),
+    Row("orb decode_resolve_reply", |b| ok(orb::decode_resolve_reply(b)), || naming_reply("resolve", "naming"), BINARY, true),
+    Row("orb decode_list_reply", |b| ok(orb::decode_list_reply(b)), || naming_reply("list", ""), BINARY, true),
+    Row("orb decode_time_reply", |b| ok(orb::decode_time_reply(b)), time_replies, BINARY, true),
+    Row("orb decode_counter_reply", |b| ok(orb::decode_counter_reply(b)), || vec![orb::encode_counter_reply(300)], BINARY, true),
+    Row("orb decode_increment_once", |b| ok(orb::decode_increment_once(b)), || vec![orb::encode_increment_once(7, 1)], BINARY, true),
+    Row("tomlite::parse", |b| toml(b, tomlite::parse), scenarios, TEXT, false),
+    Row("experiments::parse_sweep", |b| toml(b, experiments::parse_sweep), scenarios, TEXT, false),
+    Row("lint protocol spec", |b| toml(b, lint::fsm::parse_spec), || vec![SPEC.to_vec()], TEXT, false),
+    Row("lint AllowList::parse", |b| toml(b, AllowList::parse), || vec![ALLOW.to_vec()], TEXT, false),
+    Row("simnet DecisionTrace::parse", trace_parse, traces, TEXT, false),
+    Row("explore ConflictRelation::parse", |b| ok(ConflictRelation::parse(&String::from_utf8_lossy(b))), relation, TEXT, true),
+    Row("synlite parse_file", rust_lex, || vec![LEXER.to_vec()], TEXT, false),
 ];
 
 #[test]
@@ -210,17 +194,17 @@ fn every_decoder_survives_its_mutants_within_budget() {
 
 /// Feeds one row its seeds and every mutant of them; returns what failed
 /// (at most three lines a row).
-fn run(row: &Row) -> Vec<String> {
-    let seeds = (row.seeds)();
+fn run(&Row(name, decode, seeds, (fixed, per_byte), prefixes_fail): &Row) -> Vec<String> {
+    let seeds = seeds();
     let mut failures = Vec::new();
 
     let mut feed = |what: &str, input: &[u8]| {
-        let limit = row.budget.0 + row.budget.1 * input.len();
-        let verdict = catch_unwind(AssertUnwindSafe(|| tally(|| (row.decode)(input))));
+        let limit = fixed + per_byte * input.len();
+        let verdict = catch_unwind(AssertUnwindSafe(|| tally(|| decode(input))));
         let fault = match verdict {
             Err(_) => Some("panicked".to_string()),
             Ok((Err(e), _)) if what == "seed" => Some(format!("refused: {e}")),
-            Ok((Ok(()), _)) if what == "prefix" && row.prefixes_fail => {
+            Ok((Ok(()), _)) if what == "prefix" && prefixes_fail => {
                 Some("accepted a strict prefix".to_string())
             }
             Ok((_, t)) if t.largest > limit || t.bytes > limit => Some(format!(
@@ -232,8 +216,7 @@ fn run(row: &Row) -> Vec<String> {
         if let (Some(fault), true) = (fault, failures.len() < 3) {
             let shown = &input[..input.len().min(48)];
             failures.push(format!(
-                "{}: {what} of {} B {fault}: {shown:02x?}",
-                row.name,
+                "{name}: {what} of {} B {fault}: {shown:02x?}",
                 input.len()
             ));
         }
@@ -241,7 +224,7 @@ fn run(row: &Row) -> Vec<String> {
     for s in &seeds {
         feed("seed", s);
     }
-    let seed = row.name.bytes().fold(0x5eed_u64, |h, b| {
+    let seed = name.bytes().fold(0x5eed_u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     });
     mutate(&seeds, &mut StdRng::seed_from_u64(seed), &mut feed);
@@ -886,6 +869,93 @@ fn the_sweep_schema_refuses_at_a_line_of_the_input() {
     }
 }
 
+/// Records of small numbers under a good header, so that in-range,
+/// out-of-range, gapped, repeated and swapped records all occur: a trace
+/// parses exactly when replay can apply it as written.
+#[test]
+fn a_trace_parses_exactly_when_it_replays() {
+    let mut rng = StdRng::seed_from_u64(0x7ace);
+    let mut draw = |below: u64| rng.gen_range(0..below);
+    for _ in 0..2_000 {
+        let records: Vec<(u64, u64, u64)> = (0..draw(4))
+            .map(|_| (draw(4), draw(11), draw(11)))
+            .collect();
+        let mut text = DecisionTrace::empty(GateCfg::default()).to_jsonl();
+        for (step, n, chosen) in &records {
+            let record = format!("{{\"step\":{step},\"at_ns\":7,\"n\":{n},\"chosen\":{chosen}}}");
+            text.push_str(&record);
+            text.push('\n');
+        }
+        let replayable = records.iter().enumerate().all(|(i, &(step, n, chosen))| {
+            step == i as u64 && (2..=MAX_CANDIDATES as u64).contains(&n) && chosen < n
+        });
+        assert_eq!(trace_parse(text.as_bytes()).is_ok(), replayable, "{text}");
+    }
+}
+
+/// The largest count `read_count` admits, in a frame as long as the
+/// splitters let through (1 MiB), reserves less than the frame: that
+/// count at each of the six sequence decoders, whose first element then
+/// fails to decode. The rest, an error message or a group name, is within
+/// a binary row's fixed term.
+#[test]
+fn the_largest_admissible_count_reserves_less_than_its_input() {
+    // The decoder, what it reads before the count, and the fewest wire
+    // bytes one element takes.
+    type Head = fn(&mut CdrWriter);
+    let sites: [(Decode, Head, usize); 6] = [
+        (|b| ok(Ior::decode(b)), |w| w.write_string("IDL:x:1.0"), 8),
+        (|b| ok(orb::decode_list_reply(b)), |_| {}, 9),
+        (
+            |b| ok(GcsWire::decode(b)),
+            |w| {
+                w.write_u8(5);
+                w.write_string("g");
+                w.write_u64(9);
+            },
+            5,
+        ),
+        (
+            |b| ok(GcsWire::decode(b)),
+            |w| {
+                w.write_u8(11);
+                w.write_u64(5);
+                w.write_string("g");
+                w.write_u64(10);
+            },
+            5,
+        ),
+        (|b| ok(GroupMsg::decode(b)), |w| w.write_u8(3), 12),
+        (
+            |b| ok(GroupMsg::decode(b)),
+            |w| {
+                w.write_u8(7);
+                w.write_u16(20_007);
+            },
+            9,
+        ),
+    ];
+    for (decode, head, min_wire_bytes) in sites {
+        let mut w = CdrWriter::new(Endian::Big);
+        head(&mut w);
+        w.write_count(0);
+        let mut input = w.into_vec();
+        let count = (MAX_FRAME_LEN - input.len()) / min_wire_bytes;
+        let at = input.len() - 4;
+        input[at..].copy_from_slice(&(count as u32).to_be_bytes());
+        input.resize(MAX_FRAME_LEN, 0);
+        let (decoded, t) = tally(|| decode(&input));
+        assert!(decoded.is_err(), "{:02x?}", &input[..at + 4]);
+        assert!(
+            t.largest < input.len() && t.bytes < BINARY.0 + input.len(),
+            "a count of {count} in {} B allocated {} B in all, {} B at once",
+            input.len(),
+            t.bytes,
+            t.largest
+        );
+    }
+}
+
 /// A header declaring more than the splitter's bound is refused as soon
 /// as the header is in, however it arrives; the bound itself is only an
 /// incomplete frame.
@@ -1008,21 +1078,36 @@ fn a_message_is_one_buffer_from_encoder_to_decoder() {
     }
 
     let wire = Message::Request(request(vec![7; 16])).encode(Endian::Big);
+    let (view, t) = tally(|| MessageView::parse(&wire));
+    assert_eq!(t.calls, 0, "parsing a RequestView");
+    match view {
+        Ok(MessageView::Request(req)) => {
+            assert_eq!((req.operation, req.body), ("time_of_day", &[7; 16][..]));
+        }
+        other => panic!("expected a request, got {other:?}"),
+    }
     let replies = [
         ReplyBody::NoException(vec![7; 16]),
         ReplyBody::UserException("IDL:App/Oops:1.0".into()),
+        ReplyBody::SystemException {
+            repo_id: giop::EX_TRANSIENT.into(),
+            minor: 1,
+            completed: 1,
+        },
         ReplyBody::NeedsAddressingMode(0),
-    ]
-    .map(|body| {
-        Message::Reply(ReplyMessage {
+    ];
+    for body in replies {
+        let frame = Message::Reply(ReplyMessage {
             request_id: 42,
             body,
         })
-        .encode(Endian::Big)
-    });
-    for frame in replies.iter().chain([&wire]) {
-        let (view, t) = tally(|| MessageView::parse(frame).map(drop));
-        assert_eq!((view, t.calls), (Ok(()), 0), "parsing {frame:?}");
+        .encode(Endian::Big);
+        let (view, t) = tally(|| MessageView::parse(&frame));
+        assert_eq!(t.calls, 0, "parsing a ReplyView of {frame:?}");
+        assert!(matches!(
+            view,
+            Ok(MessageView::Reply(rep)) if !matches!(rep.body, ReplyBodyView::LocationForward(_))
+        ));
     }
     // The owned decoder pays for its fields (key, operation, body) only.
     let (owned, t) = tally(|| Message::decode(&wire));
@@ -1037,6 +1122,7 @@ fn a_message_is_one_buffer_from_encoder_to_decoder() {
         });
         assert_eq!(t.calls, 0, "push_bytes + next_frame");
         assert_eq!(frame.map(|f| f.map(|f| f.bytes)), Ok(Some(wire.clone())));
+        assert_eq!(splitter.buffered(), 0);
     }
 
     let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
