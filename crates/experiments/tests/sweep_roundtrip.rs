@@ -5,8 +5,11 @@
 //! executor that moves any plan's outcome fails here.
 
 use experiments::pins::{hold, Run};
-use experiments::{expand_sweep, parse_sweep, run_sweep, SweepUnit};
+use experiments::{
+    expand_sweep, parse_sweep, run_chaos_plan, run_chaos_plan_with, run_sweep, SweepUnit,
+};
 use faults::FaultKind;
+use simnet::{GateCfg, ReplayScheduler};
 
 fn scenario_source(file: &str) -> String {
     let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -80,4 +83,26 @@ fn sweep_digest_is_thread_count_independent() {
         "sweep/smoke-trimmed",
         Run::of(one.components()).count("plans", one.results.len() as u64),
     )]);
+}
+
+/// The kernel parks a notify for a busy process in one of two ways: in
+/// the process's ready list without a gate, as an entry of its own under
+/// one. On every smoke plan, a gate that never opens gives the FIFO run's
+/// digest, `events_processed` included.
+#[test]
+fn both_parking_paths_give_one_digest_on_every_smoke_plan() {
+    let units = expand_twice("sweep-smoke.toml");
+    let closed = GateCfg {
+        max_steps: 0,
+        ..GateCfg::default()
+    };
+    for unit in &units {
+        let fifo = run_chaos_plan(&unit.plan, &unit.chaos);
+        let gated = run_chaos_plan_with(
+            &unit.plan,
+            &unit.chaos,
+            Box::new(ReplayScheduler::new(closed, Vec::new())),
+        );
+        assert_eq!(fifo.digest(), gated.digest(), "cell {}", unit.cell);
+    }
 }

@@ -54,9 +54,10 @@ pub enum ForkError {
     },
     /// The fork's scheduler names a different
     /// [`gate`](crate::Scheduler::gate) from the one the simulation was
-    /// built with. Notify coalescing is keyed on whether there is a gate
-    /// and pooling on what it is, so the copied state would not be one
-    /// that scheduler could have produced.
+    /// built with. Where a parked notify waits (a ready list, or an entry
+    /// of its own) is keyed on whether there is a gate and pooling on
+    /// what it is, so the copied state would not be one that scheduler
+    /// could have produced.
     GateMismatch,
     /// The simulation has already surfaced a choice point: its state
     /// depends on a decision of the scheduler it ran under, which a fork

@@ -59,9 +59,9 @@ pub const MAX_CANDIDATES: usize = 8;
 pub const TRACE_SCHEMA: &str = "decision-trace/1";
 
 /// What kind of kernel action a [`Candidate`] would dispatch. Mirrors
-/// the kernel's internal action set one-to-one, minus the coalesced
-/// batch form (batching is disabled under a non-FIFO scheduler so every
-/// event is individually reorderable).
+/// the kernel's internal action set one-to-one, minus the wake of a
+/// process's ready list, which exists only without a gate: under one,
+/// every parked notify is an entry of its own, individually reorderable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CandidateKind {
     /// A spawned process's `on_start` is due.
@@ -171,9 +171,9 @@ pub trait Scheduler {
     /// The decision gate the kernel applies on this scheduler's behalf,
     /// read once when the simulation is built. `None` only for
     /// [`FifoScheduler`]: the kernel then dispatches each popped event as
-    /// is, never calls [`choose`](Self::choose), and coalesces notify
-    /// waves, so default runs are bit-identical to the pre-scheduler
-    /// kernel.
+    /// is, never calls [`choose`](Self::choose), and parks a busy
+    /// process's notifies in its ready list instead of as entries of
+    /// their own; all-default picks under any gate give the same run.
     fn gate(&self) -> Option<GateCfg>;
 }
 

@@ -100,34 +100,14 @@ enum Action {
     TimerFire {
         timer: TimerId,
     },
+    /// A notify parked under a gate, as its own reorderable entry.
     Notify {
         pid: ProcessId,
         event: Event,
     },
-    /// A coalesced run of parked notifies for one process: `events[i]`
-    /// owns sequence number `first_seq + i`, where `first_seq` is the
-    /// wheel key the batch is scheduled under. Built by the bounce
-    /// accumulator ([`Simulation::bounce`]) whenever a requeue wave
-    /// targets one `(pid, busy_until)` with consecutive sequence numbers,
-    /// so a busy destination re-bounces the whole wave in O(1) instead of
-    /// O(wave size).
-    NotifyBatch {
-        pid: ProcessId,
-        events: VecDeque<Event>,
-    },
-}
-
-/// An open bounce accumulator: parked notifies bound for one
-/// `(pid, at)` destination whose sequence numbers run consecutively from
-/// `first_seq`. Lives outside the wheel until some other push needs a
-/// sequence number (breaking the consecutive run) or the clock is about
-/// to reach `at` — see [`Simulation::flush_bounce`].
-#[derive(Clone)]
-struct PendingBounce {
-    pid: ProcessId,
-    at: SimTime,
-    first_seq: u64,
-    events: VecDeque<Event>,
+    /// Without a gate: the head of `pid`'s ready list is due. One such
+    /// entry is queued while the list is non-empty.
+    Wake(ProcessId),
 }
 
 /// A queued action with its full scheduling key; the event queue itself
@@ -200,6 +180,9 @@ struct ProcLive {
     proc: Option<Box<dyn Process>>,
     rng: SimRng,
     started: bool,
+    /// Notifies that found the process busy, in arrival order; without a
+    /// gate one [`Action::Wake`] serves them one per service completion.
+    ready: VecDeque<Event>,
     conns: BTreeSet<ConnId>,
     listeners: BTreeSet<ListenerId>,
     exit_requested: Option<ExitReason>,
@@ -227,7 +210,8 @@ pub struct KernelStats {
     /// Connection endpoints ever created (endpoints are never removed —
     /// closed ones keep answering state queries, as on the old kernel).
     pub endpoints: u64,
-    /// Events currently pending in the timing wheel.
+    /// Entries currently pending in the timing wheel (a ready list's
+    /// parked notifies wait behind its one wake entry).
     pub pending_events: u64,
 }
 
@@ -289,23 +273,13 @@ pub struct Simulation {
     /// without an entry draw nothing, so configuring jitter on one link
     /// cannot perturb the RNG stream of unrelated scenarios.
     link_jitter: BTreeMap<(u32, u32), SimDuration>,
-    /// Open bounce accumulator (see [`Self::bounce`]); `None` when no
-    /// coalescible notify run is in flight.
-    pending_bounce: Option<PendingBounce>,
-    /// Recycled backing storage for drained batches, so scenarios with no
-    /// storms never allocate per singleton bounce.
-    bounce_spare: VecDeque<Event>,
-    /// Logical events folded inside queued [`Action::NotifyBatch`]
-    /// entries (batch length − 1 each), so
-    /// [`KernelStats::pending_events`] keeps counting individual events.
-    batched_extra: u64,
     /// The event-ordering policy (DESIGN §13). [`FifoScheduler`] keeps
     /// strict `(at, seq)` order; anything else routes same-window ties
     /// through [`sched::ChoicePoint`]s while its gate is open.
     scheduler: Box<dyn Scheduler>,
     /// The decision gate, `scheduler.gate()` read once at construction:
     /// `None` under [`FifoScheduler`], which the dispatch hot path and
-    /// notify coalescing branch on without a vtable call.
+    /// notify parking branch on without a vtable call.
     gate: Option<GateCfg>,
     /// Choice points surfaced so far — the ordinals the gate has handed
     /// out, counted against [`GateCfg::max_steps`].
@@ -352,9 +326,6 @@ impl Simulation {
             parked: Vec::new(),
             oneway_cuts: BTreeSet::new(),
             link_jitter: BTreeMap::new(),
-            pending_bounce: None,
-            bounce_spare: VecDeque::new(),
-            batched_extra: 0,
             scheduler,
             gate,
             sched_steps: 0,
@@ -367,10 +338,11 @@ impl Simulation {
     /// metrics and trace as a simulation that was never copied.
     ///
     /// Copied: every kernel table, the event queue with its pending
-    /// actions, endpoints and their receive queues, timers, the kernel's
-    /// and every process's random stream, partitions, the sequence and
-    /// event counters, the clock, the metrics store and the trace. Each
-    /// live process is copied by its own [`Process::fork`]. In-flight
+    /// actions, every process's ready list of parked notifies, endpoints
+    /// and their receive queues, timers, the kernel's and every
+    /// process's random stream, partitions, the sequence and event
+    /// counters, the clock, the metrics store and the trace. Each live
+    /// process is copied by its own [`Process::fork`]. In-flight
     /// [`Bytes`] are immutable and shared. The copy's buffers are sized to
     /// what they hold.
     ///
@@ -392,6 +364,7 @@ impl Simulation {
             proc: None,
             rng: live.rng.clone(),
             started: live.started,
+            ready: live.ready.clone(),
             conns: live.conns.clone(),
             listeners: live.listeners.clone(),
             exit_requested: live.exit_requested.clone(),
@@ -432,9 +405,6 @@ impl Simulation {
             parked: self.parked.clone(),
             oneway_cuts: self.oneway_cuts.clone(),
             link_jitter: self.link_jitter.clone(),
-            pending_bounce: self.pending_bounce.clone(),
-            bounce_spare: VecDeque::new(),
-            batched_extra: self.batched_extra,
             scheduler,
             gate: self.gate,
             sched_steps: 0,
@@ -502,13 +472,7 @@ impl Simulation {
             listeners_issued: self.listeners.ids_issued(),
             listener_slots: self.listeners.slot_count() as u64,
             endpoints: self.endpoints.len() as u64,
-            pending_events: self.queue.len() as u64
-                + self.batched_extra
-                + self
-                    .pending_bounce
-                    .as_ref()
-                    .map(|p| p.events.len() as u64)
-                    .unwrap_or(0),
+            pending_events: self.queue.len() as u64,
         }
     }
 
@@ -748,6 +712,7 @@ impl Simulation {
             proc: Some(proc),
             rng,
             started: false,
+            ready: VecDeque::new(),
             conns: BTreeSet::new(),
             listeners: BTreeSet::new(),
             exit_requested: None,
@@ -909,22 +874,7 @@ impl Simulation {
     /// so the loop ends by queue drain or deadline.
     fn dispatch_until(&mut self, deadline: SimTime) -> RunOutcome {
         loop {
-            // While a bounce accumulator is open, every queued entry has
-            // a smaller sequence number than the accumulator's (pushes
-            // flush it first), so entries up to and including its `at`
-            // may pop freely — but nothing beyond `at` may overtake it,
-            // so the pop window is capped until it flushes. (A choosing
-            // scheduler never opens one: see `bounce`.)
-            let cap = self
-                .pending_bounce
-                .as_ref()
-                .map(|p| p.at.as_nanos())
-                .unwrap_or(u64::MAX);
-            let Some(head) = self.queue.pop_due(deadline.as_nanos().min(cap)) else {
-                if self.pending_bounce.is_some() {
-                    self.flush_bounce();
-                    continue;
-                }
+            let Some(head) = self.queue.pop_due(deadline.as_nanos()) else {
                 if self.queue.is_empty() {
                     self.now = deadline.max(self.now);
                     return RunOutcome::Idle;
@@ -949,12 +899,10 @@ impl Simulation {
             // runs backwards, so a chosen schedule is always a physically
             // plausible late-delivery history.
             self.now = self.now.max(at);
-            if let Action::NotifyBatch { pid, events } = action {
-                // Every element counts as one dispatched event.
-                let n = events.len() as u64;
-                self.batched_extra -= n - 1;
-                self.events_processed += n;
-                self.notify_batch(pid, events);
+            // A parked notify counts, and is traced, only when it reaches
+            // its process (`deliver_parked`).
+            if let Action::Notify { .. } | Action::Wake(_) = action {
+                self.handle(action);
                 continue;
             }
             let sched = Scheduled { at, seq, action };
@@ -1078,8 +1026,8 @@ impl Simulation {
         }
     }
 
-    /// The scheduler-facing kind of an action (batches report as plain
-    /// notifies; they cannot arise under a choosing scheduler).
+    /// The scheduler-facing kind of an action (a wake reports as a plain
+    /// notify; it cannot arise under a choosing scheduler).
     fn action_kind(action: &Action) -> sched::CandidateKind {
         match action {
             Action::StartProcess(_) => sched::CandidateKind::StartProcess,
@@ -1088,7 +1036,7 @@ impl Simulation {
             Action::DeliverData { .. } => sched::CandidateKind::DeliverData,
             Action::DeliverEof { .. } => sched::CandidateKind::DeliverEof,
             Action::TimerFire { .. } => sched::CandidateKind::TimerFire,
-            Action::Notify { .. } | Action::NotifyBatch { .. } => sched::CandidateKind::Notify,
+            Action::Notify { .. } | Action::Wake(_) => sched::CandidateKind::Notify,
         }
     }
 
@@ -1097,9 +1045,9 @@ impl Simulation {
     /// observable by that process).
     fn action_target(&self, action: &Action) -> Option<ProcessId> {
         match action {
-            Action::StartProcess(pid)
-            | Action::Notify { pid, .. }
-            | Action::NotifyBatch { pid, .. } => Some(*pid),
+            Action::StartProcess(pid) | Action::Notify { pid, .. } | Action::Wake(pid) => {
+                Some(*pid)
+            }
             Action::TimerFire { timer } => self.timers.get(timer.0).map(|ts| ts.pid),
             Action::ConnectAttempt { client_ep, .. } | Action::ConnectResult { client_ep, .. } => {
                 self.endpoint(*client_ep).map(|ep| ep.owner)
@@ -1114,7 +1062,7 @@ impl Simulation {
     /// The handler class dispatching an action will invoke on its
     /// target process: the process-facing [`Event`] variant name,
     /// `"on_start"` for launches, or the action name for kernel-internal
-    /// steps (connect SYNs, coalesced batches) with no single handler.
+    /// steps (connect SYNs, ready-list wakes) with no single handler.
     /// This is [`sched::Candidate::class`] — the key the explorer's
     /// conflict-relation artifact refines conflicts by.
     fn action_class(action: &Action) -> &'static str {
@@ -1127,7 +1075,7 @@ impl Simulation {
             Action::DeliverEof { .. } => "peer_closed",
             Action::TimerFire { .. } => "timer_fired",
             Action::Notify { event, .. } => Self::event_class(event),
-            Action::NotifyBatch { .. } => "notify_batch",
+            Action::Wake(_) => "wake",
         }
     }
 
@@ -1141,7 +1089,7 @@ impl Simulation {
             }
             Action::DeliverData { ep, .. } | Action::DeliverEof { ep } => Some(*ep),
             Action::Notify { event, .. } => Self::event_conn(event),
-            Action::StartProcess(_) | Action::TimerFire { .. } | Action::NotifyBatch { .. } => None,
+            Action::StartProcess(_) | Action::TimerFire { .. } | Action::Wake(_) => None,
         }
     }
 
@@ -1177,153 +1125,71 @@ impl Simulation {
             Action::DeliverData { .. } => "deliver_data",
             Action::DeliverEof { .. } => "deliver_eof",
             Action::TimerFire { .. } => "timer_fire",
-            Action::Notify { .. } => "notify",
-            Action::NotifyBatch { .. } => "notify_batch",
+            Action::Notify { .. } | Action::Wake(_) => "notify",
         }
     }
 
     fn push(&mut self, at: SimTime, action: Action) {
-        // Any unrelated push breaks the accumulator's consecutive-seq
-        // run, so it must materialise in the wheel first.
-        self.flush_bounce();
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at.as_nanos(), seq, action);
     }
 
-    /// Parks `event` for a busy `pid`, waking at `at`: consecutive parks
-    /// for one `(pid, at)` destination coalesce into a single
-    /// [`Action::NotifyBatch`] wheel entry instead of one entry each.
-    /// Sequence numbers are allocated here exactly as the individual
-    /// pushes would have, so dispatch order is bit-identical — the win is
-    /// purely that a wave of `k` parked notifies re-bounces off a busy
-    /// process in O(1) rather than O(k) wheel operations.
-    fn bounce(&mut self, pid: ProcessId, at: SimTime, event: Event) {
+    /// When `pid` is next free: its backlog horizon, or now.
+    fn horizon(&self, pid: ProcessId) -> SimTime {
+        self.meta(pid)
+            .map_or(self.now, |m| m.busy_until.max(self.now))
+    }
+
+    /// Parks `event` for `pid` until its backlog horizon. Under a gate it
+    /// is an entry of its own, which the scheduler may interleave with
+    /// anything else due; otherwise it joins the end of the process's
+    /// ready list, and the first one arms the list's wake.
+    fn park(&mut self, pid: ProcessId, event: Event) {
+        let at = self.horizon(pid);
         if self.gate.is_some() {
-            // Under a choosing scheduler — whether its gate is open or
-            // not — every parked notify stays an individually
-            // reorderable wheel entry: coalescing would fuse events the
-            // scheduler must be able to interleave.
-            // Sequence allocation is identical either way.
             self.push(at, Action::Notify { pid, event });
             return;
         }
-        match &mut self.pending_bounce {
-            Some(p) if p.pid == pid && p.at == at => {
-                debug_assert_eq!(p.first_seq + p.events.len() as u64, self.seq);
-                p.events.push_back(event);
-                self.seq += 1;
-            }
-            _ => {
-                self.flush_bounce();
-                let mut events = mem::take(&mut self.bounce_spare);
-                events.clear();
-                events.push_back(event);
-                self.pending_bounce = Some(PendingBounce {
-                    pid,
-                    at,
-                    first_seq: self.seq,
-                    events,
-                });
-                self.seq += 1;
-            }
-        }
-    }
-
-    /// [`bounce`](Self::bounce) for a whole popped batch at once: the
-    /// elements keep their relative order and receive the same
-    /// consecutive sequence numbers the per-entry requeues would have.
-    fn bounce_many(&mut self, pid: ProcessId, at: SimTime, mut events: VecDeque<Event>) {
-        if self.gate.is_some() {
-            for event in events {
-                self.push(at, Action::Notify { pid, event });
-            }
-            return;
-        }
-        match &mut self.pending_bounce {
-            Some(p) if p.pid == pid && p.at == at => {
-                debug_assert_eq!(p.first_seq + p.events.len() as u64, self.seq);
-                self.seq += events.len() as u64;
-                p.events.append(&mut events);
-                self.bounce_spare = events;
-            }
-            _ => {
-                self.flush_bounce();
-                let first_seq = self.seq;
-                self.seq += events.len() as u64;
-                self.pending_bounce = Some(PendingBounce {
-                    pid,
-                    at,
-                    first_seq,
-                    events,
-                });
-            }
-        }
-    }
-
-    /// Materialises the open bounce accumulator as a wheel entry — a
-    /// plain [`Action::Notify`] when it holds a single event (so
-    /// storm-free scenarios behave exactly as before), a
-    /// [`Action::NotifyBatch`] otherwise.
-    fn flush_bounce(&mut self) {
-        let Some(mut p) = self.pending_bounce.take() else {
+        let Some(live) = self.live_mut(pid) else {
             return;
         };
-        if p.events.len() == 1 {
-            if let Some(event) = p.events.pop_front() {
-                self.bounce_spare = p.events;
-                self.queue.push(
-                    p.at.as_nanos(),
-                    p.first_seq,
-                    Action::Notify { pid: p.pid, event },
-                );
-            }
-        } else {
-            self.batched_extra += p.events.len() as u64 - 1;
-            self.queue.push(
-                p.at.as_nanos(),
-                p.first_seq,
-                Action::NotifyBatch {
-                    pid: p.pid,
-                    events: p.events,
-                },
-            );
+        live.ready.push_back(event);
+        if live.ready.len() == 1 {
+            self.push(at, Action::Wake(pid));
         }
     }
 
-    /// Processes a popped notify batch element by element, exactly as
-    /// the pre-coalescing kernel popped the individual entries: each
-    /// element counts as one dispatched event and sees the *current*
-    /// liveness/busyness of its destination. A busy destination requeues
-    /// every remaining element in one move (the O(1) wave bounce); a
-    /// dead one drops them one by one.
-    fn notify_batch(&mut self, pid: ProcessId, mut events: VecDeque<Event>) {
-        while let Some(ev) = events.pop_front() {
-            if self.kernel_traced() {
-                self.emit(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
-            }
-            match self.procs.get(pid.0 as usize) {
-                None => continue,
-                Some(meta) if !meta.alive => continue,
-                Some(meta) if meta.busy_until > self.now => {
-                    // Still busy: this element and every one behind it
-                    // requeue at the new horizon.
-                    let busy_until = meta.busy_until;
-                    if self.kernel_traced() {
-                        // The old kernel emitted one Dispatch line per
-                        // bounce pop; this element's was emitted above.
-                        for _ in 0..events.len() {
-                            self.emit(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
-                        }
-                    }
-                    events.push_front(ev);
-                    self.bounce_many(pid, busy_until, events);
-                    return;
-                }
-                Some(_) => self.dispatch(pid, Some(ev)),
+    /// Hands a parked notify to `pid` if it is alive and free: that is
+    /// one processed event and one `Dispatch { action: "notify" }` line.
+    /// A dead process drops it; a busy one hands it back to be parked
+    /// again. Neither counts.
+    fn deliver_parked(&mut self, pid: ProcessId, event: Event) -> Option<Event> {
+        let meta = self.meta(pid).filter(|m| m.alive)?;
+        if meta.busy_until > self.now {
+            return Some(event);
+        }
+        self.events_processed += 1;
+        if self.kernel_traced() {
+            self.emit(NodeId(0), obs::EventKind::Dispatch { action: "notify" });
+        }
+        self.dispatch(pid, Some(event));
+        None
+    }
+
+    /// A ready list's wake is due: serve its head if `pid` is free, then
+    /// re-arm at the new horizon while the list holds more. A dead
+    /// process's wake finds no list and does nothing.
+    fn wake(&mut self, pid: ProcessId) {
+        if self.horizon(pid) == self.now {
+            if let Some(event) = self.live_mut(pid).and_then(|l| l.ready.pop_front()) {
+                self.deliver_parked(pid, event);
             }
         }
-        self.bounce_spare = events;
+        if self.live_mut(pid).is_some_and(|l| !l.ready.is_empty()) {
+            let at = self.horizon(pid);
+            self.push(at, Action::Wake(pid));
+        }
     }
 
     fn handle(&mut self, action: Action) {
@@ -1336,15 +1202,12 @@ impl Simulation {
             Action::DeliverData { ep, data } => self.handle_deliver_data(ep, data),
             Action::DeliverEof { ep } => self.handle_deliver_eof(ep),
             Action::TimerFire { timer } => self.handle_timer_fire(timer),
-            Action::Notify { pid, event } => self.notify(pid, event),
-            // Batches are intercepted in `dispatch_until` (they carry
-            // their own event accounting); deliver element-wise if one
-            // ever reaches here anyway.
-            Action::NotifyBatch { pid, events } => {
-                for event in events {
-                    self.notify(pid, event);
+            Action::Notify { pid, event } => {
+                if let Some(event) = self.deliver_parked(pid, event) {
+                    self.park(pid, event);
                 }
             }
+            Action::Wake(pid) => self.wake(pid),
         }
     }
 
@@ -1517,13 +1380,9 @@ impl Simulation {
         }
     }
 
-    /// Delivers `event` to `pid` now, or parks it until the process is
-    /// free. Used both for fresh kernel notifications and for parked
-    /// notifies popping back out of the wheel (the destination may have
-    /// become busy again in the meantime). One dense meta load answers
-    /// both the liveness and the busy check — this is the hottest kernel
-    /// path under server contention (notify-requeue storms), and busy
-    /// parks go through the coalescing [`bounce`](Self::bounce) path.
+    /// Delivers a fresh kernel notification to `pid` now, or parks it
+    /// until the process is free. One dense meta load answers both the
+    /// liveness and the busy check.
     fn notify(&mut self, pid: ProcessId, event: Event) {
         let Some(meta) = self.procs.get(pid.0 as usize) else {
             return;
@@ -1532,8 +1391,7 @@ impl Simulation {
             return;
         }
         if meta.busy_until > self.now {
-            let at = meta.busy_until;
-            self.bounce(pid, at, event);
+            self.park(pid, event);
         } else {
             self.dispatch(pid, Some(event));
         }
@@ -1551,15 +1409,10 @@ impl Simulation {
             None => slot.started = true,
             Some(_) if !slot.started => {
                 // Event raced ahead of on_start (should not happen since
-                // busy_until covers launch, but be safe): requeue.
+                // busy_until covers launch, but be safe): park it.
                 slot.proc = Some(proc);
-                let at = self
-                    .procs
-                    .get(pid.0 as usize)
-                    .map(|m| m.busy_until)
-                    .unwrap_or(self.now);
                 if let Some(ev) = event {
-                    self.push(at, Action::Notify { pid, event: ev });
+                    self.park(pid, ev);
                 }
                 return;
             }

@@ -2,8 +2,8 @@
 //! [`Simulation::fork`], and its three typed refusals.
 //!
 //! For four small worlds — a ping-pong with a heartbeat timer, a fan-in
-//! onto a busy sink (the notify-herd shape: parked notifies, coalesced
-//! batches under FIFO), jittered self-re-arming timers (every process
+//! onto a busy sink (parked notifies: a ready list under FIFO, entries of
+//! their own under a gate), jittered self-re-arming timers (every process
 //! draws from its own random stream), and a backlog that a slow reader
 //! nibbles at (its receive queue always holds a partly read head segment
 //! and more behind it) — under FIFO and under a gate that opens right
@@ -95,7 +95,7 @@ impl Process for Pinger {
 }
 
 /// Accepts everyone and is busy for a while after every read, so that
-/// deliveries for it park and bounce.
+/// deliveries for it park.
 #[derive(Clone)]
 struct BusySink {
     read: u64,
@@ -437,7 +437,7 @@ fn a_fork_whose_queue_holds_a_head_segment_reads_on_in_order() {
 
 /// The worlds above do what their names say, so the properties are not
 /// vacuous: bytes are echoed, notifies park behind the busy sink and
-/// coalesce, timers fire, and the gated runs do surface choice points.
+/// reach it, timers fire, and the gated runs do surface choice points.
 #[test]
 fn the_worlds_exercise_what_they_claim() {
     let run = |world, gated| {
@@ -449,12 +449,12 @@ fn the_worlds_exercise_what_they_claim() {
     assert!(run(World::Timers, false).metrics().counter("ticks") > 40);
     let fan_in = run(World::FanIn, false);
     assert!(fan_in.metrics().counter("sink.reads") > 100);
-    let batches = fan_in
+    let parked = fan_in
         .trace()
         .iter()
         .filter(|e| e.kind == obs::EventKind::Dispatch { action: "notify" })
         .count();
-    assert!(batches > 50, "only {batches} parked notifies");
+    assert!(parked > 50, "only {parked} parked notifies");
 
     struct Counting(GateCfg, std::rc::Rc<std::cell::Cell<u64>>);
     impl Scheduler for Counting {

@@ -676,8 +676,12 @@ impl Process for StormSender {
                 sys.set_timer(first, 0);
             }
             Event::TimerFired { .. } => {
-                sys.write(self.conn.expect("connected"), &[self.id])
-                    .expect("storm write");
+                if sys
+                    .write(self.conn.expect("connected"), &[self.id])
+                    .is_err()
+                {
+                    return; // the sink died
+                }
                 self.left -= 1;
                 if self.left > 0 {
                     sys.set_timer(SimDuration::from_micros(300), 0);
@@ -710,16 +714,20 @@ impl Process for StormSink {
     }
 }
 
-/// Receive log, `events_processed` and final `now` of a notify storm run
-/// until its queue drains: twelve senders on two nodes, six writes each,
-/// one busy sink.
-fn notify_storm(scheduler: Box<dyn Scheduler>) -> (Vec<(SimTime, u8)>, u64, SimTime) {
+type Received = Rc<RefCell<Vec<(SimTime, u8)>>>;
+
+/// Receive log, `events_processed` and final `now` of a storm run.
+type StormRun = (Vec<(SimTime, u8)>, u64, SimTime);
+
+/// A notify storm's world: twelve senders on two nodes, six writes each,
+/// one busy sink; with the sink's pid and its receive log.
+fn storm_world(scheduler: Box<dyn Scheduler>) -> (Simulation, ProcessId, Received) {
     let mut sim = Simulation::with_scheduler(quiet_config(15), scheduler);
     let hub = sim.add_node("hub");
     let edges = [sim.add_node("edge-a"), sim.add_node("edge-b")];
     let sink = Addr::new(hub, Port(7000));
     let received = Rc::new(RefCell::new(Vec::new()));
-    sim.spawn(
+    let sink_pid = sim.spawn(
         hub,
         "sink",
         Box::new(StormSink {
@@ -739,9 +747,32 @@ fn notify_storm(scheduler: Box<dyn Scheduler>) -> (Vec<(SimTime, u8)>, u64, SimT
             }),
         );
     }
+    (sim, sink_pid, received)
+}
+
+/// A storm world run until its queue drains.
+fn drain(mut sim: Simulation, received: &Received) -> StormRun {
     assert_eq!(sim.run_until(SimTime::from_secs(1)), RunOutcome::Idle);
     let log = received.borrow().clone();
     (log, sim.events_processed(), sim.now())
+}
+
+fn notify_storm(scheduler: Box<dyn Scheduler>) -> StormRun {
+    let (sim, _, received) = storm_world(scheduler);
+    drain(sim, &received)
+}
+
+/// Mid-storm: the sink's backlog is long.
+const MID_STORM: SimTime = SimTime::from_millis(38);
+
+/// The storm with its sink killed at [`MID_STORM`]: the drained run, and
+/// the events pending in the wheel at the kill.
+fn killed_storm(scheduler: Box<dyn Scheduler>) -> (StormRun, u64) {
+    let (mut sim, sink, received) = storm_world(scheduler);
+    sim.run_until(MID_STORM);
+    let pending = sim.kernel_stats().pending_events;
+    sim.kill_process(sink, "mid-storm");
+    (drain(sim, &received), pending)
 }
 
 #[test]
@@ -749,13 +780,19 @@ fn notify_storm_is_identical_under_fifo_choosing_and_gated_schedulers() {
     let fifo = notify_storm(Box::new(FifoScheduler));
     let (log, events, _) = &fifo;
     assert_eq!(log.len(), 72, "every write is received");
-    // The herd: a parked notify bounces again at every service completion
-    // ahead of it, so the storm costs far more events than the ~4 a lone
-    // write takes. Without parking this test would not reach the batches.
-    assert!(*events > 72 * 8, "no notify storm: {events} events");
+    // The storm takes 181 actions: 13 starts, a SYN and a SYN-ACK per
+    // sender, 72 timers and 72 deliveries. Each notifies one process at
+    // most once, and a parked notify counts once, when it reaches its
+    // process: at most twice the actions. A notify that counted again at
+    // every service completion ahead of it cost more than 72 × 8.
+    let actions = 13 + 2 * 12 + 72 + 72;
+    assert!(
+        actions < *events && *events <= 2 * actions,
+        "{events} events for {actions} actions"
+    );
 
     // Always taking candidate 0 is the FIFO order, found by the choosing
-    // path: individually queued notifies instead of NotifyBatch waves.
+    // path: individually queued notifies instead of a ready list.
     let choosing = notify_storm(Box::new(ReplayScheduler::new(
         GateCfg::default(),
         Vec::new(),
@@ -766,11 +803,10 @@ fn notify_storm_is_identical_under_fifo_choosing_and_gated_schedulers() {
     // stretch dispatches the popped head directly — with parked notifies
     // still queued one by one, so the event count is FIFO's too — and
     // joins the pooled stretch without a seam.
-    let mid_storm = SimTime::from_millis(38);
     assert!(
-        log.first().is_some_and(|(at, _)| *at < mid_storm)
-            && log.last().is_some_and(|(at, _)| *at > mid_storm),
-        "the storm does not straddle {mid_storm}"
+        log.first().is_some_and(|(at, _)| *at < MID_STORM)
+            && log.last().is_some_and(|(at, _)| *at > MID_STORM),
+        "the storm does not straddle {MID_STORM}"
     );
     for gate in [
         GateCfg {
@@ -778,13 +814,43 @@ fn notify_storm_is_identical_under_fifo_choosing_and_gated_schedulers() {
             ..GateCfg::default()
         },
         GateCfg {
-            window_start: mid_storm,
+            window_start: MID_STORM,
             ..GateCfg::default()
         },
     ] {
         let gated = notify_storm(Box::new(ReplayScheduler::new(gate, Vec::new())));
         assert_eq!(gated, fifo, "gate {gate:?}");
     }
+}
+
+/// A sink killed with notifies parked: they are dropped uncounted, its
+/// pending wake does nothing, and the schedulers still agree.
+#[test]
+fn a_process_killed_with_notifies_parked_drops_them_under_every_scheduler() {
+    let (fifo, fifo_pending) = killed_storm(Box::new(FifoScheduler));
+    let (log, _, _) = &fifo;
+    assert!(log.len() < 72, "the kill lost no write");
+    assert!(
+        log.iter().all(|(at, _)| *at <= MID_STORM),
+        "received after its death"
+    );
+    let closed = GateCfg {
+        max_steps: 0,
+        ..GateCfg::default()
+    };
+    let (gated, gated_pending) = killed_storm(Box::new(ReplayScheduler::new(closed, Vec::new())));
+    // Without a gate the parked notifies wait behind one wake; under one
+    // each is an entry of its own.
+    assert!(
+        gated_pending > fifo_pending,
+        "no notifies parked at the kill"
+    );
+    assert_eq!(gated, fifo);
+    let (choosing, _) = killed_storm(Box::new(ReplayScheduler::new(
+        GateCfg::default(),
+        Vec::new(),
+    )));
+    assert_eq!(choosing, fifo);
 }
 
 /// Picks candidate 0 and logs what it was asked: instant, ordinal, pool

@@ -7,63 +7,15 @@
 //! `ChoicePoint` to allocate. Wall time cannot pin that on a shared
 //! host; the allocator's call count can, exactly.
 //!
-//! The counting allocator lives in this test binary only (the pattern of
-//! `tests/hostile_inputs.rs`) and counts per thread, so the
-//! harness running other tests in parallel does not disturb it.
+//! The counting allocator is `tests/common`'s, which counts per thread,
+//! so the harness running other tests in parallel does not disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use simnet::{
     Addr, ConnId, Event, FifoScheduler, GateCfg, NoiseModel, Port, Process, ReplayScheduler,
     Scheduler, SimConfig, SimDuration, SimTime, Simulation, SysApi,
 };
-
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator neither allocates nor registers anything.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn book() {
-    // `try_with`: a thread's last allocations can come after its
-    // thread-locals are gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
-// thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        book();
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        book();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        book();
-        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
-        // the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const ROUND_TRIPS: u32 = 1_000;
 
@@ -139,10 +91,8 @@ fn round_trips(scheduler: Box<dyn Scheduler>) -> (u64, u64) {
             left: ROUND_TRIPS,
         }),
     );
-    let before = ALLOCS.with(Cell::get);
-    sim.run_until(SimTime::from_secs(60));
-    let allocs = ALLOCS.with(Cell::get) - before;
-    (allocs, sim.events_processed())
+    let (_, spent) = common::tally(|| sim.run_until(SimTime::from_secs(60)));
+    (spent.calls, sim.events_processed())
 }
 
 #[test]

@@ -6,66 +6,17 @@
 //! many worlds a search booted is legible in its allocation count —
 //! which, unlike wall time on a shared host, repeats exactly.
 //!
-//! The counting allocator lives in this test binary only (the pattern of
-//! `crates/simnet/tests/alloc_gate.rs`) and counts per thread, so the
-//! harness running the other test in parallel does not disturb it.
+//! The counting allocator is `tests/common`'s, which counts per thread,
+//! so the harness running the other test in parallel does not disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use explore::{explore, fixtures, minimize, run_prefix, ExploreConfig, World};
 
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator neither allocates nor registers anything.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn book() {
-    // `try_with`: a thread's last allocations can come after its
-    // thread-locals are gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
-// thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        book();
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        book();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        book();
-        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
-        // the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Allocator calls `f` makes on this thread.
 fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    let (out, spent) = common::tally(f);
+    (out, spent.calls)
 }
 
 /// Exhausting `pair` — 318 runs — on one thread allocates what one boot

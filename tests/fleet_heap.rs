@@ -9,68 +9,13 @@
 //! heap is pinned here — and, unlike wall time on a shared host, it
 //! repeats exactly at a given seed.
 //!
-//! The counting allocator lives in this test binary only (the pattern of
-//! `tests/hostile_inputs.rs`) and counts per thread, so the
-//! harness running the other test in parallel does not disturb it.
+//! The counting allocator is `tests/common`'s, which counts per thread,
+//! so the harness running the other test in parallel does not disturb it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use experiments::{run_fleet, FleetConfig, FleetOutcome};
 use mead::RecoveryScheme;
-
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator neither allocates nor registers anything.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-/// Books `freed` bytes released and `grown` bytes obtained.
-fn book(freed: usize, grown: usize) {
-    // `try_with`: a thread's last allocations can come after its
-    // thread-locals are gone.
-    let _ = LIVE.try_with(|live| {
-        let now = live.get() - freed as i64 + grown as i64;
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches two
-// thread-local `Cell`s and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        book(0, layout.size());
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        book(layout.size(), 0);
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        book(0, layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        book(layout.size(), new_size);
-        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
-        // the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const CLIENTS: u32 = 200;
 
@@ -81,12 +26,9 @@ fn peak_of(groups: u32) -> (FleetOutcome, u64) {
         groups,
         ..FleetConfig::new(RecoveryScheme::MeadFailover, CLIENTS)
     };
-    let start = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(start));
-    let out = run_fleet(&cfg, 1);
-    let peak = PEAK.with(Cell::get) - start;
+    let (out, spent) = common::tally(|| run_fleet(&cfg, 1));
     assert_eq!(out.groups_completed, groups, "every group completes");
-    (out, peak.max(0) as u64)
+    (out, spent.peak)
 }
 
 /// A client of a 200-client group costs what it holds. The parent of the

@@ -16,12 +16,12 @@
 //! passes when no mutant panics, breaks a property or overruns the
 //! budget. Round-trip and generator properties stay in their crates.
 //!
-//! The counting allocator counts per thread, so rows run side by side;
-//! the allocation counts of the encode path and of a lint pass are pinned
-//! at the end of the file with the same allocator.
+//! The counting allocator (`tests/common`) counts per thread, so rows run
+//! side by side; the allocation counts of the encode path and of a lint
+//! pass are pinned at the end of the file with the same allocator.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::fmt::Display;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -45,88 +45,7 @@ use simnet::{DecisionTrace, GateCfg, NodeId, SimDuration, SimTime};
 use synlite::{Delim, LexError, Span, Tok, TokenTree};
 use tomlite::TomlError;
 
-// ------------------------------------------------------------ allocator
-
-struct Counting;
-
-/// What one thread allocated: calls (a `realloc` is one), bytes in all,
-/// and the largest single request.
-#[derive(Clone, Copy, Debug, Default)]
-struct Tally {
-    calls: u64,
-    bytes: usize,
-    largest: usize,
-}
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from
-    // inside the allocator neither allocates nor registers anything.
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { calls: 0, bytes: 0, largest: 0 }) };
-}
-
-fn book(size: usize) {
-    // `try_with`: a thread's last allocations can come after its
-    // thread-locals are gone.
-    let _ = TALLY.try_with(|t| {
-        let mut now = t.get();
-        now.calls += 1;
-        now.bytes = now.bytes.saturating_add(size);
-        now.largest = now.largest.max(size);
-        t.set(now);
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
-// thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        book(layout.size());
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        book(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        book(new_size);
-        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is
-        // the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Runs `f`, returning its result and what this thread allocated
-/// meanwhile.
-fn tally<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    let before = TALLY.with(Cell::get);
-    TALLY.with(|t| {
-        t.set(Tally {
-            largest: 0,
-            ..before
-        })
-    });
-    let out = f();
-    let after = TALLY.with(Cell::get);
-    let spent = Tally {
-        calls: after.calls - before.calls,
-        bytes: after.bytes - before.bytes,
-        largest: after.largest,
-    };
-    (out, spent)
-}
+use common::tally;
 
 // ---------------------------------------------------------------- table
 
