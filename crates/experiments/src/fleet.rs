@@ -182,15 +182,14 @@ impl FleetOutcome {
         self.components().digest()
     }
 
-    /// Events dispatched per wall-clock second of kernel time (0.0 when
-    /// the wall time was too short to measure).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.total_events as f64 / secs
-        } else {
-            0.0
+    /// Wall-clock nanoseconds of kernel time per completed invocation
+    /// (0.0 when none completed). Unlike events per second it compares
+    /// across kernel changes that dispatch the same work in fewer events.
+    pub fn ns_per_invocation(&self) -> f64 {
+        if self.completed_invocations == 0 {
+            return 0.0;
         }
+        self.wall.as_nanos() as f64 / self.completed_invocations as f64
     }
 
     fn from_groups(groups: Vec<GroupRollup>) -> FleetOutcome {
@@ -267,12 +266,12 @@ pub fn cli_main(args: &[String]) -> i32 {
                 let digest = out.digest();
                 println!(
                     "  threads={threads}: digest {:016x}, {} events, {} invocations done, \
-                 {} groups complete, {:.0} events/sec",
+                 {} groups complete, {:.0} ns/invocation",
                     digest,
                     out.total_events,
                     out.completed_invocations,
                     out.groups_completed,
-                    out.events_per_sec()
+                    out.ns_per_invocation()
                 );
                 digest
             },

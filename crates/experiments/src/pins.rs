@@ -202,6 +202,7 @@ impl Builder {
         }
         for tag in metrics.byte_tags() {
             let records = metrics.byte_records(tag);
+            let count = records.len() as u64;
             let mut h = Fnv::new();
             for rec in records {
                 h.u64(rec.at.as_nanos());
@@ -210,7 +211,7 @@ impl Builder {
             self.0.push(Component {
                 class: "bytes",
                 name: tag,
-                count: records.len() as u64,
+                count,
                 digest: Some(h.finish()),
             });
         }

@@ -211,7 +211,8 @@ impl State {
             return;
         }
         let hit = |k: &str| {
-            k == root || k.starts_with(&format!("{root}.")) || k.starts_with(&format!("{root}["))
+            k.strip_prefix(root)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with(['.', '[']))
         };
         self.vars.retain(|k, _| !hit(k));
         self.rels.retain(|(a, b, _)| !hit(a) && !hit(b));

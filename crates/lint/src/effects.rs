@@ -43,7 +43,7 @@ use synlite::ast::{self, AccessMode};
 use synlite::{Delim, Tok, TokenTree};
 
 use crate::callgraph::CallGraph;
-use crate::fsm::{Analysis, Dir, SiteKind, Spec, SpecCell};
+use crate::fsm::{self, Analysis, Dir, SiteKind, Spec, SpecCell};
 use crate::rules::contains_ident;
 use crate::{json_escape, Finding};
 
@@ -537,9 +537,7 @@ pub fn conflict_report(graph: &CallGraph, spec: &Spec, cfg: &EffectsConfig) -> S
 /// Whether `path` is owned by any spec role (prefix match, same rule as
 /// the R9 extractor).
 fn role_owned(spec: &Spec, path: &str) -> bool {
-    spec.roles
-        .iter()
-        .any(|r| path == r.path || path.starts_with(&format!("{}/", r.path.trim_end_matches('/'))))
+    spec.roles.iter().any(|r| fsm::under(&r.path, path))
 }
 
 /// Whether the body contains a `.read(..)` method call whose arguments

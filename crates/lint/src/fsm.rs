@@ -410,11 +410,17 @@ pub fn check(
 fn owning_role<'a>(roles: &'a [SpecRole], path: &str) -> Option<&'a str> {
     roles
         .iter()
-        .filter(|r| {
-            path == r.path || path.starts_with(&format!("{}/", r.path.trim_end_matches('/')))
-        })
+        .filter(|r| under(&r.path, path))
         .max_by_key(|r| r.path.len())
         .map(|r| r.name.as_str())
+}
+
+/// Whether `path` is the role path `role_path` or lies below it.
+pub(crate) fn under(role_path: &str, path: &str) -> bool {
+    path == role_path
+        || path
+            .strip_prefix(role_path.trim_end_matches('/'))
+            .is_some_and(|rest| rest.starts_with('/'))
 }
 
 fn collect_decls(

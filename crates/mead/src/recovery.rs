@@ -32,9 +32,7 @@ use groupcomm::{GcsClient, GcsDelivery};
 use obs::{EventKind, Phase};
 use simnet::{Event, NodeId, Port, Process, SimDuration, SimTime, SysApi};
 
-use crate::directory::{
-    replica_member_name, slot_of_member, MemberName, Slot, REPLICA_PREFIX, SERVER_GROUP,
-};
+use crate::directory::{replica_member_name, slot_of_member, MemberName, Slot, SERVER_GROUP};
 use crate::messages::GroupMsg;
 
 /// Parameters handed to the replica factory for each launch.
@@ -210,8 +208,9 @@ impl RecoveryManager {
     }
 
     fn slot_is_live(&self, slot: Slot) -> bool {
-        let prefix = format!("{REPLICA_PREFIX}{slot}/");
-        self.last_view.iter().any(|m| m.starts_with(&prefix))
+        self.last_view
+            .iter()
+            .any(|m| slot_of_member(m) == Some(slot))
     }
 
     /// Core reconciliation: make every slot either live or pending.
@@ -338,11 +337,10 @@ impl Process for RecoveryManager {
                                 .unwrap_or(false);
                             // Skip if a replacement instance for this slot
                             // is already live alongside the notifier.
-                            let prefix = format!("{REPLICA_PREFIX}{slot}/");
                             let live_instances = self
                                 .last_view
                                 .iter()
-                                .filter(|m| m.starts_with(&prefix))
+                                .filter(|m| slot_of_member(m) == Some(slot))
                                 .count();
                             if !already_pending && live_instances < 2 {
                                 self.launch(sys, slot);

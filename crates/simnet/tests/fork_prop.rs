@@ -316,7 +316,7 @@ fn observe(sim: &Simulation) -> Observed {
         bytes: sim
             .metrics()
             .byte_tags()
-            .map(|tag| (tag, sim.metrics().byte_records(tag).to_vec()))
+            .map(|tag| (tag, sim.metrics().byte_records(tag).collect()))
             .collect(),
         trace: sim.trace().to_vec(),
         stats: sim.kernel_stats(),

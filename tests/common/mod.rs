@@ -23,6 +23,9 @@ pub struct Tally {
     pub largest: usize,
     /// The highest the live heap rose above where it started.
     pub peak: u64,
+    /// How far the live heap ended above where it started: what the
+    /// closure left allocated, its result included.
+    pub live: i64,
 }
 
 /// One thread's running books. `live` is signed: a thread may free what
@@ -119,6 +122,7 @@ pub fn tally<T>(f: impl FnOnce() -> T) -> (T, Tally) {
         bytes: after.bytes - before.bytes,
         largest: after.largest,
         peak: (after.peak - before.live).max(0) as u64,
+        live: after.live - before.live,
     };
     (out, spent)
 }
