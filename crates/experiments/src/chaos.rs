@@ -210,8 +210,9 @@ pub struct ChaosOutcome {
 impl ChaosOutcome {
     /// The run's named parts ([`crate::pins`]): the plan seed with what
     /// the client saw (`values`), the final views, the violations, each
-    /// counter, each byte series, the trace by event kind, the end instant
-    /// and the event count.
+    /// counter, each byte series, the trace by event kind and the end
+    /// instant. The event count is kernel work, not behaviour, and is not
+    /// a part.
     pub fn components(&self) -> Components {
         let mut parts = Components::builder();
         parts.words("values", self.values.len() as u64, |w| {
@@ -240,7 +241,6 @@ impl ChaosOutcome {
         parts.metrics(&self.metrics);
         parts.trace(&self.trace);
         parts.value("finished_at", self.finished_at.as_nanos());
-        parts.value("events_processed", self.events_processed);
         parts.finish()
     }
 

@@ -4,7 +4,9 @@
 //! An outcome lists its named [`Components`]: its records or
 //! acknowledged values, views and violations, each counter by value,
 //! each byte series, its trace split by event kind (plus the order of
-//! the kinds), `events_processed` and `finished_at`. Its `digest()` is
+//! the kinds) and `finished_at`. The event count is kernel work, not
+//! behaviour, and is not a part: a kernel change that only moves how many
+//! events a run dispatches moves no pin. Its `digest()` is
 //! [`Components::digest`], one fold over those parts, so two outcomes
 //! with equal digests are equal part by part, and two with unequal
 //! digests can say which parts moved. A batch of runs (a sweep, a
@@ -30,8 +32,8 @@ use tomlite::TomlError;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Component {
     /// What kind of part: `records`, `values`, `views`, `violations`,
-    /// `counter`, `bytes`, `trace`, a scalar (`events_processed`,
-    /// `finished_at`, `workload_start`), or a batch's `plans`/`groups`.
+    /// `counter`, `bytes`, `trace`, a scalar (`finished_at`,
+    /// `workload_start`), or a batch's `plans`/`groups`.
     pub class: &'static str,
     /// Which part of its class: the counter, byte tag or event kind;
     /// empty for a class of one and for `trace`, the order of the kinds.

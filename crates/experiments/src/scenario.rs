@@ -175,17 +175,6 @@ impl ScenarioOutcome {
         self.report().client_failures() as f64 * 100.0 / servers as f64
     }
 
-    /// Events dispatched per wall-clock second for this run (0.0 when the
-    /// wall time was too short to measure).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events_processed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// The run's trace as JSON lines; equal traces produce equal bytes.
     pub fn trace_jsonl(&self) -> String {
         obs::jsonl::to_jsonl(&self.trace)
@@ -197,9 +186,9 @@ impl ScenarioOutcome {
     }
 
     /// The run's named parts ([`crate::pins`]): every client's records,
-    /// each counter, each byte series, the trace by event kind, the
-    /// workload's start and end instants and the event count. Wall-clock
-    /// accounting is not a part.
+    /// each counter, each byte series, the trace by event kind, and the
+    /// workload's start and end instants. Kernel work (the event count)
+    /// and wall-clock accounting are not parts.
     pub fn components(&self) -> Components {
         let mut parts = Components::builder();
         let records = self.all_reports.iter().map(|r| r.records.len() as u64);
@@ -226,7 +215,6 @@ impl ScenarioOutcome {
         parts.trace(&self.trace);
         parts.value("finished_at", self.finished_at.as_nanos());
         parts.value("workload_start", self.workload_start.as_nanos());
-        parts.value("events_processed", self.events_processed);
         parts.finish()
     }
 

@@ -88,7 +88,7 @@ fn sweep_digest_is_thread_count_independent() {
 /// The kernel parks a notify for a busy process in one of two ways: in
 /// the process's ready list without a gate, as an entry of its own under
 /// one. On every smoke plan, a gate that never opens gives the FIFO run's
-/// digest, `events_processed` included.
+/// digest and its event count.
 #[test]
 fn both_parking_paths_give_one_digest_on_every_smoke_plan() {
     let units = expand_twice("sweep-smoke.toml");
@@ -104,5 +104,10 @@ fn both_parking_paths_give_one_digest_on_every_smoke_plan() {
             Box::new(ReplayScheduler::new(closed, Vec::new())),
         );
         assert_eq!(fifo.digest(), gated.digest(), "cell {}", unit.cell);
+        assert_eq!(
+            fifo.events_processed, gated.events_processed,
+            "cell {}",
+            unit.cell
+        );
     }
 }

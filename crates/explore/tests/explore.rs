@@ -6,15 +6,17 @@
 //! is caught, minimized to a handful of decisions, and replayable by
 //! digest.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use experiments::pins::{hold, Run};
-use experiments::{run_chaos_plan, run_chaos_plan_with};
+use experiments::{run_chaos_plan, run_chaos_plan_with, ChaosOutcome};
 use explore::{explore, fixtures, minimize, run_prefix, ConflictRelation, ExploreConfig};
-use proptest::strategy::Strategy;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use simnet::sched::Decision;
 use simnet::{ChoicePoint, DecisionTrace, GateCfg, ReplayScheduler, Scheduler};
 
 /// An empty choice prefix must reproduce the FIFO schedule exactly: the
@@ -40,21 +42,39 @@ fn empty_prefix_is_fifo_equivalent() {
     }
 }
 
-/// Counts the choice points it is shown; always the default pick.
+/// A [`ReplayScheduler`] that records each choice point it is shown and
+/// its pick, as the explorer records a decision.
 struct Probe {
-    gate: GateCfg,
-    asked: Rc<Cell<u64>>,
+    replay: ReplayScheduler,
+    seen: Rc<RefCell<Vec<Decision>>>,
 }
 
 impl Scheduler for Probe {
-    fn choose(&mut self, _cp: &ChoicePoint) -> usize {
-        self.asked.set(self.asked.get() + 1);
-        0
+    fn choose(&mut self, cp: &ChoicePoint) -> usize {
+        let chosen = self.replay.choose(cp);
+        self.seen.borrow_mut().push(Decision {
+            step: cp.step,
+            at_ns: cp.now.as_nanos(),
+            n: cp.candidates.len() as u64,
+            chosen: chosen as u64,
+        });
+        chosen
     }
 
     fn gate(&self) -> Option<GateCfg> {
-        Some(self.gate)
+        self.replay.gate()
     }
+}
+
+/// Runs `fixture` replaying `trace`: its outcome and the decisions made.
+fn replay(fixture: &fixtures::Fixture, trace: &DecisionTrace) -> (ChaosOutcome, Vec<Decision>) {
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let probe = Probe {
+        replay: ReplayScheduler::from_trace(trace),
+        seen: Rc::clone(&seen),
+    };
+    let outcome = run_chaos_plan_with(&fixture.plan, &fixture.chaos, Box::new(probe));
+    (outcome, seen.take())
 }
 
 /// A run asks its scheduler exactly `gate.max_steps` times — 10, 12 and
@@ -65,14 +85,9 @@ impl Scheduler for Probe {
 #[test]
 fn a_run_builds_exactly_max_steps_choice_points() {
     for fixture in [fixtures::pair(), fixtures::trio(), fixtures::seeded_bug()] {
-        let asked = Rc::new(Cell::new(0));
-        let probe = Probe {
-            gate: fixture.gate,
-            asked: Rc::clone(&asked),
-        };
-        run_chaos_plan_with(&fixture.plan, &fixture.chaos, Box::new(probe));
+        let (_, seen) = replay(&fixture, &DecisionTrace::empty(fixture.gate));
         assert_eq!(
-            asked.get(),
+            seen.len() as u64,
             fixture.gate.max_steps,
             "fixture {}: choice points built",
             fixture.name
@@ -167,32 +182,36 @@ fn explore_digest_is_thread_count_independent() {
 
 /// Any choice vector — in range, out of range (clamped to default), long
 /// or empty — yields a trace that (a) survives the JSONL round trip and
-/// (b) replays through the independent [`ReplayScheduler`] to a
-/// bit-identical outcome digest. Cases are generated from the vendored
-/// proptest strategy API with an explicit small case count (each case
-/// costs two full simulation runs).
+/// (b) replays through the independent [`ReplayScheduler`] to the same
+/// decisions and a bit-identical outcome digest. The decisions are
+/// compared too: on `pair` every schedule has the one outcome. A small
+/// case count: each case costs two full simulation runs.
 #[test]
 fn decision_trace_replays_bit_identically() {
-    let strat = proptest::collection::vec(0u64..4, 0..10usize);
     let fixture = fixtures::pair();
-    for case in 0..8u32 {
-        let mut rng = proptest::test_runner::new_rng("decision_trace_replays", case);
-        let choices: Vec<u64> = Strategy::generate(&strat, &mut rng);
+    for seed in 0..8 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let choices: Vec<u64> = (0..rng.gen_range(0..10))
+            .map(|_| rng.gen_range(0..4))
+            .collect();
         let run = run_prefix(&fixture.plan, &fixture.chaos, fixture.gate, &choices);
 
         let parsed = DecisionTrace::parse(&run.trace.to_jsonl())
             .expect("recorded trace round-trips through JSONL");
-        assert_eq!(parsed, run.trace, "JSONL round trip for {choices:?}");
+        assert_eq!(
+            parsed, run.trace,
+            "seed {seed}: JSONL round trip for {choices:?}"
+        );
 
-        let replayed = run_chaos_plan_with(
-            &fixture.plan,
-            &fixture.chaos,
-            Box::new(ReplayScheduler::from_trace(&run.trace)),
+        let (replayed, decisions) = replay(&fixture, &run.trace);
+        assert_eq!(
+            decisions, run.trace.decisions,
+            "seed {seed}: replay decided otherwise for choices {choices:?}"
         );
         assert_eq!(
             replayed.digest(),
             run.outcome_digest,
-            "replay diverged for choices {choices:?}"
+            "seed {seed}: replay diverged for choices {choices:?}"
         );
     }
 }

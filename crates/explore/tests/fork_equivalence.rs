@@ -7,12 +7,11 @@
 //! boots a world of its own per prefix, as every run did before worlds
 //! could be copied. Here one `World` per fixture serves a few hundred
 //! generated prefixes in a row, and each [`RunResult`] — outcome digest
-//! (every counter, `events_processed`, `finished_at` and the whole JSONL
-//! trace, boot included), decision trace, branch sets, pruned sets and
-//! violations — must equal the from-scratch one. A copy that missed a
-//! piece of state shows up as a digest mismatch; a copy that shares a
-//! piece of state with the world it was taken from shows up one run
-//! later, because that world has then moved.
+//! (every counter, `finished_at` and the whole trace, boot included),
+//! decision trace, branch sets, pruned sets and violations — must equal
+//! the from-scratch one. A copy that missed a piece of state shows up as
+//! a mismatch; a copy that shares a piece of state with the world it was
+//! taken from shows up one run later, because that world has then moved.
 //!
 //! The fixtures are the three canned ones and a variant of `pair` whose
 //! window opens at 300 ms: inside the boot, so that the world is
@@ -26,8 +25,8 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use proptest::test_runner::{self, TestCaseError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use experiments::{chaos_plan_space_for, run_chaos_plan_with, ChaosBoot};
 use explore::fixtures::{self, Fixture};
@@ -72,10 +71,16 @@ fn pair_failover() -> Fixture {
     fixture
 }
 
-/// Choice prefixes as the search produces them and worse: up to ten
+/// Prefixes a world serves.
+const CASES: u64 = 256;
+
+/// A choice prefix as the search produces them and worse: up to ten
 /// picks, some beyond any pool (the scheduler clamps those).
-fn arb_prefix() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..5, 0..=10)
+fn prefix(seed: u64) -> Vec<u64> {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    (0..rng.gen_range(0..=10))
+        .map(|_| rng.gen_range(0..5))
+        .collect()
 }
 
 /// Every generated prefix, evaluated on a copy of one booted world,
@@ -104,17 +109,15 @@ fn forked_runs_equal_scratch_runs(name: &str, fixture: &Fixture, relation: Optio
     assert_eq!(first, scratch(&[1, 0, 2]), "{name}: first copy");
 
     let mut decisions = 0;
-    test_runner::run(name, |rng| {
-        let prefix = arb_prefix().generate(rng);
+    for seed in 0..CASES {
+        let prefix = prefix(seed);
         let forked = world.run(&prefix).expect("forks");
         decisions += forked.trace.decisions.len();
-        if forked == scratch(&prefix) {
-            Ok(())
-        } else {
-            let error = TestCaseError::fail("forked run differs from the from-scratch run");
-            Err((error, format!("prefix = {prefix:?}")))
-        }
-    });
+        assert!(
+            forked == scratch(&prefix),
+            "{name}, seed {seed}: the forked run of {prefix:?} differs from the from-scratch run"
+        );
+    }
     assert!(decisions > 0, "{name}: no run reached a choice point");
 
     let last = world.run(&[1, 0, 2]).expect("forks");

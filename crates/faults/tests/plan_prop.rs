@@ -3,8 +3,12 @@
 //! every fault-mix combination, not just the hand-picked unit-test seeds.
 
 use faults::{FaultMix, FaultPlan, PlanSpace, MIN_CRASH_GAP};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simnet::{SimDuration, SimTime};
+
+/// Cases a property runs.
+const CASES: u64 = 256;
 
 /// The chaos topology's plan space (three replica slots, client node 4).
 fn space() -> PlanSpace {
@@ -45,28 +49,38 @@ fn mix_from_bits(bits: u16) -> FaultMix {
     }
 }
 
-proptest! {
-    /// The generator is a pure function of `(seed, space, mix)`.
-    #[test]
-    fn same_seed_same_plan(seed in any::<u64>(), bits in any::<u16>()) {
-        let space = space();
+/// A case's generator seed and fault-family bits, any `u64` and any `u16`.
+fn case(seed: u64) -> (u64, u16) {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    (rng.gen(), rng.gen())
+}
+
+/// The generator is a pure function of `(seed, space, mix)`.
+#[test]
+fn same_seed_same_plan() {
+    let space = space();
+    for case_seed in 0..CASES {
+        let (seed, bits) = case(case_seed);
         let mix = mix_from_bits(bits);
         let a = FaultPlan::generate_with(seed, &space, &mix);
         let b = FaultPlan::generate_with(seed, &space, &mix);
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b, "case seed {case_seed}");
     }
+}
 
-    /// Every generated plan validates clean, and its crash instants —
-    /// including the kills a rolling restart expands into — respect the
-    /// minimum spacing the recovery bound relies on.
-    #[test]
-    fn generated_plans_validate_with_spaced_crashes(
-        seed in any::<u64>(),
-        bits in any::<u16>(),
-    ) {
-        let space = space();
+/// Every generated plan validates clean, and its crash instants —
+/// including the kills a rolling restart expands into — respect the
+/// minimum spacing the recovery bound relies on.
+#[test]
+fn generated_plans_validate_with_spaced_crashes() {
+    let space = space();
+    for case_seed in 0..CASES {
+        let (seed, bits) = case(case_seed);
         let plan = FaultPlan::generate_with(seed, &space, &mix_from_bits(bits));
-        prop_assert!(plan.validate(&space).is_ok(), "plan: {plan:?}");
+        assert!(
+            plan.validate(&space).is_ok(),
+            "case seed {case_seed}: plan {plan:?}"
+        );
         let mut crashes: Vec<SimTime> = plan
             .events()
             .iter()
@@ -74,29 +88,32 @@ proptest! {
             .collect();
         crashes.sort();
         for w in crashes.windows(2) {
-            prop_assert!(
+            assert!(
                 w[1] - w[0] >= MIN_CRASH_GAP,
-                "crashes {:?} and {:?} too close",
+                "case seed {case_seed}: crashes {:?} and {:?} too close",
                 w[0],
                 w[1]
             );
         }
     }
+}
 
-    /// `settled_by` covers every injection and every implied recovery,
-    /// and stays within a finite bound of the fault window (the slowest
-    /// tail is a rolling restart or a shallow CPU ramp, both bounded).
-    #[test]
-    fn settled_by_is_bounded(seed in any::<u64>(), bits in any::<u16>()) {
-        let space = space();
+/// `settled_by` covers every injection and every implied recovery,
+/// and stays within a finite bound of the fault window (the slowest
+/// tail is a rolling restart or a shallow CPU ramp, both bounded).
+#[test]
+fn settled_by_is_bounded() {
+    let space = space();
+    for case_seed in 0..CASES {
+        let (seed, bits) = case(case_seed);
         let plan = FaultPlan::generate_with(seed, &space, &mix_from_bits(bits));
         let settled = plan.settled_by();
         for e in plan.events() {
-            prop_assert!(settled >= e.at);
+            assert!(settled >= e.at, "case seed {case_seed}");
         }
-        prop_assert!(
+        assert!(
             settled <= space.end + SimDuration::from_secs(10),
-            "settled_by {settled:?} runs away"
+            "case seed {case_seed}: settled_by {settled:?} runs away"
         );
     }
 }

@@ -16,10 +16,13 @@
 //!   every delivery into one growing byte buffer — same frames, in the
 //!   same order, for any segmentation of a mixed GIOP + MEAD stream.
 
-use bytes::Bytes;
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+mod common;
 
+use bytes::Bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use common::{bytes, endian, message, CASES};
 use giop::*;
 
 // ------------------------------------------------------------- models
@@ -246,80 +249,7 @@ impl ByteSplitter {
     }
 }
 
-// --------------------------------------------------------- strategies
-
-fn arb_endian() -> impl Strategy<Value = Endian> {
-    prop_oneof![Just(Endian::Big), Just(Endian::Little)]
-}
-
-fn arb_ior() -> impl Strategy<Value = Ior> {
-    (
-        "[A-Za-z0-9:/._-]{1,30}",
-        prop::collection::vec(
-            (
-                "[a-z0-9.-]{1,20}",
-                any::<u16>(),
-                prop::collection::vec(any::<u8>(), 1..60),
-            ),
-            0..3,
-        ),
-    )
-        .prop_map(|(type_id, profiles)| Ior {
-            type_id,
-            profiles: profiles
-                .into_iter()
-                .map(|(host, port, key)| IiopProfile {
-                    version_major: 1,
-                    version_minor: 0,
-                    host,
-                    port,
-                    object_key: ObjectKey::from_slice(&key),
-                })
-                .collect(),
-        })
-}
-
-/// Every `ReplyBody` variant, with arbitrary contents.
-fn arb_reply_body() -> impl Strategy<Value = ReplyBody> {
-    prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..80).prop_map(ReplyBody::NoException),
-        "[ -~]{0,40}".prop_map(ReplyBody::UserException),
-        ("[ -~]{0,40}", any::<u32>(), any::<u32>()).prop_map(|(repo_id, minor, completed)| {
-            ReplyBody::SystemException {
-                repo_id,
-                minor,
-                completed,
-            }
-        }),
-        arb_ior().prop_map(ReplyBody::LocationForward),
-        any::<u16>().prop_map(ReplyBody::NeedsAddressingMode),
-    ]
-}
-
-fn arb_message() -> impl Strategy<Value = Message> {
-    prop_oneof![
-        (
-            any::<u32>(),
-            any::<bool>(),
-            prop::collection::vec(any::<u8>(), 0..60),
-            "[ -~]{0,24}",
-            prop::collection::vec(any::<u8>(), 0..80),
-        )
-            .prop_map(|(request_id, response_expected, key, operation, body)| {
-                Message::Request(RequestMessage {
-                    request_id,
-                    response_expected,
-                    object_key: ObjectKey::from_slice(&key),
-                    operation,
-                    body,
-                })
-            }),
-        (any::<u32>(), arb_reply_body())
-            .prop_map(|(request_id, body)| Message::Reply(ReplyMessage { request_id, body })),
-        Just(Message::CloseConnection),
-        Just(Message::MessageError),
-    ]
-}
+// --------------------------------------------------------- generators
 
 /// A stream element: a GIOP message or a MEAD control frame with an
 /// opaque body, as the server-side interceptor piggybacks them.
@@ -342,21 +272,22 @@ impl Element {
     }
 }
 
-fn arb_element() -> impl Strategy<Value = Element> {
-    prop_oneof![
-        (arb_message(), arb_endian()).prop_map(|(m, e)| Element::Giop(m, e)),
-        (
-            any::<u8>(),
-            prop::collection::vec(any::<u8>(), 0..150),
-            arb_endian()
-        )
-            .prop_map(|(t, b, e)| Element::Mead(t, b, e)),
-    ]
+fn element(rng: &mut StdRng) -> Element {
+    if rng.gen() {
+        Element::Giop(message(rng), endian(rng))
+    } else {
+        Element::Mead(rng.gen(), bytes(rng, 0..150), endian(rng))
+    }
+}
+
+fn elements(rng: &mut StdRng, count: std::ops::Range<usize>) -> Vec<Element> {
+    (0..rng.gen_range(count)).map(|_| element(rng)).collect()
 }
 
 /// Runs `stream`, cut at `cuts`, through both splitters, pulling frames
-/// after every delivery, and checks they agree at every step.
-fn splitters_agree(stream: &[u8], cuts: &[usize]) -> Result<usize, TestCaseError> {
+/// after every delivery, checks they agree at every step, and returns the
+/// frames split.
+fn splitters_agree(seed: u64, stream: &[u8], cuts: &[usize]) -> usize {
     let mut model = ByteSplitter::default();
     let mut splitter = FrameSplitter::new();
     let mut frames = 0;
@@ -374,26 +305,28 @@ fn splitters_agree(stream: &[u8], cuts: &[usize]) -> Result<usize, TestCaseError
             let got = splitter.next_frame();
             match (want, got) {
                 (Ok(Some((kind, bytes))), Ok(Some(frame))) => {
-                    prop_assert_eq!(frame.kind, kind);
-                    prop_assert_eq!(&frame.bytes[..], &bytes[..]);
+                    assert_eq!(frame.kind, kind, "seed {seed}");
+                    assert_eq!(&frame.bytes[..], &bytes[..], "seed {seed}");
                     frames += 1;
                 }
                 (Ok(None), Ok(None)) => break,
-                (want, got) => prop_assert!(false, "model {want:?} but splitter {got:?}"),
+                (want, got) => panic!("seed {seed}: model {want:?} but splitter {got:?}"),
             }
         }
-        prop_assert_eq!(splitter.buffered(), model.buf.len());
+        assert_eq!(splitter.buffered(), model.buf.len(), "seed {seed}");
     }
-    Ok(frames)
+    frames
 }
 
-proptest! {
-    // (a) ------------------------------------------------------ encoder
+// (a) ---------------------------------------------------------- encoder
 
-    #[test]
-    fn single_buffer_encoder_is_byte_identical(msg in arb_message(), endian in arb_endian()) {
+#[test]
+fn single_buffer_encoder_is_byte_identical() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (msg, endian) = (message(rng), endian(rng));
         let want = model_encode(&msg, endian);
-        prop_assert_eq!(&msg.encode(endian)[..], &want[..]);
+        assert_eq!(&msg.encode(endian)[..], &want[..], "seed {seed}");
         if let Message::Request(req) = &msg {
             let borrowed = encode_request(
                 req.request_id,
@@ -403,96 +336,110 @@ proptest! {
                 &req.body,
                 endian,
             );
-            prop_assert_eq!(&borrowed[..], &want[..]);
+            assert_eq!(&borrowed[..], &want[..], "seed {seed}");
         }
     }
+}
 
-    #[test]
-    fn frame_writer_matches_the_copying_framer(
-        mead in any::<bool>(),
-        msg_type in any::<u8>(),
-        body in prop::collection::vec(any::<u8>(), 0..200),
-        hint in 0usize..64,
-        endian in arb_endian(),
-    ) {
-        let magic = if mead { MEAD_MAGIC } else { GIOP_MAGIC };
+#[test]
+fn frame_writer_matches_the_copying_framer() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let magic = if rng.gen() { MEAD_MAGIC } else { GIOP_MAGIC };
+        let msg_type: u8 = rng.gen();
+        let body = bytes(rng, 0..200);
+        let hint = rng.gen_range(0..64);
+        let endian = endian(rng);
         // A hint that is too small costs a reallocation, never a byte.
         let mut w = frame_writer(magic, msg_type, endian, hint);
         w.write_raw(&body);
-        prop_assert_eq!(w.len(), body.len());
-        prop_assert_eq!(&w.finish()[..], &model_encode_frame(magic, msg_type, endian, &body)[..]);
+        assert_eq!(w.len(), body.len(), "seed {seed}");
+        let want = model_encode_frame(magic, msg_type, endian, &body);
+        assert_eq!(&w.finish()[..], &want[..], "seed {seed}");
     }
+}
 
-    // (b) ------------------------------------------------------- parser
+// (b) ----------------------------------------------------------- parser
 
-    #[test]
-    fn views_own_what_the_copying_decoder_returned(msg in arb_message(), endian in arb_endian()) {
-        let wire = msg.encode(endian);
+#[test]
+fn views_own_what_the_copying_decoder_returned() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let msg = message(rng);
+        let wire = msg.encode(endian(rng));
         let want = model_decode(&wire);
-        prop_assert_eq!(want.as_ref(), Ok(&msg));
+        assert_eq!(want.as_ref(), Ok(&msg), "seed {seed}");
         let view = MessageView::parse(&wire);
-        prop_assert_eq!(view.map(|v| v.to_owned()), want.clone());
-        prop_assert_eq!(Message::decode(&wire), want);
+        assert_eq!(view.map(|v| v.to_owned()), want.clone(), "seed {seed}");
+        assert_eq!(Message::decode(&wire), want, "seed {seed}");
     }
+}
 
-    #[test]
-    fn truncation_fails_with_the_same_error(msg in arb_message(), endian in arb_endian()) {
-        let wire = msg.encode(endian);
+#[test]
+fn truncation_fails_with_the_same_error() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let msg = message(rng);
+        let wire = msg.encode(endian(rng));
         for cut in 0..wire.len() {
             let want = model_decode(&wire[..cut]);
-            prop_assert!(want.is_err());
-            prop_assert_eq!(
-                MessageView::parse(&wire[..cut]).map(|v| v.to_owned()),
-                want
-            );
+            assert!(want.is_err(), "seed {seed}, cut {cut}");
+            let got = MessageView::parse(&wire[..cut]).map(|v| v.to_owned());
+            assert_eq!(got, want, "seed {seed}, cut {cut}");
         }
     }
+}
 
-    #[test]
-    fn every_single_bit_flip_decodes_or_fails_alike(msg in arb_message(), endian in arb_endian()) {
-        let mut wire = msg.encode(endian).to_vec();
+#[test]
+fn every_single_bit_flip_decodes_or_fails_alike() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let msg = message(rng);
+        let mut wire = msg.encode(endian(rng)).to_vec();
         for bit in 0..wire.len() * 8 {
             wire[bit / 8] ^= 1 << (bit % 8);
-            prop_assert_eq!(
-                MessageView::parse(&wire).map(|v| v.to_owned()),
-                model_decode(&wire)
-            );
+            let got = MessageView::parse(&wire).map(|v| v.to_owned());
+            assert_eq!(got, model_decode(&wire), "seed {seed}, bit {bit}");
             wire[bit / 8] ^= 1 << (bit % 8);
         }
     }
+}
 
-    // (c) ----------------------------------------------------- splitter
+// (c) --------------------------------------------------------- splitter
 
-    #[test]
-    fn any_segmentation_yields_the_same_frames(
-        elements in prop::collection::vec(arb_element(), 1..8),
-        cuts in prop::collection::vec(any::<usize>(), 0..24),
-        partial in any::<usize>(),
-    ) {
+#[test]
+fn any_segmentation_yields_the_same_frames() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let elements = elements(rng, 1..8);
         let mut stream = Vec::new();
         for e in &elements {
             stream.extend_from_slice(&e.wire());
         }
         // End on an incomplete frame as often as not.
         let last = elements.last().map(Element::wire).unwrap_or_default();
-        stream.extend_from_slice(&last[..partial % last.len()]);
+        stream.extend_from_slice(&last[..rng.gen_range(0..last.len())]);
 
-        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (stream.len() + 1)).collect();
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..24))
+            .map(|_| rng.gen_range(0..=stream.len()))
+            .collect();
         cuts.sort_unstable();
-        prop_assert_eq!(splitters_agree(&stream, &cuts)?, elements.len());
+        assert_eq!(splitters_agree(seed, &stream, &cuts), elements.len());
 
         // The two extremes: one byte at a time, and everything at once.
         let every_byte: Vec<usize> = (1..stream.len()).collect();
-        prop_assert_eq!(splitters_agree(&stream, &every_byte)?, elements.len());
-        prop_assert_eq!(splitters_agree(&stream, &[])?, elements.len());
+        assert_eq!(splitters_agree(seed, &stream, &every_byte), elements.len());
+        assert_eq!(splitters_agree(seed, &stream, &[]), elements.len());
     }
+}
 
-    #[test]
-    fn garbage_desynchronises_both_at_the_same_frame(
-        elements in prop::collection::vec(arb_element(), 0..4),
-        garbage in prop::collection::vec(any::<u8>(), 12..40),
-        chunk in 1usize..32,
-    ) {
+#[test]
+fn garbage_desynchronises_both_at_the_same_frame() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let elements = elements(rng, 0..4);
+        let garbage = bytes(rng, 12..40);
+        let chunk = rng.gen_range(1..32);
         let mut stream = Vec::new();
         for e in &elements {
             stream.extend_from_slice(&e.wire());
@@ -508,21 +455,22 @@ proptest! {
                 let got = splitter.next_frame();
                 match (want, got) {
                     (Ok(Some((kind, bytes))), Ok(Some(frame))) => {
-                        prop_assert_eq!(frame.kind, kind);
-                        prop_assert_eq!(&frame.bytes[..], &bytes[..]);
+                        assert_eq!(frame.kind, kind, "seed {seed}");
+                        assert_eq!(&frame.bytes[..], &bytes[..], "seed {seed}");
                     }
                     (Ok(None), Ok(None)) => break,
                     // Only the length bound is new; every other verdict
                     // is the model's.
                     (_, Err(GiopError::FrameTooLarge(_))) => break 'feed,
                     (Err(want), Err(got)) => {
-                        prop_assert_eq!(got, want);
+                        assert_eq!(got, want, "seed {seed}");
                         // What is given up on is still there to pass on.
-                        prop_assert_eq!(&splitter.take_buffered()[..], &model.buf[..]);
-                        prop_assert_eq!(splitter.buffered(), 0);
+                        let rest = splitter.take_buffered();
+                        assert_eq!(&rest[..], &model.buf[..], "seed {seed}");
+                        assert_eq!(splitter.buffered(), 0, "seed {seed}");
                         break 'feed;
                     }
-                    (want, got) => prop_assert!(false, "model {want:?} but splitter {got:?}"),
+                    (want, got) => panic!("seed {seed}: model {want:?} but splitter {got:?}"),
                 }
             }
         }

@@ -3,94 +3,112 @@
 //! `tests/hostile_inputs.rs` table's.
 
 use bytes::Bytes;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use groupcomm::{GcsSplitter, GcsWire};
 
-fn arb_name() -> impl Strategy<Value = String> {
-    "[a-zA-Z0-9/_.-]{1,40}"
+/// Cases a property runs.
+const CASES: u64 = 256;
+
+/// `[a-zA-Z0-9/_.-]`: group, member and sender names.
+const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/_.-";
+
+fn name(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(1..=40))
+        .map(|_| char::from(NAME[rng.gen_range(0..NAME.len())]))
+        .collect()
 }
 
-fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 0..200)
+fn bytes(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<u8> {
+    (0..rng.gen_range(len)).map(|_| rng.gen()).collect()
 }
 
-fn arb_members() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec(arb_name(), 0..8)
+fn payload(rng: &mut StdRng) -> Vec<u8> {
+    bytes(rng, 0..200)
 }
 
-fn arb_msg() -> impl Strategy<Value = GcsWire> {
-    prop_oneof![
-        arb_name().prop_map(|member| GcsWire::Attach { member }),
-        arb_name().prop_map(|group| GcsWire::Join { group }),
-        arb_name().prop_map(|group| GcsWire::Leave { group }),
-        (arb_name(), arb_payload())
-            .prop_map(|(group, payload)| GcsWire::Multicast { group, payload }),
-        Just(GcsWire::Attached),
-        (arb_name(), any::<u64>(), arb_members()).prop_map(|(group, view_id, members)| {
-            GcsWire::View {
-                group,
-                view_id,
-                members,
-            }
-        }),
-        (arb_name(), arb_name(), arb_payload()).prop_map(|(group, sender, payload)| {
-            GcsWire::Deliver {
-                group,
-                sender,
-                payload,
-            }
-        }),
-        any::<u32>().prop_map(|node| GcsWire::Hello { node }),
-        (arb_name(), arb_name(), any::<u32>()).prop_map(|(group, member, daemon)| {
-            GcsWire::FwdJoin {
-                group,
-                member,
-                daemon,
-            }
-        }),
-        (arb_name(), arb_name()).prop_map(|(group, member)| GcsWire::FwdLeave { group, member }),
-        (arb_name(), arb_name(), arb_payload()).prop_map(|(group, sender, payload)| {
-            GcsWire::FwdMulticast {
-                group,
-                sender,
-                payload,
-            }
-        }),
-        (any::<u64>(), arb_name(), any::<u64>(), arb_members()).prop_map(
-            |(seq, group, view_id, members)| GcsWire::OrdView {
-                seq,
-                group,
-                view_id,
-                members
-            }
-        ),
-        (any::<u64>(), arb_name(), arb_name(), arb_payload()).prop_map(
-            |(seq, group, sender, payload)| GcsWire::OrdDeliver {
-                seq,
-                group,
-                sender,
-                payload
-            }
-        ),
-        prop::collection::vec(any::<u8>(), 0..128).prop_map(|pad| GcsWire::Heartbeat { pad }),
-    ]
+fn members(rng: &mut StdRng) -> Vec<String> {
+    (0..rng.gen_range(0..8)).map(|_| name(rng)).collect()
 }
 
-proptest! {
-    #[test]
-    fn every_message_roundtrips(msg in arb_msg()) {
-        let framed = msg.encode();
-        let mut s = GcsSplitter::new();
-        s.push(&framed);
-        prop_assert_eq!(s.next_message().expect("decodes").expect("complete"), msg);
+/// Every `GcsWire` variant, with arbitrary contents.
+fn msg(rng: &mut StdRng) -> GcsWire {
+    match rng.gen_range(0..14) {
+        0 => GcsWire::Attach { member: name(rng) },
+        1 => GcsWire::Join { group: name(rng) },
+        2 => GcsWire::Leave { group: name(rng) },
+        3 => GcsWire::Multicast {
+            group: name(rng),
+            payload: payload(rng),
+        },
+        4 => GcsWire::Attached,
+        5 => GcsWire::View {
+            group: name(rng),
+            view_id: rng.gen(),
+            members: members(rng),
+        },
+        6 => GcsWire::Deliver {
+            group: name(rng),
+            sender: name(rng),
+            payload: payload(rng),
+        },
+        7 => GcsWire::Hello { node: rng.gen() },
+        8 => GcsWire::FwdJoin {
+            group: name(rng),
+            member: name(rng),
+            daemon: rng.gen(),
+        },
+        9 => GcsWire::FwdLeave {
+            group: name(rng),
+            member: name(rng),
+        },
+        10 => GcsWire::FwdMulticast {
+            group: name(rng),
+            sender: name(rng),
+            payload: payload(rng),
+        },
+        11 => GcsWire::OrdView {
+            seq: rng.gen(),
+            group: name(rng),
+            view_id: rng.gen(),
+            members: members(rng),
+        },
+        12 => GcsWire::OrdDeliver {
+            seq: rng.gen(),
+            group: name(rng),
+            sender: name(rng),
+            payload: payload(rng),
+        },
+        _ => GcsWire::Heartbeat {
+            pad: bytes(rng, 0..128),
+        },
     }
+}
 
-    #[test]
-    fn splitter_reassembles_under_arbitrary_chunking(
-        msgs in prop::collection::vec(arb_msg(), 1..8),
-        chunks in prop::collection::vec(1usize..64, 1..32),
-    ) {
+fn msgs(rng: &mut StdRng) -> Vec<GcsWire> {
+    (0..rng.gen_range(1..8)).map(|_| msg(rng)).collect()
+}
+
+#[test]
+fn every_message_roundtrips() {
+    for seed in 0..CASES {
+        let msg = msg(&mut StdRng::seed_from_u64(seed));
+        let mut s = GcsSplitter::new();
+        s.push(&msg.encode());
+        let back = s.next_message().expect("decodes").expect("complete");
+        assert_eq!(back, msg, "seed {seed}");
+    }
+}
+
+#[test]
+fn splitter_reassembles_under_arbitrary_chunking() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let msgs = msgs(rng);
+        let chunks: Vec<usize> = (0..rng.gen_range(1..32))
+            .map(|_| rng.gen_range(1..64))
+            .collect();
         let mut stream = Vec::new();
         for m in &msgs {
             stream.extend_from_slice(&m.encode());
@@ -107,17 +125,18 @@ proptest! {
                 got.push(m);
             }
         }
-        prop_assert_eq!(got, msgs);
+        assert_eq!(got, msgs, "seed {seed}");
     }
+}
 
-    /// Segments handed over by value — one message each, then the whole
-    /// stream as two segments cut anywhere — decode to the messages that
-    /// were encoded.
-    #[test]
-    fn segments_by_value_decode_like_copied_slices(
-        msgs in prop::collection::vec(arb_msg(), 1..8),
-        cut in any::<usize>(),
-    ) {
+/// Segments handed over by value — one message each, then the whole
+/// stream as two segments cut anywhere — decode to the messages that
+/// were encoded.
+#[test]
+fn segments_by_value_decode_like_copied_slices() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let msgs = msgs(rng);
         let mut stream = Vec::new();
         let mut by_value = GcsSplitter::new();
         let mut got = Vec::new();
@@ -129,9 +148,9 @@ proptest! {
                 got.push(m);
             }
         }
-        prop_assert_eq!(&got, &msgs);
+        assert_eq!(got, msgs, "seed {seed}");
 
-        let cut = cut % (stream.len() + 1);
+        let cut = rng.gen_range(0..=stream.len());
         let mut two = GcsSplitter::new();
         let mut got = Vec::new();
         for piece in [&stream[..cut], &stream[cut..]] {
@@ -140,6 +159,6 @@ proptest! {
                 got.push(m);
             }
         }
-        prop_assert_eq!(&got, &msgs);
+        assert_eq!(got, msgs, "seed {seed}");
     }
 }

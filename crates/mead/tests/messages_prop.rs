@@ -1,60 +1,98 @@
 //! Property tests for MEAD's control-message formats.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use giop::{FrameSplitter, Ior, ObjectKey};
 use mead::{FailoverNotice, GroupMsg};
 
-fn arb_name() -> impl Strategy<Value = String> {
-    "[a-zA-Z0-9/_.-]{1,32}"
+/// Cases a property runs.
+const CASES: u64 = 256;
+
+/// `[a-z0-9]`: host names.
+const HOST: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+/// `[a-zA-Z0-9/]`: failover-notice member names.
+const MEMBER: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/";
+/// `[a-zA-Z0-9/_.-]`: group-message names.
+const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789/_.-";
+
+/// 1 to `max` characters, each drawn from `alphabet`.
+fn string(rng: &mut StdRng, alphabet: &[u8], max: usize) -> String {
+    (0..rng.gen_range(1..=max))
+        .map(|_| char::from(alphabet[rng.gen_range(0..alphabet.len())]))
+        .collect()
 }
 
-fn arb_ior() -> impl Strategy<Value = Ior> {
-    (
-        arb_name(),
-        "[a-z0-9]{1,12}",
-        any::<u16>(),
-        prop::collection::vec(any::<u8>(), 1..64),
-    )
-        .prop_map(|(type_id, host, port, key)| {
-            Ior::singleton(&type_id, &host, port, ObjectKey::from_slice(&key))
-        })
+fn bytes(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<u8> {
+    (0..rng.gen_range(len)).map(|_| rng.gen()).collect()
 }
 
-fn arb_group_msg() -> impl Strategy<Value = GroupMsg> {
-    prop_oneof![
-        (arb_name(), arb_name(), any::<u16>())
-            .prop_map(|(member, host, port)| { GroupMsg::AddrAdvert { member, host, port } }),
-        (arb_name(), arb_ior()).prop_map(|(member, ior)| GroupMsg::IorAdvert { member, ior }),
-        arb_name().prop_map(|member| GroupMsg::LaunchRequest { member }),
-        prop::collection::vec((arb_name(), arb_name(), any::<u16>()), 0..6)
-            .prop_map(|entries| GroupMsg::SyncList { entries }),
-        arb_name().prop_map(|reply_group| GroupMsg::AddressQuery { reply_group }),
-        (arb_name(), arb_name(), any::<u16>())
-            .prop_map(|(member, host, port)| { GroupMsg::AddressReply { member, host, port } }),
-        (arb_name(), prop::collection::vec(any::<u8>(), 0..256))
-            .prop_map(|(member, state)| { GroupMsg::Checkpoint { member, state } }),
-    ]
+fn name(rng: &mut StdRng) -> String {
+    string(rng, NAME, 32)
 }
 
-proptest! {
-    #[test]
-    fn group_messages_roundtrip(msg in arb_group_msg()) {
-        prop_assert_eq!(GroupMsg::decode(&msg.encode()).expect("decodes"), msg);
+fn ior(rng: &mut StdRng) -> Ior {
+    let type_id = name(rng);
+    let host = string(rng, HOST, 12);
+    let port = rng.gen();
+    let key = bytes(rng, 1..64);
+    Ior::singleton(&type_id, &host, port, ObjectKey::from_slice(&key))
+}
+
+/// Every `GroupMsg` variant, with arbitrary contents.
+fn group_msg(rng: &mut StdRng) -> GroupMsg {
+    match rng.gen_range(0..7) {
+        0 => GroupMsg::AddrAdvert {
+            member: name(rng),
+            host: name(rng),
+            port: rng.gen(),
+        },
+        1 => GroupMsg::IorAdvert {
+            member: name(rng),
+            ior: ior(rng),
+        },
+        2 => GroupMsg::LaunchRequest { member: name(rng) },
+        3 => GroupMsg::SyncList {
+            entries: (0..rng.gen_range(0..6))
+                .map(|_| (name(rng), name(rng), rng.gen()))
+                .collect(),
+        },
+        4 => GroupMsg::AddressQuery {
+            reply_group: name(rng),
+        },
+        5 => GroupMsg::AddressReply {
+            member: name(rng),
+            host: name(rng),
+            port: rng.gen(),
+        },
+        _ => GroupMsg::Checkpoint {
+            member: name(rng),
+            state: bytes(rng, 0..256),
+        },
     }
+}
 
-    #[test]
-    fn failover_notices_roundtrip_and_interleave_with_giop(
-        host in "[a-z0-9]{1,16}",
-        port in any::<u16>(),
-        member in "[a-zA-Z0-9/]{1,24}",
-        rid in any::<u32>(),
-    ) {
+#[test]
+fn group_messages_roundtrip() {
+    for seed in 0..CASES {
+        let msg = group_msg(&mut StdRng::seed_from_u64(seed));
+        let back = GroupMsg::decode(&msg.encode()).expect("decodes");
+        assert_eq!(back, msg, "seed {seed}");
+    }
+}
+
+#[test]
+fn failover_notices_roundtrip_and_interleave_with_giop() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let host = string(rng, HOST, 16);
+        let port: u16 = rng.gen();
+        let member = string(rng, MEMBER, 24);
         let notice = FailoverNotice::new(&host, port, &member);
         // The piggyback layout: notice first, then the reply.
         let mut stream = notice.encode();
         let reply = giop::Message::Reply(giop::ReplyMessage {
-            request_id: rid,
+            request_id: rng.gen(),
             body: giop::ReplyBody::NoException(vec![1, 2, 3]),
         })
         .encode(giop::Endian::Big);
@@ -62,10 +100,10 @@ proptest! {
         let mut s = FrameSplitter::new();
         s.push(&stream);
         let frames = s.drain_frames().expect("both frames split");
-        prop_assert_eq!(frames.len(), 2);
+        assert_eq!(frames.len(), 2, "seed {seed}");
         let got = FailoverNotice::decode(&frames[0]).expect("notice decodes");
-        prop_assert_eq!(got.host, host);
-        prop_assert_eq!(got.port, port);
-        prop_assert_eq!(&frames[1].bytes[..], &reply[..]);
+        assert_eq!(got.host, host, "seed {seed}");
+        assert_eq!(got.port, port, "seed {seed}");
+        assert_eq!(&frames[1].bytes[..], &reply[..], "seed {seed}");
     }
 }

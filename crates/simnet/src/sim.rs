@@ -795,17 +795,6 @@ impl Simulation {
         self.wall_in_run
     }
 
-    /// Mean dispatch rate (events per wall-clock second) over the time
-    /// spent inside [`run_until`](Self::run_until). 0.0 before any run.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall_in_run.as_secs_f64();
-        if secs > 0.0 {
-            self.events_processed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// The trace recorded so far, in emission order.
     pub fn trace(&self) -> &[obs::TraceEvent] {
         self.recorder.events()
@@ -852,7 +841,7 @@ impl Simulation {
     }
 
     /// Runs until the clock reaches `deadline` or the queue drains.
-    // Wall-clock accounting only (events/sec reporting); the reading never
+    // Wall-clock accounting only (`wall_elapsed`); the reading never
     // feeds back into simulated time. Suppressed in lint-allow.toml (R2)
     // and for clippy's disallowed-methods mirror of the same rule.
     #[allow(clippy::disallowed_methods)]

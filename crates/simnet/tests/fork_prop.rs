@@ -19,9 +19,8 @@
 //! that state a copy got wrong without it showing yet (a random stream,
 //! a timer table) still has the time to show.
 
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use simnet::{
     Addr, ByteRecord, ConnId, DecisionTrace, Event, FifoScheduler, ForkError, GateCfg, KernelStats,
@@ -33,6 +32,9 @@ const ECHO_PORT: Port = Port(7);
 const SINK_PORT: Port = Port(9);
 const NIBBLE_PORT: Port = Port(11);
 const TAG: &str = "fork-prop";
+
+/// Cases a property runs.
+const CASES: u64 = 256;
 
 fn forked<P: Process + Clone>(proc: &P) -> Option<Box<dyn Process>> {
     Some(Box::new(proc.clone()))
@@ -341,68 +343,64 @@ fn scheduler(gated: bool, a: SimTime) -> Box<dyn Scheduler> {
 
 const END: SimTime = SimTime::from_millis(8);
 
-fn split_fork_and_straight_runs_agree(
-    world: World,
-    gated: bool,
-    a: SimTime,
-    b: SimTime,
-) -> Result<(), TestCaseError> {
-    let mut straight = build(world, scheduler(gated, a));
-    straight.run_until(b);
-    let straight_at_b = observe(&straight);
-    straight.run_until(END);
-    let straight_at_end = observe(&straight);
+/// The property, over `CASES` seeded splits `a <= b` in the first 6 ms,
+/// FIFO or gated.
+fn split_fork_and_straight_runs_agree(world: World) {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (x, y) = (rng.gen_range(0..6_000_000), rng.gen_range(0..6_000_000));
+        let (a, b) = (SimTime::from_nanos(x.min(y)), SimTime::from_nanos(x.max(y)));
+        let gated = rng.gen();
+        let case = format!("seed {seed}: {world:?}, gated {gated}, split {a:?}..{b:?}");
 
-    let mut parent = build(world, scheduler(gated, a));
-    parent.run_until(a);
-    let parent_at_a = observe(&parent);
-    let mut fork = parent
-        .fork(scheduler(gated, a))
-        .expect("every process forks");
-    prop_assert_eq!(&observe(&fork), &parent_at_a);
+        let mut straight = build(world, scheduler(gated, a));
+        straight.run_until(b);
+        let straight_at_b = observe(&straight);
+        straight.run_until(END);
+        let straight_at_end = observe(&straight);
 
-    fork.run_until(b);
-    prop_assert_eq!(&observe(&fork), &straight_at_b);
-    fork.run_until(END);
-    prop_assert_eq!(&observe(&fork), &straight_at_end);
-    // The fork ran to the end; the parent has not moved.
-    prop_assert_eq!(&observe(&parent), &parent_at_a);
+        let mut parent = build(world, scheduler(gated, a));
+        parent.run_until(a);
+        let parent_at_a = observe(&parent);
+        let mut fork = parent
+            .fork(scheduler(gated, a))
+            .expect("every process forks");
+        assert_eq!(observe(&fork), parent_at_a, "{case}");
 
-    parent.run_until(b);
-    prop_assert_eq!(&observe(&parent), &straight_at_b);
-    parent.run_until(END);
-    prop_assert_eq!(&observe(&parent), &straight_at_end);
-    // Nor has the parent's run moved the fork.
-    prop_assert_eq!(&observe(&fork), &straight_at_end);
-    Ok(())
+        fork.run_until(b);
+        assert_eq!(observe(&fork), straight_at_b, "{case}");
+        fork.run_until(END);
+        assert_eq!(observe(&fork), straight_at_end, "{case}");
+        // The fork ran to the end; the parent has not moved.
+        assert_eq!(observe(&parent), parent_at_a, "{case}");
+
+        parent.run_until(b);
+        assert_eq!(observe(&parent), straight_at_b, "{case}");
+        parent.run_until(END);
+        assert_eq!(observe(&parent), straight_at_end, "{case}");
+        // Nor has the parent's run moved the fork.
+        assert_eq!(observe(&fork), straight_at_end, "{case}");
+    }
 }
 
-/// Two instants in the first 6 ms, in order.
-fn arb_split() -> impl Strategy<Value = (SimTime, SimTime)> {
-    (0u64..6_000_000, 0u64..6_000_000)
-        .prop_map(|(x, y)| (SimTime::from_nanos(x.min(y)), SimTime::from_nanos(x.max(y))))
+#[test]
+fn ping_pong_survives_splitting_and_forking() {
+    split_fork_and_straight_runs_agree(World::PingPong);
 }
 
-proptest! {
-    #[test]
-    fn ping_pong_survives_splitting_and_forking(split in arb_split(), gated in any::<bool>()) {
-        split_fork_and_straight_runs_agree(World::PingPong, gated, split.0, split.1)?;
-    }
+#[test]
+fn fan_in_survives_splitting_and_forking() {
+    split_fork_and_straight_runs_agree(World::FanIn);
+}
 
-    #[test]
-    fn fan_in_survives_splitting_and_forking(split in arb_split(), gated in any::<bool>()) {
-        split_fork_and_straight_runs_agree(World::FanIn, gated, split.0, split.1)?;
-    }
+#[test]
+fn timers_survive_splitting_and_forking() {
+    split_fork_and_straight_runs_agree(World::Timers);
+}
 
-    #[test]
-    fn timers_survive_splitting_and_forking(split in arb_split(), gated in any::<bool>()) {
-        split_fork_and_straight_runs_agree(World::Timers, gated, split.0, split.1)?;
-    }
-
-    #[test]
-    fn a_backlog_survives_splitting_and_forking(split in arb_split(), gated in any::<bool>()) {
-        split_fork_and_straight_runs_agree(World::Backlog, gated, split.0, split.1)?;
-    }
+#[test]
+fn a_backlog_survives_splitting_and_forking() {
+    split_fork_and_straight_runs_agree(World::Backlog);
 }
 
 /// A fork taken while a receive queue holds a partly read head segment

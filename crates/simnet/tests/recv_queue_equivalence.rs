@@ -19,9 +19,12 @@
 use std::collections::VecDeque;
 
 use bytes::Bytes;
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simnet::RecvQueue;
+
+/// Cases a property runs.
+const CASES: u64 = 256;
 
 /// The original byte-at-a-time receive buffer.
 #[derive(Default)]
@@ -62,18 +65,26 @@ enum Op {
     Clear,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        prop::collection::vec(any::<u8>(), 0..48).prop_map(Op::Push),
+fn bytes(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<u8> {
+    (0..rng.gen_range(len)).map(|_| rng.gen()).collect()
+}
+
+fn op(rng: &mut StdRng) -> Op {
+    match rng.gen_range(0..3) {
+        0 => Op::Push(bytes(rng, 0..48)),
         // Read bounds straddle every interesting case: zero, mid-segment,
         // exact segment, spanning, and far beyond the buffered total.
-        (0usize..128).prop_map(Op::Read),
-        Just(Op::Clear),
-    ]
+        1 => Op::Read(rng.gen_range(0..128)),
+        _ => Op::Clear,
+    }
+}
+
+fn ops(rng: &mut StdRng, count: std::ops::Range<usize>) -> Vec<Op> {
+    (0..rng.gen_range(count)).map(|_| op(rng)).collect()
 }
 
 /// Applies `op` to both queues and compares what they return and hold.
-fn step(model: &mut ByteQueue, queue: &mut RecvQueue, op: &Op) -> Result<(), TestCaseError> {
+fn step(seed: u64, model: &mut ByteQueue, queue: &mut RecvQueue, op: &Op) {
     match op {
         Op::Push(data) => {
             model.push(data);
@@ -82,69 +93,77 @@ fn step(model: &mut ByteQueue, queue: &mut RecvQueue, op: &Op) -> Result<(), Tes
         Op::Read(max) => {
             let want = model.read(*max);
             let got = queue.read(*max);
-            prop_assert_eq!(&got[..], &want[..]);
+            assert_eq!(&got[..], &want[..], "seed {seed}: {op:?}");
         }
         Op::Clear => {
             model.clear();
             queue.clear();
         }
     }
-    prop_assert_eq!(queue.len(), model.len());
-    prop_assert_eq!(queue.is_empty(), model.is_empty());
-    Ok(())
+    assert_eq!(queue.len(), model.len(), "seed {seed}: {op:?}");
+    assert_eq!(queue.is_empty(), model.is_empty(), "seed {seed}: {op:?}");
 }
 
 /// Drains whatever is left and compares the tail too (EOF is gated on
 /// `is_empty`, so the tail must agree byte for byte).
-fn drain(model: &mut ByteQueue, queue: &mut RecvQueue) -> Result<(), TestCaseError> {
-    step(model, queue, &Op::Read(usize::MAX))?;
-    prop_assert!(queue.is_empty());
-    Ok(())
+fn drain(seed: u64, model: &mut ByteQueue, queue: &mut RecvQueue) {
+    step(seed, model, queue, &Op::Read(usize::MAX));
+    assert!(queue.is_empty(), "seed {seed}");
 }
 
-proptest! {
-    #[test]
-    fn segmented_queue_matches_byte_queue(ops in prop::collection::vec(arb_op(), 0..60)) {
+#[test]
+fn segmented_queue_matches_byte_queue() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
         let mut model = ByteQueue::default();
         let mut queue = RecvQueue::new();
-        for op in &ops {
-            step(&mut model, &mut queue, op)?;
+        for op in &ops(rng, 0..60) {
+            step(seed, &mut model, &mut queue, op);
         }
-        drain(&mut model, &mut queue)?;
+        drain(seed, &mut model, &mut queue);
     }
+}
 
-    /// Nibble at the head, push behind it while it is partly read, then
-    /// read past its end into the segments behind, so that it drains
-    /// mid-read. A second round pushes the same segments again behind
-    /// whatever that read left — most often a split segment — and reads
-    /// on.
-    #[test]
-    fn the_inline_head_drains_mid_read_and_takes_pushes_while_partly_read(
-        head in prop::collection::vec(any::<u8>(), 1..24),
-        behind in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..24), 1..5),
-        nibble in 0usize..24,
-        past in 1usize..48,
-        rounds in 1usize..3,
-    ) {
+/// Nibble at the head, push behind it while it is partly read, then
+/// read past its end into the segments behind, so that it drains
+/// mid-read. A second round pushes the same segments again behind
+/// whatever that read left — most often a split segment — and reads
+/// on.
+#[test]
+fn the_inline_head_drains_mid_read_and_takes_pushes_while_partly_read() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let head = bytes(rng, 1..24);
+        let behind: Vec<Vec<u8>> = (0..rng.gen_range(1..5))
+            .map(|_| bytes(rng, 1..24))
+            .collect();
+        // Strictly inside the head.
+        let nibble = rng.gen_range(0..head.len());
+        let past = rng.gen_range(1..48);
+        let rounds = rng.gen_range(1..3);
+
         let mut model = ByteQueue::default();
         let mut queue = RecvQueue::new();
-        step(&mut model, &mut queue, &Op::Push(head.clone()))?;
-        // Strictly inside the head.
-        let nibble = nibble % head.len();
-        step(&mut model, &mut queue, &Op::Read(nibble))?;
+        step(seed, &mut model, &mut queue, &Op::Push(head.clone()));
+        step(seed, &mut model, &mut queue, &Op::Read(nibble));
         let mut read = head.len() - nibble + past;
         for _ in 0..rounds {
             for segment in &behind {
-                step(&mut model, &mut queue, &Op::Push(segment.clone()))?;
+                step(seed, &mut model, &mut queue, &Op::Push(segment.clone()));
             }
-            step(&mut model, &mut queue, &Op::Read(read))?;
+            step(seed, &mut model, &mut queue, &Op::Read(read));
             read = past;
         }
-        drain(&mut model, &mut queue)?;
+        drain(seed, &mut model, &mut queue);
     }
+}
 
-    #[test]
-    fn reads_never_exceed_max(ops in prop::collection::vec(arb_op(), 0..40), max in 0usize..64) {
+#[test]
+fn reads_never_exceed_max() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let ops = ops(rng, 0..40);
+        let max = rng.gen_range(0..64);
         let mut queue = RecvQueue::new();
         for op in &ops {
             match op {
@@ -152,9 +171,9 @@ proptest! {
                 Op::Read(_) | Op::Clear => {
                     let before = queue.len();
                     let out = queue.read(max);
-                    prop_assert!(out.len() <= max);
-                    prop_assert_eq!(out.len(), before.min(max));
-                    prop_assert_eq!(queue.len(), before - out.len());
+                    assert!(out.len() <= max, "seed {seed}");
+                    assert_eq!(out.len(), before.min(max), "seed {seed}");
+                    assert_eq!(queue.len(), before - out.len(), "seed {seed}");
                 }
             }
         }

@@ -5,10 +5,14 @@
 //! sequence, including the seq tie-break among equal times. The 13
 //! pinned scenario digests rest on this total order.
 
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use simnet::TimingWheel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Cases a property runs.
+const CASES: u64 = 256;
 
 const TICK: u64 = 1 << 16; // wheel tick granularity in ns
 const HORIZON: u64 = TICK << 36; // first time past the wheel's range
@@ -22,43 +26,39 @@ enum Op {
     PopDue { deadline: u64 },
 }
 
-fn arb_time() -> impl Strategy<Value = (u64, u64)> {
-    // Bases collide across five buckets; jitter spans sub-tick offsets,
-    // a few slots, a level boundary, and the far-overflow horizon.
-    (
-        0u64..5,
-        prop_oneof![
-            Just(0u64),
-            1u64..3,
-            Just(TICK),
-            Just(TICK * 64),
-            Just(TICK * 64 * 64 * 3),
-            Just(HORIZON + 17),
-        ],
-    )
-        .prop_map(|(bucket, jitter)| (bucket * 40_000, jitter))
+fn op(rng: &mut StdRng) -> Op {
+    // Three pushes to two pops, so the wheel stays populated.
+    if rng.gen_range(0..5) < 3 {
+        // Bases collide across five buckets; jitter spans sub-tick
+        // offsets, a few slots, a level boundary, and the far-overflow
+        // horizon.
+        let base = rng.gen_range(0..5) * 40_000;
+        let jitter = match rng.gen_range(0..6) {
+            0 => 0,
+            1 => rng.gen_range(1..3),
+            2 => TICK,
+            3 => TICK * 64,
+            4 => TICK * 64 * 64 * 3,
+            _ => HORIZON + 17,
+        };
+        Op::Push { base, jitter }
+    } else {
+        let deadline = match rng.gen_range(0..5) {
+            0 => 0,
+            1 => rng.gen_range(40_000..200_000),
+            2 => TICK * 128,
+            3 => HORIZON * 2,
+            _ => u64::MAX,
+        };
+        Op::PopDue { deadline }
+    }
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    // The vendored `prop_oneof!` is unweighted; repeating the push arm
-    // approximates a 3:2 push/pop mix so the wheel stays populated.
-    let push = || arb_time().prop_map(|(base, jitter)| Op::Push { base, jitter });
-    let pop = || {
-        prop_oneof![
-            Just(0u64),
-            40_000u64..200_000,
-            Just(TICK * 128),
-            Just(HORIZON * 2),
-            Just(u64::MAX),
-        ]
-        .prop_map(|deadline| Op::PopDue { deadline })
-    };
-    prop_oneof![push(), push(), push(), pop(), pop()]
-}
-
-proptest! {
-    #[test]
-    fn wheel_matches_heap_model(ops in prop::collection::vec(arb_op(), 1..250)) {
+#[test]
+fn wheel_matches_heap_model() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let ops: Vec<Op> = (0..rng.gen_range(1..250)).map(|_| op(rng)).collect();
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
         let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -83,13 +83,11 @@ proptest! {
                         match (expected, got) {
                             (None, None) => break,
                             (Some(Reverse((at, s))), Some((gat, gseq, gval))) => {
-                                prop_assert_eq!((at, s, s), (gat, gseq, gval));
+                                assert_eq!((at, s, s), (gat, gseq, gval), "seed {seed}");
                                 now = now.max(gat);
                             }
                             (e, g) => {
-                                return Err(proptest::test_runner::TestCaseError::fail(format!(
-                                    "model/wheel diverged: model={e:?} wheel={g:?}"
-                                )));
+                                panic!("seed {seed}: model/wheel diverged: model={e:?} wheel={g:?}")
                             }
                         }
                     }
@@ -98,32 +96,34 @@ proptest! {
                     now = now.max(deadline);
                 }
             }
-            prop_assert_eq!(wheel.len(), model.len());
-            prop_assert_eq!(wheel.is_empty(), model.is_empty());
+            assert_eq!(wheel.len(), model.len(), "seed {seed}");
+            assert_eq!(wheel.is_empty(), model.is_empty(), "seed {seed}");
         }
         // Full drain must agree to the last entry, ties included.
         while let Some(Reverse((at, s))) = model.pop() {
             let got = wheel.pop_due(u64::MAX);
-            prop_assert_eq!(Some((at, s, s)), got);
+            assert_eq!(Some((at, s, s)), got, "seed {seed}");
         }
-        prop_assert!(wheel.is_empty());
-        prop_assert_eq!(wheel.pop_due(u64::MAX).map(|e| e.0), None);
+        assert!(wheel.is_empty(), "seed {seed}");
+        assert_eq!(wheel.pop_due(u64::MAX).map(|e| e.0), None, "seed {seed}");
     }
+}
 
-    /// Same-timestamp bursts must come back in exact seq (FIFO) order —
-    /// the tie-break the notify-requeue storm depends on.
-    #[test]
-    fn equal_timestamps_pop_in_seq_order(
-        n in 1usize..200,
-        at in prop_oneof![Just(0u64), Just(123_456), Just(TICK * 7 + 3), Just(HORIZON + 1)],
-    ) {
+/// Same-timestamp bursts must come back in exact seq (FIFO) order —
+/// the tie-break the notify-requeue storm depends on.
+#[test]
+fn equal_timestamps_pop_in_seq_order() {
+    for seed in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..200u64);
+        let at = [0, 123_456, TICK * 7 + 3, HORIZON + 1][rng.gen_range(0..4)];
         let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        for seq in 0..n as u64 {
+        for seq in 0..n {
             wheel.push(at, seq, seq);
         }
-        for seq in 0..n as u64 {
-            prop_assert_eq!(wheel.pop_due(u64::MAX), Some((at, seq, seq)));
+        for seq in 0..n {
+            assert_eq!(wheel.pop_due(u64::MAX), Some((at, seq, seq)), "seed {seed}");
         }
-        prop_assert!(wheel.is_empty());
+        assert!(wheel.is_empty(), "seed {seed}");
     }
 }
