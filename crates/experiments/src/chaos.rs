@@ -48,7 +48,7 @@ use mead::{
 };
 use orb::{
     decode_counter_reply, decode_increment_once, encode_counter_reply, encode_increment_once,
-    CounterServant, CounterState, Servant, SystemException, COUNTER_TYPE_ID,
+    CounterServant, CounterState, Servant, SystemException,
 };
 use simnet::{
     DecisionTrace, Event, ExitReason, FifoScheduler, ForkError, GateCfg, LossModel, Metrics,
@@ -501,8 +501,7 @@ impl<'a> ChaosBoot<'a> {
                         ServantMutation::Intact => Box::new(intact),
                         ServantMutation::DropDedup => Box::new(DropDedup { intact }),
                     };
-                    let app = ReplicaApp::time_server(spec.slot, spec.port, infra)
-                        .with_servant(counter_key(), COUNTER_TYPE_ID, servant)
+                    let app = ReplicaApp::new(spec, infra, counter_key(), servant)
                         .with_rebind(SimDuration::from_millis(150));
                     Box::new(
                         ServerInterceptor::new(replica_cfg, spec.slot, Box::new(app))

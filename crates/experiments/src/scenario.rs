@@ -269,7 +269,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         trace_level: mead_cfg.trace_level,
         factory: move |naming_node| {
             Rc::new(move |spec| {
-                let app = ReplicaApp::time_server(spec.slot, spec.port, naming_node);
+                let app = ReplicaApp::time_server(spec, naming_node);
                 Box::new(ServerInterceptor::new(
                     factory_cfg.clone(),
                     spec.slot,

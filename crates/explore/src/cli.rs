@@ -19,12 +19,12 @@ const MAX_MINIMIZED_DECISIONS: usize = 10;
 /// [--seeded-bug] [--conflict-relation FILE] [--violations out.json]
 /// [--trace out.jsonl]`.
 ///
-/// Enumerates alternative event interleavings of the `pair` and `trio`
-/// fixtures under a pluggable kernel scheduler and checks every
-/// invariant on every interleaving; given `--seeded-bug`, also proves
-/// the pipeline end to end: a seeded protocol mutation invisible to the
-/// FIFO schedule is caught, minimized to a short failing schedule, and
-/// replayed by digest. `--smoke` shrinks the per-fixture run budget for
+/// Enumerates alternative event interleavings of the `pair` and
+/// `relaunch` fixtures under a pluggable kernel scheduler and checks
+/// every invariant on every interleaving; given `--seeded-bug`, also
+/// proves the pipeline end to end: a seeded protocol mutation invisible
+/// to the FIFO schedule is caught, minimized to a short failing
+/// schedule, and replayed by digest. `--smoke` shrinks the per-fixture run budget for
 /// CI; `--trace` writes the minimized failing schedule (requires
 /// `--seeded-bug`); `--conflict-relation` loads a `conflict-relation/1`
 /// artifact (from `mead-repro lint --conflict-report`) that prunes
@@ -86,7 +86,7 @@ pub fn cli_main(args: &[String]) -> i32 {
         // Fault-free-protocol fixtures: enumerate interleavings and demand
         // zero invariant violations on every one (the protocol must
         // tolerate any physically plausible delivery order).
-        for fixture in [fixtures::pair(), fixtures::trio()] {
+        for fixture in [fixtures::pair(), fixtures::relaunch()] {
             let outcome = try_explore(&fixture.plan, &fixture.chaos, &config_for(fixture.gate))
                 .map_err(|e| CliError::Failed(format!("explore {}: {e}", fixture.name)))?;
             println!(

@@ -3,13 +3,13 @@
 //! fixture that proves the search catches and minimizes a real ordering
 //! bug.
 //!
-//! All fixtures gate decisions to a window opening at the client's start
-//! (the chaos executor boots the infrastructure for 650 ms first), so
-//! the search spends its budget on the request/reply/fault phase instead
-//! of the deterministic boot — which the kernel, owning the gate, runs at
-//! FIFO cost, and which a search, every run of it being the same until
-//! the window opens, runs once and copies per schedule
-//! (`engine::World`).
+//! The fixtures gate decisions to a window opening no earlier than the
+//! client's start (the chaos executor boots the infrastructure for
+//! 650 ms first), so the search spends its budget on the
+//! request/reply/fault phase instead of the deterministic boot — which
+//! the kernel, owning the gate, runs at FIFO cost, and which a search,
+//! every run of it being the same until the window opens, runs once and
+//! copies per schedule (`engine::World`).
 
 use experiments::{chaos_plan_space_for, ChaosConfig, ServantMutation};
 use faults::{FaultEvent, FaultKind, FaultPlan, FaultPlanBuilder};
@@ -28,8 +28,8 @@ pub struct Fixture {
     pub gate: GateCfg,
 }
 
-/// The decision window every fixture uses: from the client's start to
-/// past the last fault, bounded per run.
+/// The decision window `pair` and `trio` use: from the client's start to
+/// past the last fault, bounded per run (`relaunch` opens it later).
 fn gate(max_steps: u64, slack_us: u64) -> GateCfg {
     GateCfg {
         window_start: SimTime::from_millis(650),
@@ -62,6 +62,36 @@ pub fn pair() -> Fixture {
             ..ChaosConfig::default()
         },
         gate: gate(10, 400),
+    }
+}
+
+/// Two replica slots, one client, and slot 0's replica crashing: the
+/// Recovery Manager relaunches it, and while the new replica is still
+/// busy starting up, three frames reach it on one connection, parking
+/// three `data_readable` notifies due at one instant (~836.8 ms). That
+/// re-drain is what the conflict relation declares independent, so this
+/// is the fixture on which it has something to prune; the window opens
+/// just before it.
+pub fn relaunch() -> Fixture {
+    let plan = FaultPlanBuilder::new(11)
+        .event(FaultEvent {
+            at: SimTime::from_millis(800),
+            kind: FaultKind::CrashReplica { slot: 0 },
+        })
+        .build(&chaos_plan_space_for(2, 0))
+        .expect("relaunch fixture plan fits its space");
+    Fixture {
+        name: "relaunch",
+        plan,
+        chaos: ChaosConfig {
+            increments: 6,
+            slots: 2,
+            ..ChaosConfig::default()
+        },
+        gate: GateCfg {
+            window_start: SimTime::from_millis(835),
+            ..gate(10, 400)
+        },
     }
 }
 
@@ -124,14 +154,15 @@ pub fn seeded_bug() -> Fixture {
             mutation: ServantMutation::DropDedup,
             ..ChaosConfig::default()
         },
-        // The boot, registration, resolve and first-invoke phases
-        // (650–700 ms) are pure noise for this bug; open the decision
-        // window once a commit-acked reply is in flight against a live
-        // watchdog so the budget covers the reply-vs-watchdog races
-        // instead of naming-service chatter — and the minimized witness
-        // stays a handful of decisions.
+        // The boot, registration and resolve phases (650–690 ms) are
+        // pure noise for this bug; open the decision window once the
+        // first increment is in flight against a live watchdog (its
+        // reply and the watchdog fall together at ~695 ms) so the budget
+        // covers the reply-vs-watchdog races instead of naming-service
+        // chatter — and the minimized witness stays a handful of
+        // decisions.
         gate: GateCfg {
-            window_start: SimTime::from_millis(700),
+            window_start: SimTime::from_millis(690),
             window_end: SimTime::from_millis(2_500),
             max_steps: 12,
             slack: SimDuration::from_micros(900),

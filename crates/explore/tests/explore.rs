@@ -24,7 +24,12 @@ use simnet::{ChoicePoint, DecisionTrace, GateCfg, ReplayScheduler, Scheduler};
 /// are two implementations of the same total order.
 #[test]
 fn empty_prefix_is_fifo_equivalent() {
-    for fixture in [fixtures::pair(), fixtures::trio(), fixtures::seeded_bug()] {
+    for fixture in [
+        fixtures::pair(),
+        fixtures::trio(),
+        fixtures::relaunch(),
+        fixtures::seeded_bug(),
+    ] {
         let fifo = run_chaos_plan(&fixture.plan, &fixture.chaos);
         let run = run_prefix(&fixture.plan, &fixture.chaos, fixture.gate, &[]);
         assert_eq!(
@@ -78,7 +83,7 @@ fn replay(fixture: &fixtures::Fixture, trace: &DecisionTrace) -> (ChaosOutcome, 
 }
 
 /// A run asks its scheduler exactly `gate.max_steps` times — 10, 12 and
-/// 12 — out of the 654, 1 142 and 334 multi-candidate ties the three
+/// 12 — out of the 511, 920 and 269 multi-candidate ties the three
 /// fixtures' runs hold: the kernel builds a choice point only while the
 /// gate is open, so the boot before the window and everything after the
 /// budget cost what they cost under FIFO.
@@ -138,17 +143,19 @@ fn derived_relation() -> Arc<ConflictRelation> {
     Arc::new(ConflictRelation::parse(&json).expect("a conflict relation"))
 }
 
-/// `trio`, and `pair` pruned by the derived relation, at 1 and 4 worker
-/// threads against one pin.
+/// `relaunch`, the fixture the derived relation prunes on: its search
+/// without the relation, and pruned by it at 1 and 4 worker threads
+/// against one pin.
 #[test]
 #[ignore = "three searches and a lint pass; CI runs them in release"]
-fn trio_and_the_relation_pruned_pair_match_their_pins() {
+fn the_relation_pruned_relaunch_matches_its_pin() {
     let relation = derived_relation();
-    let pruned = |threads| search(&fixtures::pair(), Some(Arc::clone(&relation)), threads);
+    let fixture = fixtures::relaunch();
+    let pruned = |threads| search(&fixture, Some(Arc::clone(&relation)), threads);
     hold([
-        ("explore/trio", search(&fixtures::trio(), None, 2)),
-        ("explore/pair+relation", pruned(1)),
-        ("explore/pair+relation", pruned(4)),
+        ("explore/relaunch", search(&fixture, None, 2)),
+        ("explore/relaunch+relation", pruned(1)),
+        ("explore/relaunch+relation", pruned(4)),
     ]);
 }
 
@@ -184,7 +191,7 @@ fn explore_digest_is_thread_count_independent() {
 /// or empty — yields a trace that (a) survives the JSONL round trip and
 /// (b) replays through the independent [`ReplayScheduler`] to the same
 /// decisions and a bit-identical outcome digest. The decisions are
-/// compared too: on `pair` every schedule has the one outcome. A small
+/// compared too: many of `pair`'s schedules share one outcome. A small
 /// case count: each case costs two full simulation runs.
 #[test]
 fn decision_trace_replays_bit_identically() {

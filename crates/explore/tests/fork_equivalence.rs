@@ -13,7 +13,7 @@
 //! a mismatch; a copy that shares a piece of state with the world it was
 //! taken from shows up one run later, because that world has then moved.
 //!
-//! The fixtures are the three canned ones and a variant of `pair` whose
+//! The fixtures are the four canned ones and a variant of `pair` whose
 //! window opens at 300 ms: inside the boot, so that the world is
 //! snapshotted early and every copy finishes the boot under its own
 //! scheduler, decisions included.
@@ -130,8 +130,8 @@ fn pair_forks_as_it_boots() {
 }
 
 #[test]
-fn pair_forks_as_it_boots_under_the_relation() {
-    forked_runs_equal_scratch_runs("pair+relation", &fixtures::pair(), Some(ARTIFACT));
+fn relaunch_forks_as_it_boots_under_the_relation() {
+    forked_runs_equal_scratch_runs("relaunch+relation", &fixtures::relaunch(), Some(ARTIFACT));
 }
 
 #[test]

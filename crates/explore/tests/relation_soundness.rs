@@ -209,21 +209,21 @@ fn seqs_after(fixture: &fixtures::Fixture, stem: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Every site the artifact pruned on the `pair` fixture is replayed
+/// Every site the artifact pruned on the `relaunch` fixture is replayed
 /// with the declared-independent events adjacent in both orders; the
 /// outcomes must be identical. No site is sampled away — the walk
 /// enumerates all of them.
 #[test]
 fn pruned_pairs_commute_in_both_orders() {
     let relation = Arc::new(ConflictRelation::parse(ARTIFACT).expect("artifact parses"));
-    let fixture = fixtures::pair();
+    let fixture = fixtures::relaunch();
     let sites: Vec<(Vec<u64>, u64, u64)> = walk(&fixture, Some(&relation), 1)
         .pruned_sites
         .into_iter()
         .collect();
     assert!(
         !sites.is_empty(),
-        "the relation pruned nothing on the pair fixture — the check is vacuous"
+        "the relation pruned nothing on the relaunch fixture — the check is vacuous"
     );
     for threads in [1usize, 4] {
         let verdicts = run_batch_with(&sites, threads, |(stem, kept, alt)| {
@@ -250,7 +250,7 @@ fn pruned_pairs_commute_in_both_orders() {
 #[test]
 fn pruned_tree_covers_the_full_dpor_outcome_set() {
     let relation = Arc::new(ConflictRelation::parse(ARTIFACT).expect("artifact parses"));
-    let fixture = fixtures::pair();
+    let fixture = fixtures::relaunch();
     for threads in [1usize, 4] {
         let pruned = walk(&fixture, Some(&relation), threads);
         let full = walk(&fixture, None, threads);

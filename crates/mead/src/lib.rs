@@ -13,7 +13,9 @@
 //!   `NEEDS_ADDRESSING_MODE` scheme;
 //! * [`RecoveryManager`] — launches replacement replicas on membership
 //!   changes and proactive fault notifications;
-//! * [`ReplicaApp`] — the unmodified replicated time-of-day server;
+//! * [`ReplicaApp`] — the unmodified replicated server: one servant under
+//!   one object key, bound under its slot's name (the paper's time-of-day
+//!   server, or the chaos topology's counter);
 //! * [`RecoveryScheme`]/[`MeadConfig`]/[`Trigger`] — the five strategies
 //!   of Table 1 and what a run decides about them. The interceptors'
 //!   calibrated costs are constants beside the code that charges them

@@ -1,11 +1,10 @@
 //! The replicated server application (the *unmodified* CORBA server the
 //! interceptor wraps).
 //!
-//! A [`ReplicaApp`] embeds a server ORB with the evaluation servant(s),
-//! listens on the port its [`ReplicaSpec`](crate::ReplicaSpec) assigned,
-//! and registers its objects with the Naming Service under the slot
-//! binding name — re-registration after a restart is what refreshes stale
-//! naming entries (section 5.2.1). It knows nothing about MEAD, faults or
+//! A [`ReplicaApp`] embeds a server ORB with one servant, listens on the
+//! port its [`ReplicaSpec`] assigned, and registers its object with the
+//! Naming Service under the slot binding name — re-registration after a
+//! restart is what refreshes stale naming entries (section 5.2.1). It knows nothing about MEAD, faults or
 //! group communication: everything proactive happens in the interceptor
 //! underneath it, preserving the paper's transparency claim.
 
@@ -13,10 +12,11 @@ use std::rc::Rc;
 
 use giop::{Ior, ObjectKey};
 use orb::{
-    encode_bind, host_of, naming_ior, ClientOrb, CounterState, Servant, ServerOrb,
-    TimeOfDayServant, TIME_TYPE_ID,
+    encode_bind, host_of, naming_ior, ClientOrb, CounterState, Servant, ServerOrb, TimeOfDayServant,
 };
-use simnet::{Event, NodeId, Port, Process, SimDuration, SysApi};
+use simnet::{Event, NodeId, Process, SimDuration, SysApi};
+
+use crate::ReplicaSpec;
 
 /// Timer token for the periodic naming re-bind (outside the interceptor
 /// token namespace, so the wrapping interceptor forwards it here).
@@ -29,103 +29,71 @@ pub fn time_object_key() -> ObjectKey {
     ObjectKey::persistent("TimePOA", "TimeOfDay")
 }
 
-/// An unmodified replicated server application.
+/// An unmodified replicated server application: one servant under one
+/// persistent key, bound under its slot's name.
 pub struct ReplicaApp {
     orb: ServerOrb,
     client_orb: ClientOrb,
-    naming_node: NodeId,
-    bind_name: String,
-    objects: Vec<(ObjectKey, String)>,
-    port: Port,
     rebind_interval: Option<SimDuration>,
-    /// The Naming Service's IOR and one encoded `bind` body per object:
-    /// built by the first [`bind_all`](Self::bind_all), once the node is
-    /// known, and sent as they are by every re-bind.
-    binds: Option<(Ior, Vec<Vec<u8>>)>,
+    /// The Naming Service's IOR and the encoded `bind` body, sent as they
+    /// are by the first bind and every re-bind.
+    bind: (Ior, Vec<u8>),
 }
 
 impl ReplicaApp {
-    /// Creates the paper's time-of-day server for `slot`, listening on
-    /// `port` and binding `replicas/slot<slot>` at the Naming Service on
-    /// `naming_node`.
-    pub fn time_server(slot: crate::Slot, port: Port, naming_node: NodeId) -> Self {
-        let mut orb = ServerOrb::new(port);
-        let key = time_object_key();
-        orb.register(key.clone(), Box::new(TimeOfDayServant));
+    /// Creates the replica `spec` describes, serving `servant` under
+    /// `key` and binding its IOR as `replicas/slot<slot>` at the Naming
+    /// Service on `naming_node`.
+    pub fn new(
+        spec: &ReplicaSpec,
+        naming_node: NodeId,
+        key: ObjectKey,
+        servant: Box<dyn Servant>,
+    ) -> Self {
+        let host = host_of(spec.node);
+        let ior = Ior::singleton(servant.type_id(), &host, spec.port.0, key.clone());
+        let name = crate::RecoveryManager::slot_binding(spec.slot);
+        let mut orb = ServerOrb::new(spec.port);
+        orb.register(key, servant);
         ReplicaApp {
             orb,
             client_orb: ClientOrb::new(),
-            naming_node,
-            bind_name: crate::RecoveryManager::slot_binding(slot),
-            objects: vec![(key, TIME_TYPE_ID.to_string())],
-            port,
             rebind_interval: None,
-            binds: None,
+            bind: (naming_ior(naming_node), encode_bind(&name, &ior)),
         }
     }
 
-    /// Re-registers the naming bindings every `interval` (idempotent —
-    /// the naming store has rebind semantics). Off by default: the paper
-    /// topology binds once at startup. The chaos campaign enables it so
-    /// bindings survive a Naming Service crash/restart, whose in-memory
-    /// store comes back empty.
+    /// The paper's time-of-day server.
+    pub fn time_server(spec: &ReplicaSpec, naming_node: NodeId) -> Self {
+        let servant = Box::new(TimeOfDayServant);
+        Self::new(spec, naming_node, time_object_key(), servant)
+    }
+
+    /// Re-registers the object's naming binding every `interval`
+    /// (idempotent — the naming store has rebind semantics). Off by
+    /// default: the paper topology binds once at startup. The chaos
+    /// campaign enables it so the binding survives a Naming Service
+    /// crash/restart, whose in-memory store comes back empty.
     pub fn with_rebind(mut self, interval: SimDuration) -> Self {
         self.rebind_interval = Some(interval);
         self
     }
 
-    fn bind_all(&mut self, sys: &mut dyn SysApi) {
-        if self.binds.is_none() {
-            self.binds = Some(self.encode_binds(sys.my_node()));
-        }
-        let Some((naming, bodies)) = &self.binds else {
-            return;
-        };
-        for body in bodies {
-            let _ = self.client_orb.invoke(sys, naming, "bind", body);
-        }
+    fn send_bind(&mut self, sys: &mut dyn SysApi) {
+        let (naming, body) = &self.bind;
+        let _ = self.client_orb.invoke(sys, naming, "bind", body);
     }
 
-    /// The naming IOR and the `bind` body of each object served on `node`.
-    fn encode_binds(&self, node: NodeId) -> (Ior, Vec<Vec<u8>>) {
-        let host = host_of(node);
-        let bodies = self
-            .objects
-            .iter()
-            .map(|(key, type_id)| {
-                let ior = Ior::singleton(type_id, &host, self.port.0, key.clone());
-                encode_bind(&self.bind_name, &ior)
-            })
-            .collect();
-        (naming_ior(self.naming_node), bodies)
-    }
-
-    /// Adds another servant under `key`, also bound for forwarding.
-    pub fn with_servant(
-        mut self,
-        key: ObjectKey,
-        type_id: &str,
-        servant: Box<dyn Servant>,
-    ) -> Self {
-        self.orb.register(key.clone(), servant);
-        self.objects.push((key, type_id.to_string()));
-        self
-    }
-
-    /// A copy of this application for a forked simulation, its servants
-    /// copied by [`Servant::fork`] — over `state` where they serve from
-    /// the replica's shared [`CounterState`]. `None` when a servant
+    /// A copy of this application for a forked simulation, its servant
+    /// copied by [`Servant::fork`] — over `state` where it serves from
+    /// the replica's shared [`CounterState`]. `None` when the servant
     /// cannot be copied.
     pub fn fork_over(&self, state: Option<&Rc<CounterState>>) -> Option<ReplicaApp> {
         Some(ReplicaApp {
             orb: self.orb.fork(state)?,
             client_orb: self.client_orb.clone(),
-            naming_node: self.naming_node,
-            bind_name: self.bind_name.clone(),
-            objects: self.objects.clone(),
-            port: self.port,
             rebind_interval: self.rebind_interval,
-            binds: self.binds.clone(),
+            bind: self.bind.clone(),
         })
     }
 }
@@ -135,7 +103,7 @@ impl Process for ReplicaApp {
         self.orb.start(sys);
         // Register with the Naming Service; a restarted instance re-binds
         // the slot name with its fresh address.
-        self.bind_all(sys);
+        self.send_bind(sys);
         if let Some(interval) = self.rebind_interval {
             sys.set_timer(interval, REBIND_TOKEN);
         }
@@ -148,7 +116,7 @@ impl Process for ReplicaApp {
         } = event
         {
             if let Some(interval) = self.rebind_interval {
-                self.bind_all(sys);
+                self.send_bind(sys);
                 sys.set_timer(interval, REBIND_TOKEN);
             }
             return;
@@ -173,7 +141,7 @@ mod tests {
     use giop::{FrameSplitter, MessageView};
     use orb::{naming_key, CounterServant, COUNTER_TYPE_ID};
     use simnet::testkit::MockSys;
-    use simnet::ConnId;
+    use simnet::{ConnId, Port};
 
     use super::*;
 
@@ -211,32 +179,30 @@ mod tests {
         );
     }
 
+    /// A counter replica, as the chaos topology builds one, binds one
+    /// object: its one `bind` body carries the counter's IOR, on the
+    /// first bind, on each re-bind and on a re-bind after `fork_over`.
     #[test]
     fn cached_bind_bodies_equal_fresh_encodings() {
         let naming_node = NodeId::from_index(0);
         let counter_key = ObjectKey::persistent("CounterPOA", "Counter");
-        let mut app = ReplicaApp::time_server(crate::Slot(1), Port(2810), naming_node)
-            .with_servant(
-                counter_key.clone(),
-                COUNTER_TYPE_ID,
-                Box::new(CounterServant::new(CounterState::new())),
-            )
-            .with_rebind(SimDuration::from_millis(150));
-        // Each body encoded from scratch.
-        let fresh = |key: ObjectKey, type_id: &str| {
-            encode_bind(
-                "replicas/slot1",
-                &Ior::singleton(type_id, "node2", 2810, key),
-            )
+        let spec = ReplicaSpec {
+            slot: crate::Slot(1),
+            port: Port(2810),
+            node: NodeId::from_index(2),
         };
-        let expected = vec![
-            fresh(time_object_key(), TIME_TYPE_ID),
-            fresh(counter_key, COUNTER_TYPE_ID),
-        ];
+        let servant = Box::new(CounterServant::new(CounterState::new()));
+        let mut app = ReplicaApp::new(&spec, naming_node, counter_key.clone(), servant)
+            .with_rebind(SimDuration::from_millis(150));
+        // The one body, encoded from scratch.
+        let expected = vec![encode_bind(
+            "replicas/slot1",
+            &Ior::singleton(COUNTER_TYPE_ID, "node2", 2810, counter_key),
+        )];
+        assert_eq!(app.bind, (naming_ior(naming_node), expected[0].clone()));
 
         let mut sys = MockSys::new(NodeId::from_index(2));
         app.on_start(&mut sys);
-        assert_eq!(app.binds, Some((naming_ior(naming_node), expected.clone())));
         let [(conn, _)] = sys.connected()[..] else {
             panic!("one connection, to the Naming Service");
         };
@@ -249,8 +215,8 @@ mod tests {
             assert_eq!(sent_binds(&sys, conn), expected, "re-bind");
         }
 
-        let mut copy = app.fork_over(None).expect("servants fork");
-        assert_eq!(copy.binds, app.binds);
+        let mut copy = app.fork_over(None).expect("servant forks");
+        assert_eq!(copy.bind, app.bind);
         sys.clear_written(conn);
         fire_rebind(&mut copy, &mut sys);
         assert_eq!(sent_binds(&sys, conn), expected, "re-bind after fork_over");
