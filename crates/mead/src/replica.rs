@@ -4,9 +4,10 @@
 //! A [`ReplicaApp`] embeds a server ORB with one servant, listens on the
 //! port its [`ReplicaSpec`] assigned, and registers its object with the
 //! Naming Service under the slot binding name — re-registration after a
-//! restart is what refreshes stale naming entries (section 5.2.1). It knows nothing about MEAD, faults or
-//! group communication: everything proactive happens in the interceptor
-//! underneath it, preserving the paper's transparency claim.
+//! restart is what refreshes stale naming entries (section 5.2.1). It
+//! knows nothing about MEAD, faults or group communication: everything
+//! proactive happens in the interceptor underneath it, preserving the
+//! paper's transparency claim.
 
 use std::rc::Rc;
 
