@@ -43,7 +43,7 @@ pub use intercept::server::{ServerInterceptor, ADDRESS_REPLY_CPU, GIOP_PARSE_CPU
 pub use intercept::tokens;
 pub use messages::{FailoverNotice, GroupMsg};
 pub use recovery::{RecoveryManager, ReplicaFactory, ReplicaSpec};
-pub use replica::{time_object_key, ReplicaApp};
+pub use replica::ReplicaApp;
 
 // Host-name mapping helpers shared with the ORB layer.
 pub use orb::{host_of, node_of};

@@ -26,7 +26,7 @@ const REBIND_TOKEN: u64 = 7_001;
 /// The persistent object key shared by every replica of the time server
 /// (persistent keys are what make cross-replica forwarding possible,
 /// section 4).
-pub fn time_object_key() -> ObjectKey {
+fn time_object_key() -> ObjectKey {
     ObjectKey::persistent("TimePOA", "TimeOfDay")
 }
 
@@ -54,10 +54,8 @@ impl ReplicaApp {
         let host = host_of(spec.node);
         let ior = Ior::singleton(servant.type_id(), &host, spec.port.0, key.clone());
         let name = crate::RecoveryManager::slot_binding(spec.slot);
-        let mut orb = ServerOrb::new(spec.port);
-        orb.register(key, servant);
         ReplicaApp {
-            orb,
+            orb: ServerOrb::new(spec.port, key, servant),
             client_orb: ClientOrb::new(),
             rebind_interval: None,
             bind: (naming_ior(naming_node), encode_bind(&name, &ior)),

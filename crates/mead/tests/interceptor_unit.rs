@@ -809,8 +809,7 @@ impl Process for OrbServer {
 #[test]
 fn server_interceptor_hands_a_desynchronised_stream_to_the_orb() {
     let key = ObjectKey::persistent("TimePOA", "TimeOfDay");
-    let mut server = orb::ServerOrb::new(Port(2810));
-    server.register(key, Box::new(orb::TimeOfDayServant));
+    let server = orb::ServerOrb::new(Port(2810), key, Box::new(orb::TimeOfDayServant));
     let mut interceptor = ServerInterceptor::new(
         MeadConfig::builder(RecoveryScheme::MeadFailover).build(),
         mead::Slot(0),

@@ -226,8 +226,11 @@ pub struct NamingService {
 impl NamingService {
     /// Creates the service with an empty registry.
     pub fn new() -> Self {
-        let mut orb = ServerOrb::new(NAMING_PORT);
-        orb.register(naming_key(), Box::new(NamingServant::default()));
+        let orb = ServerOrb::new(
+            NAMING_PORT,
+            naming_key(),
+            Box::new(NamingServant::default()),
+        );
         NamingService { orb }
     }
 }

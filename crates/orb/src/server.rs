@@ -1,8 +1,8 @@
 //! The server-side ORB: listener, connection handling and the object
 //! adapter that dispatches GIOP requests to servants.
 //!
-//! A server process embeds a [`ServerOrb`], registers [`Servant`]s under
-//! persistent [`ObjectKey`]s, and forwards events to
+//! A server process embeds a [`ServerOrb`] serving one [`Servant`] under
+//! a persistent [`ObjectKey`], and forwards events to
 //! [`ServerOrb::handle_event`]. The ORB replies with `NO_EXCEPTION` results
 //! or `SystemException` bodies. Proactive behaviour is *not* here: MEAD
 //! adds it underneath, by interposing on this process's reads and writes,
@@ -61,21 +61,24 @@ pub trait Servant {
 /// to the paper's fault-free RTT (DESIGN §7).
 const DISPATCH_CPU: SimDuration = SimDuration::from_micros(40);
 
-/// The server-side ORB.
+/// The server-side ORB: one object, served on one port.
 pub struct ServerOrb {
     port: Port,
     listener: Option<ListenerId>,
-    adapter: BTreeMap<ObjectKey, Box<dyn Servant>>,
+    key: ObjectKey,
+    servant: Box<dyn Servant>,
     conns: BTreeMap<ConnId, FrameSplitter>,
 }
 
 impl ServerOrb {
-    /// Creates an ORB that will listen on `port`.
-    pub fn new(port: Port) -> Self {
+    /// Creates an ORB that will listen on `port` and serve `servant`
+    /// under `key`.
+    pub fn new(port: Port, key: ObjectKey, servant: Box<dyn Servant>) -> Self {
         ServerOrb {
             port,
             listener: None,
-            adapter: BTreeMap::new(),
+            key,
+            servant,
             conns: BTreeMap::new(),
         }
     }
@@ -83,16 +86,6 @@ impl ServerOrb {
     /// The listening port.
     pub fn port(&self) -> Port {
         self.port
-    }
-
-    /// Registers `servant` under `key` (replacing any previous binding).
-    pub fn register(&mut self, key: ObjectKey, servant: Box<dyn Servant>) {
-        self.adapter.insert(key, servant);
-    }
-
-    /// Object keys currently registered.
-    pub fn keys(&self) -> impl Iterator<Item = &ObjectKey> {
-        self.adapter.keys()
     }
 
     /// Starts listening. Call from `on_start`.
@@ -109,19 +102,14 @@ impl ServerOrb {
         self.conns.len()
     }
 
-    /// A copy of this ORB for a forked simulation, every servant copied
-    /// by [`Servant::fork`] over `state`; `None` when one of them cannot
-    /// be.
+    /// A copy of this ORB for a forked simulation, its servant copied by
+    /// [`Servant::fork`] over `state`; `None` when it cannot be.
     pub fn fork(&self, state: Option<&Rc<CounterState>>) -> Option<ServerOrb> {
-        let adapter = self
-            .adapter
-            .iter()
-            .map(|(key, servant)| Some((key.clone(), servant.fork(state)?)))
-            .collect::<Option<_>>()?;
         Some(ServerOrb {
             port: self.port,
             listener: self.listener,
-            adapter,
+            key: self.key.clone(),
+            servant: self.servant.fork(state)?,
             conns: self.conns.clone(),
         })
     }
@@ -191,16 +179,17 @@ impl ServerOrb {
         }
     }
 
-    /// Looks the servant up and invokes it straight from the request as
-    /// it lies in the received frame.
+    /// Invokes the servant straight from the request as it lies in the
+    /// received frame, when the request names its key.
     fn dispatch(&mut self, sys: &mut dyn SysApi, conn: ConnId, req: RequestView<'_>) {
         sys.charge_cpu(DISPATCH_CPU);
         sys.count("orb.server.requests", 1);
-        let outcome = match self.adapter.get_mut(req.object_key) {
-            Some(servant) => servant.invoke(sys, req.operation, req.body),
-            None => Err(SystemException::ObjectNotExist {
+        let outcome = if req.object_key == self.key.as_bytes() {
+            self.servant.invoke(sys, req.operation, req.body)
+        } else {
+            Err(SystemException::ObjectNotExist {
                 completed: Completed::No,
-            }),
+            })
         };
         if !req.response_expected {
             return;
@@ -237,11 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn register_and_enumerate_keys() {
-        let mut orb = ServerOrb::new(Port(1));
-        let k = ObjectKey::persistent("POA", "A");
-        orb.register(k.clone(), Box::new(Nop));
-        assert_eq!(orb.keys().collect::<Vec<_>>(), vec![&k]);
+    fn a_new_orb_has_its_port_and_no_connections() {
+        let orb = ServerOrb::new(Port(1), ObjectKey::persistent("POA", "A"), Box::new(Nop));
         assert_eq!(orb.port(), Port(1));
         assert_eq!(orb.connection_count(), 0);
     }

@@ -22,8 +22,7 @@ struct PlainServer {
 
 impl PlainServer {
     fn new(port: Port, key: ObjectKey, servant: Box<dyn Servant>) -> Self {
-        let mut orb = ServerOrb::new(port);
-        orb.register(key.clone(), servant);
+        let orb = ServerOrb::new(port, key.clone(), servant);
         PlainServer {
             orb,
             naming_node: None,

@@ -25,8 +25,8 @@ fn decode_reply(bytes: &[u8]) -> (u32, ReplyBody) {
 }
 
 fn start_server(sys: &mut MockSys) -> (ServerOrb, simnet::ListenerId) {
-    let mut orb = ServerOrb::new(Port(2810));
-    orb.register(
+    let mut orb = ServerOrb::new(
+        Port(2810),
         ObjectKey::persistent("TimePOA", "TimeOfDay"),
         Box::new(TimeOfDayServant),
     );
@@ -138,9 +138,8 @@ fn servant_errors_are_marshalled() {
         }
     }
     let mut sys = MockSys::new(NodeId::from_index(1));
-    let mut orb = ServerOrb::new(Port(1));
     let key = ObjectKey::persistent("P", "F");
-    orb.register(key.clone(), Box::new(Failing));
+    let mut orb = ServerOrb::new(Port(1), key.clone(), Box::new(Failing));
     orb.start(&mut sys);
     let (listener, _) = sys.listeners()[0];
     let conn = sys.accept_conn();

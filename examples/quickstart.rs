@@ -118,8 +118,8 @@ fn main() {
     let client_node = sim.add_node("node2");
 
     sim.spawn(infra, "naming", Box::new(NamingService::new()));
-    let mut orb = ServerOrb::new(Port(2810));
-    orb.register(
+    let orb = ServerOrb::new(
+        Port(2810),
         ObjectKey::persistent("TimePOA", "TimeOfDay"),
         Box::new(TimeOfDayServant),
     );
