@@ -55,8 +55,7 @@ fn exhausting_pair_boots_one_world() {
     let world = world.expect("forks");
     let (_, copied_run) = allocs_of(|| world.run(&[]).expect("forks"));
     // A copy costs about a third of a boot, so a copied run saves at
-    // least 66 % of one: 1 130 calls of a 1 702-call boot when measured,
-    // and 1 215 of 1 827 (66.5 %) while each replica bound two objects.
+    // least 66 % of one: 1 130 calls of a 1 702-call boot when measured.
     assert!(
         copied_run + boot * 66 / 100 < scratch_run,
         "a copied run ({copied_run}) should cost most of a boot ({boot}) less than one \
