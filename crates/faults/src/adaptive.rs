@@ -48,12 +48,6 @@ impl AdaptivePredictor {
         Self::default()
     }
 
-    /// Current rate estimate, fraction per second (None until two
-    /// observations).
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        self.rate
-    }
-
     /// Predicted time until exhaustion at the current rate.
     pub fn predicted_remaining(&self, fraction: f64) -> Option<SimDuration> {
         let rate = self.rate?;
@@ -120,7 +114,9 @@ mod tests {
         let mut p = AdaptivePredictor::new();
         // 2.0 fraction/s: exhaustion in 0.5 s from empty.
         feed_linear(&mut p, 2.0, 10, 15);
-        let rate = p.rate_per_sec().expect("rate estimated");
+        // From empty, the time left is the reciprocal of the rate.
+        let left = p.predicted_remaining(0.0).expect("rate estimated");
+        let rate = 1.0 / left.as_secs_f64();
         assert!((rate - 2.0).abs() < 0.05, "rate {rate}");
     }
 

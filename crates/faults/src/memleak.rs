@@ -112,11 +112,6 @@ impl MemoryLeak {
         self.fraction()
     }
 
-    /// Bytes consumed so far.
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
     /// Usage as a fraction of the buffer, in `[0, 1]`.
     pub fn fraction(&self) -> f64 {
         self.used as f64 / LEAK_BUFFER_BYTES as f64
@@ -148,7 +143,7 @@ mod tests {
         for _ in 0..100 {
             leak.step(&mut rng);
         }
-        assert_eq!(leak.used_bytes(), 0);
+        assert_eq!(leak.fraction(), 0.0);
         assert!(!leak.is_exhausted());
     }
 
@@ -157,12 +152,12 @@ mod tests {
         let mut leak = MemoryLeak::new(LeakConfig::default());
         leak.activate();
         let mut rng = StdRng::seed_from_u64(2);
-        let mut prev = 0;
+        let mut prev = 0.0;
         let mut steps = 0;
         while !leak.is_exhausted() {
             leak.step(&mut rng);
-            assert!(leak.used_bytes() >= prev);
-            prev = leak.used_bytes();
+            assert!(leak.fraction() >= prev);
+            prev = leak.fraction();
             steps += 1;
             assert!(steps < 100, "leak should exhaust in a few steps");
         }
@@ -211,9 +206,9 @@ mod tests {
         leak.activate();
         let mut rng = StdRng::seed_from_u64(3);
         leak.step(&mut rng);
-        assert!(leak.used_bytes() > 0);
+        assert!(leak.fraction() > 0.0);
         leak.reset();
-        assert_eq!(leak.used_bytes(), 0);
+        assert_eq!(leak.fraction(), 0.0);
         assert!(!leak.is_active());
     }
 }

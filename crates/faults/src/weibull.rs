@@ -49,16 +49,6 @@ impl Weibull {
         Weibull::new(64.0, 2.0)
     }
 
-    /// Scale parameter λ.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// Shape parameter k.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
     /// Theoretical mean `λ·Γ(1 + 1/k)`.
     pub fn mean(&self) -> f64 {
         self.scale * gamma(1.0 + 1.0 / self.shape)

@@ -12,7 +12,7 @@
 
 use core::fmt;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Byte order of a CDR stream, carried in the GIOP header flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -99,7 +99,7 @@ pub fn wire_len(len: usize) -> u32 {
 /// ```
 #[derive(Debug)]
 pub struct CdrWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     endian: Endian,
     /// Where the encapsulation starts in `buf`: 0, or the length of the
     /// header a [`framed`](Self::framed) writer sits behind.
@@ -113,7 +113,7 @@ impl CdrWriter {
     /// Creates an encoder producing `endian`-ordered output.
     pub fn new(endian: Endian) -> Self {
         CdrWriter {
-            buf: BytesMut::with_capacity(64),
+            buf: Vec::with_capacity(64),
             endian,
             base: 0,
             len_at: None,
@@ -127,8 +127,8 @@ impl CdrWriter {
     /// `len_at` with the body length (a `u32` in `endian` order).
     /// `body_hint` sizes the buffer; a body that outgrows it reallocates.
     pub fn framed(endian: Endian, header: &[u8], len_at: usize, body_hint: usize) -> Self {
-        let mut buf = BytesMut::with_capacity(header.len().saturating_add(body_hint));
-        buf.put_slice(header);
+        let mut buf = Vec::with_capacity(header.len().saturating_add(body_hint));
+        buf.extend_from_slice(header);
         CdrWriter {
             buf,
             endian,
@@ -143,13 +143,22 @@ impl CdrWriter {
         let pos = self.len();
         let pad = (align - pos % align) % align;
         for _ in 0..pad {
-            self.buf.put_u8(0);
+            self.buf.push(0);
         }
+    }
+
+    /// Appends an integer's bytes in the writer's order, given both.
+    fn put<const N: usize>(&mut self, big: [u8; N], little: [u8; N]) {
+        let raw = match self.endian {
+            Endian::Big => big,
+            Endian::Little => little,
+        };
+        self.buf.extend_from_slice(&raw);
     }
 
     /// Writes a single octet.
     pub fn write_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Writes a boolean as one octet (0 or 1).
@@ -160,28 +169,19 @@ impl CdrWriter {
     /// Writes an unsigned short, 2-aligned.
     pub fn write_u16(&mut self, v: u16) {
         self.align(2);
-        match self.endian {
-            Endian::Big => self.buf.put_u16(v),
-            Endian::Little => self.buf.put_u16_le(v),
-        }
+        self.put(v.to_be_bytes(), v.to_le_bytes());
     }
 
     /// Writes an unsigned long, 4-aligned.
     pub fn write_u32(&mut self, v: u32) {
         self.align(4);
-        match self.endian {
-            Endian::Big => self.buf.put_u32(v),
-            Endian::Little => self.buf.put_u32_le(v),
-        }
+        self.put(v.to_be_bytes(), v.to_le_bytes());
     }
 
     /// Writes an unsigned long long, 8-aligned.
     pub fn write_u64(&mut self, v: u64) {
         self.align(8);
-        match self.endian {
-            Endian::Big => self.buf.put_u64(v),
-            Endian::Little => self.buf.put_u64_le(v),
-        }
+        self.put(v.to_be_bytes(), v.to_le_bytes());
     }
 
     /// Writes an IEEE double, 8-aligned.
@@ -193,8 +193,8 @@ impl CdrWriter {
     /// then the bytes, then NUL.
     pub fn write_string(&mut self, s: &str) {
         self.write_u32(wire_len(s.len()).saturating_add(1));
-        self.buf.put_slice(s.as_bytes());
-        self.buf.put_u8(0);
+        self.buf.extend_from_slice(s.as_bytes());
+        self.buf.push(0);
     }
 
     /// Writes a sequence's element count, the `unsigned long`
@@ -206,13 +206,13 @@ impl CdrWriter {
     /// Writes `sequence<octet>`: u32 length then raw bytes.
     pub fn write_octets(&mut self, bytes: &[u8]) {
         self.write_u32(wire_len(bytes.len()));
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends already-encoded bytes as they are: no length prefix, no
     /// alignment (a request's in-parameters, a reply's results).
     pub fn write_raw(&mut self, bytes: &[u8]) {
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Encoded body length so far (a framed writer's header not counted).
@@ -244,7 +244,7 @@ impl CdrWriter {
     /// filled in, followed by the body.
     pub fn finish(mut self) -> Bytes {
         self.seal();
-        self.buf.freeze()
+        Bytes::from(self.buf)
     }
 
     /// [`finish`](Self::finish) for a caller that wants a `Vec` (a
@@ -252,7 +252,7 @@ impl CdrWriter {
     /// buffer, not a copy of it.
     pub fn into_vec(mut self) -> Vec<u8> {
         self.seal();
-        Vec::from(self.buf)
+        self.buf
     }
 }
 

@@ -188,11 +188,6 @@ impl ReplicaDirectory {
         self.replicas().next() == Some(member)
     }
 
-    /// The first live replica, if any.
-    pub fn first_replica(&self) -> Option<&MemberName> {
-        self.replicas().next()
-    }
-
     /// The next live replica after `member` in view order, wrapping, and
     /// excluding `member` itself — the fail-over target.
     pub fn next_after(&self, member: &MemberName) -> Option<&MemberName> {
@@ -272,12 +267,6 @@ impl ReplicaDirectory {
             })
             .map(|(_, ior)| ior)
     }
-
-    /// Number of IORs known for `member` (IOR-table footprint; the paper
-    /// notes this state grows with the number of server objects).
-    pub fn ior_count(&self, member: &MemberName) -> usize {
-        self.iors.get(member).map(Vec::len).unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -314,8 +303,8 @@ mod tests {
             "replica/1/11".into(),
         ]);
         assert_eq!(d.replica_count(), 2);
-        assert_eq!(d.first_replica(), Some(&m("replica/0/10")));
         assert!(!d.is_first_replica(&m("mgr/recovery")));
+        assert!(!d.is_first_replica(&m("replica/1/11")));
         assert!(d.is_first_replica(&m("replica/0/10")));
     }
 
@@ -370,7 +359,9 @@ mod tests {
         assert_eq!(found.primary_profile().unwrap().object_key, key);
         let missing = ObjectKey::persistent("P", "Nope");
         assert!(d.ior_of(&m("replica/0/10"), &missing).is_none());
-        assert_eq!(d.ior_count(&m("replica/0/10")), 2);
+        let other = ObjectKey::persistent("P", "TimeOfDay");
+        let found = d.ior_of(&m("replica/0/10"), &other).expect("both kept");
+        assert_eq!(found.primary_profile().unwrap().object_key, other);
     }
 
     #[test]
@@ -379,7 +370,6 @@ mod tests {
         d.on_view(vec!["replica/0/10".into()]);
         d.record_ior("replica/0/10", ior("node1", 20000, "TimeOfDay"));
         d.record_ior("replica/0/10", ior("node1", 30000, "TimeOfDay"));
-        assert_eq!(d.ior_count(&m("replica/0/10")), 1);
         let key = ObjectKey::persistent("P", "TimeOfDay");
         let found = d.ior_of(&m("replica/0/10"), &key).expect("found");
         assert_eq!(found.primary_profile().unwrap().port, 30000);

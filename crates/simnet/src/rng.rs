@@ -6,7 +6,7 @@
 //! removing one process does not perturb the random draws of the others.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::ids::ProcessId;
 
@@ -29,11 +29,6 @@ impl SimRng {
     /// `master_seed`, differentiated by `stream`.
     pub fn for_kernel(master_seed: u64, stream: u64) -> Self {
         SimRng(StdRng::seed_from_u64(mix(master_seed, stream ^ 0xD15_7A4C)))
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.0.gen::<f64>()
     }
 }
 
@@ -85,15 +80,6 @@ mod tests {
         let mut a = SimRng::for_kernel(7, 3);
         let mut b = SimRng::for_process(7, ProcessId(3));
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn unit_f64_in_range() {
-        let mut r = SimRng::for_kernel(1, 1);
-        for _ in 0..1000 {
-            let x = r.unit_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 
     #[test]

@@ -46,7 +46,6 @@ struct MockConn {
     addr: Option<Addr>,
     written: Vec<u8>,
     incoming: RecvQueue,
-    eof: bool,
     closed: bool,
 }
 
@@ -115,11 +114,6 @@ impl MockSys {
             .or_default()
             .incoming
             .push(Bytes::copy_from_slice(bytes));
-    }
-
-    /// Marks `conn` as EOF after its queued bytes drain.
-    pub fn push_eof(&mut self, conn: ConnId) {
-        self.conns.entry(conn).or_default().eof = true;
     }
 
     /// Everything the subject has written to `conn`.
@@ -251,10 +245,7 @@ impl SysApi for MockSys {
             return Err(SysError::ClosedLocally(conn));
         }
         let data = c.incoming.read(max);
-        Ok(ReadOutcome {
-            data,
-            eof: c.incoming.is_empty() && c.eof,
-        })
+        Ok(ReadOutcome { data, eof: false })
     }
     fn close(&mut self, conn: ConnId) {
         self.conns.entry(conn).or_default().closed = true;
@@ -388,10 +379,9 @@ mod tests {
         let r = sys.read(conn, 2).unwrap();
         assert_eq!(&r.data[..], b"ab");
         assert!(!r.eof);
-        sys.push_eof(conn);
         let r = sys.read(conn, usize::MAX).unwrap();
         assert_eq!(&r.data[..], b"c");
-        assert!(r.eof);
+        assert!(!r.eof, "the mock's peer never closes");
     }
 
     #[test]

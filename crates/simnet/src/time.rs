@@ -98,19 +98,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a span from a float number of milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `millis` is negative or not finite.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        assert!(
-            millis.is_finite() && millis >= 0.0,
-            "duration must be finite and non-negative, got {millis}"
-        );
-        SimDuration((millis * 1e6).round() as u64)
-    }
-
     /// The span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -250,18 +237,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn from_millis_f64_rounds() {
-        assert_eq!(SimDuration::from_millis_f64(0.75).as_nanos(), 750_000);
-        assert_eq!(SimDuration::from_millis_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn from_millis_f64_rejects_negative() {
-        let _ = SimDuration::from_millis_f64(-1.0);
     }
 
     #[test]
