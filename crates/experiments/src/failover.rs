@@ -3,30 +3,15 @@
 //! The paper explains each scheme's fail-over time as a sum of stages
 //! (exception registration, naming resolution, reconnection, request
 //! retransmission). This module measures the distribution of episode
-//! times per scheme and reports the model-side stage budget for
-//! comparison.
+//! times per scheme next to the model-side stage budget, and rebuilds
+//! the stages of each episode from the trace.
 
 use mead::{RecoveryScheme, ADDRESS_REPLY_CPU, FABRICATE_CPU, GIOP_PARSE_CPU, REDIRECT_CPU};
 use orb::{COMM_FAILURE_CPU, CONNECT_CPU};
 
 use crate::report::failover_episodes_ms;
-use crate::scenario::ScenarioOutcome;
+use crate::scenario::{ScenarioConfig, ScenarioOutcome};
 use crate::stats::Summary;
-
-/// Measured fail-over distribution for one scheme.
-#[derive(Clone, Debug)]
-pub struct FailoverRow {
-    /// Strategy.
-    pub scheme: RecoveryScheme,
-    /// Episode summary (ms).
-    pub summary: Option<Summary>,
-    /// Number of server-side failures.
-    pub server_failures: u64,
-    /// Stage budget from the cost model, for the dominant path (ms).
-    pub model_budget_ms: f64,
-    /// Human-readable stage decomposition.
-    pub decomposition: String,
-}
 
 /// The model-side stage budget for each scheme's dominant fail-over path,
 /// derived from the calibrated cost constants (mirrors the arithmetic of
@@ -95,43 +80,48 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
     }
 }
 
-/// Builds a fail-over row from an existing outcome.
-pub fn failover_row_from(scheme: RecoveryScheme, outcome: &ScenarioOutcome) -> FailoverRow {
-    let episodes = failover_episodes_ms(outcome, scheme);
-    let (model_budget_ms, decomposition) = model_budget(scheme);
-    FailoverRow {
-        scheme,
-        summary: Summary::of(&episodes),
-        server_failures: outcome.server_failures(),
-        model_budget_ms,
-        decomposition,
+/// The episode table of `cells`: each scheme's fail-over episodes,
+/// measured from its invocation records, next to its cost-model budget.
+pub fn format_failover(cells: &[(ScenarioConfig, ScenarioOutcome)]) -> String {
+    let mut out = String::from(
+        "Scheme                   | episodes | mean (ms) | p50    | max    | model (ms) | decomposition\n\
+         -------------------------+----------+-----------+--------+--------+------------+--------------\n",
+    );
+    for (cfg, outcome) in cells {
+        let (n, mean, p50, max) = Summary::of(&failover_episodes_ms(outcome, cfg.scheme))
+            .map_or((0, f64::NAN, f64::NAN, f64::NAN), |s| {
+                (s.n, s.mean, s.p50, s.max)
+            });
+        let (budget, decomposition) = model_budget(cfg.scheme);
+        out += &format!(
+            "{:<24} | {n:>8} | {mean:>9.3} | {p50:>6.2} | {max:>6.2} | {budget:>10.2} | {decomposition}\n",
+            cfg.scheme.name(),
+        );
     }
+    out
 }
 
-/// Formats the decomposition table.
-pub fn format_failover(rows: &[FailoverRow]) -> String {
-    let mut out = String::from(
-        "Scheme                   | episodes | mean (ms) | p50    | max    | model (ms) | decomposition\n",
-    );
-    out.push_str(
-        "-------------------------+----------+-----------+--------+--------+------------+--------------\n",
-    );
-    for r in rows {
-        let (n, mean, p50, max) = r
-            .summary
-            .as_ref()
-            .map(|s| (s.n, s.mean, s.p50, s.max))
-            .unwrap_or((0, f64::NAN, f64::NAN, f64::NAN));
-        out.push_str(&format!(
-            "{:<24} | {:>8} | {:>9.3} | {:>6.2} | {:>6.2} | {:>10.2} | {}\n",
-            r.scheme.name(),
-            n,
-            mean,
-            p50,
-            max,
-            r.model_budget_ms,
-            r.decomposition,
-        ));
+/// The stage table of each cell's episodes, rebuilt from its trace alone
+/// ([`obs::episodes`], [`obs::stage_table`]).
+pub fn format_stages(cells: &[(ScenarioConfig, ScenarioOutcome)]) -> String {
+    let mut out = String::new();
+    for (cfg, outcome) in cells {
+        let eps = obs::episodes(&outcome.trace);
+        out += &format!(
+            "{} — {} episodes\n\
+             \x20 stage         | samples | mean (ms) |  min (ms) |  max (ms)\n\
+             \x20 --------------+---------+-----------+-----------+----------\n",
+            cfg.scheme.name(),
+            eps.len()
+        );
+        for (name, s) in obs::STAGE_NAMES.iter().zip(&obs::stage_table(&eps)) {
+            let [mean, min, max] = [s.mean_ns, s.min_ns, s.max_ns].map(|ns| ns as f64 / 1e6);
+            out += &format!(
+                "  {name:<13} | {:>7} | {mean:>9.3} | {min:>9.3} | {max:>9.3}\n",
+                s.samples
+            );
+        }
+        out.push('\n');
     }
     out
 }

@@ -9,67 +9,32 @@
 
 use crate::scenario::ScenarioOutcome;
 use crate::stats::Summary;
+use crate::workload::InvocationRecord;
 
-/// Jitter statistics for one run.
-#[derive(Clone, Debug)]
-pub struct JitterStats {
-    /// Label for the row (scheme + condition).
-    pub label: String,
-    /// Mean RTT, ms.
-    pub mean_ms: f64,
-    /// Standard deviation, ms.
-    pub std_ms: f64,
-    /// Fraction of invocations above mean + 3σ.
-    pub outlier_fraction: f64,
-    /// Largest spike, ms (excluding the initial naming spike).
-    pub max_spike_ms: f64,
-}
-
-/// Computes jitter stats from an outcome.
-pub fn jitter_stats(label: impl Into<String>, outcome: &ScenarioOutcome) -> JitterStats {
-    let rtts: Vec<f64> = outcome
-        .report()
-        .records
-        .iter()
-        .skip(1) // the initial resolution spike is reported separately
-        .map(crate::workload::InvocationRecord::rtt_ms)
-        .collect();
-    let summary = Summary::of(&rtts).unwrap_or(Summary {
-        n: 0,
-        mean: f64::NAN,
-        std_dev: f64::NAN,
-        min: f64::NAN,
-        max: f64::NAN,
-        p50: f64::NAN,
-        p99: f64::NAN,
-    });
-    let (_, fraction) = summary.three_sigma_outliers(&rtts);
-    JitterStats {
-        label: label.into(),
-        mean_ms: summary.mean,
-        std_ms: summary.std_dev,
-        outlier_fraction: fraction,
-        max_spike_ms: summary.max,
-    }
-}
-
-/// Formats jitter rows as an aligned table.
-pub fn format_jitter(rows: &[JitterStats]) -> String {
+/// The jitter table: for each `(label, outcome)` row, the mean and
+/// standard deviation of its round trips, the share of invocations above
+/// mean + 3σ and the largest spike, the initial naming spike excluded.
+pub fn format_jitter(rows: &[(String, &ScenarioOutcome)]) -> String {
     let mut out = String::from(
-        "Condition                     | mean (ms) | std (ms) | >3-sigma | max spike (ms)\n",
+        "Condition                     | mean (ms) | std (ms) | >3-sigma | max spike (ms)\n\
+         ------------------------------+-----------+----------+----------+---------------\n",
     );
-    out.push_str(
-        "------------------------------+-----------+----------+----------+---------------\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<29} | {:>9.3} | {:>8.3} | {:>7.2}% | {:>13.2}\n",
-            r.label,
-            r.mean_ms,
-            r.std_ms,
-            r.outlier_fraction * 100.0,
-            r.max_spike_ms,
-        ));
+    for (label, outcome) in rows {
+        let records = &outcome.report().records;
+        // The initial resolution spike is reported separately.
+        let rtts: Vec<f64> = records
+            .iter()
+            .skip(1)
+            .map(InvocationRecord::rtt_ms)
+            .collect();
+        let (mean, std, outliers, max) = Summary::of(&rtts)
+            .map_or((f64::NAN, f64::NAN, 0.0, f64::NAN), |s| {
+                (s.mean, s.std_dev, s.three_sigma_outliers(&rtts).1, s.max)
+            });
+        out += &format!(
+            "{label:<29} | {mean:>9.3} | {std:>8.3} | {:>7.2}% | {max:>13.2}\n",
+            outliers * 100.0
+        );
     }
     out
 }

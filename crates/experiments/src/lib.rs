@@ -9,7 +9,7 @@
 //! command selects its cells from `paper_workload` by label and turns
 //! the outcomes into rows with the builders of [`report`], [`figures`],
 //! [`failover`] and [`jitter`]. The
-//! command-line surface is [`paper::EXPERIMENTS`] (eight rows run by
+//! command-line surface is [`paper::EXPERIMENTS`] (seven rows run by
 //! [`run_experiment`]) plus [`sweep::cli_main`], [`fleet::cli_main`] and
 //! [`paper::digest_probe`], each taking the flags it reads through
 //! [`cli`]; the one
@@ -47,10 +47,10 @@ pub use cli::{
     write_violations, CliError,
 };
 pub use counter::counter_key;
-pub use failover::{failover_row_from, format_failover, model_budget, FailoverRow};
+pub use failover::{format_failover, format_stages, model_budget};
 pub use figures::{fig5_csv, fig5_point, format_fig5, Fig5Point};
 pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome};
-pub use jitter::{format_jitter, jitter_stats, JitterStats};
+pub use jitter::format_jitter;
 pub use paper::{run_experiment, Experiment, Report, EXPERIMENTS};
 pub use report::{
     failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, trace_ascii, trace_csv,

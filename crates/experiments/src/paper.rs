@@ -2,8 +2,8 @@
 //! `mead-repro` command, its default invocation count and the function
 //! that turns `(invocations, threads)` into a [`Report`] — the text to
 //! print, the `results/` files to write and the labelled traces behind
-//! `--trace`. [`run_experiment`] is the one driver for all eight rows.
-//! The seven section-5 rows run cells of
+//! `--trace`. [`run_experiment`] is the one driver for all seven rows.
+//! The six section-5 rows run cells of
 //! [`paper_workload`](crate::scenario::paper_workload), named by label;
 //! only `jitter` adds a run of its own, a fault-free copy of the baseline
 //! cell.
@@ -15,9 +15,9 @@ use crate::cli::{
     no_args_left, nonzero, positional_or, run_command, take_flag, take_threads, write_artifact,
     write_trace, CliError,
 };
-use crate::failover::{failover_row_from, format_failover};
+use crate::failover::{format_failover, format_stages};
 use crate::figures::{fig5_csv, fig5_point, format_fig5};
-use crate::jitter::{format_jitter, jitter_stats};
+use crate::jitter::format_jitter;
 use crate::report::{
     failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, trace_ascii, trace_csv,
 };
@@ -49,8 +49,9 @@ pub struct Experiment {
     pub run: fn(u32, usize) -> Report,
 }
 
-/// The eight experiments of section 5, in paper order.
-pub const EXPERIMENTS: [Experiment; 8] = [
+/// The six experiments of section 5, in paper order, then the adaptive
+/// trigger of its future work.
+pub const EXPERIMENTS: [Experiment; 7] = [
     Experiment {
         name: "table1",
         about: "Table 1: overhead, client failures and fail-over time of all five schemes",
@@ -77,15 +78,9 @@ pub const EXPERIMENTS: [Experiment; 8] = [
     },
     Experiment {
         name: "failover",
-        about: "section 5.2.3: measured fail-over episodes next to the cost-model budget",
+        about: "section 5.2.3: measured episodes, cost-model budget, trace-derived stage tables",
         default_invocations: 10_000,
         run: failover,
-    },
-    Experiment {
-        name: "breakdown",
-        about: "section 5.2.3 from traces alone: per-stage fail-over tables and RTT jitter",
-        default_invocations: 10_000,
-        run: breakdown,
     },
     Experiment {
         name: "jitter",
@@ -260,66 +255,18 @@ fn fig5(invocations: u32, threads: usize) -> Report {
     }
 }
 
+/// Episodes measured from every scheme's invocation records, then the
+/// stages of the migrating schemes' episodes, rebuilt from their traces.
 fn failover(invocations: u32, threads: usize) -> Report {
     let cells = run_cells(paper_cells(&TABLE1, invocations), threads);
-    let rows: Vec<_> = cells
-        .iter()
-        .map(|(cfg, out)| failover_row_from(cfg.scheme, out))
-        .collect();
+    // The reactive schemes never migrate a client, so they have no
+    // episodes to decompose.
     let text = format!(
-        "\nFail-over decomposition (section 5.2.3)\n\n{}\n",
-        format_failover(&rows)
+        "\nFail-over decomposition (section 5.2.3)\n\n{}\n\
+         Fail-over stages from traces (seed 42, {invocations} invocations)\n\n{}",
+        format_failover(&cells),
+        format_stages(&cells[2..])
     );
-    Report::of(text, cells, scheme_name)
-}
-
-/// Unlike [`failover`] (which measures episodes from the workload's
-/// invocation records), every number here is derived from the
-/// observability trace alone — the same events `--trace` dumps — so the
-/// report is reproducible from a trace file without re-running anything.
-fn breakdown(invocations: u32, threads: usize) -> Report {
-    // The three schemes that actually migrate clients (the reactive
-    // schemes never recover, so they have no episodes to decompose).
-    let cells = run_cells(paper_cells(&TABLE1[2..], invocations), threads);
-    let ms = |ns: u64| ns as f64 / 1_000_000.0;
-
-    let mut text = format!(
-        "\nFail-over breakdown from traces (section 5.2.3, seed 42, {invocations} invocations)\n\n"
-    );
-    for (cfg, out) in &cells {
-        let eps = out.episodes();
-        text += &format!(
-            "{} — {} episodes\n\
-             \x20 stage         | samples | mean (ms) |  min (ms) |  max (ms)\n\
-             \x20 --------------+---------+-----------+-----------+----------\n",
-            cfg.scheme.name(),
-            eps.len()
-        );
-        for (name, s) in obs::STAGE_NAMES.iter().zip(&obs::stage_table(&eps)) {
-            text += &format!(
-                "  {name:<13} | {:>7} | {:>9.3} | {:>9.3} | {:>9.3}\n",
-                s.samples,
-                ms(s.mean_ns),
-                ms(s.min_ns),
-                ms(s.max_ns),
-            );
-        }
-        text.push('\n');
-    }
-    text += "Round-trip jitter (steady state, first invocation excluded)\n\n\
-             \x20 scheme                   | mean (ms) |  std (ms) | >3-sigma | max spike (ms)\n\
-             \x20 -------------------------+-----------+-----------+----------+---------------\n";
-    for (cfg, out) in &cells {
-        let j = jitter_stats(cfg.scheme.name(), out);
-        text += &format!(
-            "  {:<24} | {:>9.3} | {:>9.3} | {:>7.2}% | {:>14.3}\n",
-            j.label,
-            j.mean_ms,
-            j.std_ms,
-            j.outlier_fraction * 100.0,
-            j.max_spike_ms,
-        );
-    }
     Report::of(text, cells, scheme_name)
 }
 
@@ -349,7 +296,7 @@ fn jitter(invocations: u32, threads: usize) -> Report {
     let cells = run_cells(configs, threads);
     let rows: Vec<_> = cells
         .iter()
-        .map(|(cfg, out)| jitter_stats(jitter_label(cfg), out))
+        .map(|(cfg, out)| (jitter_label(cfg), out))
         .collect();
     let text = format!(
         "\nJitter (section 5.2.5): paper reports 1-2.5% outliers, 2.3ms fault-free max\n\n{}\n",

@@ -42,8 +42,6 @@ pub struct Table1Row {
     pub episodes: usize,
     /// Number of server-side failures.
     pub server_failures: u64,
-    /// Steady-state median RTT, in milliseconds.
-    pub steady_rtt_ms: f64,
 }
 
 /// Median RTT over undisrupted invocations (steady state). Skips the
@@ -143,7 +141,6 @@ pub fn table1_row(
         failover_change_pct: (failover - baseline_failover_ms) / baseline_failover_ms * 100.0,
         episodes: episodes.len(),
         server_failures: outcome.server_failures(),
-        steady_rtt_ms: steady,
     }
 }
 

@@ -180,11 +180,6 @@ impl ScenarioOutcome {
         obs::jsonl::to_jsonl(&self.trace)
     }
 
-    /// The run's fail-over episodes, reconstructed from the trace.
-    pub fn episodes(&self) -> Vec<obs::Episode> {
-        obs::episodes(&self.trace)
-    }
-
     /// The run's named parts ([`crate::pins`]): every client's records,
     /// each counter, each byte series, the trace by event kind, and the
     /// workload's start and end instants. Kernel work (the event count)

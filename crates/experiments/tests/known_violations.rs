@@ -1,6 +1,6 @@
 //! Generated plans that once broke the chaos invariants.
 //!
-//! The committed `sweep-full.toml` (`base_seed = 2004`) passes 508/508.
+//! The committed `sweep-full.toml` (`base_seed = 2004`) passes every plan.
 //! Each row below is a plan that turns up when only `base_seed` changes.
 //! Every row failed for one of three reasons, each fixed in `mead`, and
 //! now expects no violation:

@@ -2,11 +2,11 @@
 //!
 //! Runs each `EXPERIMENTS` row at its default invocation count on one
 //! worker thread and compares its stdout text with `results/<name>.txt`
-//! (`results/<name>_preview.txt` for the RTT figures; `breakdown` commits
-//! no text) and every file it would write with the committed copy. The
-//! digest pins fix what each scenario computes; this fixes which
-//! scenarios each command runs and how it renders them, so a command
-//! that picks the wrong cell fails here even when every pin holds.
+//! (`results/<name>_preview.txt` for the RTT figures) and every file it
+//! would write with the committed copy. The digest pins fix what each
+//! scenario computes; this fixes which scenarios each command runs and
+//! how it renders them, so a command that picks the wrong cell fails
+//! here even when every pin holds.
 
 use std::path::Path;
 
@@ -24,18 +24,11 @@ fn every_experiment_regenerates_its_committed_results() {
     let mut drifted = Vec::new();
     for exp in &EXPERIMENTS {
         let report = (exp.run)(exp.default_invocations, 1);
-        let text_file = match exp.name {
-            "breakdown" => None,
-            "fig3" | "fig4" => Some(format!("results/{}_preview.txt", exp.name)),
-            name => Some(format!("results/{name}.txt")),
+        let text = match exp.name {
+            "fig3" | "fig4" => format!("results/{}_preview.txt", exp.name),
+            name => format!("results/{name}.txt"),
         };
-        let mut expected: Vec<(String, &str)> = report
-            .files
-            .iter()
-            .map(|(path, body)| (path.clone(), body.as_str()))
-            .collect();
-        expected.extend(text_file.map(|path| (path, report.text.as_str())));
-        for (path, body) in expected {
+        for (path, body) in report.files.into_iter().chain([(text, report.text)]) {
             if committed(&path) != body {
                 drifted.push(format!("{}: {path}", exp.name));
             }

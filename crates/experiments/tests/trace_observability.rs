@@ -7,7 +7,8 @@
 //!   and sequence numbers, not just a digest);
 //! * a LOCATION_FORWARD run must emit the scripted phase chain the
 //!   breakdown reconstruction is keyed on: launch threshold → migrate
-//!   threshold → fail-over notice → client redirect → first reply;
+//!   threshold → fail-over notice → client redirect → first reply (the
+//!   reconstructed stages are `results/failover.txt`'s second table);
 //! * the Table 1 fail-over episodes the application never sees (a MEAD
 //!   redirect, an EOF NEEDS_ADDRESSING suppresses) are found from the
 //!   trace alone.
@@ -92,7 +93,7 @@ fn location_forward_trace_follows_the_scripted_phase_sequence() {
         "phase chain incomplete; expected subsequence {script:?} in {phases:?}"
     );
     // And the reconstruction closes at least one fully-staged episode.
-    let eps = outcome.episodes();
+    let eps = obs::episodes(&outcome.trace);
     let full = eps
         .iter()
         .find(|e| e.first_reply_at.is_some())

@@ -71,7 +71,7 @@ const TOOLS: [Tool; 5] = [
     ),
 ];
 
-/// The table: the eight paper experiments, then the tools.
+/// The table: the seven paper experiments, then the tools.
 fn commands() -> Vec<Command> {
     let experiments = experiments::EXPERIMENTS.iter().map(|exp| Command {
         name: exp.name,

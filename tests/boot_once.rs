@@ -19,16 +19,15 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, spent.calls)
 }
 
-/// Exhausting `pair` — 32 runs — on one thread allocates what one boot
-/// and 32 copied runs allocate. When every run assembled and booted a
-/// world of its own this was 4 604 calls a run.
+/// Exhausting `pair` on one thread allocates what one boot and its
+/// copied runs allocate (how many is pin `explore/pair`'s to say). When
+/// every run assembled and booted a world of its own this was 4 604 calls
+/// a run.
 #[test]
 fn exhausting_pair_boots_one_world() {
     /// Ten per cent above the 2 963 calls a run this measured when
     /// written.
     const BUDGET_PER_RUN: u64 = 3_259;
-    /// The runs that exhaust `pair` (`explore/pair` in `pins.toml`).
-    const RUNS: u64 = 32;
 
     let pair = fixtures::pair();
     let cfg = ExploreConfig {
@@ -40,8 +39,8 @@ fn exhausting_pair_boots_one_world() {
     };
     let (outcome, search) = allocs_of(|| explore(&pair.plan, &pair.chaos, &cfg));
     assert!(outcome.exhausted);
-    assert_eq!(outcome.executed as u64, RUNS);
-    let per_run = search / RUNS;
+    let runs = outcome.executed as u64;
+    let per_run = search / runs;
     assert!(
         per_run <= BUDGET_PER_RUN,
         "{per_run} allocations a run (budget {BUDGET_PER_RUN})"
@@ -49,7 +48,7 @@ fn exhausting_pair_boots_one_world() {
 
     // The same count, taken apart: a run from scratch is a boot and a
     // continuation, a run on a copy is a copy and the same continuation,
-    // and the search paid for one boot and 32 runs at the second rate.
+    // and the search paid for one boot and its runs at the second rate.
     let (_, scratch_run) = allocs_of(|| run_prefix(&pair.plan, &pair.chaos, pair.gate, &[]));
     let (world, boot) = allocs_of(|| World::boot(&pair.plan, &pair.chaos, pair.gate, None));
     let world = world.expect("forks");
@@ -62,7 +61,7 @@ fn exhausting_pair_boots_one_world() {
          from scratch ({scratch_run})"
     );
     assert!(
-        search < boot + RUNS * (copied_run + copied_run / 10),
+        search < boot + runs * (copied_run + copied_run / 10),
         "search {search}, boot {boot}, copied run {copied_run}"
     );
 }

@@ -1,7 +1,7 @@
 //! What a byte series costs in memory, as an exact byte count.
 //!
 //! Figure 5's `gcs.mesh` series gets one record per inter-daemon message,
-//! and a sweep keeps the metrics of all 508 of its runs: at 16 bytes a
+//! and a sweep keeps the metrics of every one of its runs: at 16 bytes a
 //! record that was the largest part of its peak heap. No digest or
 //! functional test sees the store's size, so it is pinned here.
 //!

@@ -28,7 +28,7 @@ fn help_names_every_command() {
         .chain(["sweep", "fleet", "explore", "lint", "digest-probe", "help"])
         .collect();
     assert_eq!(listed, expected, "{text}");
-    assert_eq!(listed.len(), 13 + 1, "thirteen commands and `help`");
+    assert_eq!(listed.len(), 12 + 1, "twelve commands and `help`");
 }
 
 /// A scenario on the paper topology whose one `[[fault]]` is `fault`.
@@ -151,7 +151,7 @@ fn usage_errors_exit_2_with_a_message() {
         (&["lint", "--smoke"], "`--smoke`"),
         // A count of nothing is refused, not run as an empty report.
         (&["table1", "0"], "invocations must be at least 1"),
-        (&["breakdown", "0"], "invocations must be at least 1"),
+        (&["failover", "0"], "invocations must be at least 1"),
         (&["fleet", "0"], "clients must be at least 1"),
         (&["explore", "--runs", "0"], "--runs must be at least 1"),
     ] {

@@ -4,11 +4,13 @@
 //! A test reads an entry when its body names the entry's key as a string
 //! literal, or names a prefix of it in a `keys_under("…")` call that
 //! walks the file. The census fails when an entry has no reader, and when
-//! a 16-hex-digit digest appears in CI or in a document other than
+//! a 16-hex-digit digest, an explorer run or outcome count or a sweep
+//! plan count appears in CI, `mead-repro help` or a document other than
 //! CHANGES and ROADMAP, which keep their history.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use experiments::pins::Pins;
 
@@ -23,6 +25,28 @@ const NO_DIGESTS: &[&str] = &[
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `file:line: what` for each `what` that `find(line, context)` reports
+/// in a `NO_DIGESTS` file or the `mead-repro help` text; `context` is the
+/// line and the one before it, since a sentence wraps.
+fn copies(find: impl Fn(&str, &str) -> Vec<String>) -> Vec<String> {
+    let help = Command::new(env!("CARGO_BIN_EXE_mead-repro"))
+        .arg("help")
+        .output();
+    let help = String::from_utf8(help.expect("spawn mead-repro").stdout).unwrap();
+    let files = NO_DIGESTS
+        .iter()
+        .map(|&f| (f, fs::read_to_string(root().join(f)).unwrap()));
+    let mut found = Vec::new();
+    for (file, text) in files.chain([("mead-repro help", help)]) {
+        let lines: Vec<&str> = [""].into_iter().chain(text.lines()).collect();
+        for (n, two) in lines.windows(2).enumerate() {
+            let what = find(two[1], &two.join(" ")).into_iter();
+            found.extend(what.map(|w| format!("{file}:{}: {w}", n + 1)));
+        }
+    }
+    found
 }
 
 /// The text of every test file: `tests/*.rs` and `crates/*/tests/*.rs`.
@@ -93,19 +117,79 @@ fn is_digest(word: &str) -> bool {
 
 #[test]
 fn no_digest_is_copied_outside_the_pin_file() {
-    let mut copies = Vec::new();
-    for file in NO_DIGESTS {
-        let text = fs::read_to_string(root().join(file)).unwrap();
-        for (n, line) in text.lines().enumerate() {
-            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
-            for word in words.filter(|w| is_digest(w)) {
-                copies.push(format!("{file}:{}: {word}", n + 1));
-            }
-        }
-    }
+    let copies = copies(|line, _| {
+        let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        words.filter(|w| is_digest(w)).map(String::from).collect()
+    })
+    .join("\n");
     assert!(
         copies.is_empty(),
-        "digests copied outside pins.toml (cite the pin's key instead):\n{}",
-        copies.join("\n")
+        "digests copied outside pins.toml (cite the pin's key instead):\n{copies}"
+    );
+}
+
+/// `word`'s leading number, after an opening `(` or `` ` ``, and the rest.
+fn count(word: &str) -> Option<(u64, &str)> {
+    let word = word.trim_start_matches(['(', '`']);
+    let digits = word
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(word.len());
+    Some((word[..digits].parse().ok()?, &word[digits..]))
+}
+
+/// The pin counts `line` quotes: a number, at most one plain word, then
+/// `run(s)` or `outcome(s)` where `context` names an explorer fixture, or
+/// `plan(s)` where it names a sweep; `480-plan` and `0/508 plans` count
+/// too, and so does `508/508` (all of a count) wherever `context` names
+/// either. Other punctuation breaks a match.
+fn quoted_counts(line: &str, context: &str) -> Vec<String> {
+    let words: Vec<&str> = context
+        .split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+        .collect();
+    let names = |set: &[&str]| set.iter().any(|name| words.contains(name));
+    let fixture = names(&["pair", "relaunch", "trio", "seeded-bug"]);
+    let sweep = names(&["sweep", "sweep-full", "smoke", "campaign", "chaos-campaign"]);
+    let counted = |w: &str| match w.trim_end_matches(|c: char| !c.is_ascii_alphabetic()) {
+        "run" | "runs" | "outcome" | "outcomes" => fixture,
+        "plan" | "plans" => sweep,
+        _ => false,
+    };
+    let plain = |w: &str| w.bytes().all(|b| b.is_ascii_lowercase() || b == b'-');
+    let w: Vec<&str> = line.split_whitespace().chain(["", ""]).collect();
+    let quoted = w.windows(3).filter_map(|t| {
+        let (n, rest) = count(t[0])?;
+        let hit = match rest.strip_prefix('/').and_then(count) {
+            // `508/508`, all of a count, or `0/508 plans`.
+            Some((m, tail)) => {
+                m == n && !tail.starts_with('/') && (fixture || sweep)
+                    || tail.is_empty() && counted(t[1])
+            }
+            // `480-plan`.
+            None if !rest.is_empty() => rest.strip_prefix('-').is_some_and(counted),
+            None if counted(t[1]) => return Some(t[..2].join(" ")),
+            None => return (plain(t[1]) && counted(t[2])).then(|| t.join(" ")),
+        };
+        hit.then(|| t[0].to_string())
+    });
+    quoted.collect()
+}
+
+#[test]
+fn no_run_or_plan_count_is_copied_outside_the_pin_file() {
+    let line = "# pair (318 runs / 8 distinct outcomes, now 32 / 4); campaign: 480 plans";
+    let caught = ["(318 runs", "8 distinct outcomes,", "480 plans"];
+    assert_eq!(quoted_counts(line, line), caught);
+    let line = "the 480-plan chaos campaign; `sweep_is_clean` (508/508) passes";
+    assert_eq!(quoted_counts(line, line), ["480-plan", "(508/508)"]);
+    let line = "sweep: 0/508 plans";
+    assert_eq!(quoted_counts(line, line), ["0/508"]);
+    let spared = "| Fig. 3 | RTT trace (10 000 runs) | `sweep` (§12): every plan";
+    assert!(quoted_counts(spared, spared).is_empty());
+    let spared = "sweep --smoke at 1/2/4 threads, (3/4 slots), 80/90 % thresholds, 0/0/8";
+    assert!(quoted_counts(spared, spared).is_empty());
+    let copies = copies(quoted_counts).join("\n");
+    assert!(
+        copies.is_empty(),
+        "counts copied outside pins.toml (cite the pin's key):\n{copies}"
     );
 }
