@@ -45,7 +45,7 @@ pub fn fig5_point(
             .records
             .iter()
             .skip(1) // initial naming spike is reported separately by the paper
-            .map(crate::workload::InvocationRecord::rtt_ms),
+            .map(|r| r.rtt_ms()),
     );
     Fig5Point {
         scheme,

@@ -9,7 +9,6 @@
 
 use crate::scenario::ScenarioOutcome;
 use crate::stats::Summary;
-use crate::workload::InvocationRecord;
 
 /// The jitter table: for each `(label, outcome)` row, the mean and
 /// standard deviation of its round trips, the share of invocations above
@@ -20,13 +19,9 @@ pub fn format_jitter(rows: &[(String, &ScenarioOutcome)]) -> String {
          ------------------------------+-----------+----------+----------+---------------\n",
     );
     for (label, outcome) in rows {
-        let records = &outcome.report().records;
+        let records = outcome.report().records.iter();
         // The initial resolution spike is reported separately.
-        let rtts: Vec<f64> = records
-            .iter()
-            .skip(1)
-            .map(InvocationRecord::rtt_ms)
-            .collect();
+        let rtts: Vec<f64> = records.skip(1).map(|r| r.rtt_ms()).collect();
         let (mean, std, outliers, max) = Summary::of(&rtts)
             .map_or((f64::NAN, f64::NAN, 0.0, f64::NAN), |s| {
                 (s.mean, s.std_dev, s.three_sigma_outliers(&rtts).1, s.max)

@@ -66,5 +66,6 @@ pub use sweep::{
     CellError, SweepOutcome, SweepSpec, SweepUnit, TopologySpec,
 };
 pub use workload::{
-    ClientPolicy, ClientWorkload, InvocationRecord, ReportHandle, WorkloadConfig, WorkloadReport,
+    ClientPolicy, ClientWorkload, InvocationRecord, RecordLog, Records, ReportHandle,
+    WorkloadConfig, WorkloadReport,
 };

@@ -411,6 +411,11 @@ impl Pins {
         Ok(Pins(pins))
     }
 
+    /// Pin `key`'s count `name` (`plans`, `runs`, …), if it has one.
+    pub fn count(&self, key: &str, name: &str) -> Option<u64> {
+        self.0.get(key)?.counts.get(name).map(|&(value, _)| value)
+    }
+
     /// The keys that start with `prefix`, in key order.
     pub fn keys_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
         self.0

@@ -13,7 +13,7 @@
 //!   the application — the client interceptor's recovery phases in the
 //!   run's trace.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, VecDeque};
 
 use mead::RecoveryScheme;
 use obs::jsonl::push_json_str;
@@ -53,20 +53,18 @@ pub fn steady_state_rtt_ms(outcome: &ScenarioOutcome) -> f64 {
         .iter()
         .skip(1)
         .filter(|r| !r.disrupted())
-        .map(InvocationRecord::rtt_ms)
+        .map(|r| r.rtt_ms())
         .collect();
     Summary::of(&rtts).map(|s| s.p50).unwrap_or(f64::NAN)
 }
 
+/// How far before and after an invisible disruption's instant a record
+/// may end or start and still be its episode's.
+const WINDOW_BEFORE: SimDuration = SimDuration::from_millis(1);
+const WINDOW_AFTER: SimDuration = SimDuration::from_millis(5);
+
 /// Extracts per-episode fail-over times (elevated episode RTTs), in ms.
 pub fn failover_episodes_ms(outcome: &ScenarioOutcome, scheme: RecoveryScheme) -> Vec<f64> {
-    let records = &outcome.report().records;
-    let mut indices: BTreeSet<usize> = records
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.disrupted())
-        .map(|(i, _)| i)
-        .collect();
     // Disruptions invisible to the application: the client
     // interceptor's redirect (MEAD) or suppressed EOF (NEEDS_ADDRESSING).
     let invisible = match scheme {
@@ -74,38 +72,47 @@ pub fn failover_episodes_ms(outcome: &ScenarioOutcome, scheme: RecoveryScheme) -
         RecoveryScheme::NeedsAddressing => Some(EventKind::Phase(Phase::FaultDetected)),
         _ => None,
     };
-    let window_before = SimDuration::from_millis(1);
-    let window_after = SimDuration::from_millis(5);
-    let instants = outcome
+    // Each instant marks one record, so their order does not matter.
+    let mut instants: Vec<SimTime> = outcome
         .trace
         .iter()
         .filter(|e| invisible.as_ref() == Some(&e.kind))
-        .map(|e| SimTime::from_nanos(e.at_ns));
+        .map(|e| SimTime::from_nanos(e.at_ns))
+        .collect();
+    instants.sort_unstable();
+    let mut instants = instants.into_iter().peekable();
+    // The RTT of every record in an episode, by position: the disrupted
+    // ones, and the longest record near each invisible disruption.
+    let mut marked: BTreeMap<usize, f64> = BTreeMap::new();
+    // The records that may still fall in the next instant's window.
+    let mut window: VecDeque<(usize, InvocationRecord)> = VecDeque::new();
+    for (i, r) in outcome.report().records.iter().enumerate() {
+        if r.disrupted() {
+            marked.insert(i, r.rtt_ms());
+        }
+        // No record from `r` on starts early enough for these instants.
+        while let Some(at) = instants.next_if(|&at| r.start > at + WINDOW_AFTER) {
+            mark_longest_near(at, &window, &mut marked);
+        }
+        if let Some(&at) = instants.peek() {
+            while window
+                .front()
+                .is_some_and(|(_, w)| w.end + WINDOW_BEFORE < at)
+            {
+                window.pop_front();
+            }
+            if r.end + WINDOW_BEFORE >= at {
+                window.push_back((i, r));
+            }
+        }
+    }
     for at in instants {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, r) in records.iter().enumerate() {
-            // Does [start, end] intersect [at - before, at + after]?
-            let before_ok = r.end + window_before >= at;
-            let after_ok = r.start <= at + window_after;
-            if before_ok && after_ok {
-                let rtt = r.rtt_ms();
-                if best.map(|(_, b)| rtt > b).unwrap_or(true) {
-                    best = Some((i, rtt));
-                }
-            }
-            if r.start > at + window_after {
-                break;
-            }
-        }
-        if let Some((i, _)) = best {
-            indices.insert(i);
-        }
+        mark_longest_near(at, &window, &mut marked);
     }
     // Merge adjacent records into one episode, keeping the episode max.
     let mut episodes = Vec::new();
     let mut prev: Option<usize> = None;
-    for &i in &indices {
-        let rtt = records[i].rtt_ms();
+    for (&i, &rtt) in &marked {
         match prev {
             Some(p) if i == p + 1 => {
                 let last: &mut f64 = episodes.last_mut().expect("episode open");
@@ -116,6 +123,27 @@ pub fn failover_episodes_ms(outcome: &ScenarioOutcome, scheme: RecoveryScheme) -
         prev = Some(i);
     }
     episodes
+}
+
+/// Marks the longest record of `window` (the first of equals) whose
+/// `[start, end]` meets `[at - WINDOW_BEFORE, at + WINDOW_AFTER]`.
+fn mark_longest_near(
+    at: SimTime,
+    window: &VecDeque<(usize, InvocationRecord)>,
+    marked: &mut BTreeMap<usize, f64>,
+) {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, r) in window {
+        if r.end + WINDOW_BEFORE >= at && r.start <= at + WINDOW_AFTER {
+            let rtt = r.rtt_ms();
+            if best.map(|(_, b)| rtt > b).unwrap_or(true) {
+                best = Some((*i, rtt));
+            }
+        }
+    }
+    if let Some((i, rtt)) = best {
+        marked.insert(i, rtt);
+    }
 }
 
 /// Builds a Table 1 row for `outcome`, relative to the baseline scheme's
@@ -191,9 +219,10 @@ pub fn trace_ascii(outcome: &ScenarioOutcome, buckets: usize, full_scale_ms: f64
         return String::new();
     }
     let per = records.len().div_ceil(buckets);
+    let mut rows = records.iter();
     let mut out = String::new();
-    for (b, chunk) in records.chunks(per).enumerate() {
-        let max = crate::stats::max_f64(chunk.iter().map(|r| r.rtt_ms()));
+    for b in 0..records.len().div_ceil(per) {
+        let max = crate::stats::max_f64(rows.by_ref().take(per).map(|r| r.rtt_ms()));
         let width = ((max / full_scale_ms) * 60.0).round().min(60.0) as usize;
         out.push_str(&format!(
             "{:>6} |{}{} {:.2}ms\n",

@@ -326,9 +326,16 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         events_processed,
         wall,
     } = testbed.harvest();
-    // Copied, not moved out of their cells: a copy is sized to its
-    // records, where the vector the workload grew has up to twice the room.
-    let all_reports: Vec<WorkloadReport> = reports.iter().map(|r| r.borrow().clone()).collect();
+    // Shrunk as they leave their cells: the log the workload grew has up
+    // to twice the room its records take.
+    let all_reports: Vec<WorkloadReport> = reports
+        .iter()
+        .map(|r| {
+            let mut report = r.take();
+            report.records.shrink_to_fit();
+            report
+        })
+        .collect();
     ScenarioOutcome {
         all_reports,
         metrics,

@@ -20,7 +20,7 @@ use orb::{
     decode_list_reply, decode_resolve_reply, decode_time_reply, encode_name, naming_ior, ClientOrb,
     OrbUpshot, SystemException,
 };
-use simnet::{Event, NodeId, Process, SimDuration, SimTime, SysApi};
+use simnet::{push_varint, take_varint, Event, NodeId, Process, SimDuration, SimTime, SysApi};
 
 /// Recovery policy driven by the client *application* (the reactive part
 /// of every strategy).
@@ -85,11 +85,145 @@ impl InvocationRecord {
     }
 }
 
+/// Mask bit of a record whose index is not the one after its
+/// predecessor's; bits 1 to 4 mark the non-zero counters.
+const INDEX_STEP: u8 = 1;
+
+/// Per-invocation records as an append-only log. Each record is a
+/// one-byte mask, then LEB128 varints of: the index step, only when the
+/// index is not the one after the previous record's; the gap from the
+/// previous record's `end` to this `start`, wrapping, so a start that
+/// steps back still decodes exactly; the round trip `end - start`; and
+/// each counter the mask marks non-zero. A paper record costs about 7
+/// bytes here where an [`InvocationRecord`] costs 40. Readers decode it
+/// in order ([`RecordLog::iter`]).
+#[derive(Clone, Debug, Default)]
+pub struct RecordLog {
+    encoded: Vec<u8>,
+    count: usize,
+    next_index: u32,
+    last_end: u64,
+}
+
+impl RecordLog {
+    /// Appends `r`; [`ClientWorkload`] does, as each invocation completes.
+    pub fn push(&mut self, r: InvocationRecord) {
+        let step = r.index.wrapping_sub(self.next_index);
+        let counters = [r.comm_failures, r.transients, r.forwards, r.resents];
+        let mut mask = if step == 0 { 0 } else { INDEX_STEP };
+        for (bit, &c) in counters.iter().enumerate() {
+            if c != 0 {
+                mask |= INDEX_STEP << (bit + 1);
+            }
+        }
+        let (start, end) = (r.start.as_nanos(), r.end.as_nanos());
+        self.encoded.push(mask);
+        if step != 0 {
+            push_varint(&mut self.encoded, u64::from(step));
+        }
+        push_varint(&mut self.encoded, start.wrapping_sub(self.last_end));
+        push_varint(&mut self.encoded, end.wrapping_sub(start));
+        for c in counters.into_iter().filter(|&c| c != 0) {
+            push_varint(&mut self.encoded, u64::from(c));
+        }
+        self.count += 1;
+        self.next_index = r.index.wrapping_add(1);
+        self.last_end = end;
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// `true` before the first record.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The records in the order they were pushed.
+    pub fn iter(&self) -> Records<'_> {
+        Records {
+            encoded: &self.encoded,
+            left: self.count,
+            next_index: 0,
+            last_end: 0,
+        }
+    }
+
+    /// Gives back the room the log grew ahead of its contents.
+    pub fn shrink_to_fit(&mut self) {
+        self.encoded.shrink_to_fit();
+    }
+}
+
+impl<'a> IntoIterator for &'a RecordLog {
+    type Item = InvocationRecord;
+    type IntoIter = Records<'a>;
+
+    fn into_iter(self) -> Records<'a> {
+        self.iter()
+    }
+}
+
+/// The records of a [`RecordLog`], decoded in order.
+#[derive(Clone, Debug)]
+pub struct Records<'a> {
+    encoded: &'a [u8],
+    left: usize,
+    next_index: u32,
+    last_end: u64,
+}
+
+impl Records<'_> {
+    /// The next varint when `mask` has `bit`, else 0.
+    fn field(&mut self, mask: u8, bit: u8) -> u32 {
+        if mask & bit == 0 {
+            0
+        } else {
+            take_varint(&mut self.encoded) as u32
+        }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = InvocationRecord;
+
+    fn next(&mut self) -> Option<InvocationRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (&mask, rest) = self.encoded.split_first()?;
+        self.encoded = rest;
+        let index = self.next_index.wrapping_add(self.field(mask, INDEX_STEP));
+        let start = self.last_end.wrapping_add(take_varint(&mut self.encoded));
+        let end = start.wrapping_add(take_varint(&mut self.encoded));
+        self.next_index = index.wrapping_add(1);
+        self.last_end = end;
+        Some(InvocationRecord {
+            index,
+            start: SimTime::from_nanos(start),
+            end: SimTime::from_nanos(end),
+            comm_failures: self.field(mask, INDEX_STEP << 1),
+            transients: self.field(mask, INDEX_STEP << 2),
+            forwards: self.field(mask, INDEX_STEP << 3),
+            resents: self.field(mask, INDEX_STEP << 4),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Records<'_> {}
+
 /// Everything the workload measured, shared with the experiment harness.
 #[derive(Clone, Debug, Default)]
 pub struct WorkloadReport {
     /// Per-invocation records, in order.
-    pub records: Vec<InvocationRecord>,
+    pub records: RecordLog,
     /// All invocations completed.
     pub completed: bool,
     /// Total `COMM_FAILURE` exceptions seen by the application.
@@ -103,7 +237,7 @@ pub struct WorkloadReport {
 impl WorkloadReport {
     /// Round-trip times in milliseconds, in invocation order.
     pub fn rtts_ms(&self) -> Vec<f64> {
-        self.records.iter().map(InvocationRecord::rtt_ms).collect()
+        self.records.iter().map(|r| r.rtt_ms()).collect()
     }
 
     /// Total exceptions that reached the application.

@@ -4,7 +4,7 @@
 //! worker threads — a pinned one (`pins.toml`), so a change to the chaos
 //! executor that moves any plan's outcome fails here.
 
-use experiments::pins::{hold, Run};
+use experiments::pins::{hold, Pins, Run};
 use experiments::{
     expand_sweep, parse_sweep, run_chaos_plan, run_chaos_plan_with, run_sweep, SweepUnit,
 };
@@ -49,15 +49,22 @@ fn parsing_twice_yields_identical_plans() {
     assert!(units.iter().any(|u| u.cell.ends_with("/explicit")));
 }
 
-/// The chaos campaign: 240 plans per topology, and an RM-crash budget
-/// capped by the topology — no plan kills `spof`'s only Recovery
-/// Manager, while `paper` (two instances) does lose one.
+/// The chaos campaign: as many plans as pin `sweep/chaos-campaign`
+/// counts, and an RM-crash budget capped by the topology — no plan kills
+/// `spof`'s only Recovery Manager, while `paper` (two instances) does
+/// lose one.
 #[test]
 fn chaos_campaign_expands_within_each_topologys_rm_budget() {
+    let pins = Pins::committed().unwrap_or_else(|e| panic!("{e}"));
+    let plans = pins
+        .count("sweep/chaos-campaign", "plans")
+        .expect("a plan count");
     let units = expand_twice("chaos-campaign.toml");
-    assert_eq!(units.len(), 480);
+    assert_eq!(units.len() as u64, plans);
+    // One scheme and one mix give each of the two topologies one cell of
+    // `plans_per_cell` plans, so the single-RM `spof` holds half of them.
     let (spof, paper): (Vec<_>, Vec<_>) = units.iter().partition(|u| u.cell.starts_with("spof/"));
-    assert_eq!(spof.len(), 240);
+    assert_eq!(spof.len() as u64 * 2, plans);
     assert!(paper.iter().all(|u| u.cell.starts_with("paper/")));
     assert!(!spof.iter().any(|u| kills_an_rm(u)));
     assert!(paper.iter().any(|u| kills_an_rm(u)));

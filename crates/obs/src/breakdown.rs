@@ -29,7 +29,12 @@ pub struct Episode {
     /// (`ThresholdCrossed{step:2}`) or the client noticing the dead
     /// connection (`FaultDetected`).
     pub detected_at: u64,
-    /// When the fail-over notice reached the client side.
+    /// The first `FailoverNotice` after the decision. Under
+    /// NEEDS_ADDRESSING the client emits it as the group's address reply
+    /// arrives; under LOCATION_FORWARD and MEAD the server emits it as it
+    /// writes the forward or the piggybacked reply, at the decision's
+    /// instant, so their notification stage reads 0 and the notice's
+    /// transit to the client counts as reconnection.
     pub notified_at: Option<u64>,
     /// When the client finished redirecting.
     pub redirected_at: Option<u64>,
@@ -43,7 +48,7 @@ impl Episode {
         self.fault_at.map(|f| self.detected_at.saturating_sub(f))
     }
 
-    /// Notification stage: migrate decision → notice at the client.
+    /// Notification stage: migrate decision → notice emitted.
     pub fn notification_ns(&self) -> Option<u64> {
         self.notified_at.map(|n| n.saturating_sub(self.detected_at))
     }

@@ -65,7 +65,7 @@ mod wheel;
 pub use error::{ForkError, SysError};
 pub use ids::{Addr, ConnId, ListenerId, NodeId, Port, ProcessId, TimerId};
 pub use latency::{LatencyModel, LossModel, NoiseModel};
-pub use metrics::{ByteRecord, ByteRecords, Fnv, Metrics};
+pub use metrics::{push_varint, take_varint, ByteRecord, ByteRecords, Fnv, Metrics};
 pub use process::{Event, ExitReason, Process, ProcessFactory, ReadOutcome, SysApi};
 pub use recv_queue::RecvQueue;
 pub use rng::SimRng;

@@ -109,7 +109,10 @@ impl Iterator for ByteRecords<'_> {
 
 impl ExactSizeIterator for ByteRecords<'_> {}
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` to `out` as a LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last. A `u64`
+/// takes one to ten bytes.
+pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push(v as u8 | 0x80);
         v >>= 7;
@@ -118,7 +121,12 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads one varint [`push_varint`] wrote, off the front of `input`.
-fn take_varint(input: &mut &[u8]) -> u64 {
+///
+/// # Panics
+///
+/// Panics when `input` ends inside the varint: a log that wrote it
+/// holds whole varints only.
+pub fn take_varint(input: &mut &[u8]) -> u64 {
     let mut v = 0;
     for (i, &b) in input.iter().enumerate() {
         v |= u64::from(b & 0x7f) << (7 * i);
@@ -127,7 +135,7 @@ fn take_varint(input: &mut &[u8]) -> u64 {
             return v;
         }
     }
-    unreachable!("a ByteLog holds whole varints")
+    panic!("input ends inside a varint")
 }
 
 /// Aggregated measurements for one simulation run.

@@ -55,7 +55,13 @@ fn proactive_migration_masks_all_failures_from_the_client() {
         // client writes there is no event-driven threshold check (the
         // paper's deliberate design, section 3.1). During the measured
         // window, though, every failure must be a graceful rejuvenation.
-        let last_invocation_end = out.report().records.last().expect("records exist").end;
+        let last_invocation_end = out
+            .report()
+            .records
+            .iter()
+            .last()
+            .expect("records exist")
+            .end;
         let crashes = out
             .trace
             .iter()

@@ -971,8 +971,14 @@ fn request(body: Vec<u8>) -> RequestMessage {
     }
 }
 
+/// The bytes an encode may request beyond the message it returns: the
+/// room a request's size hint leaves for padding it did not need (under
+/// 36 bytes) and the shared count `Bytes` allocates beside the buffer.
+const ENCODE_SLACK: usize = 64;
+
 /// A message lives in one heap buffer from encoder to decoder: encoding
-/// allocates the writer's storage and the buffer it is frozen into, and
+/// allocates the writer's storage and the shared count that freezes it,
+/// requesting about the message's length and no second copy, and
 /// nothing that only reads the message allocates at all. A `to_vec()`
 /// that creeps back costs host time on every simulated invocation
 /// without failing a functional test.
@@ -984,16 +990,19 @@ fn a_message_is_one_buffer_from_encoder_to_decoder() {
         let (borrowed, t) =
             tally(|| encode_request(42, true, key, &req.operation, &req.body, Endian::Big));
         assert!(t.calls <= 2, "encode_request({body_len} B body): {t:?}");
+        assert!(t.bytes <= borrowed.len() + ENCODE_SLACK, "{t:?}");
         let msg = Message::Request(req.clone());
         let (owned, t) = tally(|| msg.encode(Endian::Little));
         assert!(t.calls <= 2 && owned.len() == borrowed.len(), "{t:?}");
+        assert!(t.bytes <= owned.len() + ENCODE_SLACK, "{t:?}");
         let body = ReplyBody::NoException(vec![7; body_len]);
         let reply = Message::Reply(ReplyMessage {
             request_id: 42,
             body,
         });
-        let (_, t) = tally(|| reply.encode(Endian::Big));
+        let (frame, t) = tally(|| reply.encode(Endian::Big));
         assert!(t.calls <= 2, "Message::encode(reply, {body_len} B): {t:?}");
+        assert!(t.bytes <= frame.len() + ENCODE_SLACK, "{t:?}");
     }
 
     let wire = Message::Request(request(vec![7; 16])).encode(Endian::Big);

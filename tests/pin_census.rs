@@ -6,7 +6,8 @@
 //! walks the file. The census fails when an entry has no reader, and when
 //! a 16-hex-digit digest, an explorer run or outcome count or a sweep
 //! plan count appears in CI, `mead-repro help` or a document other than
-//! CHANGES and ROADMAP, which keep their history.
+//! CHANGES and ROADMAP, which keep their history. README's Table 1 block,
+//! which quotes `results/table1.txt`, must agree with that file.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -191,5 +192,56 @@ fn no_run_or_plan_count_is_copied_outside_the_pin_file() {
     assert!(
         copies.is_empty(),
         "counts copied outside pins.toml (cite the pin's key):\n{copies}"
+    );
+}
+
+/// The rows of README's Table 1 block that are not the start of the same
+/// row of `table` (the table of `results/table1.txt`, from its header to
+/// the first blank line), and a missing or surplus row.
+fn table1_rows_off(readme: &str, table: &str) -> Vec<String> {
+    let block = readme
+        .split_once("as committed in `results/table1.txt`")
+        .and_then(|(_, after)| after.split_once("```text\n"))
+        .and_then(|(_, block)| block.split_once("```"))
+        .map_or("", |(block, _)| block);
+    let mut want = table
+        .lines()
+        .skip_while(|l| !l.starts_with("Recovery Strategy"))
+        .take_while(|l| !l.is_empty());
+    let mut off = Vec::new();
+    for row in block.lines() {
+        match want.next() {
+            Some(full) if full.starts_with(row) => {}
+            full => off.push(format!("README `{row}`, results `{}`", full.unwrap_or("—"))),
+        }
+    }
+    off.extend(want.map(|full| format!("README lacks `{full}`")));
+    off
+}
+
+#[test]
+fn readme_table1_is_a_prefix_of_the_committed_table() {
+    let table = "Title\n\nRecovery Strategy | RTT | more\n---+---+---\nMEAD | 2.9% | 42\n";
+    let readme = "as committed in `results/table1.txt`:\n\n```text\n\
+                  Recovery Strategy | RTT\n---+---\nMEAD | 2.9%\n```\n";
+    assert!(table1_rows_off(readme, table).is_empty());
+    let stale = readme.replace("2.9%", "3.0%");
+    assert_eq!(
+        table1_rows_off(&stale, table),
+        ["README `MEAD | 3.0%`, results `MEAD | 2.9% | 42`"]
+    );
+    let short = readme.replace("MEAD | 2.9%\n", "");
+    assert_eq!(
+        table1_rows_off(&short, table),
+        ["README lacks `MEAD | 2.9% | 42`"]
+    );
+
+    let readme = fs::read_to_string(root().join("README.md")).unwrap();
+    let table = fs::read_to_string(root().join("results/table1.txt")).unwrap();
+    let off = table1_rows_off(&readme, &table);
+    assert!(
+        off.is_empty(),
+        "README's Table 1 copies results/table1.txt wrong:\n{}",
+        off.join("\n")
     );
 }
