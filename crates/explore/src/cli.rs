@@ -4,49 +4,50 @@ use std::path::Path;
 use std::sync::Arc;
 
 use experiments::{
-    no_args_left, nonzero, run_chaos_plan_with, run_command, take_flag, take_number, take_switch,
-    take_threads, write_artifact, write_violations, CliError, ViolationRecord,
+    no_args_left, run_chaos_plan_with, run_command, take_flag, take_switch, take_threads,
+    write_artifact, write_violations, CliError, ViolationRecord,
 };
 use simnet::{GateCfg, ReplayScheduler};
 
-use crate::{fixtures, run_prefix, try_explore, try_minimize, ConflictRelation, ExploreConfig};
+use crate::{
+    fixtures, run_prefix, try_explore, try_minimize, ConflictRelation, ExploreConfig,
+    ExploreOutcome,
+};
 
 /// Decisions the minimized seeded-bug schedule may keep (the acceptance
 /// bound: the reproducer must be human-readable).
 const MAX_MINIMIZED_DECISIONS: usize = 10;
 
-/// `mead-repro explore [--threads N] [--runs N] [--depth N] [--smoke]
-/// [--seeded-bug] [--conflict-relation FILE] [--violations out.json]
-/// [--trace out.jsonl]`.
+/// Runs a fixture's search may take in `mead-repro explore`. Every
+/// fixture exhausts well within it; one that does not fails the command
+/// rather than passing on a partial search.
+pub const MAX_RUNS: usize = 384;
+
+/// Decision points a run may branch at in `mead-repro explore`.
+pub const MAX_DEPTH: usize = 12;
+
+/// `mead-repro explore [--threads N] [--seeded-bug] [--conflict-relation
+/// FILE] [--violations out.json] [--trace out.jsonl]`.
 ///
 /// Enumerates alternative event interleavings of the `pair` and
 /// `relaunch` fixtures under a pluggable kernel scheduler and checks
 /// every invariant on every interleaving; given `--seeded-bug`, also
 /// proves the pipeline end to end: a seeded protocol mutation invisible
 /// to the FIFO schedule is caught, minimized to a short failing
-/// schedule, and replayed by digest. `--smoke` shrinks the per-fixture run budget for
-/// CI; `--trace` writes the minimized failing schedule (requires
-/// `--seeded-bug`); `--conflict-relation` loads a `conflict-relation/1`
-/// artifact (from `mead-repro lint --conflict-report`) that prunes
-/// statically proven independent branches from the search. Exit status
-/// 1 when any fixture's exploration misbehaves, the seeded bug is not
-/// caught, minimized and replayed, or a fixture's booted world cannot be
-/// forked (the `ForkError` is the message); exit status 2 for a malformed
-/// argument or a relation that cannot be read or parsed.
+/// schedule, and replayed by digest. `--trace` writes the minimized
+/// failing schedule (requires `--seeded-bug`); `--conflict-relation`
+/// loads a `conflict-relation/1` artifact (from `mead-repro lint
+/// --conflict-report`) that prunes statically proven independent
+/// branches from the search. Exit status 1 when any fixture's search
+/// finds a violation or stops at the run budget unexhausted, the seeded
+/// bug is not caught, minimized and replayed, or a fixture's booted
+/// world cannot be forked (the `ForkError` is the message); exit status
+/// 2 for a malformed argument or a relation that cannot be read or
+/// parsed.
 pub fn cli_main(args: &[String]) -> i32 {
     run_command(args, |mut args| {
         let threads = take_threads(&mut args)?;
         let seeded = take_switch(&mut args, "--seeded-bug");
-        let default_runs = if take_switch(&mut args, "--smoke") {
-            384
-        } else {
-            1024
-        };
-        let max_runs = nonzero(
-            "--runs",
-            take_number(&mut args, "--runs")?.unwrap_or(default_runs),
-        )?;
-        let max_depth = take_number(&mut args, "--depth")?.unwrap_or(12);
         let relation_path = take_flag(&mut args, "--conflict-relation")?;
         let violations_path = take_flag(&mut args, "--violations")?;
         let trace = take_flag(&mut args, "--trace")?;
@@ -74,8 +75,8 @@ pub fn cli_main(args: &[String]) -> i32 {
 
         let config_for = |gate: GateCfg| ExploreConfig {
             gate,
-            max_runs,
-            max_depth,
+            max_runs: MAX_RUNS,
+            max_depth: MAX_DEPTH,
             threads,
             relation: relation.clone(),
         };
@@ -105,14 +106,12 @@ pub fn cli_main(args: &[String]) -> i32 {
                     violations: failure.violations.clone(),
                 });
             }
-            if outcome.failures.is_empty() {
-                println!("  PASS: all enumerated interleavings hold every invariant");
-            } else {
-                println!(
-                    "  FAIL: {} interleaving(s) violated invariants",
-                    outcome.failures.len()
-                );
-                passed = false;
+            match fixture_failure(&outcome) {
+                Some(why) => {
+                    println!("  FAIL: {why}");
+                    passed = false;
+                }
+                None => println!("  PASS: all enumerated interleavings hold every invariant"),
             }
         }
 
@@ -125,6 +124,22 @@ pub fn cli_main(args: &[String]) -> i32 {
         write_violations(violations_path, "explore", records)?;
         Ok(passed)
     })
+}
+
+/// Why a fault-free fixture's search fails: an interleaving violated an
+/// invariant, or the search stopped at [`MAX_RUNS`] before exhausting.
+/// `None` when it passed.
+fn fixture_failure(outcome: &ExploreOutcome) -> Option<String> {
+    if !outcome.failures.is_empty() {
+        let n = outcome.failures.len();
+        Some(format!("{n} interleaving(s) violated invariants"))
+    } else if !outcome.exhausted {
+        Some(format!(
+            "the search stopped at {MAX_RUNS} runs before exhausting"
+        ))
+    } else {
+        None
+    }
 }
 
 /// Runs the seeded-bug fixture end to end; returns whether it was
@@ -210,4 +225,26 @@ fn run_seeded_bug(
         write_artifact("minimized decision trace", path, &minimal.trace.to_jsonl())?;
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_search_that_stops_unexhausted_fails_the_fixture() {
+        let mut outcome = ExploreOutcome {
+            executed: MAX_RUNS,
+            exhausted: false,
+            outcome_digests: Default::default(),
+            failures: Vec::new(),
+            digest: 0,
+        };
+        assert_eq!(
+            fixture_failure(&outcome).as_deref(),
+            Some("the search stopped at 384 runs before exhausting")
+        );
+        outcome.exhausted = true;
+        assert_eq!(fixture_failure(&outcome), None);
+    }
 }

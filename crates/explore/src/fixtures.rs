@@ -97,7 +97,7 @@ pub fn relaunch() -> Fixture {
 
 /// Three replica slots and a second (flash-crowd) client overlapping a
 /// replica crash: wider interference surface, still small enough to
-/// sweep within a smoke budget.
+/// sweep within [`MAX_RUNS`](crate::MAX_RUNS).
 pub fn trio() -> Fixture {
     let plan = FaultPlanBuilder::new(23)
         .event(FaultEvent {

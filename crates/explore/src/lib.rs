@@ -34,7 +34,7 @@ mod minimize;
 pub mod relation;
 mod sched;
 
-pub use cli::cli_main;
+pub use cli::{cli_main, MAX_DEPTH, MAX_RUNS};
 pub use engine::{
     explore, run_prefix, run_prefix_with, try_explore, ExploreConfig, ExploreOutcome, RunResult,
     World,

@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use experiments::pins::{hold, Run};
 use experiments::{run_chaos_plan, run_chaos_plan_with, ChaosOutcome};
-use explore::{explore, fixtures, minimize, run_prefix, ConflictRelation, ExploreConfig};
+use explore::{
+    explore, fixtures, minimize, run_prefix, ConflictRelation, ExploreConfig, MAX_DEPTH, MAX_RUNS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::sched::Decision;
@@ -100,8 +102,8 @@ fn a_run_builds_exactly_max_steps_choice_points() {
     }
 }
 
-/// The fixture's search at the smoke budget (384 runs, depth 12) on
-/// `threads` workers: its counts and its digest (every run's schedule and
+/// The fixture's search at `mead-repro explore`'s budget on `threads`
+/// workers: its counts and its digest (every run's schedule and
 /// outcome folded in execution order), which any change to a schedule
 /// moves.
 fn search(
@@ -114,8 +116,8 @@ fn search(
         &fixture.chaos,
         &ExploreConfig {
             gate: fixture.gate,
-            max_runs: 384,
-            max_depth: 12,
+            max_runs: MAX_RUNS,
+            max_depth: MAX_DEPTH,
             threads,
             relation,
         },
@@ -244,7 +246,7 @@ fn seeded_bug_is_caught_minimized_and_replayable() {
         &ExploreConfig {
             gate: fixture.gate,
             max_runs: 256,
-            max_depth: 12,
+            max_depth: MAX_DEPTH,
             threads: 2,
             relation: None,
         },

@@ -5,8 +5,10 @@
 //! (section 3.2):
 //!
 //! * [`Weibull`] — the distribution driving the leak (scale 64, shape 2),
-//! * [`MemoryLeak`] — the 32 KB-buffer memory-exhaustion fault, activated
-//!   on the first client request and stepped every [`LEAK_INTERVAL`],
+//! * [`ResourceFault`] — one model for a replica's resource faults: the
+//!   paper's [`MemoryLeak`] of a 32 KB buffer, stepped every
+//!   [`LEAK_INTERVAL`], and a plan's CPU ramp or fd leak
+//!   ([`PressureConfig`]), each a resource whose use crashes at 1.0,
 //! * [`ResourceMonitor`] — the 80 %/90 % two-step thresholds, reporting
 //!   which [`ThresholdAction`] step a usage fraction has reached,
 //! * [`AdaptivePredictor`] — rate-estimating adaptive thresholds (the
@@ -21,8 +23,6 @@
 //!   [`FaultKind::JitteryLink`], [`FaultKind::CpuExhaustion`],
 //!   [`FaultKind::FdLeak`]) selected per-plan by a [`FaultMix`] and
 //!   checked by [`FaultPlan::validate`], and
-//! * [`ResourcePressure`] — deterministic CPU-exhaustion / fd-leak
-//!   models feeding the two-step thresholds, and
 //! * [`config`] — the scenario-file schema for mixes and explicit fault
 //!   events, read through [`tomlite::Reader`] (errors are
 //!   [`tomlite::TomlError`]s at the entry's header line).
@@ -34,8 +34,8 @@ mod adaptive;
 pub mod config;
 mod memleak;
 mod plan;
-mod pressure;
 mod resource;
+mod resource_fault;
 mod weibull;
 
 pub use adaptive::AdaptivePredictor;
@@ -46,6 +46,6 @@ pub use plan::{
     MAX_CROWD, MAX_CROWD_SPREAD, MAX_JITTER_BOUND, MAX_JITTER_SPAN, MAX_PARTITION, MAX_RESTART,
     MIN_CRASH_GAP,
 };
-pub use pressure::{PressureConfig, PressureKind, ResourcePressure, PRESSURE_TICK};
 pub use resource::{ResourceMonitor, ThresholdAction};
+pub use resource_fault::{PressureConfig, PressureKind, ResourceFault, PRESSURE_TICK};
 pub use weibull::Weibull;

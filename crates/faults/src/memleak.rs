@@ -69,9 +69,9 @@ impl LeakConfig {
 
 /// The state of one injected memory leak.
 ///
-/// The owning interceptor activates the leak when the server answers its
-/// first client request, then calls [`MemoryLeak::step`] on every
-/// [`LEAK_INTERVAL`] timer tick.
+/// The leak's step function: its [`ResourceFault`](crate::ResourceFault)
+/// activates it on the server's first client request, then calls
+/// [`MemoryLeak::step`] on every [`LEAK_INTERVAL`] tick.
 #[derive(Clone, Debug)]
 pub struct MemoryLeak {
     cfg: LeakConfig,

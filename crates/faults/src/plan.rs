@@ -905,25 +905,18 @@ impl FaultPlan {
                         });
                     }
                 }
-                FaultKind::CpuExhaustion { slot, ramp_per_sec } => {
-                    if *slot >= slots {
-                        return Err(PlanError::BadSlot { slot: *slot });
-                    }
-                    if !ramp_per_sec.is_finite() || *ramp_per_sec <= 0.0 {
-                        return Err(PlanError::BadRate {
-                            fault: e.kind.name(),
-                        });
-                    }
-                    if pressured.contains(slot) {
-                        return Err(PlanError::DuplicatePressure { slot: *slot });
-                    }
-                    pressured.push(*slot);
+                FaultKind::CpuExhaustion {
+                    slot,
+                    ramp_per_sec: rate,
                 }
-                FaultKind::FdLeak { slot, per_request } => {
+                | FaultKind::FdLeak {
+                    slot,
+                    per_request: rate,
+                } => {
                     if *slot >= slots {
                         return Err(PlanError::BadSlot { slot: *slot });
                     }
-                    if !per_request.is_finite() || *per_request <= 0.0 {
+                    if !rate.is_finite() || *rate <= 0.0 {
                         return Err(PlanError::BadRate {
                             fault: e.kind.name(),
                         });

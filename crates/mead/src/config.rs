@@ -150,11 +150,11 @@ pub struct MeadConfig {
     /// Memory-leak fault injected at the primary (section 5.1). `None`
     /// disables fault injection (fault-free runs).
     pub leak: Option<LeakConfig>,
-    /// Resource-pressure fault (CPU-exhaustion ramp or fd leak) armed at
-    /// an absolute instant; feeds the same two-step thresholds as the
-    /// leak. Replicas started *after* the activation instant never arm it
-    /// (a fresh replacement does not inherit the runaway). `None` (the
-    /// default, and the paper's configuration) disables it.
+    /// A fault plan's CPU ramp or fd leak, armed at an absolute instant
+    /// and run beside the leak as one more resource fault. Replicas
+    /// started *after* the instant never arm it (a fresh replacement
+    /// does not inherit the runaway). `None` (the default, and the
+    /// paper's configuration) disables it.
     pub pressure: Option<PressureConfig>,
     /// What checks the thresholds.
     pub trigger: Trigger,

@@ -24,18 +24,16 @@ use simnet::{ReadOutcome, RecvQueue, SimDuration};
 pub const TOKEN_BASE: u64 = 1 << 62;
 /// GCS client retry timer.
 pub const TOKEN_GCS: u64 = TOKEN_BASE;
-/// Memory-leak step timer (150 ms).
-pub const TOKEN_LEAK: u64 = TOKEN_BASE + 1;
 /// Post-migration drain timer.
 pub const TOKEN_DRAIN: u64 = TOKEN_BASE + 2;
 /// Warm-passive checkpoint timer.
 pub const TOKEN_CHECKPOINT: u64 = TOKEN_BASE + 3;
 /// Address-query timeout timer (client side, 10 ms).
 pub const TOKEN_QUERY_TIMEOUT: u64 = TOKEN_BASE + 4;
-/// Resource-pressure activation timer (fires once at `activate_at`).
-pub const TOKEN_PRESSURE_ARM: u64 = TOKEN_BASE + 5;
-/// CPU-exhaustion ramp tick timer.
-pub const TOKEN_PRESSURE_TICK: u64 = TOKEN_BASE + 6;
+/// Base for resource-fault timers (server side); the offset is the
+/// fault's index in the replica's list, and the one timer both arms a
+/// fault armed at an instant and ticks it.
+pub const TOKEN_RESOURCE_BASE: u64 = TOKEN_BASE + 5;
 /// Base for redirect-completion timers (client side); the offset is the
 /// raw application id of the connection whose redirect is finishing.
 pub const TOKEN_REDIRECT_DONE_BASE: u64 = TOKEN_BASE + 1000;

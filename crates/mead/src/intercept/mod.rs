@@ -9,7 +9,7 @@ pub mod server;
 /// applications must keep their own tokens below [`tokens::TOKEN_BASE`].
 pub mod tokens {
     pub use super::common::{
-        is_intercept_token, TOKEN_BASE, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS, TOKEN_LEAK,
+        is_intercept_token, TOKEN_BASE, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS,
         TOKEN_QUERY_TIMEOUT, TOKEN_REDIRECT_DONE_BASE,
     };
 }

@@ -8,8 +8,9 @@
 //!
 //! * classifies sockets (accepted = client-side traffic, initiated =
 //!   outbound traffic such as the Naming Service registration),
-//! * hosts the memory-leak fault injector (section 5.1 injects the leak
-//!   "within the Interceptor") and the two-step threshold monitor, checked
+//! * hosts the replica's resource faults (section 5.1 injects the leak
+//!   "within the Interceptor"; a fault plan may add a CPU ramp or an fd
+//!   leak) and the two-step threshold monitor over their usage, checked
 //!   on the write path (the paper rejects a polling thread, section 3.1),
 //! * joins the replica group over GCS, advertises its address (from the
 //!   intercepted `listen()`, section 4.3) and its IORs (from the
@@ -31,10 +32,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use faults::{
-    AdaptivePredictor, MemoryLeak, PressureKind, ResourceMonitor, ResourcePressure,
-    ThresholdAction, LEAK_INTERVAL, PRESSURE_TICK,
-};
+use faults::{AdaptivePredictor, ResourceFault, ResourceMonitor, ThresholdAction};
 use giop::{
     Endian, Frame, FrameKind, Message, MessageView, MsgType, ObjectKey, ReplyBody, ReplyMessage,
 };
@@ -50,7 +48,7 @@ use crate::config::{MeadConfig, RecoveryScheme, Trigger};
 use crate::directory::{replica_member_name, MemberName, ReplicaDirectory, Slot, SERVER_GROUP};
 use crate::intercept::common::{
     is_intercept_token, Scanned, Stream, FABRICATE_CPU, TOKEN_CHECKPOINT, TOKEN_DRAIN, TOKEN_GCS,
-    TOKEN_LEAK, TOKEN_PRESSURE_ARM, TOKEN_PRESSURE_TICK,
+    TOKEN_RESOURCE_BASE,
 };
 use crate::messages::{FailoverNotice, GroupMsg};
 use crate::replica::ReplicaApp;
@@ -130,13 +128,10 @@ struct ServerState {
     member: MemberName,
     gcs: Option<GcsClient>,
     dir: ReplicaDirectory,
-    leak: Option<MemoryLeak>,
-    /// Resource-pressure fault (CPU ramp / fd leak); armed by timer at
-    /// `cfg.pressure.activate_at` if this instance started before then.
-    pressure: Option<ResourcePressure>,
-    /// Last pressure decile traced (emit `resource_pressure` only on
-    /// decile crossings, not every tick).
-    pressure_decile: u32,
+    /// The resource faults: the leak first when configured, then the
+    /// plan's pressure. Fault `i` arms and ticks on timer
+    /// `TOKEN_RESOURCE_BASE + i`.
+    resources: Vec<ResourceFault>,
     monitor: ResourceMonitor,
     adaptive: AdaptivePredictor,
     /// How far this replica's rejuvenation has got.
@@ -182,8 +177,9 @@ struct ServerState {
 impl ServerInterceptor {
     /// Wraps `inner` (an unmodified server process) for replica `slot`.
     pub fn new(cfg: MeadConfig, slot: Slot, inner: Box<dyn Process>) -> Self {
-        let leak = cfg.leak.clone().map(MemoryLeak::new);
-        let pressure = cfg.pressure.clone().map(ResourcePressure::new);
+        let leak = cfg.leak.clone().map(ResourceFault::leak);
+        let pressure = cfg.pressure.clone().map(ResourceFault::pressure);
+        let resources = leak.into_iter().chain(pressure).collect();
         let migrate = cfg.migrate_threshold;
         let monitor = ResourceMonitor {
             launch: (migrate - LAUNCH_GAP).clamp(0.01, migrate),
@@ -198,9 +194,7 @@ impl ServerInterceptor {
                 member: MemberName::new(""),
                 gcs: None,
                 dir: ReplicaDirectory::new(),
-                leak,
-                pressure,
-                pressure_decile: 0,
+                resources,
                 monitor,
                 adaptive: AdaptivePredictor::new(),
                 phase: Rejuvenation::Serving,
@@ -250,17 +244,13 @@ impl Process for ServerInterceptor {
         gcs.start(sys);
         gcs.join(sys, SERVER_GROUP);
         self.st.gcs = Some(gcs);
-        if self.st.leak.is_some() {
-            sys.set_timer(LEAK_INTERVAL, TOKEN_LEAK);
-        }
-        if let Some(pressure) = self.st.pressure.as_ref() {
-            let activate_at = pressure.config().activate_at;
-            if activate_at >= sys.now() {
-                sys.set_timer(activate_at - sys.now(), TOKEN_PRESSURE_ARM);
-            } else {
-                // Started after the activation instant: a fresh
-                // replacement does not inherit the runaway.
-                self.st.pressure = None;
+        // Started after a fault's instant: a fresh replacement does not
+        // inherit the runaway.
+        let (now, resources) = (sys.now(), &mut self.st.resources);
+        resources.retain(|r| r.arm_at().is_none_or(|at| at >= now));
+        for (token, r) in (TOKEN_RESOURCE_BASE..).zip(resources.iter()) {
+            if let Some(after) = r.next_timer(now) {
+                sys.set_timer(after, token);
             }
         }
         sys.set_timer(self.st.checkpoint_interval(), TOKEN_CHECKPOINT);
@@ -468,20 +458,14 @@ impl ServerState {
         self.ever_served = true;
         self.served_since_checkpoint = true;
         // "The memory leak at a server replica was activated when the
-        // server received its first client request." (section 5.1)
-        if let Some(leak) = self.leak.as_mut() {
-            if !leak.is_active() {
-                leak.activate();
-                sys.emit(EventKind::Phase(Phase::LeakDetected));
+        // server received its first client request." (section 5.1) An
+        // armed fd leak consumes descriptor-table space per request.
+        for i in 0..self.resources.len() {
+            if self.resources[i].arm_at().is_none() && !self.resources[i].is_armed() {
+                self.arm(sys, i);
             }
-        }
-        // An armed fd leak consumes descriptor-table space per request.
-        if let Some(p) = self.pressure.as_mut() {
-            if p.is_active() && matches!(p.config().kind, PressureKind::Fd { .. }) {
-                p.on_request();
-                if self.pressure_progress(sys) {
-                    return;
-                }
+            if self.resources[i].on_request() && self.progress(sys, i) {
+                return;
             }
         }
         if self.cfg.scheme == RecoveryScheme::LocationForward {
@@ -625,55 +609,52 @@ impl ServerState {
         }
     }
 
-    /// Combined resource-usage fraction feeding the two-step thresholds:
-    /// the worst (max) of the active leak and the active pressure model.
-    /// `None` while no resource fault is active.
+    /// The resource usage feeding the two-step thresholds: the largest
+    /// fraction of an armed fault, `None` while none is armed.
     fn usage_fraction(&self) -> Option<f64> {
-        let leak = self
-            .leak
-            .as_ref()
-            .filter(|l| l.is_active())
-            .map(|l| l.fraction());
-        let pressure = self
-            .pressure
-            .as_ref()
-            .filter(|p| p.is_active())
-            .map(|p| p.fraction());
-        match (leak, pressure) {
-            (None, None) => None,
-            (a, b) => Some(a.unwrap_or(0.0).max(b.unwrap_or(0.0))),
-        }
+        self.resources
+            .iter()
+            .filter(|r| r.is_armed())
+            .map(ResourceFault::fraction)
+            .reduce(f64::max)
     }
 
-    /// Traces pressure decile crossings and crashes the process when the
-    /// resource is fully consumed. Returns `true` when the process exited.
-    fn pressure_progress(&mut self, sys: &mut dyn SysApi) -> bool {
-        let Some(p) = self.pressure.as_ref() else {
-            return false;
-        };
-        if !p.is_active() {
-            return false;
-        }
-        let resource = p.config().kind.resource();
-        let permille = p.permille();
-        let decile = permille / 100;
-        if decile > self.pressure_decile {
-            self.pressure_decile = decile;
+    /// Arms fault `i`. The leak's arming is the paper's `LeakDetected`;
+    /// a CPU or fd fault's is its first `resource_pressure`, at 0 ‰.
+    fn arm(&mut self, sys: &mut dyn SysApi, i: usize) {
+        let r = &mut self.resources[i];
+        r.arm();
+        sys.emit(match r.arm_at() {
+            None => EventKind::Phase(Phase::LeakDetected),
+            Some(_) => EventKind::ResourcePressure {
+                resource: r.name(),
+                permille: 0,
+            },
+        });
+    }
+
+    /// After fault `i` grew: traces a new decile of its fraction, and
+    /// crashes the replica when the resource is gone. Returns whether
+    /// the process exited.
+    fn progress(&mut self, sys: &mut dyn SysApi, i: usize) -> bool {
+        let r = &mut self.resources[i];
+        let resource = r.name();
+        if let Some(permille) = r.new_decile() {
             sys.emit(EventKind::ResourcePressure { resource, permille });
         }
-        if p.exhausted() {
-            sys.count("mead.crash_exhaustion", 1);
-            sys.exit(ExitReason::Crash(format!("{resource} exhausted")));
-            return true;
+        if !r.is_exhausted() {
+            return false;
         }
-        false
+        sys.count("mead.crash_exhaustion", 1);
+        sys.exit(ExitReason::Crash(format!("{resource} exhausted")));
+        true
     }
 
     /// Observes the current resource usage through the configured
     /// [`Trigger`] and takes the step it reached if the rejuvenation
     /// phase is not already past it. The write path (`from_timer ==
-    /// false`) feeds the paper's preset thresholds; the leak and pressure
-    /// timers feed the adaptive predictor.
+    /// false`) feeds the paper's preset thresholds; the resource faults'
+    /// ticks feed the adaptive predictor.
     ///
     /// Every proactive scheme launches a replacement at the first
     /// threshold, so a successor is up before this replica dies. Only the
@@ -929,23 +910,6 @@ impl ServerState {
 
     fn on_timer(&mut self, sys: &mut dyn SysApi, token: u64) {
         match token {
-            TOKEN_LEAK => {
-                let mut exhausted = false;
-                if let Some(leak) = self.leak.as_mut() {
-                    leak.step(sys.rng());
-                    exhausted = leak.is_exhausted();
-                }
-                if exhausted {
-                    // Resource exhaustion: the process-crash fault.
-                    sys.count("mead.crash_exhaustion", 1);
-                    sys.exit(ExitReason::Crash("memory exhausted".into()));
-                    return;
-                }
-                self.check_thresholds(sys, true);
-                if self.cfg.leak.is_some() {
-                    sys.set_timer(LEAK_INTERVAL, TOKEN_LEAK);
-                }
-            }
             TOKEN_CHECKPOINT => {
                 // Warm-passive state transfer. With state the acting
                 // primary — the instance actually serving clients —
@@ -966,41 +930,28 @@ impl ServerState {
                 sys.count("mead.graceful_rejuvenations", 1);
                 sys.exit(ExitReason::Graceful);
             }
-            TOKEN_PRESSURE_ARM => {
-                if let Some(p) = self.pressure.as_mut() {
-                    p.activate();
-                    let kind = p.config().kind;
-                    sys.emit(EventKind::ResourcePressure {
-                        resource: kind.resource(),
-                        permille: 0,
-                    });
-                    if let PressureKind::Cpu { .. } = kind {
-                        sys.set_timer(PRESSURE_TICK, TOKEN_PRESSURE_TICK);
-                    }
-                }
-            }
-            TOKEN_PRESSURE_TICK => {
-                let mut ticking = false;
-                if let Some(p) = self.pressure.as_mut() {
-                    if p.is_active() && matches!(p.config().kind, PressureKind::Cpu { .. }) {
-                        let fraction = p.on_tick();
-                        // The runaway computation steals real cycles:
-                        // charge the consumed share of the tick so service
-                        // latency degrades as the ramp climbs.
-                        let stolen = PRESSURE_TICK.as_nanos() as f64 * fraction * 0.25;
-                        sys.charge_cpu(SimDuration::from_nanos(stolen as u64));
-                        ticking = true;
-                    }
-                }
-                if self.pressure_progress(sys) {
+            _ => {
+                // A resource fault's timer: it arms a plan's fault at its
+                // instant, and otherwise grows the fault.
+                let i = token.wrapping_sub(TOKEN_RESOURCE_BASE) as usize;
+                let Some(r) = self.resources.get_mut(i) else {
                     return;
+                };
+                if r.arm_at().is_some() && !r.is_armed() {
+                    self.arm(sys, i);
+                } else {
+                    if let Some(stolen) = r.tick(sys.rng()) {
+                        sys.charge_cpu(stolen);
+                    }
+                    if self.progress(sys, i) {
+                        return;
+                    }
+                    self.check_thresholds(sys, true);
                 }
-                self.check_thresholds(sys, true);
-                if ticking {
-                    sys.set_timer(PRESSURE_TICK, TOKEN_PRESSURE_TICK);
+                if let Some(after) = self.resources[i].next_timer(sys.now()) {
+                    sys.set_timer(after, token);
                 }
             }
-            _ => {}
         }
     }
 

@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use faults::{PressureConfig, PressureKind};
 use giop::{
     Endian, FrameKind, FrameSplitter, Message, ObjectKey, ReplyBody, ReplyMessage, RequestMessage,
 };
@@ -17,7 +18,7 @@ use mead::{
 use obs::{EventKind, Phase};
 use orb::CounterState;
 use simnet::testkit::MockSys;
-use simnet::{Addr, ConnId, Event, NodeId, Port, Process, SimDuration, SysApi, TimerId};
+use simnet::{Addr, ConnId, Event, NodeId, Port, Process, SimDuration, SimTime, SysApi, TimerId};
 
 /// A scriptable inner application: logs events, executes queued actions
 /// when any event arrives.
@@ -130,6 +131,8 @@ struct ServerRig {
     app: Rc<RefCell<AppState>>,
     gcs_conn: ConnId,
     listener: simnet::ListenerId,
+    /// Resource-fault timers already fired (the mock keeps every timer).
+    fired: Vec<TimerId>,
 }
 
 fn server_rig(scheme: RecoveryScheme) -> ServerRig {
@@ -137,6 +140,15 @@ fn server_rig(scheme: RecoveryScheme) -> ServerRig {
 }
 
 fn server_rig_with(cfg: MeadConfig, state: Option<Rc<CounterState>>) -> ServerRig {
+    server_rig_at(cfg, state, SimDuration::ZERO)
+}
+
+/// A rig whose replica starts `start` into the run.
+fn server_rig_at(
+    cfg: MeadConfig,
+    state: Option<Rc<CounterState>>,
+    start: SimDuration,
+) -> ServerRig {
     let app = Rc::new(RefCell::new(AppState {
         listen_on_start: Some(Port(2810)),
         ..AppState::default()
@@ -147,6 +159,7 @@ fn server_rig_with(cfg: MeadConfig, state: Option<Rc<CounterState>>) -> ServerRi
         interceptor = interceptor.with_state(state);
     }
     let mut sys = MockSys::new(NodeId::from_index(1));
+    sys.advance(start);
     interceptor.on_start(&mut sys);
     // First connect is the GCS client reaching the local daemon; complete
     // its handshake so the Attach goes out.
@@ -160,7 +173,51 @@ fn server_rig_with(cfg: MeadConfig, state: Option<Rc<CounterState>>) -> ServerRi
         app,
         gcs_conn,
         listener,
+        fired: Vec::new(),
     }
+}
+
+/// Whether `token` is one of the interceptor's resource-fault timers (a
+/// leak step, a pressure's arming or its tick): an interceptor timer
+/// other than the GCS, checkpoint, drain and client-side ones.
+fn is_resource_token(token: u64) -> bool {
+    tokens::is_intercept_token(token)
+        && token < tokens::TOKEN_REDIRECT_DONE_BASE
+        && ![
+            tokens::TOKEN_GCS,
+            tokens::TOKEN_CHECKPOINT,
+            tokens::TOKEN_DRAIN,
+            tokens::TOKEN_QUERY_TIMEOUT,
+        ]
+        .contains(&token)
+}
+
+/// Advances the mock clock to the earliest pending resource-fault timer
+/// and fires it; `false` when none is pending.
+fn fire_next_resource_timer(rig: &mut ServerRig) -> bool {
+    let next = rig
+        .sys
+        .timers()
+        .iter()
+        .filter(|t| is_resource_token(t.token) && !t.cancelled && !rig.fired.contains(&t.timer))
+        .min_by_key(|t| (t.set_at + t.after, t.timer))
+        .copied();
+    let Some(t) = next else {
+        return false;
+    };
+    rig.fired.push(t.timer);
+    let due = t.set_at + t.after;
+    if due > rig.sys.now() {
+        rig.sys.advance(due - rig.sys.now());
+    }
+    rig.interceptor.on_event(
+        &mut rig.sys,
+        Event::TimerFired {
+            timer: t.timer,
+            token: t.token,
+        },
+    );
+    true
 }
 
 /// Brings the rig's GCS online: attach ack, a view with `members`, and an
@@ -306,23 +363,16 @@ fn serving_rig_with(cfg: MeadConfig, state: Option<Rc<CounterState>>) -> (Server
     (rig, conn)
 }
 
-/// Steps the leak by firing its timer, answering one request per step
-/// (a reply write is what trips the event-driven threshold check), until
-/// `done` holds, the replica exits, or 40 steps have passed. Each step
-/// clears what was written to `conn` before.
+/// Steps the resource faults by firing their timers, answering one
+/// request per step (a reply write is what trips the event-driven
+/// threshold check), until `done` holds, the replica exits, or 40 steps
+/// have passed. Each step clears what was written to `conn` before.
 fn leak_until(rig: &mut ServerRig, conn: ConnId, done: impl Fn(&MockSys) -> bool) {
     for _ in 0..40 {
         if done(&rig.sys) || rig.sys.exit_requested().is_some() {
             break;
         }
-        let timer = timer_by_token(&rig.sys, tokens::TOKEN_LEAK);
-        rig.interceptor.on_event(
-            &mut rig.sys,
-            Event::TimerFired {
-                timer,
-                token: tokens::TOKEN_LEAK,
-            },
-        );
+        fire_next_resource_timer(rig);
         answer(rig, conn, 2);
     }
 }
@@ -447,14 +497,7 @@ fn jump_both_thresholds(scheme: RecoveryScheme) -> (ServerRig, ConnId) {
         None,
     );
     for _ in 0..2 {
-        let timer = timer_by_token(&rig.sys, tokens::TOKEN_LEAK);
-        rig.interceptor.on_event(
-            &mut rig.sys,
-            Event::TimerFired {
-                timer,
-                token: tokens::TOKEN_LEAK,
-            },
-        );
+        fire_next_resource_timer(&mut rig);
     }
     leak_until(&mut rig, conn, |sys| {
         sys.counter("mead.launch_requests") > 0
@@ -786,6 +829,190 @@ fn needs_addressing_server_launches_a_replacement_past_the_first_threshold() {
         .filter(|m| matches!(m, GroupMsg::LaunchRequest { .. }))
         .count();
     assert_eq!(launches, 1, "one LaunchRequest multicast to the group");
+}
+
+// ---------------------------------------------------------------------
+// Resource pressure: a CPU ramp or an fd leak beside (or instead of) the
+// memory leak
+// ---------------------------------------------------------------------
+
+/// The paper's configuration for `scheme` with a CPU or fd pressure armed
+/// at `activate_at`; the memory leak stays only if `leak`.
+fn pressured(
+    scheme: RecoveryScheme,
+    kind: PressureKind,
+    activate_at: SimTime,
+    leak: bool,
+) -> MeadConfig {
+    let mut cfg = MeadConfig::builder(scheme).build();
+    if !leak {
+        cfg.leak = None;
+    }
+    cfg.pressure = Some(PressureConfig { kind, activate_at });
+    cfg
+}
+
+/// The `resource_pressure` events the replica emitted, as (resource,
+/// permille).
+fn pressure_events(sys: &MockSys) -> Vec<(&'static str, u32)> {
+    sys.emitted()
+        .iter()
+        .filter_map(|(_, kind)| match kind {
+            EventKind::ResourcePressure { resource, permille } => Some((*resource, *permille)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Accepts one client connection on the rig's listener.
+fn accept_client(rig: &mut ServerRig) -> ConnId {
+    let conn = rig.sys.accept_conn();
+    rig.interceptor.on_event(
+        &mut rig.sys,
+        Event::Accepted {
+            listener: rig.listener,
+            conn,
+            peer_node: NodeId::from_index(4),
+        },
+    );
+    conn
+}
+
+/// An armed fd leak grows by its rate with each client request and not
+/// with time, traces each decile it crosses, and crashes the replica for
+/// exhaustion when the descriptor table is gone.
+#[test]
+fn an_fd_leak_advances_per_request_and_crashes_the_replica_when_exhausted() {
+    let fd = PressureKind::Fd { per_request: 0.25 };
+    let cfg = pressured(RecoveryScheme::MeadFailover, fd, SimTime::ZERO, false);
+    let mut rig = server_rig_with(cfg, None);
+    assert!(fire_next_resource_timer(&mut rig), "armed at its instant");
+    assert_eq!(pressure_events(&rig.sys), [("fd", 0)]);
+    assert!(
+        !fire_next_resource_timer(&mut rig),
+        "an fd leak never ticks"
+    );
+    let conn = accept_client(&mut rig);
+    for rid in 1..=3 {
+        rig.sys.push_incoming(conn, &request(rid));
+        rig.interceptor
+            .on_event(&mut rig.sys, Event::DataReadable { conn });
+    }
+    assert!(rig.sys.exit_requested().is_none(), "a quarter left");
+    assert_eq!(
+        pressure_events(&rig.sys),
+        [("fd", 0), ("fd", 250), ("fd", 500), ("fd", 750)]
+    );
+    rig.sys.push_incoming(conn, &request(4));
+    rig.interceptor
+        .on_event(&mut rig.sys, Event::DataReadable { conn });
+    assert_eq!(pressure_events(&rig.sys).last(), Some(&("fd", 1000)));
+    assert_eq!(rig.sys.counter("mead.crash_exhaustion"), 1);
+    assert!(
+        matches!(
+            rig.sys.exit_requested(),
+            Some(simnet::ExitReason::Crash(why)) if why == "fd exhausted"
+        ),
+        "{:?}",
+        rig.sys.exit_requested()
+    );
+}
+
+/// A CPU ramp arms at its instant, adds its rate's share of every 100 ms
+/// tick (1/16 here, so the sums are exact), traces each decile once, and
+/// the reply path crosses the 80 % launch threshold and then the 90 %
+/// migrate threshold.
+#[test]
+fn a_cpu_ramp_arms_at_its_instant_traces_each_decile_and_crosses_both_thresholds() {
+    let at = SimTime::from_millis(50);
+    let cpu = PressureKind::Cpu {
+        ramp_per_sec: 0.625,
+    };
+    let cfg = pressured(RecoveryScheme::MeadFailover, cpu, at, false);
+    let (mut rig, conn) = serving_rig_with(cfg, None);
+    assert!(
+        pressure_events(&rig.sys).is_empty(),
+        "not armed before {at:?}"
+    );
+    assert!(fire_next_resource_timer(&mut rig));
+    assert_eq!(rig.sys.now(), at);
+    assert_eq!(pressure_events(&rig.sys), [("cpu", 0)]);
+    let (mut launched, mut migrated) = (None, None);
+    for tick in 1..=15 {
+        assert!(fire_next_resource_timer(&mut rig), "tick {tick}");
+        answer(&mut rig, conn, 2);
+        if launched.is_none() && rig.sys.counter("mead.launch_requests") > 0 {
+            launched = Some(tick);
+        }
+        if migrated.is_none() && rig.sys.counter("mead.migrations") > 0 {
+            migrated = Some(tick);
+        }
+    }
+    assert_eq!(rig.sys.now(), at + SimDuration::from_millis(1500));
+    let permilles: Vec<u32> = pressure_events(&rig.sys).iter().map(|e| e.1).collect();
+    assert_eq!(permilles, [0, 125, 250, 312, 437, 500, 625, 750, 812, 937]);
+    assert_eq!(launched, Some(13), "13/16 is past 80 %");
+    assert_eq!(migrated, Some(15), "15/16 is past 90 %");
+    assert_eq!(thresholds_crossed(&rig.sys), [1, 2]);
+    assert!(rig.sys.exit_requested().is_none());
+}
+
+/// A replica started after its pressure's instant never arms it: no
+/// timer, no trace, no growth, however many requests it serves.
+#[test]
+fn a_pressure_whose_instant_precedes_the_replicas_start_never_arms() {
+    for kind in [
+        PressureKind::Cpu { ramp_per_sec: 10.0 },
+        PressureKind::Fd { per_request: 0.5 },
+    ] {
+        let name = format!("{kind:?}");
+        let at = SimTime::from_millis(50);
+        let cfg = pressured(RecoveryScheme::MeadFailover, kind, at, false);
+        let mut rig = server_rig_at(cfg, None, SimDuration::from_millis(100));
+        assert!(!fire_next_resource_timer(&mut rig), "{name}: no timer");
+        let conn = accept_client(&mut rig);
+        for rid in 1..=4 {
+            answer(&mut rig, conn, rid);
+        }
+        assert!(pressure_events(&rig.sys).is_empty(), "{name}");
+        assert!(rig.sys.exit_requested().is_none(), "{name}");
+        assert_eq!(rig.sys.counter("mead.launch_requests"), 0, "{name}");
+    }
+}
+
+/// With the leak and a pressure both armed, the thresholds see the larger
+/// fraction: an fd leak past the migrate threshold moves the clients
+/// before the leak has stepped once, and an fd leak that stays below the
+/// leak leaves the launch where the leak alone puts it (a sum would move
+/// it earlier).
+#[test]
+fn a_replica_with_a_leak_and_a_pressure_reports_the_larger_fraction() {
+    let fd = |per_request| PressureKind::Fd { per_request };
+    let scheme = RecoveryScheme::MeadFailover;
+    let (mut rig, conn) = serving_rig_with(pressured(scheme, fd(0.46), SimTime::ZERO, true), None);
+    assert!(fire_next_resource_timer(&mut rig), "the fd leak arms at 0");
+    assert_eq!(rig.sys.now(), SimTime::ZERO, "the leak has not stepped");
+    answer(&mut rig, conn, 2);
+    assert!(
+        thresholds_crossed(&rig.sys).is_empty(),
+        "0.46 is below both"
+    );
+    answer(&mut rig, conn, 3);
+    assert_eq!(thresholds_crossed(&rig.sys), [2], "0.92 is past both");
+    assert_eq!(rig.sys.counter("mead.migrations"), 1);
+
+    let launch_instant = |cfg: MeadConfig| {
+        let (mut rig, conn) = serving_rig_with(cfg, None);
+        leak_until(&mut rig, conn, |sys| {
+            sys.counter("mead.launch_requests") > 0
+        });
+        assert_eq!(rig.sys.counter("mead.launch_requests"), 1);
+        rig.sys.now()
+    };
+    let alone = launch_instant(MeadConfig::builder(scheme).build());
+    let beside = launch_instant(pressured(scheme, fd(0.02), SimTime::ZERO, true));
+    assert!(alone > SimTime::ZERO);
+    assert_eq!(beside, alone);
 }
 
 /// An unmodified server: a `ServerOrb` with one servant, as the paper's

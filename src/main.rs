@@ -51,8 +51,7 @@ const TOOLS: [Tool; 5] = [
     ),
     (
         "explore",
-        "[--threads N] [--smoke] [--seeded-bug [--trace F]] [--runs N] [--depth N] \
-         [--conflict-relation F] [--violations F]",
+        "[--threads N] [--seeded-bug [--trace F]] [--conflict-relation F] [--violations F]",
         "enumerate event interleavings of the pair and relaunch fixtures under every invariant",
         explore::cli_main,
     ),

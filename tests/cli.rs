@@ -153,7 +153,9 @@ fn usage_errors_exit_2_with_a_message() {
         (&["table1", "0"], "invocations must be at least 1"),
         (&["failover", "0"], "invocations must be at least 1"),
         (&["fleet", "0"], "clients must be at least 1"),
-        (&["explore", "--runs", "0"], "--runs must be at least 1"),
+        // `explore` has one run budget, not a flag.
+        (&["explore", "--runs", "0"], "`--runs`"),
+        (&["explore", "--smoke"], "`--smoke`"),
     ] {
         let stderr = refused(args);
         assert!(stderr.contains(named), "{args:?}: {stderr}");

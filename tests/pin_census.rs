@@ -7,7 +7,9 @@
 //! a 16-hex-digit digest, an explorer run or outcome count or a sweep
 //! plan count appears in CI, `mead-repro help` or a document other than
 //! CHANGES and ROADMAP, which keep their history. README's Table 1 block,
-//! which quotes `results/table1.txt`, must agree with that file.
+//! which quotes `results/table1.txt`, must agree with that file, and so
+//! must each measured number EXPERIMENTS copies from `results/table1.txt`
+//! and `results/failover.txt`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -244,4 +246,110 @@ fn readme_table1_is_a_prefix_of_the_committed_table() {
         "README's Table 1 copies results/table1.txt wrong:\n{}",
         off.join("\n")
     );
+}
+
+/// The cells of each row of the table whose header line starts with
+/// `header` (a markdown table, `| a | b |`, or a results table,
+/// `a | b`), up to the first line that is not a row; the separator line
+/// under the header is skipped.
+fn table_rows(text: &str, header: &str) -> Vec<Vec<String>> {
+    let is_separator = |l: &str| l.chars().all(|c| "|-+ ".contains(c));
+    text.lines()
+        .skip_while(|l| !l.starts_with(header))
+        .skip(1)
+        .skip_while(|l| is_separator(l))
+        .take_while(|l| l.contains('|') && !is_separator(l))
+        .map(|l| {
+            let l = l.trim().trim_start_matches('|').trim_end_matches('|');
+            l.split('|').map(|c| c.trim().to_string()).collect()
+        })
+        .collect()
+}
+
+/// A document cell's measured number as the results file prints it: the
+/// part after `→`, with the typographic minus and the space before `%`
+/// dropped; `None` for a cell that is not a number (a name, `baseline`,
+/// `—`, a sum of stages).
+fn measured(cell: &str) -> Option<String> {
+    let value = cell.rsplit('→').next()?.trim();
+    let value = value.replace('−', "-").replace(" %", "%");
+    value
+        .trim_end_matches('%')
+        .parse::<f64>()
+        .is_ok()
+        .then_some(value)
+}
+
+/// `doc` row by row against `results` (the rows of the same table, in
+/// the same order): every measured number of a document row that is not
+/// a cell of its results row, and a missing or surplus row.
+fn stale_numbers(doc: &[Vec<String>], results: &[Vec<String>]) -> Vec<String> {
+    let mut off = Vec::new();
+    for (n, row) in doc.iter().enumerate() {
+        let Some(want) = results.get(n) else {
+            off.push(format!("`{}` has no results row", row[0]));
+            continue;
+        };
+        for value in row.iter().filter_map(|c| measured(c)) {
+            if !want.contains(&value) {
+                off.push(format!(
+                    "`{}`: {value} is not in `{}`",
+                    row[0],
+                    want.join(" | ")
+                ));
+            }
+        }
+    }
+    off.extend(
+        results[doc.len().min(results.len())..]
+            .iter()
+            .map(|r| format!("no row for `{}`", r[0])),
+    );
+    off
+}
+
+#[test]
+fn experiments_measured_columns_are_in_the_committed_results() {
+    let results = table_rows(
+        "Title\n\nScheme | RTT | ms\n---+---+---\nA | -1.4% | 10.329\n\n",
+        "Scheme",
+    );
+    let doc =
+        "| Scheme | RTT (paper → measured) | ms |\n|---|---|---|\n| a | +2 % → −1.4 % | 10.329 |\n";
+    assert!(stale_numbers(&table_rows(doc, "| Scheme"), &results).is_empty());
+    let stale = doc.replace("10.329", "10.177");
+    assert_eq!(
+        stale_numbers(&table_rows(&stale, "| Scheme"), &results),
+        ["`a`: 10.177 is not in `A | -1.4% | 10.329`"]
+    );
+    assert_eq!(
+        stale_numbers(&[], &results),
+        ["no row for `A`"],
+        "a row the document lacks"
+    );
+
+    let doc = fs::read_to_string(root().join("EXPERIMENTS.md")).unwrap();
+    let read = |file: &str| fs::read_to_string(root().join("results").join(file)).unwrap();
+    for (section, header, file, results_header) in [
+        ("Table 1", "| Strategy |", "table1.txt", "Recovery Strategy"),
+        (
+            "§5.2.3",
+            "| Scheme | measured mean",
+            "failover.txt",
+            "Scheme ",
+        ),
+    ] {
+        let copied = table_rows(&doc, header);
+        let committed = table_rows(&read(file), results_header);
+        assert!(
+            !copied.is_empty() && !committed.is_empty(),
+            "{section}: no table"
+        );
+        let off = stale_numbers(&copied, &committed);
+        assert!(
+            off.is_empty(),
+            "EXPERIMENTS {section} copies results/{file} wrong:\n{}",
+            off.join("\n")
+        );
+    }
 }
