@@ -15,8 +15,38 @@
 
 use mead::{MeadConfig, RecoveryScheme, Trigger};
 
+use crate::paper::{run_results_command, Report};
 use crate::runner::run_batch;
 use crate::scenario::{ScenarioConfig, ScenarioOutcome};
+
+/// `adaptive`'s invocations per simulation when no count is given.
+pub const DEFAULT_INVOCATIONS: u32 = 3000;
+
+/// `mead-repro adaptive [--threads N] [--trace out.jsonl] [invocations]`:
+/// writes and prints `results/adaptive.txt`.
+pub fn cli_main(args: &[String]) -> i32 {
+    run_results_command(args, DEFAULT_INVOCATIONS, adaptive_report)
+}
+
+/// Runs the comparison at seed 42 on up to `threads` worker threads and
+/// renders `results/adaptive.txt`; each run's trace is labelled
+/// `<strategy>@<speed>x`.
+pub fn adaptive_report(invocations: u32, threads: usize) -> Report {
+    let cells = run_adaptive_comparison(invocations, 42, threads);
+    let text = format!(
+        "\nAdaptive vs preset thresholds (MEAD scheme, {invocations} invocations per cell)\n\n{}\n\
+         preset thresholds assume a known fault speed; the adaptive trigger\n\
+         fires on predicted time-to-exhaustion and handles all speeds.\n",
+        format_adaptive(&cells.iter().map(|(row, _)| row.clone()).collect::<Vec<_>>())
+    );
+    Report {
+        files: vec![("results/adaptive.txt".to_string(), text)],
+        traces: cells
+            .into_iter()
+            .map(|(row, out)| (format!("{}@{}x", row.strategy, row.speed), out.trace))
+            .collect(),
+    }
+}
 
 /// One row of the adaptive-vs-preset comparison.
 #[derive(Clone, Debug)]

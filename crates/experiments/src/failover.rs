@@ -82,7 +82,7 @@ pub fn model_budget(scheme: RecoveryScheme) -> (f64, String) {
 
 /// The episode table of `cells`: each scheme's fail-over episodes,
 /// measured from its invocation records, next to its cost-model budget.
-pub fn format_failover(cells: &[(ScenarioConfig, ScenarioOutcome)]) -> String {
+pub fn format_failover(cells: &[(&ScenarioConfig, &ScenarioOutcome)]) -> String {
     let mut out = String::from(
         "Scheme                   | episodes | mean (ms) | p50    | max    | model (ms) | decomposition\n\
          -------------------------+----------+-----------+--------+--------+------------+--------------\n",
@@ -103,7 +103,7 @@ pub fn format_failover(cells: &[(ScenarioConfig, ScenarioOutcome)]) -> String {
 
 /// The stage table of each cell's episodes, rebuilt from its trace alone
 /// ([`obs::episodes`], [`obs::stage_table`]).
-pub fn format_stages(cells: &[(ScenarioConfig, ScenarioOutcome)]) -> String {
+pub fn format_stages(cells: &[(&ScenarioConfig, &ScenarioOutcome)]) -> String {
     let mut out = String::new();
     for (cfg, outcome) in cells {
         let eps = obs::episodes(&outcome.trace);

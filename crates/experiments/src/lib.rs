@@ -5,15 +5,15 @@
 //! experiment index. The private `testbed` module assembles, boots and
 //! drives the five-node topology for every simulation; [`scenario`] runs
 //! the paper's experiment on it and defines its 13 cells once, in
-//! [`paper_workload`]; [`workload`] is the measuring client. Each paper
-//! command selects its cells from `paper_workload` by label and turns
-//! the outcomes into rows with the builders of [`report`], [`figures`],
-//! [`failover`] and [`jitter`]. The
-//! command-line surface is [`paper::EXPERIMENTS`] (seven rows run by
-//! [`run_experiment`]) plus [`sweep::cli_main`], [`fleet::cli_main`] and
-//! [`paper::digest_probe`], each taking the flags it reads through
-//! [`cli`]; the one
-//! binary that dispatches to them is the root package's `mead-repro`.
+//! [`paper_workload`]; [`workload`] is the measuring client. The `paper`
+//! command ([`paper::cli_main`]) runs those cells and the jitter table's
+//! fault-free baseline once, in one batch ([`paper_runs`]), and renders
+//! every `results/` file of section 5 from the outcomes with the
+//! builders of [`report`], [`figures`] and [`failover`]. The rest of the
+//! command-line surface is [`adaptive::cli_main`], [`sweep::cli_main`],
+//! [`fleet::cli_main`] and [`paper::digest_probe`], each taking the flags
+//! it reads through [`cli`]; the one binary that dispatches to them is
+//! the root package's `mead-repro`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +25,6 @@ pub mod counter;
 pub mod failover;
 pub mod figures;
 pub mod fleet;
-pub mod jitter;
 pub mod paper;
 pub mod pins;
 pub mod report;
@@ -36,7 +35,7 @@ pub mod sweep;
 mod testbed;
 pub mod workload;
 
-pub use adaptive::{format_adaptive, run_adaptive_comparison, AdaptiveRow};
+pub use adaptive::{run_adaptive_comparison, AdaptiveRow};
 pub use chaos::{
     chaos_plan_space_for, run_chaos_plan, run_chaos_plan_with, ChaosBoot, ChaosConfig,
     ChaosOutcome, ServantMutation,
@@ -47,14 +46,12 @@ pub use cli::{
     write_violations, CliError,
 };
 pub use counter::counter_key;
-pub use failover::{format_failover, format_stages, model_budget};
-pub use figures::{fig5_csv, fig5_point, format_fig5, Fig5Point};
+pub use figures::{fig5_point, format_fig5, Fig5Point};
 pub use fleet::{group_configs, run_fleet, FleetConfig, FleetOutcome};
-pub use jitter::format_jitter;
-pub use paper::{run_experiment, Experiment, Report, EXPERIMENTS};
+pub use paper::{paper_runs, Report};
 pub use report::{
-    failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, trace_ascii, trace_csv,
-    Table1Row, ViolationRecord, ViolationReport, VIOLATION_REPORT_SCHEMA,
+    failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, Table1Row,
+    ViolationRecord, ViolationReport, VIOLATION_REPORT_SCHEMA,
 };
 pub use runner::{default_threads, run_batch, run_batch_with};
 pub use scenario::{

@@ -1,120 +1,68 @@
-//! The paper's evaluation as one table: each [`Experiment`] row names a
-//! `mead-repro` command, its default invocation count and the function
-//! that turns `(invocations, threads)` into a [`Report`] — the text to
-//! print, the `results/` files to write and the labelled traces behind
-//! `--trace`. [`run_experiment`] is the one driver for all seven rows.
-//! The six section-5 rows run cells of
-//! [`paper_workload`](crate::scenario::paper_workload), named by label;
-//! only `jitter` adds a run of its own, a fault-free copy of the baseline
-//! cell.
+//! The paper's evaluation as one command. `mead-repro paper` runs the
+//! simulations behind `results/` once, in one batch: the 13 cells of
+//! [`paper_workload`] and the jitter table's fault-free baseline
+//! ([`paper_runs`]). Table 1, the RTT traces of Figures 3 and 4,
+//! Figure 5, the section 5.2.3 fail-over breakdown and the section 5.2.5
+//! jitter table are renderers that pick their runs from that one
+//! outcome list by pin key; [`paper_report`] writes them all. `adaptive`
+//! ([`crate::adaptive::cli_main`]) is the other command that writes
+//! `results/`, through the same driver.
 
 use mead::RecoveryScheme;
 
-use crate::adaptive::{format_adaptive, run_adaptive_comparison};
 use crate::cli::{
     no_args_left, nonzero, positional_or, run_command, take_flag, take_threads, write_artifact,
     write_trace, CliError,
 };
 use crate::failover::{format_failover, format_stages};
 use crate::figures::{fig5_csv, fig5_point, format_fig5};
-use crate::jitter::format_jitter;
 use crate::report::{
     failover_episodes_ms, format_table1, steady_state_rtt_ms, table1_row, trace_ascii, trace_csv,
 };
 use crate::runner::run_batch;
-use crate::scenario::{paper_cells, run_scenario, ScenarioConfig, ScenarioOutcome};
-use crate::stats::mean_f64;
+use crate::scenario::{paper_workload, run_scenario, ScenarioConfig, ScenarioOutcome};
+use crate::stats::{mean_f64, Summary};
 
-/// Everything one experiment run hands back to the driver.
-#[derive(Clone, Debug, Default)]
+/// `paper`'s invocations per simulation when no count is given: the
+/// paper's 10 000.
+pub const DEFAULT_INVOCATIONS: u32 = 10_000;
+
+/// What `paper` and `adaptive` render: the files they write and the
+/// traces behind `--trace`.
+#[derive(Debug)]
 pub struct Report {
-    /// The stdout text, trailing newline included.
-    pub text: String,
-    /// `(path, contents)` of every `results/` file the run regenerates.
+    /// `(path, contents)` of every `results/` file, in the order they
+    /// are written; the `.txt` ones are also printed, in that order.
     pub files: Vec<(String, String)>,
-    /// One labelled observability trace per simulation, in run order.
+    /// One observability trace per simulation, under its label, in run
+    /// order.
     pub traces: Vec<(String, Vec<obs::TraceEvent>)>,
 }
 
-/// One row of the experiment table.
-#[derive(Clone, Copy, Debug)]
-pub struct Experiment {
-    /// Command name (`mead-repro <name>`).
-    pub name: &'static str,
-    /// One-line description for `mead-repro help`.
-    pub about: &'static str,
-    /// Invocations per simulation when no positional count is given.
-    pub default_invocations: u32,
-    /// Runs the experiment at `(invocations, threads)`, seed 42.
-    pub run: fn(u32, usize) -> Report,
-}
-
-/// The six experiments of section 5, in paper order, then the adaptive
-/// trigger of its future work.
-pub const EXPERIMENTS: [Experiment; 7] = [
-    Experiment {
-        name: "table1",
-        about: "Table 1: overhead, client failures and fail-over time of all five schemes",
-        default_invocations: 10_000,
-        run: table1,
-    },
-    Experiment {
-        name: "fig3",
-        about: "Figure 3: RTT traces of the reactive schemes -> results/fig3_*.csv",
-        default_invocations: 10_000,
-        run: fig3,
-    },
-    Experiment {
-        name: "fig4",
-        about: "Figure 4: RTT traces of the proactive schemes at 80 % -> results/fig4_*.csv",
-        default_invocations: 10_000,
-        run: fig4,
-    },
-    Experiment {
-        name: "fig5",
-        about: "Figure 5: group-communication bandwidth vs threshold -> results/fig5.csv",
-        default_invocations: 10_000,
-        run: fig5,
-    },
-    Experiment {
-        name: "failover",
-        about: "section 5.2.3: measured episodes, cost-model budget, trace-derived stage tables",
-        default_invocations: 10_000,
-        run: failover,
-    },
-    Experiment {
-        name: "jitter",
-        about: "section 5.2.5: 3-sigma outlier rates and maximum spikes per scheme",
-        default_invocations: 10_000,
-        run: jitter,
-    },
-    Experiment {
-        name: "adaptive",
-        about: "future work: preset 80/90 % thresholds vs the adaptive predictor, by leak speed",
-        default_invocations: 3000,
-        run: adaptive,
-    },
-];
-
-/// Runs `exp` as a command: `[--threads N] [--trace out.jsonl]
-/// [invocations]`. Returns the process exit status.
-pub fn run_experiment(exp: &Experiment, args: &[String]) -> i32 {
+/// Runs a results command, `[--threads N] [--trace out.jsonl]
+/// [invocations]`: writes every file of `build(invocations, threads)`,
+/// prints its `.txt` files and writes its traces. Returns the process
+/// exit status.
+pub(crate) fn run_results_command(
+    args: &[String],
+    default_invocations: u32,
+    build: fn(u32, usize) -> Report,
+) -> i32 {
     run_command(args, |mut args| {
         let threads = take_threads(&mut args)?;
         let trace = take_flag(&mut args, "--trace")?;
-        let invocations = nonzero(
-            "invocations",
-            positional_or(&args, exp.default_invocations)?,
-        )?;
-        let report = (exp.run)(invocations, threads);
-        if !report.files.is_empty() {
-            std::fs::create_dir_all("results")
-                .map_err(|e| CliError::Failed(format!("cannot create results/: {e}")))?;
-        }
+        let invocations = nonzero("invocations", positional_or(&args, default_invocations)?)?;
+        let report = build(invocations, threads);
+        std::fs::create_dir_all("results")
+            .map_err(|e| CliError::Failed(format!("cannot create results/: {e}")))?;
         for (path, body) in &report.files {
             write_artifact("results", path.as_ref(), body)?;
         }
-        print!("{}", report.text);
+        for (path, body) in &report.files {
+            if path.ends_with(".txt") {
+                print!("{body}");
+            }
+        }
         let sections: Vec<_> = report
             .traces
             .iter()
@@ -125,121 +73,134 @@ pub fn run_experiment(exp: &Experiment, args: &[String]) -> i32 {
     })
 }
 
-impl Report {
-    /// A report with no `results/` files: `text`, and the trace of every
-    /// `(row, outcome)` cell under `label(row)`.
-    fn of<R>(
-        text: String,
-        cells: Vec<(R, ScenarioOutcome)>,
-        label: impl Fn(&R) -> String,
-    ) -> Report {
-        Report {
-            text,
-            files: Vec::new(),
-            traces: cells
-                .into_iter()
-                .map(|(row, out)| (label(&row), out.trace))
-                .collect(),
-        }
-    }
+/// `mead-repro paper [--threads N] [--trace out.jsonl] [invocations]`.
+pub fn cli_main(args: &[String]) -> i32 {
+    run_results_command(args, DEFAULT_INVOCATIONS, paper_report)
 }
 
-/// Table 1's cells, the baseline (reactive without cache) first, then the
-/// other reactive scheme and the three that migrate clients.
-const TABLE1: [&str; 5] = [
-    "table1/Reactive_Without_Cache",
-    "table1/Reactive_With_Cache",
-    "table1/NEEDS_ADDRESSING_Mode",
-    "table1/LOCATION_FORWARD",
-    "table1/MEAD_Message",
-];
+/// Every simulation `paper` runs, under its `pins.toml` key: each
+/// [`paper_workload`] cell as `paper/<label>`, then its first cell, the
+/// baseline (reactive without cache), without faults (OS noise only) as
+/// `jitter/fault-free`.
+pub fn paper_runs(invocations: u32) -> Vec<(String, ScenarioConfig)> {
+    let mut runs: Vec<_> = paper_workload(invocations)
+        .into_iter()
+        .map(|(label, cfg)| (format!("paper/{label}"), cfg))
+        .collect();
+    let fault_free = ScenarioConfig {
+        fault_free: true,
+        ..runs[0].1.clone()
+    };
+    runs.push(("jitter/fault-free".to_string(), fault_free));
+    runs
+}
 
-/// Figure 5's threshold sweep.
-const FIG5: [&str; 8] = [
-    "fig5/LOCATION_FORWARD@20",
-    "fig5/LOCATION_FORWARD@40",
-    "fig5/LOCATION_FORWARD@60",
-    "fig5/LOCATION_FORWARD@80",
-    "fig5/MEAD_Message@20",
-    "fig5/MEAD_Message@40",
-    "fig5/MEAD_Message@60",
-    "fig5/MEAD_Message@80",
-];
+/// Table 1's cells, in `RecoveryScheme::ALL` order: the baseline
+/// (reactive without cache) first, then the other reactive scheme and
+/// the three that migrate clients. Figure 3 is the first two.
+const TABLE1: &str = "paper/table1/";
+
+/// Figure 5's threshold sweep, LOCATION_FORWARD and then MEAD, each from
+/// 20 % to 80 %.
+const FIG5: &str = "paper/fig5/";
 
 /// Figure 4's three proactive schemes at the 80 % threshold of its
 /// captions. NEEDS_ADDRESSING migrates nobody and acts only at its
 /// launch threshold, which is 80 % in its Table 1 cell: that cell is
 /// its run.
 const FIG4: [&str; 3] = [
-    "table1/NEEDS_ADDRESSING_Mode",
-    "fig5/LOCATION_FORWARD@80",
-    "fig5/MEAD_Message@80",
+    "paper/table1/NEEDS_ADDRESSING_Mode",
+    "paper/fig5/LOCATION_FORWARD@80",
+    "paper/fig5/MEAD_Message@80",
 ];
 
-/// Runs `configs` on up to `threads` worker threads; each outcome stays
-/// next to its config.
-fn run_cells(
-    configs: Vec<ScenarioConfig>,
-    threads: usize,
-) -> Vec<(ScenarioConfig, ScenarioOutcome)> {
-    let outcomes = run_batch(&configs, threads);
-    configs.into_iter().zip(outcomes).collect()
+/// The section 5.2.5 rows: the fault-free baseline, each scheme at the
+/// default threshold, and the MEAD scheme at the aggressive 20 %.
+const JITTER: [&str; 3] = ["jitter/fault-free", TABLE1, "paper/fig5/MEAD_Message@20"];
+
+/// `paper`'s outcomes, each beside its pin key and config.
+struct Runs(Vec<(String, ScenarioConfig, ScenarioOutcome)>);
+
+impl Runs {
+    /// For each of `prefixes` in turn, the runs whose key starts with
+    /// it, in run order. Panics on a prefix of no run (the prefixes are
+    /// constants of this module).
+    fn pick(&self, prefixes: &[&str]) -> Vec<(&ScenarioConfig, &ScenarioOutcome)> {
+        let mut picked = Vec::new();
+        for prefix in prefixes {
+            let under = self.0.iter().filter(|(key, ..)| key.starts_with(prefix));
+            let before = picked.len();
+            picked.extend(under.map(|(_, cfg, out)| (cfg, out)));
+            assert!(picked.len() > before, "no paper run under `{prefix}`");
+        }
+        picked
+    }
 }
 
-fn scheme_name(cfg: &ScenarioConfig) -> String {
-    cfg.scheme.name().to_string()
+/// Runs [`paper_runs`] on up to `threads` worker threads and renders
+/// every `results/` file of section 5 from the outcomes.
+pub fn paper_report(invocations: u32, threads: usize) -> Report {
+    let runs = paper_runs(invocations);
+    let configs: Vec<_> = runs.iter().map(|(_, cfg)| cfg.clone()).collect();
+    let runs = Runs(
+        runs.into_iter()
+            .zip(run_batch(&configs, threads))
+            .map(|((key, cfg), out)| (key, cfg, out))
+            .collect(),
+    );
+    let mut files = vec![("results/table1.txt".into(), table1(&runs))];
+    files.extend(rtt_figure(3, &runs.pick(&[TABLE1])[..2]));
+    files.extend(rtt_figure(4, &runs.pick(&FIG4)));
+    files.extend(fig5(&runs));
+    files.extend([
+        ("results/failover.txt".into(), failover(&runs, invocations)),
+        ("results/jitter.txt".into(), jitter(&runs)),
+    ]);
+    let traces = runs.0.into_iter().map(|(key, _, out)| (key, out.trace));
+    Report {
+        files,
+        traces: traces.collect(),
+    }
 }
 
-/// A cell's migrate threshold in percent (`None`: the paper's default).
-fn threshold_pct(cfg: &ScenarioConfig) -> Option<u32> {
-    cfg.threshold.map(|t| (t * 100.0).round() as u32)
-}
-
-fn table1(invocations: u32, threads: usize) -> Report {
-    let cells = run_cells(paper_cells(&TABLE1, invocations), threads);
-    let (baseline_cfg, baseline) = &cells[0];
+fn table1(runs: &Runs) -> String {
+    let cells = runs.pick(&[TABLE1]);
+    let (baseline_cfg, baseline) = cells[0];
     let baseline_steady = steady_state_rtt_ms(baseline);
     let baseline_failover = mean_f64(&failover_episodes_ms(baseline, baseline_cfg.scheme));
     let rows: Vec<_> = cells
         .iter()
         .map(|(cfg, out)| table1_row(out, cfg.scheme, baseline_steady, baseline_failover))
         .collect();
-    let text = format!(
+    format!(
         "\nTable 1: overhead and fail-over times (paper values in DESIGN/EXPERIMENTS docs)\n\n{}\n",
         format_table1(&rows)
-    );
-    Report::of(text, cells, scheme_name)
+    )
 }
 
-/// Figures 3 and 4 share a shape: one CSV and one ASCII preview per trace.
-fn rtt_figure(figure: u32, labels: &[&str], invocations: u32, threads: usize) -> Report {
-    let mut report = Report::default();
-    for (cfg, outcome) in run_cells(paper_cells(labels, invocations), threads) {
+/// Figures 3 and 4 share a shape: one CSV per trace, then one ASCII
+/// preview of them all.
+fn rtt_figure(figure: u32, cells: &[(&ScenarioConfig, &ScenarioOutcome)]) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    let mut preview = String::new();
+    for (cfg, outcome) in cells {
         let name = cfg.scheme.name();
         let file = name.replace(' ', "_").to_lowercase();
         let path = format!("results/fig{figure}_{file}.csv");
-        report.text += &format!(
+        preview += &format!(
             "\n=== Figure {figure}: {name} (RTT, 0-20ms scale) -> {path} ===\n{}\n",
-            trace_ascii(&outcome, 40, 20.0)
+            trace_ascii(outcome, 40, 20.0)
         );
-        report.files.push((path, trace_csv(&outcome)));
-        report.traces.push((name.to_string(), outcome.trace));
+        files.push((path, trace_csv(outcome)));
     }
-    report
+    files.push((format!("results/fig{figure}_preview.txt"), preview));
+    files
 }
 
-fn fig3(invocations: u32, threads: usize) -> Report {
-    rtt_figure(3, &TABLE1[..2], invocations, threads)
-}
-
-fn fig4(invocations: u32, threads: usize) -> Report {
-    rtt_figure(4, &FIG4, invocations, threads)
-}
-
-fn fig5(invocations: u32, threads: usize) -> Report {
-    let cells = run_cells(paper_cells(&FIG5, invocations), threads);
+fn fig5(runs: &Runs) -> [(String, String); 2] {
     let pct = |cfg: &ScenarioConfig| threshold_pct(cfg).expect("a fig5 cell sets its threshold");
-    let points: Vec<_> = cells
+    let points: Vec<_> = runs
+        .pick(&[FIG5])
         .iter()
         .map(|(cfg, out)| fig5_point(cfg.scheme, pct(cfg), out))
         .collect();
@@ -248,74 +209,73 @@ fn fig5(invocations: u32, threads: usize) -> Report {
          (paper: ~6,000 B/s at 80% rising to ~10,000 B/s at 20%)\n",
         format_fig5(&points)
     );
-    let label = |cfg: &ScenarioConfig| format!("{}@{}%", cfg.scheme.name(), pct(cfg));
-    Report {
-        files: vec![("results/fig5.csv".to_string(), fig5_csv(&points))],
-        ..Report::of(text, cells, label)
-    }
+    [
+        ("results/fig5.csv".into(), fig5_csv(&points)),
+        ("results/fig5.txt".into(), text),
+    ]
 }
 
 /// Episodes measured from every scheme's invocation records, then the
 /// stages of the migrating schemes' episodes, rebuilt from their traces.
-fn failover(invocations: u32, threads: usize) -> Report {
-    let cells = run_cells(paper_cells(&TABLE1, invocations), threads);
+fn failover(runs: &Runs, invocations: u32) -> String {
+    let cells = runs.pick(&[TABLE1]);
     // The reactive schemes never migrate a client, so they have no
     // episodes to decompose.
-    let text = format!(
+    format!(
         "\nFail-over decomposition (section 5.2.3)\n\n{}\n\
          Fail-over stages from traces (seed 42, {invocations} invocations)\n\n{}",
         format_failover(&cells),
         format_stages(&cells[2..])
-    );
-    Report::of(text, cells, scheme_name)
+    )
 }
 
-fn jitter_label(cfg: &ScenarioConfig) -> String {
-    let name = cfg.scheme.name();
-    match threshold_pct(cfg) {
-        _ if cfg.fault_free => "fault-free".to_string(),
-        Some(pct) => format!("{name} @ {pct}% threshold"),
-        None => name.to_string(),
+/// A cell's migrate threshold in percent (`None`: the paper's default).
+fn threshold_pct(cfg: &ScenarioConfig) -> Option<u32> {
+    cfg.threshold.map(|t| (t * 100.0).round() as u32)
+}
+
+/// The jitter table (section 5.2.5): for each row, the mean and standard
+/// deviation of its round trips, the share of invocations above mean +
+/// 3σ and the largest spike, the initial naming spike excluded.
+///
+/// The paper reports spikes exceeding the mean by 3σ in 1–2.5 % of
+/// invocations for all schemes; a fault-free maximum spike of 2.3 ms;
+/// one ~30 ms spike (0.01 % of runs) in the GIOP proactive schemes below
+/// the 80 % threshold (a client reaching a newly restarted server that
+/// is still updating its group membership); and a 6.9 ms maximum for
+/// MEAD messages at the 20 % threshold.
+fn jitter(runs: &Runs) -> String {
+    let mut table = String::from(
+        "Condition                     | mean (ms) | std (ms) | >3-sigma | max spike (ms)\n\
+         ------------------------------+-----------+----------+----------+---------------\n",
+    );
+    for (cfg, outcome) in runs.pick(&JITTER) {
+        let name = cfg.scheme.name();
+        let label = match threshold_pct(cfg) {
+            _ if cfg.fault_free => "fault-free".to_string(),
+            Some(pct) => format!("{name} @ {pct}% threshold"),
+            None => name.to_string(),
+        };
+        // The initial resolution spike is reported separately.
+        let rtts: Vec<f64> = outcome
+            .report()
+            .records
+            .iter()
+            .skip(1)
+            .map(|r| r.rtt_ms())
+            .collect();
+        let (mean, std, outliers, max) = Summary::of(&rtts)
+            .map_or((f64::NAN, f64::NAN, 0.0, f64::NAN), |s| {
+                (s.mean, s.std_dev, s.three_sigma_outliers(&rtts).1, s.max)
+            });
+        table += &format!(
+            "{label:<29} | {mean:>9.3} | {std:>8.3} | {:>7.2}% | {max:>13.2}\n",
+            outliers * 100.0
+        );
     }
-}
-
-/// A fault-free run of the baseline (OS noise only), each scheme at the
-/// default threshold, and the MEAD scheme at the aggressive 20 %.
-fn jitter(invocations: u32, threads: usize) -> Report {
-    let mut configs = paper_cells(
-        &[&TABLE1[..], &["fig5/MEAD_Message@20"]].concat(),
-        invocations,
-    );
-    configs.insert(
-        0,
-        ScenarioConfig {
-            fault_free: true,
-            ..configs[0].clone()
-        },
-    );
-    let cells = run_cells(configs, threads);
-    let rows: Vec<_> = cells
-        .iter()
-        .map(|(cfg, out)| (jitter_label(cfg), out))
-        .collect();
-    let text = format!(
-        "\nJitter (section 5.2.5): paper reports 1-2.5% outliers, 2.3ms fault-free max\n\n{}\n",
-        format_jitter(&rows)
-    );
-    Report::of(text, cells, jitter_label)
-}
-
-fn adaptive(invocations: u32, threads: usize) -> Report {
-    let cells = run_adaptive_comparison(invocations, 42, threads);
-    let text = format!(
-        "\nAdaptive vs preset thresholds (MEAD scheme, {invocations} invocations per cell)\n\n{}\n\
-         preset thresholds assume a known fault speed; the adaptive trigger\n\
-         fires on predicted time-to-exhaustion and handles all speeds.\n",
-        format_adaptive(&cells.iter().map(|(row, _)| row.clone()).collect::<Vec<_>>())
-    );
-    Report::of(text, cells, |row| {
-        format!("{}@{}x", row.strategy, row.speed)
-    })
+    format!(
+        "\nJitter (section 5.2.5): paper reports 1-2.5% outliers, 2.3ms fault-free max\n\n{table}\n"
+    )
 }
 
 /// `mead-repro digest-probe [--trace out.jsonl]`: prints the outcome

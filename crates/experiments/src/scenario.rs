@@ -113,23 +113,6 @@ pub fn paper_workload(invocations: u32) -> Vec<(String, ScenarioConfig)> {
     cells
 }
 
-/// The [`paper_workload`] cells named by `labels`, in the order given:
-/// every section-5 command selects its scenarios here. Panics on a label
-/// that names no cell (the labels are constants of this crate).
-pub(crate) fn paper_cells(labels: &[&str], invocations: u32) -> Vec<ScenarioConfig> {
-    let cells = paper_workload(invocations);
-    labels
-        .iter()
-        .map(|&label| {
-            let (_, cfg) = cells
-                .iter()
-                .find(|(name, _)| name == label)
-                .unwrap_or_else(|| panic!("`{label}` is not a paper_workload cell"));
-            cfg.clone()
-        })
-        .collect()
-}
-
 /// Results of one scenario run.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
@@ -356,15 +339,5 @@ mod tests {
         let cfg = ScenarioConfig::quick(RecoveryScheme::MeadFailover, 100);
         assert!(!cfg.os_noise);
         assert_eq!(cfg.invocations, 100);
-    }
-
-    #[test]
-    fn paper_cells_select_by_label_in_the_order_given() {
-        let cells = paper_cells(&["fig5/MEAD_Message@20", "table1/LOCATION_FORWARD"], 300);
-        assert_eq!(cells[0].scheme.name(), "MEAD Message");
-        assert_eq!(cells[0].threshold, Some(0.2));
-        assert_eq!(cells[1].scheme.name(), "LOCATION FORWARD");
-        assert_eq!(cells[1].threshold, None);
-        assert!(cells.iter().all(|c| c.invocations == 300 && c.seed == 42));
     }
 }

@@ -1,14 +1,15 @@
-//! Every run of this crate that `pins.toml` pins: the 13 paper cells, the
-//! jitter table's fault-free run, seed-42 `fleet-1k` and `fleet --smoke`,
-//! the chaos campaign, `sweep --smoke` and `sweep-full.toml` at its
-//! thirteen base seeds. A run that moves fails with the components that
-//! moved and the entry that would re-pin it (DESIGN §9 "Pinned runs").
-//! The sweeps are `#[ignore]`d; CI runs them in release.
+//! Every run of this crate that `pins.toml` pins: the 14 runs of `paper`
+//! (the 13 paper cells and the jitter table's fault-free run), seed-42
+//! `fleet-1k` and `fleet --smoke`, the chaos campaign, `sweep --smoke`
+//! and `sweep-full.toml` at its thirteen base seeds. A run that moves
+//! fails with the components that moved and the entry that would re-pin
+//! it (DESIGN §9 "Pinned runs"). The sweeps are `#[ignore]`d; CI runs
+//! them in release.
 
 use experiments::pins::{hold, Pins, Run};
 use experiments::{
-    default_threads, expand_sweep, paper_workload, read_sweep, run_fleet, run_scenario, run_sweep,
-    sample_is_thread_independent, FleetConfig, ScenarioConfig,
+    default_threads, expand_sweep, paper, paper_runs, read_sweep, run_fleet, run_scenario,
+    run_sweep, sample_is_thread_independent, FleetConfig,
 };
 use mead::RecoveryScheme;
 
@@ -16,29 +17,23 @@ fn pins() -> Pins {
     Pins::committed().unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The runs of `paper` at its default count, from the list the command
+/// runs: every `paper_workload` cell and the jitter table's fault-free
+/// run. Each run is pinned and each pin is a run.
 #[test]
-fn paper_cells_match_their_pins() {
-    let mut cells = paper_workload(10_000);
-    cells.sort_by(|a, b| a.0.cmp(&b.0));
-    let keys = cells.iter().map(|(cell, _)| format!("paper/{cell}"));
+fn paper_runs_match_their_pins() {
+    let mut runs = paper_runs(paper::DEFAULT_INVOCATIONS);
+    runs.sort_by(|a, b| a.0.cmp(&b.0));
+    let pins = pins();
+    let pinned = pins.keys_under("jitter/").chain(pins.keys_under("paper/"));
     assert!(
-        pins().keys_under("paper/").eq(keys.clone()),
-        "pins of no cell"
+        pinned.eq(runs.iter().map(|(key, _)| key.as_str())),
+        "pins of no run, or runs of no pin"
     );
-    let run = |(_, cfg): &(String, ScenarioConfig)| Run::of(run_scenario(cfg).components());
-    hold(keys.zip(cells.iter().map(run)));
-}
-
-/// The one scenario behind `results/` outside `paper_workload`: the
-/// jitter table's fault-free run (OS noise, no leak), seed 42.
-#[test]
-fn fault_free_baseline_matches_its_pin() {
-    let cfg = ScenarioConfig {
-        fault_free: true,
-        ..ScenarioConfig::paper(RecoveryScheme::ReactiveNoCache)
-    };
-    let run = Run::of(run_scenario(&cfg).components());
-    hold([("jitter/fault-free", run)]);
+    hold(
+        runs.iter()
+            .map(|(key, cfg)| (key, Run::of(run_scenario(cfg).components()))),
+    );
 }
 
 /// `fleet-1k` at seed 42 (the ledger's workload: 4 groups x 1000 clients

@@ -1,42 +1,50 @@
 //! Every committed file under `results/` regenerates byte for byte.
 //!
-//! Runs each `EXPERIMENTS` row at its default invocation count on one
-//! worker thread and compares its stdout text with `results/<name>.txt`
-//! (`results/<name>_preview.txt` for the RTT figures) and every file it
-//! would write with the committed copy. The digest pins fix what each
-//! scenario computes; this fixes which scenarios each command runs and
-//! how it renders them, so a command that picks the wrong cell fails
-//! here even when every pin holds.
+//! Runs the two commands that write `results/`, `paper` and `adaptive`,
+//! at their default invocation counts on one worker thread, and compares
+//! every file each would write with the committed copy; together they
+//! must write every committed file. The digest pins fix what each
+//! scenario computes; this fixes which runs each file is rendered from
+//! and how, so a renderer that picks the wrong run fails here even when
+//! every pin holds.
 
 use std::path::Path;
 
-use experiments::EXPERIMENTS;
-
-fn committed(rel: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(rel);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
+use experiments::{adaptive, paper};
 
 #[test]
-fn every_experiment_regenerates_its_committed_results() {
+fn paper_and_adaptive_regenerate_every_committed_result() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = [
+        paper::paper_report(paper::DEFAULT_INVOCATIONS, 1),
+        adaptive::adaptive_report(adaptive::DEFAULT_INVOCATIONS, 1),
+    ]
+    .into_iter()
+    .flat_map(|report| report.files);
+    let mut written = Vec::new();
     let mut drifted = Vec::new();
-    for exp in &EXPERIMENTS {
-        let report = (exp.run)(exp.default_invocations, 1);
-        let text = match exp.name {
-            "fig3" | "fig4" => format!("results/{}_preview.txt", exp.name),
-            name => format!("results/{name}.txt"),
-        };
-        for (path, body) in report.files.into_iter().chain([(text, report.text)]) {
-            if committed(&path) != body {
-                drifted.push(format!("{}: {path}", exp.name));
-            }
+    for (path, body) in files {
+        let committed = std::fs::read_to_string(root.join(&path));
+        if committed.as_deref().ok() != Some(body.as_str()) {
+            drifted.push(path.clone());
         }
+        written.push(path);
     }
     assert!(
         drifted.is_empty(),
         "regenerated results differ from the committed files:\n{}",
         drifted.join("\n")
     );
+    let mut committed: Vec<String> = std::fs::read_dir(root.join("results"))
+        .expect("results/")
+        .map(|e| {
+            format!(
+                "results/{}",
+                e.expect("entry").file_name().to_string_lossy()
+            )
+        })
+        .collect();
+    committed.sort();
+    written.sort();
+    assert_eq!(written, committed, "a committed file no command writes");
 }

@@ -422,8 +422,10 @@ impl ServerState {
                     continue;
                 }
             }
-            if is_client {
-                self.process_client_frame(sys, conn, &frame);
+            // A request that exhausts a resource crashes the replica: it
+            // reaches no application, and nothing after it is staged.
+            if is_client && self.process_client_frame(sys, conn, &frame) {
+                break;
             }
             // Server side passes every frame (including any stray MEAD
             // frame) up unchanged; only the client interceptor strips.
@@ -450,10 +452,11 @@ impl ServerState {
         }
     }
 
-    /// Read-path processing of one inbound client frame.
-    fn process_client_frame(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) {
+    /// Read-path processing of one inbound client frame. Returns whether
+    /// the process exited: the request exhausted a resource.
+    fn process_client_frame(&mut self, sys: &mut dyn SysApi, conn: ConnId, frame: &Frame) -> bool {
         if frame.kind != FrameKind::Giop || frame.msg_type() != MsgType::Request as u8 {
-            return;
+            return false;
         }
         self.ever_served = true;
         self.served_since_checkpoint = true;
@@ -465,7 +468,7 @@ impl ServerState {
                 self.arm(sys, i);
             }
             if self.resources[i].on_request() && self.progress(sys, i) {
-                return;
+                return true;
             }
         }
         if self.cfg.scheme == RecoveryScheme::LocationForward {
@@ -480,6 +483,7 @@ impl ServerState {
                 }
             }
         }
+        false
     }
 
     /// Write-path filtering for replies to clients. Returns the bytes to

@@ -918,6 +918,35 @@ fn an_fd_leak_advances_per_request_and_crashes_the_replica_when_exhausted() {
     );
 }
 
+/// The request that exhausts an fd leak crashes the replica before the
+/// application sees it: with a quarter of the table per request, the
+/// application is handed requests 1 to 3 and answers them, and request 4
+/// reaches it not at all and is never answered.
+#[test]
+fn the_request_that_exhausts_an_fd_leak_is_never_served() {
+    let fd = PressureKind::Fd { per_request: 0.25 };
+    let cfg = pressured(RecoveryScheme::MeadFailover, fd, SimTime::ZERO, false);
+    let mut rig = server_rig_with(cfg, None);
+    assert!(fire_next_resource_timer(&mut rig), "armed at its instant");
+    let conn = accept_client(&mut rig);
+    for rid in 1..=3 {
+        answer(&mut rig, conn, rid);
+        assert_eq!(
+            rig.sys.written(conn),
+            &reply(rid)[..],
+            "request {rid} answered"
+        );
+    }
+    answer(&mut rig, conn, 4);
+    assert!(
+        rig.sys.exit_requested().is_some(),
+        "request 4 exhausts the table"
+    );
+    let served: Vec<u8> = (1..=3).flat_map(request).collect();
+    assert_eq!(rig.app.borrow().read_bytes, served, "requests 1 to 3 only");
+    assert!(rig.sys.written(conn).is_empty(), "no reply to request 4");
+}
+
 /// A CPU ramp arms at its instant, adds its rate's share of every 100 ms
 /// tick (1/16 here, so the sums are exact), traces each decile once, and
 /// the reply path crosses the 80 % launch threshold and then the 90 %

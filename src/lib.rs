@@ -18,7 +18,8 @@
 //! * [`faults`] — Weibull memory leaks, thresholds, crash schedules,
 //! * [`mead`] — the paper's contribution: interceptors, PFTM, Recovery
 //!   Manager, and the five recovery schemes,
-//! * [`experiments`] — scenario builder and the seven paper commands.
+//! * [`experiments`] — scenario builder, the `paper` and `adaptive`
+//!   commands that write `results/`, and `sweep` and `fleet`.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for paper-vs-measured
 //! results. Everything runnable is a command of this package's one

@@ -14,28 +14,31 @@ use std::time::Instant;
 
 use experiments::{no_args_left, run_command, take_flag, take_switch, write_artifact, CliError};
 
-/// A command's entry point: the arguments after its name in, the exit
-/// status out.
-type Run = Box<dyn Fn(&[String]) -> i32>;
-
-/// One row of the command table.
-struct Command {
-    name: &'static str,
-    /// Synopsis of the arguments: every flag the command reads.
-    args: String,
-    about: &'static str,
-    run: Run,
-}
-
-/// A non-experiment command: `(name, args, about, entry point)`.
-type Tool = (
+/// One row of the command table: `(name, args, about, entry point)`;
+/// `args` is the synopsis of every flag the command reads, and the entry
+/// point takes the arguments after the name and returns the exit status.
+type Command = (
     &'static str,
     &'static str,
     &'static str,
     fn(&[String]) -> i32,
 );
 
-const TOOLS: [Tool; 5] = [
+const COMMANDS: [Command; 7] = [
+    (
+        "paper",
+        "[--threads N] [--trace F] [invocations, default 10000]",
+        "section 5 in one batch: Table 1, Figures 3-5, the 5.2.3 fail-over breakdown and the \
+         5.2.5 jitter table -> results/",
+        experiments::paper::cli_main,
+    ),
+    (
+        "adaptive",
+        "[--threads N] [--trace F] [invocations, default 3000]",
+        "future work: preset 80/90 % thresholds vs the adaptive predictor, by leak speed \
+         -> results/adaptive.txt",
+        experiments::adaptive::cli_main,
+    ),
     (
         "sweep",
         "[--threads N] [--trace F] [--smoke] [--violations F] [--report F] [scenario.toml]",
@@ -69,26 +72,6 @@ const TOOLS: [Tool; 5] = [
         experiments::paper::digest_probe,
     ),
 ];
-
-/// The table: the seven paper experiments, then the tools.
-fn commands() -> Vec<Command> {
-    let experiments = experiments::EXPERIMENTS.iter().map(|exp| Command {
-        name: exp.name,
-        args: format!(
-            "[--threads N] [--trace F] [invocations, default {}]",
-            exp.default_invocations
-        ),
-        about: exp.about,
-        run: Box::new(move |args| experiments::run_experiment(exp, args)),
-    });
-    let tools = TOOLS.into_iter().map(|(name, args, about, run)| Command {
-        name,
-        args: args.to_string(),
-        about,
-        run: Box::new(run),
-    });
-    experiments.chain(tools).collect()
-}
 
 /// `mead-repro lint`: the lint library over the tree at `--root`
 /// (default `.`), the allowlist at `--allow` (default
@@ -155,7 +138,7 @@ fn lint(args: &[String]) -> i32 {
     })
 }
 
-fn help(table: &[Command]) -> String {
+fn help() -> String {
     let mut out = String::from(
         "usage: mead-repro <command> [args...]\n\
          A command rejects any flag it does not list. Flags take `--flag V` or `--flag=V`.\n\
@@ -165,9 +148,9 @@ fn help(table: &[Command]) -> String {
          \x20 --violations F   write the violation-report/1 document\n\n\
          commands:\n",
     );
-    let rows = table
+    let rows = COMMANDS
         .iter()
-        .map(|c| (c.name, c.args.as_str(), c.about))
+        .map(|&(name, args, about, _)| (name, args, about))
         .chain([("help", "", "print this list")]);
     for (name, args, about) in rows {
         out.push_str(format!("  {name} {args}").trim_end());
@@ -178,21 +161,20 @@ fn help(table: &[Command]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let table = commands();
     let code = match args.split_first() {
         Some((name, _)) if name == "help" => {
-            print!("{}", help(&table));
+            print!("{}", help());
             0
         }
-        Some((name, rest)) => match table.iter().find(|c| c.name == name) {
-            Some(command) => (command.run)(rest),
+        Some((name, rest)) => match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(.., run)) => run(rest),
             None => {
-                eprintln!("error: unknown command `{name}`\n{}", help(&table));
+                eprintln!("error: unknown command `{name}`\n{}", help());
                 2
             }
         },
         None => {
-            eprintln!("error: no command given\n{}", help(&table));
+            eprintln!("error: no command given\n{}", help());
             2
         }
     };

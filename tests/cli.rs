@@ -23,12 +23,25 @@ fn help_names_every_command() {
         .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    let experiments = experiments::EXPERIMENTS.iter().map(|e| e.name);
-    let expected: Vec<&str> = experiments
-        .chain(["sweep", "fleet", "explore", "lint", "digest-probe", "help"])
-        .collect();
+    let expected = [
+        "paper",
+        "adaptive",
+        "sweep",
+        "fleet",
+        "explore",
+        "lint",
+        "digest-probe",
+        "help",
+    ];
     assert_eq!(listed, expected, "{text}");
-    assert_eq!(listed.len(), 12 + 1, "twelve commands and `help`");
+    // The defaults the rows state are the ones the commands run.
+    for (name, default) in [
+        ("paper", experiments::paper::DEFAULT_INVOCATIONS),
+        ("adaptive", experiments::adaptive::DEFAULT_INVOCATIONS),
+    ] {
+        let row = format!("  {name} [--threads N] [--trace F] [invocations, default {default}]\n");
+        assert!(text.contains(&row), "{row}{text}");
+    }
 }
 
 /// A scenario on the paper topology whose one `[[fault]]` is `fault`.
@@ -101,13 +114,13 @@ fn usage_errors_exit_2_with_a_message() {
     );
     let cases: [&[&str]; 20] = [
         &[],
-        &["tabel1"],
-        &["table1", "--threads"],
+        &["papr"],
+        &["paper", "--threads"],
         &["fleet", "--threads", "many"],
         &["fleet", "--smoke", "--scheme", "mead"],
-        &["table1", "--thread", "1", "150"],
-        &["table1", "10k"],
-        &["table1", "150", "200"],
+        &["paper", "--thread", "1", "150"],
+        &["paper", "10k"],
+        &["paper", "150", "200"],
         &["fleet", "1e4"],
         &["sweep", &missing],
         &["sweep", &malformed],
@@ -139,19 +152,16 @@ fn usage_errors_exit_2_with_a_message() {
     for (args, named) in [
         (&["digest-probe", "extra"][..], "`extra`"),
         (&["digest-probe", "--bogus"], "`--bogus`"),
-        (&["table1", "--smoke", "50"], "`--smoke`"),
-        (
-            &["table1", "--violations", "v.json", "50"],
-            "`--violations`",
-        ),
+        (&["paper", "--smoke", "50"], "`--smoke`"),
+        (&["paper", "--violations", "v.json", "50"], "`--violations`"),
         (&["fleet", "--violations", "v.json"], "`--violations`"),
         (&["fleet", "--trace", "t.jsonl"], "`--trace`"),
         (&["explore", "--trace", "t.jsonl"], "--trace"),
         (&["lint", "--threads", "2"], "`--threads`"),
         (&["lint", "--smoke"], "`--smoke`"),
         // A count of nothing is refused, not run as an empty report.
-        (&["table1", "0"], "invocations must be at least 1"),
-        (&["failover", "0"], "invocations must be at least 1"),
+        (&["paper", "0"], "invocations must be at least 1"),
+        (&["adaptive", "0"], "invocations must be at least 1"),
         (&["fleet", "0"], "clients must be at least 1"),
         // `explore` has one run budget, not a flag.
         (&["explore", "--runs", "0"], "`--runs`"),
@@ -175,14 +185,47 @@ fn usage_errors_exit_2_with_a_message() {
         let stderr = refused(&["sweep", scenario]);
         assert!(stderr.contains(why), "{scenario}: {stderr}");
     }
+    // Section 5 is one command, `paper`: a table or figure name is none.
+    for old in ["table1", "fig3", "fig4", "fig5", "failover", "jitter"] {
+        let stderr = refused(&[old, "200"]);
+        assert!(stderr.contains("unknown command"), "{old}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }
 
+/// `paper` at 200 invocations in a fresh working directory per thread
+/// count: the same stdout and the same `results/` files, byte for byte,
+/// at 1 and 2 worker threads.
 #[test]
-fn table1_prints_the_same_bytes_at_1_and_2_threads() {
-    let one = mead_repro(&["table1", "--threads", "1", "200"]);
-    let two = mead_repro(&["table1", "--threads", "2", "200"]);
-    assert!(one.status.success() && two.status.success());
-    assert!(String::from_utf8_lossy(&one.stdout).contains("MEAD Message"));
-    assert_eq!(one.stdout, two.stdout);
+fn paper_writes_the_same_bytes_at_1_and_2_threads() {
+    let base = std::env::temp_dir().join(format!("mead-repro-paper-{}", std::process::id()));
+    let run = |threads: &str| {
+        let dir = base.join(threads);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let out = Command::new(env!("CARGO_BIN_EXE_mead-repro"))
+            .args(["paper", "--threads", threads, "200"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mead-repro paper");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("results"))
+            .expect("results/ written")
+            .map(|e| {
+                let path = e.expect("entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("read result"))
+            })
+            .collect();
+        files.sort();
+        (out.stdout, files)
+    };
+    let (one, two) = (run("1"), run("2"));
+    assert!(String::from_utf8_lossy(&one.0).contains("MEAD Message"));
+    assert_eq!(one.1.len(), 12, "every section-5 results file");
+    assert!(one == two, "paper output differs between 1 and 2 threads");
+    std::fs::remove_dir_all(&base).expect("remove temp dir");
 }
